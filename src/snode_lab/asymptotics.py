@@ -17,6 +17,7 @@ from .densities import DensityFn
 from .errors import (
     DimensionMismatch,
     NotConverged,
+    NotInUpperHalfPlane,
     QuadratureNotConverged,
     SingularF,
     SingularOnGrid,
@@ -358,6 +359,8 @@ def entropy_bound_check(
     Scalar families go through the outer-modulus quadrature of the pair's
     boundary density; for p > 1 only the extremal pair is supported (its
     outer factor is available in closed form)."""
+    if np.imag(lam) <= 0.0:
+        raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     p = frm.p

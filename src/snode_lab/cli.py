@@ -105,7 +105,7 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     worst = 0.0
     for _ in range(20):
         lam = complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0))
-        factors = toeplitz.factorize_transfer(spec, lam)
+        factors = toeplitz.factorize_transfer(chain, lam)
         prod = np.eye(2 * spec.p, dtype=complex)
         for w in factors:
             prod = w @ prod
@@ -167,7 +167,7 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     worst = 0.0
     for _ in range(20):
         lam = complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0) * rng.choice([-1.0, 1.0]))
-        factors = hankel.hankel_factors(spec, lam)
+        factors = hankel.hankel_factors(chain, lam)
         prod = np.eye(2 * spec.p, dtype=complex)
         for w in factors:
             prod = w @ prod
@@ -456,6 +456,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)
     try:
+        tol_scale = matcore.tolerance_scale()
         checks, extra = _HANDLERS[sc.command](sc, rng)
     except SnodeLabError as exc:
         raise BadInput(f"{sc.command}: {exc}") from exc
@@ -465,7 +466,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
         "rng": "PCG64",
         "grid": int(sc.grid),
         "quad": int(sc.quad),
-        "tolerance_scale": matcore.tolerance_scale(),
+        "tolerance_scale": tol_scale,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -41,6 +41,10 @@ class NotPositiveDefinite(SnodeLabError):
         super().__init__(message)
 
 
+class InvalidToleranceScale(SnodeLabError):
+    """The SNODELAB_TOL environment variable is not a finite number > 0."""
+
+
 class NotContractive(SnodeLabError):
     pass
 

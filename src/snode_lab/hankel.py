@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     ExtractionNotConverged,
     IndexOutOfRange,
-    NotPositiveDefinite,
     PoleAtLambda,
 )
 from .snode import ParamPair, SNode, node_frame, stieltjes_density, weyl_values
@@ -100,53 +99,34 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
 
 @dataclass(frozen=True)
 class OmegaChain:
-    """Coefficients omega_k (p x 2p) and the positive blocks t_1..t_n."""
+    """Coefficients omega_k (p x 2p), the positive blocks t_1..t_n, and the
+    G_k of :func:`matcore.leading_chain` (G_k* G_k = omega_k* t_{k+1}^{-1} omega_k)."""
 
     p: int
     omega: tuple
     t: tuple
+    G: tuple
 
     def __len__(self) -> int:
         return len(self.omega)
 
 
 def hankel_chain(spec: HankelSpec) -> OmegaChain:
-    """omega_k = P_2(k+1) H(k+1)^{-1} Pi(k+1) and t_r = (H(r)^{-1})_{rr} block.
-
-    Raises :class:`NotPositiveDefinite` at the first order whose leading
-    block fails.
-    """
-    p, n = spec.p, spec.n
+    """omega_k = P_2(k+1) H(k+1)^{-1} Pi(k+1) and t_r = (H(r)^{-1})_{rr} block,
+    from :func:`matcore.leading_chain`; raises :class:`NotPositiveDefinite` at
+    the first order whose leading block fails."""
     node = build_hankel_node(spec)
-    Pi = node.Pi
-    omegas, ts = [], []
-    for r in range(1, n + 1):
-        Hr = node.S[: r * p, : r * p]
-        try:
-            pd = matcore.cholesky_pd(Hr)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite("leading Hankel block not positive definite", order=r) from exc
-        sol = pd.solve(Pi[: r * p, :])
-        omegas.append(sol[(r - 1) * p :, :])
-        unit = np.zeros((r * p, p), dtype=complex)
-        unit[(r - 1) * p :, :] = np.eye(p)
-        ts.append(matcore.hermitian_part(pd.solve(unit)[(r - 1) * p :, :]))
-    return OmegaChain(p=p, omega=tuple(omegas), t=tuple(ts))
+    ts, omegas, Gs = matcore.leading_chain(node.S, node.Pi, spec.p)
+    return OmegaChain(p=spec.p, omega=omegas, t=ts, G=Gs)
 
 
-def hankel_factors(spec: HankelSpec, lam: complex) -> list[np.ndarray]:
-    """Elementary factors w_{k+1}(lam) = I + (i/lam) J omega_k* t_{k+1}^{-1} omega_k."""
+def hankel_factors(chain: OmegaChain, lam: complex) -> list[np.ndarray]:
+    """Elementary factors w_{k+1}(lam) = I + (i/lam) J G_k* G_k of a chain."""
     if abs(lam) < 1e-12:
         raise PoleAtLambda("every factor has its pole at lam = 0")
-    chain = hankel_chain(spec)
-    p = spec.p
-    J = matcore.exchange_J(p)
-    I2 = np.eye(2 * p, dtype=complex)
-    out = []
-    for k in range(len(chain)):
-        Q = chain.omega[k].conj().T @ matcore.cholesky_pd(chain.t[k]).solve(chain.omega[k])
-        out.append(I2 + (1j / lam) * J @ Q)
-    return out
+    J = matcore.exchange_J(chain.p)
+    I2 = np.eye(2 * chain.p, dtype=complex)
+    return [I2 + (1j / lam) * J @ G.conj().T @ G for G in chain.G]
 
 
 def moments_from_density(density: DensityFn, k: int, quad: int = 2048) -> np.ndarray:

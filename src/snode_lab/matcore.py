@@ -1,5 +1,6 @@
-"""Dense complex-matrix kernel: Hermitian checks, Cholesky, square roots,
-determinants, norms, block assembly.
+"""Dense complex-matrix kernel: Hermitian checks, Cholesky (of one matrix and
+of every leading block at once), square roots, determinants, norms, block
+assembly.
 
 All helpers operate on plain ``numpy`` arrays of complex dtype and never
 mutate their inputs.  Sizes in this library stay below ~64, so everything
@@ -13,12 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidToleranceScale, NotHermitian, NotPositiveDefinite
 
 
 def tolerance_scale() -> float:
-    """Global tolerance multiplier, read from the SNODELAB_TOL env var (default 1)."""
-    return float(os.environ.get("SNODELAB_TOL", "1"))
+    """Global tolerance multiplier, read from the SNODELAB_TOL env var (default 1);
+    raises :class:`InvalidToleranceScale` unless it is a finite number > 0."""
+    raw = os.environ.get("SNODELAB_TOL", "1")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = np.nan
+    if not 0.0 < scale < np.inf:
+        raise InvalidToleranceScale(f"SNODELAB_TOL={raw!r} is not a finite number > 0")
+    return scale
 
 
 def as_matrix(M) -> np.ndarray:
@@ -122,6 +131,39 @@ def cholesky_pd(M, tol: float | None = None) -> HermPD:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc) or "cholesky pivot failed") from exc
     return HermPD(matrix=H, factor=L)
+
+
+def leading_chain(S, Pi, p: int) -> tuple[tuple, tuple, tuple]:
+    """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp]
+    from one left-looking block Cholesky factorization S = L L*, whose
+    leading blocks factor every S(k).  For k = 1..n: t_k = (L_kk L_kk*)^{-1}
+    is the bottom-right block of S(k)^{-1}; G_k is the k-th block row of
+    L^{-1} Pi; row_k = L_kk^{-*} G_k is the bottom block row of
+    S(k)^{-1} Pi(k), so row_k* t_k^{-1} row_k = G_k* G_k.
+
+    Raises :class:`NotPositiveDefinite` with ``order=k`` at the first pivot
+    block that fails.
+    """
+    assert_hermitian(S)
+    S = hermitian_part(S)
+    n = S.shape[0] // p
+    Linv = np.zeros((n * p, n * p), dtype=complex)
+    ts, rows, Gs = [], [], []
+    for k in range(n):
+        lo, hi = k * p, (k + 1) * p
+        off = S[lo:hi, :lo] @ Linv[:lo, :lo].conj().T  # L_{k,<k}
+        try:
+            Lkk = np.linalg.cholesky(hermitian_part(S[lo:hi, lo:hi] - off @ off.conj().T))
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("leading block not positive definite", order=k + 1) from exc
+        Lkk_inv = np.linalg.inv(Lkk)
+        Linv[lo:hi, :lo] = -Lkk_inv @ off @ Linv[:lo, :lo]
+        Linv[lo:hi, lo:hi] = Lkk_inv
+        G = Linv[lo:hi, :hi] @ Pi[:hi]
+        ts.append(hermitian_part(Lkk_inv.conj().T @ Lkk_inv))
+        rows.append(Lkk_inv.conj().T @ G)
+        Gs.append(G)
+    return tuple(ts), tuple(rows), tuple(Gs)
 
 
 def sqrtm_hpd(M) -> np.ndarray:

@@ -25,7 +25,3 @@ def matrix_from_json(rows) -> np.ndarray:
     return np.array(
         [[complex_from_json(cell) for cell in row] for row in rows], dtype=complex
     )
-
-
-def real_to_json(x: float) -> float:
-    return float(x)

@@ -26,7 +26,6 @@ from .errors import (
     EvaluationFailure,
     IndexOutOfRange,
     NotContractive,
-    NotPositiveDefinite,
     PoleAtLambda,
     PoleAtZ,
     QuadratureNotConverged,
@@ -191,67 +190,45 @@ def chain_from_contractions(rhos) -> DiracChain:
     return DiracChain(p=p, C=C, rho=rhos)
 
 
-def empty_chain(p: int) -> DiracChain:
-    return DiracChain(p=p, C=(), rho=())
-
-
 def toeplitz_chain(spec: ToeplitzSpec) -> DiracChain:
-    """Factorization data of a positive-definite spec.
+    """Factorization data of a positive-definite spec, read off one block
+    Cholesky factorization by :func:`matcore.leading_chain`.
 
     For each order k: t_k and [X_k Y_k] are the bottom block row of
     S(k)^{-1} applied to the unit block column and to [Phi1(k) Phi2(k)];
-    then C_k = 2 K* beta(k)* beta(k) K - j with
-    beta(k) = t_{k+1}^{-1/2} [X_{k+1} Y_{k+1}], and rho_k = (C_11)^{-1} C_12.
+    C_k = 2 K* G_k* G_k K - j and rho_k = (C_11)^{-1} C_12.
 
     Raises :class:`NotPositiveDefinite` at the first failing order.
     """
-    p, n = spec.p, spec.n
+    p = spec.p
     node = build_toeplitz_node(spec)
-    S = node.S
-    Pi = node.Pi
+    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, p)
     K = unitary_K(p)
     j = matcore.signature_j(p)
-    ts, Xs, Ys = [], [], []
-    for k in range(1, n + 1):
-        Sk = S[: k * p, : k * p]
-        try:
-            pd = matcore.cholesky_pd(Sk)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite("leading Toeplitz block not positive definite", order=k) from exc
-        sol = pd.solve(Pi[: k * p, :])
-        XY = sol[(k - 1) * p :, :]
-        Xs.append(XY[:, :p])
-        Ys.append(XY[:, p:])
-        unit = np.zeros((k * p, p), dtype=complex)
-        unit[(k - 1) * p :, :] = np.eye(p)
-        ts.append(matcore.hermitian_part(pd.solve(unit)[(k - 1) * p :, :]))
-    Cs, rhos = [], []
-    for k in range(n):
-        t_half = matcore.sqrtm_hpd(ts[k])
-        beta = np.linalg.solve(t_half, np.hstack([Xs[k], Ys[k]]))
-        C = matcore.hermitian_part(2.0 * K.conj().T @ beta.conj().T @ beta @ K - j)
-        Cs.append(C)
-        rhos.append(contraction_from_dirac(C))
-    return DiracChain(p=p, C=tuple(Cs), rho=tuple(rhos), t=tuple(ts), X=tuple(Xs), Y=tuple(Ys))
+    Cs = tuple(matcore.hermitian_part(2.0 * K.conj().T @ G.conj().T @ G @ K - j) for G in Gs)
+    return DiracChain(
+        p=p,
+        C=Cs,
+        rho=tuple(contraction_from_dirac(C) for C in Cs),
+        t=ts,
+        X=tuple(XY[:, :p] for XY in rows),
+        Y=tuple(XY[:, p:] for XY in rows),
+    )
 
 
-def factorize_transfer(spec: ToeplitzSpec, lam: complex) -> list[np.ndarray]:
-    """Elementary factors w_k(lam) = I - i (i/2 - lam)^{-1} J [X_k; Y_k]* t_k^{-1} [X_k Y_k].
-
-    Their product w_n ... w_1 equals the node's transfer matrix at lam.
-    """
+def factorize_transfer(chain: DiracChain, lam: complex) -> list[np.ndarray]:
+    """Elementary factors w_k(lam) = I - i (i/2 - lam)^{-1} J G_k* G_k, with the
+    Gram matrix G_k* G_k = [X_k Y_k]* t_k^{-1} [X_k Y_k] = K (C_k + j) K* / 2
+    read off the coefficient.  For the chain of a spec, w_n ... w_1 is the
+    node's transfer matrix at lam."""
     if abs(0.5j - lam) < 1e-12:
         raise PoleAtLambda("every factor has its pole at lam = i/2")
-    chain = toeplitz_chain(spec)
-    p = spec.p
+    p = chain.p
     J = matcore.exchange_J(p)
+    j = matcore.signature_j(p)
+    K = unitary_K(p)
     I2 = np.eye(2 * p, dtype=complex)
-    factors = []
-    for t, X, Y in zip(chain.t, chain.X, chain.Y):
-        XY = np.hstack([X, Y])
-        middle = matcore.cholesky_pd(t).solve(XY)
-        factors.append(I2 - 1j / (0.5j - lam) * J @ XY.conj().T @ middle)
-    return factors
+    return [I2 - 0.5j / (0.5j - lam) * J @ K @ (C + j) @ K.conj().T for C in chain.C]
 
 
 def dirac_fundamental(chain: DiracChain, z: complex, k: int) -> np.ndarray:
@@ -344,10 +321,6 @@ def frame_from_spec(spec: ToeplitzSpec, z: complex) -> np.ndarray:
     J = matcore.exchange_J(p)
     j = matcore.signature_j(p)
     return (J @ j) @ w.conj().T @ (j @ J)
-
-
-def spec_frame(spec: ToeplitzSpec) -> Frame:
-    return Frame(p=spec.p, fn=lambda z: frame_from_spec(spec, z))
 
 
 def _cayley_to_plane(zeta: np.ndarray) -> np.ndarray:

@@ -181,3 +181,19 @@ def test_scenario_flags_override(tmp_path):
     report = json.loads((tmp_path / "report_ball.json").read_text())
     assert report["seed"] == 3
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf"])
+def test_bad_tolerance_scale_exits_2_naming_it(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SNODELAB_TOL", value)
+    assert run(["verify-toeplitz", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"SNODELAB_TOL={value!r}" in err and "finite number > 0" in err
+
+
+@pytest.mark.parametrize("lam", [[0.0, -1.0], [0.3, 0.0]])
+def test_entropy_lambda_outside_upper_half_plane_exits_2(tmp_path, capsys, lam):
+    scenario = tmp_path / "entropy.json"
+    scenario.write_text(json.dumps({"command": "entropy", "lambda": lam}))
+    assert run(["--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    assert "must lie in the open upper half-plane" in capsys.readouterr().err

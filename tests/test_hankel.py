@@ -36,7 +36,7 @@ def test_chain_unit_values(hankel_unit):
     spec, node = hankel_unit
     chain = hankel.hankel_chain(spec)
     assert_allclose(chain.omega[0], np.array([[0.0, 1.0]]), atol=0)
-    (w1,) = hankel.hankel_factors(spec, 2.7)
+    (w1,) = hankel.hankel_factors(hankel.hankel_chain(spec), 2.7)
     assert_allclose(w1, np.array([[1, 1j / 2.7], [0, 1]]), atol=1e-15)
     assert_allclose(w1, snode.transfer_matrix(node, 2.7), atol=1e-14)
 
@@ -80,7 +80,7 @@ def test_factor_product_matches_transfer_matrix(rng):
         for _ in range(20):
             lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5) * rng.choice([-1, 1]))
             prod = np.eye(2 * p, dtype=complex)
-            for w in hankel.hankel_factors(spec, lam):
+            for w in hankel.hankel_factors(hankel.hankel_chain(spec), lam):
                 prod = w @ prod
             direct = snode.transfer_matrix(node, lam)
             assert np.linalg.norm(prod - direct) <= 1e-9 * (1 + np.linalg.norm(direct))
@@ -89,7 +89,7 @@ def test_factor_product_matches_transfer_matrix(rng):
 def test_factors_pole_at_zero(hankel_unit):
     spec, _ = hankel_unit
     with pytest.raises(PoleAtLambda):
-        hankel.hankel_factors(spec, 0.0)
+        hankel.hankel_factors(hankel.hankel_chain(spec), 0.0)
 
 
 def test_frame_convention_matches_generic_frame(rng):

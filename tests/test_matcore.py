@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import matcore
+from snode_lab import hankel, matcore, sampling, toeplitz
 from snode_lab.errors import NotHermitian, NotPositiveDefinite
 
 
@@ -109,3 +109,58 @@ def test_tolerance_scale_env(monkeypatch):
     assert matcore.tolerance_scale() == 10.0
     base = matcore.default_tol(np.eye(2))
     assert base == pytest.approx(10 * 1e-10 * 2.0)
+
+
+def dense_bottom_rows(S, Pi, p, k):
+    """Bottom block row of S(k)^{-1} [E_k  Pi(k)], E_k the unit block column:
+    the reference [t_k  row_k] for :func:`matcore.leading_chain`."""
+    unit = np.zeros((k * p, p), dtype=complex)
+    unit[(k - 1) * p :] = np.eye(p)
+    sol = np.linalg.solve(S[: k * p, : k * p], np.hstack([unit, Pi[: k * p]]))
+    return sol[(k - 1) * p :]
+
+
+def leading_chain_errors(node, p):
+    """Per order: relative error of [t_k  row_k] against the dense solve, and
+    of the Gram identity row_k* t_k^{-1} row_k = G_k* G_k."""
+    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, p)
+    for k, (t, row, G) in enumerate(zip(ts, rows, Gs), start=1):
+        ref = dense_bottom_rows(node.S, node.Pi, p, k)
+        got = np.hstack([t, row])
+        gram = row.conj().T @ np.linalg.solve(t, row)
+        yield (
+            k,
+            np.linalg.norm(got - ref) / np.linalg.norm(ref),
+            np.linalg.norm(G.conj().T @ G - gram) / np.linalg.norm(gram),
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.integers(1, 16))
+def test_leading_chain_matches_dense_solve_toeplitz(seed, p, n):
+    spec = sampling.random_toeplitz_spec(np.random.default_rng(seed), p=p, n=n)
+    for _, rel, gram_rel in leading_chain_errors(toeplitz.build_toeplitz_node(spec), p):
+        assert rel <= 1e-12
+        assert gram_rel <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(1, 6))
+def test_leading_chain_matches_dense_solve_hankel(seed, p, n):
+    spec = sampling.random_hankel_spec(np.random.default_rng(seed), p=p, n=n)
+    node = hankel.build_hankel_node(spec)
+    eps = np.finfo(float).eps
+    for k, rel, _ in leading_chain_errors(node, p):
+        assert rel <= 10 * eps * np.linalg.cond(node.S[: k * p, : k * p])
+
+
+def test_leading_chain_reports_first_failing_order_block():
+    # S(1) and S(2) are positive definite; s_{-2} = 2 I makes S(3) indefinite
+    eye = np.eye(2, dtype=complex)
+    spec = toeplitz.ToeplitzSpec(
+        p=2, n=4, s=(eye, 0.1 * eye, 2.0 * eye, 0.3 * eye), nu=np.zeros((2, 2))
+    )
+    node = toeplitz.build_toeplitz_node(spec)
+    with pytest.raises(NotPositiveDefinite) as err:
+        matcore.leading_chain(node.S, node.Pi, 2)
+    assert err.value.order == 3

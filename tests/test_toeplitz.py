@@ -67,7 +67,7 @@ def test_chain_reports_first_failing_order():
 def test_factorize_unit_formula(toeplitz_unit):
     spec, _ = toeplitz_unit
     lam = 1.0
-    (w1,) = toeplitz.factorize_transfer(spec, lam)
+    (w1,) = toeplitz.factorize_transfer(toeplitz.toeplitz_chain(spec), lam)
     xy = np.array([[0.5, 0.5]])
     expected = np.eye(2) - 1j / (0.5j - lam) * matcore.exchange_J(1) @ xy.conj().T @ (2.0 * xy)
     assert_allclose(w1, expected, atol=1e-14)
@@ -82,7 +82,7 @@ def test_factorize_matches_transfer_matrix(rng):
         for _ in range(20):
             lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5))
             prod = np.eye(2 * p, dtype=complex)
-            for w in toeplitz.factorize_transfer(spec, lam):
+            for w in toeplitz.factorize_transfer(toeplitz.toeplitz_chain(spec), lam):
                 prod = w @ prod
             direct = snode.transfer_matrix(node, lam)
             rel = np.linalg.norm(prod - direct) / (1 + np.linalg.norm(direct))
@@ -92,7 +92,7 @@ def test_factorize_matches_transfer_matrix(rng):
 def test_factorize_pole(toeplitz_unit):
     spec, _ = toeplitz_unit
     with pytest.raises(PoleAtLambda):
-        toeplitz.factorize_transfer(spec, 0.5j)
+        toeplitz.factorize_transfer(toeplitz.toeplitz_chain(spec), 0.5j)
 
 
 def test_halmos_zero_and_scalar():
