@@ -261,7 +261,7 @@ def outer_modulus(P: DensityFn, lam: complex, quad: int = 24, rel_tol: float = 1
     log-det integral diverges to -inf.
     """
     if np.imag(lam) <= 0.0:
-        raise ValueError("lam must lie in the open upper half-plane")
+        raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     w = poisson_weight(lam)
 
     norm = quadrature.integrate_with_check(
@@ -324,7 +324,7 @@ def extremal_density(node_or_frame, lam: complex) -> DensityFn:
 
     def fn(ts):
         ts = np.asarray(ts, dtype=float)
-        frames = frm.batch(ts.astype(complex))
+        frames = frm(ts.astype(complex))
         F = frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
         Finv = np.linalg.inv(F)
         out = np.swapaxes(Finv, 1, 2).conj() @ rho_mat @ Finv / (2.0 * np.pi)

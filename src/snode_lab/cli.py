@@ -70,6 +70,11 @@ def _load_spec(path, cls):
         raise BadInput(f"malformed spec {path}: {exc!r}") from exc
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack."""
+    return np.linalg.norm(stack, axis=(1, 2))
+
+
 def _complexify(value) -> complex:
     if isinstance(value, (list, tuple)):
         return serialization.complex_from_json(value)
@@ -113,26 +118,21 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
         worst = max(worst, matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct)))
     checks.append(_check("factor product vs transfer matrix", "c5", worst, 1e-9))
 
-    worst = 0.0
-    for _ in range(5):
-        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5))
-        W = toeplitz.dirac_fundamental(chain, z, spec.n)
-        K = toeplitz.unitary_K(spec.p)
-        via = (1.0 - 1j * z) ** spec.n * K.conj().T @ snode.transfer_matrix(
-            node, 1.0 / (2.0 * z)
-        ) @ K
-        worst = max(worst, matcore.frobenius(W - via) / (1.0 + matcore.frobenius(via)))
+    zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5)) for _ in range(5)])
+    W = toeplitz.dirac_fundamental(chain, zs, spec.n)
+    K = toeplitz.unitary_K(spec.p)
+    transfer = snode.transfer_matrix(node, 1.0 / (2.0 * zs))
+    via = ((1.0 - 1j * zs) ** spec.n)[:, None, None] * K.conj().T @ transfer @ K
+    worst = np.max(_frobenius(W - via) / (1.0 + _frobenius(via)))
     checks.append(_check("recursion vs transfer matrix", "c9", worst, 1e-9))
 
     split = spec.n // 2
-    worst = 0.0
-    for _ in range(min(sc.grid, 20)):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        full = toeplitz.frame_toeplitz(chain, spec.n, z)
-        head = toeplitz.frame_toeplitz(chain.head(split), split, z)
-        tail = toeplitz.frame_toeplitz(chain.shifted(split), spec.n - split, z)
-        worst = max(worst, matcore.frobenius(full - head @ tail))
-    checks.append(_check("frame composition", "c30", worst, 1e-10))
+    count = min(sc.grid, 20)
+    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(count)])
+    full = toeplitz.frame_toeplitz(chain, spec.n, zs)
+    head = toeplitz.frame_toeplitz(chain.head(split), split, zs)
+    tail = toeplitz.frame_toeplitz(chain.shifted(split), spec.n - split, zs)
+    checks.append(_check("frame composition", "c30", np.max(_frobenius(full - head @ tail)), 1e-10))
     return checks, extra
 
 
@@ -175,11 +175,9 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
         worst = max(worst, matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct)))
     checks.append(_check("factor product vs transfer matrix", "H13-", worst, 1e-9))
 
-    worst = 0.0
-    for _ in range(5):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        via = snode.transfer_matrix(node, 1.0 / np.conj(z)).conj().T
-        worst = max(worst, matcore.frobenius(via - snode.frame(node, z)))
+    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
+    via = np.swapaxes(snode.transfer_matrix(node, 1.0 / np.conj(zs)), 1, 2).conj()
+    worst = np.max(_frobenius(via - snode.frame(node, zs)))
     checks.append(_check("frame convention", "H7", worst, 1e-12))
     return checks, extra
 
@@ -227,12 +225,13 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
             1e-9,
         )
     )
-    frm = snode.node_frame(node)
+    pairs = [sampling.random_constant_pair(rng, p).constant_value for _ in range(sc.grid)]
+    R, Q = (np.stack(M) for M in zip(*pairs))
+    F = np.broadcast_to(snode.frame(node, z), (sc.grid, 2 * p, 2 * p))
+    values = snode.lft_stack(F, R, Q, np.full(sc.grid, complex(z)))
     worst_norm = 0.0
     worst_round = 0.0
-    for _ in range(sc.grid):
-        pair = sampling.random_constant_pair(rng, p)
-        value = snode.lft(frm, pair, z)
+    for value in values:
         u, norm_u = snode.ball_membership(ball, value)
         worst_norm = max(worst_norm, norm_u)
         worst_round = max(worst_round, matcore.frobenius(snode.ball_value(ball, u) - value))

@@ -32,7 +32,7 @@ from .errors import (
     IndexOutOfRange,
     PoleAtLambda,
 )
-from .snode import ParamPair, SNode, node_frame, stieltjes_density, weyl_values
+from .snode import ParamPair, SNode, as_frame, lft, node_frame, stieltjes_density
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,6 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
     at any |t| (the direct imaginary part does not).  Function pairs sample
     at t + i*eps with a small ladder.
     """
-    from .snode import as_frame, lft
-
     frm = as_frame(node_or_frame)
     p = frm.p
 
@@ -183,7 +181,7 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
         log_num = float(np.linalg.slogdet(jform)[1])
 
         def denominators(ts):
-            frames = frm.batch(np.asarray(ts, dtype=complex))
+            frames = frm(np.asarray(ts, dtype=complex))
             return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
 
         def fn(ts):
@@ -303,14 +301,11 @@ def recover_moments(
     theta = np.linspace(0.1 * np.pi, 0.9 * np.pi, 96)
     n_terms = (2 * n - 2) + nuisance
 
+    frm = node_frame(node)
+
     def fit_at(R: float) -> np.ndarray:
         zs = R * np.exp(1j * theta)
-        vals = (
-            weyl_values(node, pair, zs)
-            if pair.is_constant
-            else np.stack([_phi_general(node, pair, z) for z in zs])
-        )
-        return _laurent_fit(vals, zs, R, n_terms)
+        return _laurent_fit(lft(frm, pair, zs), zs, R, n_terms)
 
     fit1 = fit_at(radius)
     fit2 = fit_at(2.0 * radius)
@@ -323,7 +318,7 @@ def recover_moments(
             )
         laurent.append(matcore.hermitian_part(fit2[k]))
 
-    density = weyl_density(node, pair)
+    density = weyl_density(frm, pair)
     measure = [moments_from_density(density, k, quad) for k in range(max_known + 1)]
     tail_order = 2 * n - 2
     tail = moments_from_density(density, tail_order, quad)
@@ -336,9 +331,3 @@ def recover_moments(
         tail_integral=tail,
         tail_reference=spec.H[tail_order],
     )
-
-
-def _phi_general(node: SNode, pair: ParamPair, z: complex) -> np.ndarray:
-    from .snode import lft
-
-    return lft(node_frame(node), pair, z)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,16 @@ def tolerance_scale() -> float:
     if not 0.0 < scale < np.inf:
         raise InvalidToleranceScale(f"SNODELAB_TOL={raw!r} is not a finite number > 0")
     return scale
+
+
+def as_points(z_or_zs) -> np.ndarray:
+    """A scalar or a 1-d array of points as a 1-d complex array (a scalar is
+    one point).  Batched evaluators return ``out if np.ndim(z_or_zs) else
+    out[0]``: a stack of matrices for an array, one matrix for a scalar."""
+    zs = np.asarray(z_or_zs, dtype=complex)
+    if zs.ndim > 1:
+        raise DimensionMismatch(f"expected a scalar or a 1-d array of points, got shape {zs.shape}")
+    return zs.reshape(-1)
 
 
 def as_matrix(M) -> np.ndarray:
@@ -221,14 +232,20 @@ def blocks2x2(M, p: int):
     return M[:p, :p], M[:p, p:], M[p:, :p], M[p:, p:]
 
 
+@lru_cache(maxsize=16)
 def exchange_J(p: int) -> np.ndarray:
-    """The 2p x 2p block exchange [[0, I], [I, 0]]."""
+    """The 2p x 2p block exchange [[0, I], [I, 0]] (cached, read-only)."""
     Ip = np.eye(p, dtype=complex)
     Z = np.zeros((p, p), dtype=complex)
-    return block([[Z, Ip], [Ip, Z]])
+    J = block([[Z, Ip], [Ip, Z]])
+    J.setflags(write=False)
+    return J
 
 
+@lru_cache(maxsize=16)
 def signature_j(p: int) -> np.ndarray:
-    """The 2p x 2p signature diag(I, -I)."""
+    """The 2p x 2p signature diag(I, -I) (cached, read-only)."""
     Ip = np.eye(p, dtype=complex)
-    return block([[Ip, np.zeros((p, p))], [np.zeros((p, p)), -Ip]])
+    j = block([[Ip, np.zeros((p, p))], [np.zeros((p, p)), -Ip]])
+    j.setflags(write=False)
+    return j

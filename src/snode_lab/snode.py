@@ -12,11 +12,17 @@ Conventions used throughout:
   pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J;
 * a Weyl function is  phi = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1}  for a
   nonsingular pair {R, Q} with R*R + Q*Q > 0 and R*Q + Q*R >= 0.
+
+The evaluators (:func:`transfer_matrix`, :func:`frame`, :func:`lft`) take a
+scalar point, giving one matrix, or a 1-d array of points, giving a stack of
+matrices; a guard that fails raises the same typed error either way and
+names the first offending point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,6 +81,18 @@ class SNode:
     def J(self) -> np.ndarray:
         return matcore.exchange_J(self.p)
 
+    # S is read-only, so its factorization can be computed once per node
+    @cached_property
+    def S_chol(self) -> matcore.HermPD:
+        return matcore.cholesky_pd(self.S)
+
+    @cached_property
+    def SinvPi(self) -> np.ndarray:
+        """S^{-1} Pi (read-only)."""
+        out = self.S_chol.solve(self.Pi)
+        out.setflags(write=False)
+        return out
+
 
 def identity_residual(node: SNode) -> float:
     """Frobenius norm of A S - S A* - i Pi J Pi*."""
@@ -88,50 +106,50 @@ def verify_identity(node: SNode) -> float:
     return identity_residual(node) / (1.0 + matcore.frobenius(node.S))
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray, z: complex) -> np.ndarray:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= _SINGULAR_RCOND * sv[0]:
-        raise SingularResolvent(z)
-    return np.linalg.solve(M, rhs)
+def _solve_checked(M: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Solve the stack M[k] X[k] = rhs; raise SingularResolvent(zs[k]) at the
+    first k where M[k] is singular to working precision: its determinant and
+    its reciprocal condition number are both at most _SINGULAR_RCOND.
+
+    The determinant test keeps a nilpotent A (the Hankel shift) from
+    tripping the guard far out on the axis: there rcond(I - t A*) falls like
+    |t|^(2 - 2m) while det(I - t A*) = 1, and the frame is a polynomial in t,
+    not near a pole.
+    """
+    near = np.flatnonzero(np.linalg.slogdet(M)[1] <= np.log(_SINGULAR_RCOND))
+    if near.size:
+        sv = np.linalg.svd(M[near], compute_uv=False)
+        bad = near[sv[:, -1] <= _SINGULAR_RCOND * sv[:, 0]]
+        if bad.size:
+            raise SingularResolvent(zs[bad[0]])
+    return np.linalg.solve(M, np.broadcast_to(rhs, M.shape[:-1] + rhs.shape[-1:]))
 
 
-def transfer_matrix(node: SNode, lam: complex) -> np.ndarray:
+def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
     """w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi."""
-    m, p = node.m, node.p
-    Pi = node.Pi
-    resolvent = _solve_checked(node.A - lam * np.eye(m), Pi, lam)
-    Sinv_res = matcore.cholesky_pd(node.S).solve(resolvent)
-    return np.eye(2 * p, dtype=complex) - 1j * node.J @ Pi.conj().T @ Sinv_res
+    lams = matcore.as_points(lam_or_lams)
+    lhs = node.A - lams[:, None, None] * np.eye(node.m)
+    resolvent = _solve_checked(lhs, node.Pi, lams)
+    Sinv_res = node.S_chol.solve(resolvent)
+    out = np.eye(2 * node.p, dtype=complex) - 1j * node.J @ node.Pi.conj().T @ Sinv_res
+    return out if np.ndim(lam_or_lams) else out[0]
 
 
-def frame(node: SNode, z: complex) -> np.ndarray:
+def frame(node: SNode, z_or_zs) -> np.ndarray:
     """Frame value  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J  (equals w_A(1/conj z)*)."""
-    m, p = node.m, node.p
-    Pi = node.Pi
-    SinvPi = matcore.cholesky_pd(node.S).solve(Pi)
-    X = _solve_checked(np.eye(m) - z * node.A.conj().T, SinvPi, z)
-    return np.eye(2 * p, dtype=complex) - 1j * z * Pi.conj().T @ X @ node.J
-
-
-def frame_batch(node: SNode, zs) -> np.ndarray:
-    """Frame values at a 1-d array of points, shape (len(zs), 2p, 2p)."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    m, p = node.m, node.p
-    Pi = node.Pi
-    SinvPi = matcore.cholesky_pd(node.S).solve(Pi)
-    lhs = np.eye(m) - zs[:, None, None] * node.A.conj().T
-    X = np.linalg.solve(lhs, np.broadcast_to(SinvPi, (zs.size, m, 2 * p)))
-    out = np.eye(2 * p, dtype=complex) - 1j * zs[:, None, None] * (
-        Pi.conj().T @ X @ node.J
-    )
-    return out
+    zs = matcore.as_points(z_or_zs)
+    lhs = np.eye(node.m) - zs[:, None, None] * node.A.conj().T
+    X = _solve_checked(lhs, node.SinvPi, zs)
+    step = 1j * zs[:, None, None] * node.Pi.conj().T @ X @ node.J
+    out = np.eye(2 * node.p, dtype=complex) - step
+    return out if np.ndim(z_or_zs) else out[0]
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Evaluation closure z -> 2p x 2p frame matrix with block accessors.
+    """Evaluation closure z -> 2p x 2p frame matrix (a 1-d array of points
+    gives a stack of them) with block accessors.
 
-    ``batch_fn`` (optional) evaluates a 1-d array of points at once.
     ``pole_clear``/``clear_degree`` (optional) describe the rational
     structure of the lower frame blocks: multiplying det(F21 R + F22 Q) by
     ``pole_clear(t)`` yields a polynomial in t of degree at most
@@ -139,22 +157,15 @@ class Frame:
     """
 
     p: int
-    fn: Callable[[complex], np.ndarray]
-    batch_fn: Callable | None = None
+    fn: Callable[..., np.ndarray]
     pole_clear: Callable | None = None
     clear_degree: int | None = None
 
-    def __call__(self, z: complex) -> np.ndarray:
-        return self.fn(z)
+    def __call__(self, z_or_zs) -> np.ndarray:
+        return self.fn(z_or_zs)
 
     def blocks(self, z: complex):
         return matcore.blocks2x2(self.fn(z), self.p)
-
-    def batch(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex).ravel()
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(zs))
-        return np.stack([np.asarray(self.fn(z)) for z in zs])
 
 
 def node_frame(node: SNode) -> Frame:
@@ -166,8 +177,7 @@ def node_frame(node: SNode) -> Frame:
 
     return Frame(
         p=p,
-        fn=lambda z: frame(node, z),
-        batch_fn=lambda zs: frame_batch(node, zs),
+        fn=lambda z_or_zs: frame(node, z_or_zs),
         pole_clear=pole_clear,
         clear_degree=p * (m + 1),
     )
@@ -198,8 +208,8 @@ def rho(node: SNode, z: complex, orientation: str = "z,zbar") -> np.ndarray:
     if np.imag(z) <= 0.0:
         raise NotInUpperHalfPlane(f"z = {z} must lie in the open upper half-plane")
     w = z if orientation == "z,zbar" else np.conj(z)
-    V = _solve_checked(np.eye(node.m) - np.conj(w) * node.A, node.Phi2, w)
-    M = V.conj().T @ matcore.cholesky_pd(node.S).solve(V)
+    V = _solve_checked((np.eye(node.m) - np.conj(w) * node.A)[None], node.Phi2, np.array([w]))[0]
+    M = V.conj().T @ node.S_chol.solve(V)
     out = 1j * (np.conj(w) - w) * M
     return matcore.hermitian_part(out)
 
@@ -233,8 +243,15 @@ class ParamPair:
     def is_constant(self) -> bool:
         return self.constant_value is not None
 
-    def at(self, z: complex):
-        return np.asarray(self.r_fn(z), dtype=complex), np.asarray(self.q_fn(z), dtype=complex)
+    def at(self, z_or_zs):
+        """(R, Q) at a point, or stacks of them at a 1-d array of points."""
+        zs = matcore.as_points(z_or_zs)
+        if self.is_constant:
+            R, Q = (np.broadcast_to(M, (zs.size, self.p, self.p)) for M in self.constant_value)
+        else:
+            R = np.stack([np.asarray(self.r_fn(z), dtype=complex) for z in zs])
+            Q = np.stack([np.asarray(self.q_fn(z), dtype=complex) for z in zs])
+        return (R, Q) if np.ndim(z_or_zs) else (R[0], Q[0])
 
 
 def pair_defect(pair: ParamPair, z: complex) -> tuple[float, float]:
@@ -278,44 +295,39 @@ def validate_pair(pair: ParamPair, grid=None, tol: float = 1e-9) -> None:
         raise InvalidPair("pair could not be evaluated at any validation point")
 
 
-def lft(frm, pair: ParamPair, z: complex) -> np.ndarray:
-    """phi(z) = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} for the frame ``frm``.
+def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} over stacks of frame values F
+    and pairs (R, Q) taken at the points zs.
 
-    ``frm`` may be a :class:`Frame` or any callable z -> 2p x 2p matrix.
+    Raises :class:`InvalidPair` where R*R + Q*Q is degenerate and
+    :class:`SingularDenominator` where F21 R + F22 Q is singular, naming the
+    first such point.
     """
-    R, Q = pair.at(z)
-    gram = R.conj().T @ R + Q.conj().T @ Q
-    if matcore.min_eig_hermitian(gram) <= 1e-12 * (1.0 + matcore.spectral_norm(gram)):
-        raise InvalidPair(f"degenerate pair at z = {z}")
-    F = np.asarray(frm(z), dtype=complex)
-    p = R.shape[0]
-    F11, F12, F21, F22 = matcore.blocks2x2(F, p)
-    num = F11 @ R + F12 @ Q
-    den = F21 @ R + F22 @ Q
+    p = R.shape[-1]
+    eig = np.linalg.eigvalsh(np.swapaxes(R, 1, 2).conj() @ R + np.swapaxes(Q, 1, 2).conj() @ Q)
+    bad = np.flatnonzero(eig[:, 0] <= 1e-12 * (1.0 + eig[:, -1]))
+    if bad.size:
+        raise InvalidPair(f"degenerate pair at z = {zs[bad[0]]}")
+    num = F[:, :p, :p] @ R + F[:, :p, p:] @ Q
+    den = F[:, p:, :p] @ R + F[:, p:, p:] @ Q
     sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] <= _SINGULAR_RCOND * max(sv[0], 1.0):
-        raise SingularDenominator(z)
+    bad = np.flatnonzero(sv[:, -1] <= _SINGULAR_RCOND * np.maximum(sv[:, 0], 1.0))
+    if bad.size:
+        raise SingularDenominator(zs[bad[0]])
     return 1j * num @ np.linalg.inv(den)
+
+
+def lft(frm: Frame, pair: ParamPair, z_or_zs) -> np.ndarray:
+    """phi(z) = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} for the frame ``frm``."""
+    zs = matcore.as_points(z_or_zs)
+    R, Q = pair.at(zs)
+    out = lft_stack(frm(zs), R, Q, zs)
+    return out if np.ndim(z_or_zs) else out[0]
 
 
 def weyl_function(frm, pair: ParamPair) -> Callable[[complex], np.ndarray]:
     """Closure z -> phi(z) for a fixed frame and pair."""
     return lambda z: lft(frm, pair, z)
-
-
-def weyl_values(node: SNode, pair: ParamPair, zs) -> np.ndarray:
-    """Vectorized phi over a 1-d array of points (constant pairs only)."""
-    if not pair.is_constant:
-        raise InvalidPair("batch evaluation requires a constant pair")
-    R, Q = pair.constant_value
-    zs = np.asarray(zs, dtype=complex).ravel()
-    F = frame_batch(node, zs)
-    p = node.p
-    num = F[:, :p, :p] @ R + F[:, :p, p:] @ Q
-    den = F[:, p:, :p] @ R + F[:, p:, p:] @ Q
-    # num @ den^{-1} via solve on the plain transposes
-    x = np.linalg.solve(np.swapaxes(den, 1, 2), np.swapaxes(num, 1, 2))
-    return 1j * np.swapaxes(x, 1, 2)
 
 
 def stieltjes_density(phi, t: float, eps: float | None = None, rel_tol: float = 1e-6) -> np.ndarray:

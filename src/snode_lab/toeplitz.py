@@ -30,14 +30,17 @@ from .errors import (
     PoleAtZ,
     QuadratureNotConverged,
 )
-from .snode import Frame, ParamPair, SNode, lft, transfer_matrix
+from .snode import Frame, ParamPair, SNode, lft, lft_stack, transfer_matrix
 
 
 @lru_cache(maxsize=16)
 def unitary_K(p: int) -> np.ndarray:
-    """(1/sqrt 2) [[I, -I], [I, I]]; unitary with K* J K = diag(I, -I)."""
+    """(1/sqrt 2) [[I, -I], [I, I]]; unitary with K* J K = diag(I, -I)
+    (cached, read-only)."""
     Ip = np.eye(p, dtype=complex)
-    return matcore.block([[Ip, -Ip], [Ip, Ip]]) / np.sqrt(2.0)
+    K = matcore.block([[Ip, -Ip], [Ip, Ip]]) / np.sqrt(2.0)
+    K.setflags(write=False)
+    return K
 
 
 @dataclass(frozen=True)
@@ -231,64 +234,39 @@ def factorize_transfer(chain: DiracChain, lam: complex) -> list[np.ndarray]:
     return [I2 - 0.5j / (0.5j - lam) * J @ K @ (C + j) @ K.conj().T for C in chain.C]
 
 
-def dirac_fundamental(chain: DiracChain, z: complex, k: int) -> np.ndarray:
+def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
     """W_k(z) from W_0 = I and W_{m+1}(z) = (I + i z j C_m) W_m(z)."""
     if not 0 <= k <= len(chain):
         raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
-    p = chain.p
-    j = matcore.signature_j(p)
-    W = np.eye(2 * p, dtype=complex)
+    zs = matcore.as_points(z_or_zs)
+    I2 = np.eye(2 * chain.p, dtype=complex)
+    j = matcore.signature_j(chain.p)
+    W = np.repeat(I2[None], zs.size, axis=0)
     for m in range(k):
-        W = (np.eye(2 * p, dtype=complex) + 1j * z * j @ chain.C[m]) @ W
-    return W
+        W = (I2 + 1j * zs[:, None, None] * j @ chain.C[m]) @ W
+    return W if np.ndim(z_or_zs) else W[0]
 
 
-def dirac_fundamental_batch(chain: DiracChain, zs, k: int) -> np.ndarray:
-    """W_k at a 1-d array of points, shape (len(zs), 2p, 2p)."""
-    if not 0 <= k <= len(chain):
-        raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
-    zs = np.asarray(zs, dtype=complex).ravel()
-    p = chain.p
-    j = matcore.signature_j(p)
-    W = np.broadcast_to(np.eye(2 * p, dtype=complex), (zs.size, 2 * p, 2 * p)).copy()
-    for m in range(k):
-        step = np.eye(2 * p, dtype=complex) + 1j * zs[:, None, None] * (j @ chain.C[m])
-        W = step @ W
-    return W
-
-
-def frame_toeplitz(chain: DiracChain, n: int, z: complex) -> np.ndarray:
+def frame_toeplitz(chain: DiracChain, n: int, z_or_zs) -> np.ndarray:
     """Frame value (1 - i z/2)^{-n} J j K W_n(-conj(z)/2)* K* j J; identity at n = 0."""
     if not 0 <= n <= len(chain):
         raise IndexOutOfRange(f"order {n} outside 0..{len(chain)}")
+    zs = matcore.as_points(z_or_zs)
     p = chain.p
     if n == 0:
-        return np.eye(2 * p, dtype=complex)
-    pref = 1.0 - 0.5j * z
-    if abs(pref) < 1e-12:
-        raise PoleAtZ("frame prefactor vanishes at z = -2i")
-    J = matcore.exchange_J(p)
-    j = matcore.signature_j(p)
-    K = unitary_K(p)
-    W = dirac_fundamental(chain, -np.conj(z) / 2.0, n)
-    return pref ** (-n) * (J @ j @ K) @ W.conj().T @ (K.conj().T @ j @ J)
-
-
-def frame_toeplitz_batch(chain: DiracChain, n: int, zs) -> np.ndarray:
-    zs = np.asarray(zs, dtype=complex).ravel()
-    p = chain.p
-    if n == 0:
-        return np.broadcast_to(np.eye(2 * p, dtype=complex), (zs.size, 2 * p, 2 * p)).copy()
-    pref = 1.0 - 0.5j * zs
-    if np.any(np.abs(pref) < 1e-12):
-        raise PoleAtZ("frame prefactor vanishes at z = -2i")
-    J = matcore.exchange_J(p)
-    j = matcore.signature_j(p)
-    K = unitary_K(p)
-    W = dirac_fundamental_batch(chain, -np.conj(zs) / 2.0, n)
-    left = J @ j @ K
-    right = K.conj().T @ j @ J
-    return pref[:, None, None] ** (-n) * (left @ np.swapaxes(W, 1, 2).conj() @ right)
+        out = np.repeat(np.eye(2 * p, dtype=complex)[None], zs.size, axis=0)
+    else:
+        pref = 1.0 - 0.5j * zs
+        bad = np.flatnonzero(np.abs(pref) < 1e-12)
+        if bad.size:
+            raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
+        J = matcore.exchange_J(p)
+        j = matcore.signature_j(p)
+        K = unitary_K(p)
+        W = dirac_fundamental(chain, -np.conj(zs) / 2.0, n)
+        W_star = np.swapaxes(W, 1, 2).conj()
+        out = pref[:, None, None] ** (-n) * (J @ j @ K) @ W_star @ (K.conj().T @ j @ J)
+    return out if np.ndim(z_or_zs) else out[0]
 
 
 def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
@@ -301,8 +279,7 @@ def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
     p = chain.p
     return Frame(
         p=p,
-        fn=lambda z: frame_toeplitz(chain, order, z),
-        batch_fn=lambda zs: frame_toeplitz_batch(chain, order, zs),
+        fn=lambda z_or_zs: frame_toeplitz(chain, order, z_or_zs),
         pole_clear=lambda ts: (1.0 - 0.5j * np.asarray(ts, dtype=complex)) ** (order * p),
         clear_degree=p * (order + 1),
     )
@@ -374,18 +351,9 @@ def khrushchev_check(rhos, n: int, pair: ParamPair, zgrid) -> float:
     chain = chain_from_contractions(rhos) if not isinstance(rhos, DiracChain) else rhos
     if not 0 <= n <= len(chain):
         raise IndexOutOfRange(f"split {n} outside 0..{len(chain)}")
-    full = dirac_frame(chain)
-    tail = dirac_frame(chain.shifted(n))
-    head = dirac_frame(chain.head(n), n)
-    Ip = np.eye(chain.p, dtype=complex)
-    tail_as_pair = ParamPair.from_functions(
-        chain.p,
-        r_fn=lambda z: -1j * lft(tail, pair, z),
-        q_fn=lambda z: Ip,
-    )
-    worst = 0.0
-    for z in np.asarray(zgrid, dtype=complex).ravel():
-        phi_full = lft(full, pair, z)
-        composed = lft(head, tail_as_pair, z)
-        worst = max(worst, matcore.frobenius(phi_full - composed))
-    return worst
+    zs = np.asarray(zgrid, dtype=complex).ravel()
+    phi_full = lft(dirac_frame(chain), pair, zs)
+    phi_tail = lft(dirac_frame(chain.shifted(n)), pair, zs)
+    Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
+    composed = lft_stack(frame_toeplitz(chain.head(n), n, zs), -1j * phi_tail, Ip, zs)
+    return float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0))

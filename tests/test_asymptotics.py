@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from snode_lab import asymptotics, densities, hankel, sampling, snode, toeplitz
-from snode_lab.errors import SingularOnGrid, SzegoViolated
+from snode_lab.errors import NotInUpperHalfPlane, SingularOnGrid, SzegoViolated
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,11 @@ def test_outer_modulus_examples():
     assert asymptotics.outer_modulus(cauchy, 1j) == pytest.approx(
         1 / (2 * np.sqrt(np.pi)), abs=1e-9
     )
+
+
+def test_outer_modulus_rejects_lower_half_plane():
+    with pytest.raises(NotInUpperHalfPlane, match="lam = .*-1j"):
+        asymptotics.outer_modulus(densities.density_by_name("exp_sqrt"), -1j)
 
 
 def test_outer_modulus_szego_violation():

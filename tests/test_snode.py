@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from snode_lab import densities, hankel, matcore, sampling, snode, toeplitz
 from snode_lab.errors import (
     InvalidPair,
     NotInUpperHalfPlane,
+    SingularDenominator,
+    SingularResolvent,
     Unsupported,
 )
 
@@ -341,3 +345,80 @@ def test_node_json_roundtrip(hankel_102):
     assert_allclose(again.S, node.S, atol=0)
     assert_allclose(again.Phi1, node.Phi1, atol=0)
     assert_allclose(again.Phi2, node.Phi2, atol=0)
+
+
+def _max_rel_gap(batch, stacked):
+    return np.max(np.abs(batch - stacked)) / (1.0 + np.max(np.abs(stacked)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 4), st.integers(1, 6), st.booleans())
+def test_batched_evaluators_equal_stacked_points(seed, p, n, count, use_toeplitz):
+    rng = np.random.default_rng(seed)
+    if use_toeplitz:
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+    else:
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    zs = sampling.random_upper_points(rng, count, im_range=(0.3, 1.5))
+    frm = snode.node_frame(node)
+    const = sampling.random_constant_pair(rng, p)
+    R0, Q0 = const.constant_value
+    func = snode.ParamPair.from_functions(p, lambda z: R0, lambda z: Q0 + 0.1 * z * np.eye(p))
+    for evaluate in (
+        lambda z: snode.frame(node, z),
+        lambda z: snode.transfer_matrix(node, z),
+        lambda z: snode.lft(frm, const, z),
+        lambda z: snode.lft(frm, func, z),
+    ):
+        stacked = np.stack([evaluate(z) for z in zs])
+        assert _max_rel_gap(evaluate(zs), stacked) <= 1e-13
+
+
+def test_frame_raises_at_toeplitz_pole_alone_and_in_batch():
+    node = toeplitz.build_toeplitz_node(
+        sampling.random_toeplitz_spec(np.random.default_rng(1), 1, 3)
+    )
+    for z0 in (2j, 2j + 1e-9):
+        with pytest.raises(SingularResolvent) as alone:
+            snode.frame(node, z0)
+        with pytest.raises(SingularResolvent) as batch:
+            snode.frame(node, [0.5 + 1j, z0, -1.0 + 0.4j])
+        assert alone.value.z == batch.value.z == z0
+
+
+def test_frame_of_hankel_node_far_out_on_the_axis(hankel_102):
+    # A is nilpotent: the frame is a polynomial in t, large but not near a pole
+    _, node = hankel_102
+    ts = np.array([-3e19, -1e3, 1e19])
+    Astar = node.A.conj().T
+    expected = [
+        np.eye(2) - 1j * t * node.Pi.conj().T @ (np.eye(2) + t * Astar) @ node.SinvPi @ node.J
+        for t in ts
+    ]
+    assert _max_rel_gap(snode.frame(node, ts), np.stack(expected)) <= 1e-13
+
+
+def test_lft_singular_denominator_alone_and_in_batch(hankel_unit):
+    # with R = Q = I the unit node gives phi = i/(1 - iz), whose pole is at -i
+    _, node = hankel_unit
+    frm = snode.node_frame(node)
+    pair = snode.ParamPair.constant(np.eye(1), np.eye(1))
+    with pytest.raises(SingularDenominator) as alone:
+        snode.lft(frm, pair, -1j)
+    with pytest.raises(SingularDenominator) as batch:
+        snode.lft(frm, pair, [1j, -1j, 2.0 + 0.5j])
+    assert alone.value.z == batch.value.z == -1j
+
+
+def test_node_factors_s_once(monkeypatch):
+    node = toeplitz.build_toeplitz_node(
+        sampling.random_toeplitz_spec(np.random.default_rng(3), 2, 3)
+    )
+    calls = []
+    original = matcore.cholesky_pd
+    monkeypatch.setattr(matcore, "cholesky_pd", lambda M: calls.append(1) or original(M))
+    for z in (0.5 + 1j, np.array([1j, -0.3 + 0.7j])):
+        snode.frame(node, z)
+        snode.transfer_matrix(node, z)
+        snode.rho(node, 1j)
+    assert len(calls) == 1

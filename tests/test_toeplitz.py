@@ -274,3 +274,29 @@ def test_leading_subspec(toeplitz_3):
     sub = spec.leading(2)
     assert sub.n == 2
     assert_allclose(sub.matrix(), spec.matrix()[:2, :2], atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 5), st.integers(1, 6))
+def test_batched_chain_evaluators_equal_stacked_points(seed, p, n, count):
+    rng = np.random.default_rng(seed)
+    chain = toeplitz.toeplitz_chain(sampling.random_toeplitz_spec(rng, p, n))
+    zs = sampling.random_upper_points(rng, count)
+    for evaluate in (
+        lambda z: toeplitz.dirac_fundamental(chain, z, n),
+        lambda z: toeplitz.frame_toeplitz(chain, n, z),
+    ):
+        stacked = np.stack([evaluate(z) for z in zs])
+        batch = evaluate(zs)
+        assert np.max(np.abs(batch - stacked)) <= 1e-13 * (1.0 + np.max(np.abs(stacked)))
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [lambda: matcore.exchange_J(2), lambda: matcore.signature_j(2), lambda: toeplitz.unitary_K(2)],
+    ids=["J", "j", "K"],
+)
+def test_cached_constants_are_read_only(constant):
+    with pytest.raises(ValueError):
+        constant()[0, 0] = 5.0
+    assert constant()[0, 0] != 5.0
