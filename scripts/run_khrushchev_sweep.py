@@ -23,9 +23,11 @@ def main(argv):
 
     overall = 0.0
     for length in range(1, max_length + 1):
-        rhos = [sampling.random_contraction(rng, 1) for _ in range(length)]
+        chain = toeplitz.chain_from_contractions(
+            [sampling.random_contraction(rng, 1) for _ in range(length)]
+        )
         worst = max(
-            toeplitz.khrushchev_check(rhos, split, pair, zgrid)
+            toeplitz.khrushchev_check(chain, split, pair, zgrid)
             for split in range(length + 1)
         )
         overall = max(overall, worst)

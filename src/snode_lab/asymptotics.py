@@ -84,9 +84,7 @@ def hankel_family_from_density(
     density: DensityFn, max_order: int, quad: int = 2048
 ) -> tuple[NodeSequence, HankelSpec]:
     """Moment blocks of ``density`` up to order 2*max_order - 2, as a family."""
-    blocks = tuple(
-        moments_from_density(density, k, quad) for k in range(2 * max_order - 1)
-    )
+    blocks = tuple(moments_from_density(density, range(2 * max_order - 1), quad))
     spec = HankelSpec(p=density.p, n=max_order, H=blocks)
     return hankel_family(spec), spec
 
@@ -230,6 +228,7 @@ def entropy_integral(
                 max(quad, 512),
                 rel_tol,
                 what="entropy integral",
+                ladder=True,
             )
         else:
             raise ValueError("the range must be the full line or a finite interval")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, densities, hankel, matcore, sampling, serialization, snode, toeplitz
+from . import asymptotics, densities, hankel, matcore, quadrature, sampling, serialization, snode, toeplitz
 from .errors import SnodeLabError
 
 
@@ -191,10 +191,12 @@ def _run_khrushchev(sc: Scenario, rng: np.random.Generator):
     zgrid = sampling.random_upper_points(rng, sc.grid)
     worst_overall = 0.0
     for _ in range(count):
-        rhos = [sampling.random_contraction(rng, p) for _ in range(length)]
+        chain = toeplitz.chain_from_contractions(
+            [sampling.random_contraction(rng, p) for _ in range(length)]
+        )
         for split in range(length + 1):
             worst_overall = max(
-                worst_overall, toeplitz.khrushchev_check(rhos, split, pair, zgrid)
+                worst_overall, toeplitz.khrushchev_check(chain, split, pair, zgrid)
             )
     checks.append(_check("head/tail composition residual", "c26", worst_overall, 1e-8))
     return checks, {"length": length, "count": count, "p": p}
@@ -251,9 +253,7 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     bound = asymptotics.entropy_bound_check(node, ext, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bound.slack), 1e-6))
 
-    from .quadrature import integrate_line_graded
-
-    norm = integrate_line_graded(asymptotics.poisson_weight(lam), 24)
+    norm = quadrature.integrate_line_graded(asymptotics.poisson_weight(lam), 24)
     checks.append(_check("poisson normalization", "As33", abs(norm - np.pi), 1e-9))
 
     if node.p == 1:
@@ -496,7 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out", default=None, help="output directory (default .)")
     parser.add_argument("--seed", type=int, default=None, help="sweep seed (default 0)")
     parser.add_argument("--grid", type=int, default=None, help="grid points for sweeps (default 30)")
-    parser.add_argument("--quad", type=int, default=None, help="quadrature nodes (default 2048)")
+    parser.add_argument(
+        "--quad",
+        type=int,
+        default=None,
+        help="quadrature node cap (default 2048): bounded-support moment rules double "
+        "from 16 nodes up to it; full-line ones use max(24, quad // 64) nodes per panel",
+    )
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")

@@ -129,35 +129,44 @@ def hankel_factors(chain: OmegaChain, lam: complex) -> list[np.ndarray]:
     return [I2 + (1j / lam) * J @ G.conj().T @ G for G in chain.G]
 
 
-def moments_from_density(density: DensityFn, k: int, quad: int = 2048) -> np.ndarray:
-    """H_k = integral t^k P(t) dt with a doubled-node convergence check.
+def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.ndarray:
+    """H_k = integral t^k P(t) dt for every k in ``orders``, stacked; an int
+    order gives its block alone.
 
-    Densities with bounded support integrate on the support interval;
-    full-line densities via the tan substitution (graded panels around any
-    declared non-smooth points and toward the infinite ends).
+    The density is evaluated once per rule for all orders, and each order
+    has its own doubled-node convergence check; the first order, in the
+    given sequence, that fails raises.  Densities with bounded support
+    integrate on the support interval, climbing a doubling ladder of rules
+    capped at ``quad``; full-line densities via the tan substitution (graded
+    panels around any declared non-smooth points and toward the infinite
+    ends).
     """
+    ks = [int(k) for k in np.atleast_1d(orders)]
 
     def integrand(ts):
-        return ts[:, None, None] ** k * density(ts)
+        values = density(ts)
+        return [ts[:, None, None] ** k * values for k in ks]
 
+    names = [f"moment {k}" for k in ks]
     if density.bounded_support:
         a, b = density.support
 
         def on_interval(fn, n):
             return quadrature.integrate_interval(fn, a, b, n)
 
-        value = quadrature.integrate_with_check(
-            on_interval, integrand, quad, 1e-8, what=f"moment {k}"
+        blocks = quadrature.integrate_with_check(
+            on_interval, integrand, quad, 1e-8, what=names, ladder=True
         )
     else:
 
         def on_line(fn, n):
             return quadrature.integrate_line_graded(fn, n, breaks=density.breaks)
 
-        value = quadrature.integrate_with_check(
-            on_line, integrand, max(24, quad // 64), 1e-8, what=f"moment {k}"
+        blocks = quadrature.integrate_with_check(
+            on_line, integrand, max(24, quad // 64), 1e-8, what=names
         )
-    return matcore.hermitian_part(value)
+    out = np.stack([matcore.hermitian_part(b) for b in blocks])
+    return out[0] if np.ndim(orders) == 0 else out
 
 
 def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
@@ -319,9 +328,8 @@ def recover_moments(
         laurent.append(matcore.hermitian_part(fit2[k]))
 
     density = weyl_density(frm, pair)
-    measure = [moments_from_density(density, k, quad) for k in range(max_known + 1)]
     tail_order = 2 * n - 2
-    tail = moments_from_density(density, tail_order, quad)
+    *measure, tail = moments_from_density(density, range(tail_order + 1), quad)
     return MomentReport(
         orders=orders,
         laurent=tuple(laurent[k] for k in orders),

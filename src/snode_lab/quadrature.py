@@ -1,14 +1,19 @@
 """Quadrature helpers for moment and entropy-type integrals over the line.
 
-Two engines, both built on Gauss-Legendre nodes after the substitution
-t = tan(theta):
+Three rules, all built on Gauss-Legendre nodes:
 
-* :func:`integrate_line` uses a single panel in theta.  Right for smooth
-  integrands (moment integrals of decaying densities).
+* :func:`integrate_interval` uses a single panel on a bounded interval.
+* :func:`integrate_line` uses a single panel in theta after the
+  substitution t = tan(theta).  Right for smooth integrands (moment
+  integrals of decaying densities).
 * :func:`integrate_line_graded` splits theta into dyadic panels that
   accumulate at +-pi/2.  Right for integrands whose t-form grows like
   ln|t| or |t|^a (a < 1) near infinity, for example weighted log-density
-  integrals.
+  integrals.  The integrand is called once, on the nodes of every panel.
+
+An integrand returns values whose leading axis matches its nodes, or a
+list of such arrays, one per integral; a list is reduced item by item and
+the rule returns a list.
 
 Every caller is expected to run the doubled-node agreement check via
 :func:`integrate_with_check`.
@@ -36,13 +41,24 @@ def gauss_legendre(a: float, b: float, n: int):
     return a + half * (x + 1.0), half * w
 
 
+def _reduce(w, vals, panel: int):
+    """sum_i w_i vals_i over the leading axis, taken over runs of ``panel``
+    nodes and added up run by run; a list of arrays reduces item by item."""
+    if isinstance(vals, list):
+        return [_reduce(w, v, panel) for v in vals]
+    vals = np.asarray(vals)
+    total = None
+    for start in range(0, w.size, panel):
+        ws, vs = w[start : start + panel], vals[start : start + panel]
+        piece = np.sum(ws * vs) if vs.ndim == 1 else np.einsum("i,i...->...", ws, vs)
+        total = piece if total is None else total + piece
+    return total
+
+
 def integrate_interval(fn, a: float, b: float, n: int):
     """GL integral of a vectorized scalar- or matrix-valued fn over (a, b)."""
     t, w = gauss_legendre(a, b, n)
-    vals = np.asarray(fn(t))
-    if vals.ndim == 1:
-        return np.sum(w * vals)
-    return np.einsum("i,i...->...", w, vals)
+    return _reduce(w, fn(t), n)
 
 
 def integrate_line(fn, n: int):
@@ -54,11 +70,7 @@ def integrate_line(fn, n: int):
     """
     theta, w = gauss_legendre(-np.pi / 2.0, np.pi / 2.0, n)
     t = np.tan(theta)
-    vals = np.asarray(fn(t))
-    jac = 1.0 + t * t
-    if vals.ndim == 1:
-        return np.sum(w * jac * vals)
-    return np.einsum("i,i...->...", w * jac, vals)
+    return _reduce(w * (1.0 + t * t), fn(t), n)
 
 
 def _dyadic_edges(width: float, levels: int):
@@ -72,6 +84,36 @@ def _dyadic_edges(width: float, levels: int):
     return out[::-1]  # ascending, starting at 0
 
 
+def _graded_rule(n: int, levels: int, breaks):
+    """Nodes t and weights w of the graded rule, n nodes per panel.
+
+    Panel order: theta segments left to right, within a segment the panels
+    grading toward its left end, then those grading toward its right end,
+    each run outward from its end.  The weights include the Jacobian
+    1 + t^2 of t = tan(theta).
+    """
+    x, wx = _gl_nodes(n)
+    cuts = sorted({float(np.arctan(b)) for b in breaks})
+    anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
+    ts, ws = [], []
+    for left, right in zip(anchors[:-1], anchors[1:]):
+        offsets = np.array(_dyadic_edges((right - left) / 2.0, levels))
+        lo = offsets[:-1, None]
+        half = (offsets[1:, None] - lo) / 2.0
+        delta = lo + half * (x + 1.0)
+        w = half * wx
+        for anchor, sign in ((left, 1.0), (right, -1.0)):
+            if abs(abs(anchor) - np.pi / 2.0) < 1e-15:
+                # theta = anchor + sign*delta; tan(theta) = +-1/tan(delta)
+                t = np.sign(anchor) / np.tan(delta)
+            else:
+                t = np.tan(anchor + sign * delta)
+            ts.append(t.ravel())
+            ws.append(w.ravel())
+    t = np.concatenate(ts)
+    return t, np.concatenate(ws) * (1.0 + t * t)
+
+
 def integrate_line_graded(fn, n: int = 24, levels: int = 54, breaks=()):
     """Integral of fn over the line; graded tan-substitution composite GL.
 
@@ -82,49 +124,67 @@ def integrate_line_graded(fn, n: int = 24, levels: int = 54, breaks=()):
     cusps are then resolved to near machine precision.  Near the infinite
     ends, points are parametrized by the distance delta from the endpoint
     and evaluated as t = +-1/tan(delta) to avoid cancellation.
+
+    ``fn`` is called once, on the nodes of every panel; the panel sums are
+    then added in panel order, so the value does not depend on how the
+    integrand batches its work.
     """
-    total = None
-
-    def add_panel(tvals, wvals):
-        nonlocal total
-        vals = np.asarray(fn(tvals))
-        jac = wvals * (1.0 + tvals * tvals)
-        piece = np.sum(jac * vals) if vals.ndim == 1 else np.einsum("i,i...->...", jac, vals)
-        total = piece if total is None else total + piece
-
-    cuts = sorted({float(np.arctan(b)) for b in breaks})
-    anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
-
-    for left, right in zip(anchors[:-1], anchors[1:]):
-        mid = (left + right) / 2.0
-        half = (right - left) / 2.0
-        for anchor, sign in ((left, 1.0), (right, -1.0)):
-            at_infinity = abs(abs(anchor) - np.pi / 2.0) < 1e-15
-            offsets = _dyadic_edges(half, levels)
-            for lo, hi in zip(offsets[:-1], offsets[1:]):
-                delta, w = gauss_legendre(lo, hi, n)
-                if at_infinity:
-                    # theta = anchor + sign*delta; tan(theta) = +-1/tan(delta)
-                    t = np.sign(anchor) / np.tan(delta)
-                else:
-                    t = np.tan(anchor + sign * delta)
-                add_panel(t, w)
-
-    return total
+    t, w = _graded_rule(n, levels, breaks)
+    return _reduce(w, fn(t), n)
 
 
-def integrate_with_check(integrator, fn, n: int, rel_tol: float, what: str = "integral"):
-    """Run ``integrator(fn, n)`` and again at 2n; accept on relative agreement.
+def _ladder(cap: int) -> list[int]:
+    """Node counts 16, 32, ... below cap, then cap and 2 * cap."""
+    sizes = []
+    m = 16
+    while m < cap:
+        sizes.append(m)
+        m *= 2
+    return [*sizes, cap, 2 * cap]
 
-    Raises :class:`QuadratureNotConverged` when the doubled-node drift
-    exceeds ``rel_tol`` relative to 1 + |value|.
+
+def integrate_with_check(
+    integrator, fn, n: int, rel_tol: float, what="integral", ladder: bool = False
+):
+    """Run ``integrator(fn, m)`` on growing node counts m and accept the first
+    two consecutive counts whose values agree.
+
+    The counts are n and 2n.  With ``ladder`` (single-panel rules, whose
+    node count is the only resolution they have) they climb 16, 32, ...
+    below n first, so n is a cap and the last pair tried is (n, 2n).
+
+    Two values agree when the drift max |fine - coarse| is at most
+    ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
+    When ``fn`` returns a list of arrays, each item is its own integral
+    with its own check and its own accepted count, and ``what`` may be a
+    list with one name per item.
+
+    Raises :class:`QuadratureNotConverged` for the first integral, in list
+    order, whose values still disagree at (n, 2n).
     """
-    coarse = integrator(fn, n)
-    fine = integrator(fn, 2 * n)
-    drift = np.max(np.abs(np.asarray(fine) - np.asarray(coarse)))
-    scale = 1.0 + np.max(np.abs(np.asarray(fine)))
-    if drift > rel_tol * scale:
-        raise QuadratureNotConverged(
-            f"{what}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"
-        )
-    return fine
+    sizes = _ladder(n) if ladder else [n, 2 * n]
+    coarse = integrator(fn, sizes[0])
+    many = isinstance(coarse, list)
+    coarse = coarse if many else [coarse]
+    names = [what] * len(coarse) if isinstance(what, str) else list(what)
+    accepted = [None] * len(coarse)
+    for m in sizes[1:]:
+        fine = integrator(fn, m)
+        fine = fine if many else [fine]
+        failures = []
+        for i, (c, f) in enumerate(zip(coarse, fine)):
+            if accepted[i] is not None:
+                continue
+            drift = np.max(np.abs(np.asarray(f) - np.asarray(c)))
+            scale = 1.0 + np.max(np.abs(np.asarray(f)))
+            if drift > rel_tol * scale:
+                failures.append((names[i], drift, scale))
+            else:
+                accepted[i] = f
+        if not failures:
+            return accepted if many else accepted[0]
+        coarse = fine
+    name, drift, scale = failures[0]
+    raise QuadratureNotConverged(
+        f"{name}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"
+    )

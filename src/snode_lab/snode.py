@@ -443,7 +443,12 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
         )
 
     flat = quadrature.integrate_with_check(
-        quadrature.integrate_line, pieces, quad, 1e-8, what="interpolation integrals"
+        quadrature.integrate_line,
+        pieces,
+        quad,
+        1e-8,
+        what="interpolation integrals",
+        ladder=True,
     )
     S_mu = flat[: m * m].reshape(m, m)
     Phi1_mu = flat[m * m :].reshape(m, p)
@@ -470,6 +475,21 @@ class MatrixBall:
     @property
     def p(self) -> int:
         return self.center.shape[0]
+
+    # the fields are fixed, so the square roots are computed once per ball
+    @cached_property
+    def neg_rev_half_inv(self) -> np.ndarray:
+        """(-rho(conj z, z))^{-1/2}."""
+        out = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-self.rho_reversed)))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def rho_half(self) -> np.ndarray:
+        """rho(z, conj z)^{1/2}."""
+        out = matcore.sqrtm_hpd(matcore.hermitian_part(self.rho_value))
+        out.setflags(write=False)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -521,9 +541,7 @@ def ball_membership(ball: MatrixBall, value) -> tuple[np.ndarray, float]:
     value = matcore.as_matrix(value)
     p = ball.p
     a12 = ball.aleph[:p, p:]
-    neg_rev_half_inv = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-ball.rho_reversed)))
-    rho_half = matcore.sqrtm_hpd(matcore.hermitian_part(ball.rho_value))
-    u = neg_rev_half_inv @ (ball.rho_reversed @ value + 1j * a12) @ rho_half
+    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ value + 1j * a12) @ ball.rho_half
     return u, matcore.spectral_norm(u)
 
 

@@ -44,6 +44,20 @@ def test_khrushchev_command(tmp_path):
     assert "c26" in tags
 
 
+def test_khrushchev_builds_each_chain_once(tmp_path, monkeypatch):
+    from snode_lab import toeplitz
+
+    calls = []
+    original = toeplitz.halmos
+    monkeypatch.setattr(toeplitz, "halmos", lambda rho: calls.append(1) or original(rho))
+    scenario = {"command": "khrushchev", "length": 4, "count": 2, "out": str(tmp_path)}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(path), "--grid", "6"]) == 0
+    # one Halmos extension per contraction, not one per contraction and split
+    assert len(calls) == 4 * 2
+
+
 def test_asymptotics_scenario_with_csv(tmp_path):
     scenario = {
         "command": "asymptotics",

@@ -297,6 +297,26 @@ def test_ball_outside_value_exceeds_unit(hankel_unit):
     assert norm_u > 1.0
 
 
+def test_ball_membership_computes_square_roots_once(monkeypatch):
+    spec = sampling.random_hankel_spec(np.random.default_rng(4), p=2, n=2)
+    node = hankel.build_hankel_node(spec)
+    ball = snode.matrix_ball(node, 0.3 + 1.1j)
+    rng = np.random.default_rng(5)
+    values = [
+        snode.ball_value(ball, 0.5 * sampling.random_contraction(rng, 2)) for _ in range(4)
+    ]
+    a12 = ball.aleph[:2, 2:]
+    left = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-ball.rho_reversed)))
+    right = matcore.sqrtm_hpd(matcore.hermitian_part(ball.rho_value))
+    calls = []
+    original = matcore.sqrtm_hpd
+    monkeypatch.setattr(matcore, "sqrtm_hpd", lambda M: calls.append(1) or original(M))
+    for value in values:
+        u, _ = snode.ball_membership(ball, value)
+        assert np.array_equal(u, left @ (ball.rho_reversed @ value + 1j * a12) @ right)
+    assert len(calls) == 2
+
+
 def test_ball_coverage_via_pair_construction(hankel_unit, rng):
     # every contraction yields a value reachable by a valid pair
     _, node = hankel_unit
