@@ -228,7 +228,6 @@ def entropy_integral(
                 max(quad, 512),
                 rel_tol,
                 what="entropy integral",
-                ladder=True,
             )
         else:
             raise ValueError("the range must be the full line or a finite interval")

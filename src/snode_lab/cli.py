@@ -500,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--quad",
         type=int,
         default=None,
-        help="quadrature node cap (default 2048): bounded-support moment rules double "
-        "from 16 nodes up to it; full-line ones use max(24, quad // 64) nodes per panel",
+        help="quadrature nodes (default 2048): moments of a smooth bounded-support density "
+        "double from 16 nodes up to this cap, a kinked one (table) uses it and twice it; "
+        "full-line ones use max(24, quad // 64) nodes per panel",
     )
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")

@@ -94,7 +94,10 @@ def exp_sqrt_density() -> DensityFn:
 
 
 def table_density(ts, values) -> DensityFn:
-    """Piecewise-linear scalar density through sampled (t, value) pairs, zero outside."""
+    """Piecewise-linear scalar density through sampled (t, value) pairs, zero outside.
+
+    The interior grid points are its breaks: the density has a kink at each.
+    """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.ndim != 1 or ts.shape != values.shape:
@@ -106,7 +109,11 @@ def table_density(ts, values) -> DensityFn:
         return _as_stack(np.interp(t, ts, values, left=0.0, right=0.0))
 
     return DensityFn(
-        "table", fn, support=(float(ts[0]), float(ts[-1])), params={"n": int(ts.size)}
+        "table",
+        fn,
+        support=(float(ts[0]), float(ts[-1])),
+        params={"n": int(ts.size)},
+        breaks=tuple(float(t) for t in ts[1:-1]),
     )
 
 

@@ -136,12 +136,16 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     The density is evaluated once per rule for all orders, and each order
     has its own doubled-node convergence check; the first order, in the
     given sequence, that fails raises.  Densities with bounded support
-    integrate on the support interval, climbing a doubling ladder of rules
-    capped at ``quad``; full-line densities via the tan substitution (graded
-    panels around any declared non-smooth points and toward the infinite
-    ends).
+    integrate on the support interval: with no declared breaks the density
+    is smooth there, and the rules climb a doubling ladder capped at
+    ``quad``; with breaks (kinks a coarse rule can step over) they use the
+    fixed pair (quad, 2 quad).  Full-line densities integrate via the tan
+    substitution (graded panels around any breaks and toward the infinite
+    ends).  No orders give an empty (0, p, p) stack.
     """
     ks = [int(k) for k in np.atleast_1d(orders)]
+    if not ks:
+        return np.empty((0, density.p, density.p), dtype=complex)
 
     def integrand(ts):
         values = density(ts)
@@ -155,7 +159,7 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
             return quadrature.integrate_interval(fn, a, b, n)
 
         blocks = quadrature.integrate_with_check(
-            on_interval, integrand, quad, 1e-8, what=names, ladder=True
+            on_interval, integrand, quad, 1e-8, what=names, ladder=not density.breaks
         )
     else:
 

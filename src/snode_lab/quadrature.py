@@ -149,9 +149,10 @@ def integrate_with_check(
     """Run ``integrator(fn, m)`` on growing node counts m and accept the first
     two consecutive counts whose values agree.
 
-    The counts are n and 2n.  With ``ladder`` (single-panel rules, whose
-    node count is the only resolution they have) they climb 16, 32, ...
-    below n first, so n is a cap and the last pair tried is (n, 2n).
+    The counts are n and 2n.  With ``ladder`` they climb 16, 32, ... below
+    n first, so n is a cap and the last pair tried is (n, 2n).  Use it only
+    for integrands known to be smooth on the range: two coarse rules that
+    both step over a narrow feature agree, and their value is accepted.
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.

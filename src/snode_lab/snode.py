@@ -443,12 +443,7 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
         )
 
     flat = quadrature.integrate_with_check(
-        quadrature.integrate_line,
-        pieces,
-        quad,
-        1e-8,
-        what="interpolation integrals",
-        ladder=True,
+        quadrature.integrate_line, pieces, quad, 1e-8, what="interpolation integrals"
     )
     S_mu = flat[: m * m].reshape(m, m)
     Phi1_mu = flat[m * m :].reshape(m, p)

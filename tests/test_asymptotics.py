@@ -142,6 +142,12 @@ def test_entropy_integral_vanishing_table_patch():
     assert asymptotics.entropy_integral(patchy, a=-2.0, b=2.0) == -np.inf
 
 
+def test_entropy_integral_narrow_zero_patch():
+    # the patch |t| <= 0.005 lies between the nodes of every rule below 1024
+    notch = densities.table_density([-2, -0.01, -0.005, 0.005, 0.01, 2], [1, 1, 0, 0, 1, 1])
+    assert asymptotics.entropy_integral(notch, a=-2.0, b=2.0) == -np.inf
+
+
 def test_outer_modulus_examples():
     one = densities.DensityFn(
         "one", lambda t: np.ones_like(t)[:, None, None].astype(complex),

@@ -78,6 +78,14 @@ def test_asymptotics_scenario_with_csv(tmp_path):
     assert dets == sorted(dets, reverse=True)
 
 
+def test_asymptotics_max_order_0_exits_2(tmp_path, capsys):
+    scenario = {"command": "asymptotics", "family": "hankel", "max_order": 0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "blocks H_0" in capsys.readouterr().err
+
+
 def test_asymptotics_toeplitz_family(tmp_path):
     spec = {
         "p": 1,

@@ -129,6 +129,26 @@ def test_all_orders_pass_equals_single_orders(density, orders):
         assert np.array_equal(block, hankel.moments_from_density(density, k))
 
 
+def test_densities_with_breaks_keep_the_fixed_pair(monkeypatch):
+    # unit mass in a spike between grid points: the 16- and 32-node rules
+    # both step over it and agree on 0, so a table density skips the ladder
+    spike = densities.table_density([0.0, 0.49, 0.5, 0.51, 1.0], [0.0, 0.0, 100.0, 0.0, 0.0])
+    assert spike.breaks == (0.49, 0.5, 0.51)
+    sizes = []
+    original = quadrature.gauss_legendre
+    monkeypatch.setattr(
+        quadrature, "gauss_legendre", lambda lo, hi, n: sizes.append(n) or original(lo, hi, n)
+    )
+    with pytest.raises(QuadratureNotConverged, match="^moment 0: "):
+        hankel.moments_from_density(spike, range(3), quad=2048)
+    assert sizes == [2048, 4096]
+
+
+def test_no_orders_give_an_empty_stack():
+    got = hankel.moments_from_density(_WEYL, [])
+    assert got.shape == (0, 1, 1)
+
+
 def test_all_orders_pass_names_the_first_failing_order():
     es = densities.exp_sqrt_density()
     with pytest.raises(QuadratureNotConverged) as single:
