@@ -250,13 +250,15 @@ def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
     return w
 
 
-def outer_modulus(P: DensityFn, lam: complex, quad: int = 24, rel_tol: float = 1e-7) -> float:
+def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
     """|det G(lam)| = exp[(1/2pi) integral Im(lam) ln det P(t) / |t-lam|^2 dt]
     for the outer spectral factor G of P.
 
-    Verifies the Poisson normalization integral Im(lam)/|t-lam|^2 dt = pi to
-    1e-9 on the same grid, and raises :class:`SzegoViolated` when the
-    log-det integral diverges to -inf.
+    ``P_or_Ps`` is one density, giving one float, or a sequence of them,
+    giving a list; densities with equal breaks share one graded rule.
+    Verifies the Poisson normalization integral Im(lam)/|t-lam|^2 dt = pi
+    to 1e-9 once per call, and raises :class:`SzegoViolated` when a log-det
+    integral diverges to -inf.
     """
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
@@ -272,25 +274,44 @@ def outer_modulus(P: DensityFn, lam: complex, quad: int = 24, rel_tol: float = 1
     if abs(norm - np.pi) > 1e-9:
         raise QuadratureNotConverged(f"poisson normalization {norm!r} != pi")
 
-    def integrand(ts):
-        ld = P.log_det_at(ts)
-        if np.any(~np.isfinite(ld)):
-            raise _VanishingDensity()
-        return w(ts) * ld
+    single = isinstance(P_or_Ps, DensityFn)
+    Ps = [P_or_Ps] if single else list(P_or_Ps)
+    # densities with equal breaks share one graded rule: one check whose
+    # list items, one per density, are reduced and checked one by one
+    rules: dict[tuple, list[int]] = {}
+    for i, P in enumerate(Ps):
+        rules.setdefault(tuple(P.breaks), []).append(i)
+    values = [0.0] * len(Ps)
+    for breaks, members in rules.items():
 
-    try:
-        value = quadrature.integrate_with_check(
-            lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
-            integrand,
-            quad,
-            rel_tol,
-            what="outer modulus integral",
-        )
-    except _VanishingDensity:
-        raise SzegoViolated("density vanishes on a set of positive measure")
-    if not np.isfinite(value):
-        raise SzegoViolated("log-determinant integral diverges")
-    return float(np.exp(value / (2.0 * np.pi)))
+        def integrand(ts):
+            weight = w(ts)
+            items = []
+            for i in members:
+                ld = Ps[i].log_det_at(ts)
+                if np.any(~np.isfinite(ld)):
+                    raise _VanishingDensity()
+                items.append(weight * ld)
+            return items
+
+        try:
+            got = quadrature.integrate_with_check(
+                lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=breaks),
+                integrand,
+                quad,
+                rel_tol,
+                what="outer modulus integral",
+            )
+        except _VanishingDensity:
+            raise SzegoViolated("density vanishes on a set of positive measure")
+        for i, value in zip(members, got):
+            values[i] = value
+    moduli = []
+    for value in values:
+        if not np.isfinite(value):
+            raise SzegoViolated("log-determinant integral diverges")
+        moduli.append(float(np.exp(value / (2.0 * np.pi))))
+    return moduli[0] if single else moduli
 
 
 def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
@@ -344,39 +365,41 @@ class EntropyBound:
         return matcore.min_eig_hermitian(self.rhs - self.lhs)
 
 
-def entropy_bound_check(
-    node_or_frame, pair: ParamPair, lam: complex, quad: int = 24
-) -> EntropyBound:
+def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex, quad: int = 24):
     """Check 2 pi G(lam)* G(lam) <= rho(lam, conj lam)^{-1} for the measure
-    generated by ``pair``.
+    generated by a pair.
 
-    The frame must be holomorphic across the closed upper half-plane for
-    the outer-function representation behind the bound (Hankel nodes and
+    ``pair_or_pairs`` is one :class:`ParamPair`, giving one
+    :class:`EntropyBound`, or a sequence of them, giving a list; ``rhs`` and
+    the Poisson normalization are computed once per call.  The frame must
+    be holomorphic across the closed upper half-plane for the
+    outer-function representation behind the bound (Hankel nodes and
     coefficient-chain frames qualify; the generic frame of a Toeplitz node
     does not, since its A* resolvent has an upper-half-plane pole).
-    Scalar families go through the outer-modulus quadrature of the pair's
+    Scalar families go through the outer-modulus quadrature of each pair's
     boundary density; for p > 1 only the extremal pair is supported (its
     outer factor is available in closed form)."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
+    single = isinstance(pair_or_pairs, ParamPair)
+    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
     frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
-    p = frm.p
-    if p == 1:
-        density = weyl_density(frm, pair)
-        modulus = outer_modulus(density, lam, quad=quad)
-        lhs = np.array([[2.0 * np.pi * modulus**2]], dtype=complex)
-        return EntropyBound(lhs=lhs, rhs=rhs)
-    ext = extremal_pair(frm, lam)
-    R, Q = pair.constant_value if pair.is_constant else (None, None)
-    Re, Qe = ext.constant_value
-    if R is None or np.max(np.abs(R - Re)) + np.max(np.abs(Q - Qe)) > 1e-9 * (
-        1.0 + float(np.max(np.abs(Re)))
-    ):
-        raise Unsupported("matrix case is supported for the extremal pair only")
-    G = gmu_extremal(frm, lam, lam)
-    lhs = matcore.hermitian_part(2.0 * np.pi * G.conj().T @ G)
-    return EntropyBound(lhs=lhs, rhs=rhs)
+    if frm.p == 1:
+        moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam, quad=quad)
+        lhss = [np.array([[2.0 * np.pi * m**2]], dtype=complex) for m in moduli]
+    else:
+        Re, Qe = extremal_pair(frm, lam).constant_value
+        for pair in pairs:
+            R, Q = pair.constant_value if pair.is_constant else (None, None)
+            if R is None or np.max(np.abs(R - Re)) + np.max(np.abs(Q - Qe)) > 1e-9 * (
+                1.0 + float(np.max(np.abs(Re)))
+            ):
+                raise Unsupported("matrix case is supported for the extremal pair only")
+        G = gmu_extremal(frm, lam, lam)
+        lhss = [matcore.hermitian_part(2.0 * np.pi * G.conj().T @ G)] * len(pairs)
+    bounds = [EntropyBound(lhs=lhs, rhs=rhs) for lhs in lhss]
+    return bounds[0] if single else bounds
 
 
 # ---------------------------------------------------------------------------

@@ -141,19 +141,22 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     ``quad``; with breaks (kinks a coarse rule can step over) they use the
     fixed pair (quad, 2 quad).  Full-line densities integrate via the tan
     substitution (graded panels around any breaks and toward the infinite
-    ends).  No orders give an empty (0, p, p) stack.
+    ends); there each order must also be absolutely integrable: the smooth
+    majorant (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)| gets its own check,
+    ahead of the order's value, so a divergent moment raises naming the
+    lowest divergent order.  No orders give an empty (0, p, p) stack.
     """
     ks = [int(k) for k in np.atleast_1d(orders)]
     if not ks:
         return np.empty((0, density.p, density.p), dtype=complex)
 
-    def integrand(ts):
-        values = density(ts)
-        return [ts[:, None, None] ** k * values for k in ks]
-
     names = [f"moment {k}" for k in ks]
     if density.bounded_support:
         a, b = density.support
+
+        def integrand(ts):
+            values = density(ts)
+            return [ts[:, None, None] ** k * values for k in ks]
 
         def on_interval(fn, n):
             return quadrature.integrate_interval(fn, a, b, n)
@@ -166,9 +169,22 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
         def on_line(fn, n):
             return quadrature.integrate_line_graded(fn, n, breaks=density.breaks)
 
-        blocks = quadrature.integrate_with_check(
-            on_line, integrand, max(24, quad // 64), 1e-8, what=names
+        def with_majorants(ts):
+            values = density(ts)
+            trace = np.trace(values, axis1=1, axis2=2).real
+            items = []
+            for k in ks:
+                items += [(1.0 + ts * ts) ** (k / 2) * trace, ts[:, None, None] ** k * values]
+            return items
+
+        checked = quadrature.integrate_with_check(
+            on_line,
+            with_majorants,
+            max(24, quad // 64),
+            1e-8,
+            what=[item for name in names for item in (f"{name} absolute", name)],
         )
+        blocks = checked[1::2]
     out = np.stack([matcore.hermitian_part(b) for b in blocks])
     return out[0] if np.ndim(orders) == 0 else out
 

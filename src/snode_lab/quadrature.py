@@ -47,12 +47,15 @@ def _reduce(w, vals, panel: int):
     if isinstance(vals, list):
         return [_reduce(w, v, panel) for v in vals]
     vals = np.asarray(vals)
-    total = None
-    for start in range(0, w.size, panel):
-        ws, vs = w[start : start + panel], vals[start : start + panel]
-        piece = np.sum(ws * vs) if vs.ndim == 1 else np.einsum("i,i...->...", ws, vs)
-        total = piece if total is None else total + piece
-    return total
+    k = w.size // panel
+    if vals.ndim == 1:
+        pieces = np.sum((w * vals).reshape(k, panel), axis=1)
+    else:
+        stacked = vals.reshape(k, panel, *vals.shape[1:])
+        pieces = np.einsum("ki,ki...->k...", w.reshape(k, panel), stacked)
+    # the panel sums in one pass, then added one after another in panel order
+    # (a copy, so the partial sums are not kept alive by a view)
+    return np.add.accumulate(pieces)[-1].copy()
 
 
 def integrate_interval(fn, a: float, b: float, n: int):

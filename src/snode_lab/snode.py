@@ -140,8 +140,12 @@ def frame(node: SNode, z_or_zs) -> np.ndarray:
     zs = matcore.as_points(z_or_zs)
     lhs = np.eye(node.m) - zs[:, None, None] * node.A.conj().T
     X = _solve_checked(lhs, node.SinvPi, zs)
-    step = 1j * zs[:, None, None] * node.Pi.conj().T @ X @ node.J
-    out = np.eye(2 * node.p, dtype=complex) - step
+    step = 1j * zs[:, None, None] * node.Pi.conj().T @ X
+    del lhs, X  # as large as the frames: free them before the output
+    # for finite values step @ J only swaps the two column blocks of step, so
+    # subtracting the swapped copy gives the bits of I - step @ J
+    p = node.p
+    out = np.eye(2 * p, dtype=complex) - np.concatenate((step[:, :, p:], step[:, :, :p]), axis=2)
     return out if np.ndim(z_or_zs) else out[0]
 
 

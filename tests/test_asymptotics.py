@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import asymptotics, densities, hankel, sampling, snode, toeplitz
-from snode_lab.errors import NotInUpperHalfPlane, SingularOnGrid, SzegoViolated
+from snode_lab import asymptotics, densities, hankel, quadrature, sampling, snode, toeplitz
+from snode_lab.errors import NotInUpperHalfPlane, SingularOnGrid, SzegoViolated, Unsupported
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +347,45 @@ def test_limit_inequality_vanishing_convention():
     report = asymptotics.limit_inequality_demo(family, None, -5.0, 5.0)
     assert report.rhs == -np.inf
     assert report.inequality_ok
+
+
+def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):
+    _, node = hankel_102
+    lam = 0.3 + 1.1j
+    pairs = [sampling.random_constant_pair(rng, 1) for _ in range(2)]
+    batch = asymptotics.entropy_bound_check(node, pairs, lam)
+    assert len(batch) == 2
+    for pair, got in zip(pairs, batch):
+        want = asymptotics.entropy_bound_check(node, pair, lam)
+        assert np.array_equal(got.lhs, want.lhs)
+        assert np.array_equal(got.rhs, want.rhs)
+
+
+def test_entropy_bound_matrix_batch_of_extremal_pairs():
+    spec = sampling.random_hankel_spec(np.random.default_rng(5), 2, 2)
+    node = hankel.build_hankel_node(spec)
+    ext = snode.extremal_pair(node, 1j)
+    single = asymptotics.entropy_bound_check(node, ext, 1j)
+    for got in asymptotics.entropy_bound_check(node, [ext, ext], 1j):
+        assert np.array_equal(got.lhs, single.lhs)
+        assert np.array_equal(got.rhs, single.rhs)
+    witness = snode.ParamPair.constant(np.eye(2), 4.0 * np.eye(2))
+    with pytest.raises(Unsupported):
+        asymptotics.entropy_bound_check(node, [ext, witness], 1j)
+
+
+def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
+    lam = 0.3 + 1.7j
+    dens = [densities.cauchy_density(), densities.exp_sqrt_density(), densities.cauchy_density(2.0)]
+    singles = [asymptotics.outer_modulus(P, lam) for P in dens]
+    names = []
+    original = quadrature.integrate_with_check
+
+    def counted(integrator, fn, n, rel_tol, what="integral", **kwargs):
+        names.append(what)
+        return original(integrator, fn, n, rel_tol, what=what, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    assert asymptotics.outer_modulus(dens, lam) == singles
+    # one normalization; the two Cauchy densities (no breaks) share a rule
+    assert names == ["poisson normalization"] + ["outer modulus integral"] * 2

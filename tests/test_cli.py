@@ -219,3 +219,29 @@ def test_entropy_lambda_outside_upper_half_plane_exits_2(tmp_path, capsys, lam):
     scenario.write_text(json.dumps({"command": "entropy", "lambda": lam}))
     assert run(["--scenario", str(scenario), "--out", str(tmp_path)]) == 2
     assert "must lie in the open upper half-plane" in capsys.readouterr().err
+
+
+def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
+    from snode_lab import quadrature
+
+    names = []
+    original = quadrature.integrate_with_check
+
+    def counted(integrator, fn, n, rel_tol, what="integral", **kwargs):
+        names.append(what)
+        return original(integrator, fn, n, rel_tol, what=what, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    assert run(["entropy", "--out", str(tmp_path)]) == 0
+    # extremal pair, witness and 10 random pairs share one normalization;
+    # pairs whose densities have equal breaks share one outer-modulus rule
+    assert names.count("poisson normalization") == 1
+    assert 1 <= names.count("outer modulus integral") <= 12
+
+
+def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
+    scenario = {"command": "asymptotics", "family": "hankel", "density": "cauchy", "max_order": 2}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "moment 1 absolute: doubled-node drift" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snode_lab import densities, hankel, quadrature, snode
+from snode_lab import densities, hankel, matcore, quadrature, snode
 from snode_lab.errors import QuadratureNotConverged
 
 
@@ -157,3 +157,25 @@ def test_all_orders_pass_names_the_first_failing_order():
         hankel.moments_from_density(es, range(10))
     assert str(single.value).startswith("moment 7: ")
     assert str(together.value) == str(single.value)
+
+
+def test_divergent_moment_raises_naming_its_order():
+    # t / (pi (1 + t^2)) is not absolutely integrable, but the symmetric
+    # graded rule cancels it and its value passes the doubled-node check;
+    # the check on (1 + t^2)^(1/2) tr P catches it
+    cauchy = densities.cauchy_density()
+    for orders in (1, range(4)):
+        with pytest.raises(QuadratureNotConverged, match="^moment 1 absolute: "):
+            hankel.moments_from_density(cauchy, orders)
+    assert hankel.moments_from_density(cauchy, 0)[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_absolute_checks_leave_the_moment_values_alone():
+    # quad=2048 gives the pair (32, 64) on the line; the value is the fine one
+    orders = range(3)
+    got = hankel.moments_from_density(_WEYL, orders, quad=2048)
+    fine = quadrature.integrate_line_graded(
+        lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, breaks=_WEYL.breaks
+    )
+    for block, value in zip(got, fine):
+        assert np.array_equal(block, matcore.hermitian_part(value))

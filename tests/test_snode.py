@@ -442,3 +442,47 @@ def test_node_factors_s_once(monkeypatch):
         snode.transfer_matrix(node, z)
         snode.rho(node, 1j)
     assert len(calls) == 1
+
+
+def _frame_by_j_product(node, zs):
+    """The frame as I - (i z Pi* X) @ J, with the stacked product by J."""
+    lhs = np.eye(node.m) - zs[:, None, None] * node.A.conj().T
+    X = snode._solve_checked(lhs, node.SinvPi, zs)
+    step = 1j * zs[:, None, None] * node.Pi.conj().T @ X @ node.J
+    return np.eye(2 * node.p, dtype=complex) - step
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["hankel", "toeplitz", "random"]),
+)
+def test_frame_block_swap_is_bitwise_the_j_product(seed, p, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "hankel":
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    elif kind == "toeplitz":
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+    else:
+        m = n * p
+        node = snode.SNode(
+            p=p,
+            A=sampling.random_complex(rng, (m, m)),
+            S=sampling.random_hpd(rng, m),
+            Phi1=sampling.random_complex(rng, (m, p)),
+            Phi2=sampling.random_complex(rng, (m, p)),
+        )
+    axis = np.concatenate([rng.uniform(-5.0, 5.0, 5), [0.0, 1e19, -1e19]])
+    zs = np.concatenate([axis, sampling.random_upper_points(rng, 5)]).astype(complex)
+    try:
+        want = _frame_by_j_product(node, zs)
+    except SingularResolvent:
+        with pytest.raises(SingularResolvent):
+            snode.frame(node, zs)
+        return
+    got = snode.frame(node, zs)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the signs of zeros too
+    assert snode.frame(node, zs[-1]).tobytes() == _frame_by_j_product(node, zs[-1:])[0].tobytes()
