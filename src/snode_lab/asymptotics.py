@@ -195,9 +195,12 @@ def entropy_integral(
     on a set of positive measure inside (a, b).
 
     ``f`` must be continuous, bounded and positive (identity weight by
-    default).  Uses the tan substitution with Gauss-Legendre panels graded
-    toward the infinite ends, so log- and sqrt-type growth of ln det P is
-    integrated accurately; the doubled-node agreement check guards the rest.
+    default).  The full line uses the tan substitution with Gauss-Legendre
+    panels graded toward the infinite ends, so log- and sqrt-type growth of
+    ln det P is integrated accurately; a finite (a, b) is cut at the breaks
+    of P and climbs the doubling ladder capped at max(quad, 512).  The
+    doubled-node agreement check guards the rest.  A half-infinite (a, b)
+    raises :class:`Unsupported`.
     """
     weight = (lambda t: np.ones_like(t)) if f is None else f
 
@@ -217,20 +220,20 @@ def entropy_integral(
             value = quadrature.integrate_with_check(
                 lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
                 integrand,
-                quad,
+                (quad, 2 * quad),
                 rel_tol,
                 what="entropy integral",
             )
         elif np.isfinite(a) and np.isfinite(b):
             value = quadrature.integrate_with_check(
-                lambda fn, n: quadrature.integrate_interval(fn, a, b, n),
+                lambda fn, n: quadrature.integrate_interval(fn, a, b, n, breaks=P.breaks),
                 integrand,
-                max(quad, 512),
+                quadrature._ladder(max(quad, 512)),
                 rel_tol,
                 what="entropy integral",
             )
         else:
-            raise ValueError("the range must be the full line or a finite interval")
+            raise Unsupported("the range must be the full line or a finite interval")
     except _VanishingDensity:
         return -np.inf
     return float(value)
@@ -267,7 +270,7 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
     norm = quadrature.integrate_with_check(
         lambda fn, n: quadrature.integrate_line_graded(fn, n),
         lambda ts: w(ts),
-        quad,
+        (quad, 2 * quad),
         1e-10,
         what="poisson normalization",
     )
@@ -298,7 +301,7 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
             got = quadrature.integrate_with_check(
                 lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=breaks),
                 integrand,
-                quad,
+                (quad, 2 * quad),
                 rel_tol,
                 what="outer modulus integral",
             )

@@ -284,7 +284,7 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
         dens_cfg = sc.params.get("density", {"name": "exp_sqrt"})
         if isinstance(dens_cfg, str):
             dens_cfg = {"name": dens_cfg}
-        density = densities.density_by_name(dens_cfg["name"], dens_cfg.get("params"))
+        density = densities.density_by_name(dens_cfg.get("name"), dens_cfg.get("params"))
         seq, spec = asymptotics.hankel_family_from_density(density, max_order, quad=sc.quad)
         reference = density
     elif family == "toeplitz":
@@ -502,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--quad",
         type=int,
         default=None,
-        help="quadrature nodes (default 2048): moments of a smooth bounded-support density "
-        "double from 16 nodes up to this cap, a kinked one (table) uses it and twice it; "
+        help="quadrature nodes (default 2048): moments on a bounded support double from 16 "
+        "nodes per piece between the density's breaks up to this cap; "
         "full-line ones use max(24, quad // 64) nodes per panel",
     )
     fmt = parser.add_mutually_exclusive_group()

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidDensity
+
 
 @dataclass(frozen=True)
 class DensityFn:
@@ -56,6 +58,8 @@ def _as_stack(scalars: np.ndarray) -> np.ndarray:
 
 def uniform_density(a: float = -1.0, b: float = 1.0) -> DensityFn:
     """Constant 1/(b-a) on [a, b], zero outside."""
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise InvalidDensity(f"uniform density needs finite a < b, got a={a!r}, b={b!r}")
     height = 1.0 / (b - a)
 
     def fn(t):
@@ -71,6 +75,8 @@ def uniform_density(a: float = -1.0, b: float = 1.0) -> DensityFn:
 
 def cauchy_density(scale: float = 1.0) -> DensityFn:
     """scale / (pi (t^2 + scale^2)); the standard case is scale = 1."""
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise InvalidDensity(f"cauchy density needs a finite scale > 0, got {scale!r}")
 
     def fn(t):
         return _as_stack(scale / (np.pi * (t * t + scale * scale)))
@@ -97,13 +103,26 @@ def table_density(ts, values) -> DensityFn:
     """Piecewise-linear scalar density through sampled (t, value) pairs, zero outside.
 
     The interior grid points are its breaks: the density has a kink at each.
+    Raises :class:`InvalidDensity` unless ``ts`` is a strictly increasing
+    grid of at least 2 finite points and ``values`` matches it with finite
+    nonnegative numbers.
     """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or ts.shape != values.shape:
-        raise ValueError("table density needs matching 1-d grids")
+    try:
+        ts = np.asarray(ts, dtype=float)
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDensity(f"table density needs numeric grids: {exc}") from None
+    if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
+        raise InvalidDensity(
+            "table density needs matching 1-d grids of at least 2 points, "
+            f"got t of shape {ts.shape} and v of shape {values.shape}"
+        )
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
+        raise InvalidDensity("table density grid and values must be finite")
+    if np.any(np.diff(ts) <= 0.0):
+        raise InvalidDensity("table density grid t must be strictly increasing")
     if np.any(values < 0.0):
-        raise ValueError("table density values must be nonnegative")
+        raise InvalidDensity("table density values must be nonnegative")
 
     def fn(t):
         return _as_stack(np.interp(t, ts, values, left=0.0, right=0.0))
@@ -125,12 +144,23 @@ _BY_NAME = {
 
 
 def density_by_name(name: str, params: dict | None = None) -> DensityFn:
-    """Construct a named density; ``table`` expects {"t": [...], "v": [...]}."""
+    """Construct a named density; ``table`` expects {"t": [...], "v": [...]}.
+
+    Raises :class:`InvalidDensity` for an unknown name or invalid parameters.
+    """
     params = dict(params or {})
     if name == "table":
+        missing = sorted({"t", "v"} - set(params))
+        if missing:
+            raise InvalidDensity(f"table density needs params 't' and 'v'; missing {missing}")
         return table_density(params["t"], params["v"])
     try:
         maker = _BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown density {name!r}; available: {sorted(_BY_NAME)} + ['table']")
-    return maker(**params)
+    except (KeyError, TypeError):
+        raise InvalidDensity(
+            f"unknown density {name!r}; available: {sorted(_BY_NAME)} + ['table']"
+        ) from None
+    try:
+        return maker(**params)
+    except TypeError as exc:
+        raise InvalidDensity(f"{name} density: {exc}") from None

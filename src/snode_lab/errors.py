@@ -61,6 +61,12 @@ class IndexOutOfRange(SnodeLabError, IndexError):
     pass
 
 
+class InvalidDensity(SnodeLabError, KeyError, ValueError):
+    """A density configuration with an unknown name or invalid parameters."""
+
+    __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
+
+
 class EvaluationFailure(SnodeLabError):
     pass
 

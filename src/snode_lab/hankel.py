@@ -136,13 +136,13 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     The density is evaluated once per rule for all orders, and each order
     has its own doubled-node convergence check; the first order, in the
     given sequence, that fails raises.  Densities with bounded support
-    integrate on the support interval: with no declared breaks the density
-    is smooth there, and the rules climb a doubling ladder capped at
-    ``quad``; with breaks (kinks a coarse rule can step over) they use the
-    fixed pair (quad, 2 quad).  Full-line densities integrate via the tan
+    integrate on the support interval cut at their declared breaks, so every
+    piece is smooth, and the rules climb a doubling ladder of nodes per
+    piece capped at ``quad``.  Full-line densities integrate via the tan
     substitution (graded panels around any breaks and toward the infinite
-    ends); there each order must also be absolutely integrable: the smooth
-    majorant (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)| gets its own check,
+    ends) with m = max(24, quad // 64) and then 2m nodes per panel; there
+    each order must also be absolutely integrable: the smooth majorant
+    (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)| gets its own check,
     ahead of the order's value, so a divergent moment raises naming the
     lowest divergent order.  No orders give an empty (0, p, p) stack.
     """
@@ -159,10 +159,10 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
             return [ts[:, None, None] ** k * values for k in ks]
 
         def on_interval(fn, n):
-            return quadrature.integrate_interval(fn, a, b, n)
+            return quadrature.integrate_interval(fn, a, b, n, breaks=density.breaks)
 
         blocks = quadrature.integrate_with_check(
-            on_interval, integrand, quad, 1e-8, what=names, ladder=not density.breaks
+            on_interval, integrand, quadrature._ladder(quad), 1e-8, what=names
         )
     else:
 
@@ -177,10 +177,11 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
                 items += [(1.0 + ts * ts) ** (k / 2) * trace, ts[:, None, None] ** k * values]
             return items
 
+        m = max(24, quad // 64)
         checked = quadrature.integrate_with_check(
             on_line,
             with_majorants,
-            max(24, quad // 64),
+            (m, 2 * m),
             1e-8,
             what=[item for name in names for item in (f"{name} absolute", name)],
         )

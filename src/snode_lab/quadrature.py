@@ -1,22 +1,24 @@
-"""Quadrature helpers for moment and entropy-type integrals over the line.
+"""Quadrature helpers for moment and entropy-type integrals.
 
-Three rules, all built on Gauss-Legendre nodes:
+Two rules, both built on Gauss-Legendre nodes:
 
-* :func:`integrate_interval` uses a single panel on a bounded interval.
-* :func:`integrate_line` uses a single panel in theta after the
-  substitution t = tan(theta).  Right for smooth integrands (moment
-  integrals of decaying densities).
-* :func:`integrate_line_graded` splits theta into dyadic panels that
-  accumulate at +-pi/2.  Right for integrands whose t-form grows like
-  ln|t| or |t|^a (a < 1) near infinity, for example weighted log-density
-  integrals.  The integrand is called once, on the nodes of every panel.
+* :func:`integrate_interval` cuts a bounded interval at the declared breaks
+  inside it (points where the integrand is not smooth) and puts n nodes on
+  every piece.  With no breaks it is a single panel.
+* :func:`integrate_line_graded` covers the whole line through the
+  substitution t = tan(theta) and splits theta into dyadic panels that
+  accumulate at the images of the breaks and at +-pi/2.  Right for
+  integrands whose t-form grows like ln|t| or |t|^a (a < 1) near infinity,
+  for example weighted log-density integrals.
 
-An integrand returns values whose leading axis matches its nodes, or a
-list of such arrays, one per integral; a list is reduced item by item and
-the rule returns a list.
+Each rule calls its integrand once, on the nodes of every panel, and adds
+the panel sums in panel order.  An integrand returns values whose leading
+axis matches its nodes, or a list of such arrays, one per integral; a list
+is reduced item by item and the rule returns a list.
 
 Every caller is expected to run the doubled-node agreement check via
-:func:`integrate_with_check`.
+:func:`integrate_with_check`: bounded integrals on the doubling ladder
+:func:`_ladder` (every piece is smooth), graded ones on the pair (n, 2n).
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def gauss_legendre(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights on the interval (a, b)."""
+def gauss_legendre(a, b, n: int):
+    """Gauss-Legendre nodes and weights on the interval (a, b); array ends
+    (shaped to broadcast against the n nodes) give one rule per interval."""
     x, w = _gl_nodes(n)
     half = (b - a) / 2.0
     return a + half * (x + 1.0), half * w
@@ -58,22 +61,13 @@ def _reduce(w, vals, panel: int):
     return np.add.accumulate(pieces)[-1].copy()
 
 
-def integrate_interval(fn, a: float, b: float, n: int):
-    """GL integral of a vectorized scalar- or matrix-valued fn over (a, b)."""
-    t, w = gauss_legendre(a, b, n)
-    return _reduce(w, fn(t), n)
-
-
-def integrate_line(fn, n: int):
-    """Integral of fn over the whole line via t = tan(theta), single GL panel.
-
-    ``fn`` must accept a 1-d array of t values and return values whose
-    leading axis matches; the product fn(t) * (1 + t^2) has to stay bounded
-    and smooth in theta for the panel to converge.
-    """
-    theta, w = gauss_legendre(-np.pi / 2.0, np.pi / 2.0, n)
-    t = np.tan(theta)
-    return _reduce(w * (1.0 + t * t), fn(t), n)
+def integrate_interval(fn, a: float, b: float, n: int, breaks=()):
+    """GL integral of a vectorized scalar- or matrix-valued fn over (a, b),
+    with n nodes on each piece between the ``breaks`` that lie inside it."""
+    cuts = sorted({float(c) for c in breaks if a < c < b})
+    edges = np.array([a, *cuts, b], dtype=float)
+    t, w = gauss_legendre(edges[:-1, None], edges[1:, None], n)
+    return _reduce(w.ravel(), fn(t.ravel()), n)
 
 
 def _dyadic_edges(width: float, levels: int):
@@ -95,16 +89,12 @@ def _graded_rule(n: int, levels: int, breaks):
     each run outward from its end.  The weights include the Jacobian
     1 + t^2 of t = tan(theta).
     """
-    x, wx = _gl_nodes(n)
     cuts = sorted({float(np.arctan(b)) for b in breaks})
     anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
     ts, ws = [], []
     for left, right in zip(anchors[:-1], anchors[1:]):
         offsets = np.array(_dyadic_edges((right - left) / 2.0, levels))
-        lo = offsets[:-1, None]
-        half = (offsets[1:, None] - lo) / 2.0
-        delta = lo + half * (x + 1.0)
-        w = half * wx
+        delta, w = gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
         for anchor, sign in ((left, 1.0), (right, -1.0)):
             if abs(abs(anchor) - np.pi / 2.0) < 1e-15:
                 # theta = anchor + sign*delta; tan(theta) = +-1/tan(delta)
@@ -146,16 +136,9 @@ def _ladder(cap: int) -> list[int]:
     return [*sizes, cap, 2 * cap]
 
 
-def integrate_with_check(
-    integrator, fn, n: int, rel_tol: float, what="integral", ladder: bool = False
-):
-    """Run ``integrator(fn, m)`` on growing node counts m and accept the first
-    two consecutive counts whose values agree.
-
-    The counts are n and 2n.  With ``ladder`` they climb 16, 32, ... below
-    n first, so n is a cap and the last pair tried is (n, 2n).  Use it only
-    for integrands known to be smooth on the range: two coarse rules that
-    both step over a narrow feature agree, and their value is accepted.
+def integrate_with_check(integrator, fn, sizes, rel_tol: float, what="integral"):
+    """Run ``integrator(fn, m)`` for the node counts m in ``sizes``, in order,
+    and accept the first two consecutive counts whose values agree.
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
@@ -164,9 +147,8 @@ def integrate_with_check(
     list with one name per item.
 
     Raises :class:`QuadratureNotConverged` for the first integral, in list
-    order, whose values still disagree at (n, 2n).
+    order, whose values still disagree at the last two counts.
     """
-    sizes = _ladder(n) if ladder else [n, 2 * n]
     coarse = integrator(fn, sizes[0])
     many = isinstance(coarse, list)
     coarse = coarse if many else [coarse]

@@ -412,14 +412,16 @@ def herglotz_params(phi, eta: float = 2.5e3, rel_tol: float = 1e-6):
 def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
     """Rebuild (S, Phi1) from interpolation data and report both residuals.
 
-    Given gamma >= 0, theta = theta*, and a density mu'(t) (vectorized
-    callable t -> stack of p x p PSD matrices), forms
+    Given gamma >= 0, theta = theta*, and a density mu'(t) (a
+    :class:`DensityFn` of p x p PSD matrices), forms
 
         S~    = integral (I - tA)^{-1} Phi2 mu'(t) Phi2* (I - tA*)^{-1} dt + F F*,
         Phi1~ = -i integral (A (I - tA)^{-1} + t/(1+t^2) I) Phi2 mu'(t) dt
                 + i (Phi2 theta + F gamma^{1/2}),
 
     where A F = Phi2 gamma^{1/2}, and returns (||S - S~||, ||Phi1 - Phi1~||).
+    The integrals use the graded line rule around the density's breaks, with
+    max(24, quad // 64) nodes per panel, as full-line moments do.
     Requires A invertible; raises :class:`Unsupported` otherwise.
     """
     m, p = node.m, node.p
@@ -446,8 +448,13 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
             [s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1
         )
 
+    per_panel = max(24, quad // 64)
     flat = quadrature.integrate_with_check(
-        quadrature.integrate_line, pieces, quad, 1e-8, what="interpolation integrals"
+        lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=density.breaks),
+        pieces,
+        (per_panel, 2 * per_panel),
+        1e-8,
+        what="interpolation integrals",
     )
     S_mu = flat[: m * m].reshape(m, m)
     Phi1_mu = flat[m * m :].reshape(m, p)

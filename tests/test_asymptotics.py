@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,17 +137,49 @@ def test_entropy_integral_with_weight():
     assert value == pytest.approx(np.pi / 2, abs=1e-10)
 
 
+def _counting(density, calls):
+    """``density`` with the size of every evaluation appended to ``calls``."""
+    return dataclasses.replace(density, fn=lambda t: calls.append(t.size) or density.fn(t))
+
+
 def test_entropy_integral_vanishing_table_patch():
     ts = np.linspace(-2, 2, 401)
     vals = np.where((ts >= 0) & (ts <= 1), 0.0, 1.0)
-    patchy = densities.table_density(ts, vals)
+    calls = []
+    patchy = _counting(densities.table_density(ts, vals), calls)
     assert asymptotics.entropy_integral(patchy, a=-2.0, b=2.0) == -np.inf
+    # the patch fills whole pieces of the rule, so its first rule finds it
+    assert len(calls) == 1
 
 
 def test_entropy_integral_narrow_zero_patch():
-    # the patch |t| <= 0.005 lies between the nodes of every rule below 1024
+    # the patch |t| <= 0.005 lies between the nodes of every single-panel
+    # rule below 1024, but it is a piece of the rule cut at the grid
     notch = densities.table_density([-2, -0.01, -0.005, 0.005, 0.01, 2], [1, 1, 0, 0, 1, 1])
-    assert asymptotics.entropy_integral(notch, a=-2.0, b=2.0) == -np.inf
+    calls = []
+    assert asymptotics.entropy_integral(_counting(notch, calls), a=-2.0, b=2.0) == -np.inf
+    assert len(calls) == 1
+
+
+def test_entropy_integral_on_a_positive_table_is_exact():
+    # f = 1 + t^2 cancels the weight, leaving the integral of ln P: on a
+    # piece of width h from y0 to y1 it is h (y1 ln y1 - y0 ln y0) / (y1 - y0) - h
+    ts, vs = [-1.0, 0.0, 0.5, 2.0, 2.5], [1.0, 3.0, 0.5, 0.5, 2.0]
+    want = 0.0
+    for t0, t1, y0, y1 in zip(ts[:-1], ts[1:], vs[:-1], vs[1:]):
+        h = t1 - t0
+        if y0 == y1:
+            want += h * np.log(y0)
+        else:
+            want += h * (y1 * np.log(y1) - y0 * np.log(y0)) / (y1 - y0) - h
+    table = densities.table_density(ts, vs)
+    got = asymptotics.entropy_integral(table, f=lambda t: 1.0 + t * t, a=-1.0, b=2.5)
+    assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_entropy_integral_half_line_is_unsupported():
+    with pytest.raises(Unsupported, match="full line or a finite interval"):
+        asymptotics.entropy_integral(densities.cauchy_density(), a=0.0)
 
 
 def test_outer_modulus_examples():

@@ -245,3 +245,34 @@ def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert "moment 1 absolute: doubled-node drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "density, message",
+    [
+        (
+            {"name": "table", "params": {"t": [0, 1, 0.5, 2], "v": [0, 1, 1, 0]}},
+            "strictly increasing",
+        ),
+        ({"name": "table", "params": {"t": [0, 1, 2], "v": [0, -1, 0]}}, "nonnegative"),
+        ({"name": "table", "params": {"t": [0, 1, 2], "v": [0, 1]}}, "matching 1-d grids"),
+        ({"name": "table", "params": {"t": [0, 1, 2]}}, "missing ['v']"),
+        ({"name": "table", "params": {"t": [0, float("inf")], "v": [1, 1]}}, "must be finite"),
+        ({"name": "table", "params": {"t": [0, 1], "v": [1, float("nan")]}}, "must be finite"),
+        ({"name": "table", "params": {"t": [0], "v": [1]}}, "at least 2 points"),
+        ({"name": "table", "params": {"t": ["a", 1], "v": [1, 1]}}, "numeric grids"),
+        ({"name": "nope"}, "unknown density 'nope'"),
+        ({"params": {"a": 0.0, "b": 1.0}}, "unknown density None"),
+        ({"name": "uniform", "params": {"a": 1.0, "b": 1.0}}, "finite a < b"),
+        ({"name": "cauchy", "params": {"scale": -1.0}}, "finite scale > 0"),
+        ({"name": "cauchy", "params": {"width": 1.0}}, "unexpected keyword argument 'width'"),
+    ],
+)
+def test_asymptotics_invalid_density_exits_2(tmp_path, capsys, density, message):
+    scenario = {"command": "asymptotics", "family": "hankel", "density": density, "max_order": 2}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: asymptotics: ") and message in err
+

@@ -34,8 +34,8 @@ def test_graded_line_integrator_handles_cusp():
     assert value == pytest.approx(4.0, rel=1e-12)
 
 
-def test_single_panel_line_integrator_smooth_case():
-    value = quadrature.integrate_line(lambda t: 1.0 / (1.0 + t * t), 256)
+def test_graded_line_integrator_smooth_case():
+    value = quadrature.integrate_line_graded(lambda t: 1.0 / (1.0 + t * t), 24)
     assert value == pytest.approx(np.pi, rel=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_integrate_with_check_raises_on_drift():
     rng = np.random.default_rng(0)
     noisy = lambda t: 1.0 / (1.0 + t * t) + 1e-3 * rng.standard_normal(t.shape)
     with pytest.raises(QuadratureNotConverged):
-        quadrature.integrate_with_check(quadrature.integrate_line, noisy, 64, 1e-10)
+        quadrature.integrate_with_check(quadrature.integrate_line_graded, noisy, (64, 128), 1e-10)
 
 
 def test_complex_matrix_json_roundtrip():

@@ -74,7 +74,10 @@ def test_graded_rule_calls_integrand_once():
     assert len(calls) == 1
     calls.clear()
     quadrature.integrate_with_check(
-        lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=(0.0,)), counting, 24, 1e-8
+        lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=(0.0,)),
+        counting,
+        (24, 48),
+        1e-8,
     )
     assert len(calls) == 2
 
@@ -108,7 +111,9 @@ def test_ladder_that_never_converges_raises_at_the_cap(cap, tried):
 
     rough = lambda t: np.cos(1e4 * t)
     with pytest.raises(QuadratureNotConverged) as info:
-        quadrature.integrate_with_check(on_interval, rough, cap, 1e-10, what="rough", ladder=True)
+        quadrature.integrate_with_check(
+            on_interval, rough, quadrature._ladder(cap), 1e-10, what="rough"
+        )
     assert sizes == tried
     coarse = quadrature.integrate_interval(rough, 0.0, 1.0, cap)
     fine = quadrature.integrate_interval(rough, 0.0, 1.0, 2 * cap)
@@ -129,9 +134,9 @@ def test_all_orders_pass_equals_single_orders(density, orders):
         assert np.array_equal(block, hankel.moments_from_density(density, k))
 
 
-def test_densities_with_breaks_keep_the_fixed_pair(monkeypatch):
-    # unit mass in a spike between grid points: the 16- and 32-node rules
-    # both step over it and agree on 0, so a table density skips the ladder
+def test_spike_table_moments_are_exact(monkeypatch):
+    # unit mass in a spike between grid points: the rule is cut at the grid,
+    # so every piece is linear and the 16- and 32-node rules are both exact
     spike = densities.table_density([0.0, 0.49, 0.5, 0.51, 1.0], [0.0, 0.0, 100.0, 0.0, 0.0])
     assert spike.breaks == (0.49, 0.5, 0.51)
     sizes = []
@@ -139,9 +144,27 @@ def test_densities_with_breaks_keep_the_fixed_pair(monkeypatch):
     monkeypatch.setattr(
         quadrature, "gauss_legendre", lambda lo, hi, n: sizes.append(n) or original(lo, hi, n)
     )
-    with pytest.raises(QuadratureNotConverged, match="^moment 0: "):
-        hankel.moments_from_density(spike, range(3), quad=2048)
-    assert sizes == [2048, 4096]
+    got = hankel.moments_from_density(spike, range(4), quad=2048)
+    # t^k is integrated against the hat 100 (0.01 - |t - 0.5|) on (0.49, 0.51)
+    exact = [1.0, 0.5, 0.25 + 1e-4 / 6.0, 0.125 + 1e-4 / 4.0]
+    assert np.max(np.abs(got[:, 0, 0] - exact)) <= 1e-14
+    assert max(sizes) <= 32
+
+
+@pytest.mark.parametrize("breaks", [(), (0.25,), (2.0, 0.25, -0.3, 0.7, 0.25)])
+def test_interval_rule_equals_per_piece_loop(breaks):
+    # breaks outside (a, b) are dropped, repeated ones count once, and the
+    # piece sums are added in order; no breaks is the single-panel rule
+    fn = lambda t: [np.exp(t), np.abs(t - 0.25)[:, None, None] * _M]
+    a, b, n = -0.3, 1.5, 16
+    edges = [a, *sorted({c for c in breaks if a < c < b}), b]
+    want = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t, w = quadrature.gauss_legendre(lo, hi, n)
+        piece = [np.sum(w * v) if v.ndim == 1 else np.einsum("i,i...->...", w, v) for v in fn(t)]
+        want = piece if want is None else [x + y for x, y in zip(want, piece)]
+    got = quadrature.integrate_interval(fn, a, b, n, breaks=breaks)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_no_orders_give_an_empty_stack():
