@@ -7,7 +7,7 @@ log-determinant integrals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_density
 from .snode import (
+    Frame,
     ParamPair,
     SNode,
     as_frame,
@@ -258,7 +259,8 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
     for the outer spectral factor G of P.
 
     ``P_or_Ps`` is one density, giving one float, or a sequence of them,
-    giving a list; densities with equal breaks share one graded rule.
+    giving a list; densities with equal breaks share one graded rule, on
+    which they are evaluated together, chunk by chunk.
     Verifies the Poisson normalization integral Im(lam)/|t-lam|^2 dt = pi
     to 1e-9 once per call, and raises :class:`SzegoViolated` when a log-det
     integral diverges to -inf.
@@ -287,15 +289,17 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
     values = [0.0] * len(Ps)
     for breaks, members in rules.items():
 
+        def log_dets(ts):
+            return np.stack([Ps[i].log_det_at(ts) for i in members], axis=1)
+
         def integrand(ts):
+            # chunk by chunk for all members, so densities that share a
+            # remembering frame (entropy_bound_check) evaluate it once
+            lds = matcore.in_chunks(log_dets, ts)
+            if np.any(~np.isfinite(lds)):
+                raise _VanishingDensity()
             weight = w(ts)
-            items = []
-            for i in members:
-                ld = Ps[i].log_det_at(ts)
-                if np.any(~np.isfinite(ld)):
-                    raise _VanishingDensity()
-                items.append(weight * ld)
-            return items
+            return [weight * ld for ld in lds.T]
 
         try:
             got = quadrature.integrate_with_check(
@@ -355,6 +359,24 @@ def extremal_density(node_or_frame, lam: complex) -> DensityFn:
     return DensityFn("extremal", fn, p=p)
 
 
+def _remembering(frm: Frame) -> Frame:
+    """``frm`` with a memory of its last evaluation, keyed by the exact point
+    values; the stacks it returns are shared, so they are read-only."""
+    last = {}
+
+    def fn(z_or_zs):
+        zs = matcore.as_points(z_or_zs)
+        key = zs.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = out = frm(zs)
+            out.setflags(write=False)
+        out = last[key]
+        return out if np.ndim(z_or_zs) else out[0]
+
+    return replace(frm, fn=fn)
+
+
 @dataclass(frozen=True)
 class EntropyBound:
     """lhs = 2 pi G(lam)* G(lam) against rhs = rho(lam, conj lam)^{-1}."""
@@ -386,7 +408,8 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex, quad: int = 
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     single = isinstance(pair_or_pairs, ParamPair)
     pairs = [pair_or_pairs] if single else list(pair_or_pairs)
-    frm = as_frame(node_or_frame)
+    # every pair's density evaluates this frame on the same points
+    frm = _remembering(as_frame(node_or_frame))
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     if frm.p == 1:
         moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam, quad=quad)

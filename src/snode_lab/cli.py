@@ -75,10 +75,26 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, axis=(1, 2))
 
 
-def _complexify(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return serialization.complex_from_json(value)
-    return complex(value)
+def _param_complex(sc: Scenario, key: str, default) -> complex:
+    """Scenario parameter ``key``: a number or a [re, im] pair."""
+    value = sc.params.get(key, default)
+    try:
+        if isinstance(value, (list, tuple)):
+            return serialization.complex_from_json(value)
+        return complex(value)
+    except (TypeError, ValueError):
+        raise BadInput(
+            f"{sc.command}: {key} must be a number or a [re, im] pair, got {value!r}"
+        ) from None
+
+
+def _param_int(sc: Scenario, key: str, default: int) -> int:
+    """Scenario parameter ``key`` as an integer."""
+    value = sc.params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise BadInput(f"{sc.command}: {key} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +199,9 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
 
 
 def _run_khrushchev(sc: Scenario, rng: np.random.Generator):
-    p = int(sc.params.get("p", 1))
-    length = int(sc.params.get("length", 6))
-    count = int(sc.params.get("count", 3))
+    p = _param_int(sc, "p", 1)
+    length = _param_int(sc, "length", 6)
+    count = _param_int(sc, "count", 3)
     checks = []
     pair = snode.ParamPair.constant(np.eye(p, dtype=complex), np.eye(p, dtype=complex))
     zgrid = sampling.random_upper_points(rng, sc.grid)
@@ -206,7 +222,7 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
     spec = _load_spec(spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
-    z = _complexify(sc.params.get("z", [0.0, 1.0]))
+    z = _param_complex(sc, "z", [0.0, 1.0])
     ball = snode.matrix_ball(node, z)
     checks = []
 
@@ -246,16 +262,17 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
     spec = _load_spec(spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
-    lam = _complexify(sc.params.get("lambda", [0.0, 1.0]))
+    lam = _param_complex(sc, "lambda", [0.0, 1.0])
     checks = []
 
     # every pair in one call, so the Poisson normalization runs once
     pairs = [snode.extremal_pair(node, lam)]
     if node.p == 1:
-        witness = snode.ParamPair.constant(
-            np.eye(1, dtype=complex), 4.0 * np.eye(1, dtype=complex)
-        )
-        draws = int(sc.params.get("pairs", 10))
+        # the witness's Weyl value at lam is the ball point of contraction 1/2,
+        # so its slack is rhs |u|^2 = rhs / 4, away from the ball's centre
+        ball = snode.matrix_ball(node, lam)
+        witness = _pair_with_value(node, lam, snode.ball_value(ball, 0.5 * np.eye(1)))
+        draws = _param_int(sc, "pairs", 10)
         pairs += [witness, *(sampling.random_constant_pair(rng, 1) for _ in range(draws))]
     bounds = asymptotics.entropy_bound_check(node, pairs, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bounds[0].slack), 1e-6))
@@ -264,9 +281,9 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("poisson normalization", "As33", abs(norm - np.pi), 1e-9))
 
     if node.p == 1:
-        wslack = bounds[1].slack
+        share = bounds[1].slack / float(bounds[1].rhs[0, 0].real)
         checks.append(
-            _check("strict slack at the witness pair", "B13!", wslack, 1e-3, passed=wslack > 1e-3)
+            _check("strict slack at the witness pair", "B13!", share, 1e-3, passed=share > 1e-3)
         )
         worst = -np.inf
         for bound in bounds[2:]:
@@ -275,15 +292,29 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     return checks, {"lambda": serialization.complex_to_json(lam)}
 
 
+def _pair_with_value(node: snode.SNode, z: complex, value) -> snode.ParamPair:
+    """The constant pair whose Weyl function takes ``value`` at z:
+    [R; Q] = Frm(z)^{-1} [-i value; I], checked by :func:`snode.validate_pair`."""
+    p = node.p
+    RQ = np.linalg.solve(snode.frame(node, z), np.vstack([-1j * value, np.eye(p)]))
+    pair = snode.ParamPair.constant(RQ[:p], RQ[p:])
+    snode.validate_pair(pair)
+    return pair
+
+
 def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
     family = sc.params.get("family", "hankel")
-    lam = _complexify(sc.params.get("lambda", [0.0, 1.0]))
-    max_order = int(sc.params.get("max_order", 4))
+    lam = _param_complex(sc, "lambda", [0.0, 1.0])
+    max_order = _param_int(sc, "max_order", 4)
     checks = []
     if family == "hankel":
         dens_cfg = sc.params.get("density", {"name": "exp_sqrt"})
         if isinstance(dens_cfg, str):
             dens_cfg = {"name": dens_cfg}
+        if not isinstance(dens_cfg, dict):
+            raise BadInput(
+                f"{sc.command}: density must be a name or a {{name, params}} object, got {dens_cfg!r}"
+            )
         density = densities.density_by_name(dens_cfg.get("name"), dens_cfg.get("params"))
         seq, spec = asymptotics.hankel_family_from_density(density, max_order, quad=sc.quad)
         reference = density
@@ -407,7 +438,7 @@ def _run_demo_appendix_b(sc: Scenario, rng: np.random.Generator):
         )
     )
 
-    sweeps = int(sc.params.get("sweep", 1000))
+    sweeps = _param_int(sc, "sweep", 1000)
     mink_fail = 0
     det_fail = 0
     for _ in range(sweeps):

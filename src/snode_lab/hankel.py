@@ -199,8 +199,9 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
 
     with F(t) = Frm21(t) R + Frm22(t) Q, which stays numerically meaningful
-    at any |t| (the direct imaginary part does not).  Function pairs sample
-    at t + i*eps with a small ladder.
+    at any |t| (the direct imaginary part does not); both evaluate the frame
+    on chunks of at most :data:`matcore.CHUNK` points.  Function pairs
+    sample at t + i*eps with a small ladder.
     """
     frm = as_frame(node_or_frame)
     p = frm.p
@@ -214,15 +215,18 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
             frames = frm(np.asarray(ts, dtype=complex))
             return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
 
-        def fn(ts):
-            ts = np.asarray(ts, dtype=float)
-            F = denominators(ts)
-            Finv = np.linalg.inv(F)
+        def values(ts):
+            Finv = np.linalg.inv(denominators(ts))
             return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
 
-        def log_det(ts):
-            ts = np.asarray(ts, dtype=float)
+        def log_dets(ts):
             return log_num - 2.0 * np.linalg.slogdet(denominators(ts))[1]
+
+        def fn(ts):
+            return matcore.in_chunks(values, np.asarray(ts, dtype=float))
+
+        def log_det(ts):
+            return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
 
         breaks = _denominator_break_points(frm, denominators)
         return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)

@@ -41,6 +41,32 @@ def as_points(z_or_zs) -> np.ndarray:
     return zs.reshape(-1)
 
 
+# Batched evaluators work on at most this many points at a time, so their
+# intermediate stacks stay bounded however long the array of points is.
+CHUNK = 2048
+
+
+def in_chunks(fn, points: np.ndarray) -> np.ndarray:
+    """``fn(points)`` for a 1-d array of points, evaluated on consecutive
+    chunks of at most :data:`CHUNK` points and written into one preallocated
+    output; up to :data:`CHUNK` points it is the single call ``fn(points)``.
+
+    ``fn`` must be pointwise (row k of its output depends on point k alone),
+    as every batched evaluator here is: each LAPACK call in a stack treats
+    its matrix on its own, so the values are bitwise those of one call.  The
+    chunks run in order, so a guard names the first offending point.
+    """
+    if points.size <= CHUNK:
+        return fn(points)
+    first = fn(points[:CHUNK])
+    out = np.empty((points.size, *first.shape[1:]), dtype=first.dtype)
+    out[:CHUNK] = first
+    del first
+    for start in range(CHUNK, points.size, CHUNK):
+        out[start : start + CHUNK] = fn(points[start : start + CHUNK])
+    return out
+
+
 def as_matrix(M) -> np.ndarray:
     """Coerce to a 2-d complex array and reject non-finite entries."""
     out = np.asarray(M, dtype=complex)

@@ -136,8 +136,13 @@ def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
 
 
 def frame(node: SNode, z_or_zs) -> np.ndarray:
-    """Frame value  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J  (equals w_A(1/conj z)*)."""
-    zs = matcore.as_points(z_or_zs)
+    """Frame value  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J  (equals w_A(1/conj z)*),
+    evaluated in chunks of at most :data:`matcore.CHUNK` points."""
+    out = matcore.in_chunks(lambda zs: _frame_stack(node, zs), matcore.as_points(z_or_zs))
+    return out if np.ndim(z_or_zs) else out[0]
+
+
+def _frame_stack(node: SNode, zs: np.ndarray) -> np.ndarray:
     lhs = np.eye(node.m) - zs[:, None, None] * node.A.conj().T
     X = _solve_checked(lhs, node.SinvPi, zs)
     step = 1j * zs[:, None, None] * node.Pi.conj().T @ X
@@ -145,8 +150,7 @@ def frame(node: SNode, z_or_zs) -> np.ndarray:
     # for finite values step @ J only swaps the two column blocks of step, so
     # subtracting the swapped copy gives the bits of I - step @ J
     p = node.p
-    out = np.eye(2 * p, dtype=complex) - np.concatenate((step[:, :, p:], step[:, :, :p]), axis=2)
-    return out if np.ndim(z_or_zs) else out[0]
+    return np.eye(2 * p, dtype=complex) - np.concatenate((step[:, :, p:], step[:, :, :p]), axis=2)
 
 
 @dataclass(frozen=True)

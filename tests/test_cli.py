@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from snode_lab import cli
@@ -276,3 +277,79 @@ def test_asymptotics_invalid_density_exits_2(tmp_path, capsys, density, message)
     err = capsys.readouterr().err
     assert err.startswith("error: asymptotics: ") and message in err
 
+
+
+def test_entropy_evaluates_each_point_array_of_the_frame_once(tmp_path, monkeypatch):
+    from snode_lab import snode
+
+    seen = {}
+    original = snode.frame
+
+    def counted(node, z_or_zs):
+        key = np.atleast_1d(np.asarray(z_or_zs, dtype=complex)).tobytes()
+        seen[key] = seen.get(key, 0) + 1
+        return original(node, z_or_zs)
+
+    monkeypatch.setattr(snode, "frame", counted)
+    assert run(["entropy", "--out", str(tmp_path)]) == 0
+    # the pairs share one frame: only the single point lambda comes back
+    repeated = [len(key) // 16 for key, count in seen.items() if count > 1]
+    assert repeated == [1]
+
+
+def _entropy_seed_93(tmp_path):
+    # a moments benchmark input (seed 93) whose old fixed witness (R, Q) = (1, 4)
+    # sat near the ball's centre: slack 2.76e-4, below the row's 1e-3
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 1, "n": 1, "H": [[[[0.3193460570586201, 0.0]]]]}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "command": "entropy",
+                "spec": str(spec),
+                "seed": 2002173065,
+                "lambda": [-0.11884795105518098, 1.2677625325780075],
+            }
+        )
+    )
+    return ["--scenario", str(scenario), "--out", str(tmp_path)]
+
+
+def _witness_row(tmp_path):
+    report = json.loads((tmp_path / "report_entropy.json").read_text())
+    (row,) = [c for c in report["checks"] if c["name"] == "strict slack at the witness pair"]
+    return row
+
+
+def test_entropy_witness_from_the_ball_passes_on_seed_93(tmp_path):
+    assert run(_entropy_seed_93(tmp_path)) == 0
+    assert _witness_row(tmp_path)["value"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch):
+    from snode_lab import snode
+
+    original = snode.ball_value
+    monkeypatch.setattr(snode, "ball_value", lambda ball, u: original(ball, 0.0 * u))
+    assert run(["entropy", "--out", str(tmp_path)]) == 1
+    row = _witness_row(tmp_path)
+    assert not row["passed"] and abs(row["value"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("asymptotics", {"density": 5}, "density must be a name or a {name, params} object, got 5"),
+        ("asymptotics", {"max_order": "x"}, "max_order must be an integer, got 'x'"),
+        ("asymptotics", {"lambda": [0, 1, 2]}, "lambda must be a number or a [re, im] pair, got [0, 1, 2]"),
+        ("entropy", {"lambda": [0, 1, 2]}, "lambda must be a number or a [re, im] pair, got [0, 1, 2]"),
+        ("entropy", {"pairs": "x"}, "pairs must be an integer, got 'x'"),
+    ],
+)
+def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": command, **params}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and message in err

@@ -201,3 +201,32 @@ def test_leading_subspec(rng):
     sub = spec.leading(2)
     assert sub.n == 2
     assert_allclose(sub.matrix(), spec.matrix()[:4, :4], atol=0)
+
+
+@pytest.mark.parametrize("size", (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore.CHUNK + 3))
+def test_weyl_density_in_chunks_is_bitwise_one_batch(monkeypatch, size):
+    rng = np.random.default_rng(size)
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2))
+    density = hankel.weyl_density(node, sampling.random_constant_pair(rng, 2))
+    ts = rng.standard_cauchy(size)
+    values, log_dets = density(ts), density.log_det_at(ts)
+    monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
+    assert values.shape == (size, 2, 2) and log_dets.shape == (size,)
+    assert values.tobytes() == density(ts).tobytes()
+    assert log_dets.tobytes() == density.log_det_at(ts).tobytes()
+
+
+def test_recover_moments_memory_stays_bounded():
+    # the density of this case is evaluated on 17,600 and 35,200 points; one
+    # batch kept every intermediate of the frame at once (37.2 MB peak)
+    import tracemalloc
+
+    spec = sampling.random_hankel_spec(np.random.default_rng(7), 2, 2)
+    pair = sampling.random_constant_pair(np.random.default_rng(8), 2)
+    tracemalloc.start()
+    try:
+        hankel.recover_moments(spec, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17e6

@@ -486,3 +486,34 @@ def test_frame_block_swap_is_bitwise_the_j_product(seed, p, n, kind):
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # the signs of zeros too
     assert snode.frame(node, zs[-1]).tobytes() == _frame_by_j_product(node, zs[-1:])[0].tobytes()
+
+
+CHUNK_SIZES = (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore.CHUNK + 3)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_frame_in_chunks_is_bitwise_one_batch(monkeypatch, size):
+    rng = np.random.default_rng(size)
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2))
+    zs = rng.normal(scale=5.0, size=size) + 1j * rng.uniform(0.0, 2.0, size=size)
+    got = snode.frame(node, zs)
+    monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
+    want = snode.frame(node, zs)
+    assert got.shape == (size, 4, 4)
+    assert got.tobytes() == want.tobytes()
+    assert snode.frame(node, zs[-1]).shape == (4, 4)
+
+
+def test_frame_guard_names_the_first_bad_point_across_chunks():
+    node = toeplitz.build_toeplitz_node(
+        sampling.random_toeplitz_spec(np.random.default_rng(1), 1, 3)
+    )
+    zs = np.full(2 * matcore.CHUNK + 3, 0.5 + 1j)
+    zs[matcore.CHUNK + 7] = 2j  # in the second chunk
+    with pytest.raises(SingularResolvent) as second:
+        snode.frame(node, zs)
+    assert second.value.z == 2j
+    zs[5] = 2j + 1e-9  # and one in the first chunk
+    with pytest.raises(SingularResolvent) as first:
+        snode.frame(node, zs)
+    assert first.value.z == 2j + 1e-9
