@@ -183,14 +183,19 @@ def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientF
 # ---------------------------------------------------------------------------
 # entropy integrals and the outer modulus
 
+# nodes per graded panel of every log-determinant line integral (checked on
+# the pair (24, 48)), their agreement tolerance, and the node cap of the
+# doubling ladder of a log-determinant integral over a finite interval
+_LOG_PANEL = 24
+_LOG_TOL = 1e-7
+_LOG_INTERVAL_CAP = 512
+
 
 def entropy_integral(
     P: DensityFn,
     f: Callable[[np.ndarray], np.ndarray] | None = None,
     a: float = -np.inf,
     b: float = np.inf,
-    quad: int = 24,
-    rel_tol: float = 1e-7,
 ) -> float:
     """integral_a^b f(t) ln det P(t) dt/(1+t^2); -inf when det P vanishes
     on a set of positive measure inside (a, b).
@@ -199,7 +204,7 @@ def entropy_integral(
     default).  The full line uses the tan substitution with Gauss-Legendre
     panels graded toward the infinite ends, so log- and sqrt-type growth of
     ln det P is integrated accurately; a finite (a, b) is cut at the breaks
-    of P and climbs the doubling ladder capped at max(quad, 512).  The
+    of P and climbs the doubling ladder capped at 512 nodes per piece.  The
     doubled-node agreement check guards the rest.  A half-infinite (a, b)
     raises :class:`Unsupported`.
     """
@@ -221,16 +226,16 @@ def entropy_integral(
             value = quadrature.integrate_with_check(
                 lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
                 integrand,
-                (quad, 2 * quad),
-                rel_tol,
+                (_LOG_PANEL, 2 * _LOG_PANEL),
+                _LOG_TOL,
                 what="entropy integral",
             )
         elif np.isfinite(a) and np.isfinite(b):
             value = quadrature.integrate_with_check(
                 lambda fn, n: quadrature.integrate_interval(fn, a, b, n, breaks=P.breaks),
                 integrand,
-                quadrature._ladder(max(quad, 512)),
-                rel_tol,
+                quadrature._ladder(_LOG_INTERVAL_CAP),
+                _LOG_TOL,
                 what="entropy integral",
             )
         else:
@@ -254,7 +259,7 @@ def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
     return w
 
 
-def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
+def outer_modulus(P_or_Ps, lam: complex):
     """|det G(lam)| = exp[(1/2pi) integral Im(lam) ln det P(t) / |t-lam|^2 dt]
     for the outer spectral factor G of P.
 
@@ -272,7 +277,7 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
     norm = quadrature.integrate_with_check(
         lambda fn, n: quadrature.integrate_line_graded(fn, n),
         lambda ts: w(ts),
-        (quad, 2 * quad),
+        (_LOG_PANEL, 2 * _LOG_PANEL),
         1e-10,
         what="poisson normalization",
     )
@@ -305,8 +310,8 @@ def outer_modulus(P_or_Ps, lam: complex, quad: int = 24, rel_tol: float = 1e-7):
             got = quadrature.integrate_with_check(
                 lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=breaks),
                 integrand,
-                (quad, 2 * quad),
-                rel_tol,
+                (_LOG_PANEL, 2 * _LOG_PANEL),
+                _LOG_TOL,
                 what="outer modulus integral",
             )
         except _VanishingDensity:
@@ -340,25 +345,6 @@ def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
     return (2.0 * np.pi) ** (-0.5) * rho_half @ np.linalg.inv(F)
 
 
-def extremal_density(node_or_frame, lam: complex) -> DensityFn:
-    """Boundary density of the extremal pair at lam, via G(t)* G(t)."""
-    frm = as_frame(node_or_frame)
-    pair = extremal_pair(frm, lam)
-    R, Q = pair.constant_value
-    p = frm.p
-    rho_mat = rho_from_frame(frm, lam)
-
-    def fn(ts):
-        ts = np.asarray(ts, dtype=float)
-        frames = frm(ts.astype(complex))
-        F = frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
-        Finv = np.linalg.inv(F)
-        out = np.swapaxes(Finv, 1, 2).conj() @ rho_mat @ Finv / (2.0 * np.pi)
-        return out
-
-    return DensityFn("extremal", fn, p=p)
-
-
 def _remembering(frm: Frame) -> Frame:
     """``frm`` with a memory of its last evaluation, keyed by the exact point
     values; the stacks it returns are shared, so they are read-only."""
@@ -390,7 +376,7 @@ class EntropyBound:
         return matcore.min_eig_hermitian(self.rhs - self.lhs)
 
 
-def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex, quad: int = 24):
+def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     """Check 2 pi G(lam)* G(lam) <= rho(lam, conj lam)^{-1} for the measure
     generated by a pair.
 
@@ -412,7 +398,7 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex, quad: int = 
     frm = _remembering(as_frame(node_or_frame))
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     if frm.p == 1:
-        moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam, quad=quad)
+        moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam)
         lhss = [np.array([[2.0 * np.pi * m**2]], dtype=complex) for m in moduli]
     else:
         Re, Qe = extremal_pair(frm, lam).constant_value
@@ -472,10 +458,7 @@ class TrajectoryReport:
 
 
 def convergence_run(
-    seq: NodeSequence,
-    lam: complex,
-    reference: DensityFn | None = None,
-    quad: int = 24,
+    seq: NodeSequence, lam: complex, reference: DensityFn | None = None
 ) -> TrajectoryReport:
     """Order-by-order trajectory of rho_k(lam, conj lam)^{-1} with condition
     numbers, and (scalar case, finite log-det integral) the outer-factor
@@ -494,10 +477,10 @@ def convergence_run(
     target = None
     szego_finite = False
     if reference is not None:
-        szego = entropy_integral(reference, quad=quad)
+        szego = entropy_integral(reference)
         szego_finite = bool(np.isfinite(szego))
         if szego_finite and seq.p == 1:
-            modulus = outer_modulus(reference, lam, quad=quad)
+            modulus = outer_modulus(reference, lam)
             target = float(2.0 * np.pi * modulus**2)
     return TrajectoryReport(
         lam=complex(lam),
@@ -515,15 +498,14 @@ def convergence_run(
 # appendix-style numerical lemmas
 
 
-def det_strict_lemma(A, B, tol: float | None = None) -> bool:
-    """det(A + B) > det(A) strictly for A > 0, B >= 0, B != 0; equality at B = 0."""
+def det_strict_lemma(A, B) -> bool:
+    """det(A + B) > det(A) strictly for A > 0, B >= 0, B != 0; equality when
+    B is 0 to the default tolerance of A."""
     A = matcore.as_matrix(A)
     B = matcore.as_matrix(B)
-    if tol is None:
-        tol = matcore.default_tol(A)
     det_a = matcore.cholesky_pd(A).det()
     det_ab = matcore.cholesky_pd(A + B).det()
-    if float(np.max(np.abs(B))) <= tol:
+    if float(np.max(np.abs(B))) <= matcore.default_tol(A):
         return abs(det_ab - det_a) <= 1e-10 * (1.0 + det_a)
     return det_ab > det_a * (1.0 + 1e-12)
 
@@ -541,13 +523,17 @@ def minkowski_det_margin(B1, B2) -> float:
     return root_det(B1 + B2) - root_det(B1) - root_det(B2)
 
 
+# points per sampled ring, and the growth exponent kappa of log M(r) / r^kappa
+_RING_ANGLES = 64
+_GROWTH_KAPPA = 0.5
+
+
 @dataclass(frozen=True)
 class ResolventGrowth:
     radii: tuple
     ring_sup: tuple       # sup of ||(I - zA)^{-1}|| on each sampled ring
     running_sup: tuple    # cumulative sup up to each radius
     log_ratio: tuple      # log(running_sup) / r^kappa, a grid lower bound
-    kappa: float
 
     @property
     def appears_bounded(self) -> bool:
@@ -558,9 +544,7 @@ class ResolventGrowth:
         return not still_growing
 
 
-def resolvent_growth(
-    node: SNode, r_grid, angles: int = 64, kappa: float = 0.5
-) -> ResolventGrowth:
+def resolvent_growth(node: SNode, r_grid) -> ResolventGrowth:
     """Sampled growth of ||(I - zA)^{-1}|| on rings |z| = r.
 
     The sup over a finite grid is a lower bound of the true sup; the
@@ -568,31 +552,26 @@ def resolvent_growth(
     Raises :class:`SingularOnGrid` (with the offending point) when a sampled
     z makes I - zA singular.
     """
-    A = node.A
-    m = A.shape[0]
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
+    rotations = np.exp(2j * np.pi * np.arange(_RING_ANGLES) / _RING_ANGLES)
     ring_sup = []
     running = []
     best = 0.0
     for r in r_grid:
-        worst = 0.0
-        for th in thetas:
-            z = r * np.exp(1j * th)
-            M = np.eye(m) - z * A
-            sv = np.linalg.svd(M, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-                raise SingularOnGrid(z)
-            worst = max(worst, 1.0 / float(sv[-1]))
+        zs = r * rotations
+        sv = np.linalg.svd(np.eye(node.m) - zs[:, None, None] * node.A, compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0))
+        if bad.size:
+            raise SingularOnGrid(zs[bad[0]])
+        worst = float(np.max(1.0 / sv[:, -1]))
         ring_sup.append(worst)
         best = max(best, worst)
         running.append(best)
-    log_ratio = tuple(float(np.log(mv) / r**kappa) for mv, r in zip(running, r_grid))
+    log_ratio = tuple(float(np.log(mv) / r**_GROWTH_KAPPA) for mv, r in zip(running, r_grid))
     return ResolventGrowth(
         radii=tuple(float(r) for r in r_grid),
         ring_sup=tuple(ring_sup),
         running_sup=tuple(running),
         log_ratio=log_ratio,
-        kappa=kappa,
     )
 
 
@@ -607,70 +586,69 @@ class LimitInequalityReport:
     equality_gap: float | None
 
 
+# the frequency schedule k of the family, the cells of the weak-limit grid,
+# and the slack allowed in limsup I_k <= rhs
+_DEMO_KS = (64, 128, 256, 512, 1024)
+_DEMO_CELLS = 100
+_DEMO_SLACK = 1e-3
+
+
 def limit_inequality_demo(
     p_seq: Callable[[int], DensityFn],
     f: Callable[[np.ndarray], np.ndarray] | None,
     a: float,
     b: float,
-    ks=(64, 128, 256, 512, 1024),
-    grid_cells: int = 100,
-    slack: float = 1e-3,
 ) -> LimitInequalityReport:
     """Weighted log-det integrals of an oscillating density family against
     the integral of its weak limit.
 
-    Computes I_k = integral_a^b f ln det P_k dt/(1+t^2) along the schedule,
-    identifies the weak-limit density by differencing the cumulative
-    integrals of the last P_k, and checks
-    limsup I_k <= integral f ln det (weak limit) + slack.
+    Computes I_k = integral_a^b f ln det P_k dt/(1+t^2) along the schedule
+    :data:`_DEMO_KS`, identifies the weak-limit density by differencing the
+    cumulative integrals of the last P_k, and checks
+    limsup I_k <= integral f ln det (weak limit) + :data:`_DEMO_SLACK`.
     """
     weight = (lambda t: np.ones_like(t)) if f is None else f
-    ks = tuple(int(k) for k in ks)
+    ks = _DEMO_KS
 
     def weighted_logdet(P: DensityFn, k: int) -> float:
-        # composite GL fine enough for oscillation at frequency ~ k
+        # composite GL, 8 nodes on panels fine enough for oscillation at
+        # frequency ~ k
         panels = max(64, int(4 * k * (b - a) / (2.0 * np.pi)))
-        edges = np.linspace(a, b, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            t, w = quadrature.gauss_legendre(lo, hi, 8)
+        cuts = np.linspace(a, b, panels + 1)[1:-1]
+
+        def integrand(t):
             ld = P.log_det_at(t)
             if np.any(~np.isfinite(ld)):
-                return -np.inf
-            total += float(np.sum(w * weight(t) * ld / (1.0 + t * t)))
-        return total
+                raise _VanishingDensity()
+            return weight(t) * ld / (1.0 + t * t)
+
+        try:
+            return float(quadrature.integrate_interval(integrand, a, b, 8, breaks=cuts))
+        except _VanishingDensity:
+            return -np.inf
 
     integrals = tuple(weighted_logdet(p_seq(k), k) for k in ks)
-    finite = [v for v in integrals if np.isfinite(v)]
-    limsup_estimate = max(integrals[-3:]) if len(integrals) >= 3 else max(integrals)
+    limsup_estimate = max(integrals[-3:])
 
     # weak limit on the grid from the cumulative integrals of the last member;
     # sub-panels per cell resolve the fastest oscillation in the family
-    P_last = p_seq(ks[-1])
-    edges = np.linspace(a, b, grid_cells + 1)
+    edges = np.linspace(a, b, _DEMO_CELLS + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
-    sub = max(1, int(np.ceil(ks[-1] * (b - a) / grid_cells / 4.0)))
-    cell_avgs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cell = None
-        for slo, shi in zip(np.linspace(lo, hi, sub + 1)[:-1], np.linspace(lo, hi, sub + 1)[1:]):
-            t, w = quadrature.gauss_legendre(slo, shi, 8)
-            piece = np.einsum("i,i...->...", w / (1.0 + t * t), P_last(t))
-            cell = piece if cell is None else cell + piece
-        dxi = np.arctan(hi) - np.arctan(lo)
-        cell_avgs.append(cell / dxi)
-    rhs = 0.0
-    for mid, lo, hi, avg in zip(mids, edges[:-1], edges[1:], cell_avgs):
-        det = float(np.real(np.linalg.det(avg)))
-        if det <= 1e-300:
-            rhs = -np.inf
-            break
-        rhs += float(weight(np.array([mid]))[0]) * np.log(det) * (
-            np.arctan(hi) - np.arctan(lo)
-        )
+    sub = max(1, int(np.ceil(ks[-1] * (b - a) / _DEMO_CELLS / 4.0)))
+    sub_edges = np.linspace(edges[:-1], edges[1:], sub + 1, axis=1)
+    t, w = quadrature.gauss_legendre(sub_edges[:, :-1, None], sub_edges[:, 1:, None], 8)
+    values = p_seq(ks[-1])(t.ravel())
+    values = values.reshape(*t.shape, *values.shape[1:])
+    dxi = np.arctan(edges[1:]) - np.arctan(edges[:-1])
+    cell_avgs = np.einsum("csi,csi...->c...", w / (1.0 + t * t), values) / dxi[:, None, None]
+    dets = np.real(np.linalg.det(cell_avgs))
+    if np.any(dets <= 1e-300):
+        rhs = -np.inf
+    else:
+        rhs = float(np.sum(weight(mids) * np.log(dets) * dxi))
 
     if np.isfinite(rhs):
-        inequality_ok = limsup_estimate <= rhs + slack
+        inequality_ok = limsup_estimate <= rhs + _DEMO_SLACK
     else:
         # a vanishing weak limit forces the left side to diverge as well;
         # the inequality then holds by convention
@@ -678,7 +656,7 @@ def limit_inequality_demo(
 
     extrapolated = None
     equality_gap = None
-    if len(finite) >= 2 and np.isfinite(integrals[-1]) and np.isfinite(integrals[-2]):
+    if np.isfinite(integrals[-1]) and np.isfinite(integrals[-2]):
         extrapolated = 2.0 * integrals[-1] - integrals[-2]
         if np.isfinite(rhs):
             equality_gap = rhs - extrapolated

@@ -76,25 +76,48 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 
 def _param_complex(sc: Scenario, key: str, default) -> complex:
-    """Scenario parameter ``key``: a number or a [re, im] pair."""
+    """Scenario parameter ``key``: a finite number or a [re, im] pair."""
     value = sc.params.get(key, default)
     try:
         if isinstance(value, (list, tuple)):
-            return serialization.complex_from_json(value)
-        return complex(value)
+            out = serialization.complex_from_json(value)
+        else:
+            out = complex(value)
     except (TypeError, ValueError):
         raise BadInput(
             f"{sc.command}: {key} must be a number or a [re, im] pair, got {value!r}"
         ) from None
+    if not np.isfinite(out):
+        raise BadInput(f"{sc.command}: {key} must be finite, got {value!r}")
+    return out
+
+
+# integer parameters that count something, so must be at least 1 (a
+# max_order below 1 is rejected by the Hankel spec it sizes)
+_COUNTS = frozenset({"p", "length", "count", "pairs", "sweep"})
 
 
 def _param_int(sc: Scenario, key: str, default: int) -> int:
-    """Scenario parameter ``key`` as an integer."""
+    """Scenario parameter ``key`` as an integer; at least 1 for a count."""
     value = sc.params.get(key, default)
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError):
         raise BadInput(f"{sc.command}: {key} must be an integer, got {value!r}") from None
+    if key in _COUNTS and out < 1:
+        raise BadInput(f"{sc.command}: {key} must be at least 1, got {value!r}")
+    return out
+
+
+def _factor_product_gap(factors: list, node: snode.SNode, lams: np.ndarray) -> float:
+    """Worst relative gap, over the points lams, between the product
+    w_n ... w_1 of a chain's elementary factors (stacks over lams) and the
+    node's transfer matrix."""
+    prod = np.eye(2 * node.p, dtype=complex)
+    for w in factors:
+        prod = w @ prod
+    direct = snode.transfer_matrix(node, lams)
+    return float(np.max(_frobenius(prod - direct) / (1.0 + _frobenius(direct))))
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +146,9 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("step matrices positive", "c8", -tmin, 0.0, passed=tmin > 0))
     extra["rho"] = [serialization.matrix_to_json(r) for r in chain.rho]
 
-    worst = 0.0
-    for _ in range(20):
-        lam = complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0))
-        factors = toeplitz.factorize_transfer(chain, lam)
-        prod = np.eye(2 * spec.p, dtype=complex)
-        for w in factors:
-            prod = w @ prod
-        direct = snode.transfer_matrix(node, lam)
-        worst = max(worst, matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct)))
-    checks.append(_check("factor product vs transfer matrix", "c5", worst, 1e-9))
+    lams = np.array([complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0)) for _ in range(20)])
+    gap = _factor_product_gap(toeplitz.factorize_transfer(chain, lams), node, lams)
+    checks.append(_check("factor product vs transfer matrix", "c5", gap, 1e-9))
 
     zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5)) for _ in range(5)])
     W = toeplitz.dirac_fundamental(chain, zs, spec.n)
@@ -180,16 +196,11 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     )
     checks.append(_check("omega start", "H17", w0, 1e-10))
 
-    worst = 0.0
-    for _ in range(20):
-        lam = complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0) * rng.choice([-1.0, 1.0]))
-        factors = hankel.hankel_factors(chain, lam)
-        prod = np.eye(2 * spec.p, dtype=complex)
-        for w in factors:
-            prod = w @ prod
-        direct = snode.transfer_matrix(node, lam)
-        worst = max(worst, matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct)))
-    checks.append(_check("factor product vs transfer matrix", "H13-", worst, 1e-9))
+    lams = np.array(
+        [complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(20)]
+    )
+    gap = _factor_product_gap(hankel.hankel_factors(chain, lams), node, lams)
+    checks.append(_check("factor product vs transfer matrix", "H13-", gap, 1e-9))
 
     zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
     via = np.swapaxes(snode.transfer_matrix(node, 1.0 / np.conj(zs)), 1, 2).conj()
@@ -205,16 +216,11 @@ def _run_khrushchev(sc: Scenario, rng: np.random.Generator):
     checks = []
     pair = snode.ParamPair.constant(np.eye(p, dtype=complex), np.eye(p, dtype=complex))
     zgrid = sampling.random_upper_points(rng, sc.grid)
-    worst_overall = 0.0
+    worst = 0.0
     for _ in range(count):
-        chain = toeplitz.chain_from_contractions(
-            [sampling.random_contraction(rng, p) for _ in range(length)]
-        )
-        for split in range(length + 1):
-            worst_overall = max(
-                worst_overall, toeplitz.khrushchev_check(chain, split, pair, zgrid)
-            )
-    checks.append(_check("head/tail composition residual", "c26", worst_overall, 1e-8))
+        rhos = [sampling.random_contraction(rng, p) for _ in range(length)]
+        worst = max(worst, toeplitz.khrushchev_check(rhos, range(length + 1), pair, zgrid))
+    checks.append(_check("head/tail composition residual", "c26", worst, 1e-8))
     return checks, {"length": length, "count": count, "p": p}
 
 
@@ -247,14 +253,10 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
     R, Q = (np.stack(M) for M in zip(*pairs))
     F = np.broadcast_to(snode.frame(node, z), (sc.grid, 2 * p, 2 * p))
     values = snode.lft_stack(F, R, Q, np.full(sc.grid, complex(z)))
-    worst_norm = 0.0
-    worst_round = 0.0
-    for value in values:
-        u, norm_u = snode.ball_membership(ball, value)
-        worst_norm = max(worst_norm, norm_u)
-        worst_round = max(worst_round, matcore.frobenius(snode.ball_value(ball, u) - value))
-    checks.append(_check("membership contraction norms", "B9", worst_norm, 1.0 + 1e-8))
-    checks.append(_check("membership round trip", "B0", worst_round, 1e-10))
+    us, norms = snode.ball_membership(ball, values)
+    round_trip = _frobenius(snode.ball_value(ball, us) - values)
+    checks.append(_check("membership contraction norms", "B9", np.max(norms), 1.0 + 1e-8))
+    checks.append(_check("membership round trip", "B0", np.max(round_trip), 1e-10))
     return checks, {"ball": ball.to_json()}
 
 
@@ -263,6 +265,7 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     spec = _load_spec(spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
     lam = _param_complex(sc, "lambda", [0.0, 1.0])
+    draws = _param_int(sc, "pairs", 10)
     checks = []
 
     # every pair in one call, so the Poisson normalization runs once
@@ -272,7 +275,6 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
         # so its slack is rhs |u|^2 = rhs / 4, away from the ball's centre
         ball = snode.matrix_ball(node, lam)
         witness = _pair_with_value(node, lam, snode.ball_value(ball, 0.5 * np.eye(1)))
-        draws = _param_int(sc, "pairs", 10)
         pairs += [witness, *(sampling.random_constant_pair(rng, 1) for _ in range(draws))]
     bounds = asymptotics.entropy_bound_check(node, pairs, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bounds[0].slack), 1e-6))
@@ -285,9 +287,7 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
         checks.append(
             _check("strict slack at the witness pair", "B13!", share, 1e-3, passed=share > 1e-3)
         )
-        worst = -np.inf
-        for bound in bounds[2:]:
-            worst = max(worst, -bound.slack)
+        worst = max(-bound.slack for bound in bounds[2:])
         checks.append(_check("entropy bound over random pairs", "B13!", worst, 1e-6))
     return checks, {"lambda": serialization.complex_to_json(lam)}
 
@@ -331,7 +331,7 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("nesting compressions", "As1", embed, 1e-12))
     traj = asymptotics.rho_trajectory(seq, lam)
     checks.append(_check("monotone growth margin", "R2", -traj.monotone_margin(), 1e-9))
-    report = asymptotics.convergence_run(seq, lam, reference=reference, quad=24)
+    report = asymptotics.convergence_run(seq, lam, reference=reference)
     checks.append(
         _check("inverse determinants positive", "As8+", 0.0, 1.0, passed=report.det_positive())
     )
@@ -345,7 +345,17 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
                 passed=report.gap_strictly_decreasing(),
             )
         )
-    rows = _trajectory_rows(report)
+    rows = [
+        {
+            "k": int(k),
+            "rho_inv": serialization.matrix_to_json(rho_inv),
+            "det_rho_inv": float(det),
+            "target": report.target,
+            "gap": None if report.target is None else float(det - report.target),
+            "cond": float(cond),
+        }
+        for k, rho_inv, det, cond in zip(report.orders, report.rho_inv, report.det_rho_inv, report.conds)
+    ]
     extra = {
         "lambda": serialization.complex_to_json(lam),
         "orders": list(report.orders),
@@ -354,22 +364,6 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
         "trajectory": rows,
     }
     return checks, extra
-
-
-def _trajectory_rows(report: asymptotics.TrajectoryReport) -> list[dict]:
-    rows = []
-    for i, k in enumerate(report.orders):
-        rows.append(
-            {
-                "k": int(k),
-                "rho_inv": serialization.matrix_to_json(report.rho_inv[i]),
-                "det_rho_inv": float(report.det_rho_inv[i]),
-                "target": report.target,
-                "gap": None if report.target is None else float(report.det_rho_inv[i] - report.target),
-                "cond": float(report.conds[i]),
-            }
-        )
-    return rows
 
 
 def export_csv(rows: list[dict], path: Path, p: int) -> None:

@@ -8,7 +8,7 @@ integrals use it instead of log(det(values)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ class DensityFn:
     fn: Callable[[np.ndarray], np.ndarray]
     p: int = 1
     support: tuple[float, float] = (-np.inf, np.inf)
-    params: dict = field(default_factory=dict)
     log_det: Callable[[np.ndarray], np.ndarray] | None = None
     breaks: tuple = ()  # interior points where the density is not smooth
 
@@ -70,7 +69,7 @@ def uniform_density(a: float = -1.0, b: float = 1.0) -> DensityFn:
         inside = (t >= a) & (t <= b)
         return np.where(inside, np.log(height), -np.inf)
 
-    return DensityFn("uniform", fn, support=(a, b), params={"a": a, "b": b}, log_det=log_det)
+    return DensityFn("uniform", fn, support=(a, b), log_det=log_det)
 
 
 def cauchy_density(scale: float = 1.0) -> DensityFn:
@@ -84,7 +83,7 @@ def cauchy_density(scale: float = 1.0) -> DensityFn:
     def log_det(t):
         return np.log(scale / np.pi) - np.log(t * t + scale * scale)
 
-    return DensityFn("cauchy", fn, params={"scale": scale}, log_det=log_det)
+    return DensityFn("cauchy", fn, log_det=log_det)
 
 
 def exp_sqrt_density() -> DensityFn:
@@ -131,7 +130,6 @@ def table_density(ts, values) -> DensityFn:
         "table",
         fn,
         support=(float(ts[0]), float(ts[-1])),
-        params={"n": int(ts.size)},
         breaks=tuple(float(t) for t in ts[1:-1]),
     )
 

@@ -120,13 +120,16 @@ def hankel_chain(spec: HankelSpec) -> OmegaChain:
     return OmegaChain(p=spec.p, omega=omegas, t=ts, G=Gs)
 
 
-def hankel_factors(chain: OmegaChain, lam: complex) -> list[np.ndarray]:
-    """Elementary factors w_{k+1}(lam) = I + (i/lam) J G_k* G_k of a chain."""
-    if abs(lam) < 1e-12:
+def hankel_factors(chain: OmegaChain, lam_or_lams) -> list[np.ndarray]:
+    """Elementary factors w_{k+1}(lam) = I + (i/lam) J G_k* G_k of a chain; a
+    1-d array of points gives each factor as a stack over them."""
+    lams = matcore.as_points(lam_or_lams)
+    if np.any(np.abs(lams) < 1e-12):
         raise PoleAtLambda("every factor has its pole at lam = 0")
     J = matcore.exchange_J(chain.p)
-    I2 = np.eye(2 * chain.p, dtype=complex)
-    return [I2 + (1j / lam) * J @ G.conj().T @ G for G in chain.G]
+    scale = (1j / lams)[:, None, None]
+    factors = [np.eye(2 * chain.p) + (scale * J) @ G.conj().T @ G for G in chain.G]
+    return factors if np.ndim(lam_or_lams) else [w[0] for w in factors]
 
 
 def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.ndarray:
@@ -190,7 +193,7 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     return out[0] if np.ndim(orders) == 0 else out
 
 
-def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
+def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     """Boundary density of the Weyl function of a node (or frame) and pair.
 
     Constant pairs evaluate directly on the axis (the frames in use are
@@ -201,7 +204,7 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
     with F(t) = Frm21(t) R + Frm22(t) Q, which stays numerically meaningful
     at any |t| (the direct imaginary part does not); both evaluate the frame
     on chunks of at most :data:`matcore.CHUNK` points.  Function pairs
-    sample at t + i*eps with a small ladder.
+    go through :func:`snode.stieltjes_density` point by point.
     """
     frm = as_frame(node_or_frame)
     p = frm.p
@@ -234,11 +237,8 @@ def weyl_density(node_or_frame, pair: ParamPair, eps: float = 0.0) -> DensityFn:
     def phi(z):
         return lft(frm, pair, z)
 
-    e = eps if eps > 0.0 else None
-
     def fn(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([stieltjes_density(phi, float(t), eps=e) for t in ts])
+        return np.stack([stieltjes_density(phi, float(t)) for t in np.asarray(ts, dtype=float)])
 
     return DensityFn("weyl", fn, p=p)
 
@@ -305,21 +305,21 @@ class MomentReport:
         return float(np.linalg.eigvalsh(gap)[-1])
 
 
+# higher-order expansion columns that absorb the tail of the Laurent fit
+_NUISANCE_TERMS = 6
+
+
 def recover_moments(
-    spec: HankelSpec,
-    pair: ParamPair,
-    orders=None,
-    quad: int = 2048,
-    nuisance: int = 6,
+    spec: HankelSpec, pair: ParamPair, orders=None, quad: int = 2048
 ) -> MomentReport:
     """Recover H_k (k <= 2n-3) from the Weyl function of the node and certify
     integral t^{2n-2} dmu <= H_{2n-2}.
 
     The expansion route evaluates phi on upper semicircles |z| = R and 2R
     (R = 50 (1 + max |H|)), fits coefficients of z^{-1}..z^{-(2n-2)} plus
-    ``nuisance`` higher-order columns that absorb the tail, and accepts only
-    when the two radii agree to 1e-5.  The measure route integrates t^k
-    against the boundary density.
+    :data:`_NUISANCE_TERMS` higher-order columns that absorb the tail, and
+    accepts only when the two radii agree to 1e-5.  The measure route
+    integrates t^k against the boundary density.
     """
     p, n = spec.p, spec.n
     node = build_hankel_node(spec)
@@ -333,7 +333,7 @@ def recover_moments(
     scale = max(float(np.max(np.abs(b))) for b in spec.H)
     radius = 50.0 * (1.0 + scale)
     theta = np.linspace(0.1 * np.pi, 0.9 * np.pi, 96)
-    n_terms = (2 * n - 2) + nuisance
+    n_terms = (2 * n - 2) + _NUISANCE_TERMS
 
     frm = node_frame(node)
 

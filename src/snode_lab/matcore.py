@@ -142,9 +142,6 @@ class HermPD:
         # product of squared pivots; never cofactor expansion
         return float(np.prod(np.abs(np.diag(self.factor)) ** 2))
 
-    def logdet(self) -> float:
-        return float(2.0 * np.sum(np.log(np.abs(np.diag(self.factor)))))
-
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=complex)
         y = np.linalg.solve(self.factor, rhs)

@@ -81,7 +81,11 @@ def _dyadic_edges(width: float, levels: int):
     return out[::-1]  # ascending, starting at 0
 
 
-def _graded_rule(n: int, levels: int, breaks):
+# dyadic panels per side of every theta segment of the graded line rule
+_LEVELS = 54
+
+
+def _graded_rule(n: int, breaks):
     """Nodes t and weights w of the graded rule, n nodes per panel.
 
     Panel order: theta segments left to right, within a segment the panels
@@ -93,7 +97,7 @@ def _graded_rule(n: int, levels: int, breaks):
     anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
     ts, ws = [], []
     for left, right in zip(anchors[:-1], anchors[1:]):
-        offsets = np.array(_dyadic_edges((right - left) / 2.0, levels))
+        offsets = np.array(_dyadic_edges((right - left) / 2.0, _LEVELS))
         delta, w = gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
         for anchor, sign in ((left, 1.0), (right, -1.0)):
             if abs(abs(anchor) - np.pi / 2.0) < 1e-15:
@@ -107,22 +111,23 @@ def _graded_rule(n: int, levels: int, breaks):
     return t, np.concatenate(ws) * (1.0 + t * t)
 
 
-def integrate_line_graded(fn, n: int = 24, levels: int = 54, breaks=()):
+def integrate_line_graded(fn, n: int = 24, breaks=()):
     """Integral of fn over the line; graded tan-substitution composite GL.
 
     The theta axis (-pi/2, pi/2) is cut at the images of ``breaks`` (points
     where fn is not smooth, for example a |t|^(1/2) cusp) and panels shrink
-    dyadically toward every cut and toward +-pi/2.  Integrable endpoint
-    growth of fn(tan(theta)) * sec(theta)^2 (log- or sqrt-type) and interior
-    cusps are then resolved to near machine precision.  Near the infinite
-    ends, points are parametrized by the distance delta from the endpoint
-    and evaluated as t = +-1/tan(delta) to avoid cancellation.
+    dyadically, :data:`_LEVELS` times, toward every cut and toward +-pi/2.
+    Integrable endpoint growth of fn(tan(theta)) * sec(theta)^2 (log- or
+    sqrt-type) and interior cusps are then resolved to near machine
+    precision.  Near the infinite ends, points are parametrized by the
+    distance delta from the endpoint and evaluated as t = +-1/tan(delta) to
+    avoid cancellation.
 
     ``fn`` is called once, on the nodes of every panel; the panel sums are
     then added in panel order, so the value does not depend on how the
     integrand batches its work.
     """
-    t, w = _graded_rule(n, levels, breaks)
+    t, w = _graded_rule(n, breaks)
     return _reduce(w, fn(t), n)
 
 

@@ -16,7 +16,9 @@ Conventions used throughout:
 The evaluators (:func:`transfer_matrix`, :func:`frame`, :func:`lft`) take a
 scalar point, giving one matrix, or a 1-d array of points, giving a stack of
 matrices; a guard that fails raises the same typed error either way and
-names the first offending point.
+names the first offending point.  :func:`ball_membership` and
+:func:`ball_value` take one p x p matrix or a stack of them.  :func:`rho`
+takes one point: no caller evaluates two points of the same orientation.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ from .errors import (
 )
 
 _SINGULAR_RCOND = 1e-13
+
+# tolerance of the property-J conditions checked by validate_pair
+_PAIR_TOL = 1e-9
+
+# relative agreement asked of the Stieltjes ladder and of the two Herglotz
+# gamma estimates, and the first of those estimates' points i * eta
+_EXTRACT_TOL = 1e-6
+_HERGLOTZ_ETA = 2.5e3
 
 
 @dataclass(frozen=True)
@@ -270,22 +280,18 @@ def pair_defect(pair: ParamPair, z: complex) -> tuple[float, float]:
     return matcore.min_eig_hermitian(gram), matcore.min_eig_hermitian(jform)
 
 
-def default_pair_grid() -> np.ndarray:
-    """32 validation points on the lines Im z = 0.5 and Im z = 2."""
-    xs = np.linspace(-4.0, 4.0, 16)
-    return np.concatenate([xs + 0.5j, xs + 2.0j])
-
-
-def validate_pair(pair: ParamPair, grid=None, tol: float = 1e-9) -> None:
+def validate_pair(pair: ParamPair) -> None:
     """Check the nonsingular property-J conditions; raise InvalidPair on failure.
 
-    Constant pairs are checked once; function pairs on the grid, skipping
-    points where evaluation fails (isolated singularities are allowed).
+    Constant pairs are checked once; function pairs on 32 points of the
+    lines Im z = 0.5 and Im z = 2, skipping points where evaluation fails
+    (isolated singularities are allowed).
     """
     if pair.is_constant:
         points = [1j]
     else:
-        points = list(default_pair_grid() if grid is None else np.asarray(grid))
+        xs = np.linspace(-4.0, 4.0, 16)
+        points = list(np.concatenate([xs + 0.5j, xs + 2.0j]))
     checked = 0
     for z in points:
         try:
@@ -295,9 +301,9 @@ def validate_pair(pair: ParamPair, grid=None, tol: float = 1e-9) -> None:
         if not np.isfinite(g) or not np.isfinite(jf):
             continue
         checked += 1
-        if g <= tol:
+        if g <= _PAIR_TOL:
             raise InvalidPair(f"R*R + Q*Q not positive definite at z = {z} (min eig {g:.3e})")
-        if jf < -tol:
+        if jf < -_PAIR_TOL:
             raise InvalidPair(f"property-J fails at z = {z} (min eig {jf:.3e})")
     if checked == 0:
         raise InvalidPair("pair could not be evaluated at any validation point")
@@ -338,15 +344,13 @@ def weyl_function(frm, pair: ParamPair) -> Callable[[complex], np.ndarray]:
     return lambda z: lft(frm, pair, z)
 
 
-def stieltjes_density(phi, t: float, eps: float | None = None, rel_tol: float = 1e-6) -> np.ndarray:
+def stieltjes_density(phi, t: float) -> np.ndarray:
     """Boundary density  mu'(t) ~ (phi(t + i eps) - phi(t + i eps)*) / (2 pi i).
 
-    Each stage Richardson-extrapolates the O(eps) term from eps and eps/2.
-    With the default ``eps=None`` the ladder 1e-4, 1e-5, 1e-6 runs until two
-    consecutive stages agree to ``rel_tol`` relative; an explicit ``eps``
-    runs that single stage and accepts on its own extrapolation drift.
-    Raises :class:`NotConverged` on drift or when the result is not PSD
-    within 1e-9.
+    Each stage Richardson-extrapolates the O(eps) term from eps and eps/2,
+    on the ladder eps = 1e-4, 1e-5, 1e-6; two consecutive stages must agree
+    to :data:`_EXTRACT_TOL` relative.  Raises :class:`NotConverged` on drift
+    or when the result is not PSD within 1e-9.
     """
 
     def imag_part(e):
@@ -356,24 +360,12 @@ def stieltjes_density(phi, t: float, eps: float | None = None, rel_tol: float = 
     def stage(e):
         return 2.0 * imag_part(e / 2.0) - imag_part(e)
 
-    if eps is not None:
-        v1 = imag_part(eps)
-        extrap = 2.0 * imag_part(eps / 2.0) - v1
-        scale = 1.0 + float(np.max(np.abs(extrap)))
-        if float(np.max(np.abs(extrap - v1))) > 1e3 * rel_tol * scale:
-            raise NotConverged(f"stieltjes density unstable at t = {t}")
-    else:
-        ladder = (1e-4, 1e-5, 1e-6)
-        values = [stage(e) for e in ladder]
-        extrap = values[-1]
-        scale = 1.0 + float(np.max(np.abs(extrap)))
-        drifts = [
-            float(np.max(np.abs(b - a))) for a, b in zip(values, values[1:])
-        ]
-        if min(drifts) > rel_tol * scale:
-            raise NotConverged(
-                f"stieltjes density unstable at t = {t}: ladder drifts {drifts}"
-            )
+    values = [stage(e) for e in (1e-4, 1e-5, 1e-6)]
+    extrap = values[-1]
+    scale = 1.0 + float(np.max(np.abs(extrap)))
+    drifts = [float(np.max(np.abs(b - a))) for a, b in zip(values, values[1:])]
+    if min(drifts) > _EXTRACT_TOL * scale:
+        raise NotConverged(f"stieltjes density unstable at t = {t}: ladder drifts {drifts}")
     out = matcore.hermitian_part(extrap)
     low = matcore.min_eig_hermitian(out)
     if low < -1e-9 * scale:
@@ -381,12 +373,13 @@ def stieltjes_density(phi, t: float, eps: float | None = None, rel_tol: float = 
     return out
 
 
-def herglotz_params(phi, eta: float = 2.5e3, rel_tol: float = 1e-6):
+def herglotz_params(phi):
     """Estimate (gamma, theta) of the representation
     phi(z) = gamma z + theta + integral (1 + t z)/((t - z)(1 + t^2)) dmu.
 
     gamma is the limit of Im phi(i eta)/eta, Richardson-extrapolated in
-    1/eta and cross-checked at two scales; theta is Re phi(i).
+    1/eta and cross-checked at two scales (eta = :data:`_HERGLOTZ_ETA` and
+    twice that); theta is Re phi(i).
     """
 
     def gamma_hat(e):
@@ -396,11 +389,11 @@ def herglotz_params(phi, eta: float = 2.5e3, rel_tol: float = 1e-6):
     def extrapolated(e):
         return 2.0 * gamma_hat(2.0 * e) - gamma_hat(e)
 
-    g1 = extrapolated(eta)
-    g2 = extrapolated(2.0 * eta)
+    g1 = extrapolated(_HERGLOTZ_ETA)
+    g2 = extrapolated(2.0 * _HERGLOTZ_ETA)
     scale = 1.0 + float(np.max(np.abs(g2)))
     drift = float(np.max(np.abs(g2 - g1)))
-    if drift > rel_tol * scale:
+    if drift > _EXTRACT_TOL * scale:
         raise NotConverged("gamma estimate unstable along the imaginary ray")
     gamma = matcore.hermitian_part(g2)
     # clip the small negative eigenvalues left by extrapolation residue
@@ -543,22 +536,34 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     )
 
 
-def ball_membership(ball: MatrixBall, value) -> tuple[np.ndarray, float]:
-    """Contraction u with value = center - L u Rr, and its spectral norm.
+def _matrix_or_stack(M) -> np.ndarray:
+    """A matrix or a stack of matrices as a complex array with finite entries."""
+    out = np.asarray(M, dtype=complex)
+    if out.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite")
+    return out
+
+
+def ball_membership(ball: MatrixBall, value_or_values):
+    """Contraction u with value = center - L u Rr, and its spectral norm; a
+    stack of values gives a stack of contractions and an array of norms.
 
     u = (-rho_rev)^{-1/2} (rho_rev value + i aleph_12) rho^{1/2}.
     """
-    value = matcore.as_matrix(value)
+    values = _matrix_or_stack(value_or_values)
     p = ball.p
     a12 = ball.aleph[:p, p:]
-    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ value + 1j * a12) @ ball.rho_half
-    return u, matcore.spectral_norm(u)
+    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
+    norms = np.linalg.norm(u, 2, axis=(-2, -1))
+    return u, (norms if u.ndim == 3 else float(norms))
 
 
-def ball_value(ball: MatrixBall, u) -> np.ndarray:
-    """Point of the ball for a given contraction: center - L u Rr."""
-    u = matcore.as_matrix(u)
-    return ball.center - ball.left_radius @ u @ ball.right_radius
+def ball_value(ball: MatrixBall, u_or_us) -> np.ndarray:
+    """Point of the ball for a given contraction, or a stack of points for a
+    stack of contractions: center - L u Rr."""
+    return ball.center - ball.left_radius @ _matrix_or_stack(u_or_us) @ ball.right_radius
 
 
 def extremal_pair(node_or_frame, lam: complex) -> ParamPair:

@@ -219,19 +219,22 @@ def toeplitz_chain(spec: ToeplitzSpec) -> DiracChain:
     )
 
 
-def factorize_transfer(chain: DiracChain, lam: complex) -> list[np.ndarray]:
+def factorize_transfer(chain: DiracChain, lam_or_lams) -> list[np.ndarray]:
     """Elementary factors w_k(lam) = I - i (i/2 - lam)^{-1} J G_k* G_k, with the
     Gram matrix G_k* G_k = [X_k Y_k]* t_k^{-1} [X_k Y_k] = K (C_k + j) K* / 2
     read off the coefficient.  For the chain of a spec, w_n ... w_1 is the
-    node's transfer matrix at lam."""
-    if abs(0.5j - lam) < 1e-12:
+    node's transfer matrix at lam.  A 1-d array of points gives each factor
+    as a stack over them."""
+    lams = matcore.as_points(lam_or_lams)
+    if np.any(np.abs(0.5j - lams) < 1e-12):
         raise PoleAtLambda("every factor has its pole at lam = i/2")
     p = chain.p
     J = matcore.exchange_J(p)
     j = matcore.signature_j(p)
     K = unitary_K(p)
-    I2 = np.eye(2 * p, dtype=complex)
-    return [I2 - 0.5j / (0.5j - lam) * J @ K @ (C + j) @ K.conj().T for C in chain.C]
+    scale = (0.5j / (0.5j - lams))[:, None, None]
+    factors = [np.eye(2 * p) - (scale * J) @ K @ (C + j) @ K.conj().T for C in chain.C]
+    return factors if np.ndim(lam_or_lams) else [w[0] for w in factors]
 
 
 def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
@@ -305,19 +308,22 @@ def _cayley_to_plane(zeta: np.ndarray) -> np.ndarray:
     return 2j * (1.0 - zeta) / (1.0 + zeta)
 
 
-def taylor_recover(phi, count: int, radius: float = 0.5, nodes: int = 256) -> list[np.ndarray]:
+# the recovery circle |zeta| = 1/2 and the trapezoid nodes of the coarse rule
+_TAYLOR_RADIUS = 0.5
+_TAYLOR_NODES = 256
+
+
+def taylor_recover(phi, count: int) -> list[np.ndarray]:
     """First ``count`` Taylor coefficients at 0 of g(zeta) = -i phi(2i (1-zeta)/(1+zeta)).
 
     Coefficient 0 is s_0/2 + i nu and coefficients 1..n-1 reproduce the
-    generating blocks s_{-k}.  Uses the trapezoid rule on |zeta| = radius
+    generating blocks s_{-k}.  Uses the trapezoid rule on |zeta| = 1/2
     (spectrally accurate for analytic integrands) and accepts only when the
     doubled-node rerun agrees to 1e-8.
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
 
     def coefficients(N: int) -> np.ndarray:
-        zeta = radius * np.exp(2j * np.pi * np.arange(N) / N)
+        zeta = _TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(N) / N)
         zs = _cayley_to_plane(zeta)
         try:
             samples = np.stack([np.asarray(phi(z), dtype=complex) for z in zs])
@@ -329,16 +335,17 @@ def taylor_recover(phi, count: int, radius: float = 0.5, nodes: int = 256) -> li
         powers = zeta[:, None] ** (-np.arange(count))[None, :]
         return np.einsum("mk,mij->kij", powers, g) / N
 
-    coarse = coefficients(nodes)
-    fine = coefficients(2 * nodes)
+    coarse = coefficients(_TAYLOR_NODES)
+    fine = coefficients(2 * _TAYLOR_NODES)
     drift = float(np.max(np.abs(fine - coarse)))
     if drift > 1e-8 * (1.0 + float(np.max(np.abs(fine)))):
         raise QuadratureNotConverged(f"taylor coefficients drift {drift:.3e} on node doubling")
     return [fine[k] for k in range(count)]
 
 
-def khrushchev_check(rhos, n: int, pair: ParamPair, zgrid) -> float:
-    """Max residual over the grid of the head/tail composition identity.
+def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
+    """Max residual over the grid, and over the splits n when a sequence of
+    them is given, of the head/tail composition identity.
 
     phi is the Weyl function of the full chain with the given pair,
     phi~ the Weyl function of the tail chain (coefficients n, n+1, ...)
@@ -346,14 +353,20 @@ def khrushchev_check(rhos, n: int, pair: ParamPair, zgrid) -> float:
 
         phi(z) = i (F11 (-i phi~) + F12)(F21 (-i phi~) + F22)^{-1}
 
-    with F the frame of the head chain (first n coefficients).
+    with F the frame of the head chain (first n coefficients).  phi does
+    not depend on the split, so it is evaluated once per call.
     """
     chain = chain_from_contractions(rhos) if not isinstance(rhos, DiracChain) else rhos
-    if not 0 <= n <= len(chain):
-        raise IndexOutOfRange(f"split {n} outside 0..{len(chain)}")
+    splits = list(split_or_splits) if np.ndim(split_or_splits) else [split_or_splits]
+    for n in splits:
+        if not 0 <= n <= len(chain):
+            raise IndexOutOfRange(f"split {n} outside 0..{len(chain)}")
     zs = np.asarray(zgrid, dtype=complex).ravel()
     phi_full = lft(dirac_frame(chain), pair, zs)
-    phi_tail = lft(dirac_frame(chain.shifted(n)), pair, zs)
-    Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
-    composed = lft_stack(frame_toeplitz(chain.head(n), n, zs), -1j * phi_tail, Ip, zs)
-    return float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0))
+    worst = 0.0
+    for n in splits:
+        phi_tail = lft(dirac_frame(chain.shifted(n)), pair, zs)
+        Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
+        composed = lft_stack(frame_toeplitz(chain.head(n), n, zs), -1j * phi_tail, Ip, zs)
+        worst = max(worst, float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0)))
+    return worst

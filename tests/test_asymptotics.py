@@ -215,7 +215,7 @@ def test_poisson_normalization_random_points(rng):
 
 def test_outer_modulus_agrees_with_extremal_factor(hankel_unit):
     _, node = hankel_unit
-    dens = asymptotics.extremal_density(node, 1j)
+    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
     lam = 0.4 + 0.9j
     om = asymptotics.outer_modulus(dens, lam)
     G = asymptotics.gmu_extremal(node, 1j, lam)
@@ -231,7 +231,7 @@ def test_gmu_extremal_hand_values(hankel_unit):
 
 def test_gmu_boundary_factorization(hankel_unit, rng):
     _, node = hankel_unit
-    dens = asymptotics.extremal_density(node, 1j)
+    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
     for t in rng.uniform(-6, 6, 20):
         G = asymptotics.gmu_extremal(node, 1j, float(t))
         gap = G.conj().T @ G - dens(np.array([t]))[0]

@@ -345,6 +345,16 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("asymptotics", {"lambda": [0, 1, 2]}, "lambda must be a number or a [re, im] pair, got [0, 1, 2]"),
         ("entropy", {"lambda": [0, 1, 2]}, "lambda must be a number or a [re, im] pair, got [0, 1, 2]"),
         ("entropy", {"pairs": "x"}, "pairs must be an integer, got 'x'"),
+        ("entropy", {"pairs": 0}, "pairs must be at least 1, got 0"),
+        ("entropy", {"pairs": -3}, "pairs must be at least 1, got -3"),
+        ("khrushchev", {"p": 0}, "p must be at least 1, got 0"),
+        ("khrushchev", {"p": -1}, "p must be at least 1, got -1"),
+        ("khrushchev", {"count": 0}, "count must be at least 1, got 0"),
+        ("khrushchev", {"length": 0}, "length must be at least 1, got 0"),
+        ("demo-appendixB", {"sweep": 0}, "sweep must be at least 1, got 0"),
+        ("ball", {"z": [float("nan"), 1]}, "z must be finite, got [nan, 1]"),
+        ("entropy", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
+        ("asymptotics", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):

@@ -164,13 +164,11 @@ def test_stieltjes_density_examples():
 
 
 def test_stieltjes_density_matches_extremal_formula(hankel_unit):
-    from snode_lab.asymptotics import extremal_density
-
     _, node = hankel_unit
     pair = snode.extremal_pair(node, 1j)
     frm = snode.node_frame(node)
     phi = snode.weyl_function(frm, pair)
-    dens = extremal_density(node, 1j)
+    dens = hankel.weyl_density(node, pair)
     for t in [-1.3, 0.0, 2.1]:
         via_eps = snode.stieltjes_density(phi, t)[0, 0].real
         closed = dens(np.array([t]))[0, 0, 0].real
@@ -349,9 +347,7 @@ def test_extremal_pair_hand_and_identity(hankel_unit, rng):
 
 def test_extremal_density_is_cauchy_for_unit_node(hankel_unit):
     _, node = hankel_unit
-    from snode_lab.asymptotics import extremal_density
-
-    dens = extremal_density(node, 1j)
+    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
     ts = np.array([-2.0, 0.0, 0.5, 3.0])
     assert_allclose(
         dens(ts)[:, 0, 0].real, 1.0 / (np.pi * (1 + ts**2)), atol=1e-12
@@ -376,22 +372,34 @@ def _max_rel_gap(batch, stacked):
 def test_batched_evaluators_equal_stacked_points(seed, p, n, count, use_toeplitz):
     rng = np.random.default_rng(seed)
     if use_toeplitz:
-        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+        spec = sampling.random_toeplitz_spec(rng, p, n)
+        node = toeplitz.build_toeplitz_node(spec)
+        chain, factors = toeplitz.toeplitz_chain(spec), toeplitz.factorize_transfer
     else:
-        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+        spec = sampling.random_hankel_spec(rng, p, n)
+        node = hankel.build_hankel_node(spec)
+        chain, factors = hankel.hankel_chain(spec), hankel.hankel_factors
     zs = sampling.random_upper_points(rng, count, im_range=(0.3, 1.5))
     frm = snode.node_frame(node)
     const = sampling.random_constant_pair(rng, p)
     R0, Q0 = const.constant_value
     func = snode.ParamPair.from_functions(p, lambda z: R0, lambda z: Q0 + 0.1 * z * np.eye(p))
-    for evaluate in (
-        lambda z: snode.frame(node, z),
-        lambda z: snode.transfer_matrix(node, z),
-        lambda z: snode.lft(frm, const, z),
-        lambda z: snode.lft(frm, func, z),
+    ball = snode.matrix_ball(node, zs[0])
+    us = np.stack([sampling.random_contraction(rng, p) for _ in zs])
+    values = snode.ball_value(ball, us)
+    for evaluate, inputs in (
+        (lambda z: snode.frame(node, z), zs),
+        (lambda z: snode.transfer_matrix(node, z), zs),
+        (lambda z: snode.lft(frm, const, z), zs),
+        (lambda z: snode.lft(frm, func, z), zs),
+        # every factor, the point axis ahead of the factor axis
+        (lambda z: np.stack(factors(chain, z), axis=-3), zs),
+        (lambda u: snode.ball_value(ball, u), us),
+        (lambda v: snode.ball_membership(ball, v)[0], values),
+        (lambda v: np.asarray(snode.ball_membership(ball, v)[1]), values),
     ):
-        stacked = np.stack([evaluate(z) for z in zs])
-        assert _max_rel_gap(evaluate(zs), stacked) <= 1e-13
+        stacked = np.stack([evaluate(x) for x in inputs])
+        assert _max_rel_gap(evaluate(inputs), stacked) <= 1e-13
 
 
 def test_frame_raises_at_toeplitz_pole_alone_and_in_batch():

@@ -242,6 +242,19 @@ def test_khrushchev_free_chain(unit_pair, rng):
         assert toeplitz.khrushchev_check(rhos, split, unit_pair, zgrid) <= 1e-10
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 6))
+def test_khrushchev_over_all_splits_is_the_worst_single_split(seed, p, length):
+    rng = np.random.default_rng(seed)
+    chain = toeplitz.chain_from_contractions(
+        [sampling.random_contraction(rng, p) for _ in range(length)]
+    )
+    pair = sampling.random_constant_pair(rng, p)
+    zgrid = sampling.random_upper_points(rng, 8)
+    singles = [toeplitz.khrushchev_check(chain, n, pair, zgrid) for n in range(length + 1)]
+    assert toeplitz.khrushchev_check(chain, range(length + 1), pair, zgrid) == max(singles)
+
+
 def test_nesting_pullback_keeps_property_j(rng, unit_pair):
     # a Weyl function of a longer chain, pulled back through a shorter frame,
     # comes from a pair that still satisfies the defining inequalities
