@@ -97,13 +97,20 @@ def _param_complex(sc: Scenario, key: str, default) -> complex:
 _COUNTS = frozenset({"p", "length", "count", "pairs", "sweep"})
 
 
+def _as_int(command: str, key: str, value) -> int:
+    """A scenario field that must be an integer: an int, or a float with an
+    integral value such as 2.0; anything else raises :class:`BadInput`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadInput(f"{command}: {key} must be an integer, got {value!r}")
+
+
 def _param_int(sc: Scenario, key: str, default: int) -> int:
     """Scenario parameter ``key`` as an integer; at least 1 for a count."""
     value = sc.params.get(key, default)
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise BadInput(f"{sc.command}: {key} must be an integer, got {value!r}") from None
+    out = _as_int(sc.command, key, value)
     if key in _COUNTS and out < 1:
         raise BadInput(f"{sc.command}: {key} must be at least 1, got {value!r}")
     return out
@@ -264,19 +271,20 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
     spec = _load_spec(spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
+    frm = hankel.hankel_frame(node)
     lam = _param_complex(sc, "lambda", [0.0, 1.0])
     draws = _param_int(sc, "pairs", 10)
     checks = []
 
     # every pair in one call, so the Poisson normalization runs once
-    pairs = [snode.extremal_pair(node, lam)]
+    pairs = [snode.extremal_pair(frm, lam)]
     if node.p == 1:
         # the witness's Weyl value at lam is the ball point of contraction 1/2,
         # so its slack is rhs |u|^2 = rhs / 4, away from the ball's centre
         ball = snode.matrix_ball(node, lam)
-        witness = _pair_with_value(node, lam, snode.ball_value(ball, 0.5 * np.eye(1)))
+        witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(1)))
         pairs += [witness, *(sampling.random_constant_pair(rng, 1) for _ in range(draws))]
-    bounds = asymptotics.entropy_bound_check(node, pairs, lam)
+    bounds = asymptotics.entropy_bound_check(frm, pairs, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bounds[0].slack), 1e-6))
 
     norm = quadrature.integrate_line_graded(asymptotics.poisson_weight(lam), 24)
@@ -292,11 +300,11 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     return checks, {"lambda": serialization.complex_to_json(lam)}
 
 
-def _pair_with_value(node: snode.SNode, z: complex, value) -> snode.ParamPair:
+def _pair_with_value(frm: snode.Frame, z: complex, value) -> snode.ParamPair:
     """The constant pair whose Weyl function takes ``value`` at z:
     [R; Q] = Frm(z)^{-1} [-i value; I], checked by :func:`snode.validate_pair`."""
-    p = node.p
-    RQ = np.linalg.solve(snode.frame(node, z), np.vstack([-1j * value, np.eye(p)]))
+    p = frm.p
+    RQ = np.linalg.solve(frm(z), np.vstack([-1j * value, np.eye(p)]))
     pair = snode.ParamPair.constant(RQ[:p], RQ[p:])
     snode.validate_pair(pair)
     return pair
@@ -563,9 +571,9 @@ def scenario_from_args(args) -> Scenario:
         command=command,
         spec_path=pick(args.spec, "spec", None),
         out_dir=pick(args.out, "out", "."),
-        seed=int(pick(args.seed, "seed", 0)),
-        grid=int(pick(args.grid, "grid", 30)),
-        quad=int(pick(args.quad, "quad", 2048)),
+        seed=_as_int(command, "seed", pick(args.seed, "seed", 0)),
+        grid=_as_int(command, "grid", pick(args.grid, "grid", 30)),
+        quad=_as_int(command, "quad", pick(args.quad, "quad", 2048)),
         fmt=pick(args.fmt, "format", "json"),
         params=params,
     )

@@ -31,8 +31,9 @@ from .errors import (
     ExtractionNotConverged,
     IndexOutOfRange,
     PoleAtLambda,
+    Unsupported,
 )
-from .snode import ParamPair, SNode, as_frame, lft, node_frame, stieltjes_density
+from .snode import Frame, ParamPair, SNode, as_frame, lft, stieltjes_density
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,54 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
     return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
+def hankel_frame(node: SNode) -> Frame:
+    """Frame of a block Hankel node as the matrix polynomial
+
+        Frm(z) = I - i sum_{j<n} z^{j+1} C_j,   C_j = Pi* (A*)^j S^{-1} Pi J,
+
+    evaluated by Horner in chunks of at most :data:`matcore.CHUNK` points.
+
+    A is the block down-shift, so (A*)^n = 0 and (I - z A*)^{-1} is the
+    finite sum of the z^j (A*)^j: this is the frame of :func:`snode.frame`,
+    which stays the reference, without a linear solve per point.  The
+    coefficients come once from the node's cached S^{-1} Pi, and the product
+    by J is the same column-block swap.  Since det(I - z A*) = 1, the
+    singular-resolvent guard of :func:`snode.frame` can never fire for this
+    node, and this evaluator has none; ``pole_clear`` is 1 and det F of an
+    LFT denominator F = Frm21 R + Frm22 Q has degree at most p n.  Raises
+    :class:`Unsupported` for a node whose (A*)^n S^{-1} Pi is not zero.
+    """
+    p = node.p
+    n = node.m // p
+    Pi_h = node.Pi.conj().T
+    A_h = node.A.conj().T
+    X = node.SinvPi
+    coefs = []
+    for _ in range(n):
+        C = Pi_h @ X
+        coefs.append(np.concatenate((C[:, p:], C[:, :p]), axis=1))
+        X = A_h @ X
+    if np.any(X):
+        raise Unsupported("the frame is a polynomial only for a nilpotent A, as in a Hankel node")
+    eye = np.eye(2 * p, dtype=complex)
+
+    def horner(zs):
+        w = zs[:, None, None]
+        acc = coefs[-1] * w
+        for C in coefs[-2::-1]:
+            acc += C
+            acc *= w
+        acc *= -1j
+        acc += eye
+        return acc
+
+    def fn(z_or_zs):
+        out = matcore.in_chunks(horner, matcore.as_points(z_or_zs))
+        return out if np.ndim(z_or_zs) else out[0]
+
+    return Frame(p=p, fn=fn, pole_clear=lambda ts: 1.0, clear_degree=p * n)
+
+
 @dataclass(frozen=True)
 class OmegaChain:
     """Coefficients omega_k (p x 2p), the positive blocks t_1..t_n, and the
@@ -136,9 +185,11 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     """H_k = integral t^k P(t) dt for every k in ``orders``, stacked; an int
     order gives its block alone.
 
-    The density is evaluated once per rule for all orders, and each order
-    has its own doubled-node convergence check; the first order, in the
-    given sequence, that fails raises.  Densities with bounded support
+    The density is evaluated once per rule for all orders; the integrands
+    yield one order at a time, and the rule reduces each as it comes, so one
+    order's stack over the nodes is alive at a time.  Each order has its own
+    doubled-node convergence check; the first order, in the given sequence,
+    that fails raises.  Densities with bounded support
     integrate on the support interval cut at their declared breaks, so every
     piece is smooth, and the rules climb a doubling ladder of nodes per
     piece capped at ``quad``.  Full-line densities integrate via the tan
@@ -159,7 +210,7 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
 
         def integrand(ts):
             values = density(ts)
-            return [ts[:, None, None] ** k * values for k in ks]
+            return (ts[:, None, None] ** k * values for k in ks)
 
         def on_interval(fn, n):
             return quadrature.integrate_interval(fn, a, b, n, breaks=density.breaks)
@@ -175,10 +226,9 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
         def with_majorants(ts):
             values = density(ts)
             trace = np.trace(values, axis1=1, axis2=2).real
-            items = []
             for k in ks:
-                items += [(1.0 + ts * ts) ** (k / 2) * trace, ts[:, None, None] ** k * values]
-            return items
+                yield (1.0 + ts * ts) ** (k / 2) * trace
+                yield ts[:, None, None] ** k * values
 
         m = max(24, quad // 64)
         checked = quadrature.integrate_with_check(
@@ -335,7 +385,7 @@ def recover_moments(
     theta = np.linspace(0.1 * np.pi, 0.9 * np.pi, 96)
     n_terms = (2 * n - 2) + _NUISANCE_TERMS
 
-    frm = node_frame(node)
+    frm = hankel_frame(node)
 
     def fit_at(R: float) -> np.ndarray:
         zs = R * np.exp(1j * theta)

@@ -12,9 +12,10 @@ Two rules, both built on Gauss-Legendre nodes:
   for example weighted log-density integrals.
 
 Each rule calls its integrand once, on the nodes of every panel, and adds
-the panel sums in panel order.  An integrand returns values whose leading
-axis matches its nodes, or a list of such arrays, one per integral; a list
-is reduced item by item and the rule returns a list.
+the panel sums in panel order.  An integrand returns an array whose leading
+axis matches its nodes, or an iterable of such arrays (a list, or a
+generator that yields them), one per integral; those are reduced item by
+item, as they come, and the rule returns a list.
 
 Every caller is expected to run the doubled-node agreement check via
 :func:`integrate_with_check`: bounded integrals on the doubling ladder
@@ -46,10 +47,10 @@ def gauss_legendre(a, b, n: int):
 
 def _reduce(w, vals, panel: int):
     """sum_i w_i vals_i over the leading axis, taken over runs of ``panel``
-    nodes and added up run by run; a list of arrays reduces item by item."""
-    if isinstance(vals, list):
+    nodes and added up run by run; any other iterable of arrays (a list, a
+    generator) reduces item by item, each item as it comes."""
+    if not isinstance(vals, np.ndarray):
         return [_reduce(w, v, panel) for v in vals]
-    vals = np.asarray(vals)
     k = w.size // panel
     if vals.ndim == 1:
         pieces = np.sum((w * vals).reshape(k, panel), axis=1)

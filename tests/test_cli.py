@@ -280,18 +280,27 @@ def test_asymptotics_invalid_density_exits_2(tmp_path, capsys, density, message)
 
 
 def test_entropy_evaluates_each_point_array_of_the_frame_once(tmp_path, monkeypatch):
-    from snode_lab import snode
+    import dataclasses
+
+    from snode_lab import hankel
 
     seen = {}
-    original = snode.frame
+    original = hankel.hankel_frame
 
-    def counted(node, z_or_zs):
-        key = np.atleast_1d(np.asarray(z_or_zs, dtype=complex)).tobytes()
-        seen[key] = seen.get(key, 0) + 1
-        return original(node, z_or_zs)
+    def counted_frame(node):
+        frm = original(node)
 
-    monkeypatch.setattr(snode, "frame", counted)
+        def counted(z_or_zs):
+            key = np.atleast_1d(np.asarray(z_or_zs, dtype=complex)).tobytes()
+            seen[key] = seen.get(key, 0) + 1
+            return frm(z_or_zs)
+
+        return dataclasses.replace(frm, fn=counted)
+
+    # the run builds its frame once, so every evaluation goes through counted
+    monkeypatch.setattr(hankel, "hankel_frame", counted_frame)
     assert run(["entropy", "--out", str(tmp_path)]) == 0
+    assert seen
     # the pairs share one frame: only the single point lambda comes back
     repeated = [len(key) // 16 for key, count in seen.items() if count > 1]
     assert repeated == [1]
@@ -355,6 +364,11 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("ball", {"z": [float("nan"), 1]}, "z must be finite, got [nan, 1]"),
         ("entropy", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
         ("asymptotics", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
+        ("entropy", {"seed": "x"}, "seed must be an integer, got 'x'"),
+        ("asymptotics", {"quad": "q"}, "quad must be an integer, got 'q'"),
+        ("khrushchev", {"grid": 2.5}, "grid must be an integer, got 2.5"),
+        ("khrushchev", {"count": 2.7}, "count must be an integer, got 2.7"),
+        ("entropy", {"pairs": 1.5}, "pairs must be an integer, got 1.5"),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):
@@ -363,3 +377,11 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, mes
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
+
+
+def test_integral_float_scenario_fields_are_accepted(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "khrushchev", "seed": 3.0, "grid": 2.0, "count": 2.0, "length": 3.0}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_khrushchev.json").read_text())
+    assert (report["seed"], report["grid"], report["count"], report["length"]) == (3, 2, 2, 3)

@@ -504,12 +504,13 @@ def test_frame_in_chunks_is_bitwise_one_batch(monkeypatch, size):
     rng = np.random.default_rng(size)
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2))
     zs = rng.normal(scale=5.0, size=size) + 1j * rng.uniform(0.0, 2.0, size=size)
-    got = snode.frame(node, zs)
+    frames = (lambda z: snode.frame(node, z), hankel.hankel_frame(node))
+    got = [frm(zs) for frm in frames]
     monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
-    want = snode.frame(node, zs)
-    assert got.shape == (size, 4, 4)
-    assert got.tobytes() == want.tobytes()
-    assert snode.frame(node, zs[-1]).shape == (4, 4)
+    for frm, chunked in zip(frames, got):
+        assert chunked.shape == (size, 4, 4)
+        assert chunked.tobytes() == frm(zs).tobytes()
+        assert frm(zs[-1]).shape == (4, 4)
 
 
 def test_frame_guard_names_the_first_bad_point_across_chunks():
