@@ -7,7 +7,7 @@ log-determinant integrals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,6 @@ from . import matcore, quadrature
 from .densities import DensityFn
 from .errors import (
     DimensionMismatch,
-    NotConverged,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
     SingularF,
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_density
 from .snode import (
-    Frame,
     ParamPair,
     SNode,
     as_frame,
@@ -104,34 +102,6 @@ def nested_embed_check(seq: NodeSequence) -> float:
             worst = max(worst, float(np.max(np.abs(big.Pi[:mk, :] - small.Pi))))
             worst = max(worst, float(np.max(np.abs(big.A[:mk, mk:]))))
     return worst
-
-
-@dataclass(frozen=True)
-class RhoTrajectory:
-    z: complex
-    orders: tuple
-    values: tuple           # rho_k(z, conj z), positive definite
-    reversed_values: tuple  # rho_k(conj z, z), negative definite
-
-    def monotone_margin(self) -> float:
-        """min over k of min eig(rho_{k+1} - rho_k); >= -tol certifies growth."""
-        worst = np.inf
-        for a, b in zip(self.values, self.values[1:]):
-            worst = min(worst, matcore.min_eig_hermitian(b - a))
-        return float(worst)
-
-    def reversed_margin(self) -> float:
-        """min over k of min eig(-rho_{k+1}(zbar,z) + rho_k(zbar,z))."""
-        worst = np.inf
-        for a, b in zip(self.reversed_values, self.reversed_values[1:]):
-            worst = min(worst, matcore.min_eig_hermitian(a - b))
-        return float(worst)
-
-
-def rho_trajectory(seq: NodeSequence, z: complex) -> RhoTrajectory:
-    vals = tuple(rho(node, z, "z,zbar") for node in seq.nodes)
-    revs = tuple(rho(node, z, "zbar,z") for node in seq.nodes)
-    return RhoTrajectory(z=complex(z), orders=seq.orders, values=vals, reversed_values=revs)
 
 
 @dataclass(frozen=True)
@@ -215,12 +185,7 @@ def entropy_integral(
         # the density is exactly zero on a positive-measure part of (a, b)
         return -np.inf
 
-    def integrand(ts):
-        ld = P.log_det_at(ts)
-        if np.any(~np.isfinite(ld)):
-            raise _VanishingDensity()
-        return weight(ts) * ld / (1.0 + ts * ts)
-
+    integrand = _weighted_log_det(P, weight)
     try:
         if np.isinf(a) and np.isinf(b):
             value = quadrature.integrate_with_check(
@@ -249,6 +214,19 @@ class _VanishingDensity(Exception):
     pass
 
 
+def _weighted_log_det(P: DensityFn, weight: Callable[[np.ndarray], np.ndarray]):
+    """The integrand t -> weight(t) ln det P(t) / (1 + t^2); it raises
+    :class:`_VanishingDensity` on points where det P vanishes."""
+
+    def integrand(ts):
+        ld = P.log_det_at(ts)
+        if np.any(~np.isfinite(ld)):
+            raise _VanishingDensity()
+        return weight(ts) * ld / (1.0 + ts * ts)
+
+    return integrand
+
+
 def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
     """t -> Im(lam) / |t - lam|^2 (integrates to pi over the line)."""
     im = float(np.imag(lam))
@@ -264,8 +242,8 @@ def outer_modulus(P_or_Ps, lam: complex):
     for the outer spectral factor G of P.
 
     ``P_or_Ps`` is one density, giving one float, or a sequence of them,
-    giving a list; densities with equal breaks share one graded rule, on
-    which they are evaluated together, chunk by chunk.
+    giving a list; each density is integrated on the graded rule of its own
+    breaks.
     Verifies the Poisson normalization integral Im(lam)/|t-lam|^2 dt = pi
     to 1e-9 once per call, and raises :class:`SzegoViolated` when a log-det
     integral diverges to -inf.
@@ -286,29 +264,18 @@ def outer_modulus(P_or_Ps, lam: complex):
 
     single = isinstance(P_or_Ps, DensityFn)
     Ps = [P_or_Ps] if single else list(P_or_Ps)
-    # densities with equal breaks share one graded rule: one check whose
-    # list items, one per density, are reduced and checked one by one
-    rules: dict[tuple, list[int]] = {}
-    for i, P in enumerate(Ps):
-        rules.setdefault(tuple(P.breaks), []).append(i)
-    values = [0.0] * len(Ps)
-    for breaks, members in rules.items():
-
-        def log_dets(ts):
-            return np.stack([Ps[i].log_det_at(ts) for i in members], axis=1)
+    moduli = []
+    for P in Ps:
 
         def integrand(ts):
-            # chunk by chunk for all members, so densities that share a
-            # remembering frame (entropy_bound_check) evaluate it once
-            lds = matcore.in_chunks(log_dets, ts)
-            if np.any(~np.isfinite(lds)):
+            ld = P.log_det_at(ts)
+            if np.any(~np.isfinite(ld)):
                 raise _VanishingDensity()
-            weight = w(ts)
-            return [weight * ld for ld in lds.T]
+            return w(ts) * ld
 
         try:
-            got = quadrature.integrate_with_check(
-                lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=breaks),
+            value = quadrature.integrate_with_check(
+                lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
                 integrand,
                 (_LOG_PANEL, 2 * _LOG_PANEL),
                 _LOG_TOL,
@@ -316,10 +283,6 @@ def outer_modulus(P_or_Ps, lam: complex):
             )
         except _VanishingDensity:
             raise SzegoViolated("density vanishes on a set of positive measure")
-        for i, value in zip(members, got):
-            values[i] = value
-    moduli = []
-    for value in values:
         if not np.isfinite(value):
             raise SzegoViolated("log-determinant integral diverges")
         moduli.append(float(np.exp(value / (2.0 * np.pi))))
@@ -343,24 +306,6 @@ def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
         raise SingularF(f"F(z) singular at z = {z}")
     rho_half = matcore.sqrtm_hpd(rho_from_frame(frm, lam))
     return (2.0 * np.pi) ** (-0.5) * rho_half @ np.linalg.inv(F)
-
-
-def _remembering(frm: Frame) -> Frame:
-    """``frm`` with a memory of its last evaluation, keyed by the exact point
-    values; the stacks it returns are shared, so they are read-only."""
-    last = {}
-
-    def fn(z_or_zs):
-        zs = matcore.as_points(z_or_zs)
-        key = zs.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = out = frm(zs)
-            out.setflags(write=False)
-        out = last[key]
-        return out if np.ndim(z_or_zs) else out[0]
-
-    return replace(frm, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -394,8 +339,7 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     single = isinstance(pair_or_pairs, ParamPair)
     pairs = [pair_or_pairs] if single else list(pair_or_pairs)
-    # every pair's density evaluates this frame on the same points
-    frm = _remembering(as_frame(node_or_frame))
+    frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     if frm.p == 1:
         moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam)
@@ -418,12 +362,21 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
 # convergence harness
 
 
+def _psd_margin(lower, upper) -> float:
+    """min over k of min eig(upper[k] - lower[k]); inf when there is no k."""
+    worst = np.inf
+    for a, b in zip(lower, upper):
+        worst = min(worst, matcore.min_eig_hermitian(b - a))
+    return float(worst)
+
+
 @dataclass(frozen=True)
 class TrajectoryReport:
     lam: complex
     orders: tuple
     rho: tuple               # rho_k(lam, conj lam), nondecreasing in PSD order
-    rho_inv: tuple           # their inverses, nonincreasing in PSD order
+    rho_reversed: tuple      # rho_k(conj lam, lam), nonincreasing in PSD order
+    rho_inv: tuple           # inverses of rho, nonincreasing in PSD order
     det_rho_inv: tuple
     conds: tuple             # condition numbers of the S blocks
     target: float | None     # det(2 pi G* G) when the reference admits it (p = 1)
@@ -435,17 +388,16 @@ class TrajectoryReport:
             return tuple(None for _ in self.det_rho_inv)
         return tuple(d - self.target for d in self.det_rho_inv)
 
-    def psd_nonincreasing_margin(self) -> float:
-        worst = np.inf
-        for a, b in zip(self.rho_inv, self.rho_inv[1:]):
-            worst = min(worst, matcore.min_eig_hermitian(a - b))
-        return float(worst)
+    def monotone_margin(self) -> float:
+        """min over k of min eig(rho_{k+1} - rho_k); >= -tol certifies growth."""
+        return _psd_margin(self.rho, self.rho[1:])
 
-    def psd_nondecreasing_margin(self) -> float:
-        worst = np.inf
-        for a, b in zip(self.rho, self.rho[1:]):
-            worst = min(worst, matcore.min_eig_hermitian(b - a))
-        return float(worst)
+    def reversed_margin(self) -> float:
+        """min over k of min eig(rho_k(conj lam, lam) - rho_{k+1}(conj lam, lam))."""
+        return _psd_margin(self.rho_reversed[1:], self.rho_reversed)
+
+    def psd_nonincreasing_margin(self) -> float:
+        return _psd_margin(self.rho_inv[1:], self.rho_inv)
 
     def det_positive(self) -> bool:
         return all(d > 0.0 for d in self.det_rho_inv)
@@ -460,17 +412,20 @@ class TrajectoryReport:
 def convergence_run(
     seq: NodeSequence, lam: complex, reference: DensityFn | None = None
 ) -> TrajectoryReport:
-    """Order-by-order trajectory of rho_k(lam, conj lam)^{-1} with condition
-    numbers, and (scalar case, finite log-det integral) the outer-factor
-    target 2 pi |G(lam)|^2 it decreases toward."""
+    """Order-by-order trajectory of rho_k(lam, conj lam), rho_k(conj lam, lam)
+    and rho_k(lam, conj lam)^{-1} with condition numbers, one pass per order,
+    and (scalar case, finite log-det integral) the outer-factor target
+    2 pi |G(lam)|^2 the inverse decreases toward."""
     rhos = []
+    revs = []
     rho_inv = []
     dets = []
     conds = []
     for node in seq.nodes:
         r = rho(node, lam, "z,zbar")
-        rinv = matcore.inv_hpd(r)
         rhos.append(r)
+        revs.append(rho(node, lam, "zbar,z"))
+        rinv = matcore.inv_hpd(r)
         rho_inv.append(rinv)
         dets.append(float(np.prod(np.linalg.eigvalsh(rinv))))
         conds.append(float(np.linalg.cond(node.S)))
@@ -486,6 +441,7 @@ def convergence_run(
         lam=complex(lam),
         orders=seq.orders,
         rho=tuple(rhos),
+        rho_reversed=tuple(revs),
         rho_inv=tuple(rho_inv),
         det_rho_inv=tuple(dets),
         conds=tuple(conds),
@@ -616,12 +572,7 @@ def limit_inequality_demo(
         panels = max(64, int(4 * k * (b - a) / (2.0 * np.pi)))
         cuts = np.linspace(a, b, panels + 1)[1:-1]
 
-        def integrand(t):
-            ld = P.log_det_at(t)
-            if np.any(~np.isfinite(ld)):
-                raise _VanishingDensity()
-            return weight(t) * ld / (1.0 + t * t)
-
+        integrand = _weighted_log_det(P, weight)
         try:
             return float(quadrature.integrate_interval(integrand, a, b, 8, breaks=cuts))
         except _VanishingDensity:

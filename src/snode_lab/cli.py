@@ -337,9 +337,8 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
 
     embed = asymptotics.nested_embed_check(seq)
     checks.append(_check("nesting compressions", "As1", embed, 1e-12))
-    traj = asymptotics.rho_trajectory(seq, lam)
-    checks.append(_check("monotone growth margin", "R2", -traj.monotone_margin(), 1e-9))
     report = asymptotics.convergence_run(seq, lam, reference=reference)
+    checks.append(_check("monotone growth margin", "R2", -report.monotone_margin(), 1e-9))
     checks.append(
         _check("inverse determinants positive", "As8+", 0.0, 1.0, passed=report.det_positive())
     )
@@ -553,6 +552,8 @@ def scenario_from_args(args) -> Scenario:
     params: dict = {}
     if args.scenario:
         data = _load_json(args.scenario)
+        if not isinstance(data, dict):
+            raise BadInput(f"scenario {args.scenario} must hold a JSON object, got {type(data).__name__}")
         params = {
             k: v
             for k, v in data.items()
@@ -567,6 +568,11 @@ def scenario_from_args(args) -> Scenario:
     command = args.command or data.get("command")
     if command is None:
         raise BadInput("no command given (positional argument or scenario file)")
+    for key in ("spec", "out"):
+        if key in data and not isinstance(data[key], str):
+            raise BadInput(f"{command}: {key} must be a string, got {data[key]!r}")
+    if data.get("format", "json") not in ("json", "csv"):
+        raise BadInput(f"{command}: format must be 'json' or 'csv', got {data['format']!r}")
     return Scenario(
         command=command,
         spec_path=pick(args.spec, "spec", None),

@@ -146,6 +146,8 @@ def density_by_name(name: str, params: dict | None = None) -> DensityFn:
 
     Raises :class:`InvalidDensity` for an unknown name or invalid parameters.
     """
+    if params is not None and not isinstance(params, dict):
+        raise InvalidDensity(f"density params must be an object, got {params!r}")
     params = dict(params or {})
     if name == "table":
         missing = sorted({"t", "v"} - set(params))

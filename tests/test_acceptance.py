@@ -177,7 +177,7 @@ def test_criterion_07_monotonicity_and_factorization():
     worst_fact = 0.0
     for seq in (hankel_seq, toeplitz_seq):
         for z in zs:
-            traj = asymptotics.rho_trajectory(seq, z)
+            traj = asymptotics.convergence_run(seq, z)
             worst_margin = min(worst_margin, traj.monotone_margin())
         for _ in range(6):
             ik = int(rng.integers(0, 5))

@@ -48,7 +48,7 @@ def test_nested_embed_detects_permutation(uniform_family, rng):
 def test_rho_trajectory_monotone_hankel(uniform_family):
     seq, _ = uniform_family
     for z in [1j, 0.5 + 0.7j, -1.3 + 1.6j]:
-        traj = asymptotics.rho_trajectory(seq, z)
+        traj = asymptotics.convergence_run(seq, z)
         assert traj.monotone_margin() >= -1e-9
         assert traj.reversed_margin() >= -1e-9
 
@@ -56,9 +56,18 @@ def test_rho_trajectory_monotone_hankel(uniform_family):
 def test_rho_trajectory_monotone_toeplitz(toeplitz_family_fixture):
     seq, _ = toeplitz_family_fixture
     for z in [1j, 1.1 + 0.6j]:
-        traj = asymptotics.rho_trajectory(seq, z)
+        traj = asymptotics.convergence_run(seq, z)
         assert traj.monotone_margin() >= -1e-9
         assert traj.reversed_margin() >= -1e-9
+
+
+def test_convergence_run_rho_equals_per_node_calls(uniform_family, toeplitz_family_fixture):
+    z = 0.5 + 0.7j
+    for seq, _ in (uniform_family, toeplitz_family_fixture):
+        report = asymptotics.convergence_run(seq, z)
+        for node, r, rev in zip(seq.nodes, report.rho, report.rho_reversed, strict=True):
+            assert np.array_equal(r, snode.rho(node, z, "z,zbar"))
+            assert np.array_equal(rev, snode.rho(node, z, "zbar,z"))
 
 
 def test_rho_trajectory_identity_symbol(rng):
@@ -68,14 +77,14 @@ def test_rho_trajectory_identity_symbol(rng):
         nu=np.zeros((1, 1)),
     )
     seq = asymptotics.toeplitz_family(spec)
-    traj = asymptotics.rho_trajectory(seq, 1j)
+    traj = asymptotics.convergence_run(seq, 1j)
     assert traj.monotone_margin() >= -1e-12
 
 
 def test_rho_trajectory_single_node(hankel_unit):
     _, node = hankel_unit
     seq = asymptotics.NodeSequence(nodes=(node,), orders=(1,))
-    traj = asymptotics.rho_trajectory(seq, 1j)
+    traj = asymptotics.convergence_run(seq, 1j)
     assert traj.monotone_margin() == np.inf
 
 
@@ -272,7 +281,7 @@ def test_convergence_run_exp_sqrt_trend():
     assert report.target == pytest.approx(2 * np.pi * (np.exp(-np.sqrt(2)) / 4), rel=1e-6)
     assert report.det_positive()
     assert report.psd_nonincreasing_margin() >= -1e-9
-    assert report.psd_nondecreasing_margin() >= -1e-9
+    assert report.monotone_margin() >= -1e-9
     assert report.gap_strictly_decreasing()
     assert all(g > 0 for g in report.gaps)
 
@@ -421,5 +430,5 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
     assert asymptotics.outer_modulus(dens, lam) == singles
-    # one normalization; the two Cauchy densities (no breaks) share a rule
-    assert names == ["poisson normalization"] + ["outer modulus integral"] * 2
+    # one normalization, then one integral per density
+    assert names == ["poisson normalization"] + ["outer modulus integral"] * 3

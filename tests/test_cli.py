@@ -234,10 +234,26 @@ def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
     assert run(["entropy", "--out", str(tmp_path)]) == 0
-    # extremal pair, witness and 10 random pairs share one normalization;
-    # pairs whose densities have equal breaks share one outer-modulus rule
+    # extremal pair, witness and 10 random pairs share one normalization,
+    # and each pair's density has its own outer-modulus integral
     assert names.count("poisson normalization") == 1
-    assert 1 <= names.count("outer modulus integral") <= 12
+    assert names.count("outer modulus integral") == 12
+
+
+def test_asymptotics_computes_rho_twice_per_order(tmp_path, monkeypatch):
+    from snode_lab import asymptotics
+
+    calls = []
+    original = asymptotics.rho
+
+    def counted(node, z, orientation="z,zbar"):
+        calls.append(orientation)
+        return original(node, z, orientation)
+
+    monkeypatch.setattr(asymptotics, "rho", counted)
+    assert run(["asymptotics", "--out", str(tmp_path)]) == 0
+    # the default run has orders 1..4; the R2 row reads the same pass
+    assert sorted(calls) == ["z,zbar"] * 4 + ["zbar,z"] * 4
 
 
 def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
@@ -267,6 +283,10 @@ def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
         ({"name": "uniform", "params": {"a": 1.0, "b": 1.0}}, "finite a < b"),
         ({"name": "cauchy", "params": {"scale": -1.0}}, "finite scale > 0"),
         ({"name": "cauchy", "params": {"width": 1.0}}, "unexpected keyword argument 'width'"),
+        ({"name": "uniform", "params": [1, 2]}, "density params must be an object, got [1, 2]"),
+        ({"name": "uniform", "params": "ab"}, "density params must be an object, got 'ab'"),
+        ({"name": "cauchy", "params": 7}, "density params must be an object, got 7"),
+        ({"name": "table", "params": [1]}, "density params must be an object, got [1]"),
     ],
 )
 def test_asymptotics_invalid_density_exits_2(tmp_path, capsys, density, message):
@@ -276,34 +296,6 @@ def test_asymptotics_invalid_density_exits_2(tmp_path, capsys, density, message)
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: asymptotics: ") and message in err
-
-
-
-def test_entropy_evaluates_each_point_array_of_the_frame_once(tmp_path, monkeypatch):
-    import dataclasses
-
-    from snode_lab import hankel
-
-    seen = {}
-    original = hankel.hankel_frame
-
-    def counted_frame(node):
-        frm = original(node)
-
-        def counted(z_or_zs):
-            key = np.atleast_1d(np.asarray(z_or_zs, dtype=complex)).tobytes()
-            seen[key] = seen.get(key, 0) + 1
-            return frm(z_or_zs)
-
-        return dataclasses.replace(frm, fn=counted)
-
-    # the run builds its frame once, so every evaluation goes through counted
-    monkeypatch.setattr(hankel, "hankel_frame", counted_frame)
-    assert run(["entropy", "--out", str(tmp_path)]) == 0
-    assert seen
-    # the pairs share one frame: only the single point lambda comes back
-    repeated = [len(key) // 16 for key, count in seen.items() if count > 1]
-    assert repeated == [1]
 
 
 def _entropy_seed_93(tmp_path):
@@ -369,6 +361,9 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("khrushchev", {"grid": 2.5}, "grid must be an integer, got 2.5"),
         ("khrushchev", {"count": 2.7}, "count must be an integer, got 2.7"),
         ("entropy", {"pairs": 1.5}, "pairs must be an integer, got 1.5"),
+        ("entropy", {"spec": 5}, "spec must be a string, got 5"),
+        ("asymptotics", {"out": 5}, "out must be a string, got 5"),
+        ("asymptotics", {"format": "cvs"}, "format must be 'json' or 'csv', got 'cvs'"),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):
@@ -377,6 +372,14 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, mes
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
+
+
+@pytest.mark.parametrize("data, kind", [([{"command": "entropy"}], "list"), (7, "int")])
+def test_scenario_file_that_is_not_an_object_exits_2(tmp_path, capsys, data, kind):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert run(["entropy", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert f"scenario {path} must hold a JSON object, got {kind}" in capsys.readouterr().err
 
 
 def test_integral_float_scenario_fields_are_accepted(tmp_path):
