@@ -454,29 +454,33 @@ def convergence_run(
 # appendix-style numerical lemmas
 
 
-def det_strict_lemma(A, B) -> bool:
+def det_strict_lemma(A, B):
     """det(A + B) > det(A) strictly for A > 0, B >= 0, B != 0; equality when
-    B is 0 to the default tolerance of A."""
-    A = matcore.as_matrix(A)
-    B = matcore.as_matrix(B)
+    B is 0 to the default tolerance of A.  Stacks of A and B give one flag
+    per pair."""
+    A = matcore.as_matrix_or_stack(A)
+    B = matcore.as_matrix_or_stack(B)
     det_a = matcore.cholesky_pd(A).det()
     det_ab = matcore.cholesky_pd(A + B).det()
-    if float(np.max(np.abs(B))) <= matcore.default_tol(A):
-        return abs(det_ab - det_a) <= 1e-10 * (1.0 + det_a)
-    return det_ab > det_a * (1.0 + 1e-12)
+    vanishing = np.abs(B).max(axis=(-2, -1)) <= matcore.default_tol(A)
+    holds = np.where(vanishing, abs(det_ab - det_a) <= 1e-10 * (1.0 + det_a), det_ab > det_a * (1.0 + 1e-12))
+    return holds if holds.ndim else bool(holds)
 
 
-def minkowski_det_margin(B1, B2) -> float:
-    """det(B1 + B2)^{1/p} - det(B1)^{1/p} - det(B2)^{1/p}; >= 0 for PSD inputs."""
-    B1 = matcore.as_matrix(B1)
-    B2 = matcore.as_matrix(B2)
-    p = B1.shape[0]
+def minkowski_det_margin(B1, B2):
+    """det(B1 + B2)^{1/p} - det(B1)^{1/p} - det(B2)^{1/p}; >= 0 for PSD inputs.
+    Stacks of B1 and B2 give one margin per pair."""
+    B1 = matcore.as_matrix_or_stack(B1)
+    B2 = matcore.as_matrix_or_stack(B2)
+    p = B1.shape[-1]
 
     def root_det(M):
         w = np.clip(np.linalg.eigvalsh(matcore.hermitian_part(M)), 0.0, None)
-        return float(np.prod(w)) ** (1.0 / p)
+        # an array power even for one pair: numpy's scalar power rounds differently
+        return np.prod(w, axis=-1, keepdims=True) ** (1.0 / p)
 
-    return root_det(B1 + B2) - root_det(B1) - root_det(B2)
+    margin = (root_det(B1 + B2) - root_det(B1) - root_det(B2))[..., 0]
+    return margin if margin.ndim else float(margin)
 
 
 # points per sampled ring, and the growth exponent kappa of log M(r) / r^kappa

@@ -76,19 +76,22 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 
 def _param_complex(sc: Scenario, key: str, default) -> complex:
-    """Scenario parameter ``key``: a finite number or a [re, im] pair."""
+    """Scenario parameter ``key``: a point of the open upper half-plane, given
+    as a finite number or a [re, im] pair (JSON booleans are not numbers)."""
     value = sc.params.get(key, default)
+    pair = isinstance(value, (list, tuple))
     try:
-        if isinstance(value, (list, tuple)):
-            out = serialization.complex_from_json(value)
-        else:
-            out = complex(value)
+        if any(isinstance(part, bool) for part in (value if pair else [value])):
+            raise TypeError("a boolean is not a number")
+        out = serialization.complex_from_json(value) if pair else complex(value)
     except (TypeError, ValueError):
         raise BadInput(
             f"{sc.command}: {key} must be a number or a [re, im] pair, got {value!r}"
         ) from None
     if not np.isfinite(out):
         raise BadInput(f"{sc.command}: {key} must be finite, got {value!r}")
+    if out.imag <= 0.0:
+        raise BadInput(f"{sc.command}: {key} must lie in the open upper half-plane, got {value!r}")
     return out
 
 
@@ -256,8 +259,7 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
             1e-9,
         )
     )
-    pairs = [sampling.random_constant_pair(rng, p).constant_value for _ in range(sc.grid)]
-    R, Q = (np.stack(M) for M in zip(*pairs))
+    R, Q = sampling.random_constant_pairs(rng, p, sc.grid)
     F = np.broadcast_to(snode.frame(node, z), (sc.grid, 2 * p, 2 * p))
     values = snode.lft_stack(F, R, Q, np.full(sc.grid, complex(z)))
     us, norms = snode.ball_membership(ball, values)
@@ -439,19 +441,21 @@ def _run_demo_appendix_b(sc: Scenario, rng: np.random.Generator):
         )
     )
 
-    sweeps = _param_int(sc, "sweep", 1000)
-    mink_fail = 0
-    det_fail = 0
-    for _ in range(sweeps):
+    # draw sample by sample (p, B1, B2, A, B), then check each block size's samples as stacks
+    samples = {p: [] for p in (1, 2, 3)}
+    for _ in range(_param_int(sc, "sweep", 1000)):
         p = int(rng.integers(1, 4))
         B1 = sampling.random_hpd(rng, p)
         B2 = sampling.random_hpd(rng, p)
-        if asymptotics.minkowski_det_margin(B1, B2) < -1e-10:
-            mink_fail += 1
         A = sampling.random_hpd(rng, p)
         B = sampling.random_complex(rng, (p, 1))
-        if not asymptotics.det_strict_lemma(A, B @ B.conj().T):
-            det_fail += 1
+        samples[p].append((B1, B2, A, B @ B.conj().T))
+    mink_fail = 0
+    det_fail = 0
+    for group in filter(None, samples.values()):
+        B1, B2, A, BB = (np.stack(M) for M in zip(*group))
+        mink_fail += int(np.count_nonzero(asymptotics.minkowski_det_margin(B1, B2) < -1e-10))
+        det_fail += int(np.count_nonzero(~asymptotics.det_strict_lemma(A, BB)))
     checks.append(_check("determinant superadditivity failures", "Ap21", mink_fail, 0.0, passed=mink_fail == 0))
     checks.append(_check("strict determinant growth failures", "LaDet", det_fail, 0.0, passed=det_fail == 0))
     extra = {

@@ -4,7 +4,11 @@ assembly.
 
 All helpers operate on plain ``numpy`` arrays of complex dtype and never
 mutate their inputs.  Sizes in this library stay below ~64, so everything
-favours determinism and clarity over asymptotic speed.
+favours determinism and clarity over asymptotic speed.  The Hermitian,
+Cholesky, inverse, square-root and spectral-norm helpers take one matrix
+or a stack of them along the first axis, treat each matrix on its own (so
+a stack's values are bitwise those of one call per matrix), and name the
+first matrix of a stack that fails a guard.
 """
 
 from __future__ import annotations
@@ -77,46 +81,76 @@ def as_matrix(M) -> np.ndarray:
     return out
 
 
-def default_tol(M) -> float:
-    """Default Hermitian tolerance 1e-10 * (1 + max|entry|), times the global scale.
+def as_matrix_or_stack(M) -> np.ndarray:
+    """A matrix or a stack of matrices as a complex array with finite entries."""
+    out = np.asarray(M, dtype=complex)
+    if out.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        _, where = first_failure(~np.isfinite(out).all(axis=(-2, -1)))
+        raise ValueError(f"{where}matrix entries must be finite")
+    return out
+
+
+def first_failure(flags: np.ndarray) -> tuple[int | None, str]:
+    """The first matrix flagged in ``flags`` (a boolean array with one flag
+    per matrix: 0-d for one matrix, 1-d for a stack) or None, and an
+    error-message prefix naming it in a stack ('' for one matrix)."""
+    if not flags.any():
+        return None, ""
+    k = int(np.flatnonzero(flags)[0])
+    return k, (f"matrix {k} of the stack: " if flags.ndim else "")
+
+
+def _conj_t(M: np.ndarray) -> np.ndarray:
+    """M* of every matrix of a matrix or a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def default_tol(M):
+    """Default Hermitian tolerance 1e-10 * (1 + max|entry|), times the global
+    scale; one per matrix of a stack.
 
     Inputs in this library come from exact formulas, so deviations beyond
     this indicate bugs rather than conditioning.
     """
-    M = np.asarray(M)
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    peak = np.abs(np.asarray(M)).max(axis=(-2, -1), initial=0.0)
     return 1e-10 * (1.0 + peak) * tolerance_scale()
 
 
-def hermitian_deviation(M) -> float:
-    """max |M - M*| entrywise."""
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+def hermitian_deviation(M):
+    """max |M - M*| entrywise; one per matrix of a stack."""
+    M = as_matrix_or_stack(M)
+    if M.shape[-2] != M.shape[-1]:
         raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    return np.abs(M - _conj_t(M)).max(axis=(-2, -1), initial=0.0)
 
 
 def assert_hermitian(M, tol: float | None = None) -> None:
-    """Raise :class:`NotHermitian` unless max|M - M*| <= tol entrywise."""
-    M = as_matrix(M)
+    """Raise :class:`NotHermitian` unless max|M - M*| <= tol entrywise, for
+    every matrix of a stack."""
+    M = as_matrix_or_stack(M)
     if tol is None:
         tol = default_tol(M)
     dev = hermitian_deviation(M)
-    if dev > tol:
-        raise NotHermitian(dev)
+    k, where = first_failure(dev > tol)
+    if k is not None:
+        worst = float(np.ravel(dev)[k])
+        raise NotHermitian(worst, f"{where}matrix is not Hermitian (max deviation {worst:.3e})")
 
 
 def hermitian_part(M) -> np.ndarray:
-    M = as_matrix(M)
-    return (M + M.conj().T) / 2.0
+    M = as_matrix_or_stack(M)
+    return (M + _conj_t(M)) / 2.0
 
 
 def frobenius(M) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=complex)))
 
 
-def spectral_norm(M) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=complex), 2))
+def spectral_norm(M):
+    """Largest singular value; one per matrix of a stack."""
+    return np.linalg.norm(np.asarray(M, dtype=complex), 2, axis=(-2, -1))
 
 
 def min_eig_hermitian(M) -> float:
@@ -126,7 +160,8 @@ def min_eig_hermitian(M) -> float:
 
 @dataclass(frozen=True)
 class HermPD:
-    """A Hermitian positive-definite matrix together with its Cholesky factor.
+    """A Hermitian positive-definite matrix, or a stack of them, together with
+    its Cholesky factor.
 
     ``factor`` is lower triangular with ``factor @ factor* = matrix``.
     """
@@ -136,35 +171,48 @@ class HermPD:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
-    def det(self) -> float:
+    def det(self):
+        """Determinant; one per matrix of a stack."""
         # product of squared pivots; never cofactor expansion
-        return float(np.prod(np.abs(np.diag(self.factor)) ** 2))
+        return np.prod(np.abs(np.diagonal(self.factor, axis1=-2, axis2=-1)) ** 2, axis=-1)
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=complex)
         y = np.linalg.solve(self.factor, rhs)
-        return np.linalg.solve(self.factor.conj().T, y)
+        return np.linalg.solve(_conj_t(self.factor), y)
 
     def inv(self) -> np.ndarray:
-        return self.solve(np.eye(self.n))
+        # one identity per matrix: numpy < 2 reads an (n, n) right-hand side
+        # against an (n, n, n) stack as n vectors, not as one matrix
+        return self.solve(np.broadcast_to(np.eye(self.n), self.matrix.shape))
 
 
 def cholesky_pd(M, tol: float | None = None) -> HermPD:
-    """Factor a Hermitian positive-definite matrix.
+    """Factor a Hermitian positive-definite matrix or a stack of them.
 
     Raises :class:`NotHermitian` when M deviates from M* beyond ``tol`` and
     :class:`NotPositiveDefinite` when a pivot fails.
     """
-    M = as_matrix(M)
+    M = as_matrix_or_stack(M)
     assert_hermitian(M, tol)
     H = hermitian_part(M)
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc) or "cholesky pivot failed") from exc
+        # a stacked call does not say which matrix failed: find the first
+        _, where = first_failure(np.array([_cholesky_fails(h) for h in H] if H.ndim == 3 else True))
+        raise NotPositiveDefinite(where + (str(exc) or "cholesky pivot failed")) from exc
     return HermPD(matrix=H, factor=L)
+
+
+def _cholesky_fails(H: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def leading_chain(S, Pi, p: int) -> tuple[tuple, tuple, tuple]:
@@ -201,19 +249,21 @@ def leading_chain(S, Pi, p: int) -> tuple[tuple, tuple, tuple]:
 
 
 def sqrtm_hpd(M) -> np.ndarray:
-    """Hermitian square root R > 0 with R @ R = M, for Hermitian M > 0.
+    """Hermitian square root R > 0 with R @ R = M, for Hermitian M > 0 or a
+    stack of them.
 
     Accepts either a :class:`HermPD` or a plain Hermitian array.  Uses an
     eigendecomposition; deterministic at the sizes used here.
     """
     if isinstance(M, HermPD):
         M = M.matrix
-    M = as_matrix(M)
+    M = as_matrix_or_stack(M)
     assert_hermitian(M)
     w, V = np.linalg.eigh(hermitian_part(M))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is not positive")
-    return (V * np.sqrt(w)) @ V.conj().T
+    k, where = first_failure(w[..., 0] <= 0.0)
+    if k is not None:
+        raise NotPositiveDefinite(f"{where}smallest eigenvalue {np.ravel(w[..., 0])[k]:.3e} is not positive")
+    return (V * np.sqrt(w)[..., None, :]) @ _conj_t(V)
 
 
 def sqrtm_psd(M, tol: float | None = None) -> np.ndarray:
@@ -236,7 +286,8 @@ def sqrtm_psd(M, tol: float | None = None) -> np.ndarray:
 
 
 def inv_hpd(M) -> np.ndarray:
-    """Inverse of a Hermitian positive-definite matrix via its Cholesky factor."""
+    """Inverse of a Hermitian positive-definite matrix, or of each matrix of a
+    stack, via its Cholesky factor."""
     pd = M if isinstance(M, HermPD) else cholesky_pd(M)
     out = pd.inv()
     return hermitian_part(out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matcore
 from .hankel import HankelSpec
 from .snode import ParamPair
 from .toeplitz import ToeplitzSpec
@@ -19,13 +20,16 @@ def random_complex(rng: np.random.Generator, shape, scale: float = 1.0) -> np.nd
 
 
 def random_hermitian(rng: np.random.Generator, p: int, scale: float = 1.0) -> np.ndarray:
-    M = random_complex(rng, (p, p), scale)
-    return (M + M.conj().T) / 2.0
+    return matcore.hermitian_part(random_complex(rng, (p, p), scale))
 
 
 def random_hpd(rng: np.random.Generator, p: int, scale: float = 1.0) -> np.ndarray:
-    M = random_complex(rng, (p, p), scale)
-    return M @ M.conj().T + scale * 0.05 * np.eye(p)
+    return _gram_hpd(random_complex(rng, (p, p), scale), scale)
+
+
+def _gram_hpd(M: np.ndarray, scale: float) -> np.ndarray:
+    """M M* + (scale / 20) I, for a matrix or a stack of them."""
+    return M @ np.swapaxes(M, -1, -2).conj() + scale * 0.05 * np.eye(M.shape[-1])
 
 
 def random_toeplitz_spec(
@@ -64,11 +68,24 @@ def random_contraction(rng: np.random.Generator, p: int, max_norm: float = 0.85)
     return (target / top) * M
 
 
+def random_constant_pairs(rng: np.random.Generator, p: int, count: int):
+    """Stacks (R, Q) of ``count`` strictly nondegenerate constant pairs:
+    R = I, Q = P + iK with P = random_hpd(0.8) and K = random_hermitian(0.8).
+
+    The one draw of ``count`` x 4 p x p normals is the stream of ``count``
+    calls of :func:`random_constant_pair`, which this returns bitwise.
+    """
+    draws = rng.standard_normal((count, 4, p, p))
+    P = _gram_hpd(0.8 * (draws[:, 0] + 1j * draws[:, 1]), 0.8)
+    K = matcore.hermitian_part(0.8 * (draws[:, 2] + 1j * draws[:, 3]))
+    R = np.broadcast_to(np.eye(p, dtype=complex), (count, p, p))
+    return R, P + 1j * K
+
+
 def random_constant_pair(rng: np.random.Generator, p: int) -> ParamPair:
     """A strictly nondegenerate constant pair: R = I, Q = P + iK with P > 0."""
-    P = random_hpd(rng, p, 0.8)
-    K = random_hermitian(rng, p, 0.8)
-    return ParamPair.constant(np.eye(p, dtype=complex), P + 1j * K)
+    R, Q = random_constant_pairs(rng, p, 1)
+    return ParamPair.constant(R[0], Q[0])
 
 
 def random_upper_points(

@@ -536,23 +536,13 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     )
 
 
-def _matrix_or_stack(M) -> np.ndarray:
-    """A matrix or a stack of matrices as a complex array with finite entries."""
-    out = np.asarray(M, dtype=complex)
-    if out.ndim not in (2, 3):
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
-    return out
-
-
 def ball_membership(ball: MatrixBall, value_or_values):
     """Contraction u with value = center - L u Rr, and its spectral norm; a
     stack of values gives a stack of contractions and an array of norms.
 
     u = (-rho_rev)^{-1/2} (rho_rev value + i aleph_12) rho^{1/2}.
     """
-    values = _matrix_or_stack(value_or_values)
+    values = matcore.as_matrix_or_stack(value_or_values)
     p = ball.p
     a12 = ball.aleph[:p, p:]
     u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
@@ -563,7 +553,7 @@ def ball_membership(ball: MatrixBall, value_or_values):
 def ball_value(ball: MatrixBall, u_or_us) -> np.ndarray:
     """Point of the ball for a given contraction, or a stack of points for a
     stack of contractions: center - L u Rr."""
-    return ball.center - ball.left_radius @ _matrix_or_stack(u_or_us) @ ball.right_radius
+    return ball.center - ball.left_radius @ matcore.as_matrix_or_stack(u_or_us) @ ball.right_radius
 
 
 def extremal_pair(node_or_frame, lam: complex) -> ParamPair:

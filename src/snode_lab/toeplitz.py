@@ -30,7 +30,7 @@ from .errors import (
     PoleAtZ,
     QuadratureNotConverged,
 )
-from .snode import Frame, ParamPair, SNode, lft, lft_stack, transfer_matrix
+from .snode import Frame, ParamPair, SNode, lft_stack, transfer_matrix
 
 
 @lru_cache(maxsize=16)
@@ -156,23 +156,31 @@ class DiracChain:
         return DiracChain(p=self.p, C=self.C[:n], rho=self.rho[:n])
 
 
-def halmos(rho: np.ndarray) -> np.ndarray:
+def halmos(rho_or_rhos) -> np.ndarray:
     """Positive extension C of a strict contraction rho:
 
         C = diag((I - rho rho*)^{-1/2}, (I - rho* rho)^{-1/2}) [[I, rho], [rho*, I]]
 
-    satisfying C > 0 and C j C = j."""
-    rho = matcore.as_matrix(rho)
-    p = rho.shape[0]
-    if rho.shape != (p, p):
+    satisfying C > 0 and C j C = j.  A stack of contractions gives the stack
+    of their extensions; a guard that fails names the first contraction it
+    fails on."""
+    rho = matcore.as_matrix_or_stack(rho_or_rhos)
+    p = rho.shape[-1]
+    if rho.shape[-2] != p:
         raise DimensionMismatch("rho must be square")
-    if matcore.spectral_norm(rho) >= 1.0 - 1e-12:
-        raise NotContractive(f"spectral norm {matcore.spectral_norm(rho):.6f} not < 1")
+    norms = matcore.spectral_norm(rho)
+    k, where = matcore.first_failure(norms >= 1.0 - 1e-12)
+    if k is not None:
+        raise NotContractive(f"{where}spectral norm {np.ravel(norms)[k]:.6f} not < 1")
     Ip = np.eye(p, dtype=complex)
-    D1 = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho @ rho.conj().T))
-    D2 = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho.conj().T @ rho))
-    F = matcore.block([[Ip, rho], [rho.conj().T, Ip]])
-    D = matcore.block([[D1, np.zeros((p, p))], [np.zeros((p, p)), D2]])
+    rho_star = np.swapaxes(rho, -1, -2).conj()
+    D = np.zeros(rho.shape[:-2] + (2 * p, 2 * p), dtype=complex)
+    D[..., :p, :p] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho @ rho_star))
+    D[..., p:, p:] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho_star @ rho))
+    F = np.empty_like(D)
+    F[..., :p, :p] = F[..., p:, p:] = Ip
+    F[..., :p, p:] = rho
+    F[..., p:, :p] = rho_star
     return matcore.hermitian_part(D @ F)
 
 
@@ -184,13 +192,14 @@ def contraction_from_dirac(C: np.ndarray) -> np.ndarray:
 
 
 def chain_from_contractions(rhos) -> DiracChain:
-    """Build a chain directly from contractions via their positive extensions."""
+    """Build a chain directly from contractions via their positive extensions,
+    all taken in one :func:`halmos` call."""
     rhos = tuple(matcore.as_matrix(r) for r in rhos)
     if not rhos:
         raise DimensionMismatch("need at least block size; pass p via a nonempty list")
-    p = rhos[0].shape[0]
-    C = tuple(halmos(r) for r in rhos)
-    return DiracChain(p=p, C=C, rho=rhos)
+    if any(r.shape != rhos[0].shape for r in rhos):
+        raise DimensionMismatch("every contraction must have the same shape")
+    return DiracChain(p=rhos[0].shape[0], C=tuple(halmos(np.stack(rhos))), rho=rhos)
 
 
 def toeplitz_chain(spec: ToeplitzSpec) -> DiracChain:
@@ -237,16 +246,45 @@ def factorize_transfer(chain: DiracChain, lam_or_lams) -> list[np.ndarray]:
     return factors if np.ndim(lam_or_lams) else [w[0] for w in factors]
 
 
+def _dirac_step(C: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The one-step factors I + i z j C at the points zs."""
+    p = C.shape[0] // 2
+    return np.eye(2 * p, dtype=complex) + 1j * zs[:, None, None] * matcore.signature_j(p) @ C
+
+
+def _frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The frames (1 - i z/2)^{-n} J j K W* K* j J of the orders n at the
+    points zs, for W[k] = W_n(-conj(z)/2) with n = orders[k] (shape
+    (orders, points, 2p, 2p)).  Order 0 gives the identity and needs no
+    prefactor, so only a nonzero order raises :class:`PoleAtZ`, at the first
+    point where 1 - i z/2 vanishes."""
+    p = W.shape[-1] // 2
+    scale = np.ones((orders.size, zs.size), dtype=complex)
+    if orders.any():
+        pref = 1.0 - 0.5j * zs
+        bad = np.flatnonzero(np.abs(pref) < 1e-12)
+        if bad.size:
+            raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
+        # one integer power per order: numpy rounds pref ** -1 differently
+        # when the exponent is an array
+        for n in set(orders.tolist()) - {0}:
+            scale[orders == n] = pref ** (-n)
+    J = matcore.exchange_J(p)
+    j = matcore.signature_j(p)
+    K = unitary_K(p)
+    out = scale[..., None, None] * (J @ j @ K) @ np.swapaxes(W, -1, -2).conj() @ (K.conj().T @ j @ J)
+    out[orders == 0] = np.eye(2 * p)
+    return out
+
+
 def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
     """W_k(z) from W_0 = I and W_{m+1}(z) = (I + i z j C_m) W_m(z)."""
     if not 0 <= k <= len(chain):
         raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
     zs = matcore.as_points(z_or_zs)
-    I2 = np.eye(2 * chain.p, dtype=complex)
-    j = matcore.signature_j(chain.p)
-    W = np.repeat(I2[None], zs.size, axis=0)
+    W = np.repeat(np.eye(2 * chain.p, dtype=complex)[None], zs.size, axis=0)
     for m in range(k):
-        W = (I2 + 1j * zs[:, None, None] * j @ chain.C[m]) @ W
+        W = _dirac_step(chain.C[m], zs) @ W
     return W if np.ndim(z_or_zs) else W[0]
 
 
@@ -255,20 +293,7 @@ def frame_toeplitz(chain: DiracChain, n: int, z_or_zs) -> np.ndarray:
     if not 0 <= n <= len(chain):
         raise IndexOutOfRange(f"order {n} outside 0..{len(chain)}")
     zs = matcore.as_points(z_or_zs)
-    p = chain.p
-    if n == 0:
-        out = np.repeat(np.eye(2 * p, dtype=complex)[None], zs.size, axis=0)
-    else:
-        pref = 1.0 - 0.5j * zs
-        bad = np.flatnonzero(np.abs(pref) < 1e-12)
-        if bad.size:
-            raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
-        J = matcore.exchange_J(p)
-        j = matcore.signature_j(p)
-        K = unitary_K(p)
-        W = dirac_fundamental(chain, -np.conj(zs) / 2.0, n)
-        W_star = np.swapaxes(W, 1, 2).conj()
-        out = pref[:, None, None] ** (-n) * (J @ j @ K) @ W_star @ (K.conj().T @ j @ J)
+    out = _frames_of(dirac_fundamental(chain, -np.conj(zs) / 2.0, n)[None], zs, np.array([n]))[0]
     return out if np.ndim(z_or_zs) else out[0]
 
 
@@ -353,8 +378,14 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
 
         phi(z) = i (F11 (-i phi~) + F12)(F21 (-i phi~) + F22)^{-1}
 
-    with F the frame of the head chain (first n coefficients).  phi does
-    not depend on the split, so it is evaluated once per call.
+    with F the frame of the head chain (first n coefficients).
+
+    One pass over the coefficients gives every frame: step m multiplies the
+    fundamental solutions of the tails starting at 0..m by the factor of
+    C_m, and the head of m + 1 coefficients is then the tail starting at 0.
+    phi is the tail Weyl function of split 0, so one :func:`lft_stack` call
+    takes every tail and one more every composition.  The points go in
+    chunks of at most :data:`matcore.CHUNK`.
     """
     chain = chain_from_contractions(rhos) if not isinstance(rhos, DiracChain) else rhos
     splits = list(split_or_splits) if np.ndim(split_or_splits) else [split_or_splits]
@@ -362,11 +393,30 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
         if not 0 <= n <= len(chain):
             raise IndexOutOfRange(f"split {n} outside 0..{len(chain)}")
     zs = np.asarray(zgrid, dtype=complex).ravel()
-    phi_full = lft(dirac_frame(chain), pair, zs)
-    worst = 0.0
-    for n in splits:
-        phi_tail = lft(dirac_frame(chain.shifted(n)), pair, zs)
-        Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
-        composed = lft_stack(frame_toeplitz(chain.head(n), n, zs), -1j * phi_tail, Ip, zs)
-        worst = max(worst, float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0)))
-    return worst
+    gaps = matcore.in_chunks(lambda chunk: _composition_gaps(chain, splits, pair, chunk), zs)
+    return float(gaps.max(initial=0.0))
+
+
+def _composition_gaps(chain: DiracChain, splits: list, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
+    """Worst gap over the splits, at each point, of :func:`khrushchev_check`."""
+    L, p, size = len(chain), chain.p, zs.size
+    ws = -np.conj(zs) / 2.0
+    # tails[n]: W of the coefficients n..L-1; heads[n]: W of the first n
+    tails = np.repeat(np.eye(2 * p, dtype=complex)[None, None], L + 1, axis=0).repeat(size, axis=1)
+    heads = tails.copy()
+    for m in range(L):
+        tails[: m + 1] = _dirac_step(chain.C[m], ws) @ tails[: m + 1]
+        heads[m + 1] = tails[0]
+
+    def frames(W, orders):
+        return _frames_of(W, zs, orders).reshape(-1, 2 * p, 2 * p)
+
+    starts = np.array([0, *splits])
+    R, Q = (np.broadcast_to(M, (starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))
+    phi = lft_stack(frames(tails[starts], L - starts), R, Q, np.tile(zs, starts.size))
+    phi = phi.reshape(starts.size, size, p, p)
+    Ip = np.broadcast_to(np.eye(p, dtype=complex), (len(splits) * size, p, p))
+    ns = starts[1:]
+    composed = lft_stack(frames(heads[ns], ns), -1j * phi[1:].reshape(-1, p, p), Ip, np.tile(zs, ns.size))
+    gaps = np.linalg.norm(phi[0] - composed.reshape(ns.size, size, p, p), axis=(-2, -1))
+    return gaps.max(axis=0, initial=0.0)

@@ -326,6 +326,19 @@ def test_minkowski_superadditivity_random(seed):
     assert asymptotics.minkowski_det_margin(B1, B2) >= -1e-10
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lemmas_on_stacks_equal_single_calls(rng, p):
+    B1, B2, A = (np.stack([sampling.random_hpd(rng, p) for _ in range(6)]) for _ in range(3))
+    v = sampling.random_complex(rng, (6, p, 1))
+    B = v @ np.swapaxes(v, 1, 2).conj()
+    B[0] = 0.0
+    margins = asymptotics.minkowski_det_margin(B1, B2)
+    flags = asymptotics.det_strict_lemma(A, B)
+    assert list(margins) == [asymptotics.minkowski_det_margin(b1, b2) for b1, b2 in zip(B1, B2)]
+    assert list(flags) == [asymptotics.det_strict_lemma(a, b) for a, b in zip(A, B)]
+    assert all(flags)
+
+
 def test_resolvent_growth_zero_matrix():
     node = snode.SNode(p=1, A=np.zeros((1, 1)), S=np.eye(1), Phi1=np.zeros((1, 1)), Phi2=np.eye(1))
     report = asymptotics.resolvent_growth(node, [0.5, 1, 2, 4])

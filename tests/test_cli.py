@@ -48,15 +48,18 @@ def test_khrushchev_command(tmp_path):
 def test_khrushchev_builds_each_chain_once(tmp_path, monkeypatch):
     from snode_lab import toeplitz
 
-    calls = []
+    seen = []
     original = toeplitz.halmos
-    monkeypatch.setattr(toeplitz, "halmos", lambda rho: calls.append(1) or original(rho))
+    # halmos takes a stack: record each contraction it sees (p = 1 here)
+    monkeypatch.setattr(
+        toeplitz, "halmos", lambda rho: seen.extend(np.reshape(rho, (-1, 1, 1))) or original(rho)
+    )
     scenario = {"command": "khrushchev", "length": 4, "count": 2, "out": str(tmp_path)}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(path), "--grid", "6"]) == 0
     # one Halmos extension per contraction, not one per contraction and split
-    assert len(calls) == 4 * 2
+    assert len(seen) == 4 * 2
 
 
 def test_asymptotics_scenario_with_csv(tmp_path):
@@ -364,6 +367,12 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("entropy", {"spec": 5}, "spec must be a string, got 5"),
         ("asymptotics", {"out": 5}, "out must be a string, got 5"),
         ("asymptotics", {"format": "cvs"}, "format must be 'json' or 'csv', got 'cvs'"),
+        ("asymptotics", {"lambda": [0, -1]}, "lambda must lie in the open upper half-plane, got [0, -1]"),
+        ("entropy", {"lambda": [0.5, 0]}, "lambda must lie in the open upper half-plane, got [0.5, 0]"),
+        ("ball", {"z": [1, -0.5]}, "z must lie in the open upper half-plane, got [1, -0.5]"),
+        ("asymptotics", {"lambda": True}, "lambda must be a number or a [re, im] pair, got True"),
+        ("entropy", {"lambda": [0, True]}, "lambda must be a number or a [re, im] pair, got [0, True]"),
+        ("ball", {"z": True}, "z must be a number or a [re, im] pair, got True"),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):

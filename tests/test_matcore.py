@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,34 @@ def test_det_from_pivots(seed, n):
     pd = matcore.cholesky_pd(M)
     reference = np.linalg.det(M).real
     assert pd.det() == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [matcore.hermitian_part, matcore.inv_hpd, matcore.sqrtm_hpd, lambda M: matcore.cholesky_pd(M).det()],
+)
+@pytest.mark.parametrize("count", [5, 3])
+def test_stacked_helpers_equal_single_calls(helper, count):
+    # a stack as long as its matrices are wide catches a right-hand side
+    # that numpy < 2 would read as a stack of vectors
+    stack = np.stack([random_hpd(seed, 3) for seed in range(count)])
+    for M, value in zip(stack, helper(stack)):
+        assert np.array_equal(helper(M), value)
+
+
+@pytest.mark.parametrize(
+    "helper, bad, error, message",
+    [
+        (matcore.assert_hermitian, np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitian, "not Hermitian"),
+        (matcore.cholesky_pd, np.diag([1.0, -1.0]), NotPositiveDefinite, ""),
+        (matcore.sqrtm_hpd, np.diag([1.0, 0.0]), NotPositiveDefinite, "smallest eigenvalue 0.000e+00"),
+        (matcore.hermitian_part, np.diag([1.0, np.nan]), ValueError, "entries must be finite"),
+    ],
+)
+def test_stacked_guards_name_the_first_failing_matrix(helper, bad, error, message):
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2), bad, bad])
+    with pytest.raises(error, match=f"^matrix 2 of the stack: .*{re.escape(message)}"):
+        helper(stack)
 
 
 def test_inv_hpd_roundtrip(rng):

@@ -16,6 +16,21 @@ from snode_lab.errors import (
 from conftest import random_nodes
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6))
+def test_random_constant_pairs_is_the_stream_of_single_draws(seed, p, count):
+    reference, stacked, single = (np.random.default_rng(seed) for _ in range(3))
+    R, Q = sampling.random_constant_pairs(stacked, p, count)
+    pairs = [sampling.random_constant_pair(single, p).constant_value for _ in range(count)]
+    for k in range(count):
+        # the per-pair formula: R = I, Q = P + iK
+        P = sampling.random_hpd(reference, p, 0.8)
+        K = sampling.random_hermitian(reference, p, 0.8)
+        assert np.array_equal(R[k], np.eye(p)) and np.array_equal(Q[k], P + 1j * K)
+        assert np.array_equal(pairs[k][0], R[k]) and np.array_equal(pairs[k][1], Q[k])
+    assert stacked.bit_generator.state == single.bit_generator.state == reference.bit_generator.state
+
+
 def test_identity_residual_zero_for_built_nodes():
     for node in random_nodes(seed=10):
         assert snode.verify_identity(node) <= 1e-12

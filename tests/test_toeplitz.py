@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -116,6 +116,29 @@ def test_halmos_roundtrip_and_j_unitarity(seed, p):
     assert matcore.min_eig_hermitian(C) > 0
     assert np.max(np.abs(C @ j @ C - j)) <= 1e-10
     assert np.max(np.abs(toeplitz.contraction_from_dirac(C) - rho)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 7))
+# stacks as long as their matrices are wide, where numpy < 2 would read an
+# unbroadcast (p, p) right-hand side as a stack of vectors
+@example(5, 1, 1)
+@example(5, 2, 2)
+def test_halmos_of_a_stack_equals_single_calls(seed, p, count):
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([sampling.random_contraction(rng, p) for _ in range(count)])
+    stacked = toeplitz.halmos(rhos)
+    assert stacked.shape == (count, 2 * p, 2 * p)
+    for C, rho in zip(stacked, rhos):
+        assert np.array_equal(C, toeplitz.halmos(rho))
+
+
+def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
+    rhos = np.stack([sampling.random_contraction(rng, 2) for _ in range(5)])
+    rhos[2] *= 1.0 / np.linalg.norm(rhos[2], 2)
+    rhos[4] *= 2.0 / np.linalg.norm(rhos[4], 2)
+    with pytest.raises(NotContractive, match="matrix 2 of the stack: spectral norm 1.000000"):
+        toeplitz.halmos(rhos)
 
 
 def test_chain_bijection_halmos_reproduces_coefficients(rng):
@@ -253,6 +276,45 @@ def test_khrushchev_over_all_splits_is_the_worst_single_split(seed, p, length):
     zgrid = sampling.random_upper_points(rng, 8)
     singles = [toeplitz.khrushchev_check(chain, n, pair, zgrid) for n in range(length + 1)]
     assert toeplitz.khrushchev_check(chain, range(length + 1), pair, zgrid) == max(singles)
+
+
+def khrushchev_reference(chain, n, pair, zs):
+    """The composition residual at one split, from the per-chain evaluators."""
+    phi_full = snode.lft(toeplitz.dirac_frame(chain), pair, zs)
+    phi_tail = snode.lft(toeplitz.dirac_frame(chain.shifted(n)), pair, zs)
+    Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
+    composed = snode.lft_stack(toeplitz.frame_toeplitz(chain.head(n), n, zs), -1j * phi_tail, Ip, zs)
+    return float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 8), st.floats(0.0, 1.0))
+def test_khrushchev_equals_the_per_split_reference(seed, p, length, where):
+    rng = np.random.default_rng(seed)
+    rhos = [sampling.random_contraction(rng, p) for _ in range(length)]
+    chain = toeplitz.chain_from_contractions(rhos) if rhos else toeplitz.DiracChain(p=p, C=(), rho=())
+    pair = sampling.random_constant_pair(rng, p)
+    zgrid = sampling.random_upper_points(rng, 7)
+    split = round(where * length)
+    reference = khrushchev_reference(chain, split, pair, zgrid)
+    assert toeplitz.khrushchev_check(chain, split, pair, zgrid) == reference
+
+
+def test_khrushchev_makes_two_lft_calls(rng, unit_pair, monkeypatch):
+    calls = []
+    original = toeplitz.lft_stack
+    monkeypatch.setattr(toeplitz, "lft_stack", lambda *args: calls.append(1) or original(*args))
+    rhos = [sampling.random_contraction(rng, 1) for _ in range(6)]
+    toeplitz.khrushchev_check(rhos, range(7), unit_pair, sampling.random_upper_points(rng, 9))
+    # one call for every tail Weyl function, one for every composition
+    assert len(calls) <= 2
+
+
+def test_khrushchev_pole_at_minus_2i(rng, unit_pair):
+    rhos = [sampling.random_contraction(rng, 1) for _ in range(3)]
+    zgrid = np.array([1.0 + 1.0j, -2.0j, 0.5j])
+    with pytest.raises(PoleAtZ, match="pole at -2i"):
+        toeplitz.khrushchev_check(rhos, range(4), unit_pair, zgrid)
 
 
 def test_nesting_pullback_keeps_property_j(rng, unit_pair):
