@@ -19,7 +19,6 @@ from .errors import (
     NotInUpperHalfPlane,
     QuadratureNotConverged,
     SingularF,
-    SingularOnGrid,
     SzegoViolated,
     Unsupported,
 )
@@ -347,8 +346,7 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     else:
         Re, Qe = extremal_pair(frm, lam).constant_value
         for pair in pairs:
-            R, Q = pair.constant_value if pair.is_constant else (None, None)
-            if R is None or np.max(np.abs(R - Re)) + np.max(np.abs(Q - Qe)) > 1e-9 * (
+            if np.max(np.abs(pair.R - Re)) + np.max(np.abs(pair.Q - Qe)) > 1e-9 * (
                 1.0 + float(np.max(np.abs(Re)))
             ):
                 raise Unsupported("matrix case is supported for the extremal pair only")
@@ -481,58 +479,6 @@ def minkowski_det_margin(B1, B2):
 
     margin = (root_det(B1 + B2) - root_det(B1) - root_det(B2))[..., 0]
     return margin if margin.ndim else float(margin)
-
-
-# points per sampled ring, and the growth exponent kappa of log M(r) / r^kappa
-_RING_ANGLES = 64
-_GROWTH_KAPPA = 0.5
-
-
-@dataclass(frozen=True)
-class ResolventGrowth:
-    radii: tuple
-    ring_sup: tuple       # sup of ||(I - zA)^{-1}|| on each sampled ring
-    running_sup: tuple    # cumulative sup up to each radius
-    log_ratio: tuple      # log(running_sup) / r^kappa, a grid lower bound
-
-    @property
-    def appears_bounded(self) -> bool:
-        lr = np.asarray(self.log_ratio)
-        if lr.size < 2:
-            return True
-        still_growing = lr[-1] > lr[-2] + 1e-9 and int(np.argmax(lr)) == lr.size - 1
-        return not still_growing
-
-
-def resolvent_growth(node: SNode, r_grid) -> ResolventGrowth:
-    """Sampled growth of ||(I - zA)^{-1}|| on rings |z| = r.
-
-    The sup over a finite grid is a lower bound of the true sup; the
-    boundedness verdict for log M(r)/r^kappa is a diagnostic, nothing more.
-    Raises :class:`SingularOnGrid` (with the offending point) when a sampled
-    z makes I - zA singular.
-    """
-    rotations = np.exp(2j * np.pi * np.arange(_RING_ANGLES) / _RING_ANGLES)
-    ring_sup = []
-    running = []
-    best = 0.0
-    for r in r_grid:
-        zs = r * rotations
-        sv = np.linalg.svd(np.eye(node.m) - zs[:, None, None] * node.A, compute_uv=False)
-        bad = np.flatnonzero(sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0))
-        if bad.size:
-            raise SingularOnGrid(zs[bad[0]])
-        worst = float(np.max(1.0 / sv[:, -1]))
-        ring_sup.append(worst)
-        best = max(best, worst)
-        running.append(best)
-    log_ratio = tuple(float(np.log(mv) / r**_GROWTH_KAPPA) for mv, r in zip(running, r_grid))
-    return ResolventGrowth(
-        radii=tuple(float(r) for r in r_grid),
-        ring_sup=tuple(ring_sup),
-        running_sup=tuple(running),
-        log_ratio=log_ratio,
-    )
 
 
 @dataclass(frozen=True)

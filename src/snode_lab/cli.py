@@ -77,17 +77,16 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 def _param_complex(sc: Scenario, key: str, default) -> complex:
     """Scenario parameter ``key``: a point of the open upper half-plane, given
-    as a finite number or a [re, im] pair (JSON booleans are not numbers)."""
+    as a finite number or a [re, im] pair of them (JSON strings and booleans
+    are not numbers)."""
     value = sc.params.get(key, default)
-    pair = isinstance(value, (list, tuple))
+    parts = value if isinstance(value, (list, tuple)) else [value, 0.0]
+    if len(parts) != 2 or any(type(part) not in (int, float) for part in parts):
+        raise BadInput(f"{sc.command}: {key} must be a number or a [re, im] pair, got {value!r}")
     try:
-        if any(isinstance(part, bool) for part in (value if pair else [value])):
-            raise TypeError("a boolean is not a number")
-        out = serialization.complex_from_json(value) if pair else complex(value)
-    except (TypeError, ValueError):
-        raise BadInput(
-            f"{sc.command}: {key} must be a number or a [re, im] pair, got {value!r}"
-        ) from None
+        out = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an integer beyond the float range
+        out = complex(np.inf)
     if not np.isfinite(out):
         raise BadInput(f"{sc.command}: {key} must be finite, got {value!r}")
     if out.imag <= 0.0:
@@ -95,9 +94,8 @@ def _param_complex(sc: Scenario, key: str, default) -> complex:
     return out
 
 
-# integer parameters that count something, so must be at least 1 (a
-# max_order below 1 is rejected by the Hankel spec it sizes)
-_COUNTS = frozenset({"p", "length", "count", "pairs", "sweep"})
+# integer parameters that count something, so must be at least 1
+_COUNTS = frozenset({"p", "length", "count", "pairs", "sweep", "max_order"})
 
 
 def _as_int(command: str, key: str, value) -> int:

@@ -101,14 +101,6 @@ class SzegoViolated(SnodeLabError):
     pass
 
 
-class SingularOnGrid(SnodeLabError):
-    """A sampled grid point made I - zA singular; carries the point."""
-
-    def __init__(self, z: complex, message: str | None = None):
-        self.z = complex(z)
-        super().__init__(message or f"I - zA is singular at sampled z = {z}")
-
-
 class Unsupported(SnodeLabError):
     pass
 

@@ -33,7 +33,7 @@ from .errors import (
     PoleAtLambda,
     Unsupported,
 )
-from .snode import Frame, ParamPair, SNode, as_frame, lft, stieltjes_density
+from .snode import Frame, ParamPair, SNode, as_frame, lft
 
 
 @dataclass(frozen=True)
@@ -246,62 +246,49 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
 def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     """Boundary density of the Weyl function of a node (or frame) and pair.
 
-    Constant pairs evaluate directly on the axis (the frames in use are
-    J-unitary there) and carry an exact log-determinant,
+    It is evaluated directly on the axis (the frames in use are J-unitary
+    there) and carries an exact log-determinant,
 
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
 
     with F(t) = Frm21(t) R + Frm22(t) Q, which stays numerically meaningful
     at any |t| (the direct imaginary part does not); both evaluate the frame
-    on chunks of at most :data:`matcore.CHUNK` points.  Function pairs
-    go through :func:`snode.stieltjes_density` point by point.
+    on chunks of at most :data:`matcore.CHUNK` points.
     """
     frm = as_frame(node_or_frame)
     p = frm.p
+    R, Q = pair.R, pair.Q
+    jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
+    log_num = float(np.linalg.slogdet(jform)[1])
 
-    if pair.is_constant:
-        R, Q = pair.constant_value
-        jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
-        log_num = float(np.linalg.slogdet(jform)[1])
+    def denominators(ts):
+        frames = frm(np.asarray(ts, dtype=complex))
+        return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
 
-        def denominators(ts):
-            frames = frm(np.asarray(ts, dtype=complex))
-            return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
+    def values(ts):
+        Finv = np.linalg.inv(denominators(ts))
+        return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
 
-        def values(ts):
-            Finv = np.linalg.inv(denominators(ts))
-            return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
-
-        def log_dets(ts):
-            return log_num - 2.0 * np.linalg.slogdet(denominators(ts))[1]
-
-        def fn(ts):
-            return matcore.in_chunks(values, np.asarray(ts, dtype=float))
-
-        def log_det(ts):
-            return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
-
-        breaks = _denominator_break_points(frm, denominators)
-        return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
-
-    def phi(z):
-        return lft(frm, pair, z)
+    def log_dets(ts):
+        return log_num - 2.0 * np.linalg.slogdet(denominators(ts))[1]
 
     def fn(ts):
-        return np.stack([stieltjes_density(phi, float(t)) for t in np.asarray(ts, dtype=float)])
+        return matcore.in_chunks(values, np.asarray(ts, dtype=float))
 
-    return DensityFn("weyl", fn, p=p)
+    def log_det(ts):
+        return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
+
+    breaks = _denominator_break_points(frm, denominators)
+    return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
 
 
-def _denominator_break_points(frm, denominators) -> tuple:
+def _denominator_break_points(frm: Frame, denominators) -> tuple:
     """Real parts of the near-axis zeros of det F, F the LFT denominator.
 
     The frame metadata clears the rational denominators of det F into a
     polynomial, whose roots close to the axis locate the narrow Lorentzian
     features of the boundary density.
     """
-    if frm.pole_clear is None or frm.clear_degree is None:
-        return ()
     deg = frm.clear_degree
     span = 3.0 + deg
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span

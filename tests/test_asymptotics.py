@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from snode_lab import asymptotics, densities, hankel, quadrature, sampling, snode, toeplitz
-from snode_lab.errors import NotInUpperHalfPlane, SingularOnGrid, SzegoViolated, Unsupported
+from snode_lab.errors import NotInUpperHalfPlane, SzegoViolated, Unsupported
 
 
 @pytest.fixture(scope="module")
@@ -337,26 +337,6 @@ def test_lemmas_on_stacks_equal_single_calls(rng, p):
     assert list(margins) == [asymptotics.minkowski_det_margin(b1, b2) for b1, b2 in zip(B1, B2)]
     assert list(flags) == [asymptotics.det_strict_lemma(a, b) for a, b in zip(A, B)]
     assert all(flags)
-
-
-def test_resolvent_growth_zero_matrix():
-    node = snode.SNode(p=1, A=np.zeros((1, 1)), S=np.eye(1), Phi1=np.zeros((1, 1)), Phi2=np.eye(1))
-    report = asymptotics.resolvent_growth(node, [0.5, 1, 2, 4])
-    assert all(v == pytest.approx(1.0) for v in report.running_sup)
-    assert report.appears_bounded
-
-
-def test_resolvent_growth_nilpotent_bounded(hankel_102):
-    _, node = hankel_102
-    report = asymptotics.resolvent_growth(node, [0.5, 1, 2, 4, 8, 16, 32, 64])
-    assert report.appears_bounded
-
-
-def test_resolvent_growth_detects_toeplitz_pole(toeplitz_unit):
-    _, node = toeplitz_unit
-    with pytest.raises(SingularOnGrid) as err:
-        asymptotics.resolvent_growth(node, [1.0, 2.0, 3.0])
-    assert err.value.z == pytest.approx(-2j, abs=1e-9)
 
 
 def _oscillating_family(k):

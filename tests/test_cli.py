@@ -87,7 +87,7 @@ def test_asymptotics_max_order_0_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "blocks H_0" in capsys.readouterr().err
+    assert "asymptotics: max_order must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_asymptotics_toeplitz_family(tmp_path):
@@ -373,6 +373,15 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("asymptotics", {"lambda": True}, "lambda must be a number or a [re, im] pair, got True"),
         ("entropy", {"lambda": [0, True]}, "lambda must be a number or a [re, im] pair, got [0, True]"),
         ("ball", {"z": True}, "z must be a number or a [re, im] pair, got True"),
+        ("ball", {"z": "1j"}, "z must be a number or a [re, im] pair, got '1j'"),
+        ("ball", {"z": ["0", "1"]}, "z must be a number or a [re, im] pair, got ['0', '1']"),
+        ("ball", {"z": [0, 10**400]}, "z must be finite, got [0, 100000000000"),
+        ("asymptotics", {"family": "hankel", "max_order": 0}, "max_order must be at least 1, got 0"),
+        (
+            "asymptotics",
+            {"family": "toeplitz", "spec": str(cli.bundled_spec_path("toeplitz_n1.json")), "max_order": 0},
+            "max_order must be at least 1, got 0",
+        ),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):
