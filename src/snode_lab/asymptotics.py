@@ -152,12 +152,11 @@ def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientF
 # ---------------------------------------------------------------------------
 # entropy integrals and the outer modulus
 
-# nodes per graded panel of every log-determinant line integral (checked on
-# the pair (24, 48)), their agreement tolerance, and the node cap of the
-# doubling ladder of a log-determinant integral over a finite interval
-_LOG_PANEL = 24
+# node budget of every log-determinant integral (the pair (24, 48) per graded
+# panel on the line, a ladder capped at 512 on a finite interval) and their
+# agreement tolerance
+_LOG_QUAD = 512
 _LOG_TOL = 1e-7
-_LOG_INTERVAL_CAP = 512
 
 
 def entropy_integral(
@@ -170,12 +169,11 @@ def entropy_integral(
     on a set of positive measure inside (a, b).
 
     ``f`` must be continuous, bounded and positive (identity weight by
-    default).  The full line uses the tan substitution with Gauss-Legendre
-    panels graded toward the infinite ends, so log- and sqrt-type growth of
+    default).  :func:`quadrature.integrate_with_check` picks the rule for
+    (a, b) at the budget :data:`_LOG_QUAD`: on the full line its panels
+    grade toward the infinite ends, so log- and sqrt-type growth of
     ln det P is integrated accurately; a finite (a, b) is cut at the breaks
-    of P and climbs the doubling ladder capped at 512 nodes per piece.  The
-    doubled-node agreement check guards the rest.  A half-infinite (a, b)
-    raises :class:`Unsupported`.
+    of P.  A half-infinite (a, b) raises :class:`Unsupported`.
     """
     weight = (lambda t: np.ones_like(t)) if f is None else f
 
@@ -186,24 +184,9 @@ def entropy_integral(
 
     integrand = _weighted_log_det(P, weight)
     try:
-        if np.isinf(a) and np.isinf(b):
-            value = quadrature.integrate_with_check(
-                lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
-                integrand,
-                (_LOG_PANEL, 2 * _LOG_PANEL),
-                _LOG_TOL,
-                what="entropy integral",
-            )
-        elif np.isfinite(a) and np.isfinite(b):
-            value = quadrature.integrate_with_check(
-                lambda fn, n: quadrature.integrate_interval(fn, a, b, n, breaks=P.breaks),
-                integrand,
-                quadrature._ladder(_LOG_INTERVAL_CAP),
-                _LOG_TOL,
-                what="entropy integral",
-            )
-        else:
-            raise Unsupported("the range must be the full line or a finite interval")
+        value = quadrature.integrate_with_check(
+            integrand, (a, b), P.breaks, _LOG_QUAD, _LOG_TOL, "entropy integral"
+        )
     except _VanishingDensity:
         return -np.inf
     return float(value)
@@ -252,11 +235,7 @@ def outer_modulus(P_or_Ps, lam: complex):
     w = poisson_weight(lam)
 
     norm = quadrature.integrate_with_check(
-        lambda fn, n: quadrature.integrate_line_graded(fn, n),
-        lambda ts: w(ts),
-        (_LOG_PANEL, 2 * _LOG_PANEL),
-        1e-10,
-        what="poisson normalization",
+        w, (-np.inf, np.inf), (), _LOG_QUAD, 1e-10, "poisson normalization"
     )
     if abs(norm - np.pi) > 1e-9:
         raise QuadratureNotConverged(f"poisson normalization {norm!r} != pi")
@@ -274,11 +253,7 @@ def outer_modulus(P_or_Ps, lam: complex):
 
         try:
             value = quadrature.integrate_with_check(
-                lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=P.breaks),
-                integrand,
-                (_LOG_PANEL, 2 * _LOG_PANEL),
-                _LOG_TOL,
-                what="outer modulus integral",
+                integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
             )
         except _VanishingDensity:
             raise SzegoViolated("density vanishes on a set of positive measure")

@@ -62,6 +62,16 @@ class BadInput(Exception):
     pass
 
 
+def _write_text(command: str, path: Path, text: str) -> None:
+    """Write an output file, creating its directory; a path that cannot be
+    written is bad input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise BadInput(f"{command}: cannot write {path}: {exc}") from exc
+
+
 def _load_spec(path, cls):
     data = _load_json(path)
     try:
@@ -328,12 +338,12 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
         reference = density
     elif family == "toeplitz":
         if sc.spec_path is None:
-            raise BadInput("toeplitz family needs --spec")
+            raise BadInput(f"{sc.command}: spec must be given for family 'toeplitz', got None")
         spec = _load_spec(sc.spec_path, toeplitz.ToeplitzSpec)
         seq = asymptotics.toeplitz_family(spec, range(1, min(max_order, spec.n) + 1))
         reference = None
     else:
-        raise BadInput(f"unknown family {family!r}")
+        raise BadInput(f"{sc.command}: family must be 'hankel' or 'toeplitz', got {family!r}")
 
     embed = asymptotics.nested_embed_check(seq)
     checks.append(_check("nesting compressions", "As1", embed, 1e-12))
@@ -398,12 +408,7 @@ def export_csv(rows: list[dict], path: Path, p: int) -> None:
         cells.append("" if row["gap"] is None else _fmt17(row["gap"]))
         cells.append(_fmt17(row["cond"]))
         lines.append(",".join(cells))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        from .errors import IoError
-
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_text("asymptotics", path, "\n".join(lines) + "\n")
 
 
 def _run_demo_appendix_b(sc: Scenario, rng: np.random.Generator):
@@ -480,15 +485,14 @@ _HANDLERS = {
 def run_scenario(sc: Scenario) -> tuple[int, Path]:
     """Execute a scenario; returns (exit code, report path)."""
     if sc.command not in _HANDLERS:
-        raise BadInput(f"unknown command {sc.command!r}")
+        known = ", ".join(sorted(_HANDLERS))
+        raise BadInput(f"{sc.command}: command must be one of {known}, got {sc.command!r}")
     if sc.spec_path is not None and not Path(sc.spec_path).exists():
-        raise BadInput(f"spec file {sc.spec_path} does not exist")
-    if sc.grid < 1 or sc.quad < 8:
-        raise BadInput("grid must be >= 1 and quad >= 8")
-    if sc.seed < 0:
-        raise BadInput("seed must be a nonnegative integer")
+        raise BadInput(f"{sc.command}: spec must name an existing file, got {sc.spec_path!r}")
+    for key, value, least in (("grid", sc.grid, 1), ("quad", sc.quad, 8), ("seed", sc.seed, 0)):
+        if value < least:
+            raise BadInput(f"{sc.command}: {key} must be at least {least}, got {value!r}")
     out_dir = Path(sc.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(sc.seed)
     try:
         tol_scale = matcore.tolerance_scale()
@@ -507,7 +511,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
     }
     report.update(extra)
     report_path = out_dir / f"report_{sc.command}.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(sc.command, report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if not report["passed"]:
         failing = ", ".join(f"{c['tag']} ({c['name']})" for c in checks if not c["passed"])
         print(f"{sc.command}: failed checks: {failing}", file=sys.stderr)
@@ -515,9 +519,8 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
         p = len(report["trajectory"][0]["rho_inv"]) if report["trajectory"] else 1
         export_csv(report["trajectory"], out_dir / "trajectory.csv", p)
     if sc.command == "ball":
-        (out_dir / "ball.json").write_text(
-            json.dumps(report["ball"], indent=2, sort_keys=True) + "\n"
-        )
+        ball_text = json.dumps(report["ball"], indent=2, sort_keys=True) + "\n"
+        _write_text(sc.command, out_dir / "ball.json", ball_text)
     return (0 if report["passed"] else 1), report_path
 
 
@@ -536,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--quad",
         type=int,
         default=None,
-        help="quadrature nodes (default 2048): moments on a bounded support double from 16 "
-        "nodes per piece between the density's breaks up to this cap; "
-        "full-line ones use max(24, quad // 64) nodes per panel",
+        help="quadrature node budget (default 2048): moments on a bounded support double "
+        "from 16 nodes per piece between the density's breaks up to this cap; "
+        "full-line ones put a 64th of it, at least 24, on each graded panel",
     )
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")

@@ -115,7 +115,3 @@ class ExtractionNotConverged(SnodeLabError):
 
 class NotConverged(SnodeLabError):
     pass
-
-
-class IoError(SnodeLabError):
-    pass

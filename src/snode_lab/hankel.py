@@ -189,13 +189,10 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     yield one order at a time, and the rule reduces each as it comes, so one
     order's stack over the nodes is alive at a time.  Each order has its own
     doubled-node convergence check; the first order, in the given sequence,
-    that fails raises.  Densities with bounded support
-    integrate on the support interval cut at their declared breaks, so every
-    piece is smooth, and the rules climb a doubling ladder of nodes per
-    piece capped at ``quad``.  Full-line densities integrate via the tan
-    substitution (graded panels around any breaks and toward the infinite
-    ends) with m = max(24, quad // 64) and then 2m nodes per panel; there
-    each order must also be absolutely integrable: the smooth majorant
+    that fails raises.  The rule follows from the density's support and
+    ``quad`` (see :func:`quadrature.integrate_with_check`), cut or graded at
+    the density's breaks.  On the full line each order must also be
+    absolutely integrable: the smooth majorant
     (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)| gets its own check,
     ahead of the order's value, so a divergent moment raises naming the
     lowest divergent order.  No orders give an empty (0, p, p) stack.
@@ -206,39 +203,26 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
 
     names = [f"moment {k}" for k in ks]
     if density.bounded_support:
-        a, b = density.support
 
         def integrand(ts):
             values = density(ts)
             return (ts[:, None, None] ** k * values for k in ks)
 
-        def on_interval(fn, n):
-            return quadrature.integrate_interval(fn, a, b, n, breaks=density.breaks)
-
-        blocks = quadrature.integrate_with_check(
-            on_interval, integrand, quadrature._ladder(quad), 1e-8, what=names
-        )
     else:
 
-        def on_line(fn, n):
-            return quadrature.integrate_line_graded(fn, n, breaks=density.breaks)
-
-        def with_majorants(ts):
+        def integrand(ts):
             values = density(ts)
             trace = np.trace(values, axis1=1, axis2=2).real
             for k in ks:
                 yield (1.0 + ts * ts) ** (k / 2) * trace
                 yield ts[:, None, None] ** k * values
 
-        m = max(24, quad // 64)
-        checked = quadrature.integrate_with_check(
-            on_line,
-            with_majorants,
-            (m, 2 * m),
-            1e-8,
-            what=[item for name in names for item in (f"{name} absolute", name)],
-        )
-        blocks = checked[1::2]
+        names = [item for name in names for item in (f"{name} absolute", name)]
+    blocks = quadrature.integrate_with_check(
+        integrand, density.support, density.breaks, quad, 1e-8, names
+    )
+    if not density.bounded_support:
+        blocks = blocks[1::2]
     out = np.stack([matcore.hermitian_part(b) for b in blocks])
     return out[0] if np.ndim(orders) == 0 else out
 

@@ -17,9 +17,11 @@ axis matches its nodes, or an iterable of such arrays (a list, or a
 generator that yields them), one per integral; those are reduced item by
 item, as they come, and the rule returns a list.
 
-Every caller is expected to run the doubled-node agreement check via
-:func:`integrate_with_check`: bounded integrals on the doubling ladder
-:func:`_ladder` (every piece is smooth), graded ones on the pair (n, 2n).
+Integrals are taken through :func:`integrate_with_check`.  It is given
+the range and a node budget ``quad``, never a rule or node counts; it
+picks the rule itself and returns only a value that passed the doubled-node
+agreement check, so the check is enforced by the API, not by a convention
+its callers follow.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
+from .errors import QuadratureNotConverged, Unsupported
 
 
 @lru_cache(maxsize=64)
@@ -112,7 +114,7 @@ def _graded_rule(n: int, breaks):
     return t, np.concatenate(ws) * (1.0 + t * t)
 
 
-def integrate_line_graded(fn, n: int = 24, breaks=()):
+def integrate_line_graded(fn, n: int, breaks=()):
     """Integral of fn over the line; graded tan-substitution composite GL.
 
     The theta axis (-pi/2, pi/2) is cut at the images of ``breaks`` (points
@@ -142,9 +144,15 @@ def _ladder(cap: int) -> list[int]:
     return [*sizes, cap, 2 * cap]
 
 
-def integrate_with_check(integrator, fn, sizes, rel_tol: float, what="integral"):
-    """Run ``integrator(fn, m)`` for the node counts m in ``sizes``, in order,
-    and accept the first two consecutive counts whose values agree.
+def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="integral"):
+    """Integral of ``fn`` over ``support``, cut or graded at ``breaks``,
+    accepted at the first two consecutive rules whose values agree.
+
+    A bounded ``(a, b)`` runs :func:`integrate_interval` with the node
+    counts of :func:`_ladder` ``(quad)`` in turn; the full line
+    ``(-inf, inf)`` runs :func:`integrate_line_graded` with m and then 2m
+    nodes per panel, m = max(24, quad // 64).  Any other range raises
+    :class:`Unsupported`.
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
@@ -155,13 +163,29 @@ def integrate_with_check(integrator, fn, sizes, rel_tol: float, what="integral")
     Raises :class:`QuadratureNotConverged` for the first integral, in list
     order, whose values still disagree at the last two counts.
     """
-    coarse = integrator(fn, sizes[0])
+    a, b = support
+    if np.isfinite(a) and np.isfinite(b):
+        sizes = _ladder(quad)
+
+        def rule(n):
+            return integrate_interval(fn, a, b, n, breaks=breaks)
+
+    elif a == -np.inf and b == np.inf:
+        m = max(24, quad // 64)
+        sizes = (m, 2 * m)
+
+        def rule(n):
+            return integrate_line_graded(fn, n, breaks=breaks)
+
+    else:
+        raise Unsupported("the range must be the full line or a finite interval")
+    coarse = rule(sizes[0])
     many = isinstance(coarse, list)
     coarse = coarse if many else [coarse]
     names = [what] * len(coarse) if isinstance(what, str) else list(what)
     accepted = [None] * len(coarse)
-    for m in sizes[1:]:
-        fine = integrator(fn, m)
+    for n in sizes[1:]:
+        fine = rule(n)
         fine = fine if many else [fine]
         failures = []
         for i, (c, f) in enumerate(zip(coarse, fine)):

@@ -362,8 +362,9 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
                 + i (Phi2 theta + F gamma^{1/2}),
 
     where A F = Phi2 gamma^{1/2}, and returns (||S - S~||, ||Phi1 - Phi1~||).
-    The integrals use the graded line rule around the density's breaks, with
-    max(24, quad // 64) nodes per panel, as full-line moments do.
+    The integrals run over the full line around the density's breaks, on
+    the rule that :func:`quadrature.integrate_with_check` picks for ``quad``,
+    as full-line moments do.
     Requires A invertible; raises :class:`Unsupported` otherwise.
     """
     m, p = node.m, node.p
@@ -390,13 +391,8 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
             [s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1
         )
 
-    per_panel = max(24, quad // 64)
     flat = quadrature.integrate_with_check(
-        lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=density.breaks),
-        pieces,
-        (per_panel, 2 * per_panel),
-        1e-8,
-        what="interpolation integrals",
+        pieces, (-np.inf, np.inf), density.breaks, quad, 1e-8, "interpolation integrals"
     )
     S_mu = flat[: m * m].reshape(m, m)
     Phi1_mu = flat[m * m :].reshape(m, p)

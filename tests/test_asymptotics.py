@@ -417,9 +417,9 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
     names = []
     original = quadrature.integrate_with_check
 
-    def counted(integrator, fn, n, rel_tol, what="integral", **kwargs):
+    def counted(fn, support, breaks, quad, rel_tol, what="integral"):
         names.append(what)
-        return original(integrator, fn, n, rel_tol, what=what, **kwargs)
+        return original(fn, support, breaks, quad, rel_tol, what)
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
     assert asymptotics.outer_modulus(dens, lam) == singles

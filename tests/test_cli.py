@@ -231,9 +231,9 @@ def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
     names = []
     original = quadrature.integrate_with_check
 
-    def counted(integrator, fn, n, rel_tol, what="integral", **kwargs):
+    def counted(fn, support, breaks, quad, rel_tol, what="integral"):
         names.append(what)
-        return original(integrator, fn, n, rel_tol, what=what, **kwargs)
+        return original(fn, support, breaks, quad, rel_tol, what)
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
     assert run(["entropy", "--out", str(tmp_path)]) == 0
@@ -382,6 +382,13 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
             {"family": "toeplitz", "spec": str(cli.bundled_spec_path("toeplitz_n1.json")), "max_order": 0},
             "max_order must be at least 1, got 0",
         ),
+        ("asymptotics", {"family": 3}, "family must be 'hankel' or 'toeplitz', got 3"),
+        ("asymptotics", {"family": "toeplitz"}, "spec must be given for family 'toeplitz', got None"),
+        ("ball", {"grid": 0}, "grid must be at least 1, got 0"),
+        ("asymptotics", {"quad": 4}, "quad must be at least 8, got 4"),
+        ("entropy", {"seed": -3}, "seed must be at least 0, got -3"),
+        ("verify-hankel", {"spec": "missing.json"}, "spec must name an existing file, got 'missing.json'"),
+        ("nope", {}, "command must be one of asymptotics, ball, demo-appendixB, entropy, "),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):
@@ -390,6 +397,23 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, mes
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("ball", "report_ball.json"), ("ball", "ball.json"), ("asymptotics", "trajectory.csv"), ("ball", None)],
+)
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked):
+    out = tmp_path / "out"
+    if blocked is None:
+        # --out names an existing file, not a directory
+        out.write_text("a file")
+        target = out / f"report_{command}.json"
+    else:
+        target = out / blocked
+        target.mkdir(parents=True)
+    assert run([command, "--out", str(out), "--grid", "4", "--csv"]) == 2
+    assert f"error: {command}: cannot write {target}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("data, kind", [([{"command": "entropy"}], "list"), (7, "int")])

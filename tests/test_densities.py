@@ -43,7 +43,8 @@ def test_integrate_with_check_raises_on_drift():
     rng = np.random.default_rng(0)
     noisy = lambda t: 1.0 / (1.0 + t * t) + 1e-3 * rng.standard_normal(t.shape)
     with pytest.raises(QuadratureNotConverged):
-        quadrature.integrate_with_check(quadrature.integrate_line_graded, noisy, (64, 128), 1e-10)
+        # a budget of 64 * 64 runs the line rule on the pair (64, 128)
+        quadrature.integrate_with_check(noisy, (-np.inf, np.inf), (), 64 * 64, 1e-10)
 
 
 def test_complex_matrix_json_roundtrip():

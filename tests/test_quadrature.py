@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snode_lab import densities, hankel, matcore, quadrature, snode
-from snode_lab.errors import QuadratureNotConverged
+from snode_lab.errors import QuadratureNotConverged, Unsupported
 
 
 def graded_per_panel(fn, n, levels=54, breaks=()):
@@ -73,12 +73,7 @@ def test_graded_rule_calls_integrand_once():
     quadrature.integrate_line_graded(counting, 24, breaks=(0.0, 1.0))
     assert len(calls) == 1
     calls.clear()
-    quadrature.integrate_with_check(
-        lambda fn, n: quadrature.integrate_line_graded(fn, n, breaks=(0.0,)),
-        counting,
-        (24, 48),
-        1e-8,
-    )
+    quadrature.integrate_with_check(counting, (-np.inf, np.inf), (0.0,), 512, 1e-8)
     assert len(calls) == 2
 
 
@@ -100,24 +95,49 @@ def test_uniform_moments_on_the_ladder(monkeypatch, support):
 
 @pytest.mark.parametrize(
     "cap, tried",
-    [(256, [16, 32, 64, 128, 256, 512]), (100, [16, 32, 64, 100, 200]), (8, [8, 16])],
+    [
+        (256, [16, 32, 64, 128, 256, 512]),
+        (100, [16, 32, 64, 100, 200]),
+        (8, [8, 16]),
+        (512, [16, 32, 64, 128, 256, 512, 1024]),
+        (2048, [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]),
+        (4096, [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]),
+    ],
 )
-def test_ladder_that_never_converges_raises_at_the_cap(cap, tried):
-    sizes = []
+def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
+    """The range picks the rule: a bounded one climbs the ladder up to
+    (cap, 2 cap), the full line runs (m, 2m) with m = max(24, cap // 64),
+    and a half-infinite one is refused.  The rules are stubs that record
+    their node counts and return them, so no two rungs agree and no
+    8192-node rule is built."""
+    seen = {"interval": [], "line": []}
 
-    def on_interval(fn, n):
-        sizes.append(n)
-        return quadrature.integrate_interval(fn, 0.0, 1.0, n)
+    def on_interval(fn, a, b, n, breaks=()):
+        assert (a, b, breaks) == (0.0, 1.0, (0.5,))
+        seen["interval"].append(n)
+        return float(n)
 
+    def on_line(fn, n, breaks=()):
+        assert breaks == (0.5,)
+        seen["line"].append(n)
+        return float(n)
+
+    monkeypatch.setattr(quadrature, "integrate_interval", on_interval)
+    monkeypatch.setattr(quadrature, "integrate_line_graded", on_line)
     rough = lambda t: np.cos(1e4 * t)
     with pytest.raises(QuadratureNotConverged) as info:
-        quadrature.integrate_with_check(
-            on_interval, rough, quadrature._ladder(cap), 1e-10, what="rough"
-        )
-    assert sizes == tried
-    coarse = quadrature.integrate_interval(rough, 0.0, 1.0, cap)
-    fine = quadrature.integrate_interval(rough, 0.0, 1.0, 2 * cap)
-    assert str(info.value).startswith(f"rough: doubled-node drift {abs(fine - coarse):.3e} ")
+        quadrature.integrate_with_check(rough, (0.0, 1.0), (0.5,), cap, 1e-10, what="rough")
+    assert seen["interval"] == tried
+    # the message names the drift of the last two rungs, cap and 2 cap
+    assert str(info.value).startswith(f"rough: doubled-node drift {float(cap):.3e} ")
+    m = max(24, cap // 64)
+    with pytest.raises(QuadratureNotConverged):
+        quadrature.integrate_with_check(rough, (-np.inf, np.inf), (0.5,), cap, 1e-10)
+    assert seen["line"] == [m, 2 * m]
+    for support in ((-np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(Unsupported, match="the range must be the full line or a finite interval"):
+            quadrature.integrate_with_check(rough, support, (0.5,), cap, 1e-10)
+    assert len(seen["interval"]) == len(tried) and len(seen["line"]) == 2
 
 
 @pytest.mark.parametrize(
