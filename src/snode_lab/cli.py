@@ -50,12 +50,13 @@ def _check(name: str, tag: str, value: float, tol: float, passed: bool | None = 
     return {"name": name, "tag": tag, "value": value, "tol": float(tol), "passed": ok}
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path, what: str) -> dict:
+    """JSON content of the file ``path``; ``what`` names it in the error."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise BadInput(f"cannot read {path}: {exc}") from exc
+        raise BadInput(f"{what} {path} cannot be read: {exc}") from exc
 
 
 class BadInput(Exception):
@@ -72,12 +73,12 @@ def _write_text(command: str, path: Path, text: str) -> None:
         raise BadInput(f"{command}: cannot write {path}: {exc}") from exc
 
 
-def _load_spec(path, cls):
-    data = _load_json(path)
+def _load_spec(command: str, path, cls):
+    data = _load_json(path, f"{command}: spec")
     try:
         return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise BadInput(f"malformed spec {path}: {exc!r}") from exc
+        raise BadInput(f"{command}: spec {path} is malformed: {exc!r}") from exc
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def _factor_product_gap(factors: list, node: snode.SNode, lams: np.ndarray) -> f
 
 def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("toeplitz_n1.json")
-    spec = _load_spec(spec_path, toeplitz.ToeplitzSpec)
+    spec = _load_spec(sc.command, spec_path, toeplitz.ToeplitzSpec)
     node = toeplitz.build_toeplitz_node(spec)
     checks = []
     extra = {"spec": spec.to_json()}
@@ -188,7 +189,7 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
 
 def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
-    spec = _load_spec(spec_path, hankel.HankelSpec)
+    spec = _load_spec(sc.command, spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
     checks = []
     extra = {"spec": spec.to_json()}
@@ -244,7 +245,7 @@ def _run_khrushchev(sc: Scenario, rng: np.random.Generator):
 
 def _run_ball(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
-    spec = _load_spec(spec_path, hankel.HankelSpec)
+    spec = _load_spec(sc.command, spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
     z = _param_complex(sc, "z", [0.0, 1.0])
     ball = snode.matrix_ball(node, z)
@@ -279,7 +280,7 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
 
 def _run_entropy(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
-    spec = _load_spec(spec_path, hankel.HankelSpec)
+    spec = _load_spec(sc.command, spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
     frm = hankel.hankel_frame(node)
     lam = _param_complex(sc, "lambda", [0.0, 1.0])
@@ -339,7 +340,7 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
     elif family == "toeplitz":
         if sc.spec_path is None:
             raise BadInput(f"{sc.command}: spec must be given for family 'toeplitz', got None")
-        spec = _load_spec(sc.spec_path, toeplitz.ToeplitzSpec)
+        spec = _load_spec(sc.command, sc.spec_path, toeplitz.ToeplitzSpec)
         seq = asymptotics.toeplitz_family(spec, range(1, min(max_order, spec.n) + 1))
         reference = None
     else:
@@ -556,7 +557,7 @@ def scenario_from_args(args) -> Scenario:
     data: dict = {}
     params: dict = {}
     if args.scenario:
-        data = _load_json(args.scenario)
+        data = _load_json(args.scenario, "scenario")
         if not isinstance(data, dict):
             raise BadInput(f"scenario {args.scenario} must hold a JSON object, got {type(data).__name__}")
         params = {

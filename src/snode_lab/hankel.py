@@ -31,6 +31,7 @@ from .errors import (
     ExtractionNotConverged,
     IndexOutOfRange,
     PoleAtLambda,
+    SingularDenominator,
     Unsupported,
 )
 from .snode import Frame, ParamPair, SNode, as_frame, lft
@@ -98,6 +99,19 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
     return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
+def _horner(coefs, const: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """const - i sum_{j<n} z^{j+1} coefs[j] at every point of the 1-d array
+    zs, by Horner: a stack of matrices shaped like const."""
+    w = zs[:, None, None]
+    acc = coefs[-1] * w
+    for C in coefs[-2::-1]:
+        acc += C
+        acc *= w
+    acc *= -1j
+    acc += const
+    return acc
+
+
 def hankel_frame(node: SNode) -> Frame:
     """Frame of a block Hankel node as the matrix polynomial
 
@@ -111,9 +125,18 @@ def hankel_frame(node: SNode) -> Frame:
     coefficients come once from the node's cached S^{-1} Pi, and the product
     by J is the same column-block swap.  Since det(I - z A*) = 1, the
     singular-resolvent guard of :func:`snode.frame` can never fire for this
-    node, and this evaluator has none; ``pole_clear`` is 1 and det F of an
-    LFT denominator F = Frm21 R + Frm22 Q has degree at most p n.  Raises
-    :class:`Unsupported` for a node whose (A*)^n S^{-1} Pi is not zero.
+    node, and this evaluator has none; ``pole_clear`` is 1.
+
+    The LFT denominator of a constant pair is itself a p x p matrix
+    polynomial of degree n,
+
+        F(t) = Frm21(t) R + Frm22(t) Q = Q - i sum_{j<n} t^{j+1} D_j,
+        D_j = (lower block row of C_j) [R; Q],
+
+    so ``Frame.denominator`` evaluates it by the same Horner loop on the
+    D_j, computed once per pair, without forming the 2p x 2p frame; det F
+    has degree at most p n.  Raises :class:`Unsupported` for a node whose
+    (A*)^n S^{-1} Pi is not zero.
     """
     p = node.p
     n = node.m // p
@@ -129,21 +152,18 @@ def hankel_frame(node: SNode) -> Frame:
         raise Unsupported("the frame is a polynomial only for a nilpotent A, as in a Hankel node")
     eye = np.eye(2 * p, dtype=complex)
 
-    def horner(zs):
-        w = zs[:, None, None]
-        acc = coefs[-1] * w
-        for C in coefs[-2::-1]:
-            acc += C
-            acc *= w
-        acc *= -1j
-        acc += eye
-        return acc
-
     def fn(z_or_zs):
-        out = matcore.in_chunks(horner, matcore.as_points(z_or_zs))
+        out = matcore.in_chunks(lambda zs: _horner(coefs, eye, zs), matcore.as_points(z_or_zs))
         return out if np.ndim(z_or_zs) else out[0]
 
-    return Frame(p=p, fn=fn, pole_clear=lambda ts: 1.0, clear_degree=p * n)
+    def make_denominator(R, Q):
+        RQ = np.concatenate((R, Q))
+        lower = [C[p:] @ RQ for C in coefs]
+        return lambda ts: _horner(lower, Q, np.asarray(ts))
+
+    return Frame(
+        p=p, fn=fn, pole_clear=lambda ts: 1.0, clear_degree=p * n, make_denominator=make_denominator
+    )
 
 
 @dataclass(frozen=True)
@@ -228,33 +248,47 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
 
 
 def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
-    """Boundary density of the Weyl function of a node (or frame) and pair.
+    """Boundary density of the Weyl function of a node (or frame) and pair,
 
+        mu'(t) = F(t)^{-*} jform F(t)^{-1},   jform = (R*Q + Q*R) / (2 pi),
+
+    with the p x p LFT denominator F(t) = Frm21(t) R + Frm22(t) Q from
+    :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel frame).
     It is evaluated directly on the axis (the frames in use are J-unitary
-    there) and carries an exact log-determinant,
+    there); at p = 1 it is jform / |F|^2.  It carries an exact
+    log-determinant,
 
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
 
-    with F(t) = Frm21(t) R + Frm22(t) Q, which stays numerically meaningful
-    at any |t| (the direct imaginary part does not); both evaluate the frame
-    on chunks of at most :data:`matcore.CHUNK` points.
+    which stays numerically meaningful at any |t| (the direct imaginary part
+    does not) and is +inf where F is exactly singular.  Both evaluate F on
+    chunks of at most :data:`matcore.CHUNK` points; the values raise
+    :class:`SingularDenominator` naming the first point where F is singular
+    to working precision.
     """
     frm = as_frame(node_or_frame)
     p = frm.p
     R, Q = pair.R, pair.Q
     jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
     log_num = float(np.linalg.slogdet(jform)[1])
-
-    def denominators(ts):
-        frames = frm(np.asarray(ts, dtype=complex))
-        return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
+    denominators = frm.denominator(R, Q)
 
     def values(ts):
-        Finv = np.linalg.inv(denominators(ts))
+        F = denominators(ts)
+        if p == 1:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out = jform / (F.real * F.real + F.imag * F.imag)
+            _raise_at_first(~np.isfinite(out[:, 0, 0]), ts)
+            return out
+        try:
+            Finv = np.linalg.inv(F)
+        except np.linalg.LinAlgError:
+            _raise_at_first(np.isneginf(matcore.log_abs_det(F)), ts)
+            raise
         return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
 
     def log_dets(ts):
-        return log_num - 2.0 * np.linalg.slogdet(denominators(ts))[1]
+        return log_num - 2.0 * matcore.log_abs_det(denominators(ts))
 
     def fn(ts):
         return matcore.in_chunks(values, np.asarray(ts, dtype=float))
@@ -266,8 +300,16 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
 
 
+def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
+    """Raise :class:`SingularDenominator` at the first point flagged."""
+    bad = np.flatnonzero(singular)
+    if bad.size:
+        raise SingularDenominator(ts[bad[0]])
+
+
 def _denominator_break_points(frm: Frame, denominators) -> tuple:
-    """Real parts of the near-axis zeros of det F, F the LFT denominator.
+    """Real parts of the near-axis zeros of det F, F the LFT denominator
+    evaluated by ``denominators``.
 
     The frame metadata clears the rational denominators of det F into a
     polynomial, whose roots close to the axis locate the narrow Lorentzian

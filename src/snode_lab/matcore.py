@@ -158,6 +158,16 @@ def min_eig_hermitian(M) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(M))[0])
 
 
+def log_abs_det(stack: np.ndarray) -> np.ndarray:
+    """ln|det M| of every matrix M of an (N, p, p) stack, -inf where M is
+    exactly singular; at p = 1 it is ln|M| elementwise, with no LAPACK call
+    and no warning at a zero."""
+    if stack.shape[-1] == 1:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(stack[:, 0, 0]))
+    return np.linalg.slogdet(stack)[1]
+
+
 @dataclass(frozen=True)
 class HermPD:
     """A Hermitian positive-definite matrix, or a stack of them, together with

@@ -166,21 +166,40 @@ def _frame_stack(node: SNode, zs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Frame:
     """Evaluation closure z -> 2p x 2p frame matrix (a 1-d array of points
-    gives a stack of them) with block accessors.
+    gives a stack of them) with block accessors, and the p x p LFT
+    denominator F = Frm21 R + Frm22 Q of a constant pair.
 
     ``pole_clear``/``clear_degree`` describe the rational structure of the
     lower frame blocks: multiplying det(F21 R + F22 Q) by ``pole_clear(t)``
     yields a polynomial in t of degree at most ``clear_degree``, which lets
     density code locate its spikes exactly.
+
+    ``make_denominator(R, Q)``, when given, returns an evaluator of F that
+    never forms the frame (a Hankel frame's F is a p x p matrix polynomial);
+    by default F is taken from the lower block row of the frame.
     """
 
     p: int
     fn: Callable[..., np.ndarray]
     pole_clear: Callable
     clear_degree: int
+    make_denominator: Callable | None = None
 
     def __call__(self, z_or_zs) -> np.ndarray:
         return self.fn(z_or_zs)
+
+    def denominator(self, R: np.ndarray, Q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluator ts -> (N, p, p) stack of F(t) = Frm21(t) R + Frm22(t) Q
+        over a 1-d array of points."""
+        if self.make_denominator is not None:
+            return self.make_denominator(R, Q)
+        p = self.p
+
+        def denominators(ts):
+            frames = self.fn(np.asarray(ts, dtype=complex))
+            return frames[:, p:, :p] @ R + frames[:, p:, p:] @ Q
+
+        return denominators
 
     def blocks(self, z: complex):
         return matcore.blocks2x2(self.fn(z), self.p)

@@ -141,6 +141,8 @@ def test_invalid_spec_payload_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"p": 1}')
     assert run(["verify-toeplitz", "--spec", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: verify-toeplitz: spec {bad} is malformed: KeyError('n')")
 
 
 def test_no_command_exits_2(capsys):
@@ -389,6 +391,12 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("entropy", {"seed": -3}, "seed must be at least 0, got -3"),
         ("verify-hankel", {"spec": "missing.json"}, "spec must name an existing file, got 'missing.json'"),
         ("nope", {}, "command must be one of asymptotics, ball, demo-appendixB, entropy, "),
+        pytest.param(
+            "verify-toeplitz",
+            {"spec": str(cli.bundled_spec_path("toeplitz_n1.json").parent)},
+            f"spec {cli.bundled_spec_path('toeplitz_n1.json').parent} cannot be read: ",
+            id="verify-toeplitz-spec-is-a-directory",
+        ),
     ],
 )
 def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, message):

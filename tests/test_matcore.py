@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ def test_stacked_guards_name_the_first_failing_matrix(helper, bad, error, messag
     stack = np.stack([np.eye(2), 2.0 * np.eye(2), bad, bad])
     with pytest.raises(error, match=f"^matrix 2 of the stack: .*{re.escape(message)}"):
         helper(stack)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_log_abs_det_is_minus_inf_at_an_exact_zero_without_a_warning(p):
+    rng = np.random.default_rng(p)
+    stack = rng.standard_normal((6, p, p)) + 1j * rng.standard_normal((6, p, p))
+    stack[[1, 4], 0] = 0.0  # a zero row: exactly singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = matcore.log_abs_det(stack)
+    assert got.shape == (6,)
+    assert np.array_equal(np.isneginf(got), np.isin(np.arange(6), [1, 4]))
+    assert_allclose(got, np.linalg.slogdet(stack)[1], rtol=1e-14, atol=1e-14)
 
 
 def test_inv_hpd_roundtrip(rng):
