@@ -210,13 +210,28 @@ def _weighted_log_det(P: DensityFn, weight: Callable[[np.ndarray], np.ndarray]):
 
 
 def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> Im(lam) / |t - lam|^2 (integrates to pi over the line)."""
-    im = float(np.imag(lam))
+    """t -> Im(lam) / |t - lam|^2 (integrates to pi over the line), in real
+    arithmetic for real t."""
+    re, im = float(np.real(lam)), float(np.imag(lam))
 
     def w(ts):
-        return im / np.abs(ts - lam) ** 2
+        return im / ((ts - re) ** 2 + im * im)
 
     return w
+
+
+def poisson_normalization(lam: complex) -> float:
+    """The Poisson normalization integral of Im(lam)/|t-lam|^2 over the
+    line, as accepted by the doubled-node check; raises
+    :class:`QuadratureNotConverged` unless it is pi to 1e-9."""
+    if np.imag(lam) <= 0.0:
+        raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
+    norm = quadrature.integrate_with_check(
+        poisson_weight(lam), (-np.inf, np.inf), (), _LOG_QUAD, 1e-10, "poisson normalization"
+    )
+    if abs(norm - np.pi) > 1e-9:
+        raise QuadratureNotConverged(f"poisson normalization {norm!r} != pi")
+    return float(norm)
 
 
 def outer_modulus(P_or_Ps, lam: complex):
@@ -226,22 +241,19 @@ def outer_modulus(P_or_Ps, lam: complex):
     ``P_or_Ps`` is one density, giving one float, or a sequence of them,
     giving a list; each density is integrated on the graded rule of its own
     breaks.
-    Verifies the Poisson normalization integral Im(lam)/|t-lam|^2 dt = pi
-    to 1e-9 once per call, and raises :class:`SzegoViolated` when a log-det
-    integral diverges to -inf.
+    Verifies the :func:`poisson_normalization` once per call, and raises
+    :class:`SzegoViolated` when a log-det integral diverges to -inf.
     """
-    if np.imag(lam) <= 0.0:
-        raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
-    w = poisson_weight(lam)
-
-    norm = quadrature.integrate_with_check(
-        w, (-np.inf, np.inf), (), _LOG_QUAD, 1e-10, "poisson normalization"
-    )
-    if abs(norm - np.pi) > 1e-9:
-        raise QuadratureNotConverged(f"poisson normalization {norm!r} != pi")
-
+    poisson_normalization(lam)
     single = isinstance(P_or_Ps, DensityFn)
-    Ps = [P_or_Ps] if single else list(P_or_Ps)
+    moduli = _outer_moduli([P_or_Ps] if single else list(P_or_Ps), lam)
+    return moduli[0] if single else moduli
+
+
+def _outer_moduli(Ps, lam: complex) -> list:
+    """The outer moduli of :func:`outer_modulus`, without its normalization
+    check."""
+    w = poisson_weight(lam)
     moduli = []
     for P in Ps:
 
@@ -260,7 +272,7 @@ def outer_modulus(P_or_Ps, lam: complex):
         if not np.isfinite(value):
             raise SzegoViolated("log-determinant integral diverges")
         moduli.append(float(np.exp(value / (2.0 * np.pi))))
-    return moduli[0] if single else moduli
+    return moduli
 
 
 def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
@@ -284,10 +296,13 @@ def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntropyBound:
-    """lhs = 2 pi G(lam)* G(lam) against rhs = rho(lam, conj lam)^{-1}."""
+    """lhs = 2 pi G(lam)* G(lam) against rhs = rho(lam, conj lam)^{-1};
+    ``normalization`` is the :func:`poisson_normalization` at lam that the
+    check accepted."""
 
     lhs: np.ndarray
     rhs: np.ndarray
+    normalization: float
 
     @property
     def slack(self) -> float:
@@ -301,7 +316,8 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
 
     ``pair_or_pairs`` is one :class:`ParamPair`, giving one
     :class:`EntropyBound`, or a sequence of them, giving a list; ``rhs`` and
-    the Poisson normalization are computed once per call.  The frame must
+    the Poisson normalization, which every bound carries, are computed once
+    per call.  The frame must
     be holomorphic across the closed upper half-plane for the
     outer-function representation behind the bound (Hankel nodes and
     coefficient-chain frames qualify; the generic frame of a Toeplitz node
@@ -316,7 +332,9 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     if frm.p == 1:
-        moduli = outer_modulus([weyl_density(frm, pair) for pair in pairs], lam)
+        dens = [weyl_density(frm, pair) for pair in pairs]
+        norm = poisson_normalization(lam)
+        moduli = _outer_moduli(dens, lam)
         lhss = [np.array([[2.0 * np.pi * m**2]], dtype=complex) for m in moduli]
     else:
         Re, Qe = extremal_pair(frm, lam).constant_value
@@ -325,9 +343,10 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
                 1.0 + float(np.max(np.abs(Re)))
             ):
                 raise Unsupported("matrix case is supported for the extremal pair only")
+        norm = poisson_normalization(lam)
         G = gmu_extremal(frm, lam, lam)
         lhss = [matcore.hermitian_part(2.0 * np.pi * G.conj().T @ G)] * len(pairs)
-    bounds = [EntropyBound(lhs=lhs, rhs=rhs) for lhs in lhss]
+    bounds = [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm) for lhs in lhss]
     return bounds[0] if single else bounds
 
 

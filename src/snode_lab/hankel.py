@@ -20,6 +20,8 @@ quadrature of t^k against the boundary density of phi.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +234,8 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
 
         def integrand(ts):
             values = density(ts)
-            trace = np.trace(values, axis1=1, axis2=2).real
+            diagonal = (values[:, i, i].real for i in range(density.p))
+            trace = functools.reduce(operator.add, diagonal)
             for k in ks:
                 yield (1.0 + ts * ts) ** (k / 2) * trace
                 yield ts[:, None, None] ** k * values
@@ -255,7 +258,9 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     with the p x p LFT denominator F(t) = Frm21(t) R + Frm22(t) Q from
     :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel frame).
     It is evaluated directly on the axis (the frames in use are J-unitary
-    there); at p = 1 it is jform / |F|^2.  It carries an exact
+    there).  At p <= 2 it is adj(F)* jform adj(F) / |det F|^2, formed
+    entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2);
+    above, F is inverted by LAPACK.  It carries an exact
     log-determinant,
 
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
@@ -275,17 +280,26 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
 
     def values(ts):
         F = denominators(ts)
-        if p == 1:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                out = jform / (F.real * F.real + F.imag * F.imag)
-            _raise_at_first(~np.isfinite(out[:, 0, 0]), ts)
-            return out
-        try:
-            Finv = np.linalg.inv(F)
-        except np.linalg.LinAlgError:
-            _raise_at_first(np.isneginf(matcore.log_abs_det(F)), ts)
-            raise
-        return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
+        if p > 2:
+            try:
+                Finv = np.linalg.inv(F)
+            except np.linalg.LinAlgError:
+                _raise_at_first(np.isneginf(matcore.log_abs_det(F)), ts)
+                raise
+            return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
+        # adj* (jform adj) / |det F|^2 from the (N,) entry arrays
+        idx = range(p)
+        out = np.empty((ts.size, p, p), dtype=complex)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            adj, det = matcore.adjugate(F)
+            T = [[_dot(jform[k], [adj[l][j] for l in idx]) for j in idx] for k in idx]
+            adj_h = [[np.conj(adj[k][i]) for k in idx] for i in idx]
+            abs_det2 = det.real * det.real + det.imag * det.imag
+            for i in idx:
+                for j in idx:
+                    out[:, i, j] = _dot(adj_h[i], [T[k][j] for k in idx]) / abs_det2
+        _raise_at_first(~np.isfinite(out).all(axis=(1, 2)), ts)
+        return out
 
     def log_dets(ts):
         return log_num - 2.0 * matcore.log_abs_det(denominators(ts))
@@ -298,6 +312,12 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
 
     breaks = _denominator_break_points(frm, denominators)
     return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
+
+
+def _dot(xs, ys):
+    """xs[0] ys[0] + xs[1] ys[1] + ..., added left to right; one term is
+    returned as it is."""
+    return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:

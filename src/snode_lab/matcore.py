@@ -158,14 +158,27 @@ def min_eig_hermitian(M) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(M))[0])
 
 
+def adjugate(stack: np.ndarray):
+    """``(adj, det)`` of every matrix M of an (N, p, p) stack at p <= 2,
+    entry by entry, with M^{-1} = adj / det: ``adj[i][j]`` is an (N,) array
+    (the number 1 at p = 1) and ``det`` the (N,) array M at p = 1 and
+    ad - bc at p = 2.  No LAPACK call; for 2 x 2 matrices this explicit
+    inverse is forward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed. 2002, sec. 1.10.1)."""
+    if stack.shape[-1] == 1:
+        return [[1.0]], stack[:, 0, 0]
+    a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
 def log_abs_det(stack: np.ndarray) -> np.ndarray:
     """ln|det M| of every matrix M of an (N, p, p) stack, -inf where M is
-    exactly singular; at p = 1 it is ln|M| elementwise, with no LAPACK call
-    and no warning at a zero."""
-    if stack.shape[-1] == 1:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(stack[:, 0, 0]))
-    return np.linalg.slogdet(stack)[1]
+    exactly singular; at p <= 2 it is ln|det| of the :func:`adjugate`
+    determinant, with no LAPACK call and no warning at a zero."""
+    if stack.shape[-1] > 2:
+        return np.linalg.slogdet(stack)[1]
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(adjugate(stack)[1]))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,15 @@ def test_poisson_normalization_random_points(rng):
         lam = complex(rng.uniform(-4, 4), rng.uniform(0.2, 3.0))
         value = integrate_line_graded(asymptotics.poisson_weight(lam), 24)
         assert abs(value - np.pi) <= 1e-9
+        assert abs(asymptotics.poisson_normalization(lam) - np.pi) <= 1e-9
+
+
+def test_poisson_weight_in_real_arithmetic_matches_the_complex_form(rng):
+    ts = np.concatenate([rng.standard_cauchy(1000), [0.0, 1e19, -1e19]])
+    for lam in (1j, 0.3 + 1.7j, -40.0 + 1e-3j, 1e6 + 1e4j):
+        want = np.imag(lam) / np.abs(ts - lam) ** 2
+        # each form rounds a few times: they agree to a few ulps
+        assert_allclose(asymptotics.poisson_weight(lam)(ts), want, rtol=1e-15, atol=0.0)
 
 
 def test_outer_modulus_agrees_with_extremal_factor(hankel_unit):

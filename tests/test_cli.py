@@ -245,6 +245,23 @@ def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
     assert names.count("outer modulus integral") == 12
 
 
+def test_entropy_on_the_bundled_p2_spec_reads_the_accepted_normalization(tmp_path, monkeypatch):
+    from snode_lab import asymptotics
+
+    accepted = []
+    original = asymptotics.poisson_normalization
+    monkeypatch.setattr(
+        asymptotics, "poisson_normalization", lambda lam: accepted.append(original(lam)) or accepted[-1]
+    )
+    spec = cli.bundled_spec_path("hankel_p2.json")
+    assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_entropy.json").read_text())
+    (row,) = [check for check in report["checks"] if check["tag"] == "As33"]
+    # one normalization per run, and the row reads the value the check accepted
+    assert len(accepted) == 1
+    assert row["passed"] and row["value"] == abs(accepted[0] - np.pi)
+
+
 def test_asymptotics_computes_rho_twice_per_order(tmp_path, monkeypatch):
     from snode_lab import asymptotics
 

@@ -240,10 +240,9 @@ def test_weyl_density_names_the_first_singular_denominator(p):
     with pytest.raises(SingularDenominator) as info:
         density(ts)
     assert info.value.z == 0.5
-    if p == 1:
-        with pytest.raises(SingularDenominator) as info:
-            density(np.array([1.0, 3.0, 0.5]))
-        assert info.value.z == 3.0
+    with pytest.raises(SingularDenominator) as info:
+        density(np.array([1.0, 3.0, 0.5]))
+    assert info.value.z == 3.0
     # ln|det F| is -inf there, so ln det mu' is +inf: not finite, which the
     # entropy integrands report as a density that is not log-integrable
     with warnings.catch_warnings():
@@ -296,6 +295,74 @@ def test_hankel_denominator_is_as_accurate_as_the_frame_path(p, n):
     # other's in about 1 random case in 80
     eps = np.finfo(float).eps
     assert np.mean(np.abs(new - want)) <= 2.0 * np.mean(np.abs(old - want)) + 4.0 * eps
+
+
+def _weyl_case(p, n, seed):
+    """A Hankel frame, a random constant pair (R, Q) and its jform."""
+    rng = np.random.default_rng(seed)
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    R, Q = sampling.random_constant_pair(rng, p).constant_value
+    jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
+    return node, R, Q, jform, rng.standard_cauchy(12)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
+    import mpmath
+
+    node, R, Q, jform, ts = _weyl_case(2, n, 200 + n)
+    frm = hankel.hankel_frame(node)
+    new = hankel.weyl_density(frm, snode.ParamPair.constant(R, Q))(ts)
+    Finv = np.linalg.inv(frm.denominator(R, Q)(ts))
+    old = np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
+    with mpmath.workdps(40):
+        Rm, Qm, RQ = (mpmath.matrix(M.tolist()) for M in (R, Q, np.vstack((R, Q))))
+        jform_mp = (Rm.H * Qm + Qm.H * Rm) / (2 * mpmath.pi)
+        want = []
+        for F in _frames_mp40(node, ts):
+            Finv_mp = mpmath.inverse(F[2:, :] * RQ)
+            want.append(np.array((Finv_mp.H * jform_mp * Finv_mp).tolist(), dtype=complex))
+    want = np.array(want)
+
+    def errors(got):
+        return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+
+    # compared in the mean over the points, as the denominators are
+    eps = np.finfo(float).eps
+    assert np.mean(errors(new)) <= 2.0 * np.mean(errors(old)) + 4.0 * eps
+
+
+def test_p1_density_is_bitwise_jform_over_abs_f_squared():
+    node, R, Q, jform, ts = _weyl_case(1, 3, 31)
+    frm = hankel.hankel_frame(node)
+    density = hankel.weyl_density(frm, snode.ParamPair.constant(R, Q))
+    F = frm.denominator(R, Q)(ts)
+    want = jform / (F.real * F.real + F.imag * F.imag)
+    assert density(ts).tobytes() == want.tobytes()
+    log_abs = np.log(np.abs(F[:, 0, 0]))
+    assert matcore.log_abs_det(F).tobytes() == log_abs.tobytes()
+    want_log = float(np.linalg.slogdet(jform)[1]) - 2.0 * log_abs
+    assert density.log_det_at(ts).tobytes() == want_log.tobytes()
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_moment_majorant_is_bitwise_the_trace(monkeypatch, p):
+    from snode_lab import quadrature
+
+    node, R, Q, _, ts = _weyl_case(p, 2, 40 + p)
+    density = hankel.weyl_density(hankel.hankel_frame(node), snode.ParamPair.constant(R, Q))
+    seen = []
+
+    def keep_integrand(fn, *args):
+        seen.append(fn)
+        return [np.zeros((p, p))] * 6  # majorant and moment of 3 orders
+
+    monkeypatch.setattr(quadrature, "integrate_with_check", keep_integrand)
+    hankel.moments_from_density(density, range(3))
+    items = list(seen[0](ts))
+    trace = np.trace(density(ts), axis1=1, axis2=2).real
+    for k in range(3):
+        assert items[2 * k].tobytes() == ((1.0 + ts * ts) ** (k / 2) * trace).tobytes()
 
 
 _FRAME_POINTS = np.array([0.0, 1e19, -1e19, 0.3, -2.5, 40.0, 1j, 0.5 + 0.2j, -3.0 + 2.0j, 1e3 + 1e2j])

@@ -133,6 +133,28 @@ def test_log_abs_det_is_minus_inf_at_an_exact_zero_without_a_warning(p):
     assert_allclose(got, np.linalg.slogdet(stack)[1], rtol=1e-14, atol=1e-14)
 
 
+def test_log_abs_det_at_p2_agrees_with_slogdet_to_the_conditioning():
+    rng = np.random.default_rng(22)
+    # condition numbers from 1 to about 1e12
+    U = np.linalg.qr(rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2)))[0]
+    sv = np.stack([np.ones(200), 10.0 ** -rng.uniform(0.0, 12.0, 200)], axis=1)
+    stack = 10.0 ** rng.uniform(-3.0, 3.0, (200, 1, 1)) * (U * sv[:, None, :]) @ V
+    got = matcore.log_abs_det(stack)
+    want = np.linalg.slogdet(stack)[1]
+    # ad - bc and the LU determinant each carry a relative error of a few
+    # eps cond (|ad| + |bc| <= 2 sigma_1^2 = 2 cond |det| for 2 x 2); 50
+    # such draws reach 7.6 eps cond
+    cond = np.linalg.cond(stack)
+    assert np.all(np.abs(got - want) <= 16.0 * np.finfo(float).eps * cond)
+    adj, det = matcore.adjugate(stack)
+    inv = np.stack([np.stack(row, axis=-1) for row in adj], axis=-2) / det[:, None, None]
+    assert np.all(
+        np.linalg.norm(inv - np.linalg.inv(stack), axis=(1, 2))
+        <= 8.0 * np.finfo(float).eps * cond * np.linalg.norm(inv, axis=(1, 2))
+    )
+
+
 def test_inv_hpd_roundtrip(rng):
     M = random_hpd(7, 4)
     assert_allclose(matcore.inv_hpd(M) @ M, np.eye(4), atol=1e-12)
