@@ -511,16 +511,18 @@ def limit_inequality_demo(
     ks = _DEMO_KS
 
     def weighted_logdet(P: DensityFn, k: int) -> float:
-        # composite GL, 8 nodes on panels fine enough for oscillation at
-        # frequency ~ k
+        # composite GL on panels fine enough for oscillation at frequency
+        # ~ k, also cut at the breaks of P, accepted where 8 and 16 nodes
+        # per panel agree
         panels = max(64, int(4 * k * (b - a) / (2.0 * np.pi)))
-        cuts = np.linspace(a, b, panels + 1)[1:-1]
+        cuts = (*np.linspace(a, b, panels + 1)[1:-1], *P.breaks)
 
         integrand = _weighted_log_det(P, weight)
         try:
-            return float(quadrature.integrate_interval(integrand, a, b, 8, breaks=cuts))
+            value = quadrature.integrate_with_check(integrand, (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
         except _VanishingDensity:
             return -np.inf
+        return float(value)
 
     integrals = tuple(weighted_logdet(p_seq(k), k) for k in ks)
     limsup_estimate = max(integrals[-3:])

@@ -259,8 +259,10 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel frame).
     It is evaluated directly on the axis (the frames in use are J-unitary
     there).  At p <= 2 it is adj(F)* jform adj(F) / |det F|^2, formed
-    entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2);
-    above, F is inverted by LAPACK.  It carries an exact
+    entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2)
+    of F scaled by :func:`matcore.power_of_two_scale`, so that entries of F
+    past 1e154 do not overflow it; above, F is inverted by LAPACK.  It
+    carries an exact
     log-determinant,
 
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
@@ -287,17 +289,14 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
                 _raise_at_first(np.isneginf(matcore.log_abs_det(F)), ts)
                 raise
             return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
-        # adj* (jform adj) / |det F|^2 from the (N,) entry arrays
-        idx = range(p)
-        out = np.empty((ts.size, p, p), dtype=complex)
+        # adj* (jform adj) / |det F|^2 from the (N,) entry arrays of s F,
+        # times s^2: the density is homogeneous of degree -2 in F
+        s = matcore.power_of_two_scale(F)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            adj, det = matcore.adjugate(F)
-            T = [[_dot(jform[k], [adj[l][j] for l in idx]) for j in idx] for k in idx]
-            adj_h = [[np.conj(adj[k][i]) for k in idx] for i in idx]
+            adj, det = matcore.adjugate(F * s[:, None, None])
             abs_det2 = det.real * det.real + det.imag * det.imag
-            for i in idx:
-                for j in idx:
-                    out[:, i, j] = _dot(adj_h[i], [T[k][j] for k in idx]) / abs_det2
+            rows = matcore.entry_product(matcore.entry_adjoint(adj), matcore.entry_product(jform, adj))
+            out = matcore.from_entries(rows, ts.size) / abs_det2[:, None, None] * (s * s)[:, None, None]
         _raise_at_first(~np.isfinite(out).all(axis=(1, 2)), ts)
         return out
 
@@ -312,12 +311,6 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
 
     breaks = _denominator_break_points(frm, denominators)
     return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
-
-
-def _dot(xs, ys):
-    """xs[0] ys[0] + xs[1] ys[1] + ..., added left to right; one term is
-    returned as it is."""
-    return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:

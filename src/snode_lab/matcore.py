@@ -8,14 +8,17 @@ favours determinism and clarity over asymptotic speed.  The Hermitian,
 Cholesky, inverse, square-root and spectral-norm helpers take one matrix
 or a stack of them along the first axis, treat each matrix on its own (so
 a stack's values are bitwise those of one call per matrix), and name the
-first matrix of a stack that fails a guard.
+first matrix of a stack that fails a guard.  At p <= 2 the adjugate, the
+extreme singular values and the extreme Hermitian eigenvalues are closed
+forms over the (N,) entry arrays of a stack, with no LAPACK call.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -149,8 +152,78 @@ def frobenius(M) -> float:
 
 
 def spectral_norm(M):
-    """Largest singular value; one per matrix of a stack."""
-    return np.linalg.norm(np.asarray(M, dtype=complex), 2, axis=(-2, -1))
+    """Largest singular value, from :func:`singular_extremes`; one per matrix
+    of a stack."""
+    M = np.asarray(M, dtype=complex)
+    return singular_extremes(M.reshape(-1, *M.shape[-2:]))[1].reshape(M.shape[:-2])[()]
+
+
+def singular_extremes(stack: np.ndarray):
+    """``(sigma_min, sigma_max)``, (N,) arrays of the smallest and largest
+    singular value of every matrix of an (N, p, p) stack.
+
+    Above p = 2 they come from LAPACK's SVD; at p <= 2 from closed forms
+    with no LAPACK call.  At p = 2 one QR step, with the longer column
+    first, takes M = [[a, b], [c, d]] to a triangle [[f, g], [0, h]] with
+    the same singular values:
+
+        f = max(|(a, c)|, |(b, d)|),  g = |conj(a) b + conj(c) d| / f,
+        h = |ad - bc| / f,
+
+    whose singular values are those of LAPACK's dlas2 (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11, 1990), with hypot doing its scaling:
+
+        sigma_max = (hypot(f + h, g) + hypot(f - h, g)) / 2,
+        sigma_min = f h / sigma_max.
+
+    Neither subtracts, so on the triangle both are accurate to a few eps
+    relative; forming g and h adds a few eps sigma_max, so sigma_min is
+    accurate to a few eps sigma_max, as LAPACK's is.  The textbook
+    ``sigma^2 = (s +- sqrt(s^2 - 4 |det|^2)) / 2`` (s the squared Frobenius
+    norm) loses half the digits of both where they are close: a scaled
+    unitary reads 1 + 1e-8.
+    """
+    p = stack.shape[-1]
+    if stack.shape[-2] != p:
+        raise DimensionMismatch(f"square matrices required, got shape {stack.shape}")
+    if p > 2:
+        sv = np.linalg.svd(stack, compute_uv=False)
+        return sv[:, -1], sv[:, 0]
+    if p == 1:
+        sv = np.abs(stack[:, 0, 0])
+        return sv, sv
+    a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+    f = np.maximum(np.hypot(np.abs(a), np.abs(c)), np.hypot(np.abs(b), np.abs(d)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.abs(np.conj(a) * b + np.conj(c) * d) / f
+        h = np.abs(a * d - b * c) / f
+        smax = (np.hypot(f + h, g) + np.hypot(f - h, g)) / 2.0
+        smin = f / smax * h
+    zero = f == 0.0  # the zero matrix
+    return np.where(zero, 0.0, smin), np.where(zero, 0.0, smax)
+
+
+def hermitian_extremes(stack: np.ndarray):
+    """``(lambda_min, lambda_max)``, (N,) arrays of the smallest and largest
+    eigenvalue of every matrix of an (N, p, p) stack of Hermitian matrices,
+    read from the diagonal and the lower triangle as ``eigvalsh`` reads
+    them.
+
+    Above p = 2 they come from LAPACK's ``eigvalsh``; at p <= 2 from the
+    closed form ``(a + d)/2 -+ hypot((a - d)/2, |c|)`` of [[a, *], [c, d]],
+    with no LAPACK call: each is accurate to a few eps max |lambda|.
+    """
+    p = stack.shape[-1]
+    if p > 2:
+        w = np.linalg.eigvalsh(stack)
+        return w[:, 0], w[:, -1]
+    a = stack[:, 0, 0].real
+    if p == 1:
+        return a, a
+    d = stack[:, 1, 1].real
+    mean = a / 2.0 + d / 2.0
+    radius = np.hypot(a / 2.0 - d / 2.0, np.abs(stack[:, 1, 0]))
+    return mean - radius, mean + radius
 
 
 def min_eig_hermitian(M) -> float:
@@ -171,14 +244,73 @@ def adjugate(stack: np.ndarray):
     return [[d, -b], [-c, a]], a * d - b * c
 
 
+def power_of_two_scale(stack: np.ndarray) -> np.ndarray:
+    """Powers of two s, one per matrix of an (N, m, n) stack, that bring the
+    largest entry modulus of ``s[k] * stack[k]`` into [1/2, 1) (s = 1 for a
+    zero matrix, and at most 2**1023).
+
+    Multiplying by a power of two is exact, so a formula homogeneous of
+    degree k in the entries, evaluated on ``s * stack`` and multiplied by
+    ``s**-k``, gives bitwise its direct value wherever nothing overflows or
+    underflows, and a finite value where only the direct one overflows.
+    """
+    peak = reduce(np.maximum, np.abs(stack).reshape(len(stack), -1).T)
+    return np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1023))
+
+
+def entries(stack: np.ndarray) -> list:
+    """The entries of an (N, m, n) stack as nested lists of (N,) arrays:
+    ``entries(stack)[i][j]`` is ``stack[:, i, j]``."""
+    return [[stack[:, i, j] for j in range(stack.shape[2])] for i in range(stack.shape[1])]
+
+
+def from_entries(rows, size: int) -> np.ndarray:
+    """The (size, m, n) complex stack whose entry (i, j) is ``rows[i][j]``,
+    an (size,) array or a number."""
+    out = np.empty((size, len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[:, i, j] = entry
+    return out
+
+
+def entry_adjoint(A) -> list:
+    """The conjugate transpose of A, given by its entries (nested lists; an
+    entry is an array over the points or a number)."""
+    return [[np.conj(row[j]) for row in A] for j in range(len(A[0]))]
+
+
+def entry_product(A, B) -> list:
+    """The matrix product of A and B, each given by its entries (nested
+    lists or a 2-d array; an entry is an array over the points or a number):
+    entry (i, j) is ``A[i][0] B[0][j] + A[i][1] B[1][j] + ...``, added left
+    to right."""
+    inner = range(len(B))
+    return [[_dot(row, [B[k][j] for k in inner]) for j in range(len(B[0]))] for row in A]
+
+
+def _dot(xs, ys):
+    """xs[0] ys[0] + xs[1] ys[1] + ..., added left to right; one term is
+    returned as it is."""
+    return reduce(operator.add, map(operator.mul, xs, ys))
+
+
 def log_abs_det(stack: np.ndarray) -> np.ndarray:
     """ln|det M| of every matrix M of an (N, p, p) stack, -inf where M is
     exactly singular; at p <= 2 it is ln|det| of the :func:`adjugate`
-    determinant, with no LAPACK call and no warning at a zero."""
-    if stack.shape[-1] > 2:
+    determinant, with no LAPACK call and no warning at a zero.  At p = 2,
+    where ad - bc overflows or underflows though M does not, it is taken of
+    the matrix scaled by :func:`power_of_two_scale`, less 2 ln s."""
+    p = stack.shape[-1]
+    if p > 2:
         return np.linalg.slogdet(stack)[1]
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(adjugate(stack)[1]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.log(np.abs(adjugate(stack)[1]))
+        redo = np.flatnonzero(~np.isfinite(out)) if p == 2 else []
+        if len(redo):
+            s = power_of_two_scale(stack[redo])
+            out[redo] = np.log(np.abs(adjugate(stack[redo] * s[:, None, None])[1])) - 2.0 * np.log(s)
+    return out
 
 
 @dataclass(frozen=True)

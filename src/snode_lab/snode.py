@@ -111,11 +111,6 @@ def identity_residual(node: SNode) -> float:
     return matcore.frobenius(gap)
 
 
-def verify_identity(node: SNode) -> float:
-    """Relative identity residual ||A S - S A* - i Pi J Pi*|| / (1 + ||S||)."""
-    return identity_residual(node) / (1.0 + matcore.frobenius(node.S))
-
-
 def _solve_checked(M: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Solve the stack M[k] X[k] = rhs; raise SingularResolvent(zs[k]) at the
     first k where M[k] is singular to working precision: its determinant and
@@ -309,7 +304,47 @@ def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np
     Raises :class:`InvalidPair` where R*R + Q*Q is degenerate and
     :class:`SingularDenominator` where F21 R + F22 Q is singular, naming the
     first such point.
+
+    At p <= 2 every step works on the (N,) entry arrays, with no LAPACK call
+    or stacked product: R*R + Q*Q, the numerator and the denominator come
+    from :func:`matcore.entry_product`, the guards from
+    :func:`matcore.hermitian_extremes` and :func:`matcore.singular_extremes`,
+    and the inverse from :func:`matcore.adjugate`.  The denominator is
+    scaled by :func:`matcore.power_of_two_scale` first, so that frames far
+    out on the axis do not overflow it; the guard undoes the scale exactly.
+    Above p = 2 LAPACK does each step.
     """
+    p = R.shape[-1]
+    if p > 2:
+        return _lft_stack_lapack(F, R, Q, zs)
+    size = zs.size
+    RQ = [*matcore.entries(R), *matcore.entries(Q)]  # the rows of [R; Q]
+    gram = matcore.from_entries(matcore.entry_product(matcore.entry_adjoint(RQ), RQ), size)
+    lo, hi = matcore.hermitian_extremes(gram)
+    bad = np.flatnonzero(lo <= 1e-12 * (1.0 + hi))
+    if bad.size:
+        raise InvalidPair(f"degenerate pair at z = {zs[bad[0]]}")
+    # rows :p of F [R; Q] are the numerator, rows p: the denominator
+    rows = matcore.entry_product(matcore.entries(F), RQ)
+    den = matcore.from_entries(rows[p:], size)
+    s = matcore.power_of_two_scale(den)
+    den *= s[:, None, None]
+    # sigma(den) = sigma(s den) / s, so this is sigma_min <= rcond max(sigma_max, 1)
+    smin, smax = matcore.singular_extremes(den)
+    bad = np.flatnonzero(smin <= _SINGULAR_RCOND * np.maximum(smax, s))
+    if bad.size:
+        raise SingularDenominator(zs[bad[0]])
+    adj, det = matcore.adjugate(den)
+    # i num (s den)^{-1} s = i num den^{-1}
+    weight = 1j * s / det
+    return matcore.from_entries(
+        [[entry * weight for entry in row] for row in matcore.entry_product(rows[:p], adj)], size
+    )
+
+
+def _lft_stack_lapack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """:func:`lft_stack` at any p, each step a LAPACK call or a stacked
+    product; the reference of the p <= 2 path."""
     p = R.shape[-1]
     eig = np.linalg.eigvalsh(np.swapaxes(R, 1, 2).conj() @ R + np.swapaxes(Q, 1, 2).conj() @ Q)
     bad = np.flatnonzero(eig[:, 0] <= 1e-12 * (1.0 + eig[:, -1]))
@@ -330,11 +365,6 @@ def lft(frm: Frame, pair: ParamPair, z_or_zs) -> np.ndarray:
     R, Q = pair.at(zs)
     out = lft_stack(frm(zs), R, Q, zs)
     return out if np.ndim(z_or_zs) else out[0]
-
-
-def weyl_function(frm, pair: ParamPair) -> Callable[[complex], np.ndarray]:
-    """Closure z -> phi(z) for a fixed frame and pair."""
-    return lambda z: lft(frm, pair, z)
 
 
 def herglotz_params(phi):
@@ -506,7 +536,7 @@ def ball_membership(ball: MatrixBall, value_or_values):
     p = ball.p
     a12 = ball.aleph[:p, p:]
     u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
-    norms = np.linalg.norm(u, 2, axis=(-2, -1))
+    norms = matcore.spectral_norm(u)
     return u, (norms if u.ndim == 3 else float(norms))
 
 

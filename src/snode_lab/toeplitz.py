@@ -30,7 +30,7 @@ from .errors import (
     PoleAtZ,
     QuadratureNotConverged,
 )
-from .snode import Frame, ParamPair, SNode, lft_stack, transfer_matrix
+from .snode import Frame, ParamPair, SNode, lft_stack
 
 
 @lru_cache(maxsize=16)
@@ -311,21 +311,6 @@ def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
         pole_clear=lambda ts: (1.0 - 0.5j * np.asarray(ts, dtype=complex)) ** (order * p),
         clear_degree=p * (order + 1),
     )
-
-
-def frame_from_spec(spec: ToeplitzSpec, z: complex) -> np.ndarray:
-    """Same frame computed directly from the assembled matrices:
-    J j w_A(n, -1/conj(z))* j J, with the transfer matrix of the built node."""
-    p = spec.p
-    if abs(z) < 1e-14:
-        return np.eye(2 * p, dtype=complex)
-    if abs(1.0 - 0.5j * z) < 1e-12:
-        raise PoleAtZ("frame prefactor vanishes at z = -2i")
-    node = build_toeplitz_node(spec)
-    w = transfer_matrix(node, -1.0 / np.conj(z))
-    J = matcore.exchange_J(p)
-    j = matcore.signature_j(p)
-    return (J @ j) @ w.conj().T @ (j @ J)
 
 
 def _cayley_to_plane(zeta: np.ndarray) -> np.ndarray:

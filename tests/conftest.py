@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snode_lab import hankel, sampling, snode, toeplitz
+from snode_lab import hankel, matcore, sampling, snode, toeplitz
 
 
 @pytest.fixture
@@ -63,3 +63,11 @@ def random_nodes(seed, count=6):
             spec = sampling.random_hankel_spec(rng, p=1 + i % 2, n=2 + i % 2)
             nodes.append(hankel.build_hankel_node(spec))
     return nodes
+
+
+def frame_from_spec(spec, z):
+    """The Toeplitz frame at z from the assembled node, independently of the
+    chain: J j w_A(-1/conj(z))* j J, for z away from 0 and from the pole -2i."""
+    w = snode.transfer_matrix(toeplitz.build_toeplitz_node(spec), -1.0 / np.conj(z))
+    J, j = matcore.exchange_J(spec.p), matcore.signature_j(spec.p)
+    return (J @ j) @ w.conj().T @ (j @ J)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import asymptotics, densities, hankel, quadrature, sampling, snode, toeplitz
-from snode_lab.errors import NotInUpperHalfPlane, SzegoViolated, Unsupported
+from snode_lab import asymptotics, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
+from snode_lab.errors import NotInUpperHalfPlane, QuadratureNotConverged, SzegoViolated, Unsupported
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_frame_quotient_product_and_j_expansion(uniform_family, rng):
 def test_quotient_node_is_a_node(uniform_family):
     seq, _ = uniform_family
     node = asymptotics.quotient_node(seq, 1, 4)
-    assert snode.verify_identity(node) <= 1e-10
+    assert snode.identity_residual(node) <= 1e-10 * (1.0 + matcore.frobenius(node.S))
 
 
 def test_solution_sets_nest_into_smaller_balls(uniform_family, rng):
@@ -378,7 +378,10 @@ def test_limit_inequality_constant_sequence_equality():
     assert abs(report.equality_gap) <= 1e-3
 
 
-def test_limit_inequality_vanishing_convention():
+def _vanishing_family(breaks):
+    """Densities exp(-k) on [0, 1] and 1 elsewhere on (-5, 5): the weak limit
+    vanishes on [0, 1]."""
+
     def family(k):
         def fn(t):
             vals = np.where((t >= 0) & (t <= 1), np.exp(-float(k)), 1.0)
@@ -387,11 +390,22 @@ def test_limit_inequality_vanishing_convention():
         def log_det(t):
             return np.where((t >= 0) & (t <= 1), -float(k), 0.0)
 
-        return densities.DensityFn("van", fn, support=(-5.0, 5.0), log_det=log_det)
+        return densities.DensityFn("van", fn, support=(-5.0, 5.0), log_det=log_det, breaks=breaks)
 
-    report = asymptotics.limit_inequality_demo(family, None, -5.0, 5.0)
+    return family
+
+
+def test_limit_inequality_vanishing_convention():
+    report = asymptotics.limit_inequality_demo(_vanishing_family((0.0, 1.0)), None, -5.0, 5.0)
     assert report.rhs == -np.inf
     assert report.inequality_ok
+
+
+def test_limit_inequality_integrals_are_checked():
+    # the same jumps, undeclared, fall inside panels: the 8- and 16-node
+    # rules of I_64 then disagree by 5e-2
+    with pytest.raises(QuadratureNotConverged, match="^I_64: doubled-node drift"):
+        asymptotics.limit_inequality_demo(_vanishing_family(()), None, -5.0, 5.0)
 
 
 def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):

@@ -12,6 +12,7 @@ from snode_lab.errors import (
     NotHermitian,
     NotPositiveDefinite,
     PoleAtLambda,
+    QuadratureNotConverged,
     SingularDenominator,
     Unsupported,
 )
@@ -410,3 +411,38 @@ def test_recover_moments_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 9e6
+
+
+def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
+    # F grows like t^8 here; unscaled, |det F|^2 and adj* jform adj both
+    # overflowed at t = -7.1e19 and the value read as a singular
+    # denominator, and ad - bc overflowed, so log_det read -inf
+    rng = np.random.default_rng(0)
+    spec = sampling.random_hankel_spec(rng, 2, 8)
+    pair = sampling.random_constant_pair(rng, 2)
+    frm = hankel.hankel_frame(hankel.build_hankel_node(spec))
+    density = hankel.weyl_density(frm, pair)
+    ts = np.array([-7.1e19, 0.3])
+    F = frm.denominator(pair.R, pair.Q)(ts)
+    assert np.abs(F[0]).max() > 1e154
+    values = density(ts)
+    # the true value is below 1e-308 and the 0.3 one unchanged
+    assert np.all(np.isfinite(values)) and np.abs(values[0]).max() <= 1e-300
+    Finv = np.linalg.inv(F[1])
+    jform = (pair.R.conj().T @ pair.Q + pair.Q.conj().T @ pair.R) / (2.0 * np.pi)
+    assert_allclose(values[1], Finv.conj().T @ jform @ Finv, rtol=1e-13)
+    want = np.linalg.slogdet(jform)[1] - 2.0 * np.linalg.slogdet(F)[1]
+    assert_allclose(density.log_det_at(ts), want, rtol=1e-13)
+    # the moments fail for their real cause: this spec is too ill-conditioned
+    with pytest.raises(QuadratureNotConverged):
+        hankel.moments_from_density(density, range(3))
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_density_scale_changes_no_bit_where_nothing_overflows(monkeypatch, p):
+    node, R, Q, _, _ = _weyl_case(p, 3, 70 + p)
+    density = hankel.weyl_density(hankel.hankel_frame(node), snode.ParamPair.constant(R, Q))
+    ts = np.random.default_rng(p).standard_cauchy(500)
+    scaled = density(ts)
+    monkeypatch.setattr(matcore, "power_of_two_scale", lambda stack: np.ones(len(stack)))
+    assert density(ts).tobytes() == scaled.tobytes()

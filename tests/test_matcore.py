@@ -230,3 +230,100 @@ def test_leading_chain_reports_first_failing_order_block():
     with pytest.raises(NotPositiveDefinite) as err:
         matcore.leading_chain(node.S, node.Pi, 2)
     assert err.value.order == 3
+
+
+_EPS = np.finfo(float).eps
+_FAMILIES = ("generic", "scaled_unitary", "rank_one", "zero_column", "zero", "wide")
+
+
+def _family_stack(rng, family, p, count=40):
+    """``count`` p x p complex matrices of one family; "wide" has entries of
+    moduli from 1e-150 to 1e150, each matrix at its own scale."""
+    M = rng.standard_normal((count, p, p)) + 1j * rng.standard_normal((count, p, p))
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (count, 1, 1))
+    if family == "scaled_unitary":
+        M = np.linalg.qr(M)[0] * scale
+    elif family == "rank_one":
+        M = M[:, :, :1] @ M[:, :1, :] * scale
+    elif family == "zero_column":
+        M[:, :, int(rng.integers(p))] = 0.0
+    elif family == "zero":
+        M[:] = 0.0
+    elif family == "wide":
+        M = M * 10.0 ** rng.uniform(-75.0, 75.0, (count, p, p)) * scale ** 0.5
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_FAMILIES), st.integers(1, 2))
+def test_closed_form_singular_values_match_lapack(seed, family, p):
+    stack = _family_stack(np.random.default_rng(seed), family, p)
+    smin, smax = matcore.singular_extremes(stack)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    assert np.all(np.abs(smax - sv[:, 0]) <= 16.0 * _EPS * sv[:, 0])
+    assert np.all(np.abs(smin - sv[:, -1]) <= 16.0 * _EPS * sv[:, 0])
+    norms = matcore.spectral_norm(stack)
+    assert np.array_equal(norms, smax)
+    assert matcore.spectral_norm(stack[0]) == smax[0] and np.ndim(matcore.spectral_norm(stack[0])) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_FAMILIES), st.integers(1, 2), st.booleans())
+def test_closed_form_hermitian_eigenvalues_match_lapack(seed, family, p, gram):
+    M = _family_stack(np.random.default_rng(seed), family, p)
+    if gram:  # as lft_stack forms R*R + Q*Q
+        H = np.swapaxes(M, 1, 2).conj() @ M
+    else:
+        H = (M + np.swapaxes(M, 1, 2).conj()) / 2.0
+    lo, hi = matcore.hermitian_extremes(H)
+    w = np.linalg.eigvalsh(H)
+    scale = np.abs(w).max(axis=1)
+    assert np.all(np.abs(lo - w[:, 0]) <= 16.0 * _EPS * scale)
+    assert np.all(np.abs(hi - w[:, -1]) <= 16.0 * _EPS * scale)
+
+
+def test_closed_forms_keep_close_singular_values_apart():
+    # a scaled unitary has sigma_min = sigma_max; the textbook
+    # sigma^2 = (s +- sqrt(s^2 - 4 |det|^2)) / 2 reads them 1e-8 apart
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2)))[0]
+    smin, smax = matcore.singular_extremes(3.0 * U)
+    assert np.all(np.abs(smin - 3.0) <= 8 * _EPS * 3.0) and np.all(np.abs(smax - 3.0) <= 8 * _EPS * 3.0)
+
+
+def test_p3_extremes_are_lapacks():
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    sv = np.linalg.svd(M, compute_uv=False)
+    assert all(np.array_equal(a, b) for a, b in zip(matcore.singular_extremes(M), (sv[:, -1], sv[:, 0])))
+    assert np.array_equal(matcore.spectral_norm(M), np.linalg.norm(M, 2, axis=(1, 2)))
+    H = np.swapaxes(M, 1, 2).conj() @ M
+    w = np.linalg.eigvalsh(H)
+    assert all(np.array_equal(a, b) for a, b in zip(matcore.hermitian_extremes(H), (w[:, 0], w[:, -1])))
+
+
+def test_power_of_two_scale_brings_the_largest_entry_into_a_half_to_one():
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[0, 1, 0] = 3.0 - 4.0j  # modulus 5
+    stack[1] = 1e300
+    stack[2, 0, 1] = 5e-310  # subnormal
+    s = matcore.power_of_two_scale(stack)
+    assert np.array_equal(s, [0.125, 2.0**-997, 2.0**1023, 1.0])
+    peaks = np.abs(stack * s[:, None, None]).max(axis=(1, 2))
+    assert np.all((peaks[:2] >= 0.5) & (peaks[:2] < 1.0))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_log_abs_det_past_the_range_of_the_determinant(p):
+    # |det| of 2^+-600 M is 2^+-1200 |det M| at p = 2: outside the doubles
+    rng = np.random.default_rng(30 + p)
+    stack = rng.standard_normal((6, p, p)) + 1j * rng.standard_normal((6, p, p))
+    stack[4] = 0.0  # exactly singular stays -inf
+    want = matcore.log_abs_det(stack)
+    for k in (600, -600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matcore.log_abs_det(2.0**k * stack)
+        assert np.isneginf(got[4])
+        keep = np.arange(6) != 4
+        assert_allclose(got[keep], want[keep] + p * k * np.log(2.0), rtol=1e-15)

@@ -1,3 +1,7 @@
+import functools
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +36,14 @@ def test_random_constant_pairs_is_the_stream_of_single_draws(seed, p, count):
     assert stacked.bit_generator.state == single.bit_generator.state == reference.bit_generator.state
 
 
+def _relative_identity_residual(node):
+    """||A S - S A* - i Pi J Pi*|| / (1 + ||S||)."""
+    return snode.identity_residual(node) / (1.0 + matcore.frobenius(node.S))
+
+
 def test_identity_residual_zero_for_built_nodes():
     for node in random_nodes(seed=10):
-        assert snode.verify_identity(node) <= 1e-12
+        assert _relative_identity_residual(node) <= 1e-12
 
 
 def test_identity_residual_detects_perturbation(hankel_102, rng):
@@ -43,7 +52,7 @@ def test_identity_residual_detects_perturbation(hankel_102, rng):
     S_bad = node.S.copy()
     S_bad[:1, :1] += 1e-3 * E
     bad = snode.SNode(p=1, A=node.A, S=S_bad, Phi1=node.Phi1, Phi2=node.Phi2)
-    assert snode.verify_identity(bad) > 1e-6
+    assert _relative_identity_residual(bad) > 1e-6
 
 
 def test_frame_at_zero_is_identity():
@@ -234,7 +243,7 @@ def test_interp_residual_toeplitz(unit_pair):
     )
     node = toeplitz.build_toeplitz_node(spec)
     frm = snode.node_frame(node)
-    phi = snode.weyl_function(frm, unit_pair)
+    phi = functools.partial(snode.lft, frm, unit_pair)
     gamma, theta = snode.herglotz_params(phi)
     dens = hankel.weyl_density(node, unit_pair)
     res_s, res_phi = snode.interp_residual(node, gamma, theta, dens, quad=2048)
@@ -248,7 +257,7 @@ def test_interp_residual_scaled_measure_fails_loudly(unit_pair):
     )
     node = toeplitz.build_toeplitz_node(spec)
     frm = snode.node_frame(node)
-    gamma, theta = snode.herglotz_params(snode.weyl_function(frm, unit_pair))
+    gamma, theta = snode.herglotz_params(functools.partial(snode.lft, frm, unit_pair))
     dens = hankel.weyl_density(node, unit_pair)
     doubled = densities.DensityFn("x2", lambda t: 2.0 * dens(t))
     res_s, _ = snode.interp_residual(node, gamma, theta, doubled, quad=2048)
@@ -532,3 +541,92 @@ def test_frame_guard_names_the_first_bad_point_across_chunks():
     with pytest.raises(SingularResolvent) as first:
         snode.frame(node, zs)
     assert first.value.z == 2j + 1e-9
+
+
+def _lft_case(rng, p, count, toeplitz_frame):
+    """Frames of a random node at random upper points, random constant pairs
+    there, and the points."""
+    if toeplitz_frame:
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, 3))
+    else:
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2))
+    zs = sampling.random_upper_points(rng, count)
+    R, Q = sampling.random_constant_pairs(rng, p, count)
+    return snode.frame(node, zs), R, Q, zs
+
+
+def _lft_gaps(got, want):
+    return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.booleans())
+def test_entrywise_lft_agrees_with_the_lapack_path(seed, p, toeplitz_frame):
+    rng = np.random.default_rng(seed)
+    F, R, Q, zs = _lft_case(rng, p, 25, toeplitz_frame)
+    phi = snode.lft_stack(F, R, Q, zs)
+    assert np.all(_lft_gaps(phi, snode._lft_stack_lapack(F, R, Q, zs)) <= 1e-13)
+    # the composition pairs (-i phi, I) of khrushchev_check
+    Ip = np.broadcast_to(np.eye(p, dtype=complex), R.shape)
+    composed = snode.lft_stack(F, -1j * phi, Ip, zs)
+    assert np.all(_lft_gaps(composed, snode._lft_stack_lapack(F, -1j * phi, Ip, zs)) <= 1e-13)
+    # the LFT does not see a common scale of the frame: 2^600 F overflows
+    # ad - bc unless the denominator is scaled first
+    huge = snode.lft_stack(2.0**600 * F, R, Q, zs)
+    assert np.array_equal(huge, phi)
+    assert np.all(_lft_gaps(huge, snode._lft_stack_lapack(2.0**600 * F, R, Q, zs)) <= 1e-13)
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_lft_scale_changes_no_bit_where_nothing_overflows(monkeypatch, p):
+    F, R, Q, zs = _lft_case(np.random.default_rng(40 + p), p, 50, False)
+    scaled = snode.lft_stack(F, R, Q, zs)
+    monkeypatch.setattr(matcore, "power_of_two_scale", lambda stack: np.ones(len(stack)))
+    assert snode.lft_stack(F, R, Q, zs).tobytes() == scaled.tobytes()
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_lft_guards_name_the_same_first_point_on_both_paths(p):
+    # identity frames: the numerator is R and the denominator Q
+    rng = np.random.default_rng(50 + p)
+    zs = sampling.random_upper_points(rng, 8)
+    F = np.broadcast_to(np.eye(2 * p, dtype=complex), (8, 2 * p, 2 * p))
+    R, Q = (M.copy() for M in sampling.random_constant_pairs(rng, p, 8))
+    Q[3] = np.diag([1.0, 1e-14][-p:])  # singular to working precision
+    R[5] = Q[5] = 0.0  # a degenerate pair
+    R[1], Q[1] = np.eye(p), 1j * np.eye(p)  # R*R + Q*Q = 2I, though R R + Q Q = 0
+    for lft_stack in (snode.lft_stack, snode._lft_stack_lapack):
+        with pytest.raises(InvalidPair, match=re.escape(f"degenerate pair at z = {zs[5]}")):
+            lft_stack(F, R, Q, zs)
+        with pytest.raises(SingularDenominator) as info:
+            lft_stack(F[:5], R[:5], Q[:5], zs[:5])
+        assert info.value.z == zs[3]
+
+
+@pytest.mark.parametrize("p", (1, 2))
+def test_lft_and_ball_membership_make_no_lapack_call_at_p_le_2(monkeypatch, p):
+    rng = np.random.default_rng(60 + p)
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2))
+    z = 0.3 + 1.1j
+    ball = snode.matrix_ball(node, z)
+    # the ball's square roots are built once, on first use: build them first
+    snode.ball_membership(ball, ball.center)
+    F = np.broadcast_to(snode.frame(node, z), (40, 2 * p, 2 * p))
+    R, Q = sampling.random_constant_pairs(rng, p, 40)
+    zs = np.full(40, z)
+    values = snode._lft_stack_lapack(F, R, Q, zs)
+    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * ball.aleph[:p, p:]) @ ball.rho_half
+    want_norms = np.linalg.norm(u, 2, axis=(1, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    impl = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    for module in {np.linalg, impl}:
+        for name in ("svd", "eigvalsh", "inv"):
+            monkeypatch.setattr(module, name, refuse)
+    got = snode.lft_stack(F, R, Q, zs)
+    assert np.all(_lft_gaps(got, values) <= 1e-13)
+    _, norms = snode.ball_membership(ball, got)
+    assert np.all(np.abs(norms - want_norms) <= 1e-12 * want_norms)
+    assert np.all(norms <= 1.0 + 1e-8)

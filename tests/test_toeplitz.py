@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,8 @@ from snode_lab.errors import (
     PoleAtLambda,
     PoleAtZ,
 )
+
+from conftest import frame_from_spec
 
 
 def test_build_unit_node(toeplitz_unit):
@@ -186,7 +190,7 @@ def test_frame_chain_route_matches_spec_route(rng):
     for _ in range(6):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.8))
         via_chain = toeplitz.frame_toeplitz(chain, spec.n, z)
-        via_spec = toeplitz.frame_from_spec(spec, z)
+        via_spec = frame_from_spec(spec, z)
         assert np.max(np.abs(via_chain - via_spec)) <= 1e-10 * (1 + np.max(np.abs(via_spec)))
 
 
@@ -220,7 +224,7 @@ def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
         sampling.random_constant_pair(rng, 1),
     ]
     for pair in pairs:
-        phi = snode.weyl_function(frm, pair)
+        phi = functools.partial(snode.lft, frm, pair)
         coeffs = toeplitz.taylor_recover(phi, 1)
         assert coeffs[0][0, 0] == pytest.approx(1.0, abs=1e-6)
 
@@ -228,7 +232,7 @@ def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
 def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
     chain = toeplitz.toeplitz_chain(spec)
-    phi = snode.weyl_function(toeplitz.dirac_frame(chain), unit_pair)
+    phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 3)
     assert coeffs[0][0, 0] == pytest.approx(1.0, abs=1e-6)
     assert coeffs[1][0, 0] == pytest.approx(0.4 + 0.1j, abs=1e-6)
@@ -238,7 +242,7 @@ def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
 def test_taylor_extension_stays_nonnegative(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
     chain = toeplitz.toeplitz_chain(spec)
-    phi = snode.weyl_function(toeplitz.dirac_frame(chain), unit_pair)
+    phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 6)
     extended = toeplitz.ToeplitzSpec(
         p=1, n=6, s=tuple(spec.s) + tuple(coeffs[3:6]), nu=spec.nu
