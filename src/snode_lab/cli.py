@@ -112,11 +112,10 @@ _COUNTS = frozenset({"p", "length", "count", "pairs", "sweep", "max_order"})
 def _as_int(command: str, key: str, value) -> int:
     """A scenario field that must be an integer: an int, or a float with an
     integral value such as 2.0; anything else raises :class:`BadInput`."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise BadInput(f"{command}: {key} must be an integer, got {value!r}")
+    try:
+        return serialization.int_from_json(value)
+    except TypeError:
+        raise BadInput(f"{command}: {key} must be an integer, got {value!r}") from None
 
 
 def _param_int(sc: Scenario, key: str, default: int) -> int:
@@ -128,61 +127,70 @@ def _param_int(sc: Scenario, key: str, default: int) -> int:
     return out
 
 
-def _factor_product_gap(factors: list, node: snode.SNode, lams: np.ndarray) -> float:
-    """Worst relative gap, over the points lams, between the product
-    w_n ... w_1 of a chain's elementary factors (stacks over lams) and the
-    node's transfer matrix."""
-    prod = np.eye(2 * node.p, dtype=complex)
+def _factor_product_gap(factors: list, direct: np.ndarray) -> float:
+    """Worst relative gap, over the points, between the product w_n ... w_1
+    of a chain's elementary factors (stacks over the points) and the node's
+    transfer matrices ``direct`` at the same points."""
+    prod = np.eye(direct.shape[-1], dtype=complex)
     for w in factors:
         prod = w @ prod
-    direct = snode.transfer_matrix(node, lams)
     return float(np.max(_frobenius(prod - direct) / (1.0 + _frobenius(direct))))
 
 
 # ---------------------------------------------------------------------------
 # command handlers; each returns a list of check rows plus extra report data
+#
+# The verify handlers make one transfer-matrix call for every check's points,
+# after the factors: PoleAtLambda is raised ahead of SingularResolvent.
 
 
 def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("toeplitz_n1.json")
     spec = _load_spec(sc.command, spec_path, toeplitz.ToeplitzSpec)
     node = toeplitz.build_toeplitz_node(spec)
+    p, n = spec.p, spec.n
     checks = []
     extra = {"spec": spec.to_json()}
 
     res = snode.identity_residual(node)
     checks.append(_check("node identity residual", "c1", res, 1e-12 * (1.0 + matcore.frobenius(node.S))))
 
-    chain = toeplitz.toeplitz_chain(spec)
-    j = matcore.signature_j(spec.p)
-    cjc = max(matcore.frobenius(C @ j @ C - j) for C in chain.C)
+    chain = toeplitz.toeplitz_chain(node)
+    C, rho = np.stack(chain.C), np.stack(chain.rho)
+    j = matcore.signature_j(p)
+    cjc = np.max(matcore.frobenius(C @ j @ C - j))
     checks.append(_check("coefficient j-unitarity", "c11", cjc, 1e-9))
-    cpos = min(matcore.min_eig_hermitian(C) for C in chain.C)
+    cpos = np.min(matcore.min_eig_hermitian(C))
     checks.append(_check("coefficient positivity", "c11", -cpos, 0.0, passed=cpos > 0))
-    rho_norm = max(matcore.spectral_norm(r) for r in chain.rho)
+    rho_norm = np.max(matcore.spectral_norm(rho))
     checks.append(_check("contraction norms", "c20", rho_norm, 1.0 - 1e-12, passed=rho_norm < 1.0))
-    tmin = min(matcore.min_eig_hermitian(t) for t in chain.t)
+    tmin = np.min(matcore.min_eig_hermitian(np.stack(chain.t)))
     checks.append(_check("step matrices positive", "c8", -tmin, 0.0, passed=tmin > 0))
-    extra["rho"] = [serialization.matrix_to_json(r) for r in chain.rho]
+    extra["rho"] = serialization.matrix_to_json(rho)
 
     lams = np.array([complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0)) for _ in range(20)])
-    gap = _factor_product_gap(toeplitz.factorize_transfer(chain, lams), node, lams)
+    zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5)) for _ in range(5)])
+    split = n // 2
+    count = min(sc.grid, 20)
+    frame_zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(count)])
+
+    factors = toeplitz.factorize_transfer(chain, lams)
+    transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / (2.0 * zs))))
+    gap = _factor_product_gap(factors, transfer[: lams.size])
     checks.append(_check("factor product vs transfer matrix", "c5", gap, 1e-9))
 
-    zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5)) for _ in range(5)])
-    W = toeplitz.dirac_fundamental(chain, zs, spec.n)
-    K = toeplitz.unitary_K(spec.p)
-    transfer = snode.transfer_matrix(node, 1.0 / (2.0 * zs))
-    via = ((1.0 - 1j * zs) ** spec.n)[:, None, None] * K.conj().T @ transfer @ K
+    # one pass over the coefficients: W_n at zs for c9; W_split, W_n and the
+    # tail's W at -conj(z)/2 for the frames of c30
+    ws = np.concatenate((zs, -np.conj(frame_zs) / 2.0))
+    heads, tails = toeplitz.dirac_sweep(chain, ws, [0, split])
+    K = toeplitz.unitary_K(p)
+    via = ((1.0 - 1j * zs) ** n)[:, None, None] * K.conj().T @ transfer[lams.size :] @ K
+    W = tails[0, : zs.size]
     worst = np.max(_frobenius(W - via) / (1.0 + _frobenius(via)))
     checks.append(_check("recursion vs transfer matrix", "c9", worst, 1e-9))
 
-    split = spec.n // 2
-    count = min(sc.grid, 20)
-    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(count)])
-    full = toeplitz.frame_toeplitz(chain, spec.n, zs)
-    head = toeplitz.frame_toeplitz(chain.head(split), split, zs)
-    tail = toeplitz.frame_toeplitz(chain.shifted(split), spec.n - split, zs)
+    at_frames = np.stack((tails[0], heads[1], tails[1]))[:, zs.size :]
+    full, head, tail = toeplitz.frames_of(at_frames, frame_zs, np.array([n, split, n - split]))
     checks.append(_check("frame composition", "c30", np.max(_frobenius(full - head @ tail)), 1e-10))
     return checks, extra
 
@@ -197,19 +205,14 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     res = snode.identity_residual(node)
     checks.append(_check("node identity residual", "H2", res, 1e-12 * (1.0 + matcore.frobenius(node.S))))
 
-    chain = hankel.hankel_chain(spec)
+    chain = hankel.hankel_chain(node)
     J = matcore.exchange_J(spec.p)
-    self_null = max(matcore.frobenius(w @ J @ w.conj().T) for w in chain.omega)
+    omega = np.stack(chain.omega)
+    omega_h = omega.conj().swapaxes(1, 2)
+    self_null = np.max(matcore.frobenius(omega @ J @ omega_h))
     checks.append(_check("omega self-annihilation", "H17", self_null, 1e-10))
-    step = 0.0
-    for k in range(1, len(chain)):
-        step = max(
-            step,
-            matcore.frobenius(
-                1j * chain.omega[k] @ J @ chain.omega[k - 1].conj().T - chain.t[k]
-            ),
-        )
-    checks.append(_check("omega step products", "H17", step, 1e-9))
+    steps = matcore.frobenius(1j * omega[1:] @ J @ omega_h[:-1] - np.stack(chain.t)[1:])
+    checks.append(_check("omega step products", "H17", np.max(steps, initial=0.0), 1e-9))
     w0 = matcore.frobenius(
         chain.omega[0] - np.hstack([np.zeros((spec.p, spec.p)), chain.t[0]])
     )
@@ -218,11 +221,15 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     lams = np.array(
         [complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(20)]
     )
-    gap = _factor_product_gap(hankel.hankel_factors(chain, lams), node, lams)
+    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
+    factors = hankel.hankel_factors(chain, lams)
+    # H7 compares two routes to the frame: transfer_matrix's own S solve
+    # against snode.frame's, from the node's cached S^{-1} Pi
+    transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / np.conj(zs))))
+    gap = _factor_product_gap(factors, transfer[: lams.size])
     checks.append(_check("factor product vs transfer matrix", "H13-", gap, 1e-9))
 
-    zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
-    via = np.swapaxes(snode.transfer_matrix(node, 1.0 / np.conj(zs)), 1, 2).conj()
+    via = np.swapaxes(transfer[lams.size :], 1, 2).conj()
     worst = np.max(_frobenius(via - snode.frame(node, zs)))
     checks.append(_check("frame convention", "H7", worst, 1e-12))
     return checks, extra

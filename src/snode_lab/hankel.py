@@ -60,11 +60,9 @@ class HankelSpec:
 
     def matrix(self) -> np.ndarray:
         p, n = self.p, self.n
-        out = np.zeros((n * p, n * p), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i * p : (i + 1) * p, j * p : (j + 1) * p] = self.H[i + j]
-        return out
+        k = np.arange(n)
+        blocks = np.asarray(self.H)[k[:, None] + k]
+        return blocks.swapaxes(1, 2).reshape(n * p, n * p)
 
     def leading(self, k: int) -> "HankelSpec":
         if not 1 <= k <= self.n:
@@ -75,29 +73,24 @@ class HankelSpec:
         return {
             "p": self.p,
             "n": self.n,
-            "H": [serialization.matrix_to_json(b) for b in self.H],
+            "H": serialization.matrix_to_json(self.H),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "HankelSpec":
         return cls(
-            p=int(data["p"]),
-            n=int(data["n"]),
-            H=tuple(serialization.matrix_from_json(b) for b in data["H"]),
+            p=serialization.int_from_json(data["p"]),
+            n=serialization.int_from_json(data["n"]),
+            H=tuple(serialization.matrix_from_json(data["H"])),
         )
 
 
 def build_hankel_node(spec: HankelSpec) -> SNode:
     p, n = spec.p, spec.n
-    Ip = np.eye(p, dtype=complex)
-    A = np.zeros((n * p, n * p), dtype=complex)
-    for i in range(1, n):
-        A[i * p : (i + 1) * p, (i - 1) * p : i * p] = Ip
-    Phi2 = np.zeros((n * p, p), dtype=complex)
-    Phi2[:p] = Ip
+    A = np.eye(n * p, k=-p, dtype=complex)
+    Phi2 = np.eye(n * p, p, dtype=complex)
     Phi1 = np.zeros((n * p, p), dtype=complex)
-    for i in range(1, n):
-        Phi1[i * p : (i + 1) * p] = -1j * spec.H[i - 1]
+    Phi1[p:] = -1j * np.reshape(spec.H[: n - 1], (-1, p))
     return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
@@ -182,13 +175,13 @@ class OmegaChain:
         return len(self.omega)
 
 
-def hankel_chain(spec: HankelSpec) -> OmegaChain:
-    """omega_k = P_2(k+1) H(k+1)^{-1} Pi(k+1) and t_r = (H(r)^{-1})_{rr} block,
-    from :func:`matcore.leading_chain`; raises :class:`NotPositiveDefinite` at
-    the first order whose leading block fails."""
-    node = build_hankel_node(spec)
-    ts, omegas, Gs = matcore.leading_chain(node.S, node.Pi, spec.p)
-    return OmegaChain(p=spec.p, omega=omegas, t=ts, G=Gs)
+def hankel_chain(node: SNode) -> OmegaChain:
+    """omega_k = P_2(k+1) H(k+1)^{-1} Pi(k+1) and t_r = (H(r)^{-1})_{rr} block
+    of the node of a spec (see :func:`build_hankel_node`), from
+    :func:`matcore.leading_chain`; raises :class:`NotPositiveDefinite` at the
+    first order whose leading block fails."""
+    ts, omegas, Gs = matcore.leading_chain(node.S, node.Pi, node.p)
+    return OmegaChain(p=node.p, omega=omegas, t=ts, G=Gs)
 
 
 def hankel_factors(chain: OmegaChain, lam_or_lams) -> list[np.ndarray]:
@@ -199,8 +192,9 @@ def hankel_factors(chain: OmegaChain, lam_or_lams) -> list[np.ndarray]:
         raise PoleAtLambda("every factor has its pole at lam = 0")
     J = matcore.exchange_J(chain.p)
     scale = (1j / lams)[:, None, None]
-    factors = [np.eye(2 * chain.p) + (scale * J) @ G.conj().T @ G for G in chain.G]
-    return factors if np.ndim(lam_or_lams) else [w[0] for w in factors]
+    G = np.stack(chain.G)[:, None]
+    factors = np.eye(2 * chain.p) + (scale * J) @ G.conj().swapaxes(-1, -2) @ G
+    return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
 
 
 def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.ndarray:

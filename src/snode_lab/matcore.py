@@ -147,8 +147,15 @@ def hermitian_part(M) -> np.ndarray:
     return (M + _conj_t(M)) / 2.0
 
 
-def frobenius(M) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=complex)))
+def frobenius(M):
+    """Frobenius norm; one per matrix of a stack, bitwise that of the matrix
+    alone (both sum the squared real and imaginary parts by dot products)."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 3:
+        return float(np.linalg.norm(M))
+    rows = M.reshape(len(M), 1, M.shape[-2] * M.shape[-1])
+    re, im = rows.real, rows.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 def spectral_norm(M):
@@ -226,9 +233,11 @@ def hermitian_extremes(stack: np.ndarray):
     return mean - radius, mean + radius
 
 
-def min_eig_hermitian(M) -> float:
-    """Smallest eigenvalue of a (numerically) Hermitian matrix."""
-    return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+def min_eig_hermitian(M):
+    """Smallest eigenvalue of a (numerically) Hermitian matrix; one per matrix
+    of a stack."""
+    w = np.linalg.eigvalsh(hermitian_part(M))[..., 0]
+    return float(w) if w.ndim == 0 else w
 
 
 def adjugate(stack: np.ndarray):
@@ -334,7 +343,14 @@ class HermPD:
         return np.prod(np.abs(np.diagonal(self.factor, axis1=-2, axis2=-1)) ** 2, axis=-1)
 
     def solve(self, rhs) -> np.ndarray:
+        """matrix^{-1} rhs by two triangular solves.  For one matrix, a stack
+        of right-hand sides goes in as the columns of one, so LAPACK factors
+        each triangle once, not once per matrix of the stack."""
         rhs = np.asarray(rhs, dtype=complex)
+        if self.factor.ndim == 2 and rhs.ndim == 3:
+            size, m, k = rhs.shape
+            cols = self.solve(rhs.transpose(1, 0, 2).reshape(m, size * k))
+            return cols.reshape(m, size, k).transpose(1, 0, 2)
         y = np.linalg.solve(self.factor, rhs)
         return np.linalg.solve(_conj_t(self.factor), y)
 

@@ -131,9 +131,13 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray
 
 
 def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
-    """w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi."""
+    """w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi, solved with S itself,
+    not from the cached S^{-1} Pi that :func:`frame` uses: the verify-hankel
+    H7 row compares the two routes."""
     lams = matcore.as_points(lam_or_lams)
-    lhs = node.A - lams[:, None, None] * np.eye(node.m)
+    lhs = np.repeat(node.A[None], lams.size, axis=0)
+    diagonal = np.arange(node.m)
+    lhs[:, diagonal, diagonal] -= lams[:, None]
     resolvent = _solve_checked(lhs, node.Pi, lams)
     Sinv_res = node.S_chol.solve(resolvent)
     out = np.eye(2 * node.p, dtype=complex) - 1j * node.J @ node.Pi.conj().T @ Sinv_res

@@ -15,6 +15,7 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,15 +73,14 @@ class ToeplitzSpec:
         object.__setattr__(self, "nu", nu)
 
     def matrix(self) -> np.ndarray:
-        """Assemble S(n) = {s_{j-i}} with s_k = s_{-k}* for k > 0."""
+        """Assemble S(n) = {s_{j-i}} with s_k = s_{-k}* for k > 0: block (i, j)
+        is s_{-(i-j)} on and below the diagonal, its adjoint above."""
         p, n = self.p, self.n
-        S = np.zeros((n * p, n * p), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                k = j - i
-                blockij = self.s[-k] if k <= 0 else self.s[k].conj().T
-                S[i * p : (i + 1) * p, j * p : (j + 1) * p] = blockij
-        return S
+        k = np.arange(n)
+        gap = k[:, None] - k
+        lower = np.asarray(self.s)[np.abs(gap)]
+        blocks = np.where((gap >= 0)[:, :, None, None], lower, lower.conj().swapaxes(-1, -2))
+        return blocks.swapaxes(1, 2).reshape(n * p, n * p)
 
     def leading(self, k: int) -> "ToeplitzSpec":
         if not 1 <= k <= self.n:
@@ -91,16 +91,16 @@ class ToeplitzSpec:
         return {
             "p": self.p,
             "n": self.n,
-            "s": [serialization.matrix_to_json(b) for b in self.s],
+            "s": serialization.matrix_to_json(self.s),
             "nu": serialization.matrix_to_json(self.nu),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ToeplitzSpec":
         return cls(
-            p=int(data["p"]),
-            n=int(data["n"]),
-            s=tuple(serialization.matrix_from_json(b) for b in data["s"]),
+            p=serialization.int_from_json(data["p"]),
+            n=serialization.int_from_json(data["n"]),
+            s=tuple(serialization.matrix_from_json(data["s"])),
             nu=serialization.matrix_from_json(data["nu"]),
         )
 
@@ -111,20 +111,13 @@ def build_toeplitz_node(spec: ToeplitzSpec) -> SNode:
     s_0/2 + s_{-1} + ... + i Phi1 nu."""
     p, n = spec.p, spec.n
     Ip = np.eye(p, dtype=complex)
-    A = np.zeros((n * p, n * p), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                A[i * p : (i + 1) * p, j * p : (j + 1) * p] = 0.5j * Ip
-            elif i > j:
-                A[i * p : (i + 1) * p, j * p : (j + 1) * p] = 1j * Ip
-    Phi1 = np.vstack([Ip] * n)
-    partial = np.zeros((n * p, p), dtype=complex)
-    running = spec.s[0] / 2.0
-    for i in range(n):
-        if i > 0:
-            running = running + spec.s[i]
-        partial[i * p : (i + 1) * p] = running
+    k = np.arange(n)
+    blocks = 0.5j * (np.sign(k[:, None] - k) + 1)  # i below the diagonal, i/2 on it
+    A = (blocks[:, None, :, None] * Ip[:, None, :]).reshape(n * p, n * p)
+    Phi1 = np.tile(Ip, (n, 1))
+    s = np.array(spec.s)
+    s[0] = s[0] / 2.0
+    partial = s.cumsum(axis=0).reshape(n * p, p)
     Phi2 = partial + 1j * Phi1 @ spec.nu
     return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
@@ -185,10 +178,11 @@ def halmos(rho_or_rhos) -> np.ndarray:
 
 
 def contraction_from_dirac(C: np.ndarray) -> np.ndarray:
-    """Left inverse of :func:`halmos`: rho = (C_11)^{-1} C_12."""
-    C = matcore.as_matrix(C)
-    p = C.shape[0] // 2
-    return np.linalg.solve(C[:p, :p], C[:p, p:])
+    """Left inverse of :func:`halmos`: rho = (C_11)^{-1} C_12, for one C or a
+    stack of them."""
+    C = matcore.as_matrix_or_stack(C)
+    p = C.shape[-1] // 2
+    return np.linalg.solve(C[..., :p, :p], C[..., :p, p:])
 
 
 def chain_from_contractions(rhos) -> DiracChain:
@@ -202,9 +196,10 @@ def chain_from_contractions(rhos) -> DiracChain:
     return DiracChain(p=rhos[0].shape[0], C=tuple(halmos(np.stack(rhos))), rho=rhos)
 
 
-def toeplitz_chain(spec: ToeplitzSpec) -> DiracChain:
-    """Factorization data of a positive-definite spec, read off one block
-    Cholesky factorization by :func:`matcore.leading_chain`.
+def toeplitz_chain(node: SNode) -> DiracChain:
+    """Factorization data of the node of a positive-definite spec (see
+    :func:`build_toeplitz_node`), read off one block Cholesky factorization
+    by :func:`matcore.leading_chain`.
 
     For each order k: t_k and [X_k Y_k] are the bottom block row of
     S(k)^{-1} applied to the unit block column and to [Phi1(k) Phi2(k)];
@@ -212,19 +207,20 @@ def toeplitz_chain(spec: ToeplitzSpec) -> DiracChain:
 
     Raises :class:`NotPositiveDefinite` at the first failing order.
     """
-    p = spec.p
-    node = build_toeplitz_node(spec)
+    p = node.p
     ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, p)
     K = unitary_K(p)
+    G = np.stack(Gs)
     j = matcore.signature_j(p)
-    Cs = tuple(matcore.hermitian_part(2.0 * K.conj().T @ G.conj().T @ G @ K - j) for G in Gs)
+    Cs = matcore.hermitian_part(2.0 * K.conj().T @ G.conj().swapaxes(1, 2) @ G @ K - j)
+    XY = np.stack(rows)
     return DiracChain(
         p=p,
-        C=Cs,
-        rho=tuple(contraction_from_dirac(C) for C in Cs),
+        C=tuple(Cs),
+        rho=tuple(contraction_from_dirac(Cs)),
         t=ts,
-        X=tuple(XY[:, :p] for XY in rows),
-        Y=tuple(XY[:, p:] for XY in rows),
+        X=tuple(XY[:, :, :p]),
+        Y=tuple(XY[:, :, p:]),
     )
 
 
@@ -242,17 +238,11 @@ def factorize_transfer(chain: DiracChain, lam_or_lams) -> list[np.ndarray]:
     j = matcore.signature_j(p)
     K = unitary_K(p)
     scale = (0.5j / (0.5j - lams))[:, None, None]
-    factors = [np.eye(2 * p) - (scale * J) @ K @ (C + j) @ K.conj().T for C in chain.C]
-    return factors if np.ndim(lam_or_lams) else [w[0] for w in factors]
+    factors = np.eye(2 * p) - ((scale * J) @ K) @ (np.stack(chain.C) + j)[:, None] @ K.conj().T
+    return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
 
 
-def _dirac_step(C: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The one-step factors I + i z j C at the points zs."""
-    p = C.shape[0] // 2
-    return np.eye(2 * p, dtype=complex) + 1j * zs[:, None, None] * matcore.signature_j(p) @ C
-
-
-def _frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """The frames (1 - i z/2)^{-n} J j K W* K* j J of the orders n at the
     points zs, for W[k] = W_n(-conj(z)/2) with n = orders[k] (shape
     (orders, points, 2p, 2p)).  Order 0 gives the identity and needs no
@@ -277,14 +267,32 @@ def _frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
+def dirac_sweep(chain: DiracChain, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the coefficients at the points zs, for the increasing
+    starts s (the first one 0): ``heads[k]`` is W_s, the product of the first
+    s = starts[k] one-step factors I + i z j C_m, and ``tails[k]`` the product
+    of those of C_s, ..., C_{L-1}, both of shape (starts, points, 2p, 2p).
+    Step m multiplies every tail that has started (s <= m), and W_s is the
+    tail of start 0 after s steps."""
+    starts = [int(s) for s in starts]
+    L, p, j = len(chain), chain.p, matcore.signature_j(chain.p)
+    tails = np.tile(np.eye(2 * p, dtype=complex), (len(starts), zs.size, 1, 1))
+    heads = tails.copy()
+    for m in range(L):
+        live = bisect_right(starts, m)
+        step = np.eye(2 * p, dtype=complex) + 1j * zs[:, None, None] * j @ chain.C[m]
+        tails[:live] = step @ tails[:live]
+        if m + 1 in starts:
+            heads[starts.index(m + 1)] = tails[0]
+    return heads, tails
+
+
 def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
     """W_k(z) from W_0 = I and W_{m+1}(z) = (I + i z j C_m) W_m(z)."""
     if not 0 <= k <= len(chain):
         raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
     zs = matcore.as_points(z_or_zs)
-    W = np.repeat(np.eye(2 * chain.p, dtype=complex)[None], zs.size, axis=0)
-    for m in range(k):
-        W = _dirac_step(chain.C[m], zs) @ W
+    W = dirac_sweep(chain.head(k), zs, [0])[1][0]
     return W if np.ndim(z_or_zs) else W[0]
 
 
@@ -293,7 +301,7 @@ def frame_toeplitz(chain: DiracChain, n: int, z_or_zs) -> np.ndarray:
     if not 0 <= n <= len(chain):
         raise IndexOutOfRange(f"order {n} outside 0..{len(chain)}")
     zs = matcore.as_points(z_or_zs)
-    out = _frames_of(dirac_fundamental(chain, -np.conj(zs) / 2.0, n)[None], zs, np.array([n]))[0]
+    out = frames_of(dirac_fundamental(chain, -np.conj(zs) / 2.0, n)[None], zs, np.array([n]))[0]
     return out if np.ndim(z_or_zs) else out[0]
 
 
@@ -385,16 +393,11 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
 def _composition_gaps(chain: DiracChain, splits: list, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
     """Worst gap over the splits, at each point, of :func:`khrushchev_check`."""
     L, p, size = len(chain), chain.p, zs.size
-    ws = -np.conj(zs) / 2.0
     # tails[n]: W of the coefficients n..L-1; heads[n]: W of the first n
-    tails = np.repeat(np.eye(2 * p, dtype=complex)[None, None], L + 1, axis=0).repeat(size, axis=1)
-    heads = tails.copy()
-    for m in range(L):
-        tails[: m + 1] = _dirac_step(chain.C[m], ws) @ tails[: m + 1]
-        heads[m + 1] = tails[0]
+    heads, tails = dirac_sweep(chain, -np.conj(zs) / 2.0, np.arange(L + 1))
 
     def frames(W, orders):
-        return _frames_of(W, zs, orders).reshape(-1, 2 * p, 2 * p)
+        return frames_of(W, zs, orders).reshape(-1, 2 * p, 2 * p)
 
     starts = np.array([0, *splits])
     R, Q = (np.broadcast_to(M, (starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))

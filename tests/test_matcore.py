@@ -327,3 +327,26 @@ def test_log_abs_det_past_the_range_of_the_determinant(p):
         assert np.isneginf(got[4])
         keep = np.arange(6) != 4
         assert_allclose(got[keep], want[keep] + p * k * np.log(2.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_factor_solves_a_stack_as_per_matrix_solves_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    m, count, k = int(rng.integers(1, 49)), int(rng.integers(1, 26)), int(rng.integers(1, 7))
+    pd = matcore.cholesky_pd(random_hpd(seed, m))
+    rhs = rng.standard_normal((count, m, k)) + 1j * rng.standard_normal((count, m, k))
+    stacked = pd.solve(rhs)
+    assert stacked.shape == rhs.shape
+    assert all(np.array_equal(stacked[i], pd.solve(rhs[i])) for i in range(count))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_norms_and_eigenvalues_are_the_per_matrix_values_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    count, size = int(rng.integers(1, 20)), int(rng.integers(1, 7))
+    shape = (count, size, size)
+    M = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-12, 3)
+    H = M + M.conj().swapaxes(1, 2)
+    assert np.array_equal(matcore.frobenius(M), [matcore.frobenius(m) for m in M])
+    assert np.array_equal(matcore.min_eig_hermitian(H), [matcore.min_eig_hermitian(h) for h in H])
+    assert matcore.frobenius(M[:0]).shape == (0,)

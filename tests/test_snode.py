@@ -392,11 +392,11 @@ def test_batched_evaluators_equal_stacked_points(seed, p, n, count, use_toeplitz
     if use_toeplitz:
         spec = sampling.random_toeplitz_spec(rng, p, n)
         node = toeplitz.build_toeplitz_node(spec)
-        chain, factors = toeplitz.toeplitz_chain(spec), toeplitz.factorize_transfer
+        chain, factors = toeplitz.toeplitz_chain(node), toeplitz.factorize_transfer
     else:
         spec = sampling.random_hankel_spec(rng, p, n)
         node = hankel.build_hankel_node(spec)
-        chain, factors = hankel.hankel_chain(spec), hankel.hankel_factors
+        chain, factors = hankel.hankel_chain(node), hankel.hankel_factors
     zs = sampling.random_upper_points(rng, count, im_range=(0.3, 1.5))
     frm = snode.node_frame(node)
     const = sampling.random_constant_pair(rng, p)
@@ -630,3 +630,16 @@ def test_lft_and_ball_membership_make_no_lapack_call_at_p_le_2(monkeypatch, p):
     _, norms = snode.ball_membership(ball, got)
     assert np.all(np.abs(norms - want_norms) <= 1e-12 * want_norms)
     assert np.all(norms <= 1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_transfer_matrix_on_25_points_is_25_scalar_calls_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 4))
+    if seed % 2:
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, int(rng.integers(1, 6))))
+    else:
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, int(rng.integers(1, 17))))
+    lams = rng.uniform(-3, 3, 25) + 1j * rng.uniform(0.4, 3.0, 25) * rng.choice([-1.0, 1.0], 25)
+    batch = snode.transfer_matrix(node, lams)
+    assert all(np.array_equal(batch[k], snode.transfer_matrix(node, lam)) for k, lam in enumerate(lams))
