@@ -109,9 +109,5 @@ class QuadratureNotConverged(SnodeLabError):
     pass
 
 
-class ExtractionNotConverged(SnodeLabError):
-    pass
-
-
 class NotConverged(SnodeLabError):
     pass

@@ -14,8 +14,9 @@ and elementary factors w_{k+1}(lam) = I + (i/lam) J omega_k* t_{k+1}^{-1} omega_
 whose product recovers the node's transfer matrix.
 
 Moment recovery runs two independent routes for a Weyl function phi of the
-node: large-|z| expansion coefficients of -phi on an upper semicircle, and
-quadrature of t^k against the boundary density of phi.
+node: the expansion coefficients of -phi at infinity, by the trapezoid rule
+on a full circle outside the poles of phi, and quadrature of t^k against the
+boundary density of phi.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import matcore, quadrature, serialization
 from .densities import DensityFn
 from .errors import (
     DimensionMismatch,
-    ExtractionNotConverged,
     IndexOutOfRange,
     PoleAtLambda,
     SingularDenominator,
@@ -303,7 +303,10 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     def log_det(ts):
         return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
 
-    breaks = _denominator_break_points(frm, denominators)
+    # the real parts of the near-axis zeros of det F locate the narrow
+    # Lorentzian features of the density
+    roots = _denominator_roots(frm, denominators)
+    breaks = tuple(sorted({float(r.real) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6}))
     return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
 
 
@@ -314,38 +317,15 @@ def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
         raise SingularDenominator(ts[bad[0]])
 
 
-def _denominator_break_points(frm: Frame, denominators) -> tuple:
-    """Real parts of the near-axis zeros of det F, F the LFT denominator
-    evaluated by ``denominators``.
-
-    The frame metadata clears the rational denominators of det F into a
-    polynomial, whose roots close to the axis locate the narrow Lorentzian
-    features of the boundary density.
-    """
+def _denominator_roots(frm: Frame, denominators) -> np.ndarray:
+    """Zeros of det F, F the LFT denominator evaluated by ``denominators``:
+    the frame metadata clears det F into a polynomial of degree
+    ``clear_degree``, fitted to its values at that many points plus three."""
     deg = frm.clear_degree
     span = 3.0 + deg
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
     qvals = np.linalg.det(denominators(fit_ts)) * np.asarray(frm.pole_clear(fit_ts))
-    poly = np.polynomial.Polynomial.fit(fit_ts, qvals, deg)
-    roots = poly.roots()
-    return tuple(
-        sorted({float(r.real) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6})
-    )
-
-
-def _laurent_fit(phi_vals: np.ndarray, zs: np.ndarray, radius: float, n_terms: int) -> np.ndarray:
-    """Least-squares expansion -phi(z) ~ sum c_k z^{-(k+1)} on |z| = radius.
-
-    Returns c_0..c_{n_terms-1} (matrix-valued), fitting each entry with the
-    normalized basis (radius/z)^{k+1}.
-    """
-    m, p, _ = phi_vals.shape
-    powers = np.arange(1, n_terms + 1)
-    basis = (radius / zs)[:, None] ** powers[None, :]
-    target = -phi_vals.reshape(m, p * p)
-    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    scale = radius ** powers.astype(float)
-    return (coef * scale[:, None]).reshape(n_terms, p, p)
+    return np.polynomial.Polynomial.fit(fit_ts, qvals, deg).roots()
 
 
 @dataclass(frozen=True)
@@ -353,7 +333,7 @@ class MomentReport:
     """Two-route moment recovery plus the top-order inequality certificate."""
 
     orders: tuple
-    laurent: tuple          # from the large-|z| expansion of -phi
+    laurent: tuple          # coefficients of w^{k+1} in -phi(1/w), by the circle rule
     measure: tuple          # from quadrature of t^k against the density
     reference: tuple        # the input blocks H_k being certified
     tail_order: int
@@ -375,8 +355,8 @@ class MomentReport:
         return float(np.linalg.eigvalsh(gap)[-1])
 
 
-# higher-order expansion columns that absorb the tail of the Laurent fit
-_NUISANCE_TERMS = 6
+# the recovery circle |z| = R lies this factor outside the farthest zero of det F
+_RECOVER_MARGIN = 1.5
 
 
 def recover_moments(
@@ -385,13 +365,17 @@ def recover_moments(
     """Recover H_k (k <= 2n-3) from the Weyl function of the node and certify
     integral t^{2n-2} dmu <= H_{2n-2}.
 
-    The expansion route evaluates phi on upper semicircles |z| = R and 2R
-    (R = 50 (1 + max |H|)), fits coefficients of z^{-1}..z^{-(2n-2)} plus
-    :data:`_NUISANCE_TERMS` higher-order columns that absorb the tail, and
-    accepts only when the two radii agree to 1e-5.  The measure route
-    integrates t^k against the boundary density.
+    The expansion route reads H_k as the coefficient of w^{k+1} in
+    -phi(1/w) = sum_k H_k w^{k+1}, by the trapezoid rule of
+    :func:`quadrature.circle_coefficients` on |w| = 1/R, with
+    R = :data:`_RECOVER_MARGIN` * max(1, max |zero of det F|): the poles of
+    phi lie inside |z| = R, so -phi(1/w) is analytic on and inside the
+    circle.  Each coefficient is accepted at a doubled-node drift of at most
+    1e-8 (1 + its size), and the terms in negative powers of w must vanish
+    to 1e-8 of max |phi| on the circle.  The measure route integrates t^k
+    against the boundary density.
     """
-    p, n = spec.p, spec.n
+    n = spec.n
     node = build_hankel_node(spec)
     max_known = 2 * n - 3
     if orders is None:
@@ -400,27 +384,13 @@ def recover_moments(
     if any(k < 0 or k > max_known for k in orders):
         raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
-    scale = max(float(np.max(np.abs(b))) for b in spec.H)
-    radius = 50.0 * (1.0 + scale)
-    theta = np.linspace(0.1 * np.pi, 0.9 * np.pi, 96)
-    n_terms = (2 * n - 2) + _NUISANCE_TERMS
-
     frm = hankel_frame(node)
-
-    def fit_at(R: float) -> np.ndarray:
-        zs = R * np.exp(1j * theta)
-        return _laurent_fit(lft(frm, pair, zs), zs, R, n_terms)
-
-    fit1 = fit_at(radius)
-    fit2 = fit_at(2.0 * radius)
-    laurent = []
-    for k in range(max_known + 1):
-        drift = float(np.max(np.abs(fit1[k] - fit2[k])))
-        if drift > 1e-5 * (1.0 + float(np.max(np.abs(fit2[k])))):
-            raise ExtractionNotConverged(
-                f"expansion coefficient {k} drifts {drift:.3e} between radii"
-            )
-        laurent.append(matcore.hermitian_part(fit2[k]))
+    roots = _denominator_roots(frm, frm.denominator(pair.R, pair.Q))
+    radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+    expansion = quadrature.circle_coefficients(
+        lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, 1e-8, "expansion coefficient"
+    )
+    laurent = [matcore.hermitian_part(c) for c in expansion[1:]]
 
     density = weyl_density(frm, pair)
     tail_order = 2 * n - 2

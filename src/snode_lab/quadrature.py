@@ -22,6 +22,9 @@ the range and a node budget ``quad``, never a rule or node counts; it
 picks the rule itself and returns only a value that passed the doubled-node
 agreement check, so the check is enforced by the API, not by a convention
 its callers follow.
+
+:func:`circle_coefficients` is the third rule: the trapezoid rule on a
+circle, for the expansion coefficients of an analytic function.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, Unsupported
+from .errors import EvaluationFailure, QuadratureNotConverged, Unsupported
 
 
 @lru_cache(maxsize=64)
@@ -191,16 +194,68 @@ def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="i
         for i, (c, f) in enumerate(zip(coarse, fine)):
             if accepted[i] is not None:
                 continue
-            drift = np.max(np.abs(np.asarray(f) - np.asarray(c)))
-            scale = 1.0 + np.max(np.abs(np.asarray(f)))
-            if drift > rel_tol * scale:
-                failures.append((names[i], drift, scale))
-            else:
+            miss = _drift(names[i], c, f, rel_tol)
+            if miss is None:
                 accepted[i] = f
+            else:
+                failures.append(miss)
         if not failures:
             return accepted if many else accepted[0]
         coarse = fine
-    name, drift, scale = failures[0]
-    raise QuadratureNotConverged(
-        f"{name}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"
-    )
+    raise failures[0]
+
+
+def _drift(name: str, coarse, fine, rel_tol: float):
+    """The doubled-node agreement test: None when the drift max |fine - coarse|
+    is at most ``rel_tol`` * (1 + max |fine|), else the error naming ``name``."""
+    fine = np.asarray(fine)
+    drift = np.max(np.abs(fine - np.asarray(coarse)))
+    scale = 1.0 + np.max(np.abs(fine))
+    if drift > rel_tol * scale:
+        return QuadratureNotConverged(
+            f"{name}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"
+        )
+    return None
+
+
+# trapezoid nodes of the coarse circle rule; the fine rule has twice as many
+_CIRCLE_NODES = 128
+
+
+def circle_coefficients(fn, radius: float, count: int, rel_tol: float, what="coefficient"):
+    """Taylor coefficients c_0..c_{count-1} at 0, stacked, of ``fn``, analytic
+    on and inside |w| = ``radius``.
+
+    The trapezoid rule c_k = (1/N) sum_j fn(w_j) w_j^{-k} on N equally spaced
+    points of the circle (an FFT) converges geometrically in N, at the rate
+    radius / (distance of the nearest singularity from 0).  It runs at
+    N = :data:`_CIRCLE_NODES` and 2N, calling ``fn`` once on each rule's
+    points, and accepts each coefficient by the agreement test of
+    :func:`integrate_with_check`, else raises :class:`QuadratureNotConverged`
+    naming the first that drifts (a singularity near the circle).  One well
+    inside would pass that test with an annulus's coefficients, so the fine
+    rule's terms in w^-1..w^-count, zero for an analytic ``fn``, must also
+    stay below ``rel_tol`` * max |fn| (in units of radius^k).  A value of
+    ``fn`` that is not finite raises :class:`EvaluationFailure`.
+    """
+
+    def rule(n: int):
+        values = np.asarray(fn(radius * np.exp(2j * np.pi * np.arange(n) / n)), dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise EvaluationFailure(f"{what}s: non-finite values on the circle |w| = {radius:.3e}")
+        return np.fft.fft(values, axis=0) / n, np.max(np.abs(values))
+
+    (coarse, _), (fine, top) = rule(_CIRCLE_NODES), rule(2 * _CIRCLE_NODES)
+    units = (radius ** -np.arange(count, dtype=float)).reshape(-1, *[1] * (fine.ndim - 1))
+    coarse, coefs = coarse[:count] * units, fine[:count] * units
+    for k in range(count):
+        miss = _drift(f"{what} {k}", coarse[k], coefs[k], rel_tol)
+        if miss is not None:
+            raise miss
+    inside = np.max(np.abs(fine[2 * _CIRCLE_NODES - count :]), initial=0.0)
+    if inside > rel_tol * top:
+        raise QuadratureNotConverged(
+            f"{what}s: terms in negative powers {inside:.3e} exceed {rel_tol:.1e} * max |fn| "
+            f"{top:.3e} on |w| = {radius:.3e}: a singularity lies inside the circle"
+        )
+    return coefs

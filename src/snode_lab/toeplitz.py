@@ -21,15 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import matcore, serialization
+from . import matcore, quadrature, serialization
 from .errors import (
     DimensionMismatch,
-    EvaluationFailure,
     IndexOutOfRange,
     NotContractive,
     PoleAtLambda,
     PoleAtZ,
-    QuadratureNotConverged,
 )
 from .snode import Frame, ParamPair, SNode, lft_stack
 
@@ -321,44 +319,22 @@ def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
     )
 
 
-def _cayley_to_plane(zeta: np.ndarray) -> np.ndarray:
-    """ zeta in the unit disk -> z = 2i (1 - zeta)/(1 + zeta) in the half-plane."""
-    return 2j * (1.0 - zeta) / (1.0 + zeta)
-
-
-# the recovery circle |zeta| = 1/2 and the trapezoid nodes of the coarse rule
-_TAYLOR_RADIUS = 0.5
-_TAYLOR_NODES = 256
-
-
 def taylor_recover(phi, count: int) -> list[np.ndarray]:
     """First ``count`` Taylor coefficients at 0 of g(zeta) = -i phi(2i (1-zeta)/(1+zeta)).
 
     Coefficient 0 is s_0/2 + i nu and coefficients 1..n-1 reproduce the
-    generating blocks s_{-k}.  Uses the trapezoid rule on |zeta| = 1/2
-    (spectrally accurate for analytic integrands) and accepts only when the
-    doubled-node rerun agrees to 1e-8.
+    generating blocks s_{-k}.  They come from the trapezoid rule of
+    :func:`quadrature.circle_coefficients` on |zeta| = 1/2, whose image is a
+    circle inside the upper half-plane, where phi is analytic; ``phi`` is
+    called once per rule, on the array of its points.  Each coefficient is
+    accepted at a doubled-node drift of at most 1e-8 (1 + its size), and
+    the terms in negative powers must vanish to 1e-8 of max |g|.
     """
 
-    def coefficients(N: int) -> np.ndarray:
-        zeta = _TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(N) / N)
-        zs = _cayley_to_plane(zeta)
-        try:
-            samples = np.stack([np.asarray(phi(z), dtype=complex) for z in zs])
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationFailure(f"phi not evaluable on the recovery circle: {exc}") from exc
-        if not np.all(np.isfinite(samples)):
-            raise EvaluationFailure("phi returned non-finite values on the recovery circle")
-        g = -1j * samples
-        powers = zeta[:, None] ** (-np.arange(count))[None, :]
-        return np.einsum("mk,mij->kij", powers, g) / N
+    def g(zeta):
+        return -1j * np.asarray(phi(2j * (1.0 - zeta) / (1.0 + zeta)), dtype=complex)
 
-    coarse = coefficients(_TAYLOR_NODES)
-    fine = coefficients(2 * _TAYLOR_NODES)
-    drift = float(np.max(np.abs(fine - coarse)))
-    if drift > 1e-8 * (1.0 + float(np.max(np.abs(fine)))):
-        raise QuadratureNotConverged(f"taylor coefficients drift {drift:.3e} on node doubling")
-    return [fine[k] for k in range(count)]
+    return list(quadrature.circle_coefficients(g, 0.5, count, 1e-8, "taylor coefficient"))
 
 
 def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:

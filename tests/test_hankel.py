@@ -165,6 +165,39 @@ def test_recover_moments_rejects_bad_orders(hankel_102, unit_pair):
         hankel.recover_moments(spec, unit_pair, orders=(5,))
 
 
+# the seeded specs on which recover_moments raises, and what it raises: at
+# (2, 5, seed 1) det F has a zero at |z| = 12.7, so R = 19, and coefficient 8
+# carries the rounding of the samples times R^8 = 1.7e10 (drift 8.1e-6)
+_RECOVER_RAISES = {(2, 5, 1): QuadratureNotConverged}
+
+
+@pytest.mark.parametrize(
+    "p, n, seed", [(p, n, seed) for p in (1, 2) for n in (3, 4, 5) for seed in range(4)]
+)
+def test_recover_moments_on_seeded_specs(p, n, seed):
+    spec = sampling.random_hankel_spec(np.random.default_rng(seed), p, n)
+    pair = sampling.random_constant_pair(np.random.default_rng(100 + seed), p)
+    if (p, n, seed) in _RECOVER_RAISES:
+        with pytest.raises(_RECOVER_RAISES[p, n, seed], match="^expansion coefficient 8: "):
+            hankel.recover_moments(spec, pair)
+        return
+    report = hankel.recover_moments(spec, pair)
+    assert report.max_error() <= 1e-10
+    assert report.tail_slack() <= 1e-6
+
+
+@pytest.mark.parametrize("margin", [0.3, 0.5, 0.8, 0.9, 1.0])
+@pytest.mark.parametrize("p, n", [(1, 3), (2, 4)])
+def test_recover_radius_inside_the_zeros_of_det_f_raises(monkeypatch, p, n, margin):
+    # the largest zero of det F is at |z| = 1.94 and 1.90: a circle through
+    # it, or inside it, must not give a value
+    spec = sampling.random_hankel_spec(np.random.default_rng(0), p, n)
+    pair = sampling.random_constant_pair(np.random.default_rng(100), p)
+    monkeypatch.setattr(hankel, "_RECOVER_MARGIN", margin)
+    with pytest.raises(QuadratureNotConverged):
+        hankel.recover_moments(spec, pair)
+
+
 def test_weyl_density_matches_imaginary_part(hankel_102, rng, unit_pair):
     _, node = hankel_102
     frm = snode.node_frame(node)

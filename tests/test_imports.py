@@ -5,8 +5,11 @@ import pytest
 
 import snode_lab
 
+SOURCES = sorted(Path(snode_lab.__file__).parent.glob("*.py"))
 # __init__.py is left out: its imports are re-exports
-MODULES = sorted(p for p in Path(snode_lab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ERRORS = Path(snode_lab.__file__).parent / "errors.py"
+ERROR_CLASSES = [n.name for n in ast.parse(ERRORS.read_text()).body if isinstance(n, ast.ClassDef)]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,3 +28,32 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _named(node: ast.expr) -> str | None:
+    """The name that ``X``, ``errors.X`` or ``X(...)`` refers to."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _raised_or_subclassed() -> set[str]:
+    """Every name raised bare, called (an error built to be raised, or one
+    returned and raised by its caller) or used as a base class in the package."""
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names.add(_named(node.exc))
+            elif isinstance(node, ast.Call):
+                names.add(_named(node))
+            elif isinstance(node, ast.ClassDef):
+                names.update(_named(base) for base in node.bases)
+    return names
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_every_error_class_is_raised_or_subclassed(name):
+    assert name in _raised_or_subclassed()

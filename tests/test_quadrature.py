@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snode_lab import densities, hankel, matcore, quadrature, snode
-from snode_lab.errors import QuadratureNotConverged, Unsupported
+from snode_lab.errors import EvaluationFailure, QuadratureNotConverged, Unsupported
 
 
 def graded_per_panel(fn, n, levels=54, breaks=()):
@@ -222,3 +224,53 @@ def test_absolute_checks_leave_the_moment_values_alone():
     )
     for block, value in zip(got, fine):
         assert np.array_equal(block, matcore.hermitian_part(value))
+
+
+def _rational(B, A, poles):
+    """w -> B + sum_j A_j / (w - a_j), on a 1-d array of points."""
+    return lambda ws: B + np.sum(A / (ws[:, None, None, None] - poles[:, None, None]), axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    count=st.integers(1, 10),
+    npoles=st.integers(1, 4),
+    radius=st.floats(0.05, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_circle_coefficients_of_rational_functions(p, count, npoles, radius, seed):
+    # all poles at |w| >= 1.5 radius: c_k = [k = 0] B - sum_j A_j a_j^{-(k+1)}
+    rng = np.random.default_rng(seed)
+    poles = radius * rng.uniform(1.5, 4.0, npoles) * np.exp(2j * np.pi * rng.uniform(size=npoles))
+    A = rng.normal(size=(npoles, p, p)) + 1j * rng.normal(size=(npoles, p, p))
+    B = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+    got = quadrature.circle_coefficients(_rational(B, A, poles), radius, count, 1e-8)
+    k = np.arange(count)
+    want = -np.einsum("jk,jab->kab", poles[:, None] ** -(k + 1.0), A)
+    want[0] += B
+    # relative in the units of the rule: coefficient k times radius^k
+    units = (radius ** k)[:, None, None]
+    assert np.max(np.abs(got - want) * units) <= 1e-13 * np.max(np.abs(want) * units)
+
+
+@pytest.mark.parametrize("depth", [0.9, 0.3, 0.0])
+def test_circle_coefficients_refuse_a_pole_inside_the_circle(depth):
+    # near the circle the two rules disagree on coefficient 0; deep inside
+    # they agree on the coefficients of an annulus, and the terms in w^-1..
+    # give the pole away
+    fn = _rational(np.eye(2), np.ones((1, 2, 2)), np.array([depth * 2.0]))
+    with pytest.raises(QuadratureNotConverged) as info:
+        quadrature.circle_coefficients(fn, 2.0, 4, 1e-8, "term")
+    if depth == 0.9:
+        assert str(info.value).startswith("term 0: doubled-node drift ")
+    else:
+        assert str(info.value).startswith("terms: terms in negative powers ")
+
+
+def test_circle_coefficients_refuse_non_finite_values():
+    def fn(ws):
+        return np.where(ws.real > 0, 1.0, np.nan)
+
+    with pytest.raises(EvaluationFailure, match="non-finite values on the circle"):
+        quadrature.circle_coefficients(fn, 1.0, 3, 1e-8)

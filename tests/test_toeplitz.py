@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import matcore, sampling, snode, toeplitz
+from snode_lab import matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
     NotContractive,
     NotHermitian,
@@ -237,6 +237,19 @@ def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
     assert coeffs[0][0, 0] == pytest.approx(1.0, abs=1e-6)
     assert coeffs[1][0, 0] == pytest.approx(0.4 + 0.1j, abs=1e-6)
     assert coeffs[2][0, 0] == pytest.approx(-0.1 + 0.2j, abs=1e-6)
+
+
+def test_taylor_recover_calls_phi_once_per_rule(toeplitz_3, unit_pair):
+    _, node = toeplitz_3
+    frm = toeplitz.dirac_frame(toeplitz.toeplitz_chain(node))
+    shapes = []
+
+    def phi(zs):
+        shapes.append(np.shape(zs))
+        return snode.lft(frm, unit_pair, zs)
+
+    toeplitz.taylor_recover(phi, 3)
+    assert shapes == [(quadrature._CIRCLE_NODES,), (2 * quadrature._CIRCLE_NODES,)]
 
 
 def test_taylor_extension_stays_nonnegative(toeplitz_3, unit_pair):
