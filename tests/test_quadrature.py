@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snode_lab import densities, hankel, matcore, quadrature, snode
-from snode_lab.errors import EvaluationFailure, QuadratureNotConverged, Unsupported
+from snode_lab.errors import EvaluationFailure, IndexOutOfRange, QuadratureNotConverged, Unsupported
 
 
 def graded_per_panel(fn, n, levels=54, breaks=()):
@@ -148,6 +148,9 @@ def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
         (densities.exp_sqrt_density(), range(7)),
         (densities.uniform_density(0.5, 3.0), range(11)),
         (_WEYL, range(3)),
+        # descending and repeated orders restart or reuse the running power
+        (densities.exp_sqrt_density(), [6, 2, 6, 0]),
+        (densities.uniform_density(), [6, 2, 6, 0]),
     ],
 )
 def test_all_orders_pass_equals_single_orders(density, orders):
@@ -213,6 +216,46 @@ def test_divergent_moment_raises_naming_its_order():
         with pytest.raises(QuadratureNotConverged, match="^moment 1 absolute: "):
             hankel.moments_from_density(cauchy, orders)
     assert hankel.moments_from_density(cauchy, 0)[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("density", [densities.exp_sqrt_density(), densities.uniform_density()])
+def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
+    # orders 3..10 by repeated multiplication against t**k on the same rule,
+    # relative to the absolute moment integral |t|^k tr P (the odd moments
+    # of these even densities cancel to rounding)
+    orders = range(3, 11)
+    seen = []
+
+    def keep_integrand(fn, *args):
+        seen.append(fn)
+        return [np.zeros((1, 1))] * len(args[-1])  # one per name
+
+    monkeypatch.setattr(quadrature, "integrate_with_check", keep_integrand)
+    hankel.moments_from_density(density, orders)
+    if density.bounded_support:
+        rule = lambda fn: quadrature.integrate_interval(fn, *density.support, 32, density.breaks)
+    else:
+        rule = lambda fn: quadrature.integrate_line_graded(fn, 64, density.breaks)
+    got = rule(seen[0])
+    if not density.bounded_support:
+        got = got[1::2]
+    want = rule(lambda t: [t[:, None, None] ** k * density(t) for k in orders])
+    scale = rule(lambda t: [np.abs(t) ** k * density(t)[:, 0, 0].real for k in orders])
+    for k, g, w, s in zip(orders, got, want, scale):
+        assert np.max(np.abs(g - w)) <= 1e-14 * s, k
+
+
+@pytest.mark.parametrize("orders, named", [(-1, "-1"), ([0, 1, -1], "-1"), (2.5, "2.5"), ([0, 2.5], "2.5")])
+def test_moment_orders_must_be_nonnegative_integers(orders, named):
+    # t^-1 P is not integrable at 0, yet its symmetric rule cancels to a
+    # small value; a fractional order has no running power to stop at
+    with pytest.raises(IndexOutOfRange, match=f"^moment order {named} is not a non-negative integer$"):
+        hankel.moments_from_density(densities.exp_sqrt_density(), orders)
+
+
+def test_integral_float_orders_are_their_integers():
+    es = densities.exp_sqrt_density()
+    assert np.array_equal(hankel.moments_from_density(es, 2.0), hankel.moments_from_density(es, 2))
 
 
 def test_absolute_checks_leave_the_moment_values_alone():
