@@ -20,14 +20,12 @@ from .errors import (
     QuadratureNotConverged,
     SingularF,
     SzegoViolated,
-    Unsupported,
 )
 from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_density
 from .snode import (
     ParamPair,
     SNode,
     as_frame,
-    extremal_pair,
     frame,
     rho,
     rho_from_frame,
@@ -275,39 +273,56 @@ def _outer_moduli(Ps, lam: complex) -> list:
     return moduli
 
 
-def gmu_extremal(node_or_frame, lam: complex, z: complex) -> np.ndarray:
-    """Outer factor of the extremal-pair density:
-    G(z) = (2 pi)^{-1/2} rho(lam, conj lam)^{1/2} F(z)^{-1} with
-    F(z) = Frm21(z) R + Frm22(z) Q for the extremal pair at lam.
-
-    On the real axis G(t)* G(t) equals the boundary density mu'(t)."""
+def outer_factor(node_or_frame, pair_or_pairs, z: complex) -> np.ndarray:
+    """G(z) = jform^{1/2} F(z)^{-1}, jform = (R*Q + Q*R) / (2 pi) and
+    F = Frm21 R + Frm22 Q: the outer factor (F is invertible on the upper
+    half-plane; Wiener & Masani, Acta Math. 98, 1957) of a constant pair's
+    boundary density, mu'(t) = G(t)* G(t).  One :class:`ParamPair` gives a
+    p x p matrix, a sequence an (N, p, p) stack from one frame evaluation;
+    :class:`SingularF` names the first pair whose F(z) is singular."""
     frm = as_frame(node_or_frame)
-    pair = extremal_pair(frm, lam)
-    R, Q = pair.constant_value
-    p = frm.p
+    single = isinstance(pair_or_pairs, ParamPair)
+    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
+    R = np.stack([pair.R for pair in pairs])
+    Q = np.stack([pair.Q for pair in pairs])
     _, _, F21, F22 = frm.blocks(z)
     F = F21 @ R + F22 @ Q
-    sv = np.linalg.svd(F, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(sv[0], 1.0):
-        raise SingularF(f"F(z) singular at z = {z}")
-    rho_half = matcore.sqrtm_hpd(rho_from_frame(frm, lam))
-    return (2.0 * np.pi) ** (-0.5) * rho_half @ np.linalg.inv(F)
+    smin, smax = matcore.singular_extremes(F)
+    k, _ = matcore.first_failure(smin <= 1e-13 * np.maximum(smax, 1.0))
+    if k is not None:
+        raise SingularF(f"F(z) singular at z = {z} for pair {k}")
+    RQ = np.swapaxes(R, 1, 2).conj() @ Q
+    G = matcore.sqrtm_hpd((RQ + np.swapaxes(RQ, 1, 2).conj()) / (2.0 * np.pi)) @ np.linalg.inv(F)
+    return G[0] if single else G
 
 
 @dataclass(frozen=True)
 class EntropyBound:
     """lhs = 2 pi G(lam)* G(lam) against rhs = rho(lam, conj lam)^{-1};
     ``normalization`` is the :func:`poisson_normalization` at lam that the
-    check accepted."""
+    check accepted, ``modulus`` the pair's :func:`outer_modulus` at lam."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     normalization: float
+    modulus: float
 
     @property
     def slack(self) -> float:
         """min eig(rhs - lhs); >= -tol certifies the bound, ~0 the equality."""
         return matcore.min_eig_hermitian(self.rhs - self.lhs)
+
+    @property
+    def relative_slack(self) -> float:
+        """min eig of rhs^{-1/2} (rhs - lhs) rhs^{-1/2}: c^2 for the pair whose
+        Weyl value at lam is the point c I of the Weyl ball, 0 at its centre."""
+        half_inv = np.linalg.inv(matcore.sqrtm_hpd(self.rhs))
+        return matcore.min_eig_hermitian(half_inv @ (self.rhs - self.lhs) @ half_inv)
+
+    @property
+    def modulus_gap(self) -> float:
+        """|ln|det G(lam)| - ln modulus|: the closed-form lhs against its quadrature."""
+        return abs(0.5 * np.linalg.slogdet(self.lhs / (2.0 * np.pi))[1] - np.log(self.modulus))
 
 
 def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
@@ -317,36 +332,24 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     ``pair_or_pairs`` is one :class:`ParamPair`, giving one
     :class:`EntropyBound`, or a sequence of them, giving a list; ``rhs`` and
     the Poisson normalization, which every bound carries, are computed once
-    per call.  The frame must
-    be holomorphic across the closed upper half-plane for the
-    outer-function representation behind the bound (Hankel nodes and
-    coefficient-chain frames qualify; the generic frame of a Toeplitz node
-    does not, since its A* resolvent has an upper-half-plane pole).
-    Scalar families go through the outer-modulus quadrature of each pair's
-    boundary density; for p > 1 only the extremal pair is supported (its
-    outer factor is available in closed form)."""
+    per call.  The frame must be holomorphic across the closed upper
+    half-plane for the outer-function representation behind the bound
+    (Hankel nodes and coefficient-chain frames qualify; the generic frame of
+    a Toeplitz node does not, since its A* resolvent has an upper-half-plane
+    pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
+    quadrature of each pair's boundary density certifies it, and runs first,
+    so a pair with singular R*Q + Q*R raises :class:`SzegoViolated`."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     single = isinstance(pair_or_pairs, ParamPair)
     pairs = [pair_or_pairs] if single else list(pair_or_pairs)
     frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
-    if frm.p == 1:
-        dens = [weyl_density(frm, pair) for pair in pairs]
-        norm = poisson_normalization(lam)
-        moduli = _outer_moduli(dens, lam)
-        lhss = [np.array([[2.0 * np.pi * m**2]], dtype=complex) for m in moduli]
-    else:
-        Re, Qe = extremal_pair(frm, lam).constant_value
-        for pair in pairs:
-            if np.max(np.abs(pair.R - Re)) + np.max(np.abs(pair.Q - Qe)) > 1e-9 * (
-                1.0 + float(np.max(np.abs(Re)))
-            ):
-                raise Unsupported("matrix case is supported for the extremal pair only")
-        norm = poisson_normalization(lam)
-        G = gmu_extremal(frm, lam, lam)
-        lhss = [matcore.hermitian_part(2.0 * np.pi * G.conj().T @ G)] * len(pairs)
-    bounds = [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm) for lhs in lhss]
+    norm = poisson_normalization(lam)
+    moduli = _outer_moduli([weyl_density(frm, pair) for pair in pairs], lam)
+    G = outer_factor(frm, pairs, lam)
+    lhss = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
+    bounds = [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]
     return bounds[0] if single else bounds
 
 

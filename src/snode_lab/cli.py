@@ -294,28 +294,24 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     draws = _param_int(sc, "pairs", 10)
     checks = []
 
-    # every pair in one call, so the Poisson normalization runs once
-    pairs = [snode.extremal_pair(frm, lam)]
-    if node.p == 1:
-        # the witness's Weyl value at lam is the ball point of contraction 1/2,
-        # so its slack is rhs |u|^2 = rhs / 4, away from the ball's centre
-        ball = snode.matrix_ball(node, lam)
-        witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(1)))
-        pairs += [witness, *(sampling.random_constant_pair(rng, 1) for _ in range(draws))]
+    # every pair in one call, so the Poisson normalization runs once; the
+    # witness's Weyl value at lam is the ball point of contraction I/2
+    ball = snode.matrix_ball(node, lam)
+    witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(node.p)))
+    pairs = [snode.extremal_pair(frm, lam), witness]
+    pairs += [sampling.random_constant_pair(rng, node.p) for _ in range(draws)]
     bounds = asymptotics.entropy_bound_check(frm, pairs, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bounds[0].slack), 1e-6))
 
     # the normalization the bound check accepted
-    norm = bounds[0].normalization
-    checks.append(_check("poisson normalization", "As33", abs(norm - np.pi), 1e-9))
+    checks.append(_check("poisson normalization", "As33", abs(bounds[0].normalization - np.pi), 1e-9))
 
-    if node.p == 1:
-        share = bounds[1].slack / float(bounds[1].rhs[0, 0].real)
-        checks.append(
-            _check("strict slack at the witness pair", "B13!", share, 1e-3, passed=share > 1e-3)
-        )
-        worst = max(-bound.slack for bound in bounds[2:])
-        checks.append(_check("entropy bound over random pairs", "B13!", worst, 1e-6))
+    share = bounds[1].relative_slack
+    checks.append(_check("strict slack at the witness pair", "B13!", share, 1e-3, passed=share > 1e-3))
+    worst = max(-bound.slack for bound in bounds[2:])
+    checks.append(_check("entropy bound over random pairs", "B13!", worst, 1e-6))
+    gap = max(bound.modulus_gap for bound in bounds)
+    checks.append(_check("outer factor against its quadrature", "B31q", gap, 1e-9))
     return checks, {"lambda": serialization.complex_to_json(lam)}
 
 

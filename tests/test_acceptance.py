@@ -198,10 +198,11 @@ def test_criterion_07_monotonicity_and_factorization():
 def test_criterion_08_entropy_equality_two_routes():
     spec = hankel.HankelSpec(p=1, n=1, H=(np.array([[1.0]]),))
     node = hankel.build_hankel_node(spec)
-    G = asymptotics.gmu_extremal(node, 1j, 1j)
+    ext = snode.extremal_pair(node, 1j)
+    G = asymptotics.outer_factor(node, ext, 1j)
     closed = 2 * np.pi * abs(G[0, 0]) ** 2
-    bound = asymptotics.entropy_bound_check(node, snode.extremal_pair(node, 1j), 1j)
-    quadr = bound.lhs[0, 0].real
+    bound = asymptotics.entropy_bound_check(node, ext, 1j)
+    quadr = 2 * np.pi * bound.modulus**2
     rhs = bound.rhs[0, 0].real
     ok = (
         abs(closed - 0.5) <= 1e-6

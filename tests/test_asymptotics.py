@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import asymptotics, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
-from snode_lab.errors import NotInUpperHalfPlane, QuadratureNotConverged, SzegoViolated, Unsupported
+from snode_lab import asymptotics, cli, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
+from snode_lab.errors import NotInUpperHalfPlane, QuadratureNotConverged, SingularF, SzegoViolated, Unsupported
 
 
 @pytest.fixture(scope="module")
@@ -236,24 +236,51 @@ def test_outer_modulus_agrees_with_extremal_factor(hankel_unit):
     dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
     lam = 0.4 + 0.9j
     om = asymptotics.outer_modulus(dens, lam)
-    G = asymptotics.gmu_extremal(node, 1j, lam)
+    G = asymptotics.outer_factor(node, snode.extremal_pair(node, 1j), lam)
     assert om == pytest.approx(abs(G[0, 0]), abs=1e-6)
 
 
 def test_gmu_extremal_hand_values(hankel_unit):
     _, node = hankel_unit
-    G = asymptotics.gmu_extremal(node, 1j, 1j)
+    G = asymptotics.outer_factor(node, snode.extremal_pair(node, 1j), 1j)
     assert G[0, 0] == pytest.approx(1 / (2 * np.sqrt(np.pi)), abs=1e-12)
     assert 2 * np.pi * abs(G[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gmu_boundary_factorization(hankel_unit, rng):
+    # G(t)* G(t) = mu'(t) on the axis: the extremal pair of the unit node,
+    # and a random pair of a seeded p = 2 node
     _, node = hankel_unit
-    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
-    for t in rng.uniform(-6, 6, 20):
-        G = asymptotics.gmu_extremal(node, 1j, float(t))
-        gap = G.conj().T @ G - dens(np.array([t]))[0]
-        assert np.max(np.abs(gap)) <= 1e-9
+    node2 = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(3), 2, 2))
+    for frm, pair in (
+        (node, snode.extremal_pair(node, 1j)),
+        (hankel.hankel_frame(node2), sampling.random_constant_pair(rng, 2)),
+    ):
+        dens = hankel.weyl_density(frm, pair)
+        for t in rng.uniform(-6, 6, 20):
+            G = asymptotics.outer_factor(frm, pair, float(t))
+            gap = G.conj().T @ G - dens(np.array([t]))[0]
+            assert np.max(np.abs(gap)) <= 1e-9
+
+
+def test_outer_factor_of_a_pair_list_equals_single_calls(rng):
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3))
+    z = 0.3 + 0.8j
+    pairs = [snode.extremal_pair(node, 1j), *(sampling.random_constant_pair(rng, 2) for _ in range(3))]
+    batch = asymptotics.outer_factor(node, pairs, z)
+    assert batch.shape == (4, 2, 2)
+    for pair, got in zip(pairs, batch):
+        assert np.array_equal(got, asymptotics.outer_factor(node, pair, z))
+
+
+def test_outer_factor_names_the_first_singular_pair(hankel_unit):
+    _, node = hankel_unit
+    # F(z) = Frm21(z) R + Frm22(z) Q vanishes for (R, Q) = (Frm22(z), -Frm21(z))
+    _, _, F21, F22 = snode.as_frame(node).blocks(2j)
+    good = snode.ParamPair.constant(np.eye(1), np.eye(1))
+    bad = snode.ParamPair.constant(F22, -F21)
+    with pytest.raises(SingularF, match="for pair 1"):
+        asymptotics.outer_factor(node, [good, bad, bad], 2j)
 
 
 def test_entropy_bound_equality_at_extremal(hankel_unit):
@@ -280,6 +307,7 @@ def test_entropy_bound_random_pairs_on_chain_frame(rng):
         pair = sampling.random_constant_pair(rng, 1)
         bound = asymptotics.entropy_bound_check(frm, pair, lam)
         assert bound.slack >= -1e-6
+        assert bound.modulus_gap <= 1e-9
 
 
 def test_convergence_run_exp_sqrt_trend():
@@ -428,9 +456,22 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
     for got in asymptotics.entropy_bound_check(node, [ext, ext], 1j):
         assert np.array_equal(got.lhs, single.lhs)
         assert np.array_equal(got.rhs, single.rhs)
-    witness = snode.ParamPair.constant(np.eye(2), 4.0 * np.eye(2))
-    with pytest.raises(Unsupported):
-        asymptotics.entropy_bound_check(node, [ext, witness], 1j)
+    # any pair at p = 2: the ball witness of contraction I/2 reads 1/4, and
+    # every closed-form lhs agrees with its quadrature modulus
+    ball = snode.matrix_ball(node, 1j)
+    witness = cli._pair_with_value(snode.as_frame(node), 1j, snode.ball_value(ball, 0.5 * np.eye(2)))
+    bounds = asymptotics.entropy_bound_check(node, [ext, witness], 1j)
+    assert bounds[1].relative_slack == pytest.approx(0.25, abs=1e-9)
+    assert max(bound.modulus_gap for bound in bounds) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
+    # R*Q + Q*R = diag(0, 2) is singular: the density's log-det is -inf
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(6), p, 2))
+    pair = snode.ParamPair.constant(np.eye(p), np.diag([1j, 1.0][:p]))
+    with pytest.raises(SzegoViolated):
+        asymptotics.entropy_bound_check(node, [snode.extremal_pair(node, 1j), pair], 1j)
 
 
 def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -227,7 +228,8 @@ def test_entropy_lambda_outside_upper_half_plane_exits_2(tmp_path, capsys, lam):
     assert "must lie in the open upper half-plane" in capsys.readouterr().err
 
 
-def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["hankel_n1.json", "hankel_p2.json"])
+def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch, name):
     from snode_lab import quadrature
 
     names = []
@@ -238,11 +240,33 @@ def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch):
         return original(fn, support, breaks, quad, rel_tol, what)
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
-    assert run(["entropy", "--out", str(tmp_path)]) == 0
+    assert run(["entropy", "--spec", str(cli.bundled_spec_path(name)), "--out", str(tmp_path)]) == 0
     # extremal pair, witness and 10 random pairs share one normalization,
     # and each pair's density has its own outer-modulus integral
     assert names.count("poisson normalization") == 1
     assert names.count("outer modulus integral") == 12
+
+
+def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, monkeypatch):
+    from snode_lab import asymptotics
+
+    calls = []
+    original = asymptotics.weyl_density
+
+    def counted(frm, pair):
+        dens = original(frm, pair)
+
+        def log_det(ts):
+            calls.append((id(dens), dens.p))
+            return dens.log_det(ts)
+
+        return dataclasses.replace(dens, log_det=log_det)
+
+    monkeypatch.setattr(asymptotics, "weyl_density", counted)
+    spec = cli.bundled_spec_path("hankel_p2.json")
+    assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    # every pair's outer-modulus integral reads its p = 2 density's log-det
+    assert len({key for key, _ in calls}) == 12 and {p for _, p in calls} == {2}
 
 
 def test_entropy_on_the_bundled_p2_spec_reads_the_accepted_normalization(tmp_path, monkeypatch):
