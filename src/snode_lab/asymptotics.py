@@ -121,8 +121,8 @@ def quotient_node(seq: NodeSequence, ik: int, ir: int) -> SNode:
     S_breve = matcore.inv_hpd(T22)
     Gamma = Sinv @ big.Pi
     Pi_breve = S_breve @ Gamma[mk:, :]
-    A22 = big.A[mk:, mk:]
-    return SNode(p=p, A=A22, S=S_breve, Phi1=Pi_breve[:, :p], Phi2=Pi_breve[:, p:])
+    # A22, the trailing block of A, has the shift form of A
+    return SNode(p=p, shift=big.shift, S=S_breve, Phi1=Pi_breve[:, :p], Phi2=Pi_breve[:, p:])
 
 
 def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientFrame:

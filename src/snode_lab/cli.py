@@ -140,8 +140,8 @@ def _factor_product_gap(factors: list, direct: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # command handlers; each returns a list of check rows plus extra report data
 #
-# The verify handlers make one transfer-matrix call for every check's points,
-# after the factors: PoleAtLambda is raised ahead of SingularResolvent.
+# The verify handlers make one transfer-matrix call for every check's points, after
+# the factors: PoleAtLambda wins at the pole; SingularResolvent means an overflow near it.
 
 
 def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):

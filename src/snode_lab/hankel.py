@@ -87,11 +87,10 @@ class HankelSpec:
 
 def build_hankel_node(spec: HankelSpec) -> SNode:
     p, n = spec.p, spec.n
-    A = np.eye(n * p, k=-p, dtype=complex)
     Phi2 = np.eye(n * p, p, dtype=complex)
     Phi1 = np.zeros((n * p, p), dtype=complex)
     Phi1[p:] = -1j * np.reshape(spec.H[: n - 1], (-1, p))
-    return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
+    return SNode(p=p, shift=(0, 1, 0), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
 def _horner(coefs, const: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -116,11 +115,10 @@ def hankel_frame(node: SNode) -> Frame:
 
     A is the block down-shift, so (A*)^n = 0 and (I - z A*)^{-1} is the
     finite sum of the z^j (A*)^j: this is the frame of :func:`snode.frame`,
-    which stays the reference, without a linear solve per point.  The
-    coefficients come once from the node's cached S^{-1} Pi, and the product
-    by J is the same column-block swap.  Since det(I - z A*) = 1, the
-    singular-resolvent guard of :func:`snode.frame` can never fire for this
-    node, and this evaluator has none; ``pole_clear`` is 1.
+    which stays the reference, with no substitution per point and no pole
+    (I - z A* has a unit diagonal; ``pole_clear`` is 1).  The coefficients
+    come once from the node's cached S^{-1} Pi, and the product by J is the
+    same column-block swap.
 
     The LFT denominator of a constant pair is itself a p x p matrix
     polynomial of degree n,
@@ -130,9 +128,11 @@ def hankel_frame(node: SNode) -> Frame:
 
     so ``Frame.denominator`` evaluates it by the same Horner loop on the
     D_j, computed once per pair, without forming the 2p x 2p frame; det F
-    has degree at most p n.  Raises :class:`Unsupported` for a node whose
-    (A*)^n S^{-1} Pi is not zero.
+    has degree at most p n.  Raises :class:`Unsupported` for a node whose A
+    is not nilpotent (c != 0 in its shift form).
     """
+    if node.shift[0] != 0:
+        raise Unsupported("the frame is a polynomial only for a nilpotent A, as in a Hankel node")
     p = node.p
     n = node.m // p
     Pi_h = node.Pi.conj().T
@@ -143,8 +143,6 @@ def hankel_frame(node: SNode) -> Frame:
         C = Pi_h @ X
         coefs.append(np.concatenate((C[:, p:], C[:, :p]), axis=1))
         X = A_h @ X
-    if np.any(X):
-        raise Unsupported("the frame is a polynomial only for a nilpotent A, as in a Hankel node")
     eye = np.eye(2 * p, dtype=complex)
 
     def fn(z_or_zs):

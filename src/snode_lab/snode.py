@@ -6,7 +6,7 @@ residuals, and the Weyl matrix ball.
 Conventions used throughout:
 
 * the node identity is  A S - S A* = i Pi J Pi*,  Pi = [Phi1 Phi2],
-  J = [[0, I], [I, 0]];
+  J = [[0, I], [I, 0]],  A = c I + a N (I - b N)^{-1}  (:class:`SNode`);
 * the transfer matrix is  w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi;
 * the frame is  Frm(z) = w_A(1/conj(z))*, evaluated in the equivalent
   pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J;
@@ -42,6 +42,9 @@ from .errors import (
 
 _SINGULAR_RCOND = 1e-13
 
+# a pole where |d| < this on the diagonal of alpha I + beta A, as in factorize_transfer
+_POLE_TOL = 1e-12
+
 # tolerance of the property-J conditions checked by validate_pair
 _PAIR_TOL = 1e-9
 
@@ -53,35 +56,45 @@ _HERGLOTZ_ETA = 2.5e3
 
 @dataclass(frozen=True)
 class SNode:
-    """The triple {A, S, Pi = [Phi1 Phi2]} with block size p.
-
-    ``S`` is Hermitian; positive definiteness is required by most
-    operations and checked where it is used.
+    """The triple {A, S, Pi = [Phi1 Phi2]} with block size p, where
+    A = c I + a N (I - b N)^{-1} for ``shift = (c, a, b)`` and the block
+    down-shift N.  ``S`` is Hermitian; positive definiteness is required by
+    most operations and checked where it is used.
     """
 
     p: int
-    A: np.ndarray
+    shift: tuple
     S: np.ndarray
     Phi1: np.ndarray
     Phi2: np.ndarray
 
     def __post_init__(self):
-        A = matcore.as_matrix(self.A)
         S = matcore.as_matrix(self.S)
         Phi1 = np.asarray(self.Phi1, dtype=complex)
         Phi2 = np.asarray(self.Phi2, dtype=complex)
-        m = A.shape[0]
-        if A.shape != (m, m) or S.shape != (m, m):
-            raise DimensionMismatch("A and S must be square of equal size")
+        m = S.shape[0]
+        if S.shape != (m, m) or m % self.p:
+            raise DimensionMismatch(f"S must be square with a size divisible by p = {self.p}")
         if Phi1.shape != (m, self.p) or Phi2.shape != (m, self.p):
             raise DimensionMismatch(f"Phi1/Phi2 must have shape {(m, self.p)}")
-        for name, arr in (("A", A), ("S", S), ("Phi1", Phi1), ("Phi2", Phi2)):
+        object.__setattr__(self, "shift", tuple(map(complex, self.shift)))
+        for name, arr in (("S", S), ("Phi1", Phi1), ("Phi2", Phi2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        return self.S.shape[0]
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Read-only m x m A: c I in the diagonal blocks, a b^(i-j-1) I in block (i, j) below."""
+        c, a, b = self.shift
+        k = np.arange(self.m // self.p)
+        coef = np.array([c, *(a * b**j for j in k[:-1]), 0])  # by i - j; -1 reads the 0
+        out = np.kron(coef[np.maximum(k[:, None] - k, -1)], np.eye(self.p, dtype=complex))
+        out.setflags(write=False)
+        return out
 
     @property
     def Pi(self) -> np.ndarray:
@@ -111,23 +124,32 @@ def identity_residual(node: SNode) -> float:
     return matcore.frobenius(gap)
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Solve the stack M[k] X[k] = rhs; raise SingularResolvent(zs[k]) at the
-    first k where M[k] is singular to working precision: its determinant and
-    its reciprocal condition number are both at most _SINGULAR_RCOND.
-
-    The determinant test keeps a nilpotent A (the Hankel shift) from
-    tripping the guard far out on the axis: there rcond(I - t A*) falls like
-    |t|^(2 - 2m) while det(I - t A*) = 1, and the frame is a polynomial in t,
-    not near a pole.
-    """
-    near = np.flatnonzero(np.linalg.slogdet(M)[1] <= np.log(_SINGULAR_RCOND))
-    if near.size:
-        sv = np.linalg.svd(M[near], compute_uv=False)
-        bad = near[sv[:, -1] <= _SINGULAR_RCOND * sv[:, 0]]
-        if bad.size:
-            raise SingularResolvent(zs[bad[0]])
-    return np.linalg.solve(M, np.broadcast_to(rhs, M.shape[:-1] + rhs.shape[-1:]))
+def _resolvent(node: SNode, alpha, beta, rhs: np.ndarray, points: np.ndarray, adjoint: bool = False):
+    """(alpha I + beta A)^{-1} rhs, or (alpha I + beta A)^{-*} rhs, at the N points
+    of the (N,) array alpha + beta.  As alpha I + beta A = (I - b N)^{-1} (d I + e N),
+    d = alpha + beta c, e = beta a - b d, this is one pass of I - b N (none at
+    b = 0) and one block forward substitution, backward stable whatever the
+    conditioning (Higham 2002, ch. 8), in reversed block order for the adjoint.
+    Raises SingularResolvent where |d| < :data:`_POLE_TOL` or the solution overflows."""
+    c, a, b = node.shift
+    d = alpha + beta * c
+    e = beta * a - b * d
+    y = rhs.reshape(node.m // node.p, node.p, -1)
+    out = np.empty(d.shape + y.shape, dtype=complex)
+    x = out
+    if adjoint:
+        d, e, b, y, x = d.conj(), e.conj(), b.conjugate(), y[::-1], out[:, ::-1]
+    if b != 0:
+        y = np.concatenate((y[:1], y[1:] - b * y[:-1]))
+    d, e = d[:, None, None], e[:, None, None]
+    with np.errstate(all="ignore"):
+        x[:, 0] = y[0] / d
+        for k in range(1, len(y)):
+            x[:, k] = (y[k] - e * x[:, k - 1]) / d
+    if not (np.isfinite(out).all() and np.abs(d).min() >= _POLE_TOL):
+        bad = (np.abs(d[:, 0, 0]) < _POLE_TOL) | ~np.isfinite(out).all(axis=(1, 2, 3))
+        raise SingularResolvent(points[np.argmax(bad)])
+    return out.reshape(len(points), node.m, -1)
 
 
 def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
@@ -135,11 +157,7 @@ def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
     not from the cached S^{-1} Pi that :func:`frame` uses: the verify-hankel
     H7 row compares the two routes."""
     lams = matcore.as_points(lam_or_lams)
-    lhs = np.repeat(node.A[None], lams.size, axis=0)
-    diagonal = np.arange(node.m)
-    lhs[:, diagonal, diagonal] -= lams[:, None]
-    resolvent = _solve_checked(lhs, node.Pi, lams)
-    Sinv_res = node.S_chol.solve(resolvent)
+    Sinv_res = node.S_chol.solve(_resolvent(node, -lams, 1.0, node.Pi, lams))
     out = np.eye(2 * node.p, dtype=complex) - 1j * node.J @ node.Pi.conj().T @ Sinv_res
     return out if np.ndim(lam_or_lams) else out[0]
 
@@ -152,10 +170,9 @@ def frame(node: SNode, z_or_zs) -> np.ndarray:
 
 
 def _frame_stack(node: SNode, zs: np.ndarray) -> np.ndarray:
-    lhs = np.eye(node.m) - zs[:, None, None] * node.A.conj().T
-    X = _solve_checked(lhs, node.SinvPi, zs)
+    X = _resolvent(node, 1.0, -zs.conj(), node.SinvPi, zs, adjoint=True)
     step = 1j * zs[:, None, None] * node.Pi.conj().T @ X
-    del lhs, X  # as large as the frames: free them before the output
+    del X  # as large as the frames: free it before the output
     # for finite values step @ J only swaps the two column blocks of step, so
     # subtracting the swapped copy gives the bits of I - step @ J
     p = node.p
@@ -206,15 +223,11 @@ class Frame:
 
 def node_frame(node: SNode) -> Frame:
     m, p = node.m, node.p
-
-    def pole_clear(ts):
-        lhs = np.eye(m) - np.asarray(ts, dtype=complex)[:, None, None] * node.A.conj().T
-        return np.linalg.det(lhs) ** p
-
     return Frame(
         p=p,
         fn=lambda z_or_zs: frame(node, z_or_zs),
-        pole_clear=pole_clear,
+        # det(I - t A*)^p: I - t A* is triangular with diagonal 1 - t conj(c)
+        pole_clear=lambda ts: (1.0 - np.asarray(ts, dtype=complex) * np.conj(node.shift[0])) ** (m * p),
         clear_degree=p * (m + 1),
     )
 
@@ -243,10 +256,10 @@ def rho(node: SNode, z: complex, orientation: str = "z,zbar") -> np.ndarray:
         raise ValueError("orientation must be 'z,zbar' or 'zbar,z'")
     if np.imag(z) <= 0.0:
         raise NotInUpperHalfPlane(f"z = {z} must lie in the open upper half-plane")
-    w = z if orientation == "z,zbar" else np.conj(z)
-    V = _solve_checked((np.eye(node.m) - np.conj(w) * node.A)[None], node.Phi2, np.array([w]))[0]
+    w = np.array([z if orientation == "z,zbar" else np.conj(z)])
+    V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
     M = V.conj().T @ node.S_chol.solve(V)
-    out = 1j * (np.conj(w) - w) * M
+    out = 1j * (w.conj() - w) * M
     return matcore.hermitian_part(out)
 
 
@@ -418,31 +431,24 @@ def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
     The integrals run over the full line around the density's breaks, on
     the rule that :func:`quadrature.integrate_with_check` picks for ``quad``,
     as full-line moments do.
-    Requires A invertible; raises :class:`Unsupported` otherwise.
+    Requires A invertible (c != 0, not so for a Hankel node); raises :class:`Unsupported` otherwise.
     """
     m, p = node.m, node.p
-    sv = np.linalg.svd(node.A, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise Unsupported("A has (numerically) a zero eigenvalue")
+    if node.shift[0] == 0:
+        raise Unsupported("A has a zero eigenvalue")
     gamma = matcore.hermitian_part(np.asarray(gamma, dtype=complex))
     theta = matcore.hermitian_part(np.asarray(theta, dtype=complex))
     gamma_half = matcore.sqrtm_psd(gamma)
-    F = np.linalg.solve(node.A, node.Phi2 @ gamma_half)
+    F = _resolvent(node, np.zeros(1), 1.0, node.Phi2 @ gamma_half, np.zeros(1))[0]
 
     def pieces(ts):
         ts = np.asarray(ts, dtype=float)
         mu = np.asarray(density(ts), dtype=complex)
-        lhs = np.eye(m) - ts[:, None, None] * node.A
-        V = np.linalg.solve(lhs, np.broadcast_to(node.Phi2, (ts.size, m, p)))
-        Vmu = V @ mu
-        s_terms = Vmu @ np.swapaxes(V, 1, 2).conj()
-        tail = (ts / (1.0 + ts * ts))[:, None, None] * np.broadcast_to(
-            node.Phi2, (ts.size, m, p)
-        )
+        V = _resolvent(node, 1.0, -ts, node.Phi2, ts)
+        s_terms = V @ mu @ np.swapaxes(V, 1, 2).conj()
+        tail = (ts / (1.0 + ts * ts))[:, None, None] * node.Phi2
         phi_terms = -1j * ((node.A @ V + tail) @ mu)
-        return np.concatenate(
-            [s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1
-        )
+        return np.concatenate([s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1)
 
     flat = quadrature.integrate_with_check(
         pieces, (-np.inf, np.inf), density.breaks, quad, 1e-8, "interpolation integrals"

@@ -104,20 +104,16 @@ class ToeplitzSpec:
 
 
 def build_toeplitz_node(spec: ToeplitzSpec) -> SNode:
-    """The node {A, S(n), [Phi1 Phi2]}: A lower triangular (i/2 on the
-    diagonal, i below), Phi1 a column of identities, Phi2 the running sums
-    s_0/2 + s_{-1} + ... + i Phi1 nu."""
+    """The node {A, S(n), [Phi1 Phi2]}: A = i/2 I + i N (I - N)^{-1}, lower
+    triangular with i/2 on the diagonal and i below, Phi1 a column of
+    identities, Phi2 the running sums s_0/2 + s_{-1} + ... + i Phi1 nu."""
     p, n = spec.p, spec.n
-    Ip = np.eye(p, dtype=complex)
-    k = np.arange(n)
-    blocks = 0.5j * (np.sign(k[:, None] - k) + 1)  # i below the diagonal, i/2 on it
-    A = (blocks[:, None, :, None] * Ip[:, None, :]).reshape(n * p, n * p)
-    Phi1 = np.tile(Ip, (n, 1))
+    Phi1 = np.tile(np.eye(p, dtype=complex), (n, 1))
     s = np.array(spec.s)
     s[0] = s[0] / 2.0
     partial = s.cumsum(axis=0).reshape(n * p, p)
     Phi2 = partial + 1j * Phi1 @ spec.nu
-    return SNode(p=p, A=A, S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
+    return SNode(p=p, shift=(0.5j, 1j, 1), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from snode_lab import cli
+from snode_lab import cli, toeplitz
 
 
 def run(args):
@@ -116,6 +116,24 @@ def test_asymptotics_toeplitz_family(tmp_path):
     assert report["target"] is None
     dets = [row["det_rho_inv"] for row in report["trajectory"]]
     assert dets == sorted(dets, reverse=True)
+
+
+def test_asymptotics_toeplitz_family_at_order_36(tmp_path):
+    # p = 2, s_{-k} = B^k: at z = 0.3 + 0.8i every diagonal entry of
+    # I - conj(z) A has modulus 0.62 and the determinant is 0.62^72 = 9e-16,
+    # yet every rho_n exists and is positive definite
+    B = np.array([[0.3, 0.2j], [0.1, -0.25 + 0.1j]])
+    s = tuple(np.linalg.matrix_power(B, k) for k in range(36))
+    spec = toeplitz.ToeplitzSpec(p=2, n=36, s=s, nu=np.zeros((2, 2)))
+    spec_path = tmp_path / "poisson_p2.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    scenario = {"command": "asymptotics", "family": "toeplitz", "max_order": 36, "lambda": [0.3, 0.8]}
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(sc_path), "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_asymptotics.json").read_text())
+    assert report["passed"] is True
+    assert len(report["trajectory"]) == 36
 
 
 def test_demo_appendix_b(tmp_path):

@@ -57,3 +57,48 @@ def _raised_or_subclassed() -> set[str]:
 @pytest.mark.parametrize("name", ERROR_CLASSES)
 def test_every_error_class_is_raised_or_subclassed(name):
     assert name in _raised_or_subclassed()
+
+
+# Public top-level names with no caller in the package, each with the
+# ROADMAP item that gives it a command (or removes it) or its user outside
+# the package.  Aim 2 wants this list to shrink.
+UNCALLED = {
+    "dirac_frame": "ROADMAP item 12: the khrushchev tests' reference, to move into tests/",
+    "frame_quotient": "ROADMAP item 3: the Hankel Khrushchev separation row",
+    "herglotz_params": "ROADMAP item 4: the interpolation theorem as a CLI check",
+    "interp_residual": "ROADMAP item 4: the interpolation theorem as a CLI check",
+    "recover_moments": "ROADMAP item 7: moment recovery rows in verify-hankel",
+    "taylor_recover": "ROADMAP items 4 and 12",
+    "random_hankel_spec": "perfbench workloads and the CI example runs draw their specs with it",
+    "random_toeplitz_spec": "perfbench workloads and the CI example runs draw their specs with it",
+}
+
+
+def _public_definitions() -> set[str]:
+    return {
+        stmt.name
+        for path in MODULES
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+    }
+
+
+def _referenced_outside_own_definition() -> set[str]:
+    """Names read (as ``X`` or ``module.X``) by some top-level statement of
+    the package other than the definition of ``X`` itself."""
+    names = set()
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    names.add(name)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_a_roadmap_item():
+    called = _referenced_outside_own_definition()
+    uncalled = {name for name in _public_definitions() if name not in called}
+    assert sorted(uncalled - UNCALLED.keys()) == []  # no caller and no entry
+    assert sorted(UNCALLED.keys() - uncalled) == []  # called now, or gone: drop the entry
