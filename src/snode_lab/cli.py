@@ -81,11 +81,6 @@ def _load_spec(command: str, path, cls):
         raise BadInput(f"{command}: spec {path} is malformed: {exc!r}") from exc
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a stack."""
-    return np.linalg.norm(stack, axis=(1, 2))
-
-
 def _param_complex(sc: Scenario, key: str, default) -> complex:
     """Scenario parameter ``key``: a point of the open upper half-plane, given
     as a finite number or a [re, im] pair of them (JSON strings and booleans
@@ -134,7 +129,7 @@ def _factor_product_gap(factors: list, direct: np.ndarray) -> float:
     prod = np.eye(direct.shape[-1], dtype=complex)
     for w in factors:
         prod = w @ prod
-    return float(np.max(_frobenius(prod - direct) / (1.0 + _frobenius(direct))))
+    return float(np.max(matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct))))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +150,9 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     res = snode.identity_residual(node)
     checks.append(_check("node identity residual", "c1", res, 1e-12 * (1.0 + matcore.frobenius(node.S))))
 
-    chain = toeplitz.toeplitz_chain(node)
-    C, rho = np.stack(chain.C), np.stack(chain.rho)
+    chain = snode.node_chain(node)
+    dirac = toeplitz.dirac_chain(chain)
+    C, rho = np.stack(dirac.C), np.stack(dirac.rho)
     j = matcore.signature_j(p)
     cjc = np.max(matcore.frobenius(C @ j @ C - j))
     checks.append(_check("coefficient j-unitarity", "c11", cjc, 1e-9))
@@ -174,7 +170,7 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     count = min(sc.grid, 20)
     frame_zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(count)])
 
-    factors = toeplitz.factorize_transfer(chain, lams)
+    factors = snode.chain_factors(chain, lams)
     transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / (2.0 * zs))))
     gap = _factor_product_gap(factors, transfer[: lams.size])
     checks.append(_check("factor product vs transfer matrix", "c5", gap, 1e-9))
@@ -182,16 +178,16 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     # one pass over the coefficients: W_n at zs for c9; W_split, W_n and the
     # tail's W at -conj(z)/2 for the frames of c30
     ws = np.concatenate((zs, -np.conj(frame_zs) / 2.0))
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [0, split])
+    heads, tails = toeplitz.dirac_sweep(dirac, ws, [0, split])
     K = toeplitz.unitary_K(p)
     via = ((1.0 - 1j * zs) ** n)[:, None, None] * K.conj().T @ transfer[lams.size :] @ K
     W = tails[0, : zs.size]
-    worst = np.max(_frobenius(W - via) / (1.0 + _frobenius(via)))
+    worst = np.max(matcore.frobenius(W - via) / (1.0 + matcore.frobenius(via)))
     checks.append(_check("recursion vs transfer matrix", "c9", worst, 1e-9))
 
     at_frames = np.stack((tails[0], heads[1], tails[1]))[:, zs.size :]
     full, head, tail = toeplitz.frames_of(at_frames, frame_zs, np.array([n, split, n - split]))
-    checks.append(_check("frame composition", "c30", np.max(_frobenius(full - head @ tail)), 1e-10))
+    checks.append(_check("frame composition", "c30", np.max(matcore.frobenius(full - head @ tail)), 1e-10))
     return checks, extra
 
 
@@ -205,16 +201,16 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     res = snode.identity_residual(node)
     checks.append(_check("node identity residual", "H2", res, 1e-12 * (1.0 + matcore.frobenius(node.S))))
 
-    chain = hankel.hankel_chain(node)
+    chain = snode.node_chain(node)
     J = matcore.exchange_J(spec.p)
-    omega = np.stack(chain.omega)
+    omega = np.stack(chain.rows)
     omega_h = omega.conj().swapaxes(1, 2)
     self_null = np.max(matcore.frobenius(omega @ J @ omega_h))
     checks.append(_check("omega self-annihilation", "H17", self_null, 1e-10))
     steps = matcore.frobenius(1j * omega[1:] @ J @ omega_h[:-1] - np.stack(chain.t)[1:])
     checks.append(_check("omega step products", "H17", np.max(steps, initial=0.0), 1e-9))
     w0 = matcore.frobenius(
-        chain.omega[0] - np.hstack([np.zeros((spec.p, spec.p)), chain.t[0]])
+        chain.rows[0] - np.hstack([np.zeros((spec.p, spec.p)), chain.t[0]])
     )
     checks.append(_check("omega start", "H17", w0, 1e-10))
 
@@ -222,7 +218,7 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
         [complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(20)]
     )
     zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
-    factors = hankel.hankel_factors(chain, lams)
+    factors = snode.chain_factors(chain, lams)
     # H7 compares two routes to the frame: transfer_matrix's own S solve
     # against snode.frame's, from the node's cached S^{-1} Pi
     transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / np.conj(zs))))
@@ -230,7 +226,7 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("factor product vs transfer matrix", "H13-", gap, 1e-9))
 
     via = np.swapaxes(transfer[lams.size :], 1, 2).conj()
-    worst = np.max(_frobenius(via - snode.frame(node, zs)))
+    worst = np.max(matcore.frobenius(via - snode.frame(node, zs)))
     checks.append(_check("frame convention", "H7", worst, 1e-12))
     return checks, extra
 
@@ -279,7 +275,7 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
     F = np.broadcast_to(snode.frame(node, z), (sc.grid, 2 * p, 2 * p))
     values = snode.lft_stack(F, R, Q, np.full(sc.grid, complex(z)))
     us, norms = snode.ball_membership(ball, values)
-    round_trip = _frobenius(snode.ball_value(ball, us) - values)
+    round_trip = matcore.frobenius(snode.ball_value(ball, us) - values)
     checks.append(_check("membership contraction norms", "B9", np.max(norms), 1.0 + 1e-8))
     checks.append(_check("membership round trip", "B0", np.max(round_trip), 1e-10))
     return checks, {"ball": ball.to_json()}

@@ -5,13 +5,15 @@ the block down-shift A, Phi2 = [I; 0; ...; 0] and
 Phi1 = -i (0, H_0, ..., H_{n-2})^T, the unique column making the identity
 A H - H A* = i Pi J Pi* hold.
 
-The factorization chain produces p x 2p coefficients omega_k with
+The node's chain (:func:`snode.node_chain`) has for rows the p x 2p
+coefficients omega_k with
 
     omega_k J omega_k* = 0,   i omega_k J omega_{k-1}* = t_{k+1} > 0,
     omega_0 = [0  t_1],
 
-and elementary factors w_{k+1}(lam) = I + (i/lam) J omega_k* t_{k+1}^{-1} omega_k
-whose product recovers the node's transfer matrix.
+and its elementary factors (:func:`snode.chain_factors` with c = 0)
+w_{k+1}(lam) = I + (i/lam) J omega_k* t_{k+1}^{-1} omega_k multiply to the
+node's transfer matrix.
 
 Moment recovery runs two independent routes for a Weyl function phi of the
 node: the expansion coefficients of -phi at infinity, by the trapezoid rule
@@ -32,7 +34,6 @@ from .densities import DensityFn
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    PoleAtLambda,
     SingularDenominator,
     Unsupported,
 )
@@ -157,42 +158,6 @@ def hankel_frame(node: SNode) -> Frame:
     return Frame(
         p=p, fn=fn, pole_clear=lambda ts: 1.0, clear_degree=p * n, make_denominator=make_denominator
     )
-
-
-@dataclass(frozen=True)
-class OmegaChain:
-    """Coefficients omega_k (p x 2p), the positive blocks t_1..t_n, and the
-    G_k of :func:`matcore.leading_chain` (G_k* G_k = omega_k* t_{k+1}^{-1} omega_k)."""
-
-    p: int
-    omega: tuple
-    t: tuple
-    G: tuple
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-
-def hankel_chain(node: SNode) -> OmegaChain:
-    """omega_k = P_2(k+1) H(k+1)^{-1} Pi(k+1) and t_r = (H(r)^{-1})_{rr} block
-    of the node of a spec (see :func:`build_hankel_node`), from
-    :func:`matcore.leading_chain`; raises :class:`NotPositiveDefinite` at the
-    first order whose leading block fails."""
-    ts, omegas, Gs = matcore.leading_chain(node.S, node.Pi, node.p)
-    return OmegaChain(p=node.p, omega=omegas, t=ts, G=Gs)
-
-
-def hankel_factors(chain: OmegaChain, lam_or_lams) -> list[np.ndarray]:
-    """Elementary factors w_{k+1}(lam) = I + (i/lam) J G_k* G_k of a chain; a
-    1-d array of points gives each factor as a stack over them."""
-    lams = matcore.as_points(lam_or_lams)
-    if np.any(np.abs(lams) < 1e-12):
-        raise PoleAtLambda("every factor has its pole at lam = 0")
-    J = matcore.exchange_J(chain.p)
-    scale = (1j / lams)[:, None, None]
-    G = np.stack(chain.G)[:, None]
-    factors = np.eye(2 * chain.p) + (scale * J) @ G.conj().swapaxes(-1, -2) @ G
-    return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
 
 
 def _powers(ts, ks):

@@ -1,13 +1,18 @@
 """Finite symmetric S-nodes {A, S, Pi}: identity verification, transfer
-matrices and frames, the rho characteristic, property-J parameter pairs,
-linear-fractional Weyl functions, Herglotz data extraction, interpolation
-residuals, and the Weyl matrix ball.
+matrices and frames, the node chain and its elementary factors, the rho
+characteristic, property-J parameter pairs, linear-fractional Weyl
+functions, Herglotz data extraction, interpolation residuals, and the Weyl
+matrix ball.
 
 Conventions used throughout:
 
 * the node identity is  A S - S A* = i Pi J Pi*,  Pi = [Phi1 Phi2],
   J = [[0, I], [I, 0]],  A = c I + a N (I - b N)^{-1}  (:class:`SNode`);
 * the transfer matrix is  w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi;
+* the chain of a node (:func:`node_chain`) holds the data t_k, rows_k and G_k
+  of its leading orders, and its elementary factors
+  w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k  (:func:`chain_factors`)
+  multiply, w_n ... w_1, to the transfer matrix of either node family;
 * the frame is  Frm(z) = w_A(1/conj(z))*, evaluated in the equivalent
   pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J;
 * a Weyl function is  phi = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1}  for a
@@ -35,6 +40,7 @@ from .errors import (
     InvalidPair,
     NotConverged,
     NotInUpperHalfPlane,
+    PoleAtLambda,
     SingularDenominator,
     SingularResolvent,
     Unsupported,
@@ -42,7 +48,8 @@ from .errors import (
 
 _SINGULAR_RCOND = 1e-13
 
-# a pole where |d| < this on the diagonal of alpha I + beta A, as in factorize_transfer
+# a pole where |d| < this on the diagonal of alpha I + beta A, and, as the same
+# absolute test, where |c - lam| < this for the factors of chain_factors
 _POLE_TOL = 1e-12
 
 # tolerance of the property-J conditions checked by validate_pair
@@ -160,6 +167,43 @@ def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
     Sinv_res = node.S_chol.solve(_resolvent(node, -lams, 1.0, node.Pi, lams))
     out = np.eye(2 * node.p, dtype=complex) - 1j * node.J @ node.Pi.conj().T @ Sinv_res
     return out if np.ndim(lam_or_lams) else out[0]
+
+
+@dataclass(frozen=True)
+class NodeChain:
+    """The per-order data of a node's leading blocks, read off one block
+    Cholesky factorization by :func:`matcore.leading_chain`: t_k > 0, the
+    bottom block row rows_k of S(k)^{-1} Pi(k) ([X_k Y_k] for a Toeplitz
+    node, omega_k for a Hankel node) and G_k with
+    G_k* G_k = rows_k* t_k^{-1} rows_k; ``c`` is the diagonal of A."""
+
+    p: int
+    c: complex
+    t: tuple
+    rows: tuple
+    G: tuple
+
+
+def node_chain(node: SNode) -> NodeChain:
+    """The chain of a node; raises :class:`NotPositiveDefinite` at the first
+    order whose leading block fails."""
+    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, node.p)
+    return NodeChain(p=node.p, c=node.shift[0], t=ts, rows=rows, G=Gs)
+
+
+def chain_factors(chain: NodeChain, lam_or_lams) -> list[np.ndarray]:
+    """Elementary factors w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k, whose
+    product w_n ... w_1 is the node's transfer matrix at lam.  A 1-d array of
+    points gives each factor as a stack over them.  Raises
+    :class:`PoleAtLambda` where |c - lam| < :data:`_POLE_TOL`."""
+    lams = matcore.as_points(lam_or_lams)
+    if np.any(np.abs(chain.c - lams) < _POLE_TOL):
+        raise PoleAtLambda(f"every factor has its pole at lam = {chain.c}")
+    J = matcore.exchange_J(chain.p)
+    scale = (1j / (lams - chain.c))[:, None, None]
+    G = np.stack(chain.G)[:, None]
+    factors = np.eye(2 * chain.p) + (scale * J) @ G.conj().swapaxes(-1, -2) @ G
+    return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
 
 
 def frame(node: SNode, z_or_zs) -> np.ndarray:

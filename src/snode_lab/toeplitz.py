@@ -5,8 +5,10 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
 
 * the node {A, S, Pi} satisfying A S - S A* = i Pi J Pi*, where A is block
   lower triangular with i/2 on the diagonal and i below;
-* the factorization chain t_k, X_k, Y_k and the derived positive
-  coefficients C_k (C_k j C_k = j) with their strict contractions rho_k;
+* the positive coefficients C_k (C_k j C_k = j) with their strict
+  contractions rho_k, read off the node's chain (:func:`snode.node_chain`,
+  whose rows are [X_k Y_k]) by :func:`dirac_chain`; the chain's elementary
+  factors are :func:`snode.chain_factors` with c = i/2;
 * the fundamental solution W_k(z) of the one-step recursion
   W_{k+1} = (I + i z j C_k) W_k and the frames built from it;
 * Taylor-series recovery of the blocks from a Weyl function, and the
@@ -26,10 +28,9 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotContractive,
-    PoleAtLambda,
     PoleAtZ,
 )
-from .snode import Frame, ParamPair, SNode, lft_stack
+from .snode import Frame, NodeChain, ParamPair, SNode, lft_stack
 
 
 @lru_cache(maxsize=16)
@@ -118,15 +119,11 @@ def build_toeplitz_node(spec: ToeplitzSpec) -> SNode:
 
 @dataclass(frozen=True)
 class DiracChain:
-    """Coefficients C_k > 0 with C_k j C_k = j, their contractions rho_k,
-    and (when derived from a spec) the per-step data t_k, X_k, Y_k."""
+    """Coefficients C_k > 0 with C_k j C_k = j and their contractions rho_k."""
 
     p: int
     C: tuple
     rho: tuple
-    t: tuple | None = None
-    X: tuple | None = None
-    Y: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.C)
@@ -190,50 +187,13 @@ def chain_from_contractions(rhos) -> DiracChain:
     return DiracChain(p=rhos[0].shape[0], C=tuple(halmos(np.stack(rhos))), rho=rhos)
 
 
-def toeplitz_chain(node: SNode) -> DiracChain:
-    """Factorization data of the node of a positive-definite spec (see
-    :func:`build_toeplitz_node`), read off one block Cholesky factorization
-    by :func:`matcore.leading_chain`.
-
-    For each order k: t_k and [X_k Y_k] are the bottom block row of
-    S(k)^{-1} applied to the unit block column and to [Phi1(k) Phi2(k)];
-    C_k = 2 K* G_k* G_k K - j and rho_k = (C_11)^{-1} C_12.
-
-    Raises :class:`NotPositiveDefinite` at the first failing order.
-    """
-    p = node.p
-    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, p)
-    K = unitary_K(p)
-    G = np.stack(Gs)
-    j = matcore.signature_j(p)
+def dirac_chain(chain: NodeChain) -> DiracChain:
+    """The coefficients C_k = 2 K* G_k* G_k K - j and rho_k = (C_11)^{-1} C_12
+    of the chain of a Toeplitz node (see :func:`snode.node_chain`)."""
+    K, j = unitary_K(chain.p), matcore.signature_j(chain.p)
+    G = np.stack(chain.G)
     Cs = matcore.hermitian_part(2.0 * K.conj().T @ G.conj().swapaxes(1, 2) @ G @ K - j)
-    XY = np.stack(rows)
-    return DiracChain(
-        p=p,
-        C=tuple(Cs),
-        rho=tuple(contraction_from_dirac(Cs)),
-        t=ts,
-        X=tuple(XY[:, :, :p]),
-        Y=tuple(XY[:, :, p:]),
-    )
-
-
-def factorize_transfer(chain: DiracChain, lam_or_lams) -> list[np.ndarray]:
-    """Elementary factors w_k(lam) = I - i (i/2 - lam)^{-1} J G_k* G_k, with the
-    Gram matrix G_k* G_k = [X_k Y_k]* t_k^{-1} [X_k Y_k] = K (C_k + j) K* / 2
-    read off the coefficient.  For the chain of a spec, w_n ... w_1 is the
-    node's transfer matrix at lam.  A 1-d array of points gives each factor
-    as a stack over them."""
-    lams = matcore.as_points(lam_or_lams)
-    if np.any(np.abs(0.5j - lams) < 1e-12):
-        raise PoleAtLambda("every factor has its pole at lam = i/2")
-    p = chain.p
-    J = matcore.exchange_J(p)
-    j = matcore.signature_j(p)
-    K = unitary_K(p)
-    scale = (0.5j / (0.5j - lams))[:, None, None]
-    factors = np.eye(2 * p) - ((scale * J) @ K) @ (np.stack(chain.C) + j)[:, None] @ K.conj().T
-    return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
+    return DiracChain(p=chain.p, C=tuple(Cs), rho=tuple(contraction_from_dirac(Cs)))
 
 
 def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:

@@ -46,20 +46,22 @@ def test_criterion_02_factorization():
     for _ in range(6):
         spec = sampling.random_toeplitz_spec(rng, p=int(rng.integers(1, 4)), n=int(rng.integers(1, 9)))
         node = toeplitz.build_toeplitz_node(spec)
+        chain = snode.node_chain(node)
         for _ in range(20):
             lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5))
             prod = np.eye(2 * spec.p, dtype=complex)
-            for w in toeplitz.factorize_transfer(toeplitz.toeplitz_chain(node), lam):
+            for w in snode.chain_factors(chain, lam):
                 prod = w @ prod
             direct = snode.transfer_matrix(node, lam)
             worst = max(worst, np.linalg.norm(prod - direct) / (1 + np.linalg.norm(direct)))
     for _ in range(6):
         spec = sampling.random_hankel_spec(rng, p=int(rng.integers(1, 3)), n=int(rng.integers(1, 6)))
         node = hankel.build_hankel_node(spec)
+        chain = snode.node_chain(node)
         for _ in range(20):
             lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5) * rng.choice([-1, 1]))
             prod = np.eye(2 * spec.p, dtype=complex)
-            for w in hankel.hankel_factors(hankel.hankel_chain(node), lam):
+            for w in snode.chain_factors(chain, lam):
                 prod = w @ prod
             direct = snode.transfer_matrix(node, lam)
             worst = max(worst, np.linalg.norm(prod - direct) / (1 + np.linalg.norm(direct)))
@@ -73,7 +75,7 @@ def test_criterion_03_coefficient_bijections():
     worst_norm = 0.0
     for _ in range(10):
         spec = sampling.random_toeplitz_spec(rng, p=int(rng.integers(1, 3)), n=int(rng.integers(2, 7)))
-        chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+        chain = toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))
         j = matcore.signature_j(spec.p)
         rebuilt = toeplitz.chain_from_contractions(chain.rho)
         for C in rebuilt.C:
@@ -90,12 +92,12 @@ def test_criterion_03_coefficient_bijections():
     worst_omega = 0.0
     for _ in range(10):
         spec = sampling.random_hankel_spec(rng, p=int(rng.integers(1, 3)), n=int(rng.integers(2, 6)))
-        chain = hankel.hankel_chain(hankel.build_hankel_node(spec))
+        chain = snode.node_chain(hankel.build_hankel_node(spec))
         J = matcore.exchange_J(spec.p)
-        for k, w in enumerate(chain.omega):
+        for k, w in enumerate(chain.rows):
             worst_omega = max(worst_omega, np.max(np.abs(w @ J @ w.conj().T)))
             if k > 0:
-                gap = 1j * chain.omega[k] @ J @ chain.omega[k - 1].conj().T - chain.t[k]
+                gap = 1j * chain.rows[k] @ J @ chain.rows[k - 1].conj().T - chain.t[k]
                 worst_omega = max(worst_omega, np.max(np.abs(gap)) / (1 + np.max(np.abs(chain.t[k]))))
     ok = worst_frame <= 1e-9 and worst_cjc <= 1e-9 and worst_norm < 1 and worst_omega <= 1e-9
     _report(
@@ -230,7 +232,7 @@ def test_criterion_09_entropy_inequality():
     witness_slack = asymptotics.entropy_bound_check(node, witness, 1j).slack
 
     tspec = sampling.random_toeplitz_spec(rng, p=1, n=2)
-    frm = toeplitz.dirac_frame(toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(tspec)))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(tspec))))
     lam = 0.4 + 1.3j
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)

@@ -299,7 +299,7 @@ def test_entropy_bound_witness_strict(hankel_unit):
 
 def test_entropy_bound_random_pairs_on_chain_frame(rng):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=2)
-    frm = toeplitz.dirac_frame(toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec)))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec))))
     lam = 0.4 + 1.3j
     ext = snode.extremal_pair(frm, lam)
     assert abs(asymptotics.entropy_bound_check(frm, ext, lam).slack) <= 1e-6

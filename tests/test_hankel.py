@@ -11,7 +11,6 @@ from snode_lab.errors import (
     IndexOutOfRange,
     NotHermitian,
     NotPositiveDefinite,
-    PoleAtLambda,
     QuadratureNotConverged,
     SingularDenominator,
     Unsupported,
@@ -43,19 +42,20 @@ def test_identity_residual_random_specs(rng):
 
 
 def test_chain_unit_values(hankel_unit):
-    spec, node = hankel_unit
-    chain = hankel.hankel_chain(hankel.build_hankel_node(spec))
-    assert_allclose(chain.omega[0], np.array([[0.0, 1.0]]), atol=0)
-    (w1,) = hankel.hankel_factors(hankel.hankel_chain(hankel.build_hankel_node(spec)), 2.7)
+    _, node = hankel_unit
+    chain = snode.node_chain(node)
+    assert chain.c == 0
+    assert_allclose(chain.rows[0], np.array([[0.0, 1.0]]), atol=0)  # omega_0
+    (w1,) = snode.chain_factors(chain, 2.7)
     assert_allclose(w1, np.array([[1, 1j / 2.7], [0, 1]]), atol=1e-15)
     assert_allclose(w1, snode.transfer_matrix(node, 2.7), atol=1e-14)
 
 
 def test_chain_starts_at_zero_block(rng):
     spec = sampling.random_hankel_spec(rng, p=2, n=3)
-    chain = hankel.hankel_chain(hankel.build_hankel_node(spec))
+    chain = snode.node_chain(hankel.build_hankel_node(spec))
     start = np.hstack([np.zeros((2, 2)), chain.t[0]])
-    assert np.max(np.abs(chain.omega[0] - start)) <= 1e-12
+    assert np.max(np.abs(chain.rows[0] - start)) <= 1e-12
 
 
 def test_chain_algebra_random(rng):
@@ -63,12 +63,12 @@ def test_chain_algebra_random(rng):
         p = int(rng.integers(1, 3))
         n = int(rng.integers(2, 6))
         spec = sampling.random_hankel_spec(rng, p=p, n=n)
-        chain = hankel.hankel_chain(hankel.build_hankel_node(spec))
+        chain = snode.node_chain(hankel.build_hankel_node(spec))
         J = matcore.exchange_J(p)
-        for k, w in enumerate(chain.omega):
+        for k, w in enumerate(chain.rows):
             assert np.max(np.abs(w @ J @ w.conj().T)) <= 1e-10 * (1 + np.max(np.abs(w)) ** 2)
             if k > 0:
-                step = 1j * chain.omega[k] @ J @ chain.omega[k - 1].conj().T
+                step = 1j * chain.rows[k] @ J @ chain.rows[k - 1].conj().T
                 assert np.max(np.abs(step - chain.t[k])) <= 1e-9 * (1 + np.max(np.abs(chain.t[k])))
 
 
@@ -77,29 +77,8 @@ def test_chain_reports_first_failing_order():
         p=1, n=2, H=(np.array([[1.0]]), np.array([[2.0]]), np.array([[1.0]]))
     )
     with pytest.raises(NotPositiveDefinite) as err:
-        hankel.hankel_chain(hankel.build_hankel_node(spec))
+        snode.node_chain(hankel.build_hankel_node(spec))
     assert err.value.order == 2
-
-
-def test_factor_product_matches_transfer_matrix(rng):
-    for _ in range(4):
-        p = int(rng.integers(1, 3))
-        n = int(rng.integers(1, 6))
-        spec = sampling.random_hankel_spec(rng, p=p, n=n)
-        node = hankel.build_hankel_node(spec)
-        for _ in range(20):
-            lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5) * rng.choice([-1, 1]))
-            prod = np.eye(2 * p, dtype=complex)
-            for w in hankel.hankel_factors(hankel.hankel_chain(node), lam):
-                prod = w @ prod
-            direct = snode.transfer_matrix(node, lam)
-            assert np.linalg.norm(prod - direct) <= 1e-9 * (1 + np.linalg.norm(direct))
-
-
-def test_factors_pole_at_zero(hankel_unit):
-    spec, _ = hankel_unit
-    with pytest.raises(PoleAtLambda):
-        hankel.hankel_factors(hankel.hankel_chain(hankel.build_hankel_node(spec)), 0.0)
 
 
 def test_frame_convention_matches_generic_frame(rng):
@@ -502,8 +481,8 @@ def test_stacked_spec_matrix_node_and_factors_are_the_loops_bitwise(seed):
     assert np.array_equal(spec.matrix(), S)
     for built, looped in ((node.A, A), (node.S, S), (node.Phi1, Phi1), (node.Phi2, Phi2)):
         assert built.shape == looped.shape and built.tobytes() == looped.tobytes()
-    chain = hankel.hankel_chain(node)
+    chain = snode.node_chain(node)
     lams = rng.uniform(-3, 3, 5) + 1j * rng.uniform(0.3, 2, 5)
     J = matcore.exchange_J(p)
-    for G, factor in zip(chain.G, hankel.hankel_factors(chain, lams)):
+    for G, factor in zip(chain.G, snode.chain_factors(chain, lams)):
         assert np.array_equal(factor, np.eye(2 * p) + ((1j / lams)[:, None, None] * J) @ G.conj().T @ G)

@@ -11,7 +11,6 @@ from snode_lab.errors import (
     NotContractive,
     NotHermitian,
     NotPositiveDefinite,
-    PoleAtLambda,
     PoleAtZ,
 )
 
@@ -38,21 +37,27 @@ def test_identity_residual_random_specs(rng):
         assert snode.identity_residual(node) <= 1e-12 * np.linalg.norm(node.S)
 
 
+def _dirac_chain(spec):
+    return toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))
+
+
 def test_chain_unit_values(toeplitz_unit):
-    spec, _ = toeplitz_unit
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    _, node = toeplitz_unit
+    chain = snode.node_chain(node)
+    assert chain.c == 0.5j
     assert chain.t[0][0, 0] == pytest.approx(0.5)
-    assert chain.X[0][0, 0] == pytest.approx(0.5)
-    assert chain.Y[0][0, 0] == pytest.approx(0.5)
-    assert_allclose(chain.C[0], np.eye(2), atol=1e-14)
-    assert abs(chain.rho[0][0, 0]) <= 1e-14
+    assert_allclose(chain.rows[0], np.array([[0.5, 0.5]]), atol=1e-15)  # [X_1 Y_1]
+    dirac = toeplitz.dirac_chain(chain)
+    assert_allclose(dirac.C[0], np.eye(2), atol=1e-14)
+    assert abs(dirac.rho[0][0, 0]) <= 1e-14
 
 
 def test_chain_invariants_random(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=5)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = snode.node_chain(toeplitz.build_toeplitz_node(spec))
+    dirac = toeplitz.dirac_chain(chain)
     j = matcore.signature_j(2)
-    for C, r, t in zip(chain.C, chain.rho, chain.t):
+    for C, r, t in zip(dirac.C, dirac.rho, chain.t):
         assert np.max(np.abs(C @ j @ C - j)) <= 1e-9
         assert matcore.min_eig_hermitian(C) > 0
         assert matcore.spectral_norm(r) < 1
@@ -64,39 +69,17 @@ def test_chain_reports_first_failing_order():
         p=1, n=2, s=(np.array([[1.0]]), np.array([[1.5]])), nu=np.zeros((1, 1))
     )
     with pytest.raises(NotPositiveDefinite) as err:
-        toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+        snode.node_chain(toeplitz.build_toeplitz_node(spec))
     assert err.value.order == 2
 
 
 def test_factorize_unit_formula(toeplitz_unit):
     spec, _ = toeplitz_unit
     lam = 1.0
-    (w1,) = toeplitz.factorize_transfer(toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec)), lam)
+    (w1,) = snode.chain_factors(snode.node_chain(toeplitz.build_toeplitz_node(spec)), lam)
     xy = np.array([[0.5, 0.5]])
     expected = np.eye(2) - 1j / (0.5j - lam) * matcore.exchange_J(1) @ xy.conj().T @ (2.0 * xy)
     assert_allclose(w1, expected, atol=1e-14)
-
-
-def test_factorize_matches_transfer_matrix(rng):
-    for _ in range(4):
-        p = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 7))
-        spec = sampling.random_toeplitz_spec(rng, p=p, n=n)
-        node = toeplitz.build_toeplitz_node(spec)
-        for _ in range(20):
-            lam = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.5))
-            prod = np.eye(2 * p, dtype=complex)
-            for w in toeplitz.factorize_transfer(toeplitz.toeplitz_chain(node), lam):
-                prod = w @ prod
-            direct = snode.transfer_matrix(node, lam)
-            rel = np.linalg.norm(prod - direct) / (1 + np.linalg.norm(direct))
-            assert rel <= 1e-9
-
-
-def test_factorize_pole(toeplitz_unit):
-    spec, _ = toeplitz_unit
-    with pytest.raises(PoleAtLambda):
-        toeplitz.factorize_transfer(toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec)), 0.5j)
 
 
 def test_halmos_zero_and_scalar():
@@ -147,7 +130,7 @@ def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
 
 def test_chain_bijection_halmos_reproduces_coefficients(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     for C, r in zip(chain.C, chain.rho):
         assert np.max(np.abs(toeplitz.halmos(r) - C)) <= 1e-10 * (1 + np.max(np.abs(C)))
 
@@ -163,7 +146,7 @@ def test_dirac_fundamental_start_and_single_step():
 def test_dirac_fundamental_matches_transfer_matrix(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
     node = toeplitz.build_toeplitz_node(spec)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     K = toeplitz.unitary_K(2)
     for _ in range(6):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5))
@@ -179,14 +162,14 @@ def test_frame_order_zero_is_identity(rng):
 
 def test_frame_pole_at_minus_2i(toeplitz_unit):
     spec, _ = toeplitz_unit
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     with pytest.raises(PoleAtZ):
         toeplitz.frame_toeplitz(chain, 1, -2j)
 
 
 def test_frame_chain_route_matches_spec_route(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     for _ in range(6):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.8))
         via_chain = toeplitz.frame_toeplitz(chain, spec.n, z)
@@ -196,7 +179,7 @@ def test_frame_chain_route_matches_spec_route(rng):
 
 def test_frame_composition_with_shifted_chain(rng):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=6)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     for split in [1, 3, 5]:
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
@@ -208,7 +191,7 @@ def test_frame_composition_with_shifted_chain(rng):
 
 def test_weyl_function_herglotz_on_grid(rng, unit_pair):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=4)
-    frm = toeplitz.dirac_frame(toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec)))
+    frm = toeplitz.dirac_frame(_dirac_chain(spec))
     for _ in range(50):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2.5))
         phi = snode.lft(frm, unit_pair, z)
@@ -217,7 +200,7 @@ def test_weyl_function_herglotz_on_grid(rng, unit_pair):
 
 def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
     spec, _ = toeplitz_unit
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     frm = toeplitz.dirac_frame(chain)
     pairs = [
         snode.ParamPair.constant(np.eye(1), np.eye(1)),
@@ -231,7 +214,7 @@ def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
 
 def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 3)
     assert coeffs[0][0, 0] == pytest.approx(1.0, abs=1e-6)
@@ -241,7 +224,7 @@ def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
 
 def test_taylor_recover_calls_phi_once_per_rule(toeplitz_3, unit_pair):
     _, node = toeplitz_3
-    frm = toeplitz.dirac_frame(toeplitz.toeplitz_chain(node))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node)))
     shapes = []
 
     def phi(zs):
@@ -254,7 +237,7 @@ def test_taylor_recover_calls_phi_once_per_rule(toeplitz_3, unit_pair):
 
 def test_taylor_extension_stays_nonnegative(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 6)
     extended = toeplitz.ToeplitzSpec(
@@ -373,7 +356,7 @@ def test_leading_subspec(toeplitz_3):
 def test_batched_chain_evaluators_equal_stacked_points(seed, p, n, count):
     rng = np.random.default_rng(seed)
     spec = sampling.random_toeplitz_spec(rng, p, n)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(spec))
+    chain = _dirac_chain(spec)
     zs = sampling.random_upper_points(rng, count)
     for evaluate in (
         lambda z: toeplitz.dirac_fundamental(chain, z, n),
@@ -433,23 +416,27 @@ def test_stacked_spec_matrix_and_node_are_the_loops_bitwise(seed, p, n):
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 9), st.integers(1, 6))
 def test_stacked_chain_data_are_the_per_order_values_bitwise(seed, p, n, count):
     rng = np.random.default_rng(seed)
-    chain = toeplitz.toeplitz_chain(toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n)))
+    chain = snode.node_chain(toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n)))
+    dirac = toeplitz.dirac_chain(chain)
     K, j, J = toeplitz.unitary_K(p), matcore.signature_j(p), matcore.exchange_J(p)
     lams = sampling.random_upper_points(rng, count)
     ws = sampling.random_upper_points(rng, count)
-    scale = (0.5j / (0.5j - lams))[:, None, None]
-    for k, (C, rho, factor) in enumerate(zip(chain.C, chain.rho, toeplitz.factorize_transfer(chain, lams))):
-        G = np.linalg.inv(np.linalg.cholesky(chain.t[k])) @ np.hstack([chain.X[k], chain.Y[k]])
+    scale = (1j / (lams - 0.5j))[:, None, None]
+    factors = snode.chain_factors(chain, lams)
+    for k, (C, rho, G, factor) in enumerate(zip(dirac.C, dirac.rho, chain.G, factors)):
+        # G_k up to a unitary left factor, from t_k and the row [X_k Y_k]
+        G_row = np.linalg.inv(np.linalg.cholesky(chain.t[k])) @ chain.rows[k]
         assert np.array_equal(rho, np.linalg.solve(C[:p, :p], C[:p, p:]))
-        assert np.array_equal(factor, np.eye(2 * p) - (scale * J) @ K @ (C + j) @ K.conj().T)
-        assert_allclose(C, matcore.hermitian_part(2.0 * K.conj().T @ G.conj().T @ G @ K - j), atol=1e-9)
+        assert np.array_equal(factor, np.eye(2 * p) + (scale * J) @ G.conj().T @ G)
+        gram = G_row.conj().T @ G_row
+        assert_allclose(C, matcore.hermitian_part(2.0 * K.conj().T @ gram @ K - j), atol=1e-9)
     # one sweep with a second start: the head, the full product and the tail
     split = n // 2
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [0, split])
-    assert np.array_equal(tails[0], toeplitz.dirac_fundamental(chain, ws, n))
-    assert np.array_equal(heads[1], toeplitz.dirac_fundamental(chain, ws, split))
-    assert np.array_equal(tails[1], toeplitz.dirac_fundamental(chain.shifted(split), ws, n - split))
+    heads, tails = toeplitz.dirac_sweep(dirac, ws, [0, split])
+    assert np.array_equal(tails[0], toeplitz.dirac_fundamental(dirac, ws, n))
+    assert np.array_equal(heads[1], toeplitz.dirac_fundamental(dirac, ws, split))
+    assert np.array_equal(tails[1], toeplitz.dirac_fundamental(dirac.shifted(split), ws, n - split))
     W = np.repeat(np.eye(2 * p, dtype=complex)[None], count, axis=0)
-    for C in chain.C:
+    for C in dirac.C:
         W = (np.eye(2 * p) + 1j * ws[:, None, None] * j @ C) @ W
     assert np.array_equal(tails[0], W)
