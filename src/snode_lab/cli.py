@@ -64,10 +64,13 @@ class BadInput(Exception):
 
 
 def _write_text(command: str, path: Path, text: str) -> None:
-    """Write an output file, creating its directory; a path that cannot be
-    written is bad input."""
+    """Write an output file as a new file, replacing any earlier one and
+    creating its directory; a path that cannot be written is bad input."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        # a fresh inode: truncating a file that still has unwritten data makes
+        # ext4 (auto_da_alloc) start its writeback at close, and so does rename-over
+        path.unlink(missing_ok=True)
         path.write_text(text)
     except OSError as exc:
         raise BadInput(f"{command}: cannot write {path}: {exc}") from exc
@@ -390,23 +393,15 @@ def export_csv(rows: list[dict], path: Path, p: int) -> None:
     Numbers carry 17 significant digits; identical rows always format to
     identical bytes.
     """
-    header = ["k"]
-    for i in range(p):
-        for jj in range(p):
-            header.append(f"rho_inv_re_{i + 1}{jj + 1}")
-            header.append(f"rho_inv_im_{i + 1}{jj + 1}")
+    entries = [f"{i + 1}{jj + 1}" for i in range(p) for jj in range(p)]
+    header = ["k", *(f"rho_inv_{part}_{ij}" for ij in entries for part in ("re", "im"))]
     header += ["det_rho_inv", "target", "gap", "cond"]
     lines = [",".join(header)]
     for row in rows:
-        cells = [str(int(row["k"]))]
-        mat = row["rho_inv"]
-        for i in range(p):
-            for jj in range(p):
-                cells.append(_fmt17(mat[i][jj][0]))
-                cells.append(_fmt17(mat[i][jj][1]))
+        # rho_inv: p rows of p [re, im] pairs
+        cells = [str(int(row["k"]))] + [_fmt17(x) for cols in row["rho_inv"] for pair in cols for x in pair]
         cells.append(_fmt17(row["det_rho_inv"]))
-        cells.append("" if row["target"] is None else _fmt17(row["target"]))
-        cells.append("" if row["gap"] is None else _fmt17(row["gap"]))
+        cells += ["" if row[key] is None else _fmt17(row[key]) for key in ("target", "gap")]
         cells.append(_fmt17(row["cond"]))
         lines.append(",".join(cells))
     _write_text("asymptotics", path, "\n".join(lines) + "\n")
@@ -512,7 +507,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
     }
     report.update(extra)
     report_path = out_dir / f"report_{sc.command}.json"
-    _write_text(sc.command, report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(sc.command, report_path, json.dumps(report, sort_keys=True) + "\n")
     if not report["passed"]:
         failing = ", ".join(f"{c['tag']} ({c['name']})" for c in checks if not c["passed"])
         print(f"{sc.command}: failed checks: {failing}", file=sys.stderr)
@@ -520,8 +515,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
         p = len(report["trajectory"][0]["rho_inv"]) if report["trajectory"] else 1
         export_csv(report["trajectory"], out_dir / "trajectory.csv", p)
     if sc.command == "ball":
-        ball_text = json.dumps(report["ball"], indent=2, sort_keys=True) + "\n"
-        _write_text(sc.command, out_dir / "ball.json", ball_text)
+        _write_text(sc.command, out_dir / "ball.json", json.dumps(report["ball"], sort_keys=True) + "\n")
     return (0 if report["passed"] else 1), report_path
 
 

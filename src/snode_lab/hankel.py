@@ -258,7 +258,11 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     :class:`SingularDenominator` naming the first point where F is singular
     to working precision.
     """
-    frm = as_frame(node_or_frame)
+    return _weyl_density(as_frame(node_or_frame), pair)[0]
+
+
+def _weyl_density(frm: Frame, pair: ParamPair) -> tuple[DensityFn, np.ndarray]:
+    """:func:`weyl_density` of a frame, with the zeros of det F that gave its breaks."""
     p = frm.p
     R, Q = pair.R, pair.Q
     jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
@@ -298,7 +302,7 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     # Lorentzian features of the density
     roots = _denominator_roots(frm, denominators)
     breaks = tuple(sorted({float(r.real) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6}))
-    return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
+    return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks), roots
 
 
 def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
@@ -376,14 +380,13 @@ def recover_moments(
         raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
     frm = hankel_frame(node)
-    roots = _denominator_roots(frm, frm.denominator(pair.R, pair.Q))
+    density, roots = _weyl_density(frm, pair)
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(
         lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, 1e-8, "expansion coefficient"
     )
     laurent = [matcore.hermitian_part(c) for c in expansion[1:]]
 
-    density = weyl_density(frm, pair)
     tail_order = 2 * n - 2
     *measure, tail = moments_from_density(density, range(tail_order + 1), quad)
     return MomentReport(

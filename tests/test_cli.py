@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from snode_lab import cli, toeplitz
+from snode_lab import cli, matcore, toeplitz
 
 
 def run(args):
@@ -144,11 +145,62 @@ def test_demo_appendix_b(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["ball", "--out", str(a), "--seed", "7", "--grid", "15"]) == 0
-    assert run(["ball", "--out", str(b), "--seed", "7", "--grid", "15"]) == 0
-    assert (a / "report_ball.json").read_bytes() == (b / "report_ball.json").read_bytes()
-    assert (a / "ball.json").read_bytes() == (b / "ball.json").read_bytes()
+    for command in ("ball", "verify-toeplitz", "verify-hankel"):
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        assert run([command, "--out", str(a), "--seed", "7", "--grid", "15"]) == 0
+        assert run([command, "--out", str(b), "--seed", "7", "--grid", "15"]) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert f"report_{command}.json" in names and names == sorted(path.name for path in b.iterdir())
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_report_is_one_line_of_sorted_key_json(tmp_path, monkeypatch, command):
+    rows = []
+    handler = cli._HANDLERS[command]
+    monkeypatch.setitem(cli._HANDLERS, command, lambda sc, rng: rows.append(handler(sc, rng)) or rows[-1])
+    code = run([command, "--out", str(tmp_path), "--grid", "4"])
+    (checks, extra), = rows
+    old = {
+        "command": command,
+        "seed": 0,
+        "rng": "PCG64",
+        "grid": 4,
+        "quad": 2048,
+        "tolerance_scale": matcore.tolerance_scale(),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+        **extra,
+    }
+    assert code == (0 if old["passed"] else 1)
+    text = (tmp_path / f"report_{command}.json").read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    # the same object as the indented encoding the reports had before
+    assert report == json.loads(json.dumps(old, indent=2, sort_keys=True))
+    assert [row["value"].hex() for row in report["checks"]] == [row["value"].hex() for row in checks]
+    if command == "ball":
+        text = (tmp_path / "ball.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert json.loads(text) == json.loads(json.dumps(extra["ball"], indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", ["report_verify-toeplitz.json", "ball.json", "trajectory.csv"])
+def test_a_second_run_replaces_its_outputs(tmp_path, name):
+    command = {"ball.json": "ball", "trajectory.csv": "asymptotics"}.get(name, "verify-toeplitz")
+    out = tmp_path / "out"
+    path = out / name
+    args = [command, "--out", str(out), "--csv"]
+    assert run(args) == 0
+    first = path.read_bytes()
+    os.link(path, tmp_path / "first")
+    # another run into the same --out writes a new file: the link keeps the first run's bytes
+    assert run(args + ["--seed", "1"]) == 0
+    assert (tmp_path / "first").read_bytes() == first
+    assert not path.samefile(tmp_path / "first")
+    assert run(args) == 0
+    assert path.read_bytes() == first
 
 
 def test_missing_spec_exits_2(tmp_path, capsys):

@@ -121,6 +121,20 @@ def test_recover_moments_hand_spec(hankel_102, unit_pair):
     assert report.tail_slack() <= 1e-6
 
 
+def test_recover_moments_fits_the_roots_of_det_f_once(hankel_102, unit_pair, monkeypatch):
+    # the circle radius and the density's breaks come from one fit
+    fits = []
+    original = hankel._denominator_roots
+
+    def counted(*args):
+        fits.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hankel, "_denominator_roots", counted)
+    hankel.recover_moments(hankel_102[0], unit_pair)
+    assert len(fits) == 1
+
+
 def test_recover_moments_random_pairs(hankel_102, rng):
     spec, _ = hankel_102
     for _ in range(10):
