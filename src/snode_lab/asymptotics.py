@@ -1,5 +1,5 @@
 """Nested node sequences, monotone rho trajectories, frame factorization
-across nesting, entropy/outer-function integrals, the entropy bound with
+across nesting, outer-modulus integrals, the entropy bound with
 its equality case, the order-by-order convergence harness, and the two
 appendix-style numerical lemmas (strict determinant growth, limit of
 log-determinant integrals).
@@ -18,8 +18,9 @@ from .errors import (
     DimensionMismatch,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
-    SingularF,
+    SingularDenominator,
     SzegoViolated,
+    Unsupported,
 )
 from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_density
 from .snode import (
@@ -148,61 +149,27 @@ def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientF
 
 
 # ---------------------------------------------------------------------------
-# entropy integrals and the outer modulus
+# the outer modulus
 
-# node budget of every log-determinant integral (the pair (24, 48) per graded
-# panel on the line, a ladder capped at 512 on a finite interval) and their
-# agreement tolerance
+# node budget of every log-determinant integral on the line (the pair
+# (24, 48) per graded panel) and their agreement tolerance
 _LOG_QUAD = 512
 _LOG_TOL = 1e-7
-
-
-def entropy_integral(
-    P: DensityFn,
-    f: Callable[[np.ndarray], np.ndarray] | None = None,
-    a: float = -np.inf,
-    b: float = np.inf,
-) -> float:
-    """integral_a^b f(t) ln det P(t) dt/(1+t^2); -inf when det P vanishes
-    on a set of positive measure inside (a, b).
-
-    ``f`` must be continuous, bounded and positive (identity weight by
-    default).  :func:`quadrature.integrate_with_check` picks the rule for
-    (a, b) at the budget :data:`_LOG_QUAD`: on the full line its panels
-    grade toward the infinite ends, so log- and sqrt-type growth of
-    ln det P is integrated accurately; a finite (a, b) is cut at the breaks
-    of P.  A half-infinite (a, b) raises :class:`Unsupported`.
-    """
-    weight = (lambda t: np.ones_like(t)) if f is None else f
-
-    lo, hi = P.support
-    if a < lo - 1e-12 or b > hi + 1e-12:
-        # the density is exactly zero on a positive-measure part of (a, b)
-        return -np.inf
-
-    integrand = _weighted_log_det(P, weight)
-    try:
-        value = quadrature.integrate_with_check(
-            integrand, (a, b), P.breaks, _LOG_QUAD, _LOG_TOL, "entropy integral"
-        )
-    except _VanishingDensity:
-        return -np.inf
-    return float(value)
 
 
 class _VanishingDensity(Exception):
     pass
 
 
-def _weighted_log_det(P: DensityFn, weight: Callable[[np.ndarray], np.ndarray]):
-    """The integrand t -> weight(t) ln det P(t) / (1 + t^2); it raises
+def _weighted_log_det(P: DensityFn):
+    """The integrand t -> ln det P(t) / (1 + t^2); it raises
     :class:`_VanishingDensity` on points where det P vanishes."""
 
     def integrand(ts):
         ld = P.log_det_at(ts)
         if np.any(~np.isfinite(ld)):
             raise _VanishingDensity()
-        return weight(ts) * ld / (1.0 + ts * ts)
+        return ld / (1.0 + ts * ts)
 
     return integrand
 
@@ -279,7 +246,7 @@ def outer_factor(node_or_frame, pair_or_pairs, z: complex) -> np.ndarray:
     half-plane; Wiener & Masani, Acta Math. 98, 1957) of a constant pair's
     boundary density, mu'(t) = G(t)* G(t).  One :class:`ParamPair` gives a
     p x p matrix, a sequence an (N, p, p) stack from one frame evaluation;
-    :class:`SingularF` names the first pair whose F(z) is singular."""
+    :class:`SingularDenominator` names the first pair whose F(z) is singular."""
     frm = as_frame(node_or_frame)
     single = isinstance(pair_or_pairs, ParamPair)
     pairs = [pair_or_pairs] if single else list(pair_or_pairs)
@@ -290,7 +257,7 @@ def outer_factor(node_or_frame, pair_or_pairs, z: complex) -> np.ndarray:
     smin, smax = matcore.singular_extremes(F)
     k, _ = matcore.first_failure(smin <= 1e-13 * np.maximum(smax, 1.0))
     if k is not None:
-        raise SingularF(f"F(z) singular at z = {z} for pair {k}")
+        raise SingularDenominator(z, f"F(z) singular at z = {z} for pair {k}")
     RQ = np.swapaxes(R, 1, 2).conj() @ Q
     G = matcore.sqrtm_hpd((RQ + np.swapaxes(RQ, 1, 2).conj()) / (2.0 * np.pi)) @ np.linalg.inv(F)
     return G[0] if single else G
@@ -370,12 +337,11 @@ class TrajectoryReport:
     lam: complex
     orders: tuple
     rho: tuple               # rho_k(lam, conj lam), nondecreasing in PSD order
-    rho_reversed: tuple      # rho_k(conj lam, lam), nonincreasing in PSD order
     rho_inv: tuple           # inverses of rho, nonincreasing in PSD order
     det_rho_inv: tuple
     conds: tuple             # condition numbers of the S blocks
     target: float | None     # det(2 pi G* G) when the reference admits it (p = 1)
-    szego_finite: bool
+    szego_finite: bool       # the reference's log-det integral is finite
 
     @property
     def gaps(self) -> tuple:
@@ -386,10 +352,6 @@ class TrajectoryReport:
     def monotone_margin(self) -> float:
         """min over k of min eig(rho_{k+1} - rho_k); >= -tol certifies growth."""
         return _psd_margin(self.rho, self.rho[1:])
-
-    def reversed_margin(self) -> float:
-        """min over k of min eig(rho_k(conj lam, lam) - rho_{k+1}(conj lam, lam))."""
-        return _psd_margin(self.rho_reversed[1:], self.rho_reversed)
 
     def psd_nonincreasing_margin(self) -> float:
         return _psd_margin(self.rho_inv[1:], self.rho_inv)
@@ -407,36 +369,41 @@ class TrajectoryReport:
 def convergence_run(
     seq: NodeSequence, lam: complex, reference: DensityFn | None = None
 ) -> TrajectoryReport:
-    """Order-by-order trajectory of rho_k(lam, conj lam), rho_k(conj lam, lam)
-    and rho_k(lam, conj lam)^{-1} with condition numbers, one pass per order,
-    and (scalar case, finite log-det integral) the outer-factor target
-    2 pi |G(lam)|^2 the inverse decreases toward."""
+    """Order-by-order trajectory of rho_k(lam, conj lam) and its inverse with
+    condition numbers, one rho per order, and the reference's outer modulus
+    at lam: the log-det integral is finite (Szego's condition) exactly when
+    :func:`outer_modulus` does not raise :class:`SzegoViolated`, and in the
+    scalar case it gives the target 2 pi |G(lam)|^2 the inverse decreases
+    toward.  A reference whose support is not the whole line vanishes on a
+    set of positive measure, so it fails the condition with no quadrature."""
+    if np.imag(lam) <= 0.0:
+        raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     rhos = []
-    revs = []
     rho_inv = []
     dets = []
     conds = []
     for node in seq.nodes:
-        r = rho(node, lam, "z,zbar")
+        r = rho(node, lam)
         rhos.append(r)
-        revs.append(rho(node, lam, "zbar,z"))
         rinv = matcore.inv_hpd(r)
         rho_inv.append(rinv)
         dets.append(float(np.prod(np.linalg.eigvalsh(rinv))))
         conds.append(float(np.linalg.cond(node.S)))
     target = None
     szego_finite = False
-    if reference is not None:
-        szego = entropy_integral(reference)
-        szego_finite = bool(np.isfinite(szego))
-        if szego_finite and seq.p == 1:
+    if reference is not None and reference.support == (-np.inf, np.inf):
+        try:
             modulus = outer_modulus(reference, lam)
-            target = float(2.0 * np.pi * modulus**2)
+        except SzegoViolated:
+            pass
+        else:
+            szego_finite = True
+            if seq.p == 1:
+                target = float(2.0 * np.pi * modulus**2)
     return TrajectoryReport(
         lam=complex(lam),
         orders=seq.orders,
         rho=tuple(rhos),
-        rho_reversed=tuple(revs),
         rho_inv=tuple(rho_inv),
         det_rho_inv=tuple(dets),
         conds=tuple(conds),
@@ -496,22 +463,21 @@ _DEMO_CELLS = 100
 _DEMO_SLACK = 1e-3
 
 
-def limit_inequality_demo(
-    p_seq: Callable[[int], DensityFn],
-    f: Callable[[np.ndarray], np.ndarray] | None,
-    a: float,
-    b: float,
-) -> LimitInequalityReport:
-    """Weighted log-det integrals of an oscillating density family against
-    the integral of its weak limit.
+def limit_inequality_demo(p_seq: Callable[[int], DensityFn]) -> LimitInequalityReport:
+    """Log-det integrals of an oscillating density family against the
+    integral of its weak limit.
 
-    Computes I_k = integral_a^b f ln det P_k dt/(1+t^2) along the schedule
-    :data:`_DEMO_KS`, identifies the weak-limit density by differencing the
-    cumulative integrals of the last P_k, and checks
-    limsup I_k <= integral f ln det (weak limit) + :data:`_DEMO_SLACK`.
+    Computes I_k = integral_a^b ln det P_k dt/(1+t^2) along the schedule
+    :data:`_DEMO_KS`, on the bounded support (a, b) of the last P_k,
+    identifies the weak-limit density by differencing the cumulative
+    integrals of that P_k, and checks
+    limsup I_k <= integral ln det (weak limit) + :data:`_DEMO_SLACK`.
     """
-    weight = (lambda t: np.ones_like(t)) if f is None else f
     ks = _DEMO_KS
+    members = [p_seq(k) for k in ks]
+    if not members[-1].bounded_support:
+        raise Unsupported(f"the family must have a bounded support, got {members[-1].support}")
+    a, b = members[-1].support
 
     def weighted_logdet(P: DensityFn, k: int) -> float:
         # composite GL on panels fine enough for oscillation at frequency
@@ -520,24 +486,22 @@ def limit_inequality_demo(
         panels = max(64, int(4 * k * (b - a) / (2.0 * np.pi)))
         cuts = (*np.linspace(a, b, panels + 1)[1:-1], *P.breaks)
 
-        integrand = _weighted_log_det(P, weight)
         try:
-            value = quadrature.integrate_with_check(integrand, (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
+            value = quadrature.integrate_with_check(_weighted_log_det(P), (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
         except _VanishingDensity:
             return -np.inf
         return float(value)
 
-    integrals = tuple(weighted_logdet(p_seq(k), k) for k in ks)
+    integrals = tuple(weighted_logdet(P, k) for P, k in zip(members, ks))
     limsup_estimate = max(integrals[-3:])
 
     # weak limit on the grid from the cumulative integrals of the last member;
     # sub-panels per cell resolve the fastest oscillation in the family
     edges = np.linspace(a, b, _DEMO_CELLS + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
     sub = max(1, int(np.ceil(ks[-1] * (b - a) / _DEMO_CELLS / 4.0)))
     sub_edges = np.linspace(edges[:-1], edges[1:], sub + 1, axis=1)
     t, w = quadrature.gauss_legendre(sub_edges[:, :-1, None], sub_edges[:, 1:, None], 8)
-    values = p_seq(ks[-1])(t.ravel())
+    values = members[-1](t.ravel())
     values = values.reshape(*t.shape, *values.shape[1:])
     dxi = np.arctan(edges[1:]) - np.arctan(edges[:-1])
     cell_avgs = np.einsum("csi,csi...->c...", w / (1.0 + t * t), values) / dxi[:, None, None]
@@ -545,7 +509,7 @@ def limit_inequality_demo(
     if np.any(dets <= 1e-300):
         rhs = -np.inf
     else:
-        rhs = float(np.sum(weight(mids) * np.log(dets) * dxi))
+        rhs = float(np.sum(np.log(dets) * dxi))
 
     if np.isfinite(rhs):
         inequality_ok = limsup_estimate <= rhs + _DEMO_SLACK

@@ -419,7 +419,7 @@ def _run_demo_appendix_b(sc: Scenario, rng: np.random.Generator):
 
         return densities.DensityFn("oscillating", fn, support=(-5.0, 5.0), log_det=log_det)
 
-    report = asymptotics.limit_inequality_demo(oscillating, None, -5.0, 5.0)
+    report = asymptotics.limit_inequality_demo(oscillating)
     checks.append(
         _check(
             "limit inequality holds",

@@ -93,10 +93,6 @@ class InvalidPair(SnodeLabError):
     pass
 
 
-class SingularF(SnodeLabError):
-    pass
-
-
 class SzegoViolated(SnodeLabError):
     pass
 

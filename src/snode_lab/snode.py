@@ -23,7 +23,8 @@ scalar point, giving one matrix, or a 1-d array of points, giving a stack of
 matrices; a guard that fails raises the same typed error either way and
 names the first offending point.  :func:`ball_membership` and
 :func:`ball_value` take one p x p matrix or a stack of them.  :func:`rho`
-takes one point: no caller evaluates two points of the same orientation.
+takes one point off the real axis: its value at conj z is the reversed
+value rho(conj z, z), so its callers check the half-plane they need.
 """
 
 from __future__ import annotations
@@ -289,18 +290,11 @@ def as_frame(node_or_frame) -> Frame:
     return node_frame(node_or_frame)
 
 
-def rho(node: SNode, z: complex, orientation: str = "z,zbar") -> np.ndarray:
-    """The characteristic  i(conj z - z) Phi2* (I - z A*)^{-1} S^{-1} (I - conj(z) A)^{-1} Phi2.
-
-    ``orientation="z,zbar"`` gives the positive-definite value for z in the
-    upper half-plane; ``"zbar,z"`` evaluates the same formula at conj(z)
-    and is negative definite there.
-    """
-    if orientation not in ("z,zbar", "zbar,z"):
-        raise ValueError("orientation must be 'z,zbar' or 'zbar,z'")
-    if np.imag(z) <= 0.0:
-        raise NotInUpperHalfPlane(f"z = {z} must lie in the open upper half-plane")
-    w = np.array([z if orientation == "z,zbar" else np.conj(z)])
+def rho(node: SNode, z: complex) -> np.ndarray:
+    """The characteristic  i(conj z - z) Phi2* (I - z A*)^{-1} S^{-1} (I - conj(z) A)^{-1} Phi2,
+    rho(z, conj z): positive definite for z above the real axis, negative
+    definite below it, so rho(conj z, z) is ``rho(node, conj(z))``."""
+    w = np.array([z])
     V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
     M = V.conj().T @ node.S_chol.solve(V)
     out = 1j * (w.conj() - w) * M
@@ -523,14 +517,7 @@ class MatrixBall:
     def p(self) -> int:
         return self.center.shape[0]
 
-    # the fields are fixed, so the square roots are computed once per ball
-    @cached_property
-    def neg_rev_half_inv(self) -> np.ndarray:
-        """(-rho(conj z, z))^{-1/2}."""
-        out = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-self.rho_reversed)))
-        out.setflags(write=False)
-        return out
-
+    # the fields are fixed, so the square root is computed once per ball
     @cached_property
     def rho_half(self) -> np.ndarray:
         """rho(z, conj z)^{1/2}."""
@@ -557,12 +544,14 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     aleph_12, and the radii are the inverse Hermitian square roots of
     -rho(conj z, z) and rho(z, conj z).
     """
+    if np.imag(z) <= 0.0:
+        raise NotInUpperHalfPlane(f"z = {z} must lie in the open upper half-plane")
     J = node.J
     F_bar = frame(node, np.conj(z))
     finv = J @ F_bar.conj().T @ J
     aleph = finv.conj().T @ J @ finv
-    rho_val = rho(node, z, "z,zbar")
-    rho_rev = rho(node, z, "zbar,z")
+    rho_val = rho(node, z)
+    rho_rev = rho(node, np.conj(z))
     p = node.p
     a12 = aleph[:p, p:]
     neg_rev = matcore.hermitian_part(-rho_rev)
@@ -584,12 +573,12 @@ def ball_membership(ball: MatrixBall, value_or_values):
     """Contraction u with value = center - L u Rr, and its spectral norm; a
     stack of values gives a stack of contractions and an array of norms.
 
-    u = (-rho_rev)^{-1/2} (rho_rev value + i aleph_12) rho^{1/2}.
+    u = L (rho_rev value + i aleph_12) rho^{1/2},  L = (-rho_rev)^{-1/2}.
     """
     values = matcore.as_matrix_or_stack(value_or_values)
     p = ball.p
     a12 = ball.aleph[:p, p:]
-    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
+    u = ball.left_radius @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
     norms = matcore.spectral_norm(u)
     return u, (norms if u.ndim == 3 else float(norms))
 

@@ -288,7 +288,7 @@ def test_criterion_11_appendix_lemmas():
 
         return densities.DensityFn("osc", fn, support=(-5.0, 5.0), log_det=log_det)
 
-    demo = asymptotics.limit_inequality_demo(oscillating, None, -5.0, 5.0)
+    demo = asymptotics.limit_inequality_demo(oscillating)
     oracle = np.log((1 + np.sqrt(0.75)) / 2) * 2 * np.arctan(5.0)
     demo_ok = (
         demo.inequality_ok

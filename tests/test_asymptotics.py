@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from snode_lab import asymptotics, cli, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
-from snode_lab.errors import NotInUpperHalfPlane, QuadratureNotConverged, SingularF, SzegoViolated, Unsupported
+from snode_lab.errors import (
+    NotInUpperHalfPlane,
+    QuadratureNotConverged,
+    SingularDenominator,
+    SzegoViolated,
+    Unsupported,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +51,19 @@ def test_nested_embed_detects_permutation(uniform_family, rng):
     assert asymptotics.nested_embed_check(bad) > 0.1
 
 
+def _reversed_margin(seq, z):
+    """min over k of min eig(rho_k(conj z, z) - rho_{k+1}(conj z, z)): the
+    reversed values are PSD-nonincreasing."""
+    revs = [snode.rho(node, np.conj(z)) for node in seq.nodes]
+    return min(matcore.min_eig_hermitian(a - b) for a, b in zip(revs, revs[1:]))
+
+
 def test_rho_trajectory_monotone_hankel(uniform_family):
     seq, _ = uniform_family
     for z in [1j, 0.5 + 0.7j, -1.3 + 1.6j]:
         traj = asymptotics.convergence_run(seq, z)
         assert traj.monotone_margin() >= -1e-9
-        assert traj.reversed_margin() >= -1e-9
+        assert _reversed_margin(seq, z) >= -1e-9
 
 
 def test_rho_trajectory_monotone_toeplitz(toeplitz_family_fixture):
@@ -58,16 +71,22 @@ def test_rho_trajectory_monotone_toeplitz(toeplitz_family_fixture):
     for z in [1j, 1.1 + 0.6j]:
         traj = asymptotics.convergence_run(seq, z)
         assert traj.monotone_margin() >= -1e-9
-        assert traj.reversed_margin() >= -1e-9
+        assert _reversed_margin(seq, z) >= -1e-9
 
 
 def test_convergence_run_rho_equals_per_node_calls(uniform_family, toeplitz_family_fixture):
     z = 0.5 + 0.7j
     for seq, _ in (uniform_family, toeplitz_family_fixture):
         report = asymptotics.convergence_run(seq, z)
-        for node, r, rev in zip(seq.nodes, report.rho, report.rho_reversed, strict=True):
-            assert np.array_equal(r, snode.rho(node, z, "z,zbar"))
-            assert np.array_equal(rev, snode.rho(node, z, "zbar,z"))
+        for node, r in zip(seq.nodes, report.rho, strict=True):
+            assert np.array_equal(r, snode.rho(node, z))
+
+
+def test_convergence_run_requires_upper_half_plane(uniform_family):
+    seq, _ = uniform_family
+    for z in (1.0, 1.0 - 0.5j, -2j):
+        with pytest.raises(NotInUpperHalfPlane, match="lam = .* must lie in the open upper half-plane"):
+            asymptotics.convergence_run(seq, z, reference=densities.exp_sqrt_density())
 
 
 def test_rho_trajectory_identity_symbol(rng):
@@ -124,71 +143,22 @@ def test_solution_sets_nest_into_smaller_balls(uniform_family, rng):
         assert norm_u <= 1 + 1e-8
 
 
-def test_entropy_integral_examples():
+def test_entropy_integral_examples(hankel_unit):
+    # the entropy (Szego) integral of ln det P against dt/(1+t^2), finite or
+    # -inf, as convergence_run reads it from the outer modulus: finite for
+    # one and Cauchy, with target 2 pi |G(i)|^2, and -inf for uniform
+    _, node = hankel_unit
+    seq = asymptotics.NodeSequence(nodes=(node,), orders=(1,))
     one = densities.DensityFn(
         "one", lambda t: np.ones_like(t)[:, None, None].astype(complex),
         log_det=lambda t: np.zeros_like(t),
     )
-    assert abs(asymptotics.entropy_integral(one)) <= 1e-12
-    cauchy = densities.cauchy_density()
-    want = -np.pi * np.log(4 * np.pi)
-    assert asymptotics.entropy_integral(cauchy) == pytest.approx(want, abs=1e-9)
-    assert asymptotics.entropy_integral(densities.uniform_density()) == -np.inf
-
-
-def test_entropy_integral_with_weight():
-    # constant log-density e against the weight 1/(1+t^2): value is pi/2
-    const_e = densities.DensityFn(
-        "e", lambda t: np.e * np.ones_like(t)[:, None, None].astype(complex),
-        log_det=lambda t: np.ones_like(t),
-    )
-    value = asymptotics.entropy_integral(const_e, f=lambda t: 1.0 / (1.0 + t * t))
-    assert value == pytest.approx(np.pi / 2, abs=1e-10)
-
-
-def _counting(density, calls):
-    """``density`` with the size of every evaluation appended to ``calls``."""
-    return dataclasses.replace(density, fn=lambda t: calls.append(t.size) or density.fn(t))
-
-
-def test_entropy_integral_vanishing_table_patch():
-    ts = np.linspace(-2, 2, 401)
-    vals = np.where((ts >= 0) & (ts <= 1), 0.0, 1.0)
-    calls = []
-    patchy = _counting(densities.table_density(ts, vals), calls)
-    assert asymptotics.entropy_integral(patchy, a=-2.0, b=2.0) == -np.inf
-    # the patch fills whole pieces of the rule, so its first rule finds it
-    assert len(calls) == 1
-
-
-def test_entropy_integral_narrow_zero_patch():
-    # the patch |t| <= 0.005 lies between the nodes of every single-panel
-    # rule below 1024, but it is a piece of the rule cut at the grid
-    notch = densities.table_density([-2, -0.01, -0.005, 0.005, 0.01, 2], [1, 1, 0, 0, 1, 1])
-    calls = []
-    assert asymptotics.entropy_integral(_counting(notch, calls), a=-2.0, b=2.0) == -np.inf
-    assert len(calls) == 1
-
-
-def test_entropy_integral_on_a_positive_table_is_exact():
-    # f = 1 + t^2 cancels the weight, leaving the integral of ln P: on a
-    # piece of width h from y0 to y1 it is h (y1 ln y1 - y0 ln y0) / (y1 - y0) - h
-    ts, vs = [-1.0, 0.0, 0.5, 2.0, 2.5], [1.0, 3.0, 0.5, 0.5, 2.0]
-    want = 0.0
-    for t0, t1, y0, y1 in zip(ts[:-1], ts[1:], vs[:-1], vs[1:]):
-        h = t1 - t0
-        if y0 == y1:
-            want += h * np.log(y0)
-        else:
-            want += h * (y1 * np.log(y1) - y0 * np.log(y0)) / (y1 - y0) - h
-    table = densities.table_density(ts, vs)
-    got = asymptotics.entropy_integral(table, f=lambda t: 1.0 + t * t, a=-1.0, b=2.5)
-    assert got == pytest.approx(want, abs=1e-13)
-
-
-def test_entropy_integral_half_line_is_unsupported():
-    with pytest.raises(Unsupported, match="full line or a finite interval"):
-        asymptotics.entropy_integral(densities.cauchy_density(), a=0.0)
+    for reference, target in ((one, 2 * np.pi), (densities.cauchy_density(), 0.5)):
+        report = asymptotics.convergence_run(seq, 1j, reference=reference)
+        assert report.szego_finite
+        assert report.target == pytest.approx(target, abs=1e-9)
+    report = asymptotics.convergence_run(seq, 1j, reference=densities.uniform_density())
+    assert not report.szego_finite and report.target is None
 
 
 def test_outer_modulus_examples():
@@ -279,8 +249,9 @@ def test_outer_factor_names_the_first_singular_pair(hankel_unit):
     _, _, F21, F22 = snode.as_frame(node).blocks(2j)
     good = snode.ParamPair.constant(np.eye(1), np.eye(1))
     bad = snode.ParamPair.constant(F22, -F21)
-    with pytest.raises(SingularF, match="for pair 1"):
+    with pytest.raises(SingularDenominator, match="for pair 1") as info:
         asymptotics.outer_factor(node, [good, bad, bad], 2j)
+    assert info.value.z == 2j
 
 
 def test_entropy_bound_equality_at_extremal(hankel_unit):
@@ -387,7 +358,7 @@ def _oscillating_family(k):
 
 
 def test_limit_inequality_oscillating_matches_period_average():
-    report = asymptotics.limit_inequality_demo(_oscillating_family, None, -5.0, 5.0)
+    report = asymptotics.limit_inequality_demo(_oscillating_family)
     oracle = np.log((1 + np.sqrt(0.75)) / 2) * 2 * np.arctan(5.0)
     assert report.inequality_ok
     assert report.limsup_estimate <= report.rhs + 1e-3
@@ -401,7 +372,7 @@ def test_limit_inequality_constant_sequence_equality():
     bounded = densities.DensityFn(
         "c5", lambda t: cauchy(t), support=(-5.0, 5.0), log_det=cauchy.log_det
     )
-    report = asymptotics.limit_inequality_demo(lambda k: bounded, None, -5.0, 5.0)
+    report = asymptotics.limit_inequality_demo(lambda k: bounded)
     assert report.inequality_ok
     assert abs(report.equality_gap) <= 1e-3
 
@@ -424,16 +395,29 @@ def _vanishing_family(breaks):
 
 
 def test_limit_inequality_vanishing_convention():
-    report = asymptotics.limit_inequality_demo(_vanishing_family((0.0, 1.0)), None, -5.0, 5.0)
+    report = asymptotics.limit_inequality_demo(_vanishing_family((0.0, 1.0)))
     assert report.rhs == -np.inf
     assert report.inequality_ok
+
+
+def test_limit_inequality_takes_the_bounded_support_of_the_family():
+    # I_k integrates over the family's support: on (-2, 2) the oscillation
+    # limit is the period average times 2 arctan(2), not 2 arctan(5)
+    def narrow(k):
+        return dataclasses.replace(_oscillating_family(k), support=(-2.0, 2.0))
+
+    report = asymptotics.limit_inequality_demo(narrow)
+    oracle = np.log((1 + np.sqrt(0.75)) / 2) * 2 * np.arctan(2.0)
+    assert report.extrapolated == pytest.approx(oracle, abs=1e-3)
+    with pytest.raises(Unsupported, match="bounded support"):
+        asymptotics.limit_inequality_demo(lambda k: densities.cauchy_density())
 
 
 def test_limit_inequality_integrals_are_checked():
     # the same jumps, undeclared, fall inside panels: the 8- and 16-node
     # rules of I_64 then disagree by 5e-2
     with pytest.raises(QuadratureNotConverged, match="^I_64: doubled-node drift"):
-        asymptotics.limit_inequality_demo(_vanishing_family(()), None, -5.0, 5.0)
+        asymptotics.limit_inequality_demo(_vanishing_family(()))
 
 
 def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):

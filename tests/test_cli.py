@@ -145,10 +145,11 @@ def test_demo_appendix_b(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    for command in ("ball", "verify-toeplitz", "verify-hankel"):
+    runs = (("ball",), ("verify-toeplitz",), ("verify-hankel",), ("asymptotics", "--csv"), ("entropy",))
+    for command, *flags in runs:
         a, b = tmp_path / command / "a", tmp_path / command / "b"
-        assert run([command, "--out", str(a), "--seed", "7", "--grid", "15"]) == 0
-        assert run([command, "--out", str(b), "--seed", "7", "--grid", "15"]) == 0
+        assert run([command, *flags, "--out", str(a), "--seed", "7", "--grid", "15"]) == 0
+        assert run([command, *flags, "--out", str(b), "--seed", "7", "--grid", "15"]) == 0
         names = sorted(path.name for path in a.iterdir())
         assert f"report_{command}.json" in names and names == sorted(path.name for path in b.iterdir())
         assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
@@ -356,20 +357,64 @@ def test_entropy_on_the_bundled_p2_spec_reads_the_accepted_normalization(tmp_pat
     assert row["passed"] and row["value"] == abs(accepted[0] - np.pi)
 
 
-def test_asymptotics_computes_rho_twice_per_order(tmp_path, monkeypatch):
+def test_asymptotics_computes_rho_once_per_order(tmp_path, monkeypatch):
     from snode_lab import asymptotics
 
     calls = []
     original = asymptotics.rho
-
-    def counted(node, z, orientation="z,zbar"):
-        calls.append(orientation)
-        return original(node, z, orientation)
-
-    monkeypatch.setattr(asymptotics, "rho", counted)
+    monkeypatch.setattr(asymptotics, "rho", lambda *args: calls.append(args[1:]) or original(*args))
     assert run(["asymptotics", "--out", str(tmp_path)]) == 0
-    # the default run has orders 1..4; the R2 row reads the same pass
-    assert sorted(calls) == ["z,zbar"] * 4 + ["zbar,z"] * 4
+    # the default run has orders 1..4 at lambda = i; the R2 row reads the same pass
+    assert calls == [(1j,)] * 4
+
+
+def _integral_names(monkeypatch):
+    """The names (``what``) of the integrals taken through
+    :func:`quadrature.integrate_with_check`, in order; a call with a list of
+    names adds each of them."""
+    from snode_lab import quadrature
+
+    names = []
+    original = quadrature.integrate_with_check
+
+    def counted(*args):
+        names.extend([args[5]] if isinstance(args[5], str) else args[5])
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    return names
+
+
+def test_asymptotics_integrates_the_reference_log_det_once(tmp_path, monkeypatch):
+    scenario = {"command": "asymptotics", "density": "exp_sqrt", "max_order": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    names = _integral_names(monkeypatch)
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_asymptotics.json").read_text())
+    assert report["szego_finite"] and report["target"] is not None
+    # the outer modulus both decides Szego's condition and gives the target
+    assert names.count("outer modulus integral") == 1
+    assert names.count("poisson normalization") == 1
+    assert "entropy integral" not in names
+
+
+def test_asymptotics_on_a_bounded_support_makes_no_line_quadrature(tmp_path, monkeypatch):
+    from snode_lab import asymptotics
+
+    def refuse(*args):
+        raise AssertionError("outer_modulus called")
+
+    monkeypatch.setattr(asymptotics, "outer_modulus", refuse)
+    scenario = {"command": "asymptotics", "density": "uniform", "max_order": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    names = _integral_names(monkeypatch)
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report_asymptotics.json").read_text())
+    assert report["szego_finite"] is False and report["target"] is None
+    # only the moments are integrated, on the bounded support
+    assert names and all(name.startswith("moment") for name in names)
 
 
 def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):

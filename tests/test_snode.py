@@ -116,7 +116,8 @@ def test_frame_j_unitary_on_real_axis(rng):
 def test_rho_hand_values(hankel_unit):
     _, node = hankel_unit
     assert snode.rho(node, 1j)[0, 0] == pytest.approx(2.0)
-    assert snode.rho(node, 1j, "zbar,z")[0, 0] == pytest.approx(-2.0)
+    # below the axis the same formula gives the reversed value rho(conj z, z)
+    assert snode.rho(node, -1j)[0, 0] == pytest.approx(-2.0)
 
 
 def test_rho_positive_and_consistent_with_frame(rng):
@@ -127,14 +128,15 @@ def test_rho_positive_and_consistent_with_frame(rng):
             assert matcore.min_eig_hermitian(r) > 0
             via_frame = snode.rho_from_frame(snode.node_frame(node), z)
             assert np.max(np.abs(r - via_frame)) <= 1e-10 * (1 + np.max(np.abs(r)))
-            r_rev = snode.rho(node, z, "zbar,z")
+            r_rev = snode.rho(node, np.conj(z))
             assert matcore.min_eig_hermitian(-r_rev) > 0
 
 
-def test_rho_requires_upper_half_plane(hankel_unit):
+def test_matrix_ball_requires_upper_half_plane(hankel_unit):
     _, node = hankel_unit
-    with pytest.raises(NotInUpperHalfPlane):
-        snode.rho(node, 1.0 - 0.5j)
+    for z in (1.0, 1.0 - 0.5j, -2j):
+        with pytest.raises(NotInUpperHalfPlane, match="must lie in the open upper half-plane"):
+            snode.matrix_ball(node, z)
 
 
 def test_lft_hand_values(hankel_unit, unit_pair):
@@ -332,7 +334,9 @@ def test_ball_membership_computes_square_roots_once(monkeypatch):
         snode.ball_value(ball, 0.5 * sampling.random_contraction(rng, 2)) for _ in range(4)
     ]
     a12 = ball.aleph[:2, 2:]
+    # the left factor (-rho(conj z, z))^{-1/2} is the ball's left radius, bitwise
     left = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-ball.rho_reversed)))
+    assert np.array_equal(left, ball.left_radius)
     right = matcore.sqrtm_hpd(matcore.hermitian_part(ball.rho_value))
     calls = []
     original = matcore.sqrtm_hpd
@@ -340,7 +344,8 @@ def test_ball_membership_computes_square_roots_once(monkeypatch):
     for value in values:
         u, _ = snode.ball_membership(ball, value)
         assert np.array_equal(u, left @ (ball.rho_reversed @ value + 1j * a12) @ right)
-    assert len(calls) == 2
+    # rho(z, conj z)^{1/2}, once per ball; the left radius is a field
+    assert len(calls) == 1
 
 
 def test_ball_coverage_via_pair_construction(hankel_unit, rng):
@@ -795,13 +800,13 @@ def test_lft_and_ball_membership_make_no_lapack_call_at_p_le_2(monkeypatch, p):
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2))
     z = 0.3 + 1.1j
     ball = snode.matrix_ball(node, z)
-    # the ball's square roots are built once, on first use: build them first
+    # the ball's square root rho^{1/2} is built once, on first use: build it first
     snode.ball_membership(ball, ball.center)
     F = np.broadcast_to(snode.frame(node, z), (40, 2 * p, 2 * p))
     R, Q = sampling.random_constant_pairs(rng, p, 40)
     zs = np.full(40, z)
     values = snode._lft_stack_lapack(F, R, Q, zs)
-    u = ball.neg_rev_half_inv @ (ball.rho_reversed @ values + 1j * ball.aleph[:p, p:]) @ ball.rho_half
+    u = ball.left_radius @ (ball.rho_reversed @ values + 1j * ball.aleph[:p, p:]) @ ball.rho_half
     want_norms = np.linalg.norm(u, 2, axis=(1, 2))
 
     def refuse(*args, **kwargs):
