@@ -135,6 +135,12 @@ def _factor_product_gap(factors: list, direct: np.ndarray) -> float:
     return float(np.max(matcore.frobenius(prod - direct) / (1.0 + matcore.frobenius(direct))))
 
 
+def _draw_points(rng: np.random.Generator, count: int, re: tuple, im: tuple) -> np.ndarray:
+    """``count`` points from one draw: bitwise ``complex(rng.uniform(*re),
+    rng.uniform(*im))`` drawn one at a time, leaving ``rng`` in the same state."""
+    return rng.uniform((re[0], im[0]), (re[1], im[1]), size=(count, 2)).view(complex)[:, 0]
+
+
 # ---------------------------------------------------------------------------
 # command handlers; each returns a list of check rows plus extra report data
 #
@@ -167,11 +173,10 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("step matrices positive", "c8", -tmin, 0.0, passed=tmin > 0))
     extra["rho"] = serialization.matrix_to_json(rho)
 
-    lams = np.array([complex(rng.uniform(-3, 3), rng.uniform(0.4, 3.0)) for _ in range(20)])
-    zs = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5)) for _ in range(5)])
+    lams = _draw_points(rng, 20, (-3, 3), (0.4, 3.0))
+    zs = _draw_points(rng, 5, (-1.5, 1.5), (0.3, 1.5))
     split = n // 2
-    count = min(sc.grid, 20)
-    frame_zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(count)])
+    frame_zs = _draw_points(rng, min(sc.grid, 20), (-2, 2), (0.3, 2.0))
 
     factors = snode.chain_factors(chain, lams)
     transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / (2.0 * zs))))

@@ -386,37 +386,36 @@ def _cholesky_fails(H: np.ndarray) -> bool:
     return False
 
 
-def leading_chain(S, Pi, p: int) -> tuple[tuple, tuple, tuple]:
-    """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp]
-    from one left-looking block Cholesky factorization S = L L*, whose
-    leading blocks factor every S(k).  For k = 1..n: t_k = (L_kk L_kk*)^{-1}
-    is the bottom-right block of S(k)^{-1}; G_k is the k-th block row of
-    L^{-1} Pi; row_k = L_kk^{-*} G_k is the bottom block row of
-    S(k)^{-1} Pi(k), so row_k* t_k^{-1} row_k = G_k* G_k.
+def first_failing_order(H: np.ndarray, p: int) -> int | None:
+    """The first order k whose leading block H[:kp, :kp] of a Hermitian H
+    has no Cholesky factor, or None; one factorization per order tried."""
+    return next((k for k in range(1, H.shape[0] // p + 1) if _cholesky_fails(H[: k * p, : k * p])), None)
 
-    Raises :class:`NotPositiveDefinite` with ``order=k`` at the first pivot
-    block that fails.
+
+def leading_chain(pd: HermPD, Pi, p: int) -> tuple[tuple, tuple, tuple]:
+    """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp],
+    read off the Cholesky factor S = L L* of ``pd``, whose leading blocks
+    factor every S(k).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
+    bottom-right block of S(k)^{-1}; G_k is the k-th block row of L^{-1} Pi;
+    row_k = L_kk^{-*} G_k is the bottom block row of S(k)^{-1} Pi(k), so
+    row_k* t_k^{-1} row_k = G_k* G_k.
+
+    One batched inverse gives every L_kk^{-1}, and G comes by block forward
+    substitution, G_k = L_kk^{-1} (Pi_k - L_{k,<k} G_{<k}), which is forward
+    stable whatever the conditioning of S (Higham 2002, ch. 8); a pivoted
+    solve with L is not.
     """
-    assert_hermitian(S)
-    S = hermitian_part(S)
-    n = S.shape[0] // p
-    Linv = np.zeros((n * p, n * p), dtype=complex)
-    ts, rows, Gs = [], [], []
+    L = pd.factor
+    n = L.shape[0] // p
+    diag = np.arange(n)
+    Dinv = np.linalg.inv(L.reshape(n, p, n, p)[diag, :, diag])
+    G = np.empty(Pi.shape, dtype=complex)
+    # block views: row k of each is block row k of L, Pi and G
+    L_rows, Pi_rows, G_rows = (M.reshape(n, p, -1) for M in (L, Pi, G))
     for k in range(n):
-        lo, hi = k * p, (k + 1) * p
-        off = S[lo:hi, :lo] @ Linv[:lo, :lo].conj().T  # L_{k,<k}
-        try:
-            Lkk = np.linalg.cholesky(hermitian_part(S[lo:hi, lo:hi] - off @ off.conj().T))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("leading block not positive definite", order=k + 1) from exc
-        Lkk_inv = np.linalg.inv(Lkk)
-        Linv[lo:hi, :lo] = -Lkk_inv @ off @ Linv[:lo, :lo]
-        Linv[lo:hi, lo:hi] = Lkk_inv
-        G = Linv[lo:hi, :hi] @ Pi[:hi]
-        ts.append(hermitian_part(Lkk_inv.conj().T @ Lkk_inv))
-        rows.append(Lkk_inv.conj().T @ G)
-        Gs.append(G)
-    return tuple(ts), tuple(rows), tuple(Gs)
+        G_rows[k] = Dinv[k] @ (Pi_rows[k] - L_rows[k, :, : k * p] @ G[: k * p])
+    Dinv_h = _conj_t(Dinv)
+    return tuple(hermitian_part(Dinv_h @ Dinv)), tuple(Dinv_h @ G_rows), tuple(G_rows)
 
 
 def sqrtm_hpd(M) -> np.ndarray:

@@ -10,8 +10,9 @@ Conventions used throughout:
   J = [[0, I], [I, 0]],  A = c I + a N (I - b N)^{-1}  (:class:`SNode`);
 * the transfer matrix is  w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi;
 * the chain of a node (:func:`node_chain`) holds the data t_k, rows_k and G_k
-  of its leading orders, and its elementary factors
-  w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k  (:func:`chain_factors`)
+  of its leading orders, read off the node's one Cholesky factor
+  ``SNode.S_chol`` (which serves every S solve too), and its elementary
+  factors w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k  (:func:`chain_factors`)
   multiply, w_n ... w_1, to the transfer matrix of either node family;
 * the frame is  Frm(z) = w_A(1/conj(z))*, evaluated in the equivalent
   pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J;
@@ -41,6 +42,7 @@ from .errors import (
     InvalidPair,
     NotConverged,
     NotInUpperHalfPlane,
+    NotPositiveDefinite,
     PoleAtLambda,
     SingularDenominator,
     SingularResolvent,
@@ -112,10 +114,15 @@ class SNode:
     def J(self) -> np.ndarray:
         return matcore.exchange_J(self.p)
 
-    # S is read-only, so its factorization can be computed once per node
+    # S is read-only, so its factorization can be computed once per node; its
+    # leading blocks factor every S(k), and a failure names the first order
     @cached_property
     def S_chol(self) -> matcore.HermPD:
-        return matcore.cholesky_pd(self.S)
+        try:
+            return matcore.cholesky_pd(self.S)
+        except NotPositiveDefinite as exc:
+            order = matcore.first_failing_order(matcore.hermitian_part(self.S), self.p)
+            raise NotPositiveDefinite("leading block not positive definite", order=order) from exc
 
     @cached_property
     def SinvPi(self) -> np.ndarray:
@@ -172,10 +179,10 @@ def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeChain:
-    """The per-order data of a node's leading blocks, read off one block
-    Cholesky factorization by :func:`matcore.leading_chain`: t_k > 0, the
-    bottom block row rows_k of S(k)^{-1} Pi(k) ([X_k Y_k] for a Toeplitz
-    node, omega_k for a Hankel node) and G_k with
+    """The per-order data of a node's leading blocks, read off the node's
+    one Cholesky factor ``S_chol`` by :func:`matcore.leading_chain`:
+    t_k > 0, the bottom block row rows_k of S(k)^{-1} Pi(k) ([X_k Y_k] for
+    a Toeplitz node, omega_k for a Hankel node) and G_k with
     G_k* G_k = rows_k* t_k^{-1} rows_k; ``c`` is the diagonal of A."""
 
     p: int
@@ -186,9 +193,10 @@ class NodeChain:
 
 
 def node_chain(node: SNode) -> NodeChain:
-    """The chain of a node; raises :class:`NotPositiveDefinite` at the first
-    order whose leading block fails."""
-    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, node.p)
+    """The chain of a node, read off its one Cholesky factor ``node.S_chol``;
+    raises :class:`NotPositiveDefinite` at the first order whose leading
+    block fails."""
+    ts, rows, Gs = matcore.leading_chain(node.S_chol, node.Pi, node.p)
     return NodeChain(p=node.p, c=node.shift[0], t=ts, rows=rows, G=Gs)
 
 

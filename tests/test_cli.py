@@ -425,6 +425,18 @@ def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
     assert "moment 1 absolute: doubled-node drift" in capsys.readouterr().err
 
 
+def test_asymptotics_indefinite_moment_matrix_exits_2_naming_the_order(tmp_path, capsys):
+    # unit mass on [0.49, 0.51]: the 5 x 5 moment matrix of order 5 is not
+    # positive definite in floating point, and the error names that order
+    spike = {"name": "table", "params": {"t": [0, 0.49, 0.5, 0.51, 1], "v": [0, 0, 100, 0, 0]}}
+    scenario = {"command": "asymptotics", "density": spike, "max_order": 5}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: asymptotics: leading block not positive definite (first failure at order 5)\n"
+
+
 @pytest.mark.parametrize(
     "density, message",
     [

@@ -189,7 +189,7 @@ def dense_bottom_rows(S, Pi, p, k):
 def leading_chain_errors(node, p):
     """Per order: relative error of [t_k  row_k] against the dense solve, and
     of the Gram identity row_k* t_k^{-1} row_k = G_k* G_k."""
-    ts, rows, Gs = matcore.leading_chain(node.S, node.Pi, p)
+    ts, rows, Gs = matcore.leading_chain(node.S_chol, node.Pi, p)
     for k, (t, row, G) in enumerate(zip(ts, rows, Gs), start=1):
         ref = dense_bottom_rows(node.S, node.Pi, p, k)
         got = np.hstack([t, row])
@@ -220,6 +220,17 @@ def test_leading_chain_matches_dense_solve_hankel(seed, p, n):
         assert rel <= 10 * eps * np.linalg.cond(node.S[: k * p, : k * p])
 
 
+@pytest.mark.parametrize("p, n, seed", [(2, 5, 99), (1, 5, 148), (2, 4, 8)])
+def test_leading_chain_matches_dense_solve_hankel_fixed(p, n, seed):
+    # specs on which a pivoted solve with the Cholesky factor, in place of the
+    # block forward substitution, misses the bound by a factor 16 to 23
+    spec = sampling.random_hankel_spec(np.random.default_rng(seed), p=p, n=n)
+    node = hankel.build_hankel_node(spec)
+    eps = np.finfo(float).eps
+    for k, rel, _ in leading_chain_errors(node, p):
+        assert rel <= 10 * eps * np.linalg.cond(node.S[: k * p, : k * p])
+
+
 def test_leading_chain_reports_first_failing_order_block():
     # S(1) and S(2) are positive definite; s_{-2} = 2 I makes S(3) indefinite
     eye = np.eye(2, dtype=complex)
@@ -228,7 +239,7 @@ def test_leading_chain_reports_first_failing_order_block():
     )
     node = toeplitz.build_toeplitz_node(spec)
     with pytest.raises(NotPositiveDefinite) as err:
-        matcore.leading_chain(node.S, node.Pi, 2)
+        matcore.leading_chain(node.S_chol, node.Pi, 2)
     assert err.value.order == 3
 
 

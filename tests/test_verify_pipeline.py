@@ -41,8 +41,26 @@ def test_verify_builds_one_node_chain_factorization_and_transfer_call(tmp_path, 
     _counting(monkeypatch, matcore, "leading_chain", calls)
     _counting(monkeypatch, matcore, "cholesky_pd", calls)
     _counting(monkeypatch, snode, "transfer_matrix", calls)
+    _counting(monkeypatch, np.linalg, "cholesky", calls)
     assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path)]) == 0
-    assert calls == {BUILDERS[command][1]: 1, "leading_chain": 1, "cholesky_pd": 1, "transfer_matrix": 1}
+    assert calls == {
+        BUILDERS[command][1]: 1,
+        "leading_chain": 1,
+        "cholesky_pd": 1,
+        "cholesky": 1,
+        "transfer_matrix": 1,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 450])
+def test_batched_draws_are_the_scalar_draws_bitwise(seed):
+    one_by_one, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count, re, im in ((20, (-3, 3), (0.4, 3.0)), (5, (-1.5, 1.5), (0.3, 1.5)), (7, (-2, 2), (0.3, 2.0))):
+        ref = np.array([complex(one_by_one.uniform(*re), one_by_one.uniform(*im)) for _ in range(count)])
+        got = cli._draw_points(batched, count, re, im)
+        assert got.dtype == complex and got.shape == (count,)
+        assert got.tobytes() == ref.tobytes()
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
 
 
 def _first_lambda(seed):
@@ -66,14 +84,19 @@ def test_toeplitz_lambda_near_the_diagonal_of_a_verifies(tmp_path):
 
 
 class _FirstDraws:
-    """A generator whose first uniform draws are given; the rest are seeded."""
+    """A generator whose first uniform draws, in the order a batched draw
+    lays them out, are given; the rest are seeded."""
 
     def __init__(self, first):
         self.first = list(first)
         self.rest = np.random.default_rng(0)
 
-    def uniform(self, low, high):
-        return self.first.pop(0) if self.first else self.rest.uniform(low, high)
+    def uniform(self, low, high, size):
+        out = self.rest.uniform(low, high, size)
+        given = self.first[: out.size]
+        out.reshape(-1)[: len(given)] = given
+        del self.first[: len(given)]
+        return out
 
 
 def test_pole_at_lambda_wins_over_the_singular_resolvent(tmp_path):
