@@ -16,6 +16,7 @@ from . import matcore, quadrature
 from .densities import DensityFn
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
     SingularDenominator,
@@ -28,6 +29,7 @@ from .snode import (
     SNode,
     as_frame,
     frame,
+    node_chain,
     rho,
     rho_from_frame,
 )
@@ -112,18 +114,16 @@ class QuotientFrame:
 
 
 def quotient_node(seq: NodeSequence, ik: int, ir: int) -> SNode:
-    """The node {A22, T22^{-1}, T22^{-1} Pcomp Gamma} carried by the
-    complement of level ik inside level ir (indices into the sequence)."""
-    p = seq.p
-    big = seq.nodes[ir]
-    mk = seq.orders[ik] * p
-    Sinv = matcore.inv_hpd(big.S)
-    T22 = matcore.hermitian_part(Sinv[mk:, mk:])
-    S_breve = matcore.inv_hpd(T22)
-    Gamma = Sinv @ big.Pi
-    Pi_breve = S_breve @ Gamma[mk:, :]
-    # A22, the trailing block of A, has the shift form of A
-    return SNode(p=p, shift=big.shift, S=S_breve, Phi1=Pi_breve[:, :p], Phi2=Pi_breve[:, p:])
+    """The node that level ik leaves inside level ir, 0 <= ik < ir < len(seq):
+    a generalized Schur step (Kailath & Sayed 1995) read off level ir's factor
+    S = L L* and chain G = L^{-1} Pi.  S22 - S21 S11^{-1} S12 = L22 L22* and
+    Pi2 - S21 S11^{-1} Pi1 = L22 G2, with no inverse; A22 keeps A's shift form."""
+    if not 0 <= ik < ir < len(seq):
+        raise IndexOutOfRange(f"need 0 <= ik < ir < {len(seq)}, got ik = {ik}, ir = {ir}")
+    big, mk = seq.nodes[ir], seq.orders[ik] * seq.p
+    L22 = big.S_chol.factor[mk:, mk:]
+    Pi_breve = L22 @ np.concatenate(node_chain(big).G)[mk:]
+    return SNode(big.p, big.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
 
 
 def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientFrame:

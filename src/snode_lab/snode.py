@@ -562,9 +562,9 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     rho_rev = rho(node, np.conj(z))
     p = node.p
     a12 = aleph[:p, p:]
-    neg_rev = matcore.hermitian_part(-rho_rev)
-    center = 1j * matcore.inv_hpd(neg_rev) @ a12
-    left = matcore.sqrtm_hpd(matcore.inv_hpd(neg_rev))
+    neg_rev_inv = matcore.inv_hpd(matcore.hermitian_part(-rho_rev))
+    center = 1j * neg_rev_inv @ a12
+    left = matcore.sqrtm_hpd(neg_rev_inv)
     right = matcore.sqrtm_hpd(matcore.inv_hpd(rho_val))
     return MatrixBall(
         z=complex(z),

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from snode_lab import asymptotics, cli, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
     SingularDenominator,
@@ -128,6 +130,107 @@ def test_quotient_node_is_a_node(uniform_family):
     seq, _ = uniform_family
     node = asymptotics.quotient_node(seq, 1, 4)
     assert snode.identity_residual(node) <= 1e-10 * (1.0 + matcore.frobenius(node.S))
+
+
+def _family_of_four():
+    return asymptotics.hankel_family(sampling.random_hankel_spec(np.random.default_rng(1), 2, 4))
+
+
+@pytest.mark.parametrize("ik, ir", [(3, 3), (3, 1), (-1, 3), (0, 7)])
+def test_quotient_node_needs_a_level_nested_in_a_later_one(ik, ir):
+    with pytest.raises(IndexOutOfRange):
+        asymptotics.quotient_node(_family_of_four(), ik, ir)
+
+
+def test_frame_quotient_keeps_its_identity_and_its_order_check():
+    seq = _family_of_four()
+    assert_allclose(asymptotics.frame_quotient(seq, 3, 3, 1j).value, np.eye(4), atol=0)
+    with pytest.raises(DimensionMismatch):
+        asymptotics.frame_quotient(seq, 3, 1, 1j)
+    with pytest.raises(IndexOutOfRange):
+        asymptotics.frame_quotient(seq, -1, 3, 1j)
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_quotient_node_forms_no_inverse_and_no_second_factor(monkeypatch, family):
+    rng = np.random.default_rng(5)
+    if family == "toeplitz":
+        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, 2, 5))
+    else:
+        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, 2, 5))
+    seq.nodes[-1].S_chol  # the level's one factor, built before counting
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(M, *args, **kwargs):
+            calls.append((name, np.shape(M)[-2:]))
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((matcore, "inv_hpd"), (np.linalg, "inv"), (np.linalg, "cholesky")):
+        counted(module, name)
+    for ik in range(4):
+        asymptotics.quotient_node(seq, ik, 4)
+    # nothing but the chain's one batched inverse of the 2 x 2 diagonal blocks of L
+    assert calls == [("inv", (2, 2))] * 4
+
+
+def _schur_complement_mp50(node, mk):
+    """S22 - S21 S11^{-1} S12 and Pi2 - S21 S11^{-1} Pi1 of a node, split
+    after row mk, at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        S, Pi = (mpmath.matrix(M.tolist()) for M in (node.S, node.Pi))
+        W = S[mk:, :mk] * mpmath.inverse(S[:mk, :mk])
+        pair = (S[mk:, mk:] - W * S[:mk, mk:], Pi[mk:, :] - W * Pi[:mk, :])
+        return [np.array(M.tolist(), dtype=complex) for M in pair]
+
+
+def test_quotient_node_matches_a_50_digit_schur_complement():
+    # cond S reaches 4e6 on these specs.  The step read off the factor of S
+    # stays within 7.8e-15 of the reference; forming the complement from the
+    # inverses of S and of the trailing block of S^{-1} strays by 8.4e-12
+    for s in range(40):
+        rng = np.random.default_rng(3000 + s)
+        p, n = int(rng.integers(1, 3)), int(rng.integers(4, 7))
+        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
+        k = n // 2
+        node = asymptotics.quotient_node(seq, k - 1, n - 1)
+        S_want, Pi_want = _schur_complement_mp50(seq.nodes[-1], k * p)
+        assert matcore.frobenius(node.S - S_want) <= 1e-13 * matcore.frobenius(S_want)
+        assert matcore.frobenius(node.Pi - Pi_want) <= 1e-13 * matcore.frobenius(Pi_want)
+
+
+def _chain_grams(node):
+    return np.stack([G.conj().T @ G for G in snode.node_chain(node).G])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 10), st.sampled_from(["toeplitz", "hankel"]))
+def test_the_chain_of_a_quotient_node_is_the_tail_of_the_full_chain(seed, p, n, family):
+    # the separation of the interpolation formulas as an identity between
+    # chains: the node that order k leaves inside order n has the chain
+    # G_{k+1} ... G_n of the full node, for every split k.  On 200 seeded
+    # specs per family the worst gap is 1.4 (Toeplitz) and 0.3 (Hankel)
+    # times eps cond S; with the generator Pi2 left uncorrected it is at
+    # least 1e9 times
+    rng = np.random.default_rng(seed)
+    if family == "toeplitz":
+        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, p, n))
+    else:
+        n = min(n, 5)
+        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
+    full = seq.nodes[-1]
+    grams = _chain_grams(full)
+    tol = 10 * np.finfo(float).eps * np.linalg.cond(full.S)
+    for k in range(1, n):
+        tail = grams[k:]
+        got = _chain_grams(asymptotics.quotient_node(seq, k - 1, n - 1))
+        assert np.linalg.norm(got - tail) <= tol * np.linalg.norm(tail)
 
 
 def test_solution_sets_nest_into_smaller_balls(uniform_family, rng):

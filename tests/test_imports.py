@@ -64,7 +64,7 @@ def test_every_error_class_is_raised_or_subclassed(name):
 # the package.  Aim 2 wants this list to shrink.
 UNCALLED = {
     "dirac_frame": "ROADMAP item 12: the khrushchev tests' reference, to move into tests/",
-    "frame_quotient": "ROADMAP item 3: the Hankel Khrushchev separation row",
+    "frame_quotient": "ROADMAP item 13b: the Hankel Khrushchev separation row",
     "herglotz_params": "ROADMAP item 4: the interpolation theorem as a CLI check",
     "interp_residual": "ROADMAP item 4: the interpolation theorem as a CLI check",
     "recover_moments": "ROADMAP item 7: moment recovery rows in verify-hankel",
