@@ -123,7 +123,11 @@ def quotient_node(seq: NodeSequence, ik: int, ir: int) -> SNode:
     big, mk = seq.nodes[ir], seq.orders[ik] * seq.p
     L22 = big.S_chol.factor[mk:, mk:]
     Pi_breve = L22 @ np.concatenate(node_chain(big).G)[mk:]
-    return SNode(big.p, big.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
+    node = SNode(big.p, big.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
+    # L22 is the Cholesky factor of the node's S: fill the cached S_chol with
+    # it, so no solve with S factors S again
+    node.__dict__["S_chol"] = matcore.HermPD(matrix=matcore.hermitian_part(node.S), factor=L22)
+    return node
 
 
 def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientFrame:

@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel: Hermitian checks, Cholesky (of one matrix and
-of every leading block at once), square roots, determinants, norms, block
-assembly.
+of every leading block at once), square roots, determinants, norms,
+products of constant matrices with a stack, block assembly.
 
 All helpers operate on plain ``numpy`` arrays of complex dtype and never
 mutate their inputs.  Sizes in this library stay below ~64, so everything
@@ -15,6 +15,7 @@ forms over the (N,) entry arrays of a stack, with no LAPACK call.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -59,9 +60,10 @@ def in_chunks(fn, points: np.ndarray) -> np.ndarray:
     output; up to :data:`CHUNK` points it is the single call ``fn(points)``.
 
     ``fn`` must be pointwise (row k of its output depends on point k alone),
-    as every batched evaluator here is: each LAPACK call in a stack treats
-    its matrix on its own, so the values are bitwise those of one call.  The
-    chunks run in order, so a guard names the first offending point.
+    as every batched evaluator here is: each LAPACK call in a stack, and each
+    :func:`sandwich` product, treats its matrix on its own, so the values are
+    bitwise those of one call.  The chunks run in order, so a guard names
+    the first offending point.
     """
     if points.size <= CHUNK:
         return fn(points)
@@ -72,6 +74,27 @@ def in_chunks(fn, points: np.ndarray) -> np.ndarray:
     for start in range(CHUNK, points.size, CHUNK):
         out[start : start + CHUNK] = fn(points[start : start + CHUNK])
     return out
+
+
+def sandwich(A, stack, B) -> np.ndarray:
+    """(A @ stack[k]) @ B for every matrix of a stack (any leading shape, or
+    one matrix) as two 2-d matrix products, where numpy's stacked ``@`` makes
+    one BLAS call per matrix; a factor of None is left out.
+
+    The left product is taken transposed, stack[k]^T A^T, so that the
+    matrices of the stack run down the rows of both products: a matrix's
+    value then does not depend on its place in the stack or on the stack's
+    size, as :func:`in_chunks` requires.
+    """
+    stack = np.asarray(stack)
+    lead, (r, c) = stack.shape[:-2], stack.shape[-2:]
+    size = math.prod(lead)
+    X = stack.reshape(size, r, c)
+    if A is not None:
+        X = (X.transpose(0, 2, 1).reshape(size * c, r) @ A.T).reshape(size, c, A.shape[0]).transpose(0, 2, 1)
+    if B is not None:
+        X = (X.reshape(size * X.shape[1], X.shape[2]) @ B).reshape(size, X.shape[1], B.shape[1])
+    return X.reshape(*lead, *X.shape[1:])
 
 
 def as_matrix(M) -> np.ndarray:

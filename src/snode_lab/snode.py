@@ -581,20 +581,24 @@ def ball_membership(ball: MatrixBall, value_or_values):
     """Contraction u with value = center - L u Rr, and its spectral norm; a
     stack of values gives a stack of contractions and an array of norms.
 
-    u = L (rho_rev value + i aleph_12) rho^{1/2},  L = (-rho_rev)^{-1/2}.
+    u = L (rho_rev value + i aleph_12) rho^{1/2},  L = (-rho_rev)^{-1/2}, in
+    that association, by two :func:`matcore.sandwich` calls over the stack.
     """
     values = matcore.as_matrix_or_stack(value_or_values)
     p = ball.p
     a12 = ball.aleph[:p, p:]
-    u = ball.left_radius @ (ball.rho_reversed @ values + 1j * a12) @ ball.rho_half
+    inner = matcore.sandwich(ball.rho_reversed, values, None) + 1j * a12
+    u = matcore.sandwich(ball.left_radius, inner, ball.rho_half)
     norms = matcore.spectral_norm(u)
     return u, (norms if u.ndim == 3 else float(norms))
 
 
 def ball_value(ball: MatrixBall, u_or_us) -> np.ndarray:
     """Point of the ball for a given contraction, or a stack of points for a
-    stack of contractions: center - L u Rr."""
-    return ball.center - ball.left_radius @ matcore.as_matrix_or_stack(u_or_us) @ ball.right_radius
+    stack of contractions: center - (L u) Rr, one :func:`matcore.sandwich`
+    call."""
+    us = matcore.as_matrix_or_stack(u_or_us)
+    return ball.center - matcore.sandwich(ball.left_radius, us, ball.right_radius)
 
 
 def extremal_pair(node_or_frame, lam: complex) -> ParamPair:

@@ -17,7 +17,6 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -197,11 +196,12 @@ def dirac_chain(chain: NodeChain) -> DiracChain:
 
 
 def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """The frames (1 - i z/2)^{-n} J j K W* K* j J of the orders n at the
-    points zs, for W[k] = W_n(-conj(z)/2) with n = orders[k] (shape
-    (orders, points, 2p, 2p)).  Order 0 gives the identity and needs no
-    prefactor, so only a nonzero order raises :class:`PoleAtZ`, at the first
-    point where 1 - i z/2 vanishes."""
+    """The frames (1 - i z/2)^{-n} M W* M* of the orders n at the points zs,
+    M = J j K, for W[k] = W_n(-conj(z)/2) with n = orders[k] (shape
+    (orders, points, 2p, 2p)); M W* M* is one :func:`matcore.sandwich` call
+    over the whole stack.  Order 0 gives the identity and needs no prefactor,
+    so only a nonzero order raises :class:`PoleAtZ`, at the first point where
+    1 - i z/2 vanishes."""
     p = W.shape[-1] // 2
     scale = np.ones((orders.size, zs.size), dtype=complex)
     if orders.any():
@@ -213,31 +213,39 @@ def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
         # when the exponent is an array
         for n in set(orders.tolist()) - {0}:
             scale[orders == n] = pref ** (-n)
-    J = matcore.exchange_J(p)
-    j = matcore.signature_j(p)
-    K = unitary_K(p)
-    out = scale[..., None, None] * (J @ j @ K) @ np.swapaxes(W, -1, -2).conj() @ (K.conj().T @ j @ J)
+    M = matcore.exchange_J(p) @ matcore.signature_j(p) @ unitary_K(p)
+    out = scale[..., None, None] * matcore.sandwich(M, np.swapaxes(W, -1, -2).conj(), M.conj().T)
     out[orders == 0] = np.eye(2 * p)
     return out
 
 
 def dirac_sweep(chain: DiracChain, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the coefficients at the points zs, for the increasing
-    starts s (the first one 0): ``heads[k]`` is W_s, the product of the first
-    s = starts[k] one-step factors I + i z j C_m, and ``tails[k]`` the product
+    """Heads and tails of the one-step factors I + i z j C_m at the points zs,
+    for any starts s in 0..L (repeats allowed): ``heads[k]`` is W_s, the
+    product of the first s = starts[k] factors, and ``tails[k]`` the product
     of those of C_s, ..., C_{L-1}, both of shape (starts, points, 2p, 2p).
-    Step m multiplies every tail that has started (s <= m), and W_s is the
-    tail of start 0 after s steps."""
-    starts = [int(s) for s in starts]
+
+    Heads go forward, W_{m+1} = W_m + i z (j C_m W_m), from W_0 = I up to the
+    largest start; tails go backward, T_m = T_{m+1} + i z (T_{m+1} j C_m),
+    from T_L = I down to the smallest.  Each step is one
+    :func:`matcore.sandwich` call over all points, so the starts 0..L cost
+    2L calls."""
+    starts = np.asarray(starts, dtype=int).reshape(-1)
     L, p, j = len(chain), chain.p, matcore.signature_j(chain.p)
-    tails = np.tile(np.eye(2 * p, dtype=complex), (len(starts), zs.size, 1, 1))
-    heads = tails.copy()
-    for m in range(L):
-        live = bisect_right(starts, m)
-        step = np.eye(2 * p, dtype=complex) + 1j * zs[:, None, None] * j @ chain.C[m]
-        tails[:live] = step @ tails[:live]
-        if m + 1 in starts:
-            heads[starts.index(m + 1)] = tails[0]
+    iz = 1j * zs[:, None, None]
+    heads = np.empty((starts.size, zs.size, 2 * p, 2 * p), dtype=complex)
+    tails = np.empty_like(heads)
+    W = np.broadcast_to(np.eye(2 * p, dtype=complex), (zs.size, 2 * p, 2 * p))
+    T = W
+    top, bottom = starts.max(initial=0), starts.min(initial=L)
+    for m in range(top + 1):
+        heads[starts == m] = W
+        if m < top:
+            W = W + iz * matcore.sandwich(j @ chain.C[m], W, None)
+    for m in range(L, bottom - 1, -1):
+        tails[starts == m] = T
+        if m > bottom:
+            T = T + iz * matcore.sandwich(None, T, j @ chain.C[m - 1])
     return heads, tails
 
 
@@ -246,7 +254,7 @@ def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
     if not 0 <= k <= len(chain):
         raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
     zs = matcore.as_points(z_or_zs)
-    W = dirac_sweep(chain.head(k), zs, [0])[1][0]
+    W = dirac_sweep(chain.head(k), zs, [k])[0][0]
     return W if np.ndim(z_or_zs) else W[0]
 
 
@@ -305,9 +313,8 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
 
     with F the frame of the head chain (first n coefficients).
 
-    One pass over the coefficients gives every frame: step m multiplies the
-    fundamental solutions of the tails starting at 0..m by the factor of
-    C_m, and the head of m + 1 coefficients is then the tail starting at 0.
+    One :func:`dirac_sweep` gives every frame: the heads come forward and
+    the tails backward, 2L stacked steps however many splits there are.
     phi is the tail Weyl function of split 0, so one :func:`lft_stack` call
     takes every tail and one more every composition.  The points go in
     chunks of at most :data:`matcore.CHUNK`.
@@ -325,18 +332,19 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
 def _composition_gaps(chain: DiracChain, splits: list, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
     """Worst gap over the splits, at each point, of :func:`khrushchev_check`."""
     L, p, size = len(chain), chain.p, zs.size
-    # tails[n]: W of the coefficients n..L-1; heads[n]: W of the first n
-    heads, tails = dirac_sweep(chain, -np.conj(zs) / 2.0, np.arange(L + 1))
+    # start 0 and every split: tails[k] is W of the coefficients from
+    # starts[k] on, heads[k] W of the ones before it
+    starts = np.array([0, *splits])
+    heads, tails = dirac_sweep(chain, -np.conj(zs) / 2.0, starts)
 
     def frames(W, orders):
         return frames_of(W, zs, orders).reshape(-1, 2 * p, 2 * p)
 
-    starts = np.array([0, *splits])
     R, Q = (np.broadcast_to(M, (starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))
-    phi = lft_stack(frames(tails[starts], L - starts), R, Q, np.tile(zs, starts.size))
+    phi = lft_stack(frames(tails, L - starts), R, Q, np.tile(zs, starts.size))
     phi = phi.reshape(starts.size, size, p, p)
     Ip = np.broadcast_to(np.eye(p, dtype=complex), (len(splits) * size, p, p))
     ns = starts[1:]
-    composed = lft_stack(frames(heads[ns], ns), -1j * phi[1:].reshape(-1, p, p), Ip, np.tile(zs, ns.size))
+    composed = lft_stack(frames(heads[1:], ns), -1j * phi[1:].reshape(-1, p, p), Ip, np.tile(zs, ns.size))
     gaps = np.linalg.norm(phi[0] - composed.reshape(ns.size, size, p, p), axis=(-2, -1))
     return gaps.max(axis=0, initial=0.0)

@@ -178,6 +178,22 @@ def test_quotient_node_forms_no_inverse_and_no_second_factor(monkeypatch, family
     assert calls == [("inv", (2, 2))] * 4
 
 
+def test_frame_quotient_factors_nothing_once_the_level_factors_exist(monkeypatch):
+    seq = _family_of_four()
+    for node in seq.nodes:
+        node.S_chol
+    # the frame of a node with the same data that factors its own S
+    quotient = asymptotics.quotient_node(seq, 1, 3)
+    want = snode.frame(dataclasses.replace(quotient), 1j)
+    calls = []
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or original(M))
+    got = asymptotics.frame_quotient(seq, 1, 3, 1j).value
+    # the quotient node's S_chol is the trailing block L22 of level 3's factor
+    assert calls == []
+    assert matcore.frobenius(got - want) <= 1e-14 * matcore.frobenius(want)
+
+
 def _schur_complement_mp50(node, mk):
     """S22 - S21 S11^{-1} S12 and Pi2 - S21 S11^{-1} Pi1 of a node, split
     after row mk, at 50 digits."""

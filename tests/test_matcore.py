@@ -361,3 +361,43 @@ def test_stacked_norms_and_eigenvalues_are_the_per_matrix_values_bitwise(seed):
     assert np.array_equal(matcore.frobenius(M), [matcore.frobenius(m) for m in M])
     assert np.array_equal(matcore.min_eig_hermitian(H), [matcore.min_eig_hermitian(h) for h in H])
     assert matcore.frobenius(M[:0]).shape == (0,)
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "a, r, c, d, count",
+    [(2, 2, 2, 2, 7), (3, 2, 4, 5, 9), (1, 4, 3, 2, 5), (6, 6, 6, 6, 11), (2, 2, 2, 2, 0), (6, 6, 6, 6, 0)],
+)
+def test_sandwich_is_the_per_matrix_product(a, r, c, d, count):
+    # non-square factors, p = 3 (6 x 6), and empty stacks
+    rng = np.random.default_rng(a * 100 + r * 10 + c + count)
+    A, B, stack = _complex(rng, a, r), _complex(rng, c, d), _complex(rng, count, r, c)
+    for left, right in ((A, B), (A, None), (None, B), (None, None)):
+        L = np.eye(r) if left is None else left
+        R = np.eye(c) if right is None else right
+        want = np.array([L @ s @ R for s in stack]).reshape(count, len(L), R.shape[1])
+        got = matcore.sandwich(left, stack, right)
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=1e-14, atol=1e-14 * (1.0 + np.abs(want).max(initial=0.0)))
+    # one matrix, and a stack with two leading axes, keep their shapes
+    one = stack[0] if count else np.ones((r, c))
+    assert_allclose(matcore.sandwich(A, one, B), A @ one @ B, rtol=1e-14)
+    deep = _complex(rng, 2, 3, r, c)
+    assert np.array_equal(matcore.sandwich(A, deep, B), matcore.sandwich(A, deep.reshape(6, r, c), B).reshape(2, 3, a, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 300), st.data())
+def test_sandwich_value_of_a_matrix_does_not_depend_on_its_stack(seed, p, count, data):
+    # what matcore.in_chunks needs of a batched evaluator
+    rng = np.random.default_rng(seed)
+    A, B, stack = _complex(rng, 2 * p, 2 * p), _complex(rng, 2 * p, 2 * p), _complex(rng, count, 2 * p, 2 * p)
+    lo = data.draw(st.integers(0, count - 1))
+    hi = data.draw(st.integers(lo + 1, count))
+    for left, right in ((A, B), (A, None), (None, B)):
+        full = matcore.sandwich(left, stack, right)
+        assert np.array_equal(full[lo:hi], matcore.sandwich(left, stack[lo:hi], right))
+        assert np.array_equal(full[lo], matcore.sandwich(left, stack[lo], right))

@@ -343,7 +343,13 @@ def test_ball_membership_computes_square_roots_once(monkeypatch):
     monkeypatch.setattr(matcore, "sqrtm_hpd", lambda M: calls.append(1) or original(M))
     for value in values:
         u, _ = snode.ball_membership(ball, value)
-        assert np.array_equal(u, left @ (ball.rho_reversed @ value + 1j * a12) @ right)
+        # L (rho_rev value + i aleph_12) rho^{1/2} in the kernel's association
+        inner = matcore.sandwich(ball.rho_reversed, value, None) + 1j * a12
+        assert np.array_equal(u, matcore.sandwich(left, inner, right))
+        assert_allclose(u, left @ (ball.rho_reversed @ value + 1j * a12) @ right, rtol=1e-14, atol=1e-15)
+    # a stack gives every matrix's own value
+    us, _ = snode.ball_membership(ball, np.stack(values))
+    assert all(np.array_equal(u, snode.ball_membership(ball, v)[0]) for u, v in zip(us, values))
     # rho(z, conj z)^{1/2}, once per ball; the left radius is a field
     assert len(calls) == 1
 
