@@ -308,8 +308,10 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     (Hankel nodes and coefficient-chain frames qualify; the generic frame of
     a Toeplitz node does not, since its A* resolvent has an upper-half-plane
     pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
-    quadrature of each pair's boundary density certifies it, and runs first,
-    so a pair with singular R*Q + Q*R raises :class:`SzegoViolated`."""
+    quadrature of each pair's boundary density (all from one
+    :func:`weyl_density` call, one fit of the zeros of det F) certifies it,
+    and runs first, so a pair with singular R*Q + Q*R raises
+    :class:`SzegoViolated`."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     single = isinstance(pair_or_pairs, ParamPair)
@@ -317,7 +319,7 @@ def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
     frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
-    moduli = _outer_moduli([weyl_density(frm, pair) for pair in pairs], lam)
+    moduli = _outer_moduli(weyl_density(frm, pairs), lam)
     G = outer_factor(frm, pairs, lam)
     lhss = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
     bounds = [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]

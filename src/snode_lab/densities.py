@@ -30,7 +30,9 @@ class DensityFn:
     p: int = 1
     support: tuple[float, float] = (-np.inf, np.inf)
     log_det: Callable[[np.ndarray], np.ndarray] | None = None
-    breaks: tuple = ()  # interior points where the density is not smooth
+    # interior points where the density is not smooth (real), or, on the full
+    # line, poles x + i d of narrow features near x (complex)
+    breaks: tuple = ()
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -235,7 +235,7 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     return out[0] if np.ndim(orders) == 0 else out
 
 
-def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
+def weyl_density(node_or_frame, pair_or_pairs):
     """Boundary density of the Weyl function of a node (or frame) and pair,
 
         mu'(t) = F(t)^{-*} jform F(t)^{-1},   jform = (R*Q + Q*R) / (2 pi),
@@ -256,18 +256,36 @@ def weyl_density(node_or_frame, pair: ParamPair) -> DensityFn:
     does not) and is +inf where F is exactly singular.  Both evaluate F on
     chunks of at most :data:`matcore.CHUNK` points; the values raise
     :class:`SingularDenominator` naming the first point where F is singular
-    to working precision.
+    to working precision.  The zeros of det F within 2 of the axis are the
+    density's breaks, as complex numbers: each is the pole of a Lorentzian
+    feature as wide as its distance from the axis.
+
+    ``pair_or_pairs`` is one :class:`ParamPair`, giving one density, or a
+    sequence of them, giving a list; the zeros of det F of all pairs come
+    from one least-squares solve (:func:`_denominator_roots`), and one pair
+    is that batch of one.
     """
-    return _weyl_density(as_frame(node_or_frame), pair)[0]
+    single = isinstance(pair_or_pairs, ParamPair)
+    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
+    dens, _ = _weyl_densities(as_frame(node_or_frame), pairs)
+    return dens[0] if single else dens
 
 
-def _weyl_density(frm: Frame, pair: ParamPair) -> tuple[DensityFn, np.ndarray]:
-    """:func:`weyl_density` of a frame, with the zeros of det F that gave its breaks."""
-    p = frm.p
+def _weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]]:
+    """The densities of :func:`weyl_density` of a frame, with the zeros of
+    det F that gave each its breaks."""
+    denominators = [frm.denominator(pair.R, pair.Q) for pair in pairs]
+    roots = _denominator_roots(frm, denominators)
+    dens = [_weyl_density(frm.p, pair, den, r) for pair, den, r in zip(pairs, denominators, roots)]
+    return dens, roots
+
+
+def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray) -> DensityFn:
+    """The density of :func:`weyl_density` of one pair, its denominator F
+    evaluated by ``denominators`` and the zeros of det F given."""
     R, Q = pair.R, pair.Q
     jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
     log_num = float(np.linalg.slogdet(jform)[1])
-    denominators = frm.denominator(R, Q)
 
     def values(ts):
         F = denominators(ts)
@@ -298,11 +316,10 @@ def _weyl_density(frm: Frame, pair: ParamPair) -> tuple[DensityFn, np.ndarray]:
     def log_det(ts):
         return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
 
-    # the real parts of the near-axis zeros of det F locate the narrow
-    # Lorentzian features of the density
-    roots = _denominator_roots(frm, denominators)
-    breaks = tuple(sorted({float(r.real) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6}))
-    return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks), roots
+    # the near-axis zeros of det F are the poles of the density's narrow
+    # Lorentzian features; the graded rule resolves each to its width
+    breaks = tuple(complex(r) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6)
+    return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
 
 
 def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
@@ -312,15 +329,22 @@ def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
         raise SingularDenominator(ts[bad[0]])
 
 
-def _denominator_roots(frm: Frame, denominators) -> np.ndarray:
-    """Zeros of det F, F the LFT denominator evaluated by ``denominators``:
-    the frame metadata clears det F into a polynomial of degree
-    ``clear_degree``, fitted to its values at that many points plus three."""
+def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
+    """Zeros of det F for every evaluator of an LFT denominator F in
+    ``denominators``: the frame metadata clears det F into a polynomial of
+    degree ``clear_degree``, fitted to its values at that many points plus
+    three, as :meth:`numpy.polynomial.Polynomial.fit` fits it (the points
+    mapped onto [-1, 1]), for all evaluators in one least-squares solve with
+    one column each."""
     deg = frm.clear_degree
     span = 3.0 + deg
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
-    qvals = np.linalg.det(denominators(fit_ts)) * np.asarray(frm.pole_clear(fit_ts))
-    return np.polynomial.Polynomial.fit(fit_ts, qvals, deg).roots()
+    clear = np.asarray(frm.pole_clear(fit_ts))
+    qvals = np.stack([np.linalg.det(den(fit_ts)) * clear for den in denominators], axis=1)
+    poly = np.polynomial
+    domain, window = poly.polyutils.getdomain(fit_ts), poly.Polynomial.window
+    coefs = poly.polynomial.polyfit(poly.polyutils.mapdomain(fit_ts, domain, window), qvals, deg)
+    return [poly.Polynomial(c, domain, window).roots() for c in coefs.T]
 
 
 @dataclass(frozen=True)
@@ -380,7 +404,7 @@ def recover_moments(
         raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
     frm = hankel_frame(node)
-    density, roots = _weyl_density(frm, pair)
+    [density], [roots] = _weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(
         lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, 1e-8, "expansion coefficient"

@@ -9,7 +9,9 @@ Two rules, both built on Gauss-Legendre nodes:
   substitution t = tan(theta) and splits theta into dyadic panels that
   accumulate at the images of the breaks and at +-pi/2.  Right for
   integrands whose t-form grows like ln|t| or |t|^a (a < 1) near infinity,
-  for example weighted log-density integrals.
+  for example weighted log-density integrals.  A real break is a cusp,
+  graded to machine precision; a complex break x + i d is a pole near x,
+  graded only down to its distance from the axis.
 
 Each rule calls its integrand once, on the nodes of every panel, and adds
 the panel sums in panel order.  An integrand returns an array whose leading
@@ -29,6 +31,7 @@ circle, for the expansion coefficients of an analytic function.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -76,36 +79,60 @@ def integrate_interval(fn, a: float, b: float, n: int, breaks=()):
     return _reduce(w.ravel(), fn(t.ravel()), n)
 
 
-def _dyadic_edges(width: float, levels: int):
-    """Offsets 0 < ... < width/2 < width accumulating geometrically at 0."""
-    out = [width]
-    d = width
-    for _ in range(levels):
-        d /= 2.0
-        out.append(d)
-    out.append(0.0)
-    return out[::-1]  # ascending, starting at 0
+@lru_cache(maxsize=None)
+def _unit_edges(levels: int) -> np.ndarray:
+    """0 < 2^-levels < ... < 1/2 < 1: dyadic panel edges accumulating at 0."""
+    return np.concatenate(([0.0], np.ldexp(1.0, np.arange(-levels, 1))))
 
 
-# dyadic panels per side of every theta segment of the graded line rule
+def _dyadic_edges(width: float, levels: int) -> np.ndarray:
+    """Offsets 0 < ... < width/2 < width accumulating geometrically at 0 (each
+    a power-of-two multiple of width, so exact)."""
+    return width * _unit_edges(levels)
+
+
+# dyadic panels per side toward a cusp (a real break) and toward +-pi/2
 _LEVELS = 54
+# levels a pole's grading runs past its width: the last panel is 2^-4 of it
+_POLE_MARGIN = 4
+
+
+def _depth(half: float, width: float) -> int:
+    """Dyadic levels toward a feature of theta-width ``width`` from a side of
+    half-width ``half``: until the panel at the feature is
+    :data:`_POLE_MARGIN` halvings below its width, at least 1 and at most
+    :data:`_LEVELS`, which a cusp (width 0) always takes."""
+    if not 0.0 < half < width * 2.0 ** (_LEVELS - _POLE_MARGIN):
+        return _LEVELS
+    return max(math.ceil(math.log2(half / width)) + _POLE_MARGIN, 1)
 
 
 def _graded_rule(n: int, breaks):
     """Nodes t and weights w of the graded rule, n nodes per panel.
 
-    Panel order: theta segments left to right, within a segment the panels
-    grading toward its left end, then those grading toward its right end,
-    each run outward from its end.  The weights include the Jacobian
-    1 + t^2 of t = tan(theta).
+    A break x or x + i d cuts theta at arctan(x); each side of a cut grades
+    :func:`_depth` levels toward it, with the width |d| / (1 + x^2) of the
+    narrowest break there (0 for a real one).  Panel order: theta segments
+    left to right, within a segment the panels grading toward its left end,
+    then those grading toward its right end, each run outward from its end.
+    The weights include the Jacobian 1 + t^2 of t = tan(theta).
     """
-    cuts = sorted({float(np.arctan(b)) for b in breaks})
-    anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
+    widths = {}  # theta cut -> narrowest feature there, 0 for a cusp
+    for b in breaks:
+        b = complex(b)
+        cut = float(np.arctan(b.real))
+        widths[cut] = min(abs(b.imag) / (1.0 + b.real * b.real), widths.get(cut, np.inf))
+    anchors = [(-np.pi / 2.0, 0.0), *sorted(widths.items()), (np.pi / 2.0, 0.0)]
     ts, ws = [], []
-    for left, right in zip(anchors[:-1], anchors[1:]):
-        offsets = np.array(_dyadic_edges((right - left) / 2.0, _LEVELS))
-        delta, w = gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
-        for anchor, sign in ((left, 1.0), (right, -1.0)):
+    for (left, left_width), (right, right_width) in zip(anchors[:-1], anchors[1:]):
+        half = (right - left) / 2.0
+        rules = {}  # depth -> panel nodes and weights, built once per segment
+        for anchor, sign, width in ((left, 1.0, left_width), (right, -1.0, right_width)):
+            depth = _depth(half, width)
+            if depth not in rules:
+                offsets = _dyadic_edges(half, depth)
+                rules[depth] = gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
+            delta, w = rules[depth]
             if abs(abs(anchor) - np.pi / 2.0) < 1e-15:
                 # theta = anchor + sign*delta; tan(theta) = +-1/tan(delta)
                 t = np.sign(anchor) / np.tan(delta)
@@ -120,14 +147,19 @@ def _graded_rule(n: int, breaks):
 def integrate_line_graded(fn, n: int, breaks=()):
     """Integral of fn over the line; graded tan-substitution composite GL.
 
-    The theta axis (-pi/2, pi/2) is cut at the images of ``breaks`` (points
-    where fn is not smooth, for example a |t|^(1/2) cusp) and panels shrink
-    dyadically, :data:`_LEVELS` times, toward every cut and toward +-pi/2.
-    Integrable endpoint growth of fn(tan(theta)) * sec(theta)^2 (log- or
-    sqrt-type) and interior cusps are then resolved to near machine
-    precision.  Near the infinite ends, points are parametrized by the
-    distance delta from the endpoint and evaluated as t = +-1/tan(delta) to
-    avoid cancellation.
+    The theta axis (-pi/2, pi/2) is cut at the images of ``breaks`` and
+    panels shrink dyadically toward every cut and toward +-pi/2.  A real
+    break is a point where fn is not smooth, for example a |t|^(1/2) cusp:
+    panels shrink :data:`_LEVELS` times toward it, as toward +-pi/2, so
+    integrable endpoint growth of fn(tan(theta)) * sec(theta)^2 (log- or
+    sqrt-type) and interior cusps are resolved to near machine precision.
+    A complex break x + i d is a pole of fn (or of its continuation) off
+    the axis: Gauss-Legendre on a panel converges at a rate set by the
+    nearest pole (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, ch. 19), so the panels toward x stop a few halvings
+    below the pole's width |d| / (1 + x^2) in theta (:func:`_depth`).  Near
+    the infinite ends, points are parametrized by the distance delta from
+    the endpoint and evaluated as t = +-1/tan(delta) to avoid cancellation.
 
     ``fn`` is called once, on the nodes of every panel; the panel sums are
     then added in panel order, so the value does not depend on how the

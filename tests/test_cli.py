@@ -324,20 +324,38 @@ def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, mo
     calls = []
     original = asymptotics.weyl_density
 
-    def counted(frm, pair):
-        dens = original(frm, pair)
+    def counted(frm, pairs):
+        def hooked(dens):
+            def log_det(ts):
+                calls.append((id(dens), dens.p))
+                return dens.log_det(ts)
 
-        def log_det(ts):
-            calls.append((id(dens), dens.p))
-            return dens.log_det(ts)
+            return dataclasses.replace(dens, log_det=log_det)
 
-        return dataclasses.replace(dens, log_det=log_det)
+        return [hooked(dens) for dens in original(frm, pairs)]
 
     monkeypatch.setattr(asymptotics, "weyl_density", counted)
     spec = cli.bundled_spec_path("hankel_p2.json")
     assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     # every pair's outer-modulus integral reads its p = 2 density's log-det
     assert len({key for key, _ in calls}) == 12 and {p for _, p in calls} == {2}
+
+
+def test_entropy_fits_the_roots_of_det_f_once_for_all_pairs(tmp_path, monkeypatch):
+    from snode_lab import hankel
+
+    fits = []
+    original = hankel._denominator_roots
+
+    def counted(frm, denominators):
+        fits.append(len(denominators))
+        return original(frm, denominators)
+
+    monkeypatch.setattr(hankel, "_denominator_roots", counted)
+    spec = cli.bundled_spec_path("hankel_p2.json")
+    assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    # the extremal pair, the witness and 10 random pairs in one fit
+    assert fits == [12]
 
 
 def test_entropy_on_the_bundled_p2_spec_reads_the_accepted_normalization(tmp_path, monkeypatch):

@@ -135,6 +135,42 @@ def test_recover_moments_fits_the_roots_of_det_f_once(hankel_102, unit_pair, mon
     assert len(fits) == 1
 
 
+def test_one_pair_is_bitwise_the_batch_of_one(hankel_102, rng):
+    frm = hankel.hankel_frame(hankel_102[1])
+    pair = sampling.random_constant_pair(rng, 1)
+    ts = np.linspace(-30.0, 30.0, 301)
+    one = hankel.weyl_density(frm, pair)
+    [batch] = hankel.weyl_density(frm, [pair])
+    assert one.breaks == batch.breaks and all(isinstance(b, complex) for b in one.breaks)
+    assert np.array_equal(one(ts), batch(ts))
+    assert np.array_equal(one.log_det_at(ts), batch.log_det_at(ts))
+
+
+def _zeros_by_polynomial_fit(frm, pair):
+    """The zeros of det F as one Polynomial.fit per pair fits them."""
+    deg = frm.clear_degree
+    fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * (3.0 + deg)
+    qvals = np.linalg.det(frm.denominator(pair.R, pair.Q)(fit_ts)) * np.asarray(frm.pole_clear(fit_ts))
+    return np.polynomial.Polynomial.fit(fit_ts, qvals, deg).roots()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_zeros_match_one_fit_per_pair(p):
+    # p = 3 takes the LAPACK branch of log_abs_det in the densities' log-det
+    worst = 0.0
+    for seed in range(12):
+        rng = np.random.default_rng(4200 + seed)
+        frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
+        pairs = [sampling.random_constant_pair(rng, p) for _ in range(6)]
+        _, batch = hankel._weyl_densities(frm, pairs)
+        for pair, zeros in zip(pairs, batch):
+            want = _zeros_by_polynomial_fit(frm, pair)
+            worst = max(worst, float(np.max(np.abs(zeros - want) / np.abs(want), initial=0.0)))
+        dens = hankel.weyl_density(frm, pairs)
+        assert all(np.all(np.isfinite(d.log_det_at(np.linspace(-5.0, 5.0, 11)))) for d in dens)
+    assert worst <= 1e-9
+
+
 def test_recover_moments_random_pairs(hankel_102, rng):
     spec, _ = hankel_102
     for _ in range(10):

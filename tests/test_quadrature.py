@@ -7,16 +7,31 @@ from snode_lab import densities, hankel, matcore, quadrature, snode
 from snode_lab.errors import EvaluationFailure, IndexOutOfRange, QuadratureNotConverged, Unsupported
 
 
-def graded_per_panel(fn, n, levels=54, breaks=()):
+def graded_depth(half, width):
+    """Levels of the reference rule toward a feature of theta-width ``width``
+    (0 for a real break and for +-pi/2) from a side of half-width ``half``."""
+    if width == 0.0:
+        return 54
+    return int(np.clip(np.ceil(np.log2(half / width)) + 4, 1, 54))
+
+
+def graded_per_panel(fn, n, breaks=()):
     """Reference graded rule: one fn call per dyadic panel, panel sums added
-    in panel order."""
+    in panel order.  A real break x is cut at arctan(x) and graded 54 levels
+    from each side; a complex break x + i d is cut there too and graded
+    :func:`graded_depth` levels, with width |d| / (1 + x^2)."""
     total = None
-    cuts = sorted({float(np.arctan(b)) for b in breaks})
-    anchors = [-np.pi / 2.0, *cuts, np.pi / 2.0]
+    widths = {}
+    for b in breaks:
+        b = complex(b)
+        cut = float(np.arctan(b.real))
+        widths[cut] = min(widths.get(cut, np.inf), abs(b.imag) / (1.0 + b.real**2))
+    anchors = [-np.pi / 2.0, *sorted(widths), np.pi / 2.0]
     for left, right in zip(anchors[:-1], anchors[1:]):
         half = (right - left) / 2.0
         for anchor, sign in ((left, 1.0), (right, -1.0)):
             at_infinity = abs(abs(anchor) - np.pi / 2.0) < 1e-15
+            levels = graded_depth(half, widths.get(anchor, 0.0))
             offsets = quadrature._dyadic_edges(half, levels)
             for lo, hi in zip(offsets[:-1], offsets[1:]):
                 delta, w = quadrature.gauss_legendre(lo, hi, n)
@@ -63,6 +78,37 @@ def test_graded_rule_equals_per_panel_loop(case, n):
     got_list = quadrature.integrate_line_graded(lambda t: [fn(t), doubled(t)], n, breaks=breaks)
     assert np.array_equal(got_list[0], want)
     assert np.array_equal(got_list[1], graded_per_panel(doubled, n, breaks=breaks))
+
+
+@pytest.mark.parametrize("x", [0.0, 3.0, -40.0])
+@pytest.mark.parametrize("d", [1e-8, 1e-4, 0.1, 1.9])
+def test_a_pole_is_graded_to_its_width(x, d):
+    # the Lorentzian of the pole x + i d has unit mass; graded as a pole its
+    # (24, 48) pair passes the check on fewer points than as a cusp at x
+    lorentzian = lambda t: d / (np.pi * ((t - x) ** 2 + d * d))
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return lorentzian(t)
+
+    # t = tan(theta) near x is rounded by about eps (1 + x^2) in either rule,
+    # which a pole of width d feels as a relative node error of that over d
+    floor = np.finfo(float).eps * (1.0 + x * x) / d
+    line, pole_break = (-np.inf, np.inf), (complex(x, d),)
+    pole = quadrature.integrate_with_check(counted, line, pole_break, 1536, 1e-14 + floor)
+    cusp = quadrature.integrate_line_graded(lorentzian, 48, (x,))
+    assert abs(pole - 1.0) <= max(1e-14, 2.0 * abs(cusp - 1.0))
+    assert sizes[0] * 2 == sizes[1] < quadrature._graded_rule(48, (x,))[0].size
+    assert np.array_equal(
+        quadrature.integrate_line_graded(lorentzian, 24, pole_break),
+        graded_per_panel(lorentzian, 24, pole_break),
+    )
+
+
+@pytest.mark.parametrize("width, depth", [(0.0, 54), (2.0**-60, 54), (2.0**-10, 14), (1.0, 4), (100.0, 1)])
+def test_pole_depth_is_clamped_between_1_and_54(width, depth):
+    assert quadrature._depth(1.0, width) == graded_depth(1.0, width) == depth
 
 
 def test_graded_rule_calls_integrand_once():

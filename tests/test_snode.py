@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from snode_lab import asymptotics, densities, hankel, matcore, sampling, snode, toeplitz
+from snode_lab import asymptotics, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
     DimensionMismatch,
     InvalidPair,
@@ -252,6 +252,32 @@ def test_interp_residual_toeplitz(unit_pair):
     res_s, res_phi = snode.interp_residual(node, gamma, theta, dens, quad=2048)
     assert res_s <= 1e-4
     assert res_phi <= 1e-4
+
+
+def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
+    # the sixth of six specs (p, n) = (1, 2) .. (2, 4) drawn from one stream:
+    # a unit-pair density with 10 near-axis poles
+    rng = np.random.default_rng(3)
+    for p, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]:
+        spec = sampling.random_toeplitz_spec(rng, p, n)
+    node = toeplitz.build_toeplitz_node(spec)
+    pair = snode.ParamPair.constant(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    gamma, theta = snode.herglotz_params(functools.partial(snode.lft, snode.node_frame(node), pair))
+    dens = hankel.weyl_density(node, pair)
+    assert len(dens.breaks) == 10
+    sizes = []
+    original = quadrature._graded_rule
+
+    def counted(n, breaks):
+        t, w = original(n, breaks)
+        sizes.append(t.size)
+        return t, w
+
+    monkeypatch.setattr(quadrature, "_graded_rule", counted)
+    res_s, res_phi = snode.interp_residual(node, gamma, theta, dens, quad=2048)
+    # graded 54 levels toward every pole, the rules had 38,720 and 77,440 points
+    assert sizes[0] < 10_000 and sizes[1] < 20_000
+    assert res_s <= 1e-4 and res_phi <= 1e-4
 
 
 def test_interp_residual_scaled_measure_fails_loudly(unit_pair):
