@@ -246,10 +246,8 @@ def _run_khrushchev(sc: Scenario, rng: np.random.Generator):
     checks = []
     pair = snode.ParamPair.constant(np.eye(p, dtype=complex), np.eye(p, dtype=complex))
     zgrid = sampling.random_upper_points(rng, sc.grid)
-    worst = 0.0
-    for _ in range(count):
-        rhos = [sampling.random_contraction(rng, p) for _ in range(length)]
-        worst = max(worst, toeplitz.khrushchev_check(rhos, range(length + 1), pair, zgrid))
+    rhos = sampling.random_contractions(rng, p, count * length).reshape(count, length, p, p)
+    worst = toeplitz.khrushchev_check(rhos, range(length + 1), pair, zgrid)
     checks.append(_check("head/tail composition residual", "c26", worst, 1e-8))
     return checks, {"length": length, "count": count, "p": p}
 
@@ -303,7 +301,8 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     ball = snode.matrix_ball(node, lam)
     witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(node.p)))
     pairs = [snode.extremal_pair(frm, lam), witness]
-    pairs += [sampling.random_constant_pair(rng, node.p) for _ in range(draws)]
+    R, Q = sampling.random_constant_pairs(rng, node.p, draws)
+    pairs += [snode.ParamPair.constant(r, q) for r, q in zip(R, Q)]
     bounds = asymptotics.entropy_bound_check(frm, pairs, lam)
     checks.append(_check("equality at the extremal pair", "B31", abs(bounds[0].slack), 1e-6))
 

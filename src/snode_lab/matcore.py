@@ -54,10 +54,13 @@ def as_points(z_or_zs) -> np.ndarray:
 CHUNK = 2048
 
 
-def in_chunks(fn, points: np.ndarray) -> np.ndarray:
+def in_chunks(fn, points: np.ndarray, width: int = 1) -> np.ndarray:
     """``fn(points)`` for a 1-d array of points, evaluated on consecutive
-    chunks of at most :data:`CHUNK` points and written into one preallocated
-    output; up to :data:`CHUNK` points it is the single call ``fn(points)``.
+    chunks and written into one preallocated output.  ``fn`` stacks
+    ``width`` items per point (say one per chain of a batch), so a chunk
+    takes ``max(1, CHUNK // width)`` points and at most :data:`CHUNK` items
+    are alive at once; up to that many points it is the single call
+    ``fn(points)``.
 
     ``fn`` must be pointwise (row k of its output depends on point k alone),
     as every batched evaluator here is: each LAPACK call in a stack, and each
@@ -65,36 +68,44 @@ def in_chunks(fn, points: np.ndarray) -> np.ndarray:
     bitwise those of one call.  The chunks run in order, so a guard names
     the first offending point.
     """
-    if points.size <= CHUNK:
+    step = max(1, CHUNK // width)
+    if points.size <= step:
         return fn(points)
-    first = fn(points[:CHUNK])
+    first = fn(points[:step])
     out = np.empty((points.size, *first.shape[1:]), dtype=first.dtype)
-    out[:CHUNK] = first
+    out[:step] = first
     del first
-    for start in range(CHUNK, points.size, CHUNK):
-        out[start : start + CHUNK] = fn(points[start : start + CHUNK])
+    for start in range(step, points.size, step):
+        out[start : start + step] = fn(points[start : start + step])
     return out
 
 
 def sandwich(A, stack, B) -> np.ndarray:
     """(A @ stack[k]) @ B for every matrix of a stack (any leading shape, or
     one matrix) as two 2-d matrix products, where numpy's stacked ``@`` makes
-    one BLAS call per matrix; a factor of None is left out.
+    one BLAS call per matrix; a factor of None is left out.  A factor may
+    also be a batch: a stack of one matrix per entry of the stack's first
+    axis, each applied to its own entry by two 2-d products of its own.
 
     The left product is taken transposed, stack[k]^T A^T, so that the
     matrices of the stack run down the rows of both products: a matrix's
-    value then does not depend on its place in the stack or on the stack's
-    size, as :func:`in_chunks` requires.
+    value then does not depend on its place in the stack, on the stack's
+    size or on the batch, as :func:`in_chunks` requires.
     """
     stack = np.asarray(stack)
     lead, (r, c) = stack.shape[:-2], stack.shape[-2:]
-    size = math.prod(lead)
-    X = stack.reshape(size, r, c)
+    if (A is not None and A.ndim == 3) or (B is not None and B.ndim == 3):
+        batch, size = lead[0], math.prod(lead[1:])
+    else:
+        batch, size = 1, math.prod(lead)
+    X = stack.reshape(batch, size, r, c)
     if A is not None:
-        X = (X.transpose(0, 2, 1).reshape(size * c, r) @ A.T).reshape(size, c, A.shape[0]).transpose(0, 2, 1)
+        X = X.transpose(0, 1, 3, 2).reshape(batch, size * c, r) @ A.swapaxes(-1, -2)
+        X = X.reshape(batch, size, c, A.shape[-2]).transpose(0, 1, 3, 2)
     if B is not None:
-        X = (X.reshape(size * X.shape[1], X.shape[2]) @ B).reshape(size, X.shape[1], B.shape[1])
-    return X.reshape(*lead, *X.shape[1:])
+        rows = X.shape[2]
+        X = (X.reshape(batch, size * rows, X.shape[3]) @ B).reshape(batch, size, rows, B.shape[-1])
+    return X.reshape(*lead, *X.shape[2:])
 
 
 def as_matrix(M) -> np.ndarray:

@@ -60,12 +60,26 @@ def random_hankel_spec(rng: np.random.Generator, p: int, n: int) -> HankelSpec:
     return HankelSpec(p=p, n=n, H=tuple(blocks))
 
 
+def random_contractions(rng: np.random.Generator, p: int, count: int, max_norm: float = 0.85) -> np.ndarray:
+    """A (count, p, p) stack of matrices with spectral norms uniformly below
+    ``max_norm``.
+
+    Each matrix draws its entries and then its norm, so this is the stream
+    of ``count`` calls of :func:`random_contraction`, which this returns
+    bitwise; the norms to scale by come from one SVD call for the stack.
+    """
+    M = np.empty((count, p, p), dtype=complex)
+    targets = np.empty(count)
+    for k in range(count):
+        M[k] = random_complex(rng, (p, p))
+        targets[k] = max_norm * rng.uniform(0.1, 1.0)
+    tops = np.linalg.svd(M, compute_uv=False)[:, 0]
+    return (targets / tops)[:, None, None] * M
+
+
 def random_contraction(rng: np.random.Generator, p: int, max_norm: float = 0.85) -> np.ndarray:
     """A p x p matrix with spectral norm uniformly below ``max_norm``."""
-    M = random_complex(rng, (p, p))
-    top = np.linalg.norm(M, 2)
-    target = max_norm * rng.uniform(0.1, 1.0)
-    return (target / top) * M
+    return random_contractions(rng, p, 1, max_norm)[0]
 
 
 def random_constant_pairs(rng: np.random.Generator, p: int, count: int):

@@ -219,34 +219,59 @@ def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
-def dirac_sweep(chain: DiracChain, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+def _indices(values, L: int, what: str) -> np.ndarray:
+    """``values`` (one or a sequence) as an int array, each an integer in
+    0..L (an integral float such as 2.0 is one), else
+    :class:`IndexOutOfRange` naming the first that is not."""
+    out = []
+    for v in np.ravel(values):
+        if not (0 <= v <= L and float(v).is_integer()):
+            raise IndexOutOfRange(f"{what} {v} is not an integer in 0..{L}")
+        out.append(int(v))
+    return np.array(out, dtype=int)
+
+
+def _coefficient_stack(chain: DiracChain) -> np.ndarray:
+    """The coefficients of one chain as a (1, L, 2p, 2p) stack of chains."""
+    return np.array(chain.C, dtype=complex).reshape(1, len(chain), 2 * chain.p, 2 * chain.p)
+
+
+def dirac_sweep(chains, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Heads and tails of the one-step factors I + i z j C_m at the points zs,
-    for any starts s in 0..L (repeats allowed): ``heads[k]`` is W_s, the
-    product of the first s = starts[k] factors, and ``tails[k]`` the product
-    of those of C_s, ..., C_{L-1}, both of shape (starts, points, 2p, 2p).
+    for any starts s in 0..L (repeats allowed), of one chain or of a
+    (count, L, 2p, 2p) stack of chains' coefficients: ``heads[k]`` is W_s,
+    the product of the first s = starts[k] factors, and ``tails[k]`` the
+    product of those of C_s, ..., C_{L-1}, both of shape
+    (starts, points, 2p, 2p) for a chain and (count, starts, points, 2p, 2p)
+    for a stack.  A start that is not an integer in 0..L raises
+    :class:`IndexOutOfRange`.
 
     Heads go forward, W_{m+1} = W_m + i z (j C_m W_m), from W_0 = I up to the
     largest start; tails go backward, T_m = T_{m+1} + i z (T_{m+1} j C_m),
     from T_L = I down to the smallest.  Each step is one
-    :func:`matcore.sandwich` call over all points, so the starts 0..L cost
-    2L calls."""
-    starts = np.asarray(starts, dtype=int).reshape(-1)
-    L, p, j = len(chain), chain.p, matcore.signature_j(chain.p)
+    :func:`matcore.sandwich` call over all points of all chains, with the
+    chains as its batch, so the starts 0..L cost 2L calls.  One chain is a
+    stack of one, and each chain's products are bitwise those of its own.
+    """
+    Cs = _coefficient_stack(chains) if isinstance(chains, DiracChain) else chains
+    count, L, size = Cs.shape[0], Cs.shape[1], Cs.shape[-1]
+    starts = _indices(starts, L, "start")
+    jCs = matcore.signature_j(size // 2) @ Cs
     iz = 1j * zs[:, None, None]
-    heads = np.empty((starts.size, zs.size, 2 * p, 2 * p), dtype=complex)
+    heads = np.empty((count, starts.size, zs.size, size, size), dtype=complex)
     tails = np.empty_like(heads)
-    W = np.broadcast_to(np.eye(2 * p, dtype=complex), (zs.size, 2 * p, 2 * p))
+    W = np.broadcast_to(np.eye(size, dtype=complex), (count, zs.size, size, size))
     T = W
     top, bottom = starts.max(initial=0), starts.min(initial=L)
     for m in range(top + 1):
-        heads[starts == m] = W
+        heads[:, starts == m] = W[:, None]
         if m < top:
-            W = W + iz * matcore.sandwich(j @ chain.C[m], W, None)
+            W = W + iz * matcore.sandwich(jCs[:, m], W, None)
     for m in range(L, bottom - 1, -1):
-        tails[starts == m] = T
+        tails[:, starts == m] = T[:, None]
         if m > bottom:
-            T = T + iz * matcore.sandwich(None, T, j @ chain.C[m - 1])
-    return heads, tails
+            T = T + iz * matcore.sandwich(None, T, jCs[:, m - 1])
+    return (heads[0], tails[0]) if isinstance(chains, DiracChain) else (heads, tails)
 
 
 def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
@@ -303,7 +328,9 @@ def taylor_recover(phi, count: int) -> list[np.ndarray]:
 
 def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
     """Max residual over the grid, and over the splits n when a sequence of
-    them is given, of the head/tail composition identity.
+    them is given, of the head/tail composition identity; ``rhos`` is one
+    chain (a :class:`DiracChain` or its contractions) or a (count, L, p, p)
+    stack of count chains' contractions, whose residuals are maxed too.
 
     phi is the Weyl function of the full chain with the given pair,
     phi~ the Weyl function of the tail chain (coefficients n, n+1, ...)
@@ -311,40 +338,49 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
 
         phi(z) = i (F11 (-i phi~) + F12)(F21 (-i phi~) + F22)^{-1}
 
-    with F the frame of the head chain (first n coefficients).
+    with F the frame of the head chain (first n coefficients).  A split
+    that is not an integer in 0..L raises :class:`IndexOutOfRange`.
 
-    One :func:`dirac_sweep` gives every frame: the heads come forward and
-    the tails backward, 2L stacked steps however many splits there are.
-    phi is the tail Weyl function of split 0, so one :func:`lft_stack` call
-    takes every tail and one more every composition.  The points go in
-    chunks of at most :data:`matcore.CHUNK`.
+    Every chain is one pass: one :func:`halmos` call extends all the
+    contractions of a stack, and one :func:`dirac_sweep` gives every frame
+    of every chain, the heads forward and the tails backward, 2L stacked
+    steps however many splits and chains there are.  phi is the tail Weyl
+    function of split 0, so one :func:`frames_of` and one :func:`lft_stack`
+    call take every tail and one more of each every composition.  The
+    points go in chunks of at most :data:`matcore.CHUNK` (chain, point)
+    pairs, and each chain's residuals are bitwise those of its own call.
     """
-    chain = chain_from_contractions(rhos) if not isinstance(rhos, DiracChain) else rhos
-    splits = list(split_or_splits) if np.ndim(split_or_splits) else [split_or_splits]
-    for n in splits:
-        if not 0 <= n <= len(chain):
-            raise IndexOutOfRange(f"split {n} outside 0..{len(chain)}")
+    if isinstance(rhos, DiracChain):
+        Cs = _coefficient_stack(rhos)
+    elif np.ndim(rhos) == 4:
+        count, L, p, _ = np.shape(rhos)
+        Cs = halmos(np.reshape(rhos, (count * L, p, p))).reshape(count, L, 2 * p, 2 * p)
+    else:
+        Cs = _coefficient_stack(chain_from_contractions(rhos))
+    splits = _indices(split_or_splits, Cs.shape[1], "split")
     zs = np.asarray(zgrid, dtype=complex).ravel()
-    gaps = matcore.in_chunks(lambda chunk: _composition_gaps(chain, splits, pair, chunk), zs)
+    gaps = matcore.in_chunks(lambda chunk: _composition_gaps(Cs, splits, pair, chunk), zs, len(Cs))
     return float(gaps.max(initial=0.0))
 
 
-def _composition_gaps(chain: DiracChain, splits: list, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
-    """Worst gap over the splits, at each point, of :func:`khrushchev_check`."""
-    L, p, size = len(chain), chain.p, zs.size
-    # start 0 and every split: tails[k] is W of the coefficients from
-    # starts[k] on, heads[k] W of the ones before it
+def _composition_gaps(Cs: np.ndarray, splits: np.ndarray, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
+    """Worst gap over the chains and splits, at each point, of
+    :func:`khrushchev_check`."""
+    count, L, p, size = Cs.shape[0], Cs.shape[1], Cs.shape[-1] // 2, zs.size
+    # start 0 and every split: tails[c, k] is W of chain c's coefficients
+    # from starts[k] on, heads[c, k] W of the ones before it
     starts = np.array([0, *splits])
-    heads, tails = dirac_sweep(chain, -np.conj(zs) / 2.0, starts)
+    heads, tails = dirac_sweep(Cs, -np.conj(zs) / 2.0, starts)
 
     def frames(W, orders):
-        return frames_of(W, zs, orders).reshape(-1, 2 * p, 2 * p)
+        W = W.reshape(-1, size, 2 * p, 2 * p)
+        return frames_of(W, zs, np.tile(orders, count)).reshape(-1, 2 * p, 2 * p)
 
-    R, Q = (np.broadcast_to(M, (starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))
-    phi = lft_stack(frames(tails, L - starts), R, Q, np.tile(zs, starts.size))
-    phi = phi.reshape(starts.size, size, p, p)
-    Ip = np.broadcast_to(np.eye(p, dtype=complex), (len(splits) * size, p, p))
+    R, Q = (np.broadcast_to(M, (count * starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))
+    phi = lft_stack(frames(tails, L - starts), R, Q, np.tile(zs, count * starts.size))
+    phi = phi.reshape(count, starts.size, size, p, p)
     ns = starts[1:]
-    composed = lft_stack(frames(heads[1:], ns), -1j * phi[1:].reshape(-1, p, p), Ip, np.tile(zs, ns.size))
-    gaps = np.linalg.norm(phi[0] - composed.reshape(ns.size, size, p, p), axis=(-2, -1))
-    return gaps.max(axis=0, initial=0.0)
+    Ip = np.broadcast_to(np.eye(p, dtype=complex), (count * ns.size * size, p, p))
+    composed = lft_stack(frames(heads[:, 1:], ns), -1j * phi[:, 1:].reshape(-1, p, p), Ip, np.tile(zs, count * ns.size))
+    gaps = np.linalg.norm(phi[:, :1] - composed.reshape(count, ns.size, size, p, p), axis=(-2, -1))
+    return gaps.max(axis=(0, 1), initial=0.0)

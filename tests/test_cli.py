@@ -50,18 +50,22 @@ def test_khrushchev_command(tmp_path):
 def test_khrushchev_builds_each_chain_once(tmp_path, monkeypatch):
     from snode_lab import toeplitz
 
-    seen = []
+    seen, calls = [], []
     original = toeplitz.halmos
     # halmos takes a stack: record each contraction it sees (p = 1 here)
     monkeypatch.setattr(
-        toeplitz, "halmos", lambda rho: seen.extend(np.reshape(rho, (-1, 1, 1))) or original(rho)
+        toeplitz,
+        "halmos",
+        lambda rho: calls.append(1) or seen.extend(np.reshape(rho, (-1, 1, 1))) or original(rho),
     )
     scenario = {"command": "khrushchev", "length": 4, "count": 2, "out": str(tmp_path)}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(path), "--grid", "6"]) == 0
-    # one Halmos extension per contraction, not one per contraction and split
+    # one Halmos extension per contraction, not one per contraction and
+    # split, all in one call for every chain
     assert len(seen) == 4 * 2
+    assert len(calls) == 1
 
 
 def test_asymptotics_scenario_with_csv(tmp_path):
@@ -356,6 +360,35 @@ def test_entropy_fits_the_roots_of_det_f_once_for_all_pairs(tmp_path, monkeypatc
     assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     # the extremal pair, the witness and 10 random pairs in one fit
     assert fits == [12]
+
+
+@pytest.mark.parametrize("pairs", [10, 50])
+def test_entropy_draws_its_pairs_in_one_call_as_the_stream_of_single_draws(tmp_path, monkeypatch, pairs):
+    from snode_lab import sampling
+
+    spec = str(cli.bundled_spec_path("hankel_p2.json"))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"command": "entropy", "pairs": pairs}))
+    calls = []
+    original = sampling.random_constant_pairs
+
+    def counted(rng, p, count):
+        calls.append(count)
+        return original(rng, p, count)
+
+    monkeypatch.setattr(sampling, "random_constant_pairs", counted)
+    assert run(["--scenario", str(scenario), "--spec", spec, "--out", str(tmp_path / "batch")]) == 0
+    assert calls == [pairs]
+
+    def one_by_one(rng, p, count):
+        # count draws of one pair each, as random_constant_pair makes them
+        draws = [original(rng, p, 1) for _ in range(count)]
+        return tuple(np.concatenate(M) for M in zip(*draws))
+
+    monkeypatch.setattr(sampling, "random_constant_pairs", one_by_one)
+    assert run(["--scenario", str(scenario), "--spec", spec, "--out", str(tmp_path / "single")]) == 0
+    batch, single = ((tmp_path / d / "report_entropy.json").read_bytes() for d in ("batch", "single"))
+    assert batch == single
 
 
 def test_entropy_on_the_bundled_p2_spec_reads_the_accepted_normalization(tmp_path, monkeypatch):

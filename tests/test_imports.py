@@ -69,6 +69,8 @@ UNCALLED = {
     "interp_residual": "ROADMAP item 4: the interpolation theorem as a CLI check",
     "recover_moments": "ROADMAP item 7: moment recovery rows in verify-hankel",
     "taylor_recover": "ROADMAP items 4 and 12",
+    "random_contraction": "the batch of one of random_contractions; the test suite draws single contractions with it",
+    "random_constant_pair": "the batch of one of random_constant_pairs; perfbench workloads draw their pairs with it",
     "random_hankel_spec": "perfbench workloads and the CI example runs draw their specs with it",
     "random_toeplitz_spec": "perfbench workloads and the CI example runs draw their specs with it",
 }

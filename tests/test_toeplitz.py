@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from snode_lab import matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
+    IndexOutOfRange,
     NotContractive,
     NotHermitian,
     NotPositiveDefinite,
@@ -118,6 +119,18 @@ def test_halmos_of_a_stack_equals_single_calls(seed, p, count):
     assert stacked.shape == (count, 2 * p, 2 * p)
     for C, rho in zip(stacked, rhos):
         assert np.array_equal(C, toeplitz.halmos(rho))
+
+
+@pytest.mark.parametrize("max_norm", [0.85, 0.3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_random_contractions_is_the_stream_of_single_draws(p, max_norm):
+    stacked, single = np.random.default_rng(77), np.random.default_rng(77)
+    rhos = sampling.random_contractions(stacked, p, 7, max_norm)
+    assert rhos.shape == (7, p, p)
+    for rho in rhos:
+        assert np.array_equal(rho, sampling.random_contraction(single, p, max_norm))
+    assert stacked.bit_generator.state == single.bit_generator.state
+    assert np.all(np.linalg.norm(rhos, 2, axis=(1, 2)) < max_norm)
 
 
 def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
@@ -374,23 +387,67 @@ def test_khrushchev_makes_two_lft_calls(rng, unit_pair, monkeypatch):
     calls = []
     original = toeplitz.lft_stack
     monkeypatch.setattr(toeplitz, "lft_stack", lambda *args: calls.append(1) or original(*args))
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(6)]
-    toeplitz.khrushchev_check(rhos, range(7), unit_pair, sampling.random_upper_points(rng, 9))
-    # one call for every tail Weyl function, one for every composition
-    assert len(calls) <= 2
+    for count in (1, 3):
+        calls.clear()
+        rhos = sampling.random_contractions(rng, 1, count * 6).reshape(count, 6, 1, 1)
+        toeplitz.khrushchev_check(rhos, range(7), unit_pair, sampling.random_upper_points(rng, 9))
+        # one call for every tail Weyl function, one for every composition,
+        # of every chain
+        assert len(calls) == 2
 
 
-@pytest.mark.parametrize("length, chunks", [(1, 1), (6, 1), (6, 2)])
-def test_khrushchev_sweeps_in_2L_kernel_calls_per_chunk(rng, unit_pair, monkeypatch, length, chunks):
+@pytest.mark.parametrize(
+    "length, chunks, count",
+    [(1, 1, 1), (6, 1, 1), (6, 2, 1), (1, 1, 3), (6, 1, 3), (6, 2, 3)],
+    ids=["1-1", "6-1", "6-2", "1-1-3chains", "6-1-3chains", "6-2-3chains"],
+)
+def test_khrushchev_sweeps_in_2L_kernel_calls_per_chunk(rng, unit_pair, monkeypatch, length, chunks, count):
     calls = []
     original = matcore.sandwich
     monkeypatch.setattr(matcore, "sandwich", lambda *args: calls.append(1) or original(*args))
-    monkeypatch.setattr(matcore, "CHUNK", 5)
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(length)]
-    toeplitz.khrushchev_check(rhos, range(length + 1), unit_pair, sampling.random_upper_points(rng, 5 * chunks))
-    # L steps forward and L backward for all L + 1 splits, and one frames_of
-    # call each for the tails and the heads: an O(L^2) sweep would not fit
+    monkeypatch.setattr(matcore, "CHUNK", 6)  # 6 // count points of all chains per chunk
+    rhos = sampling.random_contractions(rng, 1, count * length).reshape(count, length, 1, 1)
+    zs = sampling.random_upper_points(rng, 6 // count * chunks)
+    toeplitz.khrushchev_check(rhos, range(length + 1), unit_pair, zs)
+    # L steps forward and L backward for all L + 1 splits of all chains, and
+    # one frames_of call each for the tails and the heads: an O(L^2) sweep,
+    # or one sweep per chain, would not fit
     assert len(calls) == chunks * (2 * length + 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_khrushchev_of_a_stack_is_the_max_of_per_chain_calls(rng, monkeypatch, p):
+    count, length = 3, 4
+    rhos = sampling.random_contractions(rng, p, count * length).reshape(count, length, p, p)
+    pair = sampling.random_constant_pair(rng, p)
+    zs = sampling.random_upper_points(rng, 11)
+    singles = [toeplitz.khrushchev_check(list(chain), range(length + 1), pair, zs) for chain in rhos]
+    whole = toeplitz.khrushchev_check(rhos, range(length + 1), pair, zs)
+    monkeypatch.setattr(matcore, "CHUNK", 7)  # 2 points of the 3 chains per chunk
+    assert toeplitz.khrushchev_check(rhos, range(length + 1), pair, zs) == whole == max(singles)
+    assert toeplitz.khrushchev_check(rhos, 2, pair, zs) == max(
+        toeplitz.khrushchev_check(list(chain), 2, pair, zs) for chain in rhos
+    )
+
+
+def test_khrushchev_names_the_non_contraction_of_a_stack(rng, unit_pair):
+    rhos = sampling.random_contractions(rng, 2, 12).reshape(3, 4, 2, 2)
+    rhos[2, 1] *= 1.5 / np.linalg.norm(rhos[2, 1], 2)
+    # chain 2, coefficient 1: matrix 2 * 4 + 1 of the chains' contractions in order
+    with pytest.raises(NotContractive, match="matrix 9 of the stack: spectral norm 1.500000"):
+        toeplitz.khrushchev_check(rhos, range(5), unit_pair, sampling.random_upper_points(rng, 3))
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, 5, [0, 2.5]])
+def test_khrushchev_rejects_a_split_that_is_not_an_integer_in_0_to_L(rng, unit_pair, bad):
+    rhos = sampling.random_contractions(rng, 1, 4)
+    zs = sampling.random_upper_points(rng, 5)
+    with pytest.raises(IndexOutOfRange, match="is not an integer in 0..4"):
+        toeplitz.khrushchev_check(rhos, bad, unit_pair, zs)
+    with pytest.raises(IndexOutOfRange, match="start .* is not an integer in 0..4"):
+        toeplitz.dirac_sweep(toeplitz.chain_from_contractions(rhos), zs, np.ravel(bad))
+    # an integral float is that integer
+    assert toeplitz.khrushchev_check(rhos, 2.0, unit_pair, zs) == toeplitz.khrushchev_check(rhos, 2, unit_pair, zs)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
