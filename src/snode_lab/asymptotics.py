@@ -29,8 +29,8 @@ from .snode import (
     SNode,
     as_frame,
     frame,
+    leading_rho,
     node_chain,
-    rho,
     rho_from_frame,
 )
 from .toeplitz import ToeplitzSpec, build_toeplitz_node
@@ -44,8 +44,14 @@ from .toeplitz import ToeplitzSpec, build_toeplitz_node
 class NodeSequence:
     """S-nodes embedded as leading principal compressions of each other.
 
+    ``nodes[i]`` has order ``orders[i]``, the orders do not decrease, and
     ``nodes[i]`` lives on the leading ``orders[i]`` * p rows of the largest
-    node; the projectors are index ranges, nothing more.
+    node, ``nodes[-1]``; the projectors are index ranges, nothing more.  The
+    families below build the largest node alone and slice every smaller one
+    out of it (:func:`leading_node`), so one Cholesky factor serves every
+    level, and :func:`convergence_run` reads every level's rho off the
+    largest one; :func:`nested_embed_check` certifies the nesting of a
+    sequence built any other way.
     """
 
     nodes: tuple
@@ -56,6 +62,11 @@ class NodeSequence:
             raise DimensionMismatch("nodes and orders must align")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
+        for i, (node, k) in enumerate(zip(self.nodes, self.orders)):
+            if node.m != k * node.p:
+                raise DimensionMismatch(f"level {i} has order {node.m // node.p}, not {k}")
+        if any(b < a for a, b in zip(self.orders, self.orders[1:])):
+            raise DimensionMismatch(f"orders must not decrease, got {self.orders}")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -65,18 +76,39 @@ class NodeSequence:
         return self.nodes[0].p
 
 
-def toeplitz_family(spec: ToeplitzSpec, orders=None) -> NodeSequence:
+def leading_node(node: SNode, k: int) -> SNode:
+    """The leading compression of order k of a node: S, Phi1 and Phi2 are
+    leading slices, and its ``S_chol`` is the leading block of the node's
+    Cholesky factor, as in :func:`quotient_node`, so it factors nothing.  The
+    node itself at its own order; raises :class:`IndexOutOfRange` unless
+    1 <= k <= its order."""
+    if not 1 <= k <= node.m // node.p:
+        raise IndexOutOfRange(f"leading order {k} outside 1..{node.m // node.p}")
+    mk = k * node.p
+    if mk == node.m:
+        return node
+    small = SNode(node.p, node.shift, node.S[:mk, :mk], node.Phi1[:mk], node.Phi2[:mk])
+    pd = node.S_chol
+    small.__dict__["S_chol"] = matcore.HermPD(matrix=pd.matrix[:mk, :mk], factor=pd.factor[:mk, :mk])
+    return small
+
+
+def _family(spec, orders, build) -> NodeSequence:
+    """The levels ``orders`` (default 1..n) of a spec as compressions of the
+    node of their top order, built by ``build`` from the spec itself when
+    that order is n."""
     orders = tuple(range(1, spec.n + 1)) if orders is None else tuple(orders)
-    return NodeSequence(
-        nodes=tuple(build_toeplitz_node(spec.leading(k)) for k in orders), orders=orders
-    )
+    top = max(orders, default=spec.n)
+    node = build(spec if top == spec.n else spec.leading(top))
+    return NodeSequence(nodes=tuple(leading_node(node, k) for k in orders), orders=orders)
+
+
+def toeplitz_family(spec: ToeplitzSpec, orders=None) -> NodeSequence:
+    return _family(spec, orders, build_toeplitz_node)
 
 
 def hankel_family(spec: HankelSpec, orders=None) -> NodeSequence:
-    orders = tuple(range(1, spec.n + 1)) if orders is None else tuple(orders)
-    return NodeSequence(
-        nodes=tuple(build_hankel_node(spec.leading(k)) for k in orders), orders=orders
-    )
+    return _family(spec, orders, build_hankel_node)
 
 
 def hankel_family_from_density(
@@ -89,18 +121,16 @@ def hankel_family_from_density(
 
 
 def nested_embed_check(seq: NodeSequence) -> float:
-    """Max residual of the four compression identities over all pairs r > k."""
+    """Max residual of the four compression identities of every level
+    against the largest one; the levels then nest into each other too."""
     worst = 0.0
-    p = seq.p
-    for ik, k in enumerate(seq.orders):
-        for ir in range(ik + 1, len(seq)):
-            big = seq.nodes[ir]
-            small = seq.nodes[ik]
-            mk = k * p
-            worst = max(worst, float(np.max(np.abs(big.A[:mk, :mk] - small.A))))
-            worst = max(worst, float(np.max(np.abs(big.S[:mk, :mk] - small.S))))
-            worst = max(worst, float(np.max(np.abs(big.Pi[:mk, :] - small.Pi))))
-            worst = max(worst, float(np.max(np.abs(big.A[:mk, mk:]))))
+    big = seq.nodes[-1]
+    for k, small in zip(seq.orders, seq.nodes[:-1]):
+        mk = k * seq.p
+        worst = max(worst, float(np.max(np.abs(big.A[:mk, :mk] - small.A))))
+        worst = max(worst, float(np.max(np.abs(big.S[:mk, :mk] - small.S))))
+        worst = max(worst, float(np.max(np.abs(big.Pi[:mk, :] - small.Pi))))
+        worst = max(worst, float(np.max(np.abs(big.A[:mk, mk:]))))
     return worst
 
 
@@ -199,7 +229,7 @@ def poisson_normalization(lam: complex) -> float:
         poisson_weight(lam), (-np.inf, np.inf), (), _LOG_QUAD, 1e-10, "poisson normalization"
     )
     if abs(norm - np.pi) > 1e-9:
-        raise QuadratureNotConverged(f"poisson normalization {norm!r} != pi")
+        raise QuadratureNotConverged(f"poisson normalization {norm:.3e} != pi")
     return float(norm)
 
 
@@ -376,25 +406,23 @@ def convergence_run(
     seq: NodeSequence, lam: complex, reference: DensityFn | None = None
 ) -> TrajectoryReport:
     """Order-by-order trajectory of rho_k(lam, conj lam) and its inverse with
-    condition numbers, one rho per order, and the reference's outer modulus
-    at lam: the log-det integral is finite (Szego's condition) exactly when
+    condition numbers, and the reference's outer modulus at lam: the
+    log-det integral is finite (Szego's condition) exactly when
     :func:`outer_modulus` does not raise :class:`SzegoViolated`, and in the
     scalar case it gives the target 2 pi |G(lam)|^2 the inverse decreases
     toward.  A reference whose support is not the whole line vanishes on a
-    set of positive measure, so it fails the condition with no quadrature."""
+    set of positive measure, so it fails the condition with no quadrature.
+
+    Every level's rho comes from one :func:`snode.leading_rho` call on the
+    largest level, which assumes the nesting that :func:`nested_embed_check`
+    certifies; the inverses come from one stacked :func:`matcore.inv_hpd`
+    and their determinants from one stacked ``eigvalsh``."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
-    rhos = []
-    rho_inv = []
-    dets = []
-    conds = []
-    for node in seq.nodes:
-        r = rho(node, lam)
-        rhos.append(r)
-        rinv = matcore.inv_hpd(r)
-        rho_inv.append(rinv)
-        dets.append(float(np.prod(np.linalg.eigvalsh(rinv))))
-        conds.append(float(np.linalg.cond(node.S)))
+    rhos = leading_rho(seq.nodes[-1], lam)[np.array(seq.orders) - 1]
+    rho_inv = matcore.inv_hpd(rhos)
+    dets = np.prod(np.linalg.eigvalsh(rho_inv), axis=-1)
+    conds = [float(np.linalg.cond(node.S)) for node in seq.nodes]
     target = None
     szego_finite = False
     if reference is not None and reference.support == (-np.inf, np.inf):
@@ -411,7 +439,7 @@ def convergence_run(
         orders=seq.orders,
         rho=tuple(rhos),
         rho_inv=tuple(rho_inv),
-        det_rho_inv=tuple(dets),
+        det_rho_inv=tuple(map(float, dets)),
         conds=tuple(conds),
         target=target,
         szego_finite=szego_finite,

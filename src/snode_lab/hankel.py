@@ -32,7 +32,6 @@ import numpy as np
 from . import matcore, quadrature, serialization
 from .densities import DensityFn
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     SingularDenominator,
     Unsupported,
@@ -49,15 +48,10 @@ class HankelSpec:
     H: tuple
 
     def __post_init__(self):
-        blocks = tuple(matcore.as_matrix(b) for b in self.H)
-        if len(blocks) != 2 * self.n - 1:
-            raise DimensionMismatch(f"need {2 * self.n - 1} blocks H_0..H_{2 * self.n - 2}")
-        for b in blocks:
-            if b.shape != (self.p, self.p):
-                raise DimensionMismatch(f"every block must be {self.p} x {self.p}")
-            matcore.assert_hermitian(b)
-            b.setflags(write=False)
-        object.__setattr__(self, "H", blocks)
+        count = 2 * self.n - 1
+        blocks = matcore.as_block_stack(self.H, self.p, count, f"H_0..H_{count - 1}")
+        matcore.assert_hermitian(blocks, names=[f"H_{k}" for k in range(count)])
+        object.__setattr__(self, "H", tuple(blocks))
 
     def matrix(self) -> np.ndarray:
         p, n = self.p, self.n

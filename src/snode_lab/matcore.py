@@ -163,9 +163,10 @@ def hermitian_deviation(M):
     return np.abs(M - _conj_t(M)).max(axis=(-2, -1), initial=0.0)
 
 
-def assert_hermitian(M, tol: float | None = None) -> None:
+def assert_hermitian(M, tol: float | None = None, names=None) -> None:
     """Raise :class:`NotHermitian` unless max|M - M*| <= tol entrywise, for
-    every matrix of a stack."""
+    every matrix of a stack; the error names the first matrix that fails,
+    by its entry of ``names`` when given."""
     M = as_matrix_or_stack(M)
     if tol is None:
         tol = default_tol(M)
@@ -173,7 +174,26 @@ def assert_hermitian(M, tol: float | None = None) -> None:
     k, where = first_failure(dev > tol)
     if k is not None:
         worst = float(np.ravel(dev)[k])
-        raise NotHermitian(worst, f"{where}matrix is not Hermitian (max deviation {worst:.3e})")
+        what = f"{where}matrix" if names is None else names[k]
+        raise NotHermitian(worst, f"{what} is not Hermitian (max deviation {worst:.3e})")
+
+
+def as_block_stack(blocks, p: int, count: int, what: str) -> np.ndarray:
+    """``count`` p x p blocks as one read-only (count, p, p) complex stack
+    with finite entries, from one :func:`as_matrix_or_stack` call; raises
+    :class:`DimensionMismatch`, naming the blocks ``what``, unless there are
+    ``count`` of them, each p x p."""
+    if len(blocks) != count:
+        raise DimensionMismatch(f"need {count} blocks {what}, got {len(blocks)}")
+    try:
+        stack = np.asarray(blocks, dtype=complex)
+    except ValueError:  # blocks of unequal shapes
+        stack = None
+    if stack is None or stack.shape != (count, p, p):
+        raise DimensionMismatch(f"every block must be {p} x {p}")
+    stack = as_matrix_or_stack(stack)
+    stack.setflags(write=False)
+    return stack
 
 
 def hermitian_part(M) -> np.ndarray:
@@ -426,28 +446,44 @@ def first_failing_order(H: np.ndarray, p: int) -> int | None:
     return next((k for k in range(1, H.shape[0] // p + 1) if _cholesky_fails(H[: k * p, : k * p])), None)
 
 
+def diagonal_inverses(L: np.ndarray, p: int) -> np.ndarray:
+    """The (n, p, p) stack of the inverses of the p x p diagonal blocks of
+    an np x np matrix L, from one batched inverse."""
+    n = L.shape[0] // p
+    diag = np.arange(n)
+    return np.linalg.inv(L.reshape(n, p, n, p)[diag, :, diag])
+
+
+def block_forward(L: np.ndarray, Dinv: np.ndarray, B) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L whose p x p diagonal blocks have the
+    inverses ``Dinv`` (see :func:`diagonal_inverses`), by block forward
+    substitution X_k = L_kk^{-1} (B_k - L_{k,<k} X_{<k}): forward stable
+    whatever the conditioning of L L* (Higham 2002, ch. 8), where a pivoted
+    solve with L is not.  Block row k of X reads only the leading k + 1
+    block rows of L and B, by the same products, so the leading block rows
+    of X are bitwise those of the substitution with the leading blocks of L
+    and B."""
+    n, p = Dinv.shape[:2]
+    X = np.empty(np.shape(B), dtype=complex)
+    # block views: row k of each is block row k of L, B and X
+    L_rows, B_rows, X_rows = (np.reshape(M, (n, p, -1)) for M in (L, B, X))
+    X_rows[0] = Dinv[0] @ B_rows[0]
+    for k in range(1, n):
+        X_rows[k] = Dinv[k] @ (B_rows[k] - L_rows[k, :, : k * p] @ X[: k * p])
+    return X
+
+
 def leading_chain(pd: HermPD, Pi, p: int) -> tuple[tuple, tuple, tuple]:
     """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp],
     read off the Cholesky factor S = L L* of ``pd``, whose leading blocks
     factor every S(k).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
-    bottom-right block of S(k)^{-1}; G_k is the k-th block row of L^{-1} Pi;
-    row_k = L_kk^{-*} G_k is the bottom block row of S(k)^{-1} Pi(k), so
-    row_k* t_k^{-1} row_k = G_k* G_k.
-
-    One batched inverse gives every L_kk^{-1}, and G comes by block forward
-    substitution, G_k = L_kk^{-1} (Pi_k - L_{k,<k} G_{<k}), which is forward
-    stable whatever the conditioning of S (Higham 2002, ch. 8); a pivoted
-    solve with L is not.
+    bottom-right block of S(k)^{-1}; G_k is the k-th block row of L^{-1} Pi,
+    by :func:`block_forward`; row_k = L_kk^{-*} G_k is the bottom block row
+    of S(k)^{-1} Pi(k), so row_k* t_k^{-1} row_k = G_k* G_k.
     """
     L = pd.factor
-    n = L.shape[0] // p
-    diag = np.arange(n)
-    Dinv = np.linalg.inv(L.reshape(n, p, n, p)[diag, :, diag])
-    G = np.empty(Pi.shape, dtype=complex)
-    # block views: row k of each is block row k of L, Pi and G
-    L_rows, Pi_rows, G_rows = (M.reshape(n, p, -1) for M in (L, Pi, G))
-    for k in range(n):
-        G_rows[k] = Dinv[k] @ (Pi_rows[k] - L_rows[k, :, : k * p] @ G[: k * p])
+    Dinv = diagonal_inverses(L, p)
+    G_rows = block_forward(L, Dinv, Pi).reshape(len(Dinv), p, -1)
     Dinv_h = _conj_t(Dinv)
     return tuple(hermitian_part(Dinv_h @ Dinv)), tuple(Dinv_h @ G_rows), tuple(G_rows)
 

@@ -24,8 +24,9 @@ scalar point, giving one matrix, or a 1-d array of points, giving a stack of
 matrices; a guard that fails raises the same typed error either way and
 names the first offending point.  :func:`ball_membership` and
 :func:`ball_value` take one p x p matrix or a stack of them.  :func:`rho`
-takes one point off the real axis: its value at conj z is the reversed
-value rho(conj z, z), so its callers check the half-plane they need.
+and :func:`leading_rho` take one point off the real axis: the value at
+conj z is the reversed value rho(conj z, z), so their callers check the
+half-plane they need.
 """
 
 from __future__ import annotations
@@ -298,15 +299,31 @@ def as_frame(node_or_frame) -> Frame:
     return node_frame(node_or_frame)
 
 
-def rho(node: SNode, z: complex) -> np.ndarray:
-    """The characteristic  i(conj z - z) Phi2* (I - z A*)^{-1} S^{-1} (I - conj(z) A)^{-1} Phi2,
-    rho(z, conj z): positive definite for z above the real axis, negative
-    definite below it, so rho(conj z, z) is ``rho(node, conj(z))``."""
+def leading_rho(node: SNode, z: complex) -> np.ndarray:
+    """The (n, p, p) stack of rho_k(z, conj z) of every leading order k = 1..n,
+    the characteristic i(conj z - z) Phi2(k)* (I - z A(k)*)^{-1} S(k)^{-1}
+    (I - conj(z) A(k))^{-1} Phi2(k) of the node's leading compression of order k.
+
+    A is lower triangular and S = L L* (``node.S_chol``), so with
+    y = L^{-1} (I - conj(z) A)^{-1} Phi2 every order is
+    rho_k = i(conj z - z) y[:kp]* y[:kp], the running sum of the block
+    rows' y_j* y_j: one resolvent and one :func:`matcore.block_forward`
+    substitution serve all orders, and order k's value is bitwise the last
+    entry of the call on its compression with the leading block of L as its
+    factor."""
     w = np.array([z])
     V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
-    M = V.conj().T @ node.S_chol.solve(V)
-    out = 1j * (w.conj() - w) * M
-    return matcore.hermitian_part(out)
+    L = node.S_chol.factor
+    y = matcore.block_forward(L, matcore.diagonal_inverses(L, node.p), V).reshape(-1, node.p, node.p)
+    grams = np.cumsum(y.conj().swapaxes(1, 2) @ y, axis=0)
+    return matcore.hermitian_part(1j * (np.conj(z) - z) * grams)
+
+
+def rho(node: SNode, z: complex) -> np.ndarray:
+    """The characteristic rho(z, conj z) of the node, the last entry of
+    :func:`leading_rho`: positive definite for z above the real axis,
+    negative definite below it, so rho(conj z, z) is ``rho(node, conj(z))``."""
+    return leading_rho(node, z)[-1]
 
 
 @dataclass(frozen=True)

@@ -53,21 +53,14 @@ class ToeplitzSpec:
     nu: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(matcore.as_matrix(b) for b in self.s)
-        if len(blocks) != self.n:
-            raise DimensionMismatch(f"need {self.n} blocks s_0..s_{1 - self.n}, got {len(blocks)}")
-        for b in blocks:
-            if b.shape != (self.p, self.p):
-                raise DimensionMismatch(f"every block must be {self.p} x {self.p}")
+        blocks = matcore.as_block_stack(self.s, self.p, self.n, f"s_0..s_{1 - self.n}")
         nu = matcore.as_matrix(self.nu)
         if nu.shape != (self.p, self.p):
             raise DimensionMismatch(f"nu must be {self.p} x {self.p}")
-        matcore.assert_hermitian(blocks[0])
-        matcore.assert_hermitian(nu)
-        for b in blocks:
-            b.setflags(write=False)
+        # s_0 and nu, each at its own tolerance
+        matcore.assert_hermitian(np.stack((blocks[0], nu)), names=("s_0", "nu"))
         nu.setflags(write=False)
-        object.__setattr__(self, "s", blocks)
+        object.__setattr__(self, "s", tuple(blocks))
         object.__setattr__(self, "nu", nu)
 
     def matrix(self) -> np.ndarray:

@@ -123,6 +123,47 @@ def test_asymptotics_toeplitz_family(tmp_path):
     assert dets == sorted(dets, reverse=True)
 
 
+def _strict_json(path):
+    """A report parsed as RFC 8259 JSON: NaN and +-Infinity are refused."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "scenario, spec",
+    [
+        ({"family": "toeplitz", "max_order": 3}, "toeplitz_n1.json"),
+        ({"max_order": 1}, None),
+    ],
+    ids=["toeplitz_n1", "max_order_1"],
+)
+def test_asymptotics_at_one_order_reports_r2_as_null_with_a_reason(tmp_path, scenario, spec):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"command": "asymptotics", **scenario}))
+    args = ["--scenario", str(path), "--out", str(tmp_path)]
+    if spec is not None:
+        args += ["--spec", str(cli.bundled_spec_path(spec))]
+    assert run(args) == 0
+    report = _strict_json(tmp_path / "report_asymptotics.json")
+    assert report["orders"] == [1]
+    (row,) = [check for check in report["checks"] if check["tag"] == "R2"]
+    assert row["value"] is None and row["passed"] is True
+    assert row["reason"] == "one order: no pair of orders to compare"
+
+
+def test_asymptotics_at_two_orders_reports_r2_as_a_number(tmp_path):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"command": "asymptotics", "max_order": 2}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = _strict_json(tmp_path / "report_asymptotics.json")
+    (row,) = [check for check in report["checks"] if check["tag"] == "R2"]
+    assert set(row) == {"name", "tag", "value", "tol", "passed"}
+    assert row["passed"] and row["value"] <= 1e-9
+
+
 def test_asymptotics_toeplitz_family_at_order_36(tmp_path):
     # p = 2, s_{-k} = B^k: at z = 0.3 + 0.8i every diagonal entry of
     # I - conj(z) A has modulus 0.62 and the determinant is 0.62^72 = 9e-16,
@@ -412,11 +453,13 @@ def test_asymptotics_computes_rho_once_per_order(tmp_path, monkeypatch):
     from snode_lab import asymptotics
 
     calls = []
-    original = asymptotics.rho
-    monkeypatch.setattr(asymptotics, "rho", lambda *args: calls.append(args[1:]) or original(*args))
+    original = asymptotics.leading_rho
+    monkeypatch.setattr(asymptotics, "leading_rho", lambda *args: calls.append(args) or original(*args))
     assert run(["asymptotics", "--out", str(tmp_path)]) == 0
-    # the default run has orders 1..4 at lambda = i; the R2 row reads the same pass
-    assert calls == [(1j,)] * 4
+    # the default run has orders 1..4 at lambda = i: one evaluation on the
+    # order-4 level gives every order its rho, and the R2 row reads the same pass
+    ((node, z),) = calls
+    assert (node.m, z) == (4, 1j)
 
 
 def _integral_names(monkeypatch):
@@ -624,6 +667,15 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, mes
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
+
+
+def test_asymptotics_names_a_lost_poisson_normalization_as_a_plain_float(tmp_path, capsys):
+    # lambda = 1e-300 i: the normalization integral loses its spike; the exit
+    # code stays 2 and the message shows the value as a number, not a numpy repr
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "asymptotics", "lambda": [0, 1e-300]}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: asymptotics: poisson normalization 1.198e-296 != pi\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from snode_lab import densities, hankel, matcore, sampling, snode
 from snode_lab.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     NotHermitian,
     NotPositiveDefinite,
@@ -32,6 +33,38 @@ def test_build_rejects_nonhermitian_block():
             n=2,
             H=(np.eye(2), np.array([[0, 1], [0, 0]]), np.eye(2)),
         )
+
+
+def _count_hermitian_checks(monkeypatch):
+    calls = []
+    original = matcore.assert_hermitian
+    monkeypatch.setattr(
+        matcore, "assert_hermitian", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    return calls
+
+
+def test_spec_checks_its_blocks_as_one_stack_each_at_its_own_tolerance(monkeypatch):
+    calls = _count_hermitian_checks(monkeypatch)
+    skew = np.array([[0.0, 1e-5], [0.0, 0.0]])
+    # H_0's tolerance 1e-10 (1 + 1e6) admits the deviation 1e-5, that of the
+    # unit blocks H_1 and H_2 does not: the error names H_1, the first of them
+    blocks = (1e6 * np.eye(2) + skew, np.eye(2) + skew, np.eye(2) + skew)
+    with pytest.raises(NotHermitian, match=r"^H_1 is not Hermitian \(max deviation 1\.000e-05\)$"):
+        hankel.HankelSpec(p=2, n=2, H=blocks)
+    hankel.HankelSpec(p=2, n=2, H=(blocks[0], np.eye(2), np.eye(2)))
+    assert calls == [1, 1]
+
+
+def test_spec_refuses_blocks_of_the_wrong_count_or_shape():
+    with pytest.raises(DimensionMismatch, match="need 3 blocks H_0..H_2, got 2"):
+        hankel.HankelSpec(p=1, n=2, H=(np.eye(1), np.eye(1)))
+    with pytest.raises(DimensionMismatch, match="every block must be 2 x 2"):
+        hankel.HankelSpec(p=2, n=2, H=(np.eye(2), np.eye(3), np.eye(2)))
+    with pytest.raises(DimensionMismatch, match="every block must be 2 x 2"):
+        hankel.HankelSpec(p=2, n=2, H=(np.eye(3),) * 3)
+    with pytest.raises(ValueError, match="matrix 2 of the stack: matrix entries must be finite"):
+        hankel.HankelSpec(p=1, n=2, H=(np.eye(1), np.eye(1), np.full((1, 1), np.inf)))
 
 
 def test_identity_residual_random_specs(rng):

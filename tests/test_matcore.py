@@ -231,6 +231,19 @@ def test_leading_chain_matches_dense_solve_hankel_fixed(p, n, seed):
         assert rel <= 10 * eps * np.linalg.cond(node.S[: k * p, : k * p])
 
 
+@pytest.mark.parametrize("p, n", [(1, 5), (2, 4), (3, 3)])
+def test_block_forward_solves_with_l_and_keeps_each_leading_block_row(p, n):
+    rng = np.random.default_rng(10 * p + n)
+    L = matcore.cholesky_pd(sampling.random_hpd(rng, n * p)).factor
+    B = sampling.random_complex(rng, (n * p, 2))
+    X = matcore.block_forward(L, matcore.diagonal_inverses(L, p), B)
+    assert matcore.frobenius(L @ X - B) <= 1e-13 * matcore.frobenius(B)
+    for k in range(1, n):
+        mk = k * p
+        head = matcore.block_forward(L[:mk, :mk], matcore.diagonal_inverses(L[:mk, :mk], p), B[:mk])
+        assert np.array_equal(head, X[:mk])
+
+
 def test_leading_chain_reports_first_failing_order_block():
     # S(1) and S(2) are positive definite; s_{-2} = 2 I makes S(3) indefinite
     eye = np.eye(2, dtype=complex)

@@ -31,6 +31,22 @@ def test_build_rejects_nonhermitian_s0():
         toeplitz.ToeplitzSpec(p=2, n=1, s=(np.array([[0, 1], [0, 0]]),), nu=np.zeros((2, 2)))
 
 
+def test_spec_checks_s0_and_nu_in_one_call_naming_the_first_bad_one(monkeypatch):
+    calls = []
+    original = matcore.assert_hermitian
+    monkeypatch.setattr(
+        matcore, "assert_hermitian", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    s = (np.eye(2), 0.3 * skew)  # s_{-1} need not be Hermitian
+    toeplitz.ToeplitzSpec(p=2, n=2, s=s, nu=np.eye(2))
+    with pytest.raises(NotHermitian, match="^nu is not Hermitian"):
+        toeplitz.ToeplitzSpec(p=2, n=2, s=s, nu=skew)
+    with pytest.raises(NotHermitian, match="^s_0 is not Hermitian"):
+        toeplitz.ToeplitzSpec(p=2, n=2, s=(skew, skew), nu=skew)
+    assert calls == [1, 1, 1]
+
+
 def test_identity_residual_random_specs(rng):
     for _ in range(10):
         spec = sampling.random_toeplitz_spec(rng, p=int(rng.integers(1, 4)), n=int(rng.integers(1, 7)))
