@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, densities, hankel, matcore, sampling, serialization, snode, toeplitz
-from .errors import SnodeLabError
+from .errors import EvaluationFailure, SnodeLabError
 
 
 @dataclass
@@ -320,9 +320,19 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
 
 def _pair_with_value(frm: snode.Frame, z: complex, value) -> snode.ParamPair:
     """The constant pair whose Weyl function takes ``value`` at z:
-    [R; Q] = Frm(z)^{-1} [-i value; I], checked by :func:`snode.validate_pair`."""
+    [R; Q] = Frm(z)^{-1} [-i value; I], checked by :func:`snode.validate_pair`.
+    Raises :class:`EvaluationFailure` when the pair's gram R*R + Q*Q
+    overflows, as it does for z next to the real axis, where the ball's
+    radii, and with them ``value``, grow like 1 / Im z."""
     p = frm.p
     RQ = np.linalg.solve(frm(z), np.vstack([-1j * value, np.eye(p)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(RQ.conj().T @ RQ).all()
+    if not finite:
+        raise EvaluationFailure(
+            f"witness pair at lambda = {z}: the solve for its constant pair overflows "
+            f"(largest entry {np.max(np.abs(RQ)):.3e}, Weyl value {np.max(np.abs(value)):.3e})"
+        )
     pair = snode.ParamPair.constant(RQ[:p], RQ[p:])
     snode.validate_pair(pair)
     return pair

@@ -67,6 +67,10 @@ class InvalidDensity(SnodeLabError, KeyError, ValueError):
     __str__ = Exception.__str__  # the plain message, not KeyError's repr of it
 
 
+class NonFiniteEntries(SnodeLabError, ValueError):
+    """A matrix, or a matrix of a stack, with an infinite or NaN entry."""
+
+
 class EvaluationFailure(SnodeLabError):
     pass
 

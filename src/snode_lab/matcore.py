@@ -23,7 +23,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidToleranceScale, NotHermitian, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    InvalidToleranceScale,
+    NonFiniteEntries,
+    NotHermitian,
+    NotPositiveDefinite,
+)
 
 
 def tolerance_scale() -> float:
@@ -109,23 +115,25 @@ def sandwich(A, stack, B) -> np.ndarray:
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
+    """Coerce to a 2-d complex array; raises :class:`NonFiniteEntries` for an
+    entry that is not finite."""
     out = np.asarray(M, dtype=complex)
     if out.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteEntries("matrix entries must be finite")
     return out
 
 
 def as_matrix_or_stack(M) -> np.ndarray:
-    """A matrix or a stack of matrices as a complex array with finite entries."""
+    """A matrix or a stack of matrices as a complex array with finite entries;
+    raises :class:`NonFiniteEntries` naming the first matrix that has another."""
     out = np.asarray(M, dtype=complex)
     if out.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {out.shape}")
     if not np.isfinite(out).all():
         _, where = first_failure(~np.isfinite(out).all(axis=(-2, -1)))
-        raise ValueError(f"{where}matrix entries must be finite")
+        raise NonFiniteEntries(f"{where}matrix entries must be finite")
     return out
 
 

@@ -13,6 +13,12 @@ Two rules, both built on Gauss-Legendre nodes:
   graded to machine precision; a complex break x + i d is a pole near x,
   graded only down to its distance from the axis.
 
+A graded rule whose breaks are all real (a density's declared cusps, or
+none, as for the Poisson normalization) is built once per node count and
+break set and then shared, as read-only arrays.  A rule with a complex
+break is built afresh on every call: its breaks are the poles of one drawn
+Weyl density, which no later integral repeats.
+
 Each rule calls its integrand once, on the nodes of every panel, and adds
 the panel sums in panel order.  An integrand returns an array whose leading
 axis matches its nodes, or an iterable of such arrays (a list, or a
@@ -108,6 +114,28 @@ def _depth(half: float, width: float) -> int:
 
 
 def _graded_rule(n: int, breaks):
+    """Nodes t and weights w of :func:`_build_graded_rule`, from the memo
+    :func:`_real_rule` when every break is real (see
+    :func:`integrate_line_graded`)."""
+    breaks = tuple(breaks)
+    if all(complex(b).imag == 0.0 for b in breaks):
+        return _real_rule(n, breaks)
+    return _build_graded_rule(n, breaks)
+
+
+# one entry per (n, real breaks) key: a density's cusps, or none for the
+# Poisson normalization; each rule is a few hundred KB at most
+@lru_cache(maxsize=16)
+def _real_rule(n: int, breaks: tuple):
+    """The rule of :func:`_build_graded_rule` as read-only arrays, shared by
+    every caller with these real breaks."""
+    t, w = _build_graded_rule(n, breaks)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _build_graded_rule(n: int, breaks):
     """Nodes t and weights w of the graded rule, n nodes per panel.
 
     A break x or x + i d cuts theta at arctan(x); each side of a cut grades
@@ -164,6 +192,12 @@ def integrate_line_graded(fn, n: int, breaks=()):
     ``fn`` is called once, on the nodes of every panel; the panel sums are
     then added in panel order, so the value does not depend on how the
     integrand batches its work.
+
+    With real breaks only, the rule comes from a memo (:func:`_real_rule`)
+    and ``fn`` receives its read-only nodes: an integrand that writes into
+    them raises.  The rule of complex breaks is not kept: their poles come
+    from drawn Weyl densities, they never repeat, and each such rule, up to
+    a few hundred KB, would push the repeating real-break rules out.
     """
     t, w = _graded_rule(n, breaks)
     return _reduce(w, fn(t), n)

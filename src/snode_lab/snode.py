@@ -126,6 +126,14 @@ class SNode:
             raise NotPositiveDefinite("leading block not positive definite", order=order) from exc
 
     @cached_property
+    def S_diag_inv(self) -> np.ndarray:
+        """The (n, p, p) inverses of the diagonal blocks of ``S_chol``'s
+        factor (read-only), for :func:`matcore.block_forward`."""
+        out = matcore.diagonal_inverses(self.S_chol.factor, self.p)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def SinvPi(self) -> np.ndarray:
         """S^{-1} Pi (read-only)."""
         out = self.S_chol.solve(self.Pi)
@@ -313,8 +321,7 @@ def leading_rho(node: SNode, z: complex) -> np.ndarray:
     factor."""
     w = np.array([z])
     V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
-    L = node.S_chol.factor
-    y = matcore.block_forward(L, matcore.diagonal_inverses(L, node.p), V).reshape(-1, node.p, node.p)
+    y = matcore.block_forward(node.S_chol.factor, node.S_diag_inv, V).reshape(-1, node.p, node.p)
     grams = np.cumsum(y.conj().swapaxes(1, 2) @ y, axis=0)
     return matcore.hermitian_part(1j * (np.conj(z) - z) * grams)
 

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from snode_lab import cli, matcore, toeplitz
+from snode_lab import cli, matcore, quadrature, toeplitz
+from snode_lab.errors import NonFiniteEntries, SnodeLabError
 
 
 def run(args):
@@ -676,6 +677,41 @@ def test_asymptotics_names_a_lost_poisson_normalization_as_a_plain_float(tmp_pat
     path.write_text(json.dumps({"command": "asymptotics", "lambda": [0, 1e-300]}))
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: asymptotics: poisson normalization 1.198e-296 != pi\n"
+
+
+def test_entropy_next_to_the_axis_names_the_witness_pair(tmp_path, capsys):
+    # lambda = 1e-300 i: the witness's Weyl value is ~1/Im(lambda), and its
+    # pair's gram R*R + Q*Q overflows; the exit code is 2, not a traceback
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "entropy", "lambda": [0, 1e-300]}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entropy: witness pair at lambda = 1e-300j: ") and "overflows" in err
+    assert not (tmp_path / "report_entropy.json").exists()
+    # a non-finite matrix is a typed library error, and still a ValueError
+    with pytest.raises(NonFiniteEntries, match="matrix entries must be finite") as caught:
+        matcore.hermitian_part(np.full((2, 2), np.inf))
+    assert isinstance(caught.value, SnodeLabError) and isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"command": "asymptotics", "density": {"name": "exp_sqrt"}, "max_order": 3, "lambda": [0.3, 1.2]},
+        {"command": "entropy", "lambda": [0.2, 1.1]},
+    ],
+    ids=["asymptotics", "entropy"],
+)
+def test_reports_are_the_same_from_a_cold_and_a_warm_rule_memo(tmp_path, params):
+    quadrature._real_rule.cache_clear()
+    texts = []
+    for side in ("cold", "warm"):
+        sc = cli.Scenario(command=params["command"], out_dir=str(tmp_path / side), seed=5, params=params)
+        code, path = cli.run_scenario(sc)
+        assert code == 0
+        texts.append(path.read_bytes())
+    assert quadrature._real_rule.cache_info().hits > 0
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,43 @@ def test_graded_rule_calls_integrand_once():
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("breaks", [(), (0.0,), (-1.0, 0.5)])
+def test_a_real_break_rule_is_built_once_as_read_only_arrays(breaks):
+    quadrature._real_rule.cache_clear()
+    t, w = quadrature._graded_rule(24, breaks)
+    again = quadrature._graded_rule(24, list(breaks))
+    assert again[0] is t and again[1] is w
+    info = quadrature._real_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    fresh_t, fresh_w = quadrature._build_graded_rule(24, breaks)
+    assert np.array_equal(t, fresh_t) and np.array_equal(w, fresh_w)
+    assert not t.flags.writeable and not w.flags.writeable
+    # another node count is its own rule
+    assert quadrature._graded_rule(48, breaks)[0].size == 2 * t.size
+
+
+def test_a_complex_break_rule_is_not_retained():
+    quadrature._real_rule.cache_clear()
+    pole = (complex(0.5, 1e-3),)
+    t, w = quadrature._graded_rule(24, pole)
+    assert quadrature._real_rule.cache_info().currsize == 0
+    assert quadrature._graded_rule(24, pole)[0] is not t
+    # a break on the axis given as a complex number is a real one
+    quadrature._graded_rule(24, (complex(0.5, 0.0),))
+    assert quadrature._real_rule.cache_info().currsize == 1
+
+
+def test_an_integrand_that_writes_into_its_nodes_raises():
+    def shifting(t):
+        t -= 1.0
+        return np.exp(-np.abs(t))
+
+    with pytest.raises(ValueError, match="read-only"):
+        quadrature.integrate_line_graded(shifting, 24, breaks=(0.0,))
+    # the memoized rule is unchanged
+    assert np.array_equal(quadrature._graded_rule(24, (0.0,))[0], quadrature._build_graded_rule(24, (0.0,))[0])
+
+
 @pytest.mark.parametrize("support", [(-1.0, 1.0), (0.5, 3.0)])
 def test_uniform_moments_on_the_ladder(monkeypatch, support):
     a, b = support

@@ -326,6 +326,20 @@ def test_matrix_ball_invariants(rng):
         assert np.max(np.abs(ball.right_radius @ ball.right_radius - matcore.inv_hpd(ball.rho_value))) <= 1e-9
 
 
+def test_matrix_ball_inverts_the_diagonal_blocks_once(monkeypatch):
+    node = random_nodes(seed=5, count=1)[0]
+    calls = []
+    original = matcore.diagonal_inverses
+    monkeypatch.setattr(matcore, "diagonal_inverses", lambda L, p: calls.append(p) or original(L, p))
+    ball = snode.matrix_ball(node, 0.3 + 1.1j)
+    assert calls == [node.p]
+    assert not node.S_diag_inv.flags.writeable
+    assert np.array_equal(node.S_diag_inv, original(node.S_chol.factor, node.p))
+    # the kept inverses give the same rho, bitwise, as a fresh node
+    fresh = snode.SNode(node.p, node.shift, node.S, node.Phi1, node.Phi2)
+    assert np.array_equal(ball.rho_reversed, snode.rho(fresh, 0.3 - 1.1j))
+
+
 def test_ball_membership_center_and_roundtrip(hankel_unit, rng):
     _, node = hankel_unit
     ball = snode.matrix_ball(node, 1j)
