@@ -195,17 +195,12 @@ class _VanishingDensity(Exception):
     pass
 
 
-def _weighted_log_det(P: DensityFn):
-    """The integrand t -> ln det P(t) / (1 + t^2); it raises
-    :class:`_VanishingDensity` on points where det P vanishes."""
-
-    def integrand(ts):
-        ld = P.log_det_at(ts)
-        if np.any(~np.isfinite(ld)):
-            raise _VanishingDensity()
-        return ld / (1.0 + ts * ts)
-
-    return integrand
+def _finite_log_det(P: DensityFn, ts: np.ndarray) -> np.ndarray:
+    """ln det P(ts); raises :class:`_VanishingDensity` where det P vanishes."""
+    ld = P.log_det_at(ts)
+    if np.any(~np.isfinite(ld)):
+        raise _VanishingDensity()
+    return ld
 
 
 def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,10 +252,7 @@ def _outer_moduli(Ps, lam: complex) -> list:
     for P in Ps:
 
         def integrand(ts):
-            ld = P.log_det_at(ts)
-            if np.any(~np.isfinite(ld)):
-                raise _VanishingDensity()
-            return w(ts) * ld
+            return w(ts) * _finite_log_det(P, ts)
 
         try:
             value = quadrature.integrate_with_check(
@@ -520,8 +512,11 @@ def limit_inequality_demo(p_seq: Callable[[int], DensityFn]) -> LimitInequalityR
         panels = max(64, int(4 * k * (b - a) / (2.0 * np.pi)))
         cuts = (*np.linspace(a, b, panels + 1)[1:-1], *P.breaks)
 
+        def integrand(ts):
+            return _finite_log_det(P, ts) / (1.0 + ts * ts)
+
         try:
-            value = quadrature.integrate_with_check(_weighted_log_det(P), (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
+            value = quadrature.integrate_with_check(integrand, (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
         except _VanishingDensity:
             return -np.inf
         return float(value)

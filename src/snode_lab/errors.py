@@ -107,7 +107,3 @@ class Unsupported(SnodeLabError):
 
 class QuadratureNotConverged(SnodeLabError):
     pass
-
-
-class NotConverged(SnodeLabError):
-    pass

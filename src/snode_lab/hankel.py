@@ -18,7 +18,9 @@ node's transfer matrix.
 Moment recovery runs two independent routes for a Weyl function phi of the
 node: the expansion coefficients of -phi at infinity, by the trapezoid rule
 on a full circle outside the poles of phi, and quadrature of t^k against the
-boundary density of phi.
+boundary density of phi.  The same circle rule and density give the
+interpolation data (gamma, theta, mu) of the Weyl function of a node with
+invertible A, from which :func:`interp_residual` rebuilds S and Phi1.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     SingularDenominator,
     Unsupported,
 )
-from .snode import Frame, ParamPair, SNode, as_frame, lft
+from .snode import Frame, ParamPair, SNode, _resolvent, as_frame, lft, node_frame
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,8 @@ class MomentReport:
         return float(np.linalg.eigvalsh(gap)[-1])
 
 
-# the recovery circle |z| = R lies this factor outside the farthest zero of det F
+# the circle |z| = R of moment recovery and of the interpolation data lies
+# this factor outside the farthest pole of the Weyl function
 _RECOVER_MARGIN = 1.5
 
 
@@ -415,4 +418,60 @@ def recover_moments(
         tail_order=tail_order,
         tail_integral=tail,
         tail_reference=spec.H[tail_order],
+    )
+
+
+def interp_residual(node: SNode, pair: ParamPair):
+    """Rebuild (S, Phi1) from the interpolation data of the Weyl function
+    phi = lft(node_frame(node), pair) and report both residuals.
+
+    The data are those of the representation
+    phi(z) = gamma z + theta + integral (1 + t z)/((t - z)(1 + t^2)) mu'(t) dt.
+    One :func:`_weyl_densities` call gives the density mu' and the zeros of
+    det F.  gamma is coefficient 0 of w phi(1/w), by
+    :func:`quadrature.circle_coefficients` on |w| = 1/R with
+    R = :data:`_RECOVER_MARGIN` * max(1, |1/c|, max |zero of det F|), which
+    clears every pole of phi and the frame's pole at 1/conj(c); a pole left
+    outside |z| = R fails the rule's negative-power check.  theta is the
+    Hermitian part of phi(i).  The rebuilt data are
+
+        S~    = integral (I - tA)^{-1} Phi2 mu'(t) Phi2* (I - tA*)^{-1} dt + F F*,
+        Phi1~ = -i integral (A (I - tA)^{-1} + t/(1+t^2) I) Phi2 mu'(t) dt
+                + i (Phi2 theta + F gamma^{1/2}),
+
+    where A F = Phi2 gamma^{1/2}; the integrals run over the full line on
+    the graded rule of the density's breaks, as full-line moments do.
+    Returns (||S - S~||, ||Phi1 - Phi1~||).  Requires A invertible (c != 0,
+    not so for a Hankel node); raises :class:`Unsupported` otherwise.
+    """
+    m, p = node.m, node.p
+    c = node.shift[0]
+    if c == 0:
+        raise Unsupported("A has a zero eigenvalue")
+    frm = node_frame(node)
+    [density], [roots] = _weyl_densities(frm, [pair])
+    radius = _RECOVER_MARGIN * max(1.0, 1.0 / abs(c), float(np.max(np.abs(roots), initial=0.0)))
+    [gamma] = quadrature.circle_coefficients(
+        lambda ws: ws[:, None, None] * lft(frm, pair, 1.0 / ws), 1.0 / radius, 1, 1e-8, "gamma coefficient"
+    )
+    gamma_half = matcore.sqrtm_psd(matcore.hermitian_part(gamma))
+    theta = matcore.hermitian_part(lft(frm, pair, 1j))
+    F = _resolvent(node, np.zeros(1), 1.0, node.Phi2 @ gamma_half, np.zeros(1))[0]
+
+    def pieces(ts):
+        mu = density(ts)
+        V = _resolvent(node, 1.0, -ts, node.Phi2, ts)
+        s_terms = V @ mu @ np.swapaxes(V, 1, 2).conj()
+        tail = (ts / (1.0 + ts * ts))[:, None, None] * node.Phi2
+        phi_terms = -1j * ((node.A @ V + tail) @ mu)
+        return np.concatenate([s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1)
+
+    flat = quadrature.integrate_with_check(
+        pieces, (-np.inf, np.inf), density.breaks, 2048, 1e-8, "interpolation integrals"
+    )
+    S_tilde = flat[: m * m].reshape(m, m) + F @ F.conj().T
+    Phi1_tilde = flat[m * m :].reshape(m, p) + 1j * (node.Phi2 @ theta + F @ gamma_half)
+    return (
+        matcore.frobenius(node.S - S_tilde),
+        matcore.frobenius(node.Phi1 - Phi1_tilde),
     )

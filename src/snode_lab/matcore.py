@@ -481,17 +481,17 @@ def block_forward(L: np.ndarray, Dinv: np.ndarray, B) -> np.ndarray:
     return X
 
 
-def leading_chain(pd: HermPD, Pi, p: int) -> tuple[tuple, tuple, tuple]:
+def leading_chain(L: np.ndarray, Dinv: np.ndarray, Pi) -> tuple[tuple, tuple, tuple]:
     """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp],
-    read off the Cholesky factor S = L L* of ``pd``, whose leading blocks
-    factor every S(k).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
+    read off the Cholesky factor S = L L*, whose leading blocks factor every
+    S(k), and the (n, p, p) inverses ``Dinv`` of its diagonal blocks (see
+    :func:`diagonal_inverses`).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
     bottom-right block of S(k)^{-1}; G_k is the k-th block row of L^{-1} Pi,
     by :func:`block_forward`; row_k = L_kk^{-*} G_k is the bottom block row
     of S(k)^{-1} Pi(k), so row_k* t_k^{-1} row_k = G_k* G_k.
     """
-    L = pd.factor
-    Dinv = diagonal_inverses(L, p)
-    G_rows = block_forward(L, Dinv, Pi).reshape(len(Dinv), p, -1)
+    n, p = Dinv.shape[:2]
+    G_rows = block_forward(L, Dinv, Pi).reshape(n, p, -1)
     Dinv_h = _conj_t(Dinv)
     return tuple(hermitian_part(Dinv_h @ Dinv)), tuple(Dinv_h @ G_rows), tuple(G_rows)
 
@@ -500,11 +500,8 @@ def sqrtm_hpd(M) -> np.ndarray:
     """Hermitian square root R > 0 with R @ R = M, for Hermitian M > 0 or a
     stack of them.
 
-    Accepts either a :class:`HermPD` or a plain Hermitian array.  Uses an
-    eigendecomposition; deterministic at the sizes used here.
+    Uses an eigendecomposition; deterministic at the sizes used here.
     """
-    if isinstance(M, HermPD):
-        M = M.matrix
     M = as_matrix_or_stack(M)
     assert_hermitian(M)
     w, V = np.linalg.eigh(hermitian_part(M))
@@ -520,8 +517,6 @@ def sqrtm_psd(M, tol: float | None = None) -> np.ndarray:
     Eigenvalues in [-tol, 0) are clipped to zero; anything below -tol raises
     :class:`NotPositiveDefinite`.
     """
-    if isinstance(M, HermPD):
-        M = M.matrix
     M = as_matrix(M)
     if tol is None:
         tol = default_tol(M)
@@ -536,9 +531,7 @@ def sqrtm_psd(M, tol: float | None = None) -> np.ndarray:
 def inv_hpd(M) -> np.ndarray:
     """Inverse of a Hermitian positive-definite matrix, or of each matrix of a
     stack, via its Cholesky factor."""
-    pd = M if isinstance(M, HermPD) else cholesky_pd(M)
-    out = pd.inv()
-    return hermitian_part(out)
+    return hermitian_part(cholesky_pd(M).inv())
 
 
 def block(rows) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Finite symmetric S-nodes {A, S, Pi}: identity verification, transfer
 matrices and frames, the node chain and its elementary factors, the rho
 characteristic, property-J parameter pairs, linear-fractional Weyl
-functions, Herglotz data extraction, interpolation residuals, and the Weyl
-matrix ball.
+functions, and the Weyl matrix ball.
 
 Conventions used throughout:
 
@@ -37,17 +36,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import matcore, quadrature, serialization
+from . import matcore, serialization
 from .errors import (
     DimensionMismatch,
     InvalidPair,
-    NotConverged,
     NotInUpperHalfPlane,
     NotPositiveDefinite,
     PoleAtLambda,
     SingularDenominator,
     SingularResolvent,
-    Unsupported,
 )
 
 _SINGULAR_RCOND = 1e-13
@@ -58,11 +55,6 @@ _POLE_TOL = 1e-12
 
 # tolerance of the property-J conditions checked by validate_pair
 _PAIR_TOL = 1e-9
-
-# relative agreement asked of the two Herglotz gamma estimates, and the
-# first of those estimates' points i * eta
-_EXTRACT_TOL = 1e-6
-_HERGLOTZ_ETA = 2.5e3
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,8 @@ class SNode:
     @cached_property
     def S_diag_inv(self) -> np.ndarray:
         """The (n, p, p) inverses of the diagonal blocks of ``S_chol``'s
-        factor (read-only), for :func:`matcore.block_forward`."""
+        factor (read-only), for :func:`matcore.block_forward` and
+        :func:`matcore.leading_chain`."""
         out = matcore.diagonal_inverses(self.S_chol.factor, self.p)
         out.setflags(write=False)
         return out
@@ -202,10 +195,11 @@ class NodeChain:
 
 
 def node_chain(node: SNode) -> NodeChain:
-    """The chain of a node, read off its one Cholesky factor ``node.S_chol``;
-    raises :class:`NotPositiveDefinite` at the first order whose leading
-    block fails."""
-    ts, rows, Gs = matcore.leading_chain(node.S_chol, node.Pi, node.p)
+    """The chain of a node, read off its one Cholesky factor ``node.S_chol``
+    and the inverses ``node.S_diag_inv`` of its diagonal blocks; raises
+    :class:`NotPositiveDefinite` at the first order whose leading block
+    fails."""
+    ts, rows, Gs = matcore.leading_chain(node.S_chol.factor, node.S_diag_inv, node.Pi)
     return NodeChain(p=node.p, c=node.shift[0], t=ts, rows=rows, G=Gs)
 
 
@@ -452,85 +446,6 @@ def lft(frm: Frame, pair: ParamPair, z_or_zs) -> np.ndarray:
     R, Q = pair.at(zs)
     out = lft_stack(frm(zs), R, Q, zs)
     return out if np.ndim(z_or_zs) else out[0]
-
-
-def herglotz_params(phi):
-    """Estimate (gamma, theta) of the representation
-    phi(z) = gamma z + theta + integral (1 + t z)/((t - z)(1 + t^2)) dmu.
-
-    gamma is the limit of Im phi(i eta)/eta, Richardson-extrapolated in
-    1/eta and cross-checked at two scales (eta = :data:`_HERGLOTZ_ETA` and
-    twice that); theta is Re phi(i).
-    """
-
-    def gamma_hat(e):
-        v = np.asarray(phi(1j * e), dtype=complex)
-        return (v - v.conj().T) / (2j * e)
-
-    def extrapolated(e):
-        return 2.0 * gamma_hat(2.0 * e) - gamma_hat(e)
-
-    g1 = extrapolated(_HERGLOTZ_ETA)
-    g2 = extrapolated(2.0 * _HERGLOTZ_ETA)
-    scale = 1.0 + float(np.max(np.abs(g2)))
-    drift = float(np.max(np.abs(g2 - g1)))
-    if drift > _EXTRACT_TOL * scale:
-        raise NotConverged("gamma estimate unstable along the imaginary ray")
-    gamma = matcore.hermitian_part(g2)
-    # clip the small negative eigenvalues left by extrapolation residue
-    w, V = np.linalg.eigh(gamma)
-    if w.size and w[0] < -max(1e-8 * scale, 5.0 * drift):
-        raise NotConverged(f"gamma estimate has negative eigenvalue {w[0]:.3e}")
-    gamma = (V * np.clip(w, 0.0, None)) @ V.conj().T
-    v = np.asarray(phi(1j), dtype=complex)
-    theta = matcore.hermitian_part(v)
-    return gamma, theta
-
-
-def interp_residual(node: SNode, gamma, theta, density, quad: int = 2048):
-    """Rebuild (S, Phi1) from interpolation data and report both residuals.
-
-    Given gamma >= 0, theta = theta*, and a density mu'(t) (a
-    :class:`DensityFn` of p x p PSD matrices), forms
-
-        S~    = integral (I - tA)^{-1} Phi2 mu'(t) Phi2* (I - tA*)^{-1} dt + F F*,
-        Phi1~ = -i integral (A (I - tA)^{-1} + t/(1+t^2) I) Phi2 mu'(t) dt
-                + i (Phi2 theta + F gamma^{1/2}),
-
-    where A F = Phi2 gamma^{1/2}, and returns (||S - S~||, ||Phi1 - Phi1~||).
-    The integrals run over the full line around the density's breaks, on
-    the rule that :func:`quadrature.integrate_with_check` picks for ``quad``,
-    as full-line moments do.
-    Requires A invertible (c != 0, not so for a Hankel node); raises :class:`Unsupported` otherwise.
-    """
-    m, p = node.m, node.p
-    if node.shift[0] == 0:
-        raise Unsupported("A has a zero eigenvalue")
-    gamma = matcore.hermitian_part(np.asarray(gamma, dtype=complex))
-    theta = matcore.hermitian_part(np.asarray(theta, dtype=complex))
-    gamma_half = matcore.sqrtm_psd(gamma)
-    F = _resolvent(node, np.zeros(1), 1.0, node.Phi2 @ gamma_half, np.zeros(1))[0]
-
-    def pieces(ts):
-        ts = np.asarray(ts, dtype=float)
-        mu = np.asarray(density(ts), dtype=complex)
-        V = _resolvent(node, 1.0, -ts, node.Phi2, ts)
-        s_terms = V @ mu @ np.swapaxes(V, 1, 2).conj()
-        tail = (ts / (1.0 + ts * ts))[:, None, None] * node.Phi2
-        phi_terms = -1j * ((node.A @ V + tail) @ mu)
-        return np.concatenate([s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1)
-
-    flat = quadrature.integrate_with_check(
-        pieces, (-np.inf, np.inf), density.breaks, quad, 1e-8, "interpolation integrals"
-    )
-    S_mu = flat[: m * m].reshape(m, m)
-    Phi1_mu = flat[m * m :].reshape(m, p)
-    S_tilde = S_mu + F @ F.conj().T
-    Phi1_tilde = Phi1_mu + 1j * (node.Phi2 @ theta + F @ gamma_half)
-    return (
-        matcore.frobenius(node.S - S_tilde),
-        matcore.frobenius(node.Phi1 - Phi1_tilde),
-    )
 
 
 @dataclass(frozen=True)

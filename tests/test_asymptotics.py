@@ -275,8 +275,9 @@ def test_quotient_node_forms_no_inverse_and_no_second_factor(monkeypatch, family
         counted(module, name)
     for ik in range(4):
         asymptotics.quotient_node(seq, ik, 4)
-    # nothing but the chain's one batched inverse of the 2 x 2 diagonal blocks of L
-    assert calls == [("inv", (2, 2))] * 4
+    # nothing but one batched inverse of the 2 x 2 diagonal blocks of L, kept
+    # on the level's node for every chain read off it
+    assert calls == [("inv", (2, 2))]
 
 
 def test_frame_quotient_factors_nothing_once_the_level_factors_exist(monkeypatch):

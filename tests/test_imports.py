@@ -65,7 +65,6 @@ def test_every_error_class_is_raised_or_subclassed(name):
 UNCALLED = {
     "dirac_frame": "ROADMAP item 12: the khrushchev tests' reference, to move into tests/",
     "frame_quotient": "ROADMAP item 13b: the Hankel Khrushchev separation row",
-    "herglotz_params": "ROADMAP item 4: the interpolation theorem as a CLI check",
     "interp_residual": "ROADMAP item 4: the interpolation theorem as a CLI check",
     "recover_moments": "ROADMAP item 7: moment recovery rows in verify-hankel",
     "taylor_recover": "ROADMAP items 4 and 12",

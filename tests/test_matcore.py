@@ -189,7 +189,8 @@ def dense_bottom_rows(S, Pi, p, k):
 def leading_chain_errors(node, p):
     """Per order: relative error of [t_k  row_k] against the dense solve, and
     of the Gram identity row_k* t_k^{-1} row_k = G_k* G_k."""
-    ts, rows, Gs = matcore.leading_chain(node.S_chol, node.Pi, p)
+    L = node.S_chol.factor
+    ts, rows, Gs = matcore.leading_chain(L, matcore.diagonal_inverses(L, p), node.Pi)
     for k, (t, row, G) in enumerate(zip(ts, rows, Gs), start=1):
         ref = dense_bottom_rows(node.S, node.Pi, p, k)
         got = np.hstack([t, row])
@@ -252,7 +253,7 @@ def test_leading_chain_reports_first_failing_order_block():
     )
     node = toeplitz.build_toeplitz_node(spec)
     with pytest.raises(NotPositiveDefinite) as err:
-        matcore.leading_chain(node.S_chol, node.Pi, 2)
+        matcore.leading_chain(node.S_chol.factor, node.S_diag_inv, node.Pi)
     assert err.value.order == 3
 
 

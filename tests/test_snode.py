@@ -1,4 +1,3 @@
-import functools
 import re
 import sys
 
@@ -14,6 +13,7 @@ from snode_lab.errors import (
     InvalidPair,
     NotInUpperHalfPlane,
     PoleAtLambda,
+    QuadratureNotConverged,
     SingularDenominator,
     SingularResolvent,
     Unsupported,
@@ -205,17 +205,6 @@ def test_lft_herglotz_positivity(rng):
         assert matcore.min_eig_hermitian(imag) >= -1e-9
 
 
-def test_herglotz_params_unstable_raises():
-    from snode_lab.errors import NotConverged
-
-    def wobbling(z):
-        eta = abs(z)
-        return np.array([[1j * eta * (1.0 + 0.5 * np.sin(np.log(eta)))]])
-
-    with pytest.raises(NotConverged):
-        snode.herglotz_params(wobbling)
-
-
 def test_lft_singular_denominator(hankel_unit):
     from snode_lab.errors import SingularDenominator
 
@@ -226,32 +215,37 @@ def test_lft_singular_denominator(hankel_unit):
         snode.lft(snode.node_frame(node), pair, z0)
 
 
-def test_herglotz_params_examples():
-    gamma, theta = snode.herglotz_params(lambda z: np.array([[z]]))
-    assert gamma[0, 0].real == pytest.approx(1.0, abs=1e-9)
-    assert abs(theta[0, 0]) <= 1e-9
+def _interp_corpus(s):
+    """Node and pair s of the seeded interpolation corpus (s = 500..523): a
+    Toeplitz spec at p = 1..2 and n = 2..4, the unit pair at even s and a
+    random constant pair at odd s."""
+    rng = np.random.default_rng(s)
+    p, n = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    spec = sampling.random_toeplitz_spec(rng, p, n)
+    if s % 2:
+        pair = sampling.random_constant_pair(rng, p)
+    else:
+        pair = snode.ParamPair.constant(np.eye(p, dtype=complex), np.eye(p, dtype=complex))
+    return toeplitz.build_toeplitz_node(spec), pair
 
-    theta0 = np.array([[2.5]])
-    gamma, theta = snode.herglotz_params(lambda z: theta0.astype(complex))
-    assert abs(gamma[0, 0]) <= 1e-9
-    assert theta[0, 0].real == pytest.approx(2.5)
 
-    gamma, _ = snode.herglotz_params(lambda z: np.array([[-1.0 / (z + 1j)]]))
-    assert abs(gamma[0, 0]) <= 1e-9
-
-
-def test_interp_residual_toeplitz(unit_pair):
+def _interp_toeplitz_node():
     spec = toeplitz.ToeplitzSpec(
         p=1, n=2, s=(np.array([[2.0]]), np.array([[0.5 + 0.3j]])), nu=np.array([[0.0]])
     )
-    node = toeplitz.build_toeplitz_node(spec)
-    frm = snode.node_frame(node)
-    phi = functools.partial(snode.lft, frm, unit_pair)
-    gamma, theta = snode.herglotz_params(phi)
-    dens = hankel.weyl_density(node, unit_pair)
-    res_s, res_phi = snode.interp_residual(node, gamma, theta, dens, quad=2048)
-    assert res_s <= 1e-4
-    assert res_phi <= 1e-4
+    return toeplitz.build_toeplitz_node(spec)
+
+
+def test_interp_residual_toeplitz(unit_pair):
+    res_s, res_phi = hankel.interp_residual(_interp_toeplitz_node(), unit_pair)
+    assert res_s <= 1e-12
+    assert res_phi <= 1e-12
+
+
+@pytest.mark.parametrize("s", range(500, 524))
+def test_interp_residual_rebuilds_every_seeded_spec(s):
+    res_s, res_phi = hankel.interp_residual(*_interp_corpus(s))
+    assert res_s <= 1e-12 and res_phi <= 1e-12
 
 
 def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
@@ -262,9 +256,7 @@ def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
         spec = sampling.random_toeplitz_spec(rng, p, n)
     node = toeplitz.build_toeplitz_node(spec)
     pair = snode.ParamPair.constant(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    gamma, theta = snode.herglotz_params(functools.partial(snode.lft, snode.node_frame(node), pair))
-    dens = hankel.weyl_density(node, pair)
-    assert len(dens.breaks) == 10
+    assert len(hankel.weyl_density(node, pair).breaks) == 10
     sizes = []
     original = quadrature._graded_rule
 
@@ -274,30 +266,59 @@ def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
         return t, w
 
     monkeypatch.setattr(quadrature, "_graded_rule", counted)
-    res_s, res_phi = snode.interp_residual(node, gamma, theta, dens, quad=2048)
+    res_s, res_phi = hankel.interp_residual(node, pair)
     # graded 54 levels toward every pole, the rules had 38,720 and 77,440 points
     assert sizes[0] < 10_000 and sizes[1] < 20_000
-    assert res_s <= 1e-4 and res_phi <= 1e-4
+    assert res_s <= 1e-12 and res_phi <= 1e-12
 
 
-def test_interp_residual_scaled_measure_fails_loudly(unit_pair):
-    spec = toeplitz.ToeplitzSpec(
-        p=1, n=2, s=(np.array([[2.0]]), np.array([[0.5 + 0.3j]])), nu=np.array([[0.0]])
-    )
-    node = toeplitz.build_toeplitz_node(spec)
-    frm = snode.node_frame(node)
-    gamma, theta = snode.herglotz_params(functools.partial(snode.lft, frm, unit_pair))
-    dens = hankel.weyl_density(node, unit_pair)
-    doubled = densities.DensityFn("x2", lambda t: 2.0 * dens(t))
-    res_s, _ = snode.interp_residual(node, gamma, theta, doubled, quad=2048)
+def test_interp_residual_shifted_theta_fails_loudly(monkeypatch):
+    node, pair = _interp_corpus(510)
+    original = hankel.lft
+
+    # theta is read off phi(i), the one call at a scalar point: shift it by 1e-6 I
+    def shifted(frm, pair, z):
+        return original(frm, pair, z) + (0.0 if np.ndim(z) else 1e-6 * np.eye(node.p))
+
+    monkeypatch.setattr(hankel, "lft", shifted)
+    res_s, res_phi = hankel.interp_residual(node, pair)
+    assert res_s <= 1e-12
+    # Phi1~ moves by i Phi2 (1e-6 I)
+    assert res_phi == pytest.approx(1e-6 * np.linalg.norm(node.Phi2), rel=1e-6)
+
+
+def test_interp_residual_scaled_measure_fails_loudly(monkeypatch, unit_pair):
+    node = _interp_toeplitz_node()
+    original = hankel._weyl_densities
+
+    def doubled(frm, pairs):
+        dens, roots = original(frm, pairs)
+        return [densities.DensityFn("x2", lambda t, d=d: 2.0 * d(t), p=d.p, breaks=d.breaks) for d in dens], roots
+
+    monkeypatch.setattr(hankel, "_weyl_densities", doubled)
+    res_s, _ = hankel.interp_residual(node, unit_pair)
     assert res_s >= 0.1 * np.linalg.norm(node.S)
+
+
+def test_interp_residual_circle_missing_a_pole_fails_loudly(monkeypatch):
+    # without the zeros of det F the circle is |z| = 1.5 |1/c| = 3, and the
+    # Weyl function keeps a pole near |z| = 14 outside it
+    node, pair = _interp_corpus(510)
+    original = hankel._weyl_densities
+
+    def rootless(frm, pairs):
+        dens, roots = original(frm, pairs)
+        return dens, [r[:0] for r in roots]
+
+    monkeypatch.setattr(hankel, "_weyl_densities", rootless)
+    with pytest.raises(QuadratureNotConverged, match="a singularity lies inside the circle"):
+        hankel.interp_residual(node, pair)
 
 
 def test_interp_residual_rejects_hankel(hankel_102, unit_pair):
     _, node = hankel_102
-    dens = hankel.weyl_density(node, unit_pair)
     with pytest.raises(Unsupported):
-        snode.interp_residual(node, np.zeros((1, 1)), np.zeros((1, 1)), dens)
+        hankel.interp_residual(node, unit_pair)
 
 
 def test_matrix_ball_hand_values(hankel_unit):
