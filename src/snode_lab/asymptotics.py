@@ -111,11 +111,9 @@ def hankel_family(spec: HankelSpec, orders=None) -> NodeSequence:
     return _family(spec, orders, build_hankel_node)
 
 
-def hankel_family_from_density(
-    density: DensityFn, max_order: int, quad: int = 2048
-) -> tuple[NodeSequence, HankelSpec]:
+def hankel_family_from_density(density: DensityFn, max_order: int) -> tuple[NodeSequence, HankelSpec]:
     """Moment blocks of ``density`` up to order 2*max_order - 2, as a family."""
-    blocks = tuple(moments_from_density(density, range(2 * max_order - 1), quad))
+    blocks = tuple(moments_from_density(density, range(2 * max_order - 1)))
     spec = HankelSpec(p=density.p, n=max_order, H=blocks)
     return hankel_family(spec), spec
 

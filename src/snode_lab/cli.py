@@ -31,7 +31,6 @@ class Scenario:
     out_dir: str = "."
     seed: int = 0
     grid: int = 30
-    quad: int = 2048
     fmt: str = "json"
     params: dict = field(default_factory=dict)
 
@@ -352,7 +351,7 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
                 f"{sc.command}: density must be a name or a {{name, params}} object, got {dens_cfg!r}"
             )
         density = densities.density_by_name(dens_cfg.get("name"), dens_cfg.get("params"))
-        seq, spec = asymptotics.hankel_family_from_density(density, max_order, quad=sc.quad)
+        seq, spec = asymptotics.hankel_family_from_density(density, max_order)
         reference = density
     elif family == "toeplitz":
         if sc.spec_path is None:
@@ -506,7 +505,7 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
         raise BadInput(f"{sc.command}: command must be one of {known}, got {sc.command!r}")
     if sc.spec_path is not None and not Path(sc.spec_path).exists():
         raise BadInput(f"{sc.command}: spec must name an existing file, got {sc.spec_path!r}")
-    for key, value, least in (("grid", sc.grid, 1), ("quad", sc.quad, 8), ("seed", sc.seed, 0)):
+    for key, value, least in (("grid", sc.grid, 1), ("seed", sc.seed, 0)):
         if value < least:
             raise BadInput(f"{sc.command}: {key} must be at least {least}, got {value!r}")
     out_dir = Path(sc.out_dir)
@@ -521,7 +520,6 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
         "seed": int(sc.seed),
         "rng": "PCG64",
         "grid": int(sc.grid),
-        "quad": int(sc.quad),
         "tolerance_scale": tol_scale,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
@@ -551,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out", default=None, help="output directory (default .)")
     parser.add_argument("--seed", type=int, default=None, help="sweep seed (default 0)")
     parser.add_argument("--grid", type=int, default=None, help="grid points for sweeps (default 30)")
-    parser.add_argument(
-        "--quad",
-        type=int,
-        default=None,
-        help="quadrature node budget (default 2048): moments on a bounded support double "
-        "from 16 nodes per piece between the density's breaks up to this cap; "
-        "full-line ones put a 64th of it, at least 24, on each graded panel",
-    )
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
@@ -575,11 +565,7 @@ def scenario_from_args(args) -> Scenario:
         data = _load_json(args.scenario, "scenario")
         if not isinstance(data, dict):
             raise BadInput(f"scenario {args.scenario} must hold a JSON object, got {type(data).__name__}")
-        params = {
-            k: v
-            for k, v in data.items()
-            if k not in {"command", "spec", "seed", "grid", "quad", "out", "format"}
-        }
+        params = {k: v for k, v in data.items() if k not in {"command", "spec", "seed", "grid", "out", "format"}}
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -592,6 +578,8 @@ def scenario_from_args(args) -> Scenario:
     for key in ("spec", "out"):
         if key in data and not isinstance(data[key], str):
             raise BadInput(f"{command}: {key} must be a string, got {data[key]!r}")
+    if "quad" in data:  # a retired field: refused, not passed on as an unread parameter
+        raise BadInput(f"{command}: quad is no longer a scenario field: moment integrals have one node budget")
     if data.get("format", "json") not in ("json", "csv"):
         raise BadInput(f"{command}: format must be 'json' or 'csv', got {data['format']!r}")
     return Scenario(
@@ -600,7 +588,6 @@ def scenario_from_args(args) -> Scenario:
         out_dir=pick(args.out, "out", "."),
         seed=_as_int(command, "seed", pick(args.seed, "seed", 0)),
         grid=_as_int(command, "grid", pick(args.grid, "grid", 30)),
-        quad=_as_int(command, "quad", pick(args.quad, "quad", 2048)),
         fmt=pick(args.fmt, "format", "json"),
         params=params,
     )

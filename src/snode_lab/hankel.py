@@ -173,7 +173,14 @@ def _powers(ts, ks):
         yield power
 
 
-def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.ndarray:
+# _MOMENT_QUAD: node budget of every moment and interpolation integral ((32, 64)
+# per graded panel, a ladder up to (2048, 4096) on an interval); _RECOVER_MARGIN:
+# the circle |z| = R of both lies this factor outside the farthest pole of phi
+_MOMENT_QUAD = 2048
+_RECOVER_MARGIN = 1.5
+
+
+def moments_from_density(density: DensityFn, orders) -> np.ndarray:
     """H_k = integral t^k P(t) dt for every k in ``orders``, stacked; an int
     order gives its block alone.
 
@@ -187,8 +194,8 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
     bits that do not depend on the sign of t.  Each order has its own
     doubled-node convergence check; the first order, in the given sequence,
     that fails raises.  The rule follows from the density's support and
-    ``quad`` (see :func:`quadrature.integrate_with_check`), cut or graded at
-    the density's breaks.  On the full line each order must also be
+    :data:`_MOMENT_QUAD` (see :func:`quadrature.integrate_with_check`), cut
+    or graded at the density's breaks.  On the full line each order must be
     absolutely integrable: the smooth majorant (1 + t^2)^(k/2) tr P(t) of
     |t|^k |P(t)| gets its own check, ahead of the order's value, so a
     divergent moment raises naming the lowest divergent order.  No orders
@@ -222,9 +229,7 @@ def moments_from_density(density: DensityFn, orders, quad: int = 2048) -> np.nda
                 yield power[:, None, None] * values
 
         names = [item for name in names for item in (f"{name} absolute", name)]
-    blocks = quadrature.integrate_with_check(
-        integrand, density.support, density.breaks, quad, 1e-8, names
-    )
+    blocks = quadrature.integrate_with_check(integrand, density.support, density.breaks, _MOMENT_QUAD, 1e-8, names)
     if not density.bounded_support:
         blocks = blocks[1::2]
     out = np.stack([matcore.hermitian_part(b) for b in blocks])
@@ -331,7 +336,10 @@ def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
     degree ``clear_degree``, fitted to its values at that many points plus
     three, as :meth:`numpy.polynomial.Polynomial.fit` fits it (the points
     mapped onto [-1, 1]), for all evaluators in one least-squares solve with
-    one column each."""
+    one column each.  Trailing coefficients below 1e-10 of the largest are
+    dropped: where F is singular at infinity det F has a lower degree, and
+    its rounding (~1e-14 of the largest; a true one is >= 0.2 at p <= 2,
+    n <= 4) would give zeros near 1e16."""
     deg = frm.clear_degree
     span = 3.0 + deg
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
@@ -340,7 +348,7 @@ def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
     poly = np.polynomial
     domain, window = poly.polyutils.getdomain(fit_ts), poly.Polynomial.window
     coefs = poly.polynomial.polyfit(poly.polyutils.mapdomain(fit_ts, domain, window), qvals, deg)
-    return [poly.Polynomial(c, domain, window).roots() for c in coefs.T]
+    return [poly.Polynomial(c, domain, window).trim(1e-10 * np.max(np.abs(c))).roots() for c in coefs.T]
 
 
 @dataclass(frozen=True)
@@ -370,14 +378,7 @@ class MomentReport:
         return float(np.linalg.eigvalsh(gap)[-1])
 
 
-# the circle |z| = R of moment recovery and of the interpolation data lies
-# this factor outside the farthest pole of the Weyl function
-_RECOVER_MARGIN = 1.5
-
-
-def recover_moments(
-    spec: HankelSpec, pair: ParamPair, orders=None, quad: int = 2048
-) -> MomentReport:
+def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentReport:
     """Recover H_k (k <= 2n-3) from the Weyl function of the node and certify
     integral t^{2n-2} dmu <= H_{2n-2}.
 
@@ -409,7 +410,7 @@ def recover_moments(
     laurent = [matcore.hermitian_part(c) for c in expansion[1:]]
 
     tail_order = 2 * n - 2
-    *measure, tail = moments_from_density(density, range(tail_order + 1), quad)
+    *measure, tail = moments_from_density(density, range(tail_order + 1))
     return MomentReport(
         orders=orders,
         laurent=tuple(laurent[k] for k in orders),
@@ -467,7 +468,7 @@ def interp_residual(node: SNode, pair: ParamPair):
         return np.concatenate([s_terms.reshape(ts.size, -1), phi_terms.reshape(ts.size, -1)], axis=1)
 
     flat = quadrature.integrate_with_check(
-        pieces, (-np.inf, np.inf), density.breaks, 2048, 1e-8, "interpolation integrals"
+        pieces, (-np.inf, np.inf), density.breaks, _MOMENT_QUAD, 1e-8, "interpolation integrals"
     )
     S_tilde = flat[: m * m].reshape(m, m) + F @ F.conj().T
     Phi1_tilde = flat[m * m :].reshape(m, p) + 1j * (node.Phi2 @ theta + F @ gamma_half)

@@ -39,6 +39,7 @@ import numpy as np
 from . import matcore, serialization
 from .errors import (
     DimensionMismatch,
+    EvaluationFailure,
     InvalidPair,
     NotInUpperHalfPlane,
     NotPositiveDefinite,
@@ -278,13 +279,14 @@ class Frame:
 
 
 def node_frame(node: SNode) -> Frame:
-    m, p = node.m, node.p
+    m, c = node.m, node.shift[0]
     return Frame(
-        p=p,
+        p=node.p,
         fn=lambda z_or_zs: frame(node, z_or_zs),
-        # det(I - t A*)^p: I - t A* is triangular with diagonal 1 - t conj(c)
-        pole_clear=lambda ts: (1.0 - np.asarray(ts, dtype=complex) * np.conj(node.shift[0])) ** (m * p),
-        clear_degree=p * (m + 1),
+        # A - c I is nilpotent of index n = m / p: each entry of F has degree <= n
+        # over (1 - t conj(c))^n, so det F (1 - t conj(c))^m has degree <= p n = m
+        pole_clear=lambda ts: (1.0 - np.asarray(ts, dtype=complex) * np.conj(c)) ** m,
+        clear_degree=m,
     )
 
 
@@ -522,8 +524,18 @@ def ball_membership(ball: MatrixBall, value_or_values):
 
     u = L (rho_rev value + i aleph_12) rho^{1/2},  L = (-rho_rev)^{-1/2}, in
     that association, by two :func:`matcore.sandwich` calls over the stack.
+    Raises :class:`EvaluationFailure` where eps (|center| + |L| |Rr|), |M| the
+    largest entry modulus, exceeds 1 + max |value|: no digit of the values
+    survives, as next to the real axis, where both grow like 1 / Im z.
     """
     values = matcore.as_matrix_or_stack(value_or_values)
+    radius = float(np.max(np.abs(ball.left_radius)) * np.max(np.abs(ball.right_radius)))
+    centre, size = float(np.max(np.abs(ball.center))), float(np.max(np.abs(values)))
+    if np.finfo(float).eps * (centre + radius) > 1.0 + size:
+        raise EvaluationFailure(
+            f"the ball at z = {ball.z} has degenerated: its radius scale {radius:.3e} and centre "
+            f"{centre:.3e} hold no digit of values of size {size:.3e}"
+        )
     p = ball.p
     a12 = ball.aleph[:p, p:]
     inner = matcore.sandwich(ball.rho_reversed, values, None) + 1j * a12

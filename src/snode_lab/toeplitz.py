@@ -296,8 +296,9 @@ def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
     return Frame(
         p=p,
         fn=lambda z_or_zs: frame_toeplitz(chain, order, z_or_zs),
+        # the frame is (1 - i z/2)^(-order) times a polynomial of degree order
         pole_clear=lambda ts: (1.0 - 0.5j * np.asarray(ts, dtype=complex)) ** (order * p),
-        clear_degree=p * (order + 1),
+        clear_degree=p * order,
     )
 
 

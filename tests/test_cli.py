@@ -213,7 +213,6 @@ def test_report_is_one_line_of_sorted_key_json(tmp_path, monkeypatch, command):
         "seed": 0,
         "rng": "PCG64",
         "grid": 4,
-        "quad": 2048,
         "tolerance_scale": matcore.tolerance_scale(),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
@@ -625,7 +624,7 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("entropy", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
         ("asymptotics", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
         ("entropy", {"seed": "x"}, "seed must be an integer, got 'x'"),
-        ("asymptotics", {"quad": "q"}, "quad must be an integer, got 'q'"),
+        ("asymptotics", {"quad": "q"}, "quad is no longer a scenario field: moment integrals have one node budget"),
         ("khrushchev", {"grid": 2.5}, "grid must be an integer, got 2.5"),
         ("khrushchev", {"count": 2.7}, "count must be an integer, got 2.7"),
         ("entropy", {"pairs": 1.5}, "pairs must be an integer, got 1.5"),
@@ -650,7 +649,7 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("asymptotics", {"family": 3}, "family must be 'hankel' or 'toeplitz', got 3"),
         ("asymptotics", {"family": "toeplitz"}, "spec must be given for family 'toeplitz', got None"),
         ("ball", {"grid": 0}, "grid must be at least 1, got 0"),
-        ("asymptotics", {"quad": 4}, "quad must be at least 8, got 4"),
+        ("asymptotics", {"quad": 2048}, "quad is no longer a scenario field: moment integrals have one node budget"),
         ("entropy", {"seed": -3}, "seed must be at least 0, got -3"),
         ("verify-hankel", {"spec": "missing.json"}, "spec must name an existing file, got 'missing.json'"),
         ("nope", {}, "command must be one of asymptotics, ball, demo-appendixB, entropy, "),
@@ -677,6 +676,18 @@ def test_asymptotics_names_a_lost_poisson_normalization_as_a_plain_float(tmp_pat
     path.write_text(json.dumps({"command": "asymptotics", "lambda": [0, 1e-300]}))
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: asymptotics: poisson normalization 1.198e-296 != pi\n"
+
+
+def test_ball_next_to_the_axis_names_its_degenerate_ball(tmp_path, capsys):
+    # z = 1e-300 i: centre and radius scale 5e299, so center - L u Rr keeps no
+    # digit of the values; the run exits 2 naming z, not 1 on B0 = 2.74
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": [0, 1e-300]}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: ball: the ball at z = 1e-300j has degenerated: its radius scale 5.000e+299 and centre 5.000e+299 "
+    )
+    assert not (tmp_path / "report_ball.json").exists()
 
 
 def test_entropy_next_to_the_axis_names_the_witness_pair(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_spike_table_moments_are_exact(monkeypatch):
     monkeypatch.setattr(
         quadrature, "gauss_legendre", lambda lo, hi, n: sizes.append(n) or original(lo, hi, n)
     )
-    got = hankel.moments_from_density(spike, range(4), quad=2048)
+    got = hankel.moments_from_density(spike, range(4))
     # t^k is integrated against the hat 100 (0.01 - |t - 0.5|) on (0.49, 0.51)
     exact = [1.0, 0.5, 0.25 + 1e-4 / 6.0, 0.125 + 1e-4 / 4.0]
     assert np.max(np.abs(got[:, 0, 0] - exact)) <= 1e-14
@@ -342,9 +342,9 @@ def test_integral_float_orders_are_their_integers():
 
 
 def test_absolute_checks_leave_the_moment_values_alone():
-    # quad=2048 gives the pair (32, 64) on the line; the value is the fine one
+    # the moment budget gives the pair (32, 64) on the line; the value is the fine one
     orders = range(3)
-    got = hankel.moments_from_density(_WEYL, orders, quad=2048)
+    got = hankel.moments_from_density(_WEYL, orders)
     fine = quadrature.integrate_line_graded(
         lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, breaks=_WEYL.breaks
     )

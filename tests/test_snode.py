@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from snode_lab import asymptotics, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
     DimensionMismatch,
+    EvaluationFailure,
     InvalidPair,
     NotInUpperHalfPlane,
     PoleAtLambda,
@@ -248,15 +249,59 @@ def test_interp_residual_rebuilds_every_seeded_spec(s):
     assert res_s <= 1e-12 and res_phi <= 1e-12
 
 
+def _zeros_inside(denominator, centre, radius):
+    """Zeros of det F inside the circle |t - centre| = radius, with their
+    multiplicities, by the argument principle on 64 points."""
+    ts = centre + radius * np.exp(2j * np.pi * np.arange(64) / 64)
+    dets = np.linalg.det(denominator(ts))
+    return round(float(np.sum(np.angle(np.roll(dets, -1) / dets))) / (2 * np.pi))
+
+
+def _assert_every_fitted_zero_is_a_zero(frm, pair, count):
+    """The fitted zeros of det F, after checking there are ``count`` and
+    that a zero of det F lies within 1e-6 (relative) of each."""
+    denominator = frm.denominator(pair.R, pair.Q)
+    [roots] = hankel._denominator_roots(frm, [denominator])
+    assert roots.size == count
+    for r in roots:
+        assert _zeros_inside(denominator, r, 1e-6 * max(1.0, abs(r))) >= 1, r
+    return roots
+
+
+@pytest.mark.parametrize("s", range(500, 524))
+def test_every_fitted_zero_of_det_f_is_a_zero(s):
+    # det F (1 - t conj(c))^m has degree m = p n: a fit of higher degree adds
+    # zeros near infinity, and a higher power of the clearing factor a
+    # multiple zero at the frame's pole 2i, which the fit scatters around it
+    node, pair = _interp_corpus(s)
+    roots = _assert_every_fitted_zero_is_a_zero(snode.node_frame(node), pair, node.m)
+    # a Weyl function is analytic above the axis: no pole of it lies there
+    assert np.all(roots.imag < 0.0)
+    # the Dirac frame of the same chain: (1 - i t/2)^(-n) times a polynomial of degree n
+    dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node)))
+    _assert_every_fitted_zero_is_a_zero(dirac, pair, node.m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_hankel_node_through_node_frame_fits_only_zeros_of_det_f(seed):
+    rng = np.random.default_rng(seed)
+    p, n = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    pair = sampling.random_constant_pair(rng, p)
+    frm = snode.node_frame(node)
+    assert frm.clear_degree == hankel.hankel_frame(node).clear_degree == p * n
+    _assert_every_fitted_zero_is_a_zero(frm, pair, p * n)
+
+
 def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
     # the sixth of six specs (p, n) = (1, 2) .. (2, 4) drawn from one stream:
-    # a unit-pair density with 10 near-axis poles
+    # a unit-pair density with 6 near-axis poles among the 8 zeros of det F
     rng = np.random.default_rng(3)
     for p, n in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]:
         spec = sampling.random_toeplitz_spec(rng, p, n)
     node = toeplitz.build_toeplitz_node(spec)
     pair = snode.ParamPair.constant(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    assert len(hankel.weyl_density(node, pair).breaks) == 10
+    assert len(hankel.weyl_density(node, pair).breaks) == 6
     sizes = []
     original = quadrature._graded_rule
 
@@ -312,6 +357,29 @@ def test_interp_residual_circle_missing_a_pole_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(hankel, "_weyl_densities", rootless)
     with pytest.raises(QuadratureNotConverged, match="a singularity lies inside the circle"):
+        hankel.interp_residual(node, pair)
+
+
+def test_interp_residual_refuses_a_pair_singular_at_infinity():
+    # gamma = lim phi(z)/z is nonzero only where F(inf) = lim F(t) is singular;
+    # Frm(inf) = I + i Pi* A*^{-1} S^{-1} Pi J is J-unitary, so the pair
+    # Frm(inf)^{-1} [I; diag(0, 1)] keeps R*Q + Q*R >= 0, singular with F(inf)
+    node, _ = _interp_corpus(504)
+    assert node.p == 2
+    at_infinity = np.eye(4) + 1j * node.Pi.conj().T @ np.linalg.solve(
+        node.A.conj().T, np.linalg.solve(node.S, node.Pi)
+    ) @ node.J
+    RQ = np.linalg.solve(at_infinity, np.vstack([np.eye(2), np.diag([0.0, 1.0])]))
+    pair = snode.ParamPair.constant(RQ[:2], RQ[2:])
+    snode.validate_pair(pair)
+    frm = snode.node_frame(node)
+    gamma = snode.lft(frm, pair, 1e5j) / 1e5j
+    assert np.linalg.eigvalsh(matcore.hermitian_part(gamma))[-1] >= 0.1
+    # det F loses a degree; its rounding leading coefficient is no zero near 1e16
+    _assert_every_fitted_zero_is_a_zero(frm, pair, node.m - 1)
+    # the density F^{-*} jform F^{-1} cancels two O(t) factors at large |t|:
+    # the graded rule's nodes near 1e17 get rounding, and the check refuses
+    with pytest.raises(QuadratureNotConverged, match="^interpolation integrals: doubled-node drift"):
         hankel.interp_residual(node, pair)
 
 
@@ -376,6 +444,20 @@ def test_ball_membership_center_and_roundtrip(hankel_unit, rng):
         if tau == 1.0:
             assert norm_u <= 1e-12
         assert np.max(np.abs(snode.ball_value(ball, u) - value)) <= 1e-10
+
+
+def test_ball_membership_refuses_a_ball_that_holds_no_digit_of_the_values(hankel_102):
+    # centre + radius scale = 1 / Im z: past 1 / eps they swamp a zero value
+    _, node = hankel_102
+    zero = np.zeros((1, 1))
+    u, _ = snode.ball_membership(snode.matrix_ball(node, 1e-15j), zero)
+    assert np.isfinite(u).all()
+    ball = snode.matrix_ball(node, 1e-17j)
+    degenerate = r"^the ball at z = 1e-17j has degenerated: its radius scale 5\.000e\+16 "
+    with pytest.raises(EvaluationFailure, match=degenerate):
+        snode.ball_membership(ball, zero)
+    # a value as large as the ball keeps its digits
+    snode.ball_membership(ball, ball.center)
 
 
 def test_ball_outside_value_exceeds_unit(hankel_unit):
