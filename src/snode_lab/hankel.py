@@ -345,10 +345,13 @@ def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
     clear = np.asarray(frm.pole_clear(fit_ts))
     qvals = np.stack([np.linalg.det(den(fit_ts)) * clear for den in denominators], axis=1)
-    poly = np.polynomial
-    domain, window = poly.polyutils.getdomain(fit_ts), poly.Polynomial.window
-    coefs = poly.polynomial.polyfit(poly.polyutils.mapdomain(fit_ts, domain, window), qvals, deg)
-    return [poly.Polynomial(c, domain, window).trim(1e-10 * np.max(np.abs(c))).roots() for c in coefs.T]
+    pu, pp = np.polynomial.polyutils, np.polynomial.polynomial
+    domain, window = pu.getdomain(fit_ts), np.polynomial.Polynomial.window
+    coefs = pp.polyfit(pu.mapdomain(fit_ts, domain, window), qvals, deg)
+    # Polynomial(c, domain, window).trim(tol).roots(), without the objects
+    return [
+        pu.mapdomain(pp.polyroots(pu.trimcoef(c, 1e-10 * np.max(np.abs(c)))), window, domain) for c in coefs.T
+    ]
 
 
 @dataclass(frozen=True)

@@ -690,6 +690,19 @@ def test_ball_next_to_the_axis_names_its_degenerate_ball(tmp_path, capsys):
     assert not (tmp_path / "report_ball.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", ["hankel_p2.json", "hankel_102.json"])
+def test_ball_next_to_the_axis_exits_on_its_degenerate_ball_before_any_overflow(tmp_path, capsys, spec):
+    # z = 0.5 + 1e-300 i: the B5 and B7 norms of the ball's entries would
+    # overflow; the membership guard runs first and names the ball
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": [0.5, 1e-300]}))
+    argv = ["--scenario", str(path), "--spec", str(cli.bundled_spec_path(spec)), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ball: the ball at z = (0.5+1e-300j) has degenerated: ")
+    assert not (tmp_path / "report_ball.json").exists()
+
+
 def test_entropy_next_to_the_axis_names_the_witness_pair(tmp_path, capsys):
     # lambda = 1e-300 i: the witness's Weyl value is ~1/Im(lambda), and its
     # pair's gram R*R + Q*Q overflows; the exit code is 2, not a traceback

@@ -204,6 +204,24 @@ def test_batched_zeros_match_one_fit_per_pair(p):
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_zeros_are_bitwise_those_of_polynomial_objects(p):
+    # the same fit, trimmed and solved through Polynomial(c, domain, window)
+    poly = np.polynomial
+    for seed in range(6):
+        rng = np.random.default_rng(4300 + seed)
+        frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
+        dens = [frm.denominator(pair.R, pair.Q) for pair in (sampling.random_constant_pair(rng, p) for _ in range(4))]
+        deg = frm.clear_degree
+        fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * (3.0 + deg)
+        qvals = np.stack([np.linalg.det(den(fit_ts)) * np.asarray(frm.pole_clear(fit_ts)) for den in dens], axis=1)
+        domain, window = poly.polyutils.getdomain(fit_ts), poly.Polynomial.window
+        coefs = poly.polynomial.polyfit(poly.polyutils.mapdomain(fit_ts, domain, window), qvals, deg)
+        want = [poly.Polynomial(c, domain, window).trim(1e-10 * np.max(np.abs(c))).roots() for c in coefs.T]
+        got = hankel._denominator_roots(frm, dens)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_recover_moments_random_pairs(hankel_102, rng):
     spec, _ = hankel_102
     for _ in range(10):

@@ -16,10 +16,12 @@ def graded_depth(half, width):
 
 
 def graded_per_panel(fn, n, breaks=()):
-    """Reference graded rule: one fn call per dyadic panel, panel sums added
-    in panel order.  A real break x is cut at arctan(x) and graded 54 levels
-    from each side; a complex break x + i d is cut there too and graded
-    :func:`graded_depth` levels, with width |d| / (1 + x^2)."""
+    """Reference graded rule: one fn call per panel, panel sums added in
+    panel order.  A real break x is cut at arctan(x) and graded 54 dyadic
+    levels from each side; a complex break x + i d is cut there too and
+    graded :func:`graded_depth` levels, with width |d| / (1 + x^2).  Toward
+    +-pi/2 the panels are dyadic for 10 levels, then 4:1 down to 2^-54 of
+    the side."""
     total = None
     widths = {}
     for b in breaks:
@@ -31,8 +33,10 @@ def graded_per_panel(fn, n, breaks=()):
         half = (right - left) / 2.0
         for anchor, sign in ((left, 1.0), (right, -1.0)):
             at_infinity = abs(abs(anchor) - np.pi / 2.0) < 1e-15
-            levels = graded_depth(half, widths.get(anchor, 0.0))
-            offsets = quadrature._dyadic_edges(half, levels)
+            if at_infinity:
+                offsets = half * np.concatenate(([0.0], 2.0 ** np.arange(-54, -10, 2), 2.0 ** np.arange(-10, 1)))
+            else:
+                offsets = quadrature._dyadic_edges(half, graded_depth(half, widths[anchor]))
             for lo, hi in zip(offsets[:-1], offsets[1:]):
                 delta, w = quadrature.gauss_legendre(lo, hi, n)
                 if at_infinity:
@@ -109,6 +113,75 @@ def test_a_pole_is_graded_to_its_width(x, d):
 @pytest.mark.parametrize("width, depth", [(0.0, 54), (2.0**-60, 54), (2.0**-10, 14), (1.0, 4), (100.0, 1)])
 def test_pole_depth_is_clamped_between_1_and_54(width, depth):
     assert quadrature._depth(1.0, width) == graded_depth(1.0, width) == depth
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_the_ends_take_ten_dyadic_levels_then_4_to_1_panels(n):
+    # 33 panels toward each of +-pi/2: 10 dyadic, 22 at 4:1, and the last
+    # [0, 2^-54] of the side; every edge is an exact power of two
+    edges = quadrature._end_edges()
+    powers = np.ldexp(1.0, np.r_[np.arange(-54, -10, 2), np.arange(-10, 1)])
+    assert np.array_equal(edges, np.r_[0.0, powers])
+    assert np.all(np.frexp(edges[1:])[0] == 0.5)
+    t, _ = quadrature._graded_rule(n, ())
+    assert t.size == 2 * 33 * n
+    # each panel of half * edges, half = pi/2, holds n of the offsets from the ends
+    for side in (t[t < 0.0], t[t > 0.0]):
+        delta = np.arctan(1.0 / np.abs(side))
+        counts = np.histogram(delta, bins=np.pi / 2.0 * edges)[0]
+        assert np.all(counts == n)
+
+
+def test_the_sides_at_the_cuts_keep_their_dyadic_nodes():
+    # a cusp at -1 and a pole at 0.5 + 0.01 i: segments (-pi/2, c1), (c1, c2),
+    # (c2, pi/2); the four cut sides are the dyadic panels, bitwise
+    n, pole = 24, complex(0.5, 0.01)
+    t, w = quadrature._graded_rule(n, (-1.0, pole))
+    c1, c2 = float(np.arctan(-1.0)), float(np.arctan(pole.real))
+    width = pole.imag / (1.0 + pole.real**2)
+
+    def side(anchor, sign, half, depth):
+        offsets = quadrature._dyadic_edges(half, depth)
+        delta, weights = quadrature.gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
+        nodes = np.tan(anchor + sign * delta).ravel()
+        return nodes, weights.ravel() * (1.0 + nodes * nodes)
+
+    halves = [(c1 + np.pi / 2.0) / 2.0, (c2 - c1) / 2.0, (np.pi / 2.0 - c2) / 2.0]
+    sides = [
+        side(c1, -1.0, halves[0], 54),
+        side(c1, 1.0, halves[1], 54),
+        side(c2, -1.0, halves[1], graded_depth(halves[1], width)),
+        side(c2, 1.0, halves[2], graded_depth(halves[2], width)),
+    ]
+    # they run between the first segment's end panels and the last one's
+    start = 33 * n
+    for nodes, weights in sides:
+        assert np.array_equal(t[start : start + nodes.size], nodes)
+        assert np.array_equal(w[start : start + nodes.size], weights)
+        start += nodes.size
+    assert start == t.size - 33 * n
+
+
+@pytest.mark.parametrize(
+    "a, breaks, bound", [(-0.5, (0.0,), 5.4e-11), (0.0, (), 0.0), (0.0, (0.0,), 1.5e-16), (0.5, (0.0,), 5.4e-11)]
+)
+def test_power_over_lorentzian_integrals(a, breaks, bound):
+    # int |t|^a / (1 + t^2) dt = pi / cos(pi a / 2); a = +-1/2 is limited by
+    # the last panel, 2^-54 of its side, at the cusp (a < 0) or at the ends (a > 0)
+    got = quadrature.integrate_line_graded(lambda t: np.abs(t) ** a / (1.0 + t * t), 48, breaks)
+    want = np.pi / np.cos(np.pi * a / 2.0)
+    assert abs(got - want) <= bound * want
+
+
+@pytest.mark.parametrize("lam", [1j, 0.3 + 0.7j, 5.0 + 3.0j, -2.0 + 0.5j, 0.5 + 0.01j])
+def test_poisson_integral_of_the_log_weight(lam):
+    # (Im lam / pi) int ln(1 + t^2) / |t - lam|^2 dt = 2 ln |lam + i|: the
+    # integrand grows like ln|t| / t^2 toward +-infinity
+    fn = lambda t: lam.imag / np.pi * np.log1p(t * t) / np.abs(t - lam) ** 2
+    want = 2.0 * np.log(abs(lam + 1j))
+    for n in (24, 48):
+        got = quadrature.integrate_line_graded(fn, n, (lam,))
+        assert abs(got - want) <= 5.5e-16 * max(1.0, abs(want))
 
 
 def test_graded_rule_calls_integrand_once():
