@@ -23,11 +23,10 @@ from .errors import (
     SzegoViolated,
     Unsupported,
 )
-from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_density
+from .hankel import HankelSpec, build_hankel_node, moments_from_density, weyl_densities
 from .snode import (
-    ParamPair,
+    Frame,
     SNode,
-    as_frame,
     frame,
     leading_rho,
     node_chain,
@@ -226,54 +225,44 @@ def poisson_normalization(lam: complex) -> float:
     return float(norm)
 
 
-def outer_modulus(P_or_Ps, lam: complex):
+def outer_modulus(P: DensityFn, lam: complex) -> float:
     """|det G(lam)| = exp[(1/2pi) integral Im(lam) ln det P(t) / |t-lam|^2 dt]
-    for the outer spectral factor G of P.
+    for the outer spectral factor G of P, integrated on the graded rule of
+    the density's breaks.
 
-    ``P_or_Ps`` is one density, giving one float, or a sequence of them,
-    giving a list; each density is integrated on the graded rule of its own
-    breaks.
-    Verifies the :func:`poisson_normalization` once per call, and raises
-    :class:`SzegoViolated` when a log-det integral diverges to -inf.
+    Verifies the :func:`poisson_normalization` first, and raises
+    :class:`SzegoViolated` when the log-det integral diverges to -inf.
     """
     poisson_normalization(lam)
-    single = isinstance(P_or_Ps, DensityFn)
-    moduli = _outer_moduli([P_or_Ps] if single else list(P_or_Ps), lam)
-    return moduli[0] if single else moduli
+    return _outer_modulus(P, lam)
 
 
-def _outer_moduli(Ps, lam: complex) -> list:
-    """The outer moduli of :func:`outer_modulus`, without its normalization
+def _outer_modulus(P: DensityFn, lam: complex) -> float:
+    """The outer modulus of :func:`outer_modulus`, without its normalization
     check."""
     w = poisson_weight(lam)
-    moduli = []
-    for P in Ps:
 
-        def integrand(ts):
-            return w(ts) * _finite_log_det(P, ts)
+    def integrand(ts):
+        return w(ts) * _finite_log_det(P, ts)
 
-        try:
-            value = quadrature.integrate_with_check(
-                integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
-            )
-        except _VanishingDensity:
-            raise SzegoViolated("density vanishes on a set of positive measure")
-        if not np.isfinite(value):
-            raise SzegoViolated("log-determinant integral diverges")
-        moduli.append(float(np.exp(value / (2.0 * np.pi))))
-    return moduli
+    try:
+        value = quadrature.integrate_with_check(
+            integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
+        )
+    except _VanishingDensity:
+        raise SzegoViolated("density vanishes on a set of positive measure")
+    if not np.isfinite(value):
+        raise SzegoViolated("log-determinant integral diverges")
+    return float(np.exp(value / (2.0 * np.pi)))
 
 
-def outer_factor(node_or_frame, pair_or_pairs, z: complex) -> np.ndarray:
+def outer_factor(frm: Frame, pairs, z: complex) -> np.ndarray:
     """G(z) = jform^{1/2} F(z)^{-1}, jform = (R*Q + Q*R) / (2 pi) and
     F = Frm21 R + Frm22 Q: the outer factor (F is invertible on the upper
     half-plane; Wiener & Masani, Acta Math. 98, 1957) of a constant pair's
-    boundary density, mu'(t) = G(t)* G(t).  One :class:`ParamPair` gives a
-    p x p matrix, a sequence an (N, p, p) stack from one frame evaluation;
-    :class:`SingularDenominator` names the first pair whose F(z) is singular."""
-    frm = as_frame(node_or_frame)
-    single = isinstance(pair_or_pairs, ParamPair)
-    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
+    boundary density, mu'(t) = G(t)* G(t).  A sequence of N pairs gives an
+    (N, p, p) stack from one frame evaluation; :class:`SingularDenominator`
+    names the first pair whose F(z) is singular."""
     R = np.stack([pair.R for pair in pairs])
     Q = np.stack([pair.Q for pair in pairs])
     _, _, F21, F22 = frm.blocks(z)
@@ -283,8 +272,7 @@ def outer_factor(node_or_frame, pair_or_pairs, z: complex) -> np.ndarray:
     if k is not None:
         raise SingularDenominator(z, f"F(z) singular at z = {z} for pair {k}")
     RQ = np.swapaxes(R, 1, 2).conj() @ Q
-    G = matcore.sqrtm_hpd((RQ + np.swapaxes(RQ, 1, 2).conj()) / (2.0 * np.pi)) @ np.linalg.inv(F)
-    return G[0] if single else G
+    return matcore.sqrtm_hpd((RQ + np.swapaxes(RQ, 1, 2).conj()) / (2.0 * np.pi)) @ np.linalg.inv(F)
 
 
 @dataclass(frozen=True)
@@ -316,34 +304,28 @@ class EntropyBound:
         return abs(0.5 * np.linalg.slogdet(self.lhs / (2.0 * np.pi))[1] - np.log(self.modulus))
 
 
-def entropy_bound_check(node_or_frame, pair_or_pairs, lam: complex):
+def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
     """Check 2 pi G(lam)* G(lam) <= rho(lam, conj lam)^{-1} for the measure
-    generated by a pair.
-
-    ``pair_or_pairs`` is one :class:`ParamPair`, giving one
-    :class:`EntropyBound`, or a sequence of them, giving a list; ``rhs`` and
-    the Poisson normalization, which every bound carries, are computed once
-    per call.  The frame must be holomorphic across the closed upper
-    half-plane for the outer-function representation behind the bound
-    (Hankel nodes and coefficient-chain frames qualify; the generic frame of
-    a Toeplitz node does not, since its A* resolvent has an upper-half-plane
-    pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
+    generated by each pair of a sequence, giving one :class:`EntropyBound`
+    per pair; ``rhs`` and the Poisson normalization, which every bound
+    carries, are computed once per call.  The frame must be holomorphic
+    across the closed upper half-plane for the outer-function representation
+    behind the bound (Hankel nodes and coefficient-chain frames qualify; the
+    generic frame of a Toeplitz node does not, since its A* resolvent has an
+    upper-half-plane pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
     quadrature of each pair's boundary density (all from one
-    :func:`weyl_density` call, one fit of the zeros of det F) certifies it,
+    :func:`weyl_densities` call, one fit of the zeros of det F) certifies it,
     and runs first, so a pair with singular R*Q + Q*R raises
     :class:`SzegoViolated`."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
-    single = isinstance(pair_or_pairs, ParamPair)
-    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
-    frm = as_frame(node_or_frame)
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
-    moduli = _outer_moduli(weyl_density(frm, pairs), lam)
+    dens, _ = weyl_densities(frm, pairs)
+    moduli = [_outer_modulus(P, lam) for P in dens]
     G = outer_factor(frm, pairs, lam)
     lhss = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
-    bounds = [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]
-    return bounds[0] if single else bounds
+    return [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,7 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     checks.append(_check("node identity residual", "c1", res, 1e-12 * (1.0 + matcore.frobenius(node.S))))
 
     chain = snode.node_chain(node)
-    dirac = toeplitz.dirac_chain(chain)
-    C, rho = np.stack(dirac.C), np.stack(dirac.rho)
+    C, rho = toeplitz.dirac_chain(chain)
     j = matcore.signature_j(p)
     cjc = np.max(matcore.frobenius(C @ j @ C - j))
     checks.append(_check("coefficient j-unitarity", "c11", cjc, 1e-9))
@@ -185,7 +184,7 @@ def _run_verify_toeplitz(sc: Scenario, rng: np.random.Generator):
     # one pass over the coefficients: W_n at zs for c9; W_split, W_n and the
     # tail's W at -conj(z)/2 for the frames of c30
     ws = np.concatenate((zs, -np.conj(frame_zs) / 2.0))
-    heads, tails = toeplitz.dirac_sweep(dirac, ws, [0, split])
+    [heads], [tails] = toeplitz.dirac_sweep(C[None], ws, [0, split])
     K = toeplitz.unitary_K(p)
     via = ((1.0 - 1j * zs) ** n)[:, None, None] * K.conj().T @ transfer[lams.size :] @ K
     W = tails[0, : zs.size]

@@ -38,7 +38,7 @@ from .errors import (
     SingularDenominator,
     Unsupported,
 )
-from .snode import Frame, ParamPair, SNode, _resolvent, as_frame, lft, node_frame
+from .snode import Frame, ParamPair, SNode, _resolvent, lft, node_frame
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ _RECOVER_MARGIN = 1.5
 
 
 def moments_from_density(density: DensityFn, orders) -> np.ndarray:
-    """H_k = integral t^k P(t) dt for every k in ``orders``, stacked; an int
-    order gives its block alone.
+    """H_k = integral t^k P(t) dt for every k in the sequence ``orders``,
+    stacked.
 
     The density is evaluated once per rule for all orders; the integrands
     yield one order at a time, and the rule reduces each as it comes, so one
@@ -203,7 +203,7 @@ def moments_from_density(density: DensityFn, orders) -> np.ndarray:
     integer raises :class:`IndexOutOfRange`.
     """
     ks = []
-    for k in np.atleast_1d(orders):
+    for k in orders:
         if not (k >= 0 and float(k).is_integer()):
             raise IndexOutOfRange(f"moment order {k} is not a non-negative integer")
         ks.append(int(k))
@@ -232,12 +232,12 @@ def moments_from_density(density: DensityFn, orders) -> np.ndarray:
     blocks = quadrature.integrate_with_check(integrand, density.support, density.breaks, _MOMENT_QUAD, 1e-8, names)
     if not density.bounded_support:
         blocks = blocks[1::2]
-    out = np.stack([matcore.hermitian_part(b) for b in blocks])
-    return out[0] if np.ndim(orders) == 0 else out
+    return np.stack([matcore.hermitian_part(b) for b in blocks])
 
 
-def weyl_density(node_or_frame, pair_or_pairs):
-    """Boundary density of the Weyl function of a node (or frame) and pair,
+def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]]:
+    """Boundary densities of the Weyl functions of a frame and a sequence of
+    pairs, one per pair, with the zeros of det F that gave each its breaks:
 
         mu'(t) = F(t)^{-*} jform F(t)^{-1},   jform = (R*Q + Q*R) / (2 pi),
 
@@ -248,33 +248,24 @@ def weyl_density(node_or_frame, pair_or_pairs):
     entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2)
     of F scaled by :func:`matcore.power_of_two_scale`, so that entries of F
     past 1e154 do not overflow it; above, F is inverted by LAPACK.  It
-    carries an exact
-    log-determinant,
+    carries an exact log-determinant,
 
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
 
     which stays numerically meaningful at any |t| (the direct imaginary part
     does not) and is +inf where F is exactly singular.  Both evaluate F on
-    chunks of at most :data:`matcore.CHUNK` points; the values raise
-    :class:`SingularDenominator` naming the first point where F is singular
-    to working precision.  The zeros of det F within 2 of the axis are the
-    density's breaks, as complex numbers: each is the pole of a Lorentzian
-    feature as wide as its distance from the axis.
-
-    ``pair_or_pairs`` is one :class:`ParamPair`, giving one density, or a
-    sequence of them, giving a list; the zeros of det F of all pairs come
-    from one least-squares solve (:func:`_denominator_roots`), and one pair
-    is that batch of one.
+    chunks of at most :data:`matcore.CHUNK` points.  The values raise
+    :class:`SingularDenominator` only where they are not finite, naming the
+    first such point: where F is exactly singular or the value overflows.
+    A nearly singular F is not refused there: for a pair singular at
+    infinity the value can read 1.4e19 near t = -1e17, where it is 1/pi,
+    and only the doubled-node check of an integral downstream stops it;
+    certifying the values is ROADMAP item 1b.  The zeros of det F within 2
+    of the axis are the density's breaks, as complex numbers: each is the
+    pole of a Lorentzian feature as wide as its distance from the axis.
+    The zeros of all pairs come from one least-squares solve
+    (:func:`_denominator_roots`).
     """
-    single = isinstance(pair_or_pairs, ParamPair)
-    pairs = [pair_or_pairs] if single else list(pair_or_pairs)
-    dens, _ = _weyl_densities(as_frame(node_or_frame), pairs)
-    return dens[0] if single else dens
-
-
-def _weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]]:
-    """The densities of :func:`weyl_density` of a frame, with the zeros of
-    det F that gave each its breaks."""
     denominators = [frm.denominator(pair.R, pair.Q) for pair in pairs]
     roots = _denominator_roots(frm, denominators)
     dens = [_weyl_density(frm.p, pair, den, r) for pair, den, r in zip(pairs, denominators, roots)]
@@ -282,7 +273,7 @@ def _weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray
 
 
 def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray) -> DensityFn:
-    """The density of :func:`weyl_density` of one pair, its denominator F
+    """The density of :func:`weyl_densities` of one pair, its denominator F
     evaluated by ``denominators`` and the zeros of det F given."""
     R, Q = pair.R, pair.Q
     jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
@@ -405,7 +396,7 @@ def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentRep
         raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
     frm = hankel_frame(node)
-    [density], [roots] = _weyl_densities(frm, [pair])
+    [density], [roots] = weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(
         lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, 1e-8, "expansion coefficient"
@@ -431,7 +422,7 @@ def interp_residual(node: SNode, pair: ParamPair):
 
     The data are those of the representation
     phi(z) = gamma z + theta + integral (1 + t z)/((t - z)(1 + t^2)) mu'(t) dt.
-    One :func:`_weyl_densities` call gives the density mu' and the zeros of
+    One :func:`weyl_densities` call gives the density mu' and the zeros of
     det F.  gamma is coefficient 0 of w phi(1/w), by
     :func:`quadrature.circle_coefficients` on |w| = 1/R with
     R = :data:`_RECOVER_MARGIN` * max(1, |1/c|, max |zero of det F|), which
@@ -453,7 +444,7 @@ def interp_residual(node: SNode, pair: ParamPair):
     if c == 0:
         raise Unsupported("A has a zero eigenvalue")
     frm = node_frame(node)
-    [density], [roots] = _weyl_densities(frm, [pair])
+    [density], [roots] = weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, 1.0 / abs(c), float(np.max(np.abs(roots), initial=0.0)))
     [gamma] = quadrature.circle_coefficients(
         lambda ws: ws[:, None, None] * lft(frm, pair, 1.0 / ws), 1.0 / radius, 1, 1e-8, "gamma coefficient"

@@ -158,12 +158,16 @@ def _build_graded_rule(n: int, breaks):
     panels of :func:`_end_edges`.  Panel order: theta segments
     left to right, within a segment the panels grading toward its left end,
     then those grading toward its right end, each run outward from its end.
-    The weights include the Jacobian 1 + t^2 of t = tan(theta).
+    The weights include the Jacobian 1 + t^2 of t = tan(theta).  A break
+    whose real part is past about 5.8e15, where arctan rounds to +-pi/2 and
+    the cut would leave an empty segment, raises :class:`Unsupported`.
     """
     widths = {}  # theta cut -> narrowest feature there, 0 for a cusp
     for b in breaks:
         b = complex(b)
         cut = float(np.arctan(b.real))
+        if abs(cut) >= np.pi / 2.0:
+            raise Unsupported(f"break {b}: arctan of its real part rounds to +-pi/2, so no panel can end there")
         widths[cut] = min(abs(b.imag) / (1.0 + b.real * b.real), widths.get(cut, np.inf))
     anchors = [(-np.pi / 2.0, 0.0), *sorted(widths.items()), (np.pi / 2.0, 0.0)]
     ts, ws = [], []
@@ -300,7 +304,7 @@ def _drift(name: str, coarse, fine, rel_tol: float):
     fine = np.asarray(fine)
     drift = np.max(np.abs(fine - np.asarray(coarse)))
     scale = 1.0 + np.max(np.abs(fine))
-    if drift > rel_tol * scale:
+    if not drift <= rel_tol * scale:  # a NaN drift fails too
         return QuadratureNotConverged(
             f"{name}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"
         )

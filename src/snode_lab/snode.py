@@ -297,12 +297,6 @@ def rho_from_frame(frm: Frame, z: complex) -> np.ndarray:
     return matcore.hermitian_part(F21 @ F22.conj().T + F22 @ F21.conj().T)
 
 
-def as_frame(node_or_frame) -> Frame:
-    if isinstance(node_or_frame, Frame):
-        return node_or_frame
-    return node_frame(node_or_frame)
-
-
 def leading_rho(node: SNode, z: complex) -> np.ndarray:
     """The (n, p, p) stack of rho_k(z, conj z) of every leading order k = 1..n,
     the characteristic i(conj z - z) Phi2(k)* (I - z A(k)*)^{-1} S(k)^{-1}
@@ -552,12 +546,11 @@ def ball_value(ball: MatrixBall, u_or_us) -> np.ndarray:
     return ball.center - matcore.sandwich(ball.left_radius, us, ball.right_radius)
 
 
-def extremal_pair(node_or_frame, lam: complex) -> ParamPair:
-    """The constant pair R = Frm22(lam)*, Q = Frm21(lam)*.
+def extremal_pair(frm: Frame, lam: complex) -> ParamPair:
+    """The constant pair R = Frm22(lam)*, Q = Frm21(lam)* of the frame.
 
     It is the unique parameter achieving entropy equality at lam and
     satisfies R*Q + Q*R = rho(lam, conj lam) > 0.
     """
-    frm = as_frame(node_or_frame)
     _, _, F21, F22 = frm.blocks(lam)
     return ParamPair.constant(F22.conj().T, F21.conj().T)

@@ -7,10 +7,12 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
   lower triangular with i/2 on the diagonal and i below;
 * the positive coefficients C_k (C_k j C_k = j) with their strict
   contractions rho_k, read off the node's chain (:func:`snode.node_chain`,
-  whose rows are [X_k Y_k]) by :func:`dirac_chain`; the chain's elementary
-  factors are :func:`snode.chain_factors` with c = i/2;
+  whose rows are [X_k Y_k]) by :func:`dirac_chain` as (L, 2p, 2p) and
+  (L, p, p) stacks; the chain's elementary factors are
+  :func:`snode.chain_factors` with c = i/2;
 * the fundamental solution W_k(z) of the one-step recursion
-  W_{k+1} = (I + i z j C_k) W_k and the frames built from it;
+  W_{k+1} = (I + i z j C_k) W_k (:func:`dirac_sweep`, on a stack of
+  coefficient stacks) and the frames built from it;
 * Taylor-series recovery of the blocks from a Weyl function, and the
   head/tail composition check for split coefficient sequences.
 """
@@ -109,29 +111,6 @@ def build_toeplitz_node(spec: ToeplitzSpec) -> SNode:
     return SNode(p=p, shift=(0.5j, 1j, 1), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
-@dataclass(frozen=True)
-class DiracChain:
-    """Coefficients C_k > 0 with C_k j C_k = j and their contractions rho_k."""
-
-    p: int
-    C: tuple
-    rho: tuple
-
-    def __len__(self) -> int:
-        return len(self.C)
-
-    def shifted(self, n: int) -> "DiracChain":
-        """The tail chain starting at coefficient n."""
-        if not 0 <= n <= len(self):
-            raise IndexOutOfRange(f"shift {n} outside 0..{len(self)}")
-        return DiracChain(p=self.p, C=self.C[n:], rho=self.rho[n:])
-
-    def head(self, n: int) -> "DiracChain":
-        if not 0 <= n <= len(self):
-            raise IndexOutOfRange(f"head {n} outside 0..{len(self)}")
-        return DiracChain(p=self.p, C=self.C[:n], rho=self.rho[:n])
-
-
 def halmos(rho_or_rhos) -> np.ndarray:
     """Positive extension C of a strict contraction rho:
 
@@ -168,24 +147,15 @@ def contraction_from_dirac(C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(C[..., :p, :p], C[..., :p, p:])
 
 
-def chain_from_contractions(rhos) -> DiracChain:
-    """Build a chain directly from contractions via their positive extensions,
-    all taken in one :func:`halmos` call."""
-    rhos = tuple(matcore.as_matrix(r) for r in rhos)
-    if not rhos:
-        raise DimensionMismatch("need at least block size; pass p via a nonempty list")
-    if any(r.shape != rhos[0].shape for r in rhos):
-        raise DimensionMismatch("every contraction must have the same shape")
-    return DiracChain(p=rhos[0].shape[0], C=tuple(halmos(np.stack(rhos))), rho=rhos)
-
-
-def dirac_chain(chain: NodeChain) -> DiracChain:
-    """The coefficients C_k = 2 K* G_k* G_k K - j and rho_k = (C_11)^{-1} C_12
-    of the chain of a Toeplitz node (see :func:`snode.node_chain`)."""
+def dirac_chain(chain: NodeChain) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, 2p, 2p) stack of coefficients C_k = 2 K* G_k* G_k K - j, C_k > 0
+    with C_k j C_k = j, and the (L, p, p) stack of their contractions
+    rho_k = (C_11)^{-1} C_12, of the chain of a Toeplitz node (see
+    :func:`snode.node_chain`)."""
     K, j = unitary_K(chain.p), matcore.signature_j(chain.p)
     G = np.stack(chain.G)
     Cs = matcore.hermitian_part(2.0 * K.conj().T @ G.conj().swapaxes(1, 2) @ G @ K - j)
-    return DiracChain(p=chain.p, C=tuple(Cs), rho=tuple(contraction_from_dirac(Cs)))
+    return Cs, contraction_from_dirac(Cs)
 
 
 def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -213,40 +183,34 @@ def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def _indices(values, L: int, what: str) -> np.ndarray:
-    """``values`` (one or a sequence) as an int array, each an integer in
-    0..L (an integral float such as 2.0 is one), else
-    :class:`IndexOutOfRange` naming the first that is not."""
+    """The sequence ``values`` as an int array, each an integer in 0..L (an
+    integral float such as 2.0 is one), else :class:`IndexOutOfRange`
+    naming the first that is not."""
     out = []
-    for v in np.ravel(values):
+    for v in values:
         if not (0 <= v <= L and float(v).is_integer()):
             raise IndexOutOfRange(f"{what} {v} is not an integer in 0..{L}")
         out.append(int(v))
     return np.array(out, dtype=int)
 
 
-def _coefficient_stack(chain: DiracChain) -> np.ndarray:
-    """The coefficients of one chain as a (1, L, 2p, 2p) stack of chains."""
-    return np.array(chain.C, dtype=complex).reshape(1, len(chain), 2 * chain.p, 2 * chain.p)
-
-
-def dirac_sweep(chains, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+def dirac_sweep(Cs: np.ndarray, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
     """Heads and tails of the one-step factors I + i z j C_m at the points zs,
-    for any starts s in 0..L (repeats allowed), of one chain or of a
-    (count, L, 2p, 2p) stack of chains' coefficients: ``heads[k]`` is W_s,
-    the product of the first s = starts[k] factors, and ``tails[k]`` the
+    for any starts s in 0..L (repeats allowed), of a (count, L, 2p, 2p)
+    stack of chains' coefficients: ``heads[c, k]`` is chain c's W_s, the
+    product of its first s = starts[k] factors, and ``tails[c, k]`` the
     product of those of C_s, ..., C_{L-1}, both of shape
-    (starts, points, 2p, 2p) for a chain and (count, starts, points, 2p, 2p)
-    for a stack.  A start that is not an integer in 0..L raises
-    :class:`IndexOutOfRange`.
+    (count, starts, points, 2p, 2p).  A start that is not an integer in
+    0..L raises :class:`IndexOutOfRange`.
 
     Heads go forward, W_{m+1} = W_m + i z (j C_m W_m), from W_0 = I up to the
     largest start; tails go backward, T_m = T_{m+1} + i z (T_{m+1} j C_m),
     from T_L = I down to the smallest.  Each step is one
     :func:`matcore.sandwich` call over all points of all chains, with the
-    chains as its batch, so the starts 0..L cost 2L calls.  One chain is a
-    stack of one, and each chain's products are bitwise those of its own.
+    chains as its batch, so the starts 0..L cost 2L calls.  One chain C is
+    the stack C[None], and each chain's products are bitwise those of its
+    own.
     """
-    Cs = _coefficient_stack(chains) if isinstance(chains, DiracChain) else chains
     count, L, size = Cs.shape[0], Cs.shape[1], Cs.shape[-1]
     starts = _indices(starts, L, "start")
     jCs = matcore.signature_j(size // 2) @ Cs
@@ -264,38 +228,32 @@ def dirac_sweep(chains, zs: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]
         tails[:, starts == m] = T[:, None]
         if m > bottom:
             T = T + iz * matcore.sandwich(None, T, jCs[:, m - 1])
-    return (heads[0], tails[0]) if isinstance(chains, DiracChain) else (heads, tails)
+    return heads, tails
 
 
-def dirac_fundamental(chain: DiracChain, z_or_zs, k: int) -> np.ndarray:
-    """W_k(z) from W_0 = I and W_{m+1}(z) = (I + i z j C_m) W_m(z)."""
-    if not 0 <= k <= len(chain):
-        raise IndexOutOfRange(f"step {k} outside 0..{len(chain)}")
-    zs = matcore.as_points(z_or_zs)
-    W = dirac_sweep(chain.head(k), zs, [k])[0][0]
-    return W if np.ndim(z_or_zs) else W[0]
+def dirac_frame(C: np.ndarray) -> Frame:
+    """Frame closure of a chain's (n, 2p, 2p) coefficient stack C (a head is
+    the slice C[:k]),
 
+        (1 - i z/2)^{-n} J j K W_n(-conj(z)/2)* K* j J,
 
-def frame_toeplitz(chain: DiracChain, n: int, z_or_zs) -> np.ndarray:
-    """Frame value (1 - i z/2)^{-n} J j K W_n(-conj(z)/2)* K* j J; identity at n = 0."""
-    if not 0 <= n <= len(chain):
-        raise IndexOutOfRange(f"order {n} outside 0..{len(chain)}")
-    zs = matcore.as_points(z_or_zs)
-    out = frames_of(dirac_fundamental(chain, -np.conj(zs) / 2.0, n)[None], zs, np.array([n]))[0]
-    return out if np.ndim(z_or_zs) else out[0]
-
-
-def dirac_frame(chain: DiracChain, n: int | None = None) -> Frame:
-    """Frame closure for the first n coefficients (all of them by default).
+    the identity at n = 0, from one :func:`dirac_sweep` and one
+    :func:`frames_of` call per evaluation.
 
     Holomorphic in the closed upper half-plane (the only pole is at -2i),
     which is what the entropy machinery requires on the Toeplitz side.
     """
-    order = len(chain) if n is None else n
-    p = chain.p
+    order, p = len(C), C.shape[-1] // 2
+
+    def fn(z_or_zs):
+        zs = matcore.as_points(z_or_zs)
+        heads, _ = dirac_sweep(C[None], -np.conj(zs) / 2.0, [order])
+        out = frames_of(heads[0], zs, np.array([order]))[0]
+        return out if np.ndim(z_or_zs) else out[0]
+
     return Frame(
         p=p,
-        fn=lambda z_or_zs: frame_toeplitz(chain, order, z_or_zs),
+        fn=fn,
         # the frame is (1 - i z/2)^(-order) times a polynomial of degree order
         pole_clear=lambda ts: (1.0 - 0.5j * np.asarray(ts, dtype=complex)) ** (order * p),
         clear_degree=p * order,
@@ -320,11 +278,10 @@ def taylor_recover(phi, count: int) -> list[np.ndarray]:
     return list(quadrature.circle_coefficients(g, 0.5, count, 1e-8, "taylor coefficient"))
 
 
-def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
-    """Max residual over the grid, and over the splits n when a sequence of
-    them is given, of the head/tail composition identity; ``rhos`` is one
-    chain (a :class:`DiracChain` or its contractions) or a (count, L, p, p)
-    stack of count chains' contractions, whose residuals are maxed too.
+def khrushchev_check(rhos: np.ndarray, splits, pair: ParamPair, zgrid) -> float:
+    """Max residual over the grid, the splits n and the chains of the
+    head/tail composition identity; ``rhos`` is a (count, L, p, p) stack of
+    count chains' contractions (one chain's are ``rhos[None]``).
 
     phi is the Weyl function of the full chain with the given pair,
     phi~ the Weyl function of the tail chain (coefficients n, n+1, ...)
@@ -344,14 +301,9 @@ def khrushchev_check(rhos, split_or_splits, pair: ParamPair, zgrid) -> float:
     points go in chunks of at most :data:`matcore.CHUNK` (chain, point)
     pairs, and each chain's residuals are bitwise those of its own call.
     """
-    if isinstance(rhos, DiracChain):
-        Cs = _coefficient_stack(rhos)
-    elif np.ndim(rhos) == 4:
-        count, L, p, _ = np.shape(rhos)
-        Cs = halmos(np.reshape(rhos, (count * L, p, p))).reshape(count, L, 2 * p, 2 * p)
-    else:
-        Cs = _coefficient_stack(chain_from_contractions(rhos))
-    splits = _indices(split_or_splits, Cs.shape[1], "split")
+    count, L, p, _ = np.shape(rhos)
+    Cs = halmos(np.reshape(rhos, (count * L, p, p))).reshape(count, L, 2 * p, 2 * p)
+    splits = _indices(splits, L, "split")
     zs = np.asarray(zgrid, dtype=complex).ravel()
     gaps = matcore.in_chunks(lambda chunk: _composition_gaps(Cs, splits, pair, chunk), zs, len(Cs))
     return float(gaps.max(initial=0.0))

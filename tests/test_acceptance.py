@@ -75,15 +75,16 @@ def test_criterion_03_coefficient_bijections():
     worst_norm = 0.0
     for _ in range(10):
         spec = sampling.random_toeplitz_spec(rng, p=int(rng.integers(1, 3)), n=int(rng.integers(2, 7)))
-        chain = toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))
+        _, rhos = toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))
         j = matcore.signature_j(spec.p)
-        rebuilt = toeplitz.chain_from_contractions(chain.rho)
-        for C in rebuilt.C:
+        rebuilt = toeplitz.halmos(rhos)
+        for C in rebuilt:
             worst_cjc = max(worst_cjc, np.max(np.abs(C @ j @ C - j)))
-        worst_norm = max(worst_norm, max(matcore.spectral_norm(r) for r in chain.rho))
+        worst_norm = max(worst_norm, max(matcore.spectral_norm(r) for r in rhos))
+        frm = toeplitz.dirac_frame(rebuilt)
         for _ in range(5):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.8))
-            via_rho = toeplitz.frame_toeplitz(rebuilt, spec.n, z)
+            via_rho = frm(z)
             via_spec = frame_from_spec(spec, z)
             worst_frame = max(
                 worst_frame,
@@ -115,12 +116,12 @@ def test_criterion_04_composition_identity():
     worst = 0.0
     zgrid = sampling.random_upper_points(rng, 30)
     for length in range(1, 9):
-        rhos = [sampling.random_contraction(rng, 1) for _ in range(length)]
+        rhos = np.stack([sampling.random_contraction(rng, 1) for _ in range(length)])[None]
         for split in range(length + 1):
-            worst = max(worst, toeplitz.khrushchev_check(rhos, split, pair1, zgrid))
-    rhos2 = [sampling.random_contraction(rng, 2) for _ in range(6)]
+            worst = max(worst, toeplitz.khrushchev_check(rhos, [split], pair1, zgrid))
+    rhos2 = np.stack([sampling.random_contraction(rng, 2) for _ in range(6)])[None]
     for split in range(7):
-        worst = max(worst, toeplitz.khrushchev_check(rhos2, split, pair2, zgrid))
+        worst = max(worst, toeplitz.khrushchev_check(rhos2, [split], pair2, zgrid))
     _report(4, "head/tail composition identity", worst <= 1e-8, f"(worst residual {worst:.2e})")
 
 
@@ -199,11 +200,11 @@ def test_criterion_07_monotonicity_and_factorization():
 
 def test_criterion_08_entropy_equality_two_routes():
     spec = hankel.HankelSpec(p=1, n=1, H=(np.array([[1.0]]),))
-    node = hankel.build_hankel_node(spec)
-    ext = snode.extremal_pair(node, 1j)
-    G = asymptotics.outer_factor(node, ext, 1j)
+    frm = snode.node_frame(hankel.build_hankel_node(spec))
+    ext = snode.extremal_pair(frm, 1j)
+    [G] = asymptotics.outer_factor(frm, [ext], 1j)
     closed = 2 * np.pi * abs(G[0, 0]) ** 2
-    bound = asymptotics.entropy_bound_check(node, ext, 1j)
+    [bound] = asymptotics.entropy_bound_check(frm, [ext], 1j)
     quadr = 2 * np.pi * bound.modulus**2
     rhs = bound.rhs[0, 0].real
     ok = (
@@ -223,20 +224,20 @@ def test_criterion_08_entropy_equality_two_routes():
 def test_criterion_09_entropy_inequality():
     rng = np.random.default_rng(9)
     spec = hankel.HankelSpec(p=1, n=1, H=(np.array([[1.0]]),))
-    node = hankel.build_hankel_node(spec)
+    node_frm = snode.node_frame(hankel.build_hankel_node(spec))
     worst = -np.inf
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        worst = max(worst, -asymptotics.entropy_bound_check(node, pair, 1j).slack)
+        worst = max(worst, -asymptotics.entropy_bound_check(node_frm, [pair], 1j)[0].slack)
     witness = snode.ParamPair.constant(np.array([[1.0]]), np.array([[4.0]]))
-    witness_slack = asymptotics.entropy_bound_check(node, witness, 1j).slack
+    witness_slack = asymptotics.entropy_bound_check(node_frm, [witness], 1j)[0].slack
 
     tspec = sampling.random_toeplitz_spec(rng, p=1, n=2)
-    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(tspec))))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(tspec)))[0])
     lam = 0.4 + 1.3j
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        worst = max(worst, -asymptotics.entropy_bound_check(frm, pair, lam).slack)
+        worst = max(worst, -asymptotics.entropy_bound_check(frm, [pair], lam)[0].slack)
     ok = worst <= 1e-6 and witness_slack >= 1e-3
     _report(
         9,

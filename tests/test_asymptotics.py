@@ -429,17 +429,18 @@ def test_poisson_weight_in_real_arithmetic_matches_the_complex_form(rng):
 
 
 def test_outer_modulus_agrees_with_extremal_factor(hankel_unit):
-    _, node = hankel_unit
-    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
+    frm = snode.node_frame(hankel_unit[1])
+    ext = snode.extremal_pair(frm, 1j)
+    [dens], _ = hankel.weyl_densities(frm, [ext])
     lam = 0.4 + 0.9j
     om = asymptotics.outer_modulus(dens, lam)
-    G = asymptotics.outer_factor(node, snode.extremal_pair(node, 1j), lam)
+    [G] = asymptotics.outer_factor(frm, [ext], lam)
     assert om == pytest.approx(abs(G[0, 0]), abs=1e-6)
 
 
 def test_gmu_extremal_hand_values(hankel_unit):
-    _, node = hankel_unit
-    G = asymptotics.outer_factor(node, snode.extremal_pair(node, 1j), 1j)
+    frm = snode.node_frame(hankel_unit[1])
+    [G] = asymptotics.outer_factor(frm, [snode.extremal_pair(frm, 1j)], 1j)
     assert G[0, 0] == pytest.approx(1 / (2 * np.sqrt(np.pi)), abs=1e-12)
     assert 2 * np.pi * abs(G[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
@@ -447,63 +448,63 @@ def test_gmu_extremal_hand_values(hankel_unit):
 def test_gmu_boundary_factorization(hankel_unit, rng):
     # G(t)* G(t) = mu'(t) on the axis: the extremal pair of the unit node,
     # and a random pair of a seeded p = 2 node
-    _, node = hankel_unit
+    frm1 = snode.node_frame(hankel_unit[1])
     node2 = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(3), 2, 2))
     for frm, pair in (
-        (node, snode.extremal_pair(node, 1j)),
+        (frm1, snode.extremal_pair(frm1, 1j)),
         (hankel.hankel_frame(node2), sampling.random_constant_pair(rng, 2)),
     ):
-        dens = hankel.weyl_density(frm, pair)
+        [dens], _ = hankel.weyl_densities(frm, [pair])
         for t in rng.uniform(-6, 6, 20):
-            G = asymptotics.outer_factor(frm, pair, float(t))
+            [G] = asymptotics.outer_factor(frm, [pair], float(t))
             gap = G.conj().T @ G - dens(np.array([t]))[0]
             assert np.max(np.abs(gap)) <= 1e-9
 
 
 def test_outer_factor_of_a_pair_list_equals_single_calls(rng):
-    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3))
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3)))
     z = 0.3 + 0.8j
-    pairs = [snode.extremal_pair(node, 1j), *(sampling.random_constant_pair(rng, 2) for _ in range(3))]
-    batch = asymptotics.outer_factor(node, pairs, z)
+    pairs = [snode.extremal_pair(frm, 1j), *(sampling.random_constant_pair(rng, 2) for _ in range(3))]
+    batch = asymptotics.outer_factor(frm, pairs, z)
     assert batch.shape == (4, 2, 2)
     for pair, got in zip(pairs, batch):
-        assert np.array_equal(got, asymptotics.outer_factor(node, pair, z))
+        assert np.array_equal(got, asymptotics.outer_factor(frm, [pair], z)[0])
 
 
 def test_outer_factor_names_the_first_singular_pair(hankel_unit):
-    _, node = hankel_unit
+    frm = snode.node_frame(hankel_unit[1])
     # F(z) = Frm21(z) R + Frm22(z) Q vanishes for (R, Q) = (Frm22(z), -Frm21(z))
-    _, _, F21, F22 = snode.as_frame(node).blocks(2j)
+    _, _, F21, F22 = frm.blocks(2j)
     good = snode.ParamPair.constant(np.eye(1), np.eye(1))
     bad = snode.ParamPair.constant(F22, -F21)
     with pytest.raises(SingularDenominator, match="for pair 1") as info:
-        asymptotics.outer_factor(node, [good, bad, bad], 2j)
+        asymptotics.outer_factor(frm, [good, bad, bad], 2j)
     assert info.value.z == 2j
 
 
 def test_entropy_bound_equality_at_extremal(hankel_unit):
-    _, node = hankel_unit
-    bound = asymptotics.entropy_bound_check(node, snode.extremal_pair(node, 1j), 1j)
+    frm = snode.node_frame(hankel_unit[1])
+    [bound] = asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j)], 1j)
     assert abs(bound.slack) <= 1e-6
 
 
 def test_entropy_bound_witness_strict(hankel_unit):
-    _, node = hankel_unit
+    frm = snode.node_frame(hankel_unit[1])
     witness = snode.ParamPair.constant(np.array([[1.0]]), np.array([[4.0]]))
-    bound = asymptotics.entropy_bound_check(node, witness, 1j)
+    [bound] = asymptotics.entropy_bound_check(frm, [witness], 1j)
     assert bound.lhs[0, 0].real == pytest.approx(0.32, abs=1e-6)
     assert bound.slack >= 1e-3
 
 
 def test_entropy_bound_random_pairs_on_chain_frame(rng):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=2)
-    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec))))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))[0])
     lam = 0.4 + 1.3j
     ext = snode.extremal_pair(frm, lam)
-    assert abs(asymptotics.entropy_bound_check(frm, ext, lam).slack) <= 1e-6
+    assert abs(asymptotics.entropy_bound_check(frm, [ext], lam)[0].slack) <= 1e-6
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        bound = asymptotics.entropy_bound_check(frm, pair, lam)
+        [bound] = asymptotics.entropy_bound_check(frm, [pair], lam)
         assert bound.slack >= -1e-6
         assert bound.modulus_gap <= 1e-9
 
@@ -648,13 +649,13 @@ def test_limit_inequality_integrals_are_checked():
 
 
 def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):
-    _, node = hankel_102
+    frm = snode.node_frame(hankel_102[1])
     lam = 0.3 + 1.1j
     pairs = [sampling.random_constant_pair(rng, 1) for _ in range(2)]
-    batch = asymptotics.entropy_bound_check(node, pairs, lam)
+    batch = asymptotics.entropy_bound_check(frm, pairs, lam)
     assert len(batch) == 2
     for pair, got in zip(pairs, batch):
-        want = asymptotics.entropy_bound_check(node, pair, lam)
+        [want] = asymptotics.entropy_bound_check(frm, [pair], lam)
         assert np.array_equal(got.lhs, want.lhs)
         assert np.array_equal(got.rhs, want.rhs)
 
@@ -662,16 +663,17 @@ def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):
 def test_entropy_bound_matrix_batch_of_extremal_pairs():
     spec = sampling.random_hankel_spec(np.random.default_rng(5), 2, 2)
     node = hankel.build_hankel_node(spec)
-    ext = snode.extremal_pair(node, 1j)
-    single = asymptotics.entropy_bound_check(node, ext, 1j)
-    for got in asymptotics.entropy_bound_check(node, [ext, ext], 1j):
+    frm = snode.node_frame(node)
+    ext = snode.extremal_pair(frm, 1j)
+    [single] = asymptotics.entropy_bound_check(frm, [ext], 1j)
+    for got in asymptotics.entropy_bound_check(frm, [ext, ext], 1j):
         assert np.array_equal(got.lhs, single.lhs)
         assert np.array_equal(got.rhs, single.rhs)
     # any pair at p = 2: the ball witness of contraction I/2 reads 1/4, and
     # every closed-form lhs agrees with its quadrature modulus
     ball = snode.matrix_ball(node, 1j)
-    witness = cli._pair_with_value(snode.as_frame(node), 1j, snode.ball_value(ball, 0.5 * np.eye(2)))
-    bounds = asymptotics.entropy_bound_check(node, [ext, witness], 1j)
+    witness = cli._pair_with_value(frm, 1j, snode.ball_value(ball, 0.5 * np.eye(2)))
+    bounds = asymptotics.entropy_bound_check(frm, [ext, witness], 1j)
     assert bounds[1].relative_slack == pytest.approx(0.25, abs=1e-9)
     assert max(bound.modulus_gap for bound in bounds) <= 1e-9
 
@@ -679,15 +681,20 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
 @pytest.mark.parametrize("p", [1, 2])
 def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
     # R*Q + Q*R = diag(0, 2) is singular: the density's log-det is -inf
-    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(6), p, 2))
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(6), p, 2)))
     pair = snode.ParamPair.constant(np.eye(p), np.diag([1j, 1.0][:p]))
     with pytest.raises(SzegoViolated):
-        asymptotics.entropy_bound_check(node, [snode.extremal_pair(node, 1j), pair], 1j)
+        asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j), pair], 1j)
 
 
 def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
+    # entropy_bound_check takes the moduli of its pairs' densities after one
+    # normalization; each equals the outer_modulus call on that density
+    frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3)))
     lam = 0.3 + 1.7j
-    dens = [densities.cauchy_density(), densities.exp_sqrt_density(), densities.cauchy_density(2.0)]
+    draws = np.random.default_rng(7)
+    pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, 2) for _ in range(2))]
+    dens, _ = hankel.weyl_densities(frm, pairs)
     singles = [asymptotics.outer_modulus(P, lam) for P in dens]
     names = []
     original = quadrature.integrate_with_check
@@ -697,6 +704,6 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
         return original(fn, support, breaks, quad, rel_tol, what)
 
     monkeypatch.setattr(quadrature, "integrate_with_check", counted)
-    assert asymptotics.outer_modulus(dens, lam) == singles
+    assert [bound.modulus for bound in asymptotics.entropy_bound_check(frm, pairs, lam)] == singles
     # one normalization, then one integral per density
     assert names == ["poisson normalization"] + ["outer modulus integral"] * 3

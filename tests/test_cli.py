@@ -367,7 +367,7 @@ def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, mo
     from snode_lab import asymptotics
 
     calls = []
-    original = asymptotics.weyl_density
+    original = asymptotics.weyl_densities
 
     def counted(frm, pairs):
         def hooked(dens):
@@ -377,9 +377,10 @@ def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, mo
 
             return dataclasses.replace(dens, log_det=log_det)
 
-        return [hooked(dens) for dens in original(frm, pairs)]
+        dens, roots = original(frm, pairs)
+        return [hooked(d) for d in dens], roots
 
-    monkeypatch.setattr(asymptotics, "weyl_density", counted)
+    monkeypatch.setattr(asymptotics, "weyl_densities", counted)
     spec = cli.bundled_spec_path("hankel_p2.json")
     assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     # every pair's outer-modulus integral reads its p = 2 density's log-det

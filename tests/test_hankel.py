@@ -125,23 +125,24 @@ def test_frame_convention_matches_generic_frame(rng):
 
 def test_moments_uniform_density():
     u = densities.uniform_density()
-    assert hankel.moments_from_density(u, 0)[0, 0].real == pytest.approx(1.0, abs=1e-10)
-    assert abs(hankel.moments_from_density(u, 1)[0, 0]) <= 1e-10
-    assert hankel.moments_from_density(u, 2)[0, 0].real == pytest.approx(1 / 3, abs=1e-10)
+    H0, H1, H2 = hankel.moments_from_density(u, range(3))
+    assert H0[0, 0].real == pytest.approx(1.0, abs=1e-10)
+    assert abs(H1[0, 0]) <= 1e-10
+    assert H2[0, 0].real == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_moments_even_density_kills_odd_orders():
     es = densities.exp_sqrt_density()
     for k in [1, 3]:
-        assert abs(hankel.moments_from_density(es, k)[0, 0]) <= 1e-10 * math.factorial(2 * k + 2)
+        assert abs(hankel.moments_from_density(es, [k])[0][0, 0]) <= 1e-10 * math.factorial(2 * k + 2)
 
 
 def test_moments_exp_sqrt_factorials():
     es = densities.exp_sqrt_density()
-    assert hankel.moments_from_density(es, 0)[0, 0].real == pytest.approx(1.0, rel=1e-10)
+    assert hankel.moments_from_density(es, [0])[0][0, 0].real == pytest.approx(1.0, rel=1e-10)
     for m in [1, 2, 3]:
         want = math.factorial(4 * m + 1)
-        got = hankel.moments_from_density(es, 2 * m)[0, 0].real
+        got = hankel.moments_from_density(es, [2 * m])[0][0, 0].real
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -172,8 +173,9 @@ def test_one_pair_is_bitwise_the_batch_of_one(hankel_102, rng):
     frm = hankel.hankel_frame(hankel_102[1])
     pair = sampling.random_constant_pair(rng, 1)
     ts = np.linspace(-30.0, 30.0, 301)
-    one = hankel.weyl_density(frm, pair)
-    [batch] = hankel.weyl_density(frm, [pair])
+    others = [sampling.random_constant_pair(rng, 1) for _ in range(3)]
+    [one], _ = hankel.weyl_densities(frm, [pair])
+    batch = hankel.weyl_densities(frm, [others[0], pair, *others[1:]])[0][1]
     assert one.breaks == batch.breaks and all(isinstance(b, complex) for b in one.breaks)
     assert np.array_equal(one(ts), batch(ts))
     assert np.array_equal(one.log_det_at(ts), batch.log_det_at(ts))
@@ -195,11 +197,10 @@ def test_batched_zeros_match_one_fit_per_pair(p):
         rng = np.random.default_rng(4200 + seed)
         frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
         pairs = [sampling.random_constant_pair(rng, p) for _ in range(6)]
-        _, batch = hankel._weyl_densities(frm, pairs)
+        dens, batch = hankel.weyl_densities(frm, pairs)
         for pair, zeros in zip(pairs, batch):
             want = _zeros_by_polynomial_fit(frm, pair)
             worst = max(worst, float(np.max(np.abs(zeros - want) / np.abs(want), initial=0.0)))
-        dens = hankel.weyl_density(frm, pairs)
         assert all(np.all(np.isfinite(d.log_det_at(np.linspace(-5.0, 5.0, 11)))) for d in dens)
     assert worst <= 1e-9
 
@@ -281,8 +282,8 @@ def test_recover_radius_inside_the_zeros_of_det_f_raises(monkeypatch, p, n, marg
 def test_weyl_density_matches_imaginary_part(hankel_102, rng, unit_pair):
     _, node = hankel_102
     frm = snode.node_frame(node)
-    for pair in (unit_pair, snode.extremal_pair(node, 1j)):
-        dens = hankel.weyl_density(node, pair)
+    for pair in (unit_pair, snode.extremal_pair(frm, 1j)):
+        [dens], _ = hankel.weyl_densities(frm, [pair])
         for t in rng.uniform(-5, 5, 6):
             direct = snode.lft(frm, pair, complex(t))
             imag = (direct - direct.conj().T) / (2j * np.pi)
@@ -311,7 +312,7 @@ _CHUNK_SIZES = (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore
 # Hankel frame through its matrix-polynomial denominator
 @pytest.mark.parametrize(
     "frame_of, p, size",
-    [pytest.param(lambda node: node, 2, size, id=str(size)) for size in _CHUNK_SIZES]
+    [pytest.param(snode.node_frame, 2, size, id=str(size)) for size in _CHUNK_SIZES]
     + [
         pytest.param(hankel.hankel_frame, p, size, id=f"hankel_frame-p{p}-{size}")
         for p in (1, 2)
@@ -321,7 +322,7 @@ _CHUNK_SIZES = (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore
 def test_weyl_density_in_chunks_is_bitwise_one_batch(monkeypatch, frame_of, p, size):
     rng = np.random.default_rng(size)
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2))
-    density = hankel.weyl_density(frame_of(node), sampling.random_constant_pair(rng, p))
+    [density], _ = hankel.weyl_densities(frame_of(node), [sampling.random_constant_pair(rng, p)])
     ts = rng.standard_cauchy(size)
     values, log_dets = density(ts), density.log_det_at(ts)
     monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
@@ -349,7 +350,7 @@ def test_weyl_density_names_the_first_singular_denominator(p):
         return F
 
     pair = snode.ParamPair.constant(np.eye(p), np.eye(p))
-    density = hankel.weyl_density(_denominator_frame(p, den), pair)
+    [density], _ = hankel.weyl_densities(_denominator_frame(p, den), [pair])
     ts = np.array([0.0, 0.5, 1.0, -0.25])
     with pytest.raises(SingularDenominator) as info:
         density(ts)
@@ -426,7 +427,8 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
 
     node, R, Q, jform, ts = _weyl_case(2, n, 200 + n)
     frm = hankel.hankel_frame(node)
-    new = hankel.weyl_density(frm, snode.ParamPair.constant(R, Q))(ts)
+    [density], _ = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
+    new = density(ts)
     Finv = np.linalg.inv(frm.denominator(R, Q)(ts))
     old = np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
     with mpmath.workdps(40):
@@ -449,7 +451,7 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
 def test_p1_density_is_bitwise_jform_over_abs_f_squared():
     node, R, Q, jform, ts = _weyl_case(1, 3, 31)
     frm = hankel.hankel_frame(node)
-    density = hankel.weyl_density(frm, snode.ParamPair.constant(R, Q))
+    [density], _ = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
     F = frm.denominator(R, Q)(ts)
     want = jform / (F.real * F.real + F.imag * F.imag)
     assert density(ts).tobytes() == want.tobytes()
@@ -464,7 +466,7 @@ def test_moment_majorant_is_bitwise_the_trace(monkeypatch, p):
     from snode_lab import quadrature
 
     node, R, Q, _, ts = _weyl_case(p, 2, 40 + p)
-    density = hankel.weyl_density(hankel.hankel_frame(node), snode.ParamPair.constant(R, Q))
+    [density], _ = hankel.weyl_densities(hankel.hankel_frame(node), [snode.ParamPair.constant(R, Q)])
     seen = []
 
     def keep_integrand(fn, *args):
@@ -534,7 +536,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
     spec = sampling.random_hankel_spec(rng, 2, 8)
     pair = sampling.random_constant_pair(rng, 2)
     frm = hankel.hankel_frame(hankel.build_hankel_node(spec))
-    density = hankel.weyl_density(frm, pair)
+    [density], _ = hankel.weyl_densities(frm, [pair])
     ts = np.array([-7.1e19, 0.3])
     F = frm.denominator(pair.R, pair.Q)(ts)
     assert np.abs(F[0]).max() > 1e154
@@ -554,7 +556,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
 @pytest.mark.parametrize("p", (1, 2))
 def test_density_scale_changes_no_bit_where_nothing_overflows(monkeypatch, p):
     node, R, Q, _, _ = _weyl_case(p, 3, 70 + p)
-    density = hankel.weyl_density(hankel.hankel_frame(node), snode.ParamPair.constant(R, Q))
+    [density], _ = hankel.weyl_densities(hankel.hankel_frame(node), [snode.ParamPair.constant(R, Q)])
     ts = np.random.default_rng(p).standard_cauchy(500)
     scaled = density(ts)
     monkeypatch.setattr(matcore, "power_of_two_scale", lambda stack: np.ones(len(stack)))

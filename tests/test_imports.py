@@ -63,11 +63,11 @@ def test_every_error_class_is_raised_or_subclassed(name):
 # ROADMAP item that gives it a command (or removes it) or its user outside
 # the package.  Aim 2 wants this list to shrink.
 UNCALLED = {
-    "dirac_frame": "ROADMAP item 12: the khrushchev tests' reference, to move into tests/",
+    "dirac_frame": "ROADMAP item 16 promotes it: the Dirac frame of the verify-toeplitz interpolation rows",
     "frame_quotient": "ROADMAP item 13b: the Hankel Khrushchev separation row",
     "interp_residual": "ROADMAP item 4: the interpolation theorem as a CLI check",
-    "recover_moments": "ROADMAP item 7: moment recovery rows in verify-hankel",
-    "taylor_recover": "ROADMAP items 4 and 12",
+    "recover_moments": "ROADMAP item 16: moment recovery rows in verify-hankel",
+    "taylor_recover": "ROADMAP item 16: the interpolation row of verify-toeplitz",
     "random_contraction": "the batch of one of random_contractions; the test suite draws single contractions with it",
     "random_constant_pair": "the batch of one of random_constant_pairs; perfbench workloads draw their pairs with it",
     "random_hankel_spec": "perfbench workloads and the CI example runs draw their specs with it",

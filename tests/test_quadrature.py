@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,11 +55,13 @@ def graded_per_panel(fn, n, breaks=()):
     return total
 
 
-_WEYL = hankel.weyl_density(
-    hankel.build_hankel_node(
-        hankel.HankelSpec(p=1, n=2, H=(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]])))
+[_WEYL], _ = hankel.weyl_densities(
+    snode.node_frame(
+        hankel.build_hankel_node(
+            hankel.HankelSpec(p=1, n=2, H=(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]])))
+        )
     ),
-    snode.ParamPair.constant(np.array([[0.8]]), np.array([[1.3 + 0.4j]])),
+    [snode.ParamPair.constant(np.array([[0.8]]), np.array([[1.3 + 0.4j]]))],
 )
 _M = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
 CASES = {
@@ -298,6 +302,24 @@ def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
     assert len(seen["interval"]) == len(tried) and len(seen["line"]) == 2
 
 
+def test_a_nan_integral_fails_the_doubled_node_check():
+    # a NaN drift compares False with any bound: it must fail, not pass
+    with pytest.raises(QuadratureNotConverged, match="^integral: doubled-node drift nan"):
+        quadrature.integrate_with_check(lambda t: np.full(t.shape, np.nan), (0.0, 1.0), (), 64, 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e17, -6e15, complex(1e17, 0.5)])
+def test_a_break_whose_arctan_rounds_to_the_end_is_refused_by_name(x):
+    # past about 5.8e15, arctan(x) is the float pi/2: the cut would leave an
+    # empty segment whose nodes are 1/tan(0) = inf and weights NaN
+    with pytest.raises(Unsupported, match="^" + re.escape(f"break {complex(x)}: arctan of its real part rounds to +-pi/2")):
+        quadrature.integrate_line_graded(lambda t: 1.0 / (1.0 + t * t), 24, (x,))
+    # just inside, the cut is kept and the integral is pi
+    inside = quadrature.integrate_line_graded(lambda t: 1.0 / (1.0 + t * t), 24, (np.sign(x.real) * 1e15,))
+    assert inside == pytest.approx(np.pi, abs=1e-14)
+
+
 @pytest.mark.parametrize(
     "density, orders",
     [
@@ -312,7 +334,7 @@ def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
 def test_all_orders_pass_equals_single_orders(density, orders):
     together = hankel.moments_from_density(density, orders)
     for k, block in zip(orders, together):
-        assert np.array_equal(block, hankel.moments_from_density(density, k))
+        assert np.array_equal(block, hankel.moments_from_density(density, [k])[0])
 
 
 def test_spike_table_moments_are_exact(monkeypatch):
@@ -356,7 +378,7 @@ def test_no_orders_give_an_empty_stack():
 def test_all_orders_pass_names_the_first_failing_order():
     es = densities.exp_sqrt_density()
     with pytest.raises(QuadratureNotConverged) as single:
-        hankel.moments_from_density(es, 7)
+        hankel.moments_from_density(es, [7])
     with pytest.raises(QuadratureNotConverged) as together:
         hankel.moments_from_density(es, range(10))
     assert str(single.value).startswith("moment 7: ")
@@ -368,10 +390,10 @@ def test_divergent_moment_raises_naming_its_order():
     # graded rule cancels it and its value passes the doubled-node check;
     # the check on (1 + t^2)^(1/2) tr P catches it
     cauchy = densities.cauchy_density()
-    for orders in (1, range(4)):
+    for orders in ([1], range(4)):
         with pytest.raises(QuadratureNotConverged, match="^moment 1 absolute: "):
             hankel.moments_from_density(cauchy, orders)
-    assert hankel.moments_from_density(cauchy, 0)[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert hankel.moments_from_density(cauchy, [0])[0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("density", [densities.exp_sqrt_density(), densities.uniform_density()])
@@ -404,14 +426,15 @@ def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
 @pytest.mark.parametrize("orders, named", [(-1, "-1"), ([0, 1, -1], "-1"), (2.5, "2.5"), ([0, 2.5], "2.5")])
 def test_moment_orders_must_be_nonnegative_integers(orders, named):
     # t^-1 P is not integrable at 0, yet its symmetric rule cancels to a
-    # small value; a fractional order has no running power to stop at
+    # small value; a fractional order has no running power to stop at.  A
+    # single order is a sequence of one
     with pytest.raises(IndexOutOfRange, match=f"^moment order {named} is not a non-negative integer$"):
-        hankel.moments_from_density(densities.exp_sqrt_density(), orders)
+        hankel.moments_from_density(densities.exp_sqrt_density(), np.atleast_1d(orders))
 
 
 def test_integral_float_orders_are_their_integers():
     es = densities.exp_sqrt_density()
-    assert np.array_equal(hankel.moments_from_density(es, 2.0), hankel.moments_from_density(es, 2))
+    assert np.array_equal(hankel.moments_from_density(es, [2.0]), hankel.moments_from_density(es, [2]))
 
 
 def test_absolute_checks_leave_the_moment_values_alone():

@@ -278,7 +278,7 @@ def test_every_fitted_zero_of_det_f_is_a_zero(s):
     # a Weyl function is analytic above the axis: no pole of it lies there
     assert np.all(roots.imag < 0.0)
     # the Dirac frame of the same chain: (1 - i t/2)^(-n) times a polynomial of degree n
-    dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node)))
+    dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
     _assert_every_fitted_zero_is_a_zero(dirac, pair, node.m)
 
 
@@ -301,7 +301,7 @@ def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
         spec = sampling.random_toeplitz_spec(rng, p, n)
     node = toeplitz.build_toeplitz_node(spec)
     pair = snode.ParamPair.constant(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    assert len(hankel.weyl_density(node, pair).breaks) == 6
+    assert len(hankel.weyl_densities(snode.node_frame(node), [pair])[0][0].breaks) == 6
     sizes = []
     original = quadrature._graded_rule
 
@@ -334,13 +334,13 @@ def test_interp_residual_shifted_theta_fails_loudly(monkeypatch):
 
 def test_interp_residual_scaled_measure_fails_loudly(monkeypatch, unit_pair):
     node = _interp_toeplitz_node()
-    original = hankel._weyl_densities
+    original = hankel.weyl_densities
 
     def doubled(frm, pairs):
         dens, roots = original(frm, pairs)
         return [densities.DensityFn("x2", lambda t, d=d: 2.0 * d(t), p=d.p, breaks=d.breaks) for d in dens], roots
 
-    monkeypatch.setattr(hankel, "_weyl_densities", doubled)
+    monkeypatch.setattr(hankel, "weyl_densities", doubled)
     res_s, _ = hankel.interp_residual(node, unit_pair)
     assert res_s >= 0.1 * np.linalg.norm(node.S)
 
@@ -349,13 +349,13 @@ def test_interp_residual_circle_missing_a_pole_fails_loudly(monkeypatch):
     # without the zeros of det F the circle is |z| = 1.5 |1/c| = 3, and the
     # Weyl function keeps a pole near |z| = 14 outside it
     node, pair = _interp_corpus(510)
-    original = hankel._weyl_densities
+    original = hankel.weyl_densities
 
     def rootless(frm, pairs):
         dens, roots = original(frm, pairs)
         return dens, [r[:0] for r in roots]
 
-    monkeypatch.setattr(hankel, "_weyl_densities", rootless)
+    monkeypatch.setattr(hankel, "weyl_densities", rootless)
     with pytest.raises(QuadratureNotConverged, match="a singularity lies inside the circle"):
         hankel.interp_residual(node, pair)
 
@@ -514,22 +514,21 @@ def test_ball_coverage_via_pair_construction(hankel_unit, rng):
 
 
 def test_extremal_pair_hand_and_identity(hankel_unit, rng):
-    _, node = hankel_unit
-    pair = snode.extremal_pair(node, 1j)
+    pair = snode.extremal_pair(snode.node_frame(hankel_unit[1]), 1j)
     R, Q = pair.constant_value
     assert R[0, 0] == pytest.approx(1.0)
     assert Q[0, 0] == pytest.approx(1.0)
     # R*Q + Q*R = rho(lam) on random nodes
     for other in random_nodes(seed=18, count=4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(0.4, 1.4))
-        Ro, Qo = snode.extremal_pair(other, lam).constant_value
+        Ro, Qo = snode.extremal_pair(snode.node_frame(other), lam).constant_value
         gap = Ro.conj().T @ Qo + Qo.conj().T @ Ro - snode.rho(other, lam)
         assert np.max(np.abs(gap)) <= 1e-10 * (1 + np.max(np.abs(Ro)))
 
 
 def test_extremal_density_is_cauchy_for_unit_node(hankel_unit):
-    _, node = hankel_unit
-    dens = hankel.weyl_density(node, snode.extremal_pair(node, 1j))
+    frm = snode.node_frame(hankel_unit[1])
+    [dens], _ = hankel.weyl_densities(frm, [snode.extremal_pair(frm, 1j)])
     ts = np.array([-2.0, 0.0, 0.5, 3.0])
     assert_allclose(
         dens(ts)[:, 0, 0].real, 1.0 / (np.pi * (1 + ts**2)), atol=1e-12

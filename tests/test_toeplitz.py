@@ -58,23 +58,28 @@ def _dirac_chain(spec):
     return toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))
 
 
+def _fundamental(C, ws, k):
+    """W_k at the points ws: the head of the first k coefficients of C."""
+    return toeplitz.dirac_sweep(C[None, :k], ws, [k])[0][0, 0]
+
+
 def test_chain_unit_values(toeplitz_unit):
     _, node = toeplitz_unit
     chain = snode.node_chain(node)
     assert chain.c == 0.5j
     assert chain.t[0][0, 0] == pytest.approx(0.5)
     assert_allclose(chain.rows[0], np.array([[0.5, 0.5]]), atol=1e-15)  # [X_1 Y_1]
-    dirac = toeplitz.dirac_chain(chain)
-    assert_allclose(dirac.C[0], np.eye(2), atol=1e-14)
-    assert abs(dirac.rho[0][0, 0]) <= 1e-14
+    C, rho = toeplitz.dirac_chain(chain)
+    assert_allclose(C[0], np.eye(2), atol=1e-14)
+    assert abs(rho[0][0, 0]) <= 1e-14
 
 
 def test_chain_invariants_random(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=5)
     chain = snode.node_chain(toeplitz.build_toeplitz_node(spec))
-    dirac = toeplitz.dirac_chain(chain)
+    Cs, rhos = toeplitz.dirac_chain(chain)
     j = matcore.signature_j(2)
-    for C, r, t in zip(dirac.C, dirac.rho, chain.t):
+    for C, r, t in zip(Cs, rhos, chain.t):
         assert np.max(np.abs(C @ j @ C - j)) <= 1e-9
         assert matcore.min_eig_hermitian(C) > 0
         assert matcore.spectral_norm(r) < 1
@@ -159,68 +164,68 @@ def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
 
 def test_chain_bijection_halmos_reproduces_coefficients(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
-    chain = _dirac_chain(spec)
-    for C, r in zip(chain.C, chain.rho):
+    Cs, rhos = _dirac_chain(spec)
+    for C, r in zip(Cs, rhos):
         assert np.max(np.abs(toeplitz.halmos(r) - C)) <= 1e-10 * (1 + np.max(np.abs(C)))
 
 
 def test_dirac_fundamental_start_and_single_step():
-    chain = toeplitz.DiracChain(p=1, C=(np.eye(2, dtype=complex),), rho=(np.zeros((1, 1)),))
+    C = np.eye(2, dtype=complex)[None]
     for z in [0.3 + 0.1j, 2.0]:
-        assert_allclose(toeplitz.dirac_fundamental(chain, z, 0), np.eye(2), atol=0)
+        assert_allclose(_fundamental(C, np.array([z]), 0)[0], np.eye(2), atol=0)
         expected = np.eye(2) + 1j * z * matcore.signature_j(1)
-        assert_allclose(toeplitz.dirac_fundamental(chain, z, 1), expected, atol=1e-15)
+        assert_allclose(_fundamental(C, np.array([z]), 1)[0], expected, atol=1e-15)
 
 
 def test_dirac_fundamental_matches_transfer_matrix(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
     node = toeplitz.build_toeplitz_node(spec)
-    chain = _dirac_chain(spec)
+    C, _ = _dirac_chain(spec)
     K = toeplitz.unitary_K(2)
     for _ in range(6):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5))
-        W = toeplitz.dirac_fundamental(chain, z, spec.n)
+        W = _fundamental(C, np.array([z]), spec.n)[0]
         via = (1 - 1j * z) ** spec.n * K.conj().T @ snode.transfer_matrix(node, 1 / (2 * z)) @ K
         assert np.linalg.norm(W - via) <= 1e-9 * (1 + np.linalg.norm(via))
 
 
 def test_frame_order_zero_is_identity(rng):
-    chain = toeplitz.chain_from_contractions([sampling.random_contraction(rng, 2)])
-    assert_allclose(toeplitz.frame_toeplitz(chain, 0, 0.7 + 0.9j), np.eye(4), atol=0)
+    C = toeplitz.halmos(sampling.random_contraction(rng, 2)[None])
+    assert_allclose(toeplitz.dirac_frame(C[:0])(0.7 + 0.9j), np.eye(4), atol=0)
 
 
 def test_frame_pole_at_minus_2i(toeplitz_unit):
     spec, _ = toeplitz_unit
-    chain = _dirac_chain(spec)
+    C, _ = _dirac_chain(spec)
     with pytest.raises(PoleAtZ):
-        toeplitz.frame_toeplitz(chain, 1, -2j)
+        toeplitz.dirac_frame(C[:1])(-2j)
 
 
 def test_frame_chain_route_matches_spec_route(rng):
     spec = sampling.random_toeplitz_spec(rng, p=2, n=4)
-    chain = _dirac_chain(spec)
+    frm = toeplitz.dirac_frame(_dirac_chain(spec)[0])
     for _ in range(6):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.8))
-        via_chain = toeplitz.frame_toeplitz(chain, spec.n, z)
+        via_chain = frm(z)
         via_spec = frame_from_spec(spec, z)
         assert np.max(np.abs(via_chain - via_spec)) <= 1e-10 * (1 + np.max(np.abs(via_spec)))
 
 
 def test_frame_composition_with_shifted_chain(rng):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=6)
-    chain = _dirac_chain(spec)
+    C, _ = _dirac_chain(spec)
     for split in [1, 3, 5]:
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
-            full = toeplitz.frame_toeplitz(chain, 6, z)
-            head = toeplitz.frame_toeplitz(chain.head(split), split, z)
-            tail = toeplitz.frame_toeplitz(chain.shifted(split), 6 - split, z)
+            full = toeplitz.dirac_frame(C)(z)
+            head = toeplitz.dirac_frame(C[:split])(z)
+            tail = toeplitz.dirac_frame(C[split:])(z)
             assert np.max(np.abs(full - head @ tail)) <= 1e-10 * (1 + np.max(np.abs(full)))
 
 
 def test_weyl_function_herglotz_on_grid(rng, unit_pair):
     spec = sampling.random_toeplitz_spec(rng, p=1, n=4)
-    frm = toeplitz.dirac_frame(_dirac_chain(spec))
+    frm = toeplitz.dirac_frame(_dirac_chain(spec)[0])
     for _ in range(50):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2.5))
         phi = snode.lft(frm, unit_pair, z)
@@ -229,8 +234,7 @@ def test_weyl_function_herglotz_on_grid(rng, unit_pair):
 
 def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
     spec, _ = toeplitz_unit
-    chain = _dirac_chain(spec)
-    frm = toeplitz.dirac_frame(chain)
+    frm = toeplitz.dirac_frame(_dirac_chain(spec)[0])
     pairs = [
         snode.ParamPair.constant(np.eye(1), np.eye(1)),
         sampling.random_constant_pair(rng, 1),
@@ -243,8 +247,8 @@ def test_taylor_constant_term_unit_node(toeplitz_unit, rng):
 
 def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
-    chain = _dirac_chain(spec)
-    phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
+    C, _ = _dirac_chain(spec)
+    phi = functools.partial(snode.lft, toeplitz.dirac_frame(C), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 3)
     assert coeffs[0][0, 0] == pytest.approx(1.0, abs=1e-6)
     assert coeffs[1][0, 0] == pytest.approx(0.4 + 0.1j, abs=1e-6)
@@ -253,7 +257,7 @@ def test_taylor_recovers_generating_blocks(toeplitz_3, unit_pair):
 
 def test_taylor_recover_calls_phi_once_per_rule(toeplitz_3, unit_pair):
     _, node = toeplitz_3
-    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node)))
+    frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
     shapes = []
 
     def phi(zs):
@@ -266,8 +270,8 @@ def test_taylor_recover_calls_phi_once_per_rule(toeplitz_3, unit_pair):
 
 def test_taylor_extension_stays_nonnegative(toeplitz_3, unit_pair):
     spec, _ = toeplitz_3
-    chain = _dirac_chain(spec)
-    phi = functools.partial(snode.lft, toeplitz.dirac_frame(chain), unit_pair)
+    C, _ = _dirac_chain(spec)
+    phi = functools.partial(snode.lft, toeplitz.dirac_frame(C), unit_pair)
     coeffs = toeplitz.taylor_recover(phi, 6)
     extended = toeplitz.ToeplitzSpec(
         p=1, n=6, s=tuple(spec.s) + tuple(coeffs[3:6]), nu=spec.nu
@@ -276,45 +280,44 @@ def test_taylor_extension_stays_nonnegative(toeplitz_3, unit_pair):
 
 
 def test_khrushchev_empty_head(rng, unit_pair):
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(4)]
+    rhos = np.stack([sampling.random_contraction(rng, 1) for _ in range(4)])
     zgrid = sampling.random_upper_points(rng, 10)
-    assert toeplitz.khrushchev_check(rhos, 0, unit_pair, zgrid) <= 1e-12
+    assert toeplitz.khrushchev_check(rhos[None], [0], unit_pair, zgrid) <= 1e-12
 
 
 def test_khrushchev_random_chain(rng, unit_pair):
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(6)]
+    rhos = np.stack([sampling.random_contraction(rng, 1) for _ in range(6)])
     zgrid = sampling.random_upper_points(rng, 30)
-    assert toeplitz.khrushchev_check(rhos, 3, unit_pair, zgrid) <= 1e-8
+    assert toeplitz.khrushchev_check(rhos[None], [3], unit_pair, zgrid) <= 1e-8
 
 
 def test_khrushchev_free_chain(unit_pair, rng):
-    rhos = [np.zeros((1, 1)) for _ in range(5)]
+    rhos = np.zeros((1, 5, 1, 1))
     zgrid = sampling.random_upper_points(rng, 12)
     for split in range(6):
-        assert toeplitz.khrushchev_check(rhos, split, unit_pair, zgrid) <= 1e-10
+        assert toeplitz.khrushchev_check(rhos, [split], unit_pair, zgrid) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 6))
 def test_khrushchev_over_all_splits_is_the_worst_single_split(seed, p, length):
     rng = np.random.default_rng(seed)
-    chain = toeplitz.chain_from_contractions(
-        [sampling.random_contraction(rng, p) for _ in range(length)]
-    )
+    rhos = np.stack([sampling.random_contraction(rng, p) for _ in range(length)])[None]
     pair = sampling.random_constant_pair(rng, p)
     zgrid = sampling.random_upper_points(rng, 8)
-    singles = [toeplitz.khrushchev_check(chain, n, pair, zgrid) for n in range(length + 1)]
-    assert toeplitz.khrushchev_check(chain, range(length + 1), pair, zgrid) == max(singles)
+    singles = [toeplitz.khrushchev_check(rhos, [n], pair, zgrid) for n in range(length + 1)]
+    assert toeplitz.khrushchev_check(rhos, range(length + 1), pair, zgrid) == max(singles)
 
 
-def explicit_products(chain, ws):
+def explicit_products(Cs, ws):
     """W_0..W_L by the forward recursion W_{m+1} = W_m + i w (j C_m W_m) and
     T_0..T_L by the backward one T_m = T_{m+1} + i w (T_{m+1} j C_m), written
-    out step by step in the kernel's association."""
-    p = chain.p
+    out step by step in the kernel's association, for the (L, 2p, 2p)
+    coefficients Cs."""
+    p = Cs.shape[-1] // 2
     iw = 1j * ws[:, None, None]
     eye = np.broadcast_to(np.eye(2 * p, dtype=complex), (ws.size, 2 * p, 2 * p))
-    jCs = [matcore.signature_j(p) @ C for C in chain.C]
+    jCs = [matcore.signature_j(p) @ C for C in Cs]
     heads, tails = [eye], [eye]
     for jC in jCs:
         heads.append(heads[-1] + iw * matcore.sandwich(jC, heads[-1], None))
@@ -329,15 +332,15 @@ def _weyl(W, order, pair, zs):
     return snode.lft_stack(frm, *pair.at(zs), zs)
 
 
-def khrushchev_reference(chain, n, pair, zs):
-    """The composition residual at one split, from the products of
-    :func:`explicit_products`: the head forward, the tail and the full chain
-    backward."""
-    L = len(chain)
-    heads, tails = explicit_products(chain, -np.conj(zs) / 2.0)
+def khrushchev_reference(Cs, n, pair, zs):
+    """The composition residual at one split of the coefficients Cs, from
+    the products of :func:`explicit_products`: the head forward, the tail
+    and the full chain backward."""
+    L = len(Cs)
+    heads, tails = explicit_products(Cs, -np.conj(zs) / 2.0)
     phi_full = _weyl(tails[0], L, pair, zs)
     phi_tail = _weyl(tails[n], L - n, pair, zs)
-    Ip = np.broadcast_to(np.eye(chain.p, dtype=complex), phi_tail.shape)
+    Ip = np.broadcast_to(np.eye(pair.p, dtype=complex), phi_tail.shape)
     head = toeplitz.frames_of(heads[n][None], zs, np.array([n]))[0]
     composed = snode.lft_stack(head, -1j * phi_tail, Ip, zs)
     return float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0))
@@ -347,25 +350,24 @@ def khrushchev_reference(chain, n, pair, zs):
 @given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 8), st.floats(0.0, 1.0))
 def test_khrushchev_equals_the_per_split_reference(seed, p, length, where):
     rng = np.random.default_rng(seed)
-    rhos = [sampling.random_contraction(rng, p) for _ in range(length)]
-    chain = toeplitz.chain_from_contractions(rhos) if rhos else toeplitz.DiracChain(p=p, C=(), rho=())
+    rhos = np.reshape([sampling.random_contraction(rng, p) for _ in range(length)], (length, p, p))
     pair = sampling.random_constant_pair(rng, p)
     zgrid = sampling.random_upper_points(rng, 7)
     split = round(where * length)
-    reference = khrushchev_reference(chain, split, pair, zgrid)
-    assert toeplitz.khrushchev_check(chain, split, pair, zgrid) == reference
+    reference = khrushchev_reference(toeplitz.halmos(rhos), split, pair, zgrid)
+    assert toeplitz.khrushchev_check(rhos[None], [split], pair, zgrid) == reference
 
 
 EPS = np.finfo(float).eps
 
 
-def product_bound(chain, ws):
+def product_bound(Cs, ws):
     """First-order rounding bound, at each point, on ||W_L - T_0||_F between
     the forward and the backward product of the L factors I + i w j C_m: each
     step of either recursion adds at most (2p + 2) eps times the product of
     the factor norms, each at most 1 + |w| ||C_m||."""
-    p, L = chain.p, len(chain)
-    growth = np.prod([1.0 + np.abs(ws) * np.linalg.norm(C, 2) for C in chain.C], axis=0)
+    p, L = Cs.shape[-1] // 2, len(Cs)
+    growth = np.prod([1.0 + np.abs(ws) * np.linalg.norm(C, 2) for C in Cs], axis=0)
     return 2 * L * (2 * p + 2) * EPS * np.sqrt(2 * p) * growth
 
 
@@ -376,18 +378,18 @@ def test_forward_heads_and_backward_tails_meet_within_rounding(seed, p, length):
     # values read through them: on 2000 seeded chains the worst gaps are
     # 0.064 (products) and 0.015 (Weyl values) of these bounds
     rng = np.random.default_rng(seed)
-    chain = toeplitz.chain_from_contractions([sampling.random_contraction(rng, p) for _ in range(length)])
+    C = toeplitz.halmos(np.stack([sampling.random_contraction(rng, p) for _ in range(length)]))
     pair = sampling.random_constant_pair(rng, p)
     zs = sampling.random_upper_points(rng, 6)
     ws = -np.conj(zs) / 2.0
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [length, 0])
+    [heads], [tails] = toeplitz.dirac_sweep(C[None], ws, [length, 0])
     gap = matcore.frobenius(heads[0] - tails[1])
-    bound = product_bound(chain, ws)
+    bound = product_bound(C, ws)
     assert np.all(gap <= bound)
     # phi = i N D^{-1} with [N; D] = F [R; Q]: a frame moved by dF moves phi
     # by at most (1 + ||phi||) ||D^{-1}|| ||[R; Q]|| ||dF||, and each lft
     # rounds within 8p eps of ||F|| in place of ||dF||
-    forward = snode.lft(toeplitz.dirac_frame(chain), pair, zs)
+    forward = snode.lft(toeplitz.dirac_frame(C), pair, zs)
     backward = _weyl(tails[1], length, pair, zs)
     frm = toeplitz.frames_of(tails[1][None], zs, np.array([length]))[0]
     R, Q = pair.constant_value
@@ -437,12 +439,12 @@ def test_khrushchev_of_a_stack_is_the_max_of_per_chain_calls(rng, monkeypatch, p
     rhos = sampling.random_contractions(rng, p, count * length).reshape(count, length, p, p)
     pair = sampling.random_constant_pair(rng, p)
     zs = sampling.random_upper_points(rng, 11)
-    singles = [toeplitz.khrushchev_check(list(chain), range(length + 1), pair, zs) for chain in rhos]
+    singles = [toeplitz.khrushchev_check(chain[None], range(length + 1), pair, zs) for chain in rhos]
     whole = toeplitz.khrushchev_check(rhos, range(length + 1), pair, zs)
     monkeypatch.setattr(matcore, "CHUNK", 7)  # 2 points of the 3 chains per chunk
     assert toeplitz.khrushchev_check(rhos, range(length + 1), pair, zs) == whole == max(singles)
-    assert toeplitz.khrushchev_check(rhos, 2, pair, zs) == max(
-        toeplitz.khrushchev_check(list(chain), 2, pair, zs) for chain in rhos
+    assert toeplitz.khrushchev_check(rhos, [2], pair, zs) == max(
+        toeplitz.khrushchev_check(chain[None], [2], pair, zs) for chain in rhos
     )
 
 
@@ -456,69 +458,69 @@ def test_khrushchev_names_the_non_contraction_of_a_stack(rng, unit_pair):
 
 @pytest.mark.parametrize("bad", [2.5, -1, 5, [0, 2.5]])
 def test_khrushchev_rejects_a_split_that_is_not_an_integer_in_0_to_L(rng, unit_pair, bad):
-    rhos = sampling.random_contractions(rng, 1, 4)
+    rhos = sampling.random_contractions(rng, 1, 4)[None]
     zs = sampling.random_upper_points(rng, 5)
+    splits = np.ravel(bad)
     with pytest.raises(IndexOutOfRange, match="is not an integer in 0..4"):
-        toeplitz.khrushchev_check(rhos, bad, unit_pair, zs)
+        toeplitz.khrushchev_check(rhos, splits, unit_pair, zs)
     with pytest.raises(IndexOutOfRange, match="start .* is not an integer in 0..4"):
-        toeplitz.dirac_sweep(toeplitz.chain_from_contractions(rhos), zs, np.ravel(bad))
+        toeplitz.dirac_sweep(toeplitz.halmos(rhos[0])[None], zs, splits)
     # an integral float is that integer
-    assert toeplitz.khrushchev_check(rhos, 2.0, unit_pair, zs) == toeplitz.khrushchev_check(rhos, 2, unit_pair, zs)
+    assert toeplitz.khrushchev_check(rhos, [2.0], unit_pair, zs) == toeplitz.khrushchev_check(rhos, [2], unit_pair, zs)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_khrushchev_in_chunks_is_bitwise_one_batch(rng, monkeypatch, p):
-    chain = toeplitz.chain_from_contractions([sampling.random_contraction(rng, p) for _ in range(5)])
+    rhos = np.stack([sampling.random_contraction(rng, p) for _ in range(5)])[None]
     pair = sampling.random_constant_pair(rng, p)
     zs = sampling.random_upper_points(rng, 23)
-    whole = toeplitz.khrushchev_check(chain, range(6), pair, zs)
+    whole = toeplitz.khrushchev_check(rhos, range(6), pair, zs)
     monkeypatch.setattr(matcore, "CHUNK", 7)  # chunks of 7, 7, 7 and 2 points
-    per_point = [toeplitz.khrushchev_check(chain, range(6), pair, z) for z in zs]
-    assert toeplitz.khrushchev_check(chain, range(6), pair, zs) == whole == max(per_point)
+    per_point = [toeplitz.khrushchev_check(rhos, range(6), pair, z) for z in zs]
+    assert toeplitz.khrushchev_check(rhos, range(6), pair, zs) == whole == max(per_point)
 
 
 def test_sweep_fills_every_slot_of_repeated_starts(rng):
     # verify-toeplitz passes [0, 0] for a one-coefficient spec
-    chain = toeplitz.chain_from_contractions([sampling.random_contraction(rng, 2) for _ in range(3)])
+    C = toeplitz.halmos(np.stack([sampling.random_contraction(rng, 2) for _ in range(3)]))[None]
     ws = sampling.random_upper_points(rng, 4)
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [0, 0])
-    _, once_tails = toeplitz.dirac_sweep(chain, ws, [0])
+    [heads], [tails] = toeplitz.dirac_sweep(C, ws, [0, 0])
+    _, [once_tails] = toeplitz.dirac_sweep(C, ws, [0])
     for k in range(2):
         assert np.array_equal(heads[k], np.broadcast_to(np.eye(4), heads[k].shape))
         assert np.array_equal(tails[k], once_tails[0])
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [3, 1, 3])
+    [heads], [tails] = toeplitz.dirac_sweep(C, ws, [3, 1, 3])
     assert np.array_equal(heads[0], heads[2]) and np.array_equal(tails[0], tails[2])
 
 
 @pytest.mark.parametrize("length", [1, 4])
 def test_sweep_start_at_L_gives_the_full_head_and_an_identity_tail(rng, length):
-    chain = toeplitz.chain_from_contractions([sampling.random_contraction(rng, 1) for _ in range(length)])
+    C = toeplitz.halmos(np.stack([sampling.random_contraction(rng, 1) for _ in range(length)]))
     ws = sampling.random_upper_points(rng, 3)
-    heads, tails = toeplitz.dirac_sweep(chain, ws, [0, length])
-    forward, backward = explicit_products(chain, ws)
+    [heads], [tails] = toeplitz.dirac_sweep(C[None], ws, [0, length])
+    forward, backward = explicit_products(C, ws)
     assert np.array_equal(tails[1], np.broadcast_to(np.eye(2), tails[1].shape))
     assert np.array_equal(heads[1], forward[length]) and np.array_equal(tails[0], backward[0])
     if length == 1:
         # one factor: either direction is I + i w j C_0 with no rounding
-        step = np.eye(2) + 1j * ws[:, None, None] * (matcore.signature_j(1) @ chain.C[0])
+        step = np.eye(2) + 1j * ws[:, None, None] * (matcore.signature_j(1) @ C[0])
         assert np.array_equal(heads[1], step) and np.array_equal(tails[0], step)
 
 
 def test_khrushchev_pole_at_minus_2i(rng, unit_pair):
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(3)]
+    rhos = np.stack([sampling.random_contraction(rng, 1) for _ in range(3)])
     zgrid = np.array([1.0 + 1.0j, -2.0j, 0.5j])
     with pytest.raises(PoleAtZ, match="pole at -2i"):
-        toeplitz.khrushchev_check(rhos, range(4), unit_pair, zgrid)
+        toeplitz.khrushchev_check(rhos[None], range(4), unit_pair, zgrid)
 
 
 def test_nesting_pullback_keeps_property_j(rng, unit_pair):
     # a Weyl function of a longer chain, pulled back through a shorter frame,
     # comes from a pair that still satisfies the defining inequalities
-    rhos = [sampling.random_contraction(rng, 1) for _ in range(6)]
-    chain = toeplitz.chain_from_contractions(rhos)
-    full = toeplitz.dirac_frame(chain)
+    C = toeplitz.halmos(np.stack([sampling.random_contraction(rng, 1) for _ in range(6)]))
+    full = toeplitz.dirac_frame(C)
     for k in [1, 3]:
-        head = toeplitz.dirac_frame(chain.head(k), k)
+        head = toeplitz.dirac_frame(C[:k])
         for _ in range(8):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.8))
             phi = snode.lft(full, unit_pair, z)
@@ -550,12 +552,14 @@ def test_leading_subspec(toeplitz_3):
 def test_batched_chain_evaluators_equal_stacked_points(seed, p, n, count):
     rng = np.random.default_rng(seed)
     spec = sampling.random_toeplitz_spec(rng, p, n)
-    chain = _dirac_chain(spec)
+    C, _ = _dirac_chain(spec)
     zs = sampling.random_upper_points(rng, count)
-    for evaluate in (
-        lambda z: toeplitz.dirac_fundamental(chain, z, n),
-        lambda z: toeplitz.frame_toeplitz(chain, n, z),
-    ):
+
+    def fundamental(z_or_zs):
+        W = _fundamental(C, np.atleast_1d(z_or_zs), n)
+        return W if np.ndim(z_or_zs) else W[0]
+
+    for evaluate in (fundamental, toeplitz.dirac_frame(C)):
         stacked = np.stack([evaluate(z) for z in zs])
         batch = evaluate(zs)
         assert np.max(np.abs(batch - stacked)) <= 1e-13 * (1.0 + np.max(np.abs(stacked)))
@@ -611,13 +615,13 @@ def test_stacked_spec_matrix_and_node_are_the_loops_bitwise(seed, p, n):
 def test_stacked_chain_data_are_the_per_order_values_bitwise(seed, p, n, count):
     rng = np.random.default_rng(seed)
     chain = snode.node_chain(toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n)))
-    dirac = toeplitz.dirac_chain(chain)
+    Cs, rhos = toeplitz.dirac_chain(chain)
     K, j, J = toeplitz.unitary_K(p), matcore.signature_j(p), matcore.exchange_J(p)
     lams = sampling.random_upper_points(rng, count)
     ws = sampling.random_upper_points(rng, count)
     scale = (1j / (lams - 0.5j))[:, None, None]
     factors = snode.chain_factors(chain, lams)
-    for k, (C, rho, G, factor) in enumerate(zip(dirac.C, dirac.rho, chain.G, factors)):
+    for k, (C, rho, G, factor) in enumerate(zip(Cs, rhos, chain.G, factors)):
         # G_k up to a unitary left factor, from t_k and the row [X_k Y_k]
         G_row = np.linalg.inv(np.linalg.cholesky(chain.t[k])) @ chain.rows[k]
         assert np.array_equal(rho, np.linalg.solve(C[:p, :p], C[:p, p:]))
@@ -625,12 +629,12 @@ def test_stacked_chain_data_are_the_per_order_values_bitwise(seed, p, n, count):
         gram = G_row.conj().T @ G_row
         assert_allclose(C, matcore.hermitian_part(2.0 * K.conj().T @ gram @ K - j), atol=1e-9)
     # one sweep with a second start: heads forward, tails backward, each
-    # bitwise the explicit recursion; dirac_fundamental is the forward one
+    # bitwise the explicit recursion; the head of C[:k] is the forward one
     split = n // 2
-    heads, tails = toeplitz.dirac_sweep(dirac, ws, [0, split])
-    forward, backward = explicit_products(dirac, ws)
+    [heads], [tails] = toeplitz.dirac_sweep(Cs[None], ws, [0, split])
+    forward, backward = explicit_products(Cs, ws)
     for k, start in enumerate([0, split]):
         assert np.array_equal(heads[k], forward[start]) and np.array_equal(tails[k], backward[start])
-    assert np.array_equal(toeplitz.dirac_fundamental(dirac, ws, split), forward[split])
-    assert np.array_equal(toeplitz.dirac_fundamental(dirac, ws, n), forward[n])
-    assert np.array_equal(toeplitz.dirac_sweep(dirac.shifted(split), ws, [0])[1][0], backward[split])
+    assert np.array_equal(_fundamental(Cs, ws, split), forward[split])
+    assert np.array_equal(_fundamental(Cs, ws, n), forward[n])
+    assert np.array_equal(toeplitz.dirac_sweep(Cs[None, split:], ws, [0])[1][0, 0], backward[split])
