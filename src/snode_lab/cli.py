@@ -225,8 +225,8 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     )
     zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
     factors = snode.chain_factors(chain, lams)
-    # H7 compares two routes to the frame: transfer_matrix's own S solve
-    # against snode.frame's, from the node's cached S^{-1} Pi
+    # H7 compares two routes to the frame: transfer_matrix's own S solve and
+    # resolvent against snode.frame's Horner on the node's cached S^{-1} Pi
     transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / np.conj(zs))))
     gap = _factor_product_gap(factors, transfer[: lams.size])
     checks.append(_check("factor product vs transfer matrix", "H13-", gap, 1e-9))
@@ -291,7 +291,7 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     spec_path = sc.spec_path or bundled_spec_path("hankel_n1.json")
     spec = _load_spec(sc.command, spec_path, hankel.HankelSpec)
     node = hankel.build_hankel_node(spec)
-    frm = hankel.hankel_frame(node)
+    frm = snode.node_frame(node)
     lam = _param_complex(sc, "lambda", [0.0, 1.0])
     draws = _param_int(sc, "pairs", 10)
     checks = []
@@ -498,6 +498,18 @@ _HANDLERS = {
     "demo-appendixB": _run_demo_appendix_b,
 }
 
+# the scenario keys every command accepts, and those each command reads on top
+_TOP_KEYS = frozenset({"command", "spec", "seed", "grid", "out", "format"})
+_PARAM_KEYS = {
+    "verify-toeplitz": (),
+    "verify-hankel": (),
+    "khrushchev": ("p", "length", "count"),
+    "ball": ("z",),
+    "entropy": ("lambda", "pairs"),
+    "asymptotics": ("family", "density", "lambda", "max_order"),
+    "demo-appendixB": ("sweep",),
+}
+
 
 def run_scenario(sc: Scenario) -> tuple[int, Path]:
     """Execute a scenario; returns (exit code, report path)."""
@@ -566,7 +578,7 @@ def scenario_from_args(args) -> Scenario:
         data = _load_json(args.scenario, "scenario")
         if not isinstance(data, dict):
             raise BadInput(f"scenario {args.scenario} must hold a JSON object, got {type(data).__name__}")
-        params = {k: v for k, v in data.items() if k not in {"command", "spec", "seed", "grid", "out", "format"}}
+        params = {k: v for k, v in data.items() if k not in _TOP_KEYS}
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -579,8 +591,11 @@ def scenario_from_args(args) -> Scenario:
     for key in ("spec", "out"):
         if key in data and not isinstance(data[key], str):
             raise BadInput(f"{command}: {key} must be a string, got {data[key]!r}")
-    if "quad" in data:  # a retired field: refused, not passed on as an unread parameter
-        raise BadInput(f"{command}: quad is no longer a scenario field: moment integrals have one node budget")
+    known = _PARAM_KEYS.get(command, tuple(params))  # an unknown command is named by run_scenario
+    for key in params:
+        if key not in known:
+            fields = ", ".join(known) or "none"
+            raise BadInput(f"{command}: {key} is not a scenario field of {command} (parameters: {fields})")
     if data.get("format", "json") not in ("json", "csv"):
         raise BadInput(f"{command}: format must be 'json' or 'csv', got {data['format']!r}")
     return Scenario(

@@ -90,72 +90,6 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
     return SNode(p=p, shift=(0, 1, 0), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
-def _horner(coefs, const: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """const - i sum_{j<n} z^{j+1} coefs[j] at every point of the 1-d array
-    zs, by Horner: a stack of matrices shaped like const."""
-    w = zs[:, None, None]
-    acc = coefs[-1] * w
-    for C in coefs[-2::-1]:
-        acc += C
-        acc *= w
-    acc *= -1j
-    acc += const
-    return acc
-
-
-def hankel_frame(node: SNode) -> Frame:
-    """Frame of a block Hankel node as the matrix polynomial
-
-        Frm(z) = I - i sum_{j<n} z^{j+1} C_j,   C_j = Pi* (A*)^j S^{-1} Pi J,
-
-    evaluated by Horner in chunks of at most :data:`matcore.CHUNK` points.
-
-    A is the block down-shift, so (A*)^n = 0 and (I - z A*)^{-1} is the
-    finite sum of the z^j (A*)^j: this is the frame of :func:`snode.frame`,
-    which stays the reference, with no substitution per point and no pole
-    (I - z A* has a unit diagonal; ``pole_clear`` is 1).  The coefficients
-    come once from the node's cached S^{-1} Pi, and the product by J is the
-    same column-block swap.
-
-    The LFT denominator of a constant pair is itself a p x p matrix
-    polynomial of degree n,
-
-        F(t) = Frm21(t) R + Frm22(t) Q = Q - i sum_{j<n} t^{j+1} D_j,
-        D_j = (lower block row of C_j) [R; Q],
-
-    so ``Frame.denominator`` evaluates it by the same Horner loop on the
-    D_j, computed once per pair, without forming the 2p x 2p frame; det F
-    has degree at most p n.  Raises :class:`Unsupported` for a node whose A
-    is not nilpotent (c != 0 in its shift form).
-    """
-    if node.shift[0] != 0:
-        raise Unsupported("the frame is a polynomial only for a nilpotent A, as in a Hankel node")
-    p = node.p
-    n = node.m // p
-    Pi_h = node.Pi.conj().T
-    A_h = node.A.conj().T
-    X = node.SinvPi
-    coefs = []
-    for _ in range(n):
-        C = Pi_h @ X
-        coefs.append(np.concatenate((C[:, p:], C[:, :p]), axis=1))
-        X = A_h @ X
-    eye = np.eye(2 * p, dtype=complex)
-
-    def fn(z_or_zs):
-        out = matcore.in_chunks(lambda zs: _horner(coefs, eye, zs), matcore.as_points(z_or_zs))
-        return out if np.ndim(z_or_zs) else out[0]
-
-    def make_denominator(R, Q):
-        RQ = np.concatenate((R, Q))
-        lower = [C[p:] @ RQ for C in coefs]
-        return lambda ts: _horner(lower, Q, np.asarray(ts))
-
-    return Frame(
-        p=p, fn=fn, pole_clear=lambda ts: 1.0, clear_degree=p * n, make_denominator=make_denominator
-    )
-
-
 def _powers(ts, ks):
     """t^k on the nodes for every k in ``ks``, in order, each as t^(k-1) t.
 
@@ -242,7 +176,7 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
         mu'(t) = F(t)^{-*} jform F(t)^{-1},   jform = (R*Q + Q*R) / (2 pi),
 
     with the p x p LFT denominator F(t) = Frm21(t) R + Frm22(t) Q from
-    :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel frame).
+    :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel node).
     It is evaluated directly on the axis (the frames in use are J-unitary
     there).  At p <= 2 it is adj(F)* jform adj(F) / |det F|^2, formed
     entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2)
@@ -253,8 +187,9 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
         ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
 
     which stays numerically meaningful at any |t| (the direct imaginary part
-    does not) and is +inf where F is exactly singular.  Both evaluate F on
-    chunks of at most :data:`matcore.CHUNK` points.  The values raise
+    does not), is +inf where F is exactly singular and is -inf everywhere
+    for a pair with singular R*Q + Q*R.  Both evaluate F on chunks of at
+    most :data:`matcore.CHUNK` points.  The values raise
     :class:`SingularDenominator` only where they are not finite, naming the
     first such point: where F is exactly singular or the value overflows.
     A nearly singular F is not refused there: for a pair singular at
@@ -300,6 +235,8 @@ def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray) -> D
         return out
 
     def log_dets(ts):
+        if log_num == -np.inf:  # a singular jform: det mu' = 0 wherever F is invertible
+            return np.full(ts.size, -np.inf)
         return log_num - 2.0 * matcore.log_abs_det(denominators(ts))
 
     def fn(ts):
@@ -395,7 +332,7 @@ def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentRep
     if any(k < 0 or k > max_known for k in orders):
         raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
-    frm = hankel_frame(node)
+    frm = node_frame(node)
     [density], [roots] = weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(

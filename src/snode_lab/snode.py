@@ -14,7 +14,7 @@ Conventions used throughout:
   factors w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k  (:func:`chain_factors`)
   multiply, w_n ... w_1, to the transfer matrix of either node family;
 * the frame is  Frm(z) = w_A(1/conj(z))*, evaluated in the equivalent
-  pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J;
+  pole-free form  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J (a polynomial if c = 0);
 * a Weyl function is  phi = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1}  for a
   nonsingular pair {R, Q} with R*R + Q*Q > 0 and R*Q + Q*R >= 0.
 
@@ -134,6 +134,22 @@ class SNode:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def frame_coefs(self) -> np.ndarray:
+        """The (n, 2p, 2p) coefficients C_j J, C_j = Pi* (A*)^j S^{-1} Pi, of
+        the frame polynomial of a node whose A is nilpotent (c = 0), from
+        ``SinvPi`` (read-only); the product by J is the column-block swap."""
+        p, X = self.p, self.SinvPi
+        Pi_h, A_h = self.Pi.conj().T, self.A.conj().T
+        coefs = []
+        for _ in range(self.m // p):
+            C = Pi_h @ X
+            coefs.append(np.concatenate((C[:, p:], C[:, :p]), axis=1))
+            X = A_h @ X
+        out = np.stack(coefs)
+        out.setflags(write=False)
+        return out
+
 
 def identity_residual(node: SNode) -> float:
     """Frobenius norm of A S - S A* - i Pi J Pi*."""
@@ -221,8 +237,13 @@ def chain_factors(chain: NodeChain, lam_or_lams) -> list[np.ndarray]:
 
 def frame(node: SNode, z_or_zs) -> np.ndarray:
     """Frame value  I - i z Pi* (I - z A*)^{-1} S^{-1} Pi J  (equals w_A(1/conj z)*),
-    evaluated in chunks of at most :data:`matcore.CHUNK` points."""
-    out = matcore.in_chunks(lambda zs: _frame_stack(node, zs), matcore.as_points(z_or_zs))
+    evaluated in chunks of at most :data:`matcore.CHUNK` points: for a
+    nilpotent A (c = 0) as the polynomial  I - i sum_{j<n} z^{j+1} C_j J  on
+    ``node.frame_coefs`` by Horner (backward stable; Higham 2002, sec. 5.1),
+    otherwise by the resolvent.  A value that is not finite raises
+    :class:`SingularResolvent` naming the first such point."""
+    stack = _frame_horner if node.shift[0] == 0 else _frame_stack
+    out = matcore.in_chunks(lambda zs: stack(node, zs), matcore.as_points(z_or_zs))
     return out if np.ndim(z_or_zs) else out[0]
 
 
@@ -234,6 +255,28 @@ def _frame_stack(node: SNode, zs: np.ndarray) -> np.ndarray:
     # subtracting the swapped copy gives the bits of I - step @ J
     p = node.p
     return np.eye(2 * p, dtype=complex) - np.concatenate((step[:, :, p:], step[:, :, :p]), axis=2)
+
+
+def _frame_horner(node: SNode, zs: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _horner(node.frame_coefs, np.eye(2 * node.p, dtype=complex), zs)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularResolvent(zs[np.argmin(finite)])
+    return out
+
+
+def _horner(coefs, const: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """const - i sum_{j<n} z^{j+1} coefs[j] at every point of the 1-d array
+    zs, by Horner: a stack of matrices shaped like const."""
+    w = zs[:, None, None]
+    acc = coefs[-1] * w
+    for C in coefs[-2::-1]:
+        acc += C
+        acc *= w
+    acc *= -1j
+    acc += const
+    return acc
 
 
 @dataclass(frozen=True)
@@ -248,8 +291,8 @@ class Frame:
     density code locate its spikes exactly.
 
     ``make_denominator(R, Q)``, when given, returns an evaluator of F that
-    never forms the frame (a Hankel frame's F is a p x p matrix polynomial);
-    by default F is taken from the lower block row of the frame.
+    never forms the frame (F is a p x p polynomial for a nilpotent A); by
+    default F is taken from the lower block row of the frame.
     """
 
     p: int
@@ -279,14 +322,25 @@ class Frame:
 
 
 def node_frame(node: SNode) -> Frame:
-    m, c = node.m, node.shift[0]
+    """The :class:`Frame` of a node.  For a nilpotent A (c = 0) the LFT
+    denominator of a pair is the p x p polynomial F(t) = Q - i sum_{j<n}
+    t^{j+1} (C_j J)[p:] [R; Q], by Horner on coefficients computed once per
+    pair, with no 2p x 2p frame."""
+    m, p, c = node.m, node.p, node.shift[0]
+
+    def horner_denominator(R, Q):
+        RQ = np.concatenate((R, Q))
+        lower = [C[p:] @ RQ for C in node.frame_coefs]
+        return lambda ts: _horner(lower, Q, np.asarray(ts))
+
     return Frame(
-        p=node.p,
+        p=p,
         fn=lambda z_or_zs: frame(node, z_or_zs),
         # A - c I is nilpotent of index n = m / p: each entry of F has degree <= n
         # over (1 - t conj(c))^n, so det F (1 - t conj(c))^m has degree <= p n = m
         pole_clear=lambda ts: (1.0 - np.asarray(ts, dtype=complex) * np.conj(c)) ** m,
         clear_degree=m,
+        make_denominator=horner_denominator if c == 0 else None,
     )
 
 

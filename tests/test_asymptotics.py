@@ -452,7 +452,7 @@ def test_gmu_boundary_factorization(hankel_unit, rng):
     node2 = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(3), 2, 2))
     for frm, pair in (
         (frm1, snode.extremal_pair(frm1, 1j)),
-        (hankel.hankel_frame(node2), sampling.random_constant_pair(rng, 2)),
+        (snode.node_frame(node2), sampling.random_constant_pair(rng, 2)),
     ):
         [dens], _ = hankel.weyl_densities(frm, [pair])
         for t in rng.uniform(-6, 6, 20):
@@ -678,9 +678,11 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
     assert max(bound.modulus_gap for bound in bounds) <= 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p", [1, 2])
 def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
-    # R*Q + Q*R = diag(0, 2) is singular: the density's log-det is -inf
+    # R*Q + Q*R = diag(0, 2) is singular: the density's log-det is -inf,
+    # also at a node where det F rounds to 0 (no -inf + inf)
     frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(6), p, 2)))
     pair = snode.ParamPair.constant(np.eye(p), np.diag([1j, 1.0][:p]))
     with pytest.raises(SzegoViolated):
@@ -690,7 +692,7 @@ def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
 def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
     # entropy_bound_check takes the moduli of its pairs' densities after one
     # normalization; each equals the outer_modulus call on that density
-    frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3)))
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3)))
     lam = 0.3 + 1.7j
     draws = np.random.default_rng(7)
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, 2) for _ in range(2))]

@@ -625,7 +625,7 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("entropy", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
         ("asymptotics", {"lambda": [float("nan"), 1]}, "lambda must be finite, got [nan, 1]"),
         ("entropy", {"seed": "x"}, "seed must be an integer, got 'x'"),
-        ("asymptotics", {"quad": "q"}, "quad is no longer a scenario field: moment integrals have one node budget"),
+        ("asymptotics", {"quad": "q"}, "quad is not a scenario field of asymptotics (parameters: family, density, lambda, max_order)"),
         ("khrushchev", {"grid": 2.5}, "grid must be an integer, got 2.5"),
         ("khrushchev", {"count": 2.7}, "count must be an integer, got 2.7"),
         ("entropy", {"pairs": 1.5}, "pairs must be an integer, got 1.5"),
@@ -650,7 +650,7 @@ def test_entropy_witness_at_the_ball_centre_fails_the_row(tmp_path, monkeypatch)
         ("asymptotics", {"family": 3}, "family must be 'hankel' or 'toeplitz', got 3"),
         ("asymptotics", {"family": "toeplitz"}, "spec must be given for family 'toeplitz', got None"),
         ("ball", {"grid": 0}, "grid must be at least 1, got 0"),
-        ("asymptotics", {"quad": 2048}, "quad is no longer a scenario field: moment integrals have one node budget"),
+        ("asymptotics", {"quad": 2048}, "quad is not a scenario field of asymptotics (parameters: family, density, lambda, max_order)"),
         ("entropy", {"seed": -3}, "seed must be at least 0, got -3"),
         ("verify-hankel", {"spec": "missing.json"}, "spec must name an existing file, got 'missing.json'"),
         ("nope", {}, "command must be one of asymptotics, ball, demo-appendixB, entropy, "),
@@ -668,6 +668,30 @@ def test_malformed_scenario_fields_exit_2(tmp_path, capsys, command, params, mes
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("entropy", "lamda"),
+        ("ball", "lambda"),
+        ("khrushchev", "pairs"),
+        ("asymptotics", "z"),
+        ("demo-appendixB", "p"),
+        ("verify-hankel", "z"),
+        ("verify-toeplitz", "count"),
+    ],
+)
+def test_a_scenario_key_that_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    # a misspelled "lamda" must not run entropy at the default lambda = i
+    assert set(cli._PARAM_KEYS) == set(cli._HANDLERS)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": command, key: [0.5, 2.0]}))
+    assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
+    fields = ", ".join(cli._PARAM_KEYS[command]) or "none"
+    want = f"error: {command}: {key} is not a scenario field of {command} (parameters: {fields})\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / f"report_{command}.json").exists()
 
 
 def test_asymptotics_names_a_lost_poisson_normalization_as_a_plain_float(tmp_path, capsys):

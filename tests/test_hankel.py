@@ -14,7 +14,6 @@ from snode_lab.errors import (
     NotPositiveDefinite,
     QuadratureNotConverged,
     SingularDenominator,
-    Unsupported,
 )
 
 
@@ -170,7 +169,7 @@ def test_recover_moments_fits_the_roots_of_det_f_once(hankel_102, unit_pair, mon
 
 
 def test_one_pair_is_bitwise_the_batch_of_one(hankel_102, rng):
-    frm = hankel.hankel_frame(hankel_102[1])
+    frm = snode.node_frame(hankel_102[1])
     pair = sampling.random_constant_pair(rng, 1)
     ts = np.linspace(-30.0, 30.0, 301)
     others = [sampling.random_constant_pair(rng, 1) for _ in range(3)]
@@ -195,7 +194,7 @@ def test_batched_zeros_match_one_fit_per_pair(p):
     worst = 0.0
     for seed in range(12):
         rng = np.random.default_rng(4200 + seed)
-        frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
+        frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
         pairs = [sampling.random_constant_pair(rng, p) for _ in range(6)]
         dens, batch = hankel.weyl_densities(frm, pairs)
         for pair, zeros in zip(pairs, batch):
@@ -211,7 +210,7 @@ def test_zeros_are_bitwise_those_of_polynomial_objects(p):
     poly = np.polynomial
     for seed in range(6):
         rng = np.random.default_rng(4300 + seed)
-        frm = hankel.hankel_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
+        frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
         dens = [frm.denominator(pair.R, pair.Q) for pair in (sampling.random_constant_pair(rng, p) for _ in range(4))]
         deg = frm.clear_degree
         fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * (3.0 + deg)
@@ -308,13 +307,18 @@ def test_leading_subspec(rng):
 _CHUNK_SIZES = (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore.CHUNK + 3)
 
 
-# the node goes through the generic frame (the default denominator), the
-# Hankel frame through its matrix-polynomial denominator
+def _frame_formed_denominator(node):
+    """The node's frame with the default denominator, read off the frame's
+    lower block row."""
+    return dataclasses.replace(snode.node_frame(node), make_denominator=None)
+
+
+# the frame-formed denominator, and the Hankel frame's matrix-polynomial one
 @pytest.mark.parametrize(
     "frame_of, p, size",
-    [pytest.param(snode.node_frame, 2, size, id=str(size)) for size in _CHUNK_SIZES]
+    [pytest.param(_frame_formed_denominator, 2, size, id=str(size)) for size in _CHUNK_SIZES]
     + [
-        pytest.param(hankel.hankel_frame, p, size, id=f"hankel_frame-p{p}-{size}")
+        pytest.param(snode.node_frame, p, size, id=f"hankel_frame-p{p}-{size}")
         for p in (1, 2)
         for size in _CHUNK_SIZES
     ],
@@ -396,7 +400,7 @@ def test_hankel_denominator_is_as_accurate_as_the_frame_path(p, n):
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     R, Q = sampling.random_constant_pair(rng, p).constant_value
     ts = rng.standard_cauchy(12)
-    frm = hankel.hankel_frame(node)
+    frm = snode.node_frame(node)
     new = matcore.log_abs_det(frm.denominator(R, Q)(ts))
     old = np.linalg.slogdet(dataclasses.replace(frm, make_denominator=None).denominator(R, Q)(ts))[1]
     with mpmath.workdps(40):
@@ -426,7 +430,7 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
     import mpmath
 
     node, R, Q, jform, ts = _weyl_case(2, n, 200 + n)
-    frm = hankel.hankel_frame(node)
+    frm = snode.node_frame(node)
     [density], _ = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
     new = density(ts)
     Finv = np.linalg.inv(frm.denominator(R, Q)(ts))
@@ -450,7 +454,7 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
 
 def test_p1_density_is_bitwise_jform_over_abs_f_squared():
     node, R, Q, jform, ts = _weyl_case(1, 3, 31)
-    frm = hankel.hankel_frame(node)
+    frm = snode.node_frame(node)
     [density], _ = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
     F = frm.denominator(R, Q)(ts)
     want = jform / (F.real * F.real + F.imag * F.imag)
@@ -466,7 +470,7 @@ def test_moment_majorant_is_bitwise_the_trace(monkeypatch, p):
     from snode_lab import quadrature
 
     node, R, Q, _, ts = _weyl_case(p, 2, 40 + p)
-    [density], _ = hankel.weyl_densities(hankel.hankel_frame(node), [snode.ParamPair.constant(R, Q)])
+    [density], _ = hankel.weyl_densities(snode.node_frame(node), [snode.ParamPair.constant(R, Q)])
     seen = []
 
     def keep_integrand(fn, *args):
@@ -487,11 +491,13 @@ _FRAME_POINTS = np.array([0.0, 1e19, -1e19, 0.3, -2.5, 40.0, 1j, 0.5 + 0.2j, -3.
 @pytest.mark.parametrize("p", (1, 2, 3))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_hankel_frame_matches_the_generic_frame_and_mpmath(p, n):
+    # snode.frame evaluates a Hankel node's frame by Horner; the resolvent
+    # route _frame_stack is the reference
     node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(10 * p + n), p, n))
-    frm = hankel.hankel_frame(node)
+    frm = snode.node_frame(node)
     assert frm.p == p and frm.clear_degree == p * n
     got = frm(_FRAME_POINTS)
-    generic = snode.frame(node, _FRAME_POINTS)
+    generic = snode._frame_stack(node, _FRAME_POINTS)
     assert got.shape == (_FRAME_POINTS.size, 2 * p, 2 * p)
     # the oracle starts from the float S, so S^{-1} Pi (shared by both
     # evaluators) carries an error of order eps cond(S) into every frame
@@ -501,14 +507,6 @@ def test_hankel_frame_matches_the_generic_frame_and_mpmath(p, n):
         assert np.linalg.norm(F - want) <= oracle_tol * np.linalg.norm(want)
     assert np.array_equal(frm(_FRAME_POINTS[0]), np.eye(2 * p))
     assert frm(_FRAME_POINTS[-1]).tobytes() == got[-1].tobytes()
-
-
-def test_hankel_frame_rejects_a_node_without_a_nilpotent_shift():
-    from snode_lab import toeplitz
-
-    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(np.random.default_rng(1), 1, 2))
-    with pytest.raises(Unsupported):
-        hankel.hankel_frame(node)
 
 
 def test_recover_moments_memory_stays_bounded():
@@ -535,7 +533,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
     rng = np.random.default_rng(0)
     spec = sampling.random_hankel_spec(rng, 2, 8)
     pair = sampling.random_constant_pair(rng, 2)
-    frm = hankel.hankel_frame(hankel.build_hankel_node(spec))
+    frm = snode.node_frame(hankel.build_hankel_node(spec))
     [density], _ = hankel.weyl_densities(frm, [pair])
     ts = np.array([-7.1e19, 0.3])
     F = frm.denominator(pair.R, pair.Q)(ts)
@@ -556,7 +554,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
 @pytest.mark.parametrize("p", (1, 2))
 def test_density_scale_changes_no_bit_where_nothing_overflows(monkeypatch, p):
     node, R, Q, _, _ = _weyl_case(p, 3, 70 + p)
-    [density], _ = hankel.weyl_densities(hankel.hankel_frame(node), [snode.ParamPair.constant(R, Q)])
+    [density], _ = hankel.weyl_densities(snode.node_frame(node), [snode.ParamPair.constant(R, Q)])
     ts = np.random.default_rng(p).standard_cauchy(500)
     scaled = density(ts)
     monkeypatch.setattr(matcore, "power_of_two_scale", lambda stack: np.ones(len(stack)))

@@ -289,7 +289,7 @@ def test_a_hankel_node_through_node_frame_fits_only_zeros_of_det_f(seed):
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     pair = sampling.random_constant_pair(rng, p)
     frm = snode.node_frame(node)
-    assert frm.clear_degree == hankel.hankel_frame(node).clear_degree == p * n
+    assert frm.clear_degree == p * n
     _assert_every_fitted_zero_is_a_zero(frm, pair, p * n)
 
 
@@ -824,18 +824,11 @@ def _frame_by_j_product(node, zs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 10**6),
-    st.integers(1, 3),
-    st.integers(1, 4),
-    st.sampled_from(["hankel", "toeplitz"]),
-)
-def test_frame_block_swap_is_bitwise_the_j_product(seed, p, n, kind):
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4))
+def test_frame_block_swap_is_bitwise_the_j_product(seed, p, n):
+    # the resolvent route: a Toeplitz node (c != 0)
     rng = np.random.default_rng(seed)
-    if kind == "hankel":
-        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
-    else:
-        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
     axis = np.concatenate([rng.uniform(-5.0, 5.0, 5), [0.0, 1e19, -1e19]])
     zs = np.concatenate([axis, sampling.random_upper_points(rng, 5)]).astype(complex)
     try:
@@ -850,15 +843,67 @@ def test_frame_block_swap_is_bitwise_the_j_product(seed, p, n, kind):
     assert snode.frame(node, zs[-1]).tobytes() == _frame_by_j_product(node, zs[-1:])[0].tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4))
+def test_frame_coefficients_of_a_hankel_node_are_bitwise_the_j_products(seed, p, n):
+    # the Horner route: a Hankel node's cached coefficients C_j J, with the
+    # product by J taken as a column-block swap.  The zero terms of a matrix
+    # product can flip the sign of a zero, so the values are compared with
+    # (Pi* (A*)^j S^{-1} Pi) @ J and the bits with the swapped columns of
+    # the running products C_j = Pi* X_j, X_{j+1} = A* X_j
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(seed), p, n))
+    A_h, Pi_h = node.A.conj().T, node.Pi.conj().T
+    powers = [np.linalg.matrix_power(A_h, j) for j in range(n)]
+    want = np.stack([Pi_h @ (A_j @ node.SinvPi) @ node.J for A_j in powers])
+    X, C = node.SinvPi, []
+    for _ in range(n):
+        C.append(Pi_h @ X)
+        X = A_h @ X
+    C = np.stack(C)
+    got = node.frame_coefs
+    assert got.shape == (n, 2 * p, 2 * p) and not got.flags.writeable
+    assert np.array_equal(got, want)
+    assert got.tobytes() == np.concatenate((C[:, :, p:], C[:, :, :p]), axis=2).tobytes()
+
+
+@pytest.mark.parametrize("family", ["hankel", "toeplitz"])
+def test_node_frame_is_bitwise_frame(family):
+    rng = np.random.default_rng(7)
+    if family == "hankel":
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 3))
+    else:
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, 2, 3))
+    zs = np.concatenate([sampling.random_upper_points(rng, 5), [0.0, -1.5, 40.0]])
+    frm = snode.node_frame(node)
+    assert frm(zs).tobytes() == snode.frame(node, zs).tobytes()
+    assert frm(zs[0]).tobytes() == snode.frame(node, zs[0]).tobytes()
+    # only a Hankel node's frame has a polynomial denominator
+    assert (frm.make_denominator is not None) == (family == "hankel")
+
+
+def test_horner_frame_overflow_names_the_first_point():
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(2), 1, 2))
+    zs = np.array([0.5 + 1j, 1e200, 2.0, 1e200j])
+    with pytest.raises(SingularResolvent) as batch:
+        snode.frame(node, zs)
+    assert batch.value.z == 1e200
+    with pytest.raises(SingularResolvent) as alone:
+        snode.frame(node, 1e200j)
+    assert alone.value.z == 1e200j
+    assert np.all(np.isfinite(snode.frame(node, zs[[0, 2]])))
+
+
 CHUNK_SIZES = (matcore.CHUNK - 1, matcore.CHUNK, matcore.CHUNK + 1, 2 * matcore.CHUNK + 3)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_frame_in_chunks_is_bitwise_one_batch(monkeypatch, size):
+    # both evaluators: Horner on a Hankel node, the resolvent on a Toeplitz node
     rng = np.random.default_rng(size)
-    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2))
+    hankel_node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2))
+    toeplitz_node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, 2, 2))
     zs = rng.normal(scale=5.0, size=size) + 1j * rng.uniform(0.0, 2.0, size=size)
-    frames = (lambda z: snode.frame(node, z), hankel.hankel_frame(node))
+    frames = (snode.node_frame(hankel_node), snode.node_frame(toeplitz_node))
     got = [frm(zs) for frm in frames]
     monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
     for frm, chunked in zip(frames, got):
