@@ -1,5 +1,5 @@
-"""Nested node sequences, monotone rho trajectories, frame factorization
-across nesting, outer-modulus integrals, the entropy bound with
+"""Leading compressions of a node, monotone rho trajectories, frame
+factorization across nesting, outer-modulus integrals, the entropy bound with
 its equality case, the order-by-order convergence harness, and the two
 appendix-style numerical lemmas (strict determinant growth, limit of
 log-determinant integrals).
@@ -15,7 +15,6 @@ import numpy as np
 from . import matcore, quadrature
 from .densities import DensityFn
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
@@ -32,47 +31,10 @@ from .snode import (
     node_chain,
     rho_from_frame,
 )
-from .toeplitz import ToeplitzSpec, build_toeplitz_node
 
 
 # ---------------------------------------------------------------------------
-# nested sequences
-
-
-@dataclass(frozen=True)
-class NodeSequence:
-    """S-nodes embedded as leading principal compressions of each other.
-
-    ``nodes[i]`` has order ``orders[i]``, the orders do not decrease, and
-    ``nodes[i]`` lives on the leading ``orders[i]`` * p rows of the largest
-    node, ``nodes[-1]``; the projectors are index ranges, nothing more.  The
-    families below build the largest node alone and slice every smaller one
-    out of it (:func:`leading_node`), so one Cholesky factor serves every
-    level, and :func:`convergence_run` reads every level's rho off the
-    largest one; :func:`nested_embed_check` certifies the nesting of a
-    sequence built any other way.
-    """
-
-    nodes: tuple
-    orders: tuple
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.orders):
-            raise DimensionMismatch("nodes and orders must align")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
-        for i, (node, k) in enumerate(zip(self.nodes, self.orders)):
-            if node.m != k * node.p:
-                raise DimensionMismatch(f"level {i} has order {node.m // node.p}, not {k}")
-        if any(b < a for a, b in zip(self.orders, self.orders[1:])):
-            raise DimensionMismatch(f"orders must not decrease, got {self.orders}")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def p(self) -> int:
-        return self.nodes[0].p
+# nested compressions
 
 
 def leading_node(node: SNode, k: int) -> SNode:
@@ -92,89 +54,72 @@ def leading_node(node: SNode, k: int) -> SNode:
     return small
 
 
-def _family(spec, orders, build) -> NodeSequence:
-    """The levels ``orders`` (default 1..n) of a spec as compressions of the
-    node of their top order, built by ``build`` from the spec itself when
-    that order is n."""
-    orders = tuple(range(1, spec.n + 1)) if orders is None else tuple(orders)
-    top = max(orders, default=spec.n)
-    node = build(spec if top == spec.n else spec.leading(top))
-    return NodeSequence(nodes=tuple(leading_node(node, k) for k in orders), orders=orders)
-
-
-def toeplitz_family(spec: ToeplitzSpec, orders=None) -> NodeSequence:
-    return _family(spec, orders, build_toeplitz_node)
-
-
-def hankel_family(spec: HankelSpec, orders=None) -> NodeSequence:
-    return _family(spec, orders, build_hankel_node)
-
-
-def hankel_family_from_density(density: DensityFn, max_order: int) -> tuple[NodeSequence, HankelSpec]:
-    """Moment blocks of ``density`` up to order 2*max_order - 2, as a family."""
+def hankel_family_from_density(density: DensityFn, max_order: int) -> tuple[SNode, HankelSpec]:
+    """Moment blocks of ``density`` up to order 2*max_order - 2, and the node
+    of order max_order they give."""
     blocks = tuple(moments_from_density(density, range(2 * max_order - 1)))
     spec = HankelSpec(p=density.p, n=max_order, H=blocks)
-    return hankel_family(spec), spec
+    return build_hankel_node(spec), spec
 
 
-def nested_embed_check(seq: NodeSequence) -> float:
-    """Max residual of the four compression identities of every level
-    against the largest one; the levels then nest into each other too."""
+def nested_embed_check(node: SNode) -> float:
+    """Max residual of the four compression identities of every
+    :func:`leading_node` of order 1..n-1 against the node of order n; the
+    compressions then nest into each other too."""
     worst = 0.0
-    big = seq.nodes[-1]
-    for k, small in zip(seq.orders, seq.nodes[:-1]):
-        mk = k * seq.p
-        worst = max(worst, float(np.max(np.abs(big.A[:mk, :mk] - small.A))))
-        worst = max(worst, float(np.max(np.abs(big.S[:mk, :mk] - small.S))))
-        worst = max(worst, float(np.max(np.abs(big.Pi[:mk, :] - small.Pi))))
-        worst = max(worst, float(np.max(np.abs(big.A[:mk, mk:]))))
+    for k in range(1, node.m // node.p):
+        small, mk = leading_node(node, k), k * node.p
+        worst = max(worst, float(np.max(np.abs(node.A[:mk, :mk] - small.A))))
+        worst = max(worst, float(np.max(np.abs(node.S[:mk, :mk] - small.S))))
+        worst = max(worst, float(np.max(np.abs(node.Pi[:mk, :] - small.Pi))))
+        worst = max(worst, float(np.max(np.abs(node.A[:mk, mk:]))))
     return worst
 
 
 @dataclass(frozen=True)
 class QuotientFrame:
-    """Frame of the complementary node between two nesting levels."""
+    """Frame of the node that a leading compression leaves inside a node."""
 
     value: np.ndarray
     product_residual: float
     j_expansion_min_eig: float
 
 
-def quotient_node(seq: NodeSequence, ik: int, ir: int) -> SNode:
-    """The node that level ik leaves inside level ir, 0 <= ik < ir < len(seq):
-    a generalized Schur step (Kailath & Sayed 1995) read off level ir's factor
-    S = L L* and chain G = L^{-1} Pi.  S22 - S21 S11^{-1} S12 = L22 L22* and
-    Pi2 - S21 S11^{-1} Pi1 = L22 G2, with no inverse; A22 keeps A's shift form."""
-    if not 0 <= ik < ir < len(seq):
-        raise IndexOutOfRange(f"need 0 <= ik < ir < {len(seq)}, got ik = {ik}, ir = {ir}")
-    big, mk = seq.nodes[ir], seq.orders[ik] * seq.p
-    L22 = big.S_chol.factor[mk:, mk:]
-    Pi_breve = L22 @ np.concatenate(node_chain(big).G)[mk:]
-    node = SNode(big.p, big.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
-    # L22 is the Cholesky factor of the node's S: fill the cached S_chol with
-    # it, so no solve with S factors S again
-    node.__dict__["S_chol"] = matcore.HermPD(matrix=matcore.hermitian_part(node.S), factor=L22)
-    return node
+def quotient_node(node: SNode, k: int) -> SNode:
+    """The node that the leading compression of order k leaves inside a node
+    of order n, 1 <= k < n: a generalized Schur step (Kailath & Sayed 1995)
+    read off the node's factor S = L L* and chain G = L^{-1} Pi.
+    S22 - S21 S11^{-1} S12 = L22 L22* and Pi2 - S21 S11^{-1} Pi1 = L22 G2,
+    with no inverse; A22 keeps A's shift form."""
+    n = node.m // node.p
+    if not 1 <= k < n:
+        raise IndexOutOfRange(f"need 1 <= k < {n}, got k = {k}")
+    mk = k * node.p
+    L22 = node.S_chol.factor[mk:, mk:]
+    Pi_breve = L22 @ np.concatenate(node_chain(node).G)[mk:]
+    quotient = SNode(node.p, node.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
+    # L22 is the Cholesky factor of the quotient's S: fill the cached S_chol
+    # with it, so no solve with S factors S again
+    quotient.__dict__["S_chol"] = matcore.HermPD(matrix=matcore.hermitian_part(quotient.S), factor=L22)
+    return quotient
 
 
-def frame_quotient(seq: NodeSequence, ik: int, ir: int, z: complex) -> QuotientFrame:
+def frame_quotient(node: SNode, k: int, z: complex) -> QuotientFrame:
     """Frame of the quotient node plus the factorization and J-expansion checks.
 
-    The product identity Frm(S_r, z) = Frm(S_k, z) Frm_breve(z) holds
-    exactly; the J-form expands, Frm_breve J Frm_breve* >= J, for z in the
-    upper half-plane.
+    The product identity Frm(S, z) = Frm(S_k, z) Frm_breve(z), with S_k the
+    leading compression of order k, holds exactly; the J-form expands,
+    Frm_breve J Frm_breve* >= J, for z in the upper half-plane.  The identity
+    at k = n; raises :class:`IndexOutOfRange` unless 1 <= k <= n.
     """
-    p = seq.p
-    if ik == ir:
-        eye = np.eye(2 * p, dtype=complex)
+    if k == node.m // node.p:
+        eye = np.eye(2 * node.p, dtype=complex)
         return QuotientFrame(value=eye, product_residual=0.0, j_expansion_min_eig=0.0)
-    if ik > ir:
-        raise DimensionMismatch("need level k nested inside level r")
-    breve = frame(quotient_node(seq, ik, ir), z)
-    big = frame(seq.nodes[ir], z)
-    small = frame(seq.nodes[ik], z)
+    breve = frame(quotient_node(node, k), z)
+    big = frame(node, z)
+    small = frame(leading_node(node, k), z)
     residual = matcore.frobenius(big - small @ breve) / (1.0 + matcore.frobenius(big))
-    J = matcore.exchange_J(p)
+    J = matcore.exchange_J(node.p)
     defect = matcore.min_eig_hermitian(breve @ J @ breve.conj().T - J)
     return QuotientFrame(value=breve, product_residual=residual, j_expansion_min_eig=defect)
 
@@ -188,15 +133,11 @@ _LOG_QUAD = 512
 _LOG_TOL = 1e-7
 
 
-class _VanishingDensity(Exception):
-    pass
-
-
 def _finite_log_det(P: DensityFn, ts: np.ndarray) -> np.ndarray:
-    """ln det P(ts); raises :class:`_VanishingDensity` where det P vanishes."""
+    """ln det P(ts); raises :class:`SzegoViolated` where det P vanishes."""
     ld = P.log_det_at(ts)
     if np.any(~np.isfinite(ld)):
-        raise _VanishingDensity()
+        raise SzegoViolated("density vanishes on a set of positive measure")
     return ld
 
 
@@ -245,12 +186,9 @@ def _outer_modulus(P: DensityFn, lam: complex) -> float:
     def integrand(ts):
         return w(ts) * _finite_log_det(P, ts)
 
-    try:
-        value = quadrature.integrate_with_check(
-            integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
-        )
-    except _VanishingDensity:
-        raise SzegoViolated("density vanishes on a set of positive measure")
+    value = quadrature.integrate_with_check(
+        integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
+    )
     if not np.isfinite(value):
         raise SzegoViolated("log-determinant integral diverges")
     return float(np.exp(value / (2.0 * np.pi)))
@@ -375,26 +313,27 @@ class TrajectoryReport:
 
 
 def convergence_run(
-    seq: NodeSequence, lam: complex, reference: DensityFn | None = None
+    node: SNode, lam: complex, reference: DensityFn | None = None
 ) -> TrajectoryReport:
-    """Order-by-order trajectory of rho_k(lam, conj lam) and its inverse with
-    condition numbers, and the reference's outer modulus at lam: the
+    """Trajectory of rho_k(lam, conj lam) over the orders k = 1..n of a node
+    and its leading compressions, and its inverse with condition numbers,
+    and the reference's outer modulus at lam: the
     log-det integral is finite (Szego's condition) exactly when
     :func:`outer_modulus` does not raise :class:`SzegoViolated`, and in the
     scalar case it gives the target 2 pi |G(lam)|^2 the inverse decreases
     toward.  A reference whose support is not the whole line vanishes on a
     set of positive measure, so it fails the condition with no quadrature.
 
-    Every level's rho comes from one :func:`snode.leading_rho` call on the
-    largest level, which assumes the nesting that :func:`nested_embed_check`
-    certifies; the inverses come from one stacked :func:`matcore.inv_hpd`
-    and their determinants from one stacked ``eigvalsh``."""
+    Every order's rho comes from one :func:`snode.leading_rho` call on the
+    node; the inverses come from one stacked :func:`matcore.inv_hpd` and
+    their determinants from one stacked ``eigvalsh``."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
-    rhos = leading_rho(seq.nodes[-1], lam)[np.array(seq.orders) - 1]
+    orders = tuple(range(1, node.m // node.p + 1))
+    rhos = leading_rho(node, lam)
     rho_inv = matcore.inv_hpd(rhos)
     dets = np.prod(np.linalg.eigvalsh(rho_inv), axis=-1)
-    conds = [float(np.linalg.cond(node.S)) for node in seq.nodes]
+    conds = [float(np.linalg.cond(node.S[: k * node.p, : k * node.p])) for k in orders]
     target = None
     szego_finite = False
     if reference is not None and reference.support == (-np.inf, np.inf):
@@ -404,11 +343,11 @@ def convergence_run(
             pass
         else:
             szego_finite = True
-            if seq.p == 1:
+            if node.p == 1:
                 target = float(2.0 * np.pi * modulus**2)
     return TrajectoryReport(
         lam=complex(lam),
-        orders=seq.orders,
+        orders=orders,
         rho=tuple(rhos),
         rho_inv=tuple(rho_inv),
         det_rho_inv=tuple(map(float, dets)),
@@ -497,7 +436,7 @@ def limit_inequality_demo(p_seq: Callable[[int], DensityFn]) -> LimitInequalityR
 
         try:
             value = quadrature.integrate_with_check(integrand, (a, b), cuts, 8, _LOG_TOL, f"I_{k}")
-        except _VanishingDensity:
+        except SzegoViolated:
             return -np.inf
         return float(value)
 

@@ -352,20 +352,20 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
                 f"{sc.command}: density must be a name or a {{name, params}} object, got {dens_cfg!r}"
             )
         density = densities.density_by_name(dens_cfg.get("name"), dens_cfg.get("params"))
-        seq, spec = asymptotics.hankel_family_from_density(density, max_order)
+        node, spec = asymptotics.hankel_family_from_density(density, max_order)
         reference = density
     elif family == "toeplitz":
         if sc.spec_path is None:
             raise BadInput(f"{sc.command}: spec must be given for family 'toeplitz', got None")
         spec = _load_spec(sc.command, sc.spec_path, toeplitz.ToeplitzSpec)
-        seq = asymptotics.toeplitz_family(spec, range(1, min(max_order, spec.n) + 1))
+        node = toeplitz.build_toeplitz_node(spec.leading(min(max_order, spec.n)))
         reference = None
     else:
         raise BadInput(f"{sc.command}: family must be 'hankel' or 'toeplitz', got {family!r}")
 
-    embed = asymptotics.nested_embed_check(seq)
+    embed = asymptotics.nested_embed_check(node)
     checks.append(_check("nesting compressions", "As1", embed, 1e-12))
-    report = asymptotics.convergence_run(seq, lam, reference=reference)
+    report = asymptotics.convergence_run(node, lam, reference=reference)
     if len(report.orders) > 1:
         checks.append(_check("monotone growth margin", "R2", -report.monotone_margin(), 1e-9))
     else:

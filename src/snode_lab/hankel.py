@@ -309,7 +309,7 @@ class MomentReport:
         return float(np.linalg.eigvalsh(gap)[-1])
 
 
-def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentReport:
+def recover_moments(spec: HankelSpec, pair: ParamPair) -> MomentReport:
     """Recover H_k (k <= 2n-3) from the Weyl function of the node and certify
     integral t^{2n-2} dmu <= H_{2n-2}.
 
@@ -326,11 +326,6 @@ def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentRep
     n = spec.n
     node = build_hankel_node(spec)
     max_known = 2 * n - 3
-    if orders is None:
-        orders = tuple(range(max_known + 1))
-    orders = tuple(int(k) for k in orders)
-    if any(k < 0 or k > max_known for k in orders):
-        raise IndexOutOfRange(f"recoverable orders are 0..{max_known}")
 
     frm = node_frame(node)
     [density], [roots] = weyl_densities(frm, [pair])
@@ -343,10 +338,10 @@ def recover_moments(spec: HankelSpec, pair: ParamPair, orders=None) -> MomentRep
     tail_order = 2 * n - 2
     *measure, tail = moments_from_density(density, range(tail_order + 1))
     return MomentReport(
-        orders=orders,
-        laurent=tuple(laurent[k] for k in orders),
-        measure=tuple(measure[k] for k in orders),
-        reference=tuple(spec.H[k] for k in orders),
+        orders=tuple(range(max_known + 1)),
+        laurent=tuple(laurent),
+        measure=tuple(measure),
+        reference=tuple(spec.H[: max_known + 1]),
         tail_order=tail_order,
         tail_integral=tail,
         tail_reference=spec.H[tail_order],

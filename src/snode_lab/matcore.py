@@ -422,14 +422,14 @@ class HermPD:
         return self.solve(np.broadcast_to(np.eye(self.n), self.matrix.shape))
 
 
-def cholesky_pd(M, tol: float | None = None) -> HermPD:
+def cholesky_pd(M) -> HermPD:
     """Factor a Hermitian positive-definite matrix or a stack of them.
 
-    Raises :class:`NotHermitian` when M deviates from M* beyond ``tol`` and
-    :class:`NotPositiveDefinite` when a pivot fails.
+    Raises :class:`NotHermitian` when M deviates from M* beyond the
+    :func:`default_tol` and :class:`NotPositiveDefinite` when a pivot fails.
     """
     M = as_matrix_or_stack(M)
-    assert_hermitian(M, tol)
+    assert_hermitian(M)
     H = hermitian_part(M)
     try:
         L = np.linalg.cholesky(H)
@@ -511,15 +511,14 @@ def sqrtm_hpd(M) -> np.ndarray:
     return (V * np.sqrt(w)[..., None, :]) @ _conj_t(V)
 
 
-def sqrtm_psd(M, tol: float | None = None) -> np.ndarray:
+def sqrtm_psd(M) -> np.ndarray:
     """Hermitian square root of a positive SEMI-definite matrix.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; anything below -tol raises
-    :class:`NotPositiveDefinite`.
+    Eigenvalues in [-tol, 0), tol the :func:`default_tol`, are clipped to
+    zero; anything below -tol raises :class:`NotPositiveDefinite`.
     """
     M = as_matrix(M)
-    if tol is None:
-        tol = default_tol(M)
+    tol = default_tol(M)
     assert_hermitian(M, tol)
     w, V = np.linalg.eigh(hermitian_part(M))
     if w.size and w[0] < -tol:

@@ -174,21 +174,21 @@ def test_criterion_06_matrix_ball():
 
 def test_criterion_07_monotonicity_and_factorization():
     rng = np.random.default_rng(7)
-    hankel_seq, _ = asymptotics.hankel_family_from_density(densities.uniform_density(), 6)
-    tspec = sampling.random_toeplitz_spec(rng, p=2, n=6)
-    toeplitz_seq = asymptotics.toeplitz_family(tspec)
+    hankel_top, _ = asymptotics.hankel_family_from_density(densities.uniform_density(), 6)
+    toeplitz_top = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p=2, n=6))
     zs = [complex(x, y) for x in (-1.3, -0.4, 0.3, 1.1, 2.2) for y in (0.7, 1.6)]
     worst_margin = np.inf
     worst_fact = 0.0
-    for seq in (hankel_seq, toeplitz_seq):
+    for top in (hankel_top, toeplitz_top):
         for z in zs:
-            traj = asymptotics.convergence_run(seq, z)
+            traj = asymptotics.convergence_run(top, z)
             worst_margin = min(worst_margin, traj.monotone_margin())
         for _ in range(6):
             ik = int(rng.integers(0, 5))
             ir = int(rng.integers(ik + 1, 7 - 1))
             z = zs[int(rng.integers(0, len(zs)))]
-            worst_fact = max(worst_fact, asymptotics.frame_quotient(seq, ik, ir, z).product_residual)
+            quotient = asymptotics.frame_quotient(asymptotics.leading_node(top, ir + 1), ik + 1, z)
+            worst_fact = max(worst_fact, quotient.product_residual)
     ok = worst_margin >= -1e-9 and worst_fact <= 1e-9
     _report(
         7,
@@ -250,8 +250,8 @@ def test_criterion_09_entropy_inequality():
 def test_criterion_10_asymptotic_trend():
     start = time.perf_counter()
     es = densities.exp_sqrt_density()
-    seq, _ = asymptotics.hankel_family_from_density(es, 4)
-    report = asymptotics.convergence_run(seq, 1j, reference=es)
+    node, _ = asymptotics.hankel_family_from_density(es, 4)
+    report = asymptotics.convergence_run(node, 1j, reference=es)
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(report.det_rho_inv, report.det_rho_inv[1:]))
     gaps = report.gaps

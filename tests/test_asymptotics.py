@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from snode_lab import asymptotics, cli, densities, hankel, matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
@@ -20,74 +19,67 @@ from snode_lab.errors import (
 
 @pytest.fixture(scope="module")
 def uniform_family():
-    seq, spec = asymptotics.hankel_family_from_density(densities.uniform_density(), 6)
-    return seq, spec
+    node, spec = asymptotics.hankel_family_from_density(densities.uniform_density(), 6)
+    return node, spec
 
 
 @pytest.fixture(scope="module")
 def toeplitz_family_fixture():
     rng = np.random.default_rng(42)
     spec = sampling.random_toeplitz_spec(rng, p=2, n=6)
-    return asymptotics.toeplitz_family(spec), spec
+    return toeplitz.build_toeplitz_node(spec), spec
+
+
+def _levels(node):
+    """The leading compressions of every order 1..n of a node of order n."""
+    return [asymptotics.leading_node(node, k) for k in range(1, node.m // node.p + 1)]
 
 
 def test_nested_embed_toeplitz(toeplitz_family_fixture):
-    seq, _ = toeplitz_family_fixture
-    assert asymptotics.nested_embed_check(seq) <= 1e-14
+    node, _ = toeplitz_family_fixture
+    assert asymptotics.nested_embed_check(node) <= 1e-14
 
 
 def test_nested_embed_hankel(uniform_family):
-    seq, _ = uniform_family
-    assert asymptotics.nested_embed_check(seq) <= 1e-14
+    node, _ = uniform_family
+    assert asymptotics.nested_embed_check(node) <= 1e-14
 
 
-def test_nested_embed_detects_permutation(uniform_family, rng):
-    seq, spec = uniform_family
-    # swap two moment blocks in the middle node only
-    blocks = list(spec.leading(3).H)
-    blocks[1], blocks[2] = blocks[2], blocks[1]
-    broken = hankel.build_hankel_node(hankel.HankelSpec(p=1, n=3, H=tuple(blocks)))
-    nodes = list(seq.nodes)
-    nodes[2] = broken
-    bad = asymptotics.NodeSequence(nodes=tuple(nodes), orders=seq.orders)
-    assert asymptotics.nested_embed_check(bad) > 0.1
-
-
-def _reversed_margin(seq, z):
+def _reversed_margin(top, z):
     """min over k of min eig(rho_k(conj z, z) - rho_{k+1}(conj z, z)): the
     reversed values are PSD-nonincreasing."""
-    revs = [snode.rho(node, np.conj(z)) for node in seq.nodes]
+    revs = [snode.rho(node, np.conj(z)) for node in _levels(top)]
     return min(matcore.min_eig_hermitian(a - b) for a, b in zip(revs, revs[1:]))
 
 
 def test_rho_trajectory_monotone_hankel(uniform_family):
-    seq, _ = uniform_family
+    node, _ = uniform_family
     for z in [1j, 0.5 + 0.7j, -1.3 + 1.6j]:
-        traj = asymptotics.convergence_run(seq, z)
+        traj = asymptotics.convergence_run(node, z)
         assert traj.monotone_margin() >= -1e-9
-        assert _reversed_margin(seq, z) >= -1e-9
+        assert _reversed_margin(node, z) >= -1e-9
 
 
 def test_rho_trajectory_monotone_toeplitz(toeplitz_family_fixture):
-    seq, _ = toeplitz_family_fixture
+    node, _ = toeplitz_family_fixture
     for z in [1j, 1.1 + 0.6j]:
-        traj = asymptotics.convergence_run(seq, z)
+        traj = asymptotics.convergence_run(node, z)
         assert traj.monotone_margin() >= -1e-9
-        assert _reversed_margin(seq, z) >= -1e-9
+        assert _reversed_margin(node, z) >= -1e-9
 
 
 def test_convergence_run_rho_equals_per_node_calls(uniform_family, toeplitz_family_fixture):
     z = 0.5 + 0.7j
-    for seq, _ in (uniform_family, toeplitz_family_fixture):
-        report = asymptotics.convergence_run(seq, z)
-        for node, r in zip(seq.nodes, report.rho, strict=True):
+    for top, _ in (uniform_family, toeplitz_family_fixture):
+        report = asymptotics.convergence_run(top, z)
+        assert report.orders == tuple(range(1, top.m // top.p + 1))
+        for node, r in zip(_levels(top), report.rho, strict=True):
             assert np.array_equal(r, snode.rho(node, z))
 
 
 def test_leading_rho_is_the_rho_of_every_compression(toeplitz_family_fixture):
-    seq, spec = toeplitz_family_fixture
+    top, spec = toeplitz_family_fixture
     z = 1.1 + 0.6j
-    top = seq.nodes[-1]
     stack = snode.leading_rho(top, z)
     assert stack.shape == (spec.n, 2, 2)
     for k in range(1, spec.n + 1):
@@ -103,50 +95,30 @@ def test_a_family_and_its_convergence_run_factor_s_once(monkeypatch, family):
     rng = np.random.default_rng(8)
     if family == "toeplitz":
         spec = sampling.random_toeplitz_spec(rng, 2, 6)
-        build = asymptotics.toeplitz_family
+        build = toeplitz.build_toeplitz_node
     else:
         spec = sampling.random_hankel_spec(rng, 2, 4)
-        build = asymptotics.hankel_family
+        build = hankel.build_hankel_node
     shapes = []
     original = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda M: shapes.append(np.shape(M)) or original(M))
-    seq = build(spec)
-    assert asymptotics.nested_embed_check(seq) == 0.0
-    asymptotics.convergence_run(seq, 0.4 + 0.9j)
+    node = build(spec)
+    assert asymptotics.nested_embed_check(node) == 0.0
+    asymptotics.convergence_run(node, 0.4 + 0.9j)
     # S of the largest level, once; then the stack of every order's rho, once,
     # for the inverses
     assert shapes == [(2 * spec.n, 2 * spec.n), (spec.n, 2, 2)]
 
 
-def test_a_family_below_the_spec_order_builds_its_top_level_alone(monkeypatch):
-    spec = sampling.random_hankel_spec(np.random.default_rng(9), 2, 5)
-    calls = []
-    original = hankel.HankelSpec.leading
-    monkeypatch.setattr(hankel.HankelSpec, "leading", lambda self, k: calls.append(k) or original(self, k))
-    seq = asymptotics.hankel_family(spec, (1, 3))
-    assert calls == [3]
-    assert asymptotics.hankel_family(spec).orders == (1, 2, 3, 4, 5) and calls == [3]
-    assert [node.m for node in seq.nodes] == [2, 6]
-    assert np.array_equal(seq.nodes[-1].S, hankel.build_hankel_node(spec.leading(3)).S)
-
-
-def test_a_node_sequence_checks_its_orders(uniform_family):
-    seq, _ = uniform_family
-    with pytest.raises(DimensionMismatch, match="level 1 has order 2, not 3"):
-        asymptotics.NodeSequence(nodes=seq.nodes[:2], orders=(1, 3))
-    with pytest.raises(DimensionMismatch, match="orders must not decrease"):
-        asymptotics.NodeSequence(nodes=(seq.nodes[2], seq.nodes[1]), orders=(3, 2))
-
-
 @pytest.mark.parametrize("k", [0, 7, -1])
 def test_leading_node_needs_an_order_inside_the_node(uniform_family, k):
-    seq, _ = uniform_family
+    node, _ = uniform_family
     with pytest.raises(IndexOutOfRange, match=f"leading order {k} outside 1..6"):
-        asymptotics.leading_node(seq.nodes[-1], k)
+        asymptotics.leading_node(node, k)
 
 
-def _rho_mp50(top, orders, z):
-    """rho_k(z, conj z) of every order k of ``orders`` at 50 digits, each
+def _rho_mp50(top, z):
+    """rho_k(z, conj z) of every order k = 1..n of a node at 50 digits, each
     from its own solve with S(k); (I - conj(z) A)^{-1} Phi2 is solved once,
     as A is lower triangular."""
     import mpmath
@@ -156,7 +128,7 @@ def _rho_mp50(top, orders, z):
         R = mpmath.eye(top.m) - mpmath.mpc(z.real, -z.imag) * A
         columns = [mpmath.lu_solve(R, Phi2[:, j]) for j in range(top.p)]
         out = []
-        for k in orders:
+        for k in range(1, top.m // top.p + 1):
             mk = k * top.p
             Sk, V = S[:mk, :mk], [column[:mk, 0] for column in columns]
             X = [mpmath.lu_solve(Sk, v) for v in V]
@@ -169,15 +141,15 @@ def _rho_mp50(top, orders, z):
 def test_every_trajectory_rho_is_within_eps_k_cond_of_a_50_digit_rho(seed, p, n, family):
     rng = np.random.default_rng(seed)
     if family == "toeplitz":
-        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, p, n))
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
     else:
         p, n = min(p, 2), min(n, 5)
-        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5))
-    report = asymptotics.convergence_run(seq, z)
+    report = asymptotics.convergence_run(node, z)
     eps = np.finfo(float).eps
-    want = _rho_mp50(seq.nodes[-1], seq.orders, z)
-    for k, got, want_k, cond in zip(seq.orders, report.rho, want, report.conds, strict=True):
+    want = _rho_mp50(node, z)
+    for k, got, want_k, cond in zip(report.orders, report.rho, want, report.conds, strict=True):
         # the order k scales the bound, as it scales every substitution's
         # error bound (Higham 2002, ch. 8): on 400 seeded draws the worst
         # error is 2.9 eps k cond(S) |rho|; without the order it reaches
@@ -186,10 +158,10 @@ def test_every_trajectory_rho_is_within_eps_k_cond_of_a_50_digit_rho(seed, p, n,
 
 
 def test_convergence_run_requires_upper_half_plane(uniform_family):
-    seq, _ = uniform_family
+    node, _ = uniform_family
     for z in (1.0, 1.0 - 0.5j, -2j):
         with pytest.raises(NotInUpperHalfPlane, match="lam = .* must lie in the open upper half-plane"):
-            asymptotics.convergence_run(seq, z, reference=densities.exp_sqrt_density())
+            asymptotics.convergence_run(node, z, reference=densities.exp_sqrt_density())
 
 
 def test_rho_trajectory_identity_symbol(rng):
@@ -198,68 +170,70 @@ def test_rho_trajectory_identity_symbol(rng):
         p=1, n=5, s=(np.array([[1.0]]),) + tuple(np.zeros((1, 1)) for _ in range(4)),
         nu=np.zeros((1, 1)),
     )
-    seq = asymptotics.toeplitz_family(spec)
-    traj = asymptotics.convergence_run(seq, 1j)
+    node = toeplitz.build_toeplitz_node(spec)
+    traj = asymptotics.convergence_run(node, 1j)
     assert traj.monotone_margin() >= -1e-12
 
 
 def test_rho_trajectory_single_node(hankel_unit):
     _, node = hankel_unit
-    seq = asymptotics.NodeSequence(nodes=(node,), orders=(1,))
-    traj = asymptotics.convergence_run(seq, 1j)
+    traj = asymptotics.convergence_run(node, 1j)
+    assert traj.orders == (1,)
     assert traj.monotone_margin() == np.inf
 
 
 def test_frame_quotient_identity_at_equal_levels(uniform_family):
-    seq, _ = uniform_family
-    q = asymptotics.frame_quotient(seq, 2, 2, 1.3j)
+    top, _ = uniform_family
+    q = asymptotics.frame_quotient(asymptotics.leading_node(top, 3), 3, 1.3j)
     assert_allclose(q.value, np.eye(2), atol=0)
 
 
 def test_frame_quotient_product_and_j_expansion(uniform_family, rng):
-    seq, _ = uniform_family
-    q = asymptotics.frame_quotient(seq, 1, 2, 2j)
+    top, _ = uniform_family
+    q = asymptotics.frame_quotient(asymptotics.leading_node(top, 3), 2, 2j)
     assert q.product_residual <= 1e-9
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        q = asymptotics.frame_quotient(seq, int(rng.integers(0, 3)), int(rng.integers(3, 6)), z)
+        k, r = int(rng.integers(0, 3)) + 1, int(rng.integers(3, 6)) + 1
+        q = asymptotics.frame_quotient(asymptotics.leading_node(top, r), k, z)
         assert q.product_residual <= 1e-9
         assert q.j_expansion_min_eig >= -1e-9
 
 
 def test_quotient_node_is_a_node(uniform_family):
-    seq, _ = uniform_family
-    node = asymptotics.quotient_node(seq, 1, 4)
+    top, _ = uniform_family
+    node = asymptotics.quotient_node(asymptotics.leading_node(top, 5), 2)
     assert snode.identity_residual(node) <= 1e-10 * (1.0 + matcore.frobenius(node.S))
 
 
-def _family_of_four():
-    return asymptotics.hankel_family(sampling.random_hankel_spec(np.random.default_rng(1), 2, 4))
+def _node_of_order(n):
+    return hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(1), 2, n))
 
 
-@pytest.mark.parametrize("ik, ir", [(3, 3), (3, 1), (-1, 3), (0, 7)])
-def test_quotient_node_needs_a_level_nested_in_a_later_one(ik, ir):
-    with pytest.raises(IndexOutOfRange):
-        asymptotics.quotient_node(_family_of_four(), ik, ir)
+@pytest.mark.parametrize("k, order", [(3, 3), (3, 1), (-1, 3), (0, 7), (5, 4)])
+def test_quotient_node_needs_a_level_nested_in_a_later_one(k, order):
+    # k = n, n + 2, -1, 0 and n + 1 against a node of the given order n
+    node = asymptotics.leading_node(_node_of_order(7), order)
+    with pytest.raises(IndexOutOfRange, match=f"need 1 <= k < {order}, got k = {k}"):
+        asymptotics.quotient_node(node, k)
 
 
 def test_frame_quotient_keeps_its_identity_and_its_order_check():
-    seq = _family_of_four()
-    assert_allclose(asymptotics.frame_quotient(seq, 3, 3, 1j).value, np.eye(4), atol=0)
-    with pytest.raises(DimensionMismatch):
-        asymptotics.frame_quotient(seq, 3, 1, 1j)
-    with pytest.raises(IndexOutOfRange):
-        asymptotics.frame_quotient(seq, -1, 3, 1j)
+    node = _node_of_order(4)
+    assert_allclose(asymptotics.frame_quotient(node, 4, 1j).value, np.eye(4), atol=0)
+    for k in (0, -1, 5):
+        with pytest.raises(IndexOutOfRange):
+            asymptotics.frame_quotient(node, k, 1j)
 
 
 @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
 def test_quotient_node_forms_no_inverse_and_no_second_factor(monkeypatch, family):
     rng = np.random.default_rng(5)
     if family == "toeplitz":
-        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, 2, 5))
+        node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, 2, 5))
     else:
-        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, 2, 5))
-    seq.nodes[-1].S_chol  # the level's one factor, built before counting
+        node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 5))
+    node.S_chol  # the node's one factor, built before counting
     calls = []
 
     def counted(module, name):
@@ -273,25 +247,25 @@ def test_quotient_node_forms_no_inverse_and_no_second_factor(monkeypatch, family
 
     for module, name in ((matcore, "inv_hpd"), (np.linalg, "inv"), (np.linalg, "cholesky")):
         counted(module, name)
-    for ik in range(4):
-        asymptotics.quotient_node(seq, ik, 4)
+    for k in range(1, 5):
+        asymptotics.quotient_node(node, k)
     # nothing but one batched inverse of the 2 x 2 diagonal blocks of L, kept
-    # on the level's node for every chain read off it
+    # on the node for every chain read off it
     assert calls == [("inv", (2, 2))]
 
 
 def test_frame_quotient_factors_nothing_once_the_level_factors_exist(monkeypatch):
-    seq = _family_of_four()
-    for node in seq.nodes:
-        node.S_chol
+    node = _node_of_order(4)
+    node.S_chol
     # the frame of a node with the same data that factors its own S
-    quotient = asymptotics.quotient_node(seq, 1, 3)
+    quotient = asymptotics.quotient_node(node, 2)
     want = snode.frame(dataclasses.replace(quotient), 1j)
     calls = []
     original = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(1) or original(M))
-    got = asymptotics.frame_quotient(seq, 1, 3, 1j).value
-    # the quotient node's S_chol is the trailing block L22 of level 3's factor
+    got = asymptotics.frame_quotient(node, 2, 1j).value
+    # the quotient node's S_chol is the trailing block L22 of the node's
+    # factor, and the compression's the leading block
     assert calls == []
     assert matcore.frobenius(got - want) <= 1e-14 * matcore.frobenius(want)
 
@@ -315,10 +289,10 @@ def test_quotient_node_matches_a_50_digit_schur_complement():
     for s in range(40):
         rng = np.random.default_rng(3000 + s)
         p, n = int(rng.integers(1, 3)), int(rng.integers(4, 7))
-        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
+        top = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
         k = n // 2
-        node = asymptotics.quotient_node(seq, k - 1, n - 1)
-        S_want, Pi_want = _schur_complement_mp50(seq.nodes[-1], k * p)
+        node = asymptotics.quotient_node(top, k)
+        S_want, Pi_want = _schur_complement_mp50(top, k * p)
         assert matcore.frobenius(node.S - S_want) <= 1e-13 * matcore.frobenius(S_want)
         assert matcore.frobenius(node.Pi - Pi_want) <= 1e-13 * matcore.frobenius(Pi_want)
 
@@ -338,25 +312,24 @@ def test_the_chain_of_a_quotient_node_is_the_tail_of_the_full_chain(seed, p, n, 
     # least 1e9 times
     rng = np.random.default_rng(seed)
     if family == "toeplitz":
-        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, p, n))
+        full = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
     else:
         n = min(n, 5)
-        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
-    full = seq.nodes[-1]
+        full = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     grams = _chain_grams(full)
     tol = 10 * np.finfo(float).eps * np.linalg.cond(full.S)
     for k in range(1, n):
         tail = grams[k:]
-        got = _chain_grams(asymptotics.quotient_node(seq, k - 1, n - 1))
+        got = _chain_grams(asymptotics.quotient_node(full, k))
         assert np.linalg.norm(got - tail) <= tol * np.linalg.norm(tail)
 
 
 def test_solution_sets_nest_into_smaller_balls(uniform_family, rng):
     # a Weyl value of a deeper node lies in the ball of every shallower one
-    seq, _ = uniform_family
+    top, _ = uniform_family
     z = 0.4 + 1.1j
-    ball_small = snode.matrix_ball(seq.nodes[1], z)
-    frm_big = snode.node_frame(seq.nodes[4])
+    ball_small = snode.matrix_ball(asymptotics.leading_node(top, 2), z)
+    frm_big = snode.node_frame(asymptotics.leading_node(top, 5))
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
         value = snode.lft(frm_big, pair, z)
@@ -369,16 +342,15 @@ def test_entropy_integral_examples(hankel_unit):
     # -inf, as convergence_run reads it from the outer modulus: finite for
     # one and Cauchy, with target 2 pi |G(i)|^2, and -inf for uniform
     _, node = hankel_unit
-    seq = asymptotics.NodeSequence(nodes=(node,), orders=(1,))
     one = densities.DensityFn(
         "one", lambda t: np.ones_like(t)[:, None, None].astype(complex),
         log_det=lambda t: np.zeros_like(t),
     )
     for reference, target in ((one, 2 * np.pi), (densities.cauchy_density(), 0.5)):
-        report = asymptotics.convergence_run(seq, 1j, reference=reference)
+        report = asymptotics.convergence_run(node, 1j, reference=reference)
         assert report.szego_finite
         assert report.target == pytest.approx(target, abs=1e-9)
-    report = asymptotics.convergence_run(seq, 1j, reference=densities.uniform_density())
+    report = asymptotics.convergence_run(node, 1j, reference=densities.uniform_density())
     assert not report.szego_finite and report.target is None
 
 
@@ -511,8 +483,8 @@ def test_entropy_bound_random_pairs_on_chain_frame(rng):
 
 def test_convergence_run_exp_sqrt_trend():
     es = densities.exp_sqrt_density()
-    seq, _ = asymptotics.hankel_family_from_density(es, 4)
-    report = asymptotics.convergence_run(seq, 1j, reference=es)
+    node, _ = asymptotics.hankel_family_from_density(es, 4)
+    report = asymptotics.convergence_run(node, 1j, reference=es)
     assert report.szego_finite
     assert report.target == pytest.approx(2 * np.pi * (np.exp(-np.sqrt(2)) / 4), rel=1e-6)
     assert report.det_positive()
@@ -523,18 +495,11 @@ def test_convergence_run_exp_sqrt_trend():
 
 
 def test_convergence_run_uniform_flags_szego(uniform_family):
-    seq, _ = uniform_family
-    report = asymptotics.convergence_run(seq, 1j, reference=densities.uniform_density())
+    node, _ = uniform_family
+    report = asymptotics.convergence_run(node, 1j, reference=densities.uniform_density())
     assert not report.szego_finite
     assert report.target is None
     assert report.psd_nonincreasing_margin() >= -1e-9
-
-
-def test_convergence_run_constant_sequence(hankel_unit):
-    _, node = hankel_unit
-    seq = asymptotics.NodeSequence(nodes=(node, node, node), orders=(1, 1, 1))
-    report = asymptotics.convergence_run(seq, 1j)
-    assert max(report.det_rho_inv) - min(report.det_rho_inv) <= 1e-14
 
 
 def test_det_strict_lemma_examples():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from snode_lab import cli, matcore, quadrature, toeplitz
+from snode_lab import cli, matcore, quadrature, serialization, toeplitz
 from snode_lab.errors import NonFiniteEntries, SnodeLabError
 
 
@@ -97,31 +97,53 @@ def test_asymptotics_max_order_0_exits_2(tmp_path, capsys):
     assert "asymptotics: max_order must be at least 1, got 0" in capsys.readouterr().err
 
 
-def test_asymptotics_toeplitz_family(tmp_path):
+def _toeplitz_family_report(tmp_path, max_order):
+    """The asymptotics report of a scalar Toeplitz spec of order 4 at
+    ``max_order``."""
     spec = {
         "p": 1,
         "n": 4,
         "s": [[[[2.0, 0.0]]], [[[0.4, 0.1]]], [[[-0.1, 0.2]]], [[[0.05, 0.0]]]],
         "nu": [[[0.0, 0.0]]],
     }
-    spec_path = tmp_path / "tspec.json"
+    out = tmp_path / f"max_order_{max_order}"
+    out.mkdir()
+    spec_path = out / "tspec.json"
     spec_path.write_text(json.dumps(spec))
     scenario = {
         "command": "asymptotics",
         "family": "toeplitz",
         "spec": str(spec_path),
         "lambda": [0.3, 1.2],
-        "max_order": 4,
-        "out": str(tmp_path),
+        "max_order": max_order,
+        "out": str(out),
     }
-    sc_path = tmp_path / "sc.json"
+    sc_path = out / "sc.json"
     sc_path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(sc_path)]) == 0
-    report = json.loads((tmp_path / "report_asymptotics.json").read_text())
+    return json.loads((out / "report_asymptotics.json").read_text())
+
+
+def test_asymptotics_toeplitz_family(tmp_path):
+    report = _toeplitz_family_report(tmp_path, 4)
     assert report["passed"] is True
     assert report["target"] is None
     dets = [row["det_rho_inv"] for row in report["trajectory"]]
     assert dets == sorted(dets, reverse=True)
+
+
+def test_asymptotics_toeplitz_family_below_the_spec_order(tmp_path):
+    # max_order 2 < n = 4: the node of the leading spec of order 2, whose
+    # rows are those of the full run's first two orders
+    report = _toeplitz_family_report(tmp_path, 2)
+    full = _toeplitz_family_report(tmp_path, 4)
+    assert report["passed"] is True
+    assert report["orders"] == [1, 2]
+    (row,) = [check for check in report["checks"] if check["tag"] == "As1"]
+    assert row["value"] == 0.0
+    for got, want in zip(report["trajectory"], full["trajectory"][:2], strict=True):
+        got, want = (serialization.matrix_from_json(r["rho_inv"]) for r in (got, want))
+        assert matcore.frobenius(got - want) <= 1e-12 * matcore.frobenius(want)
 
 
 def _strict_json(path):

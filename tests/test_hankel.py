@@ -239,12 +239,6 @@ def test_recover_moments_unit_node_equality(hankel_unit, unit_pair):
     assert report.tail_slack() <= 1e-6
 
 
-def test_recover_moments_rejects_bad_orders(hankel_102, unit_pair):
-    spec, _ = hankel_102
-    with pytest.raises(IndexOutOfRange):
-        hankel.recover_moments(spec, unit_pair, orders=(5,))
-
-
 # the seeded specs on which recover_moments raises, and what it raises: at
 # (2, 5, seed 1) det F has a zero at |z| = 12.7, so R = 19, and coefficient 8
 # carries the rounding of the samples times R^8 = 1.7e10 (drift 8.1e-6)

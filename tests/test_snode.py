@@ -622,8 +622,8 @@ def _node_of_kind(rng, p, n, kind):
             Phi2=sampling.random_complex(rng, (m, p)),
         )
     n = max(n, 2)
-    seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, p, n), (int(rng.integers(1, n)), n))
-    return asymptotics.quotient_node(seq, 0, 1)
+    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+    return asymptotics.quotient_node(node, int(rng.integers(1, n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,11 +695,11 @@ def test_chain_factors_of_a_quotient_node_multiply_to_its_transfer_matrix(seed, 
     # reaches 5.3e-10 in 2000 draws and 9.7e-10 in 6000, too close to 1e-9
     rng = np.random.default_rng(seed)
     if family == "toeplitz":
-        seq = asymptotics.toeplitz_family(sampling.random_toeplitz_spec(rng, p, n))
+        top = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
     else:
         n = min(n, 4)
-        seq = asymptotics.hankel_family(sampling.random_hankel_spec(rng, p, n))
-    node = asymptotics.quotient_node(seq, int(rng.integers(0, n - 1)), n - 1)
+        top = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    node = asymptotics.quotient_node(top, int(rng.integers(0, n - 1)) + 1)
     assert _factor_product_gap(node, _lams_in_both_half_planes(rng, 6)) <= 1e-9
 
 
