@@ -516,6 +516,15 @@ def run_scenario(sc: Scenario) -> tuple[int, Path]:
     if sc.command not in _HANDLERS:
         known = ", ".join(sorted(_HANDLERS))
         raise BadInput(f"{sc.command}: command must be one of {known}, got {sc.command!r}")
+    # an input that the command would not read is refused, not ignored
+    family = sc.params.get("family", "hankel") if sc.command == "asymptotics" else None
+    if sc.spec_path is not None and (sc.command in ("khrushchev", "demo-appendixB") or family == "hankel"):
+        reader = sc.command if family is None else "family 'hankel'"
+        raise BadInput(f"{sc.command}: spec is not read by {reader}, got {sc.spec_path!r}")
+    if family == "toeplitz" and "density" in sc.params:
+        raise BadInput(f"{sc.command}: density is not read by family 'toeplitz', got {sc.params['density']!r}")
+    if sc.fmt == "csv" and sc.command != "asymptotics":
+        raise BadInput(f"{sc.command}: format 'csv' is not read by {sc.command}, only by asymptotics")
     if sc.spec_path is not None and not Path(sc.spec_path).exists():
         raise BadInput(f"{sc.command}: spec must name an existing file, got {sc.spec_path!r}")
     for key, value, least in (("grid", sc.grid, 1), ("seed", sc.seed, 0)):

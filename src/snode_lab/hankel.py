@@ -33,11 +33,7 @@ import numpy as np
 
 from . import matcore, quadrature, serialization
 from .densities import DensityFn
-from .errors import (
-    IndexOutOfRange,
-    SingularDenominator,
-    Unsupported,
-)
+from .errors import SingularDenominator, Unsupported
 from .snode import Frame, ParamPair, SNode, _resolvent, lft, node_frame
 
 
@@ -60,11 +56,6 @@ class HankelSpec:
         k = np.arange(n)
         blocks = np.asarray(self.H)[k[:, None] + k]
         return blocks.swapaxes(1, 2).reshape(n * p, n * p)
-
-    def leading(self, k: int) -> "HankelSpec":
-        if not 1 <= k <= self.n:
-            raise IndexOutOfRange(f"leading order {k} outside 1..{self.n}")
-        return HankelSpec(p=self.p, n=k, H=self.H[: 2 * k - 1])
 
     def to_json(self) -> dict:
         return {
@@ -90,20 +81,13 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
     return SNode(p=p, shift=(0, 1, 0), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
-def _powers(ts, ks):
-    """t^k on the nodes for every k in ``ks``, in order, each as t^(k-1) t.
-
-    One running power is kept; an order below the one before restarts it
-    from ones, so t^k is always the same product 1 t t ... t of k factors,
-    whatever the orders around it.
-    """
-    power, at = np.ones_like(ts), 0
-    for k in ks:
-        if k < at:
-            power, at = np.ones_like(ts), 0
-        for _ in range(k - at):
-            power = power * ts
-        at = k
+def _powers(ts, count):
+    """t^0..t^(count-1) on the nodes, in order, each as t^(k-1) t: one
+    running power, so t^k is always the product 1 t t ... t of k factors."""
+    power = np.ones_like(ts)
+    yield power
+    for _ in range(1, count):
+        power = power * ts
         yield power
 
 
@@ -114,9 +98,8 @@ _MOMENT_QUAD = 2048
 _RECOVER_MARGIN = 1.5
 
 
-def moments_from_density(density: DensityFn, orders) -> np.ndarray:
-    """H_k = integral t^k P(t) dt for every k in the sequence ``orders``,
-    stacked.
+def moments_from_density(density: DensityFn, count: int) -> np.ndarray:
+    """H_k = integral t^k P(t) dt for k = 0..count-1, stacked.
 
     The density is evaluated once per rule for all orders; the integrands
     yield one order at a time, and the rule reduces each as it comes, so one
@@ -126,30 +109,20 @@ def moments_from_density(density: DensityFn, orders) -> np.ndarray:
     error of at most gamma_(k-1) = (k-1)u / (1 - (k-1)u), u = 2^-53 (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), with
     bits that do not depend on the sign of t.  Each order has its own
-    doubled-node convergence check; the first order, in the given sequence,
-    that fails raises.  The rule follows from the density's support and
-    :data:`_MOMENT_QUAD` (see :func:`quadrature.integrate_with_check`), cut
-    or graded at the density's breaks.  On the full line each order must be
-    absolutely integrable: the smooth majorant (1 + t^2)^(k/2) tr P(t) of
-    |t|^k |P(t)| gets its own check, ahead of the order's value, so a
-    divergent moment raises naming the lowest divergent order.  No orders
-    give an empty (0, p, p) stack; an order that is not a non-negative
-    integer raises :class:`IndexOutOfRange`.
+    doubled-node convergence check; the lowest order that fails raises.
+    The rule follows from the density's support and :data:`_MOMENT_QUAD`
+    (see :func:`quadrature.integrate_with_check`), cut or graded at the
+    density's breaks.  On the full line each order must be absolutely
+    integrable: the smooth majorant (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)|
+    gets its own check, ahead of the order's value, so a divergent moment
+    raises naming the lowest divergent order.
     """
-    ks = []
-    for k in orders:
-        if not (k >= 0 and float(k).is_integer()):
-            raise IndexOutOfRange(f"moment order {k} is not a non-negative integer")
-        ks.append(int(k))
-    if not ks:
-        return np.empty((0, density.p, density.p), dtype=complex)
-
-    names = [f"moment {k}" for k in ks]
+    names = [f"moment {k}" for k in range(count)]
     if density.bounded_support:
 
         def integrand(ts):
             values = density(ts)
-            return (power[:, None, None] * values for power in _powers(ts, ks))
+            return (power[:, None, None] * values for power in _powers(ts, count))
 
     else:
 
@@ -158,7 +131,7 @@ def moments_from_density(density: DensityFn, orders) -> np.ndarray:
             diagonal = (values[:, i, i].real for i in range(density.p))
             trace = functools.reduce(operator.add, diagonal)
             majorant_base = 1.0 + ts * ts
-            for k, power in zip(ks, _powers(ts, ks)):
+            for k, power in enumerate(_powers(ts, count)):
                 yield majorant_base ** (k / 2) * trace
                 yield power[:, None, None] * values
 
@@ -331,12 +304,12 @@ def recover_moments(spec: HankelSpec, pair: ParamPair) -> MomentReport:
     [density], [roots] = weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(
-        lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, 1e-8, "expansion coefficient"
+        lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, "expansion coefficient"
     )
     laurent = [matcore.hermitian_part(c) for c in expansion[1:]]
 
     tail_order = 2 * n - 2
-    *measure, tail = moments_from_density(density, range(tail_order + 1))
+    *measure, tail = moments_from_density(density, tail_order + 1)
     return MomentReport(
         orders=tuple(range(max_known + 1)),
         laurent=tuple(laurent),
@@ -379,7 +352,7 @@ def interp_residual(node: SNode, pair: ParamPair):
     [density], [roots] = weyl_densities(frm, [pair])
     radius = _RECOVER_MARGIN * max(1.0, 1.0 / abs(c), float(np.max(np.abs(roots), initial=0.0)))
     [gamma] = quadrature.circle_coefficients(
-        lambda ws: ws[:, None, None] * lft(frm, pair, 1.0 / ws), 1.0 / radius, 1, 1e-8, "gamma coefficient"
+        lambda ws: ws[:, None, None] * lft(frm, pair, 1.0 / ws), 1.0 / radius, 1, "gamma coefficient"
     )
     gamma_half = matcore.sqrtm_psd(matcore.hermitian_part(gamma))
     theta = matcore.hermitian_part(lft(frm, pair, 1j))

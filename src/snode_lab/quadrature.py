@@ -311,11 +311,13 @@ def _drift(name: str, coarse, fine, rel_tol: float):
     return None
 
 
-# trapezoid nodes of the coarse circle rule; the fine rule has twice as many
+# trapezoid nodes of the coarse circle rule (the fine rule has twice as many),
+# and the relative tolerance of its agreement and negative-power tests
 _CIRCLE_NODES = 128
+_CIRCLE_TOL = 1e-8
 
 
-def circle_coefficients(fn, radius: float, count: int, rel_tol: float, what="coefficient"):
+def circle_coefficients(fn, radius: float, count: int, what="coefficient"):
     """Taylor coefficients c_0..c_{count-1} at 0, stacked, of ``fn``, analytic
     on and inside |w| = ``radius``.
 
@@ -328,7 +330,7 @@ def circle_coefficients(fn, radius: float, count: int, rel_tol: float, what="coe
     naming the first that drifts (a singularity near the circle).  One well
     inside would pass that test with an annulus's coefficients, so the fine
     rule's terms in w^-1..w^-count, zero for an analytic ``fn``, must also
-    stay below ``rel_tol`` * max |fn| (in units of radius^k).  A value of
+    stay below :data:`_CIRCLE_TOL` * max |fn| (in units of radius^k).  A value of
     ``fn`` that is not finite raises :class:`EvaluationFailure`.
     """
 
@@ -342,13 +344,13 @@ def circle_coefficients(fn, radius: float, count: int, rel_tol: float, what="coe
     units = (radius ** -np.arange(count, dtype=float)).reshape(-1, *[1] * (fine.ndim - 1))
     coarse, coefs = coarse[:count] * units, fine[:count] * units
     for k in range(count):
-        miss = _drift(f"{what} {k}", coarse[k], coefs[k], rel_tol)
+        miss = _drift(f"{what} {k}", coarse[k], coefs[k], _CIRCLE_TOL)
         if miss is not None:
             raise miss
     inside = np.max(np.abs(fine[2 * _CIRCLE_NODES - count :]), initial=0.0)
-    if inside > rel_tol * top:
+    if inside > _CIRCLE_TOL * top:
         raise QuadratureNotConverged(
-            f"{what}s: terms in negative powers {inside:.3e} exceed {rel_tol:.1e} * max |fn| "
+            f"{what}s: terms in negative powers {inside:.3e} exceed {_CIRCLE_TOL:.1e} * max |fn| "
             f"{top:.3e} on |w| = {radius:.3e}: a singularity lies inside the circle"
         )
     return coefs

@@ -32,12 +32,10 @@ def _gram_hpd(M: np.ndarray, scale: float) -> np.ndarray:
     return M @ np.swapaxes(M, -1, -2).conj() + scale * 0.05 * np.eye(M.shape[-1])
 
 
-def random_toeplitz_spec(
-    rng: np.random.Generator, p: int, n: int, off_scale: float = 0.25
-) -> ToeplitzSpec:
+def random_toeplitz_spec(rng: np.random.Generator, p: int, n: int) -> ToeplitzSpec:
     """A positive-definite spec: identity-dominant s_0, decaying off blocks."""
     s0 = np.eye(p, dtype=complex) + random_hermitian(rng, p, 0.1)
-    offs = [random_complex(rng, (p, p), off_scale / (n * (k + 1))) for k in range(n - 1)]
+    offs = [random_complex(rng, (p, p), 0.25 / (n * (k + 1))) for k in range(n - 1)]
     nu = random_hermitian(rng, p, 0.3)
     return ToeplitzSpec(p=p, n=n, s=(s0, *offs), nu=nu)
 

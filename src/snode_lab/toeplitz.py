@@ -275,7 +275,7 @@ def taylor_recover(phi, count: int) -> list[np.ndarray]:
     def g(zeta):
         return -1j * np.asarray(phi(2j * (1.0 - zeta) / (1.0 + zeta)), dtype=complex)
 
-    return list(quadrature.circle_coefficients(g, 0.5, count, 1e-8, "taylor coefficient"))
+    return list(quadrature.circle_coefficients(g, 0.5, count, "taylor coefficient"))
 
 
 def khrushchev_check(rhos: np.ndarray, splits, pair: ParamPair, zgrid) -> float:

@@ -259,7 +259,7 @@ def test_a_second_run_replaces_its_outputs(tmp_path, name):
     command = {"ball.json": "ball", "trajectory.csv": "asymptotics"}.get(name, "verify-toeplitz")
     out = tmp_path / "out"
     path = out / name
-    args = [command, "--out", str(out), "--csv"]
+    args = [command, "--out", str(out), *(["--csv"] if command == "asymptotics" else [])]
     assert run(args) == 0
     first = path.read_bytes()
     os.link(path, tmp_path / "first")
@@ -716,6 +716,37 @@ def test_a_scenario_key_that_the_command_does_not_read_exits_2(tmp_path, capsys,
     assert not (tmp_path / f"report_{command}.json").exists()
 
 
+_TOEPLITZ_N1 = str(cli.bundled_spec_path("toeplitz_n1.json"))
+_HANKEL_N1 = str(cli.bundled_spec_path("hankel_n1.json"))
+
+
+@pytest.mark.parametrize(
+    "args, scenario, message",
+    [
+        (["asymptotics", "--spec", _TOEPLITZ_N1], None, f"spec is not read by family 'hankel', got {_TOEPLITZ_N1!r}"),
+        (["khrushchev", "--spec", _HANKEL_N1], None, f"spec is not read by khrushchev, got {_HANKEL_N1!r}"),
+        (["demo-appendixB", "--spec", _HANKEL_N1], None, f"spec is not read by demo-appendixB, got {_HANKEL_N1!r}"),
+        (
+            ["--spec", _TOEPLITZ_N1],
+            {"command": "asymptotics", "family": "toeplitz", "density": "uniform"},
+            "density is not read by family 'toeplitz', got 'uniform'",
+        ),
+        ([], {"command": "ball", "format": "csv"}, "format 'csv' is not read by ball, only by asymptotics"),
+    ],
+    ids=["asymptotics-spec", "khrushchev-spec", "demo-appendixB-spec", "toeplitz-density", "ball-csv"],
+)
+def test_an_input_that_the_command_would_not_read_exits_2(tmp_path, capsys, args, scenario, message):
+    # asymptotics --spec toeplitz_n1.json must not run the Hankel exp_sqrt family
+    if scenario is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        args = [*args, "--scenario", str(path)]
+    assert run([*args, "--out", str(tmp_path)]) == 2
+    command = args[0] if scenario is None else scenario["command"]
+    assert capsys.readouterr().err == f"error: {command}: {message}\n"
+    assert not list(tmp_path.glob("report_*.json"))
+
+
 def test_asymptotics_names_a_lost_poisson_normalization_as_a_plain_float(tmp_path, capsys):
     # lambda = 1e-300 i: the normalization integral loses its spike; the exit
     # code stays 2 and the message shows the value as a number, not a numpy repr
@@ -798,7 +829,7 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocke
     else:
         target = out / blocked
         target.mkdir(parents=True)
-    assert run([command, "--out", str(out), "--grid", "4", "--csv"]) == 2
+    assert run([command, "--out", str(out), "--grid", "4", *(["--csv"] if command == "asymptotics" else [])]) == 2
     assert f"error: {command}: cannot write {target}: " in capsys.readouterr().err
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snode_lab import densities, hankel, matcore, quadrature, snode
-from snode_lab.errors import EvaluationFailure, IndexOutOfRange, QuadratureNotConverged, Unsupported
+from snode_lab.errors import EvaluationFailure, QuadratureNotConverged, Unsupported
 
 
 def graded_depth(half, width):
@@ -247,7 +247,7 @@ def test_uniform_moments_on_the_ladder(monkeypatch, support):
     monkeypatch.setattr(
         quadrature, "gauss_legendre", lambda lo, hi, n: sizes.append(n) or original(lo, hi, n)
     )
-    got = hankel.moments_from_density(densities.uniform_density(a, b), range(11))
+    got = hankel.moments_from_density(densities.uniform_density(a, b), 11)
     assert got.shape == (11, 1, 1)
     for k in range(11):
         exact = (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
@@ -326,15 +326,13 @@ def test_a_break_whose_arctan_rounds_to_the_end_is_refused_by_name(x):
         (densities.exp_sqrt_density(), range(7)),
         (densities.uniform_density(0.5, 3.0), range(11)),
         (_WEYL, range(3)),
-        # descending and repeated orders restart or reuse the running power
-        (densities.exp_sqrt_density(), [6, 2, 6, 0]),
-        (densities.uniform_density(), [6, 2, 6, 0]),
     ],
 )
 def test_all_orders_pass_equals_single_orders(density, orders):
-    together = hankel.moments_from_density(density, orders)
-    for k, block in zip(orders, together):
-        assert np.array_equal(block, hankel.moments_from_density(density, [k])[0])
+    # a prefix property: block k of count K is bitwise the last block of count k + 1
+    together = hankel.moments_from_density(density, len(orders))
+    for k in orders:
+        assert np.array_equal(together[k], hankel.moments_from_density(density, k + 1)[-1])
 
 
 def test_spike_table_moments_are_exact(monkeypatch):
@@ -347,7 +345,7 @@ def test_spike_table_moments_are_exact(monkeypatch):
     monkeypatch.setattr(
         quadrature, "gauss_legendre", lambda lo, hi, n: sizes.append(n) or original(lo, hi, n)
     )
-    got = hankel.moments_from_density(spike, range(4))
+    got = hankel.moments_from_density(spike, 4)
     # t^k is integrated against the hat 100 (0.01 - |t - 0.5|) on (0.49, 0.51)
     exact = [1.0, 0.5, 0.25 + 1e-4 / 6.0, 0.125 + 1e-4 / 4.0]
     assert np.max(np.abs(got[:, 0, 0] - exact)) <= 1e-14
@@ -370,17 +368,12 @@ def test_interval_rule_equals_per_piece_loop(breaks):
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-def test_no_orders_give_an_empty_stack():
-    got = hankel.moments_from_density(_WEYL, [])
-    assert got.shape == (0, 1, 1)
-
-
 def test_all_orders_pass_names_the_first_failing_order():
     es = densities.exp_sqrt_density()
     with pytest.raises(QuadratureNotConverged) as single:
-        hankel.moments_from_density(es, [7])
+        hankel.moments_from_density(es, 8)
     with pytest.raises(QuadratureNotConverged) as together:
-        hankel.moments_from_density(es, range(10))
+        hankel.moments_from_density(es, 10)
     assert str(single.value).startswith("moment 7: ")
     assert str(together.value) == str(single.value)
 
@@ -390,10 +383,10 @@ def test_divergent_moment_raises_naming_its_order():
     # graded rule cancels it and its value passes the doubled-node check;
     # the check on (1 + t^2)^(1/2) tr P catches it
     cauchy = densities.cauchy_density()
-    for orders in ([1], range(4)):
+    for count in (2, 4):
         with pytest.raises(QuadratureNotConverged, match="^moment 1 absolute: "):
-            hankel.moments_from_density(cauchy, orders)
-    assert hankel.moments_from_density(cauchy, [0])[0][0, 0] == pytest.approx(1.0, abs=1e-12)
+            hankel.moments_from_density(cauchy, count)
+    assert hankel.moments_from_density(cauchy, 1)[0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("density", [densities.exp_sqrt_density(), densities.uniform_density()])
@@ -409,38 +402,23 @@ def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
         return [np.zeros((1, 1))] * len(args[-1])  # one per name
 
     monkeypatch.setattr(quadrature, "integrate_with_check", keep_integrand)
-    hankel.moments_from_density(density, orders)
+    hankel.moments_from_density(density, 11)
     if density.bounded_support:
         rule = lambda fn: quadrature.integrate_interval(fn, *density.support, 32, density.breaks)
     else:
         rule = lambda fn: quadrature.integrate_line_graded(fn, 64, density.breaks)
     got = rule(seen[0])
-    if not density.bounded_support:
-        got = got[1::2]
+    got = got[3:] if density.bounded_support else got[7::2]  # past the majorants and orders 0..2
     want = rule(lambda t: [t[:, None, None] ** k * density(t) for k in orders])
     scale = rule(lambda t: [np.abs(t) ** k * density(t)[:, 0, 0].real for k in orders])
     for k, g, w, s in zip(orders, got, want, scale):
         assert np.max(np.abs(g - w)) <= 1e-14 * s, k
 
 
-@pytest.mark.parametrize("orders, named", [(-1, "-1"), ([0, 1, -1], "-1"), (2.5, "2.5"), ([0, 2.5], "2.5")])
-def test_moment_orders_must_be_nonnegative_integers(orders, named):
-    # t^-1 P is not integrable at 0, yet its symmetric rule cancels to a
-    # small value; a fractional order has no running power to stop at.  A
-    # single order is a sequence of one
-    with pytest.raises(IndexOutOfRange, match=f"^moment order {named} is not a non-negative integer$"):
-        hankel.moments_from_density(densities.exp_sqrt_density(), np.atleast_1d(orders))
-
-
-def test_integral_float_orders_are_their_integers():
-    es = densities.exp_sqrt_density()
-    assert np.array_equal(hankel.moments_from_density(es, [2.0]), hankel.moments_from_density(es, [2]))
-
-
 def test_absolute_checks_leave_the_moment_values_alone():
     # the moment budget gives the pair (32, 64) on the line; the value is the fine one
     orders = range(3)
-    got = hankel.moments_from_density(_WEYL, orders)
+    got = hankel.moments_from_density(_WEYL, 3)
     fine = quadrature.integrate_line_graded(
         lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, breaks=_WEYL.breaks
     )
@@ -467,7 +445,7 @@ def test_circle_coefficients_of_rational_functions(p, count, npoles, radius, see
     poles = radius * rng.uniform(1.5, 4.0, npoles) * np.exp(2j * np.pi * rng.uniform(size=npoles))
     A = rng.normal(size=(npoles, p, p)) + 1j * rng.normal(size=(npoles, p, p))
     B = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
-    got = quadrature.circle_coefficients(_rational(B, A, poles), radius, count, 1e-8)
+    got = quadrature.circle_coefficients(_rational(B, A, poles), radius, count)
     k = np.arange(count)
     want = -np.einsum("jk,jab->kab", poles[:, None] ** -(k + 1.0), A)
     want[0] += B
@@ -483,7 +461,7 @@ def test_circle_coefficients_refuse_a_pole_inside_the_circle(depth):
     # give the pole away
     fn = _rational(np.eye(2), np.ones((1, 2, 2)), np.array([depth * 2.0]))
     with pytest.raises(QuadratureNotConverged) as info:
-        quadrature.circle_coefficients(fn, 2.0, 4, 1e-8, "term")
+        quadrature.circle_coefficients(fn, 2.0, 4, "term")
     if depth == 0.9:
         assert str(info.value).startswith("term 0: doubled-node drift ")
     else:
@@ -495,4 +473,4 @@ def test_circle_coefficients_refuse_non_finite_values():
         return np.where(ws.real > 0, 1.0, np.nan)
 
     with pytest.raises(EvaluationFailure, match="non-finite values on the circle"):
-        quadrature.circle_coefficients(fn, 1.0, 3, 1e-8)
+        quadrature.circle_coefficients(fn, 1.0, 3)
