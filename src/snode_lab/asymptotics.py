@@ -176,23 +176,22 @@ def outer_modulus(P: DensityFn, lam: complex) -> float:
     :class:`SzegoViolated` when the log-det integral diverges to -inf.
     """
     poisson_normalization(lam)
-    return _outer_modulus(P, lam)
+    return _outer_moduli([P], lam)[0]
 
 
-def _outer_modulus(P: DensityFn, lam: complex) -> float:
-    """The outer modulus of :func:`outer_modulus`, without its normalization
-    check."""
+def _outer_moduli(dens, lam: complex) -> list[float]:
+    """:func:`outer_modulus` of each density of a list, without its
+    normalization check, in one :func:`quadrature.integrate_lines` batch."""
     w = poisson_weight(lam)
 
-    def integrand(ts):
-        return w(ts) * _finite_log_det(P, ts)
+    def integrand(P: DensityFn):
+        return lambda ts: w(ts) * _finite_log_det(P, ts)
 
-    value = quadrature.integrate_with_check(
-        integrand, (-np.inf, np.inf), P.breaks, _LOG_QUAD, _LOG_TOL, "outer modulus integral"
-    )
-    if not np.isfinite(value):
+    fns, breaks = [integrand(P) for P in dens], [P.breaks for P in dens]
+    values = quadrature.integrate_lines(fns, breaks, _LOG_QUAD, _LOG_TOL, ["outer modulus integral"] * len(dens))
+    if not np.all(np.isfinite(values)):
         raise SzegoViolated("log-determinant integral diverges")
-    return float(np.exp(value / (2.0 * np.pi)))
+    return [float(np.exp(value / (2.0 * np.pi))) for value in values]
 
 
 def outer_factor(frm: Frame, pairs, z: complex) -> np.ndarray:
@@ -228,7 +227,7 @@ class EntropyBound:
     @property
     def slack(self) -> float:
         """min eig(rhs - lhs); >= -tol certifies the bound, ~0 the equality."""
-        return matcore.min_eig_hermitian(self.rhs - self.lhs)
+        return float(bound_slacks([self])[0])
 
     @property
     def relative_slack(self) -> float:
@@ -240,7 +239,19 @@ class EntropyBound:
     @property
     def modulus_gap(self) -> float:
         """|ln|det G(lam)| - ln modulus|: the closed-form lhs against its quadrature."""
-        return abs(0.5 * np.linalg.slogdet(self.lhs / (2.0 * np.pi))[1] - np.log(self.modulus))
+        return float(modulus_gaps([self])[0])
+
+
+def bound_slacks(bounds) -> np.ndarray:
+    """:attr:`EntropyBound.slack` of each bound, from one stacked ``eigvalsh``."""
+    return matcore.min_eig_hermitian(np.stack([bound.rhs - bound.lhs for bound in bounds]))
+
+
+def modulus_gaps(bounds) -> np.ndarray:
+    """:attr:`EntropyBound.modulus_gap` of each bound, from one stacked ``slogdet``."""
+    lhs = np.stack([bound.lhs for bound in bounds])
+    moduli = np.array([bound.modulus for bound in bounds])
+    return np.abs(0.5 * np.linalg.slogdet(lhs / (2.0 * np.pi))[1] - np.log(moduli))
 
 
 def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
@@ -255,13 +266,15 @@ def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
     quadrature of each pair's boundary density (all from one
     :func:`weyl_densities` call, one fit of the zeros of det F) certifies it,
     and runs first, so a pair with singular R*Q + Q*R raises
-    :class:`SzegoViolated`."""
+    :class:`SzegoViolated`.  The moduli of all pairs are one
+    :func:`quadrature.integrate_lines` batch, bitwise the values of
+    :func:`outer_modulus`."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
     dens, _ = weyl_densities(frm, pairs)
-    moduli = [_outer_modulus(P, lam) for P in dens]
+    moduli = _outer_moduli(dens, lam)
     G = outer_factor(frm, pairs, lam)
     lhss = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
     return [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]

@@ -33,6 +33,8 @@ class DensityFn:
     # interior points where the density is not smooth (real), or, on the full
     # line, poles x + i d of narrow features near x (complex)
     breaks: tuple = ()
+    # how many absolute moments it has, of orders 0, 1, ...; None for all
+    moments: int | None = None
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -75,7 +77,8 @@ def uniform_density(a: float = -1.0, b: float = 1.0) -> DensityFn:
 
 
 def cauchy_density(scale: float = 1.0) -> DensityFn:
-    """scale / (pi (t^2 + scale^2)); the standard case is scale = 1."""
+    """scale / (pi (t^2 + scale^2)); the standard case is scale = 1.  Its one
+    absolute moment is its mass: |t| P(t) decays like 1/|t|."""
     if not (np.isfinite(scale) and scale > 0.0):
         raise InvalidDensity(f"cauchy density needs a finite scale > 0, got {scale!r}")
 
@@ -85,7 +88,7 @@ def cauchy_density(scale: float = 1.0) -> DensityFn:
     def log_det(t):
         return np.log(scale / np.pi) - np.log(t * t + scale * scale)
 
-    return DensityFn("cauchy", fn, log_det=log_det)
+    return DensityFn("cauchy", fn, log_det=log_det, moments=1)
 
 
 def exp_sqrt_density() -> DensityFn:

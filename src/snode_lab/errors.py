@@ -107,3 +107,7 @@ class Unsupported(SnodeLabError):
 
 class QuadratureNotConverged(SnodeLabError):
     pass
+
+
+class MissingMoment(SnodeLabError):
+    """A moment asked of a density that declares it does not have it."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import matcore, quadrature, serialization
 from .densities import DensityFn
-from .errors import SingularDenominator, Unsupported
+from .errors import MissingMoment, SingularDenominator, Unsupported
 from .snode import Frame, ParamPair, SNode, _resolvent, lft, node_frame
 
 
@@ -115,8 +115,12 @@ def moments_from_density(density: DensityFn, count: int) -> np.ndarray:
     density's breaks.  On the full line each order must be absolutely
     integrable: the smooth majorant (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)|
     gets its own check, ahead of the order's value, so a divergent moment
-    raises naming the lowest divergent order.
+    raises naming the lowest divergent order.  A density that declares how
+    many absolute moments it has (``DensityFn.moments``) refuses a larger
+    ``count`` first, with :class:`MissingMoment`, and no quadrature runs.
     """
+    if density.moments is not None and count > (k := density.moments):
+        raise MissingMoment(f"the {density.name} density has no moment {k}: its absolute moments end at order {k - 1}")
     names = [f"moment {k}" for k in range(count)]
     if density.bounded_support:
 
@@ -237,7 +241,9 @@ def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
     degree ``clear_degree``, fitted to its values at that many points plus
     three, as :meth:`numpy.polynomial.Polynomial.fit` fits it (the points
     mapped onto [-1, 1]), for all evaluators in one least-squares solve with
-    one column each.  Trailing coefficients below 1e-10 of the largest are
+    one column each; the values of det F at the fit points come from one
+    stacked ``det`` (LAPACK still factors each matrix on its own).
+    Trailing coefficients below 1e-10 of the largest are
     dropped: where F is singular at infinity det F has a lower degree, and
     its rounding (~1e-14 of the largest; a true one is >= 0.2 at p <= 2,
     n <= 4) would give zeros near 1e16."""
@@ -245,7 +251,7 @@ def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
     span = 3.0 + deg
     fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
     clear = np.asarray(frm.pole_clear(fit_ts))
-    qvals = np.stack([np.linalg.det(den(fit_ts)) * clear for den in denominators], axis=1)
+    qvals = (np.linalg.det(np.stack([den(fit_ts) for den in denominators])) * clear).T
     pu, pp = np.polynomial.polyutils, np.polynomial.polynomial
     domain, window = pu.getdomain(fit_ts), np.polynomial.Polynomial.window
     coefs = pp.polyfit(pu.mapdomain(fit_ts, domain, window), qvals, deg)

@@ -16,22 +16,24 @@ Two rules, both built on Gauss-Legendre nodes:
   same last panel as at a cusp.
 
 A graded rule whose breaks are all real (a density's declared cusps, or
-none, as for the Poisson normalization) is built once per node count and
-break set and then shared, as read-only arrays.  A rule with a complex
-break is built afresh on every call: its breaks are the poles of one drawn
-Weyl density, which no later integral repeats.
+none, as for the Poisson normalization) is built once per pair of node
+counts and break set and then shared, as read-only arrays.  A rule with a
+complex break is built together with the rest of its batch and not kept:
+its breaks are the poles of one drawn Weyl density, which no later
+integral repeats.
 
 Each rule calls its integrand once, on the nodes of every panel, and adds
-the panel sums in panel order.  An integrand returns an array whose leading
-axis matches its nodes, or an iterable of such arrays (a list, or a
-generator that yields them), one per integral; those are reduced item by
+the panel sums in panel order; on the line, the call takes the nodes of
+both rules of the doubled-node check.  An integrand returns an array whose
+leading axis matches its nodes, or an iterable of such arrays (a list, or
+a generator that yields them), one per integral; those are reduced item by
 item, as they come, and the rule returns a list.
 
-Integrals are taken through :func:`integrate_with_check`.  It is given
-the range and a node budget ``quad``, never a rule or node counts; it
-picks the rule itself and returns only a value that passed the doubled-node
-agreement check, so the check is enforced by the API, not by a convention
-its callers follow.
+Integrals are taken through :func:`integrate_with_check`, or through
+:func:`integrate_lines` for a list of line integrals.  Each is given a node
+budget ``quad``, never a rule or node counts; it picks the rule itself and
+returns only values that passed the doubled-node agreement check, so the
+check is enforced by the API, not by a convention its callers follow.
 
 :func:`circle_coefficients` is the third rule: the trapezoid rule on a
 circle, for the expansion coefficients of an analytic function.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,21 +64,29 @@ def gauss_legendre(a, b, n: int):
     return a + half * (x + 1.0), half * w
 
 
-def _reduce(w, vals, panel: int):
-    """sum_i w_i vals_i over the leading axis, taken over runs of ``panel``
-    nodes and added up run by run; any other iterable of arrays (a list, a
-    generator) reduces item by item, each item as it comes."""
+def _reduce(w, vals, sizes: tuple) -> list:
+    """sum_i w_i vals_i over the leading axis, one sum per node count n of
+    ``sizes``: the nodes are the rules at those counts one after another,
+    with the same number of panels, and each rule is summed over runs of n
+    nodes, added up run by run.  Any other iterable of arrays (a list, a
+    generator) reduces item by item, each item as it comes, to one list of
+    items per count."""
     if not isinstance(vals, np.ndarray):
-        return [_reduce(w, v, panel) for v in vals]
-    k = w.size // panel
-    if vals.ndim == 1:
-        pieces = np.sum((w * vals).reshape(k, panel), axis=1)
-    else:
-        stacked = vals.reshape(k, panel, *vals.shape[1:])
-        pieces = np.einsum("ki,ki...->k...", w.reshape(k, panel), stacked)
-    # the panel sums in one pass, then added one after another in panel order
-    # (a copy, so the partial sums are not kept alive by a view)
-    return np.add.accumulate(pieces)[-1].copy()
+        items = [_reduce(w, v, sizes) for v in vals]
+        return [[item[i] for item in items] for i in range(len(sizes))]
+    k, start, out = w.size // sum(sizes), 0, []
+    weighted = w * vals if vals.ndim == 1 else None  # a matrix integrand is weighted in its einsum
+    for n in sizes:
+        if weighted is not None:
+            pieces = np.sum(weighted[start : start + k * n].reshape(k, n), axis=1)
+        else:
+            part, weights = vals[start : start + k * n], w[start : start + k * n].reshape(k, n)
+            pieces = np.einsum("ki,ki...->k...", weights, part.reshape(k, n, *vals.shape[1:]))
+        # the panel sums in one pass, then added one after another in panel
+        # order (a copy, so the partial sums are not kept alive by a view)
+        out.append(np.add.accumulate(pieces)[-1].copy())
+        start += k * n
+    return out
 
 
 def integrate_interval(fn, a: float, b: float, n: int, breaks=()):
@@ -84,7 +95,7 @@ def integrate_interval(fn, a: float, b: float, n: int, breaks=()):
     cuts = sorted({float(c) for c in breaks if a < c < b})
     edges = np.array([a, *cuts, b], dtype=float)
     t, w = gauss_legendre(edges[:-1, None], edges[1:, None], n)
-    return _reduce(w.ravel(), fn(t.ravel()), n)
+    return _reduce(w.ravel(), fn(t.ravel()), (n,))[0]
 
 
 @lru_cache(maxsize=None)
@@ -126,39 +137,20 @@ def _depth(half: float, width: float) -> int:
     return max(math.ceil(math.log2(half / width)) + _POLE_MARGIN, 1)
 
 
-def _graded_rule(n: int, breaks):
-    """Nodes t and weights w of :func:`_build_graded_rule`, from the memo
-    :func:`_real_rule` when every break is real (see
-    :func:`integrate_line_graded`)."""
-    breaks = tuple(breaks)
-    if all(complex(b).imag == 0.0 for b in breaks):
-        return _real_rule(n, breaks)
-    return _build_graded_rule(n, breaks)
-
-
-# one entry per (n, real breaks) key: a density's cusps, or none for the
-# Poisson normalization; at n = 64 a break-free rule is 68 KB, one with a
-# cusp 180 KB
-@lru_cache(maxsize=16)
-def _real_rule(n: int, breaks: tuple):
-    """The rule of :func:`_build_graded_rule` as read-only arrays, shared by
-    every caller with these real breaks."""
-    t, w = _build_graded_rule(n, breaks)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
-
-
-def _build_graded_rule(n: int, breaks):
-    """Nodes t and weights w of the graded rule, n nodes per panel.
+def _sides(breaks) -> list:
+    """The sides of the graded rule of ``breaks`` in panel order, each as
+    (edges, shift, scale, flip): a panel (lo, hi) of its edges has the nodes
+    delta = lo + (hi - lo) / 2 (x + 1), x the Gauss-Legendre nodes on
+    [-1, 1], at t = tan(shift + scale delta) on a side of a cut (flip 0),
+    and at t = flip / tan(delta) on a side at +-pi/2 (shift 0, scale 1, flip
+    +-1).
 
     A break x or x + i d cuts theta at arctan(x); each side of a cut grades
     :func:`_depth` dyadic levels toward it, with the width |d| / (1 + x^2) of
     the narrowest break there (0 for a real one).  A side at +-pi/2 takes the
-    panels of :func:`_end_edges`.  Panel order: theta segments
-    left to right, within a segment the panels grading toward its left end,
-    then those grading toward its right end, each run outward from its end.
-    The weights include the Jacobian 1 + t^2 of t = tan(theta).  A break
+    panels of :func:`_end_edges`.  Panel order: theta segments left to right,
+    within a segment the panels grading toward its left end, then those
+    grading toward its right end, each run outward from its end.  A break
     whose real part is past about 5.8e15, where arctan rounds to +-pi/2 and
     the cut would leave an empty segment, raises :class:`Unsupported`.
     """
@@ -170,41 +162,108 @@ def _build_graded_rule(n: int, breaks):
             raise Unsupported(f"break {b}: arctan of its real part rounds to +-pi/2, so no panel can end there")
         widths[cut] = min(abs(b.imag) / (1.0 + b.real * b.real), widths.get(cut, np.inf))
     anchors = [(-np.pi / 2.0, 0.0), *sorted(widths.items()), (np.pi / 2.0, 0.0)]
-    ts, ws = [], []
+    sides = []
     for (left, left_width), (right, right_width) in zip(anchors[:-1], anchors[1:]):
         half = (right - left) / 2.0
-        rules = {}  # depth (None at +-pi/2) -> panel nodes and weights, once per segment
         for anchor, sign, width in ((left, 1.0, left_width), (right, -1.0, right_width)):
-            at_end = abs(abs(anchor) - np.pi / 2.0) < 1e-15
-            depth = None if at_end else _depth(half, width)
-            if depth not in rules:
-                offsets = half * _end_edges() if at_end else _dyadic_edges(half, depth)
-                rules[depth] = gauss_legendre(offsets[:-1, None], offsets[1:, None], n)
-            delta, w = rules[depth]
-            if at_end:
-                # theta = anchor + sign*delta; tan(theta) = +-1/tan(delta)
-                t = np.sign(anchor) / np.tan(delta)
+            if abs(abs(anchor) - np.pi / 2.0) < 1e-15:
+                sides.append((half * _end_edges(), 0.0, 1.0, np.sign(anchor)))
             else:
-                t = np.tan(anchor + sign * delta)
-            ts.append(t.ravel())
-            ws.append(w.ravel())
-    t = np.concatenate(ts)
-    return t, np.concatenate(ws) * (1.0 + t * t)
+                sides.append((_dyadic_edges(half, _depth(half, width)), anchor, sign, 0.0))
+    return sides
 
 
-def integrate_line_graded(fn, n: int, breaks=()):
-    """Integral of fn over the line; graded tan-substitution composite GL.
+def _panel_count(sides) -> int:
+    return sum(edges.size - 1 for edges, *_ in sides)
 
-    The theta axis (-pi/2, pi/2) is cut at the images of ``breaks`` and
-    panels shrink geometrically toward every cut and toward +-pi/2.  A real
-    break is a point where fn is not smooth, for example a |t|^(1/2) cusp:
-    panels halve :data:`_LEVELS` times toward it, so interior cusps are
-    resolved to near machine precision.  A complex break x + i d is a pole
-    of fn (or of its continuation) off the axis: Gauss-Legendre on a panel
-    converges at a rate set by the nearest pole (Trefethen, Approximation
-    Theory and Approximation Practice, 2013, ch. 19), so the panels toward
-    x stop a few halvings below the pole's width |d| / (1 + x^2) in theta
-    (:func:`_depth`).
+
+def _build_graded_rules(sizes: tuple, side_lists) -> list:
+    """Nodes t and weights w (with the Jacobian 1 + t^2) of the graded rule
+    of each item of ``side_lists`` (see :func:`_sides`), its rules with n
+    nodes per panel for each n of ``sizes`` one after another.  All are built
+    in one Gauss-Legendre map, one tan pass and one Jacobian product, each
+    value bitwise that of its rule built alone."""
+    sides = [side for item in side_lists for side in item]
+    lo = np.concatenate([edges[:-1] for edges, *_ in sides])
+    half = (np.concatenate([edges[1:] for edges, *_ in sides]) - lo) / 2.0
+    forms = np.array([form for _, *form in sides]).T
+    shift, scale, flip = np.repeat(forms, [edges.size - 1 for edges, *_ in sides], axis=1)
+    x, gw = (np.concatenate([_gl_nodes(n)[k] for n in sizes])[:, None] for k in (0, 1))
+    # row i holds node i of every panel (the rows of each n in turn), so each
+    # pass runs along the panels: in place, t = tan(shift + scale (lo + half
+    # (x + 1))) and w = (half gw) (1 + t^2)
+    t = half * (x + 1.0)
+    t += lo
+    t *= scale
+    t += shift
+    np.tan(t, out=t)
+    np.divide(flip, t, out=t, where=flip != 0.0)
+    w = t * t
+    w += 1.0
+    w *= half * gw
+    # each item's panels, node by node, for each n in turn
+    rows, ends = [*accumulate(sizes, initial=0)], [*accumulate(map(_panel_count, side_lists), initial=0)]
+    blocks = [(slice(r0, r1), slice(p0, p1)) for p0, p1 in zip(ends, ends[1:]) for r0, r1 in zip(rows, rows[1:])]
+    t, w = (np.concatenate([a[block].T for block in blocks], axis=None) for a in (t, w))
+    return [(t[a * rows[-1] : b * rows[-1]], w[a * rows[-1] : b * rows[-1]]) for a, b in zip(ends, ends[1:])]
+
+
+# one entry per (sizes, real breaks) key: a density's cusps, or none for the
+# Poisson normalization; at (32, 64) a break-free rule is 101 KB, one with a
+# cusp 270 KB
+@lru_cache(maxsize=16)
+def _real_rule(sizes: tuple, breaks: tuple):
+    """The rule of :func:`_build_graded_rules` as read-only arrays, shared by
+    every caller with these node counts and real breaks."""
+    [(t, w)] = _build_graded_rules(sizes, [_sides(breaks)])
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+# the most nodes of complex-break rules built together (one rule alone may
+# have more): every node array of a build then stays below 128 KiB, which
+# the C allocator serves from memory it reuses; a larger array can be mapped
+# afresh and fault its pages in on every build
+_GROUP_NODES = 16000
+
+
+def _graded_rules(sizes: tuple, break_sets):
+    """The rule (t, w) of :func:`_build_graded_rules` at ``sizes`` of each
+    break set in turn: from the memo :func:`_real_rule` when every break of
+    the set is real, else built together with the next such sets, up to
+    :data:`_GROUP_NODES` nodes at a time."""
+    group, nodes = [], 0
+    for breaks in map(tuple, break_sets):
+        sides = None if all(complex(b).imag == 0.0 for b in breaks) else _sides(breaks)
+        size = 0 if sides is None else _panel_count(sides) * sum(sizes)
+        if group and (sides is None or nodes + size > _GROUP_NODES):
+            yield from _build_graded_rules(sizes, group)
+            group, nodes = [], 0
+        if sides is None:
+            yield _real_rule(sizes, breaks)
+        else:
+            group.append(sides)
+            nodes += size
+    if group:
+        yield from _build_graded_rules(sizes, group)
+
+
+def integrate_line_graded(fn, rule, sizes: tuple) -> list:
+    """Integrals of fn over the line on the graded rules at the node counts
+    of ``sizes``, one value per count, from one call of fn on their
+    concatenated nodes: ``rule`` = (t, w) of :func:`_graded_rules`.
+
+    The substitution t = tan(theta) maps the line onto (-pi/2, pi/2), cut at
+    the images of the breaks; the panels shrink geometrically toward every
+    cut and toward +-pi/2.  A real break is a point where fn is not smooth,
+    for example a |t|^(1/2) cusp: panels halve :data:`_LEVELS` times toward
+    it, so interior cusps are resolved to near machine precision.  A complex
+    break x + i d is a pole of fn (or of its continuation) off the axis:
+    Gauss-Legendre on a panel converges at a rate set by the nearest pole
+    (Trefethen, Approximation Theory and Approximation Practice, 2013, ch.
+    19), so the panels toward x stop a few halvings below the pole's width
+    |d| / (1 + x^2) in theta (:func:`_depth`).
 
     Toward +-pi/2 the panels halve :data:`_END_LEVELS` times, out to |t| of
     about 1e3, where features of fn that are not declared as breaks still
@@ -216,18 +275,13 @@ def integrate_line_graded(fn, n: int, breaks=()):
     per end.  There points are parametrized by the distance delta from the
     endpoint and evaluated as t = +-1/tan(delta) to avoid cancellation.
 
-    ``fn`` is called once, on the nodes of every panel; the panel sums are
-    then added in panel order, so the value does not depend on how the
-    integrand batches its work.
-
-    With real breaks only, the rule comes from a memo (:func:`_real_rule`)
-    and ``fn`` receives its read-only nodes: an integrand that writes into
-    them raises.  The rule of complex breaks is not kept: their poles come
-    from drawn Weyl densities, they never repeat, and each such rule, up to
-    a few hundred KB, would push the repeating real-break rules out.
+    Each rule's panel sums are added in panel order, so its value does not
+    depend on how the integrand batches its work, nor on the other rules it
+    shares the call with.  A memoized rule gives fn read-only nodes: an
+    integrand that writes into them raises.
     """
-    t, w = _graded_rule(n, breaks)
-    return _reduce(w, fn(t), n)
+    t, w = rule
+    return _reduce(w, fn(t), sizes)
 
 
 def _ladder(cap: int) -> list[int]:
@@ -246,9 +300,8 @@ def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="i
 
     A bounded ``(a, b)`` runs :func:`integrate_interval` with the node
     counts of :func:`_ladder` ``(quad)`` in turn; the full line
-    ``(-inf, inf)`` runs :func:`integrate_line_graded` with m and then 2m
-    nodes per panel, m = max(24, quad // 64).  Any other range raises
-    :class:`Unsupported`.
+    ``(-inf, inf)`` is :func:`integrate_lines` of this one integrand.  Any
+    other range raises :class:`Unsupported`.
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
@@ -260,28 +313,37 @@ def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="i
     order, whose values still disagree at the last two counts.
     """
     a, b = support
-    if np.isfinite(a) and np.isfinite(b):
-        sizes = _ladder(quad)
-
-        def rule(n):
-            return integrate_interval(fn, a, b, n, breaks=breaks)
-
-    elif a == -np.inf and b == np.inf:
-        m = max(24, quad // 64)
-        sizes = (m, 2 * m)
-
-        def rule(n):
-            return integrate_line_graded(fn, n, breaks=breaks)
-
-    else:
+    if a == -np.inf and b == np.inf:
+        return integrate_lines([fn], [breaks], quad, rel_tol, [what])[0]
+    if not (np.isfinite(a) and np.isfinite(b)):
         raise Unsupported("the range must be the full line or a finite interval")
-    coarse = rule(sizes[0])
+    return _accept((integrate_interval(fn, a, b, n, breaks=breaks) for n in _ladder(quad)), what, rel_tol)
+
+
+def integrate_lines(fns, break_sets, quad: int, rel_tol: float, whats) -> list:
+    """Integrals over the line of the integrands ``fns``, each on the graded
+    rules of its item of ``break_sets``, named by its item of ``whats`` and
+    accepted by the check of :func:`integrate_with_check`, in list order:
+    the first that fails raises.  Each integrand is called once, on the
+    nodes of its rules with m and 2m nodes per panel, m = max(24, quad //
+    64); the rules of the list are built together (:func:`_graded_rules`).
+    """
+    m = max(24, quad // 64)
+    sizes = (m, 2 * m)
+    rules = _graded_rules(sizes, break_sets)
+    return [_accept(integrate_line_graded(fn, rule, sizes), what, rel_tol) for fn, rule, what in zip(fns, rules, whats)]
+
+
+def _accept(values, what, rel_tol: float):
+    """The accepted value of the rule values ``values``, coarse to fine, item
+    by item for a list integrand (see :func:`integrate_with_check`)."""
+    values = iter(values)
+    coarse = next(values)
     many = isinstance(coarse, list)
     coarse = coarse if many else [coarse]
     names = [what] * len(coarse) if isinstance(what, str) else list(what)
     accepted = [None] * len(coarse)
-    for n in sizes[1:]:
-        fine = rule(n)
+    for fine in values:
         fine = fine if many else [fine]
         failures = []
         for i, (c, f) in enumerate(zip(coarse, fine)):

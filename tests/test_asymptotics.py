@@ -377,11 +377,13 @@ def test_outer_modulus_szego_violation():
 
 
 def test_poisson_normalization_random_points(rng):
-    from snode_lab.quadrature import integrate_line_graded
+    from snode_lab import quadrature
 
     for _ in range(10):
         lam = complex(rng.uniform(-4, 4), rng.uniform(0.2, 3.0))
-        value = integrate_line_graded(asymptotics.poisson_weight(lam), 24)
+        [value] = quadrature.integrate_line_graded(
+            asymptotics.poisson_weight(lam), next(quadrature._graded_rules((24,), [()])), (24,)
+        )
         assert abs(value - np.pi) <= 1e-9
         assert abs(asymptotics.poisson_normalization(lam) - np.pi) <= 1e-9
 
@@ -651,6 +653,19 @@ def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
         asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j), pair], 1j)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_entropy_bound_moduli_are_bitwise_the_outer_moduli(p):
+    # the batch of the bound check against one outer_modulus call per density
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(p), p, 2)))
+    lam = 0.2 + 0.9j
+    draws = np.random.default_rng(10 + p)
+    pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, p) for _ in range(6))]
+    dens, _ = hankel.weyl_densities(frm, pairs)
+    assert any(dens_.breaks for dens_ in dens)
+    moduli = [bound.modulus for bound in asymptotics.entropy_bound_check(frm, pairs, lam)]
+    assert moduli == [asymptotics.outer_modulus(P, lam) for P in dens]
+
+
 def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
     # entropy_bound_check takes the moduli of its pairs' densities after one
     # normalization; each equals the outer_modulus call on that density
@@ -660,14 +675,14 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, 2) for _ in range(2))]
     dens, _ = hankel.weyl_densities(frm, pairs)
     singles = [asymptotics.outer_modulus(P, lam) for P in dens]
-    names = []
-    original = quadrature.integrate_with_check
+    batches = []
+    original = quadrature.integrate_lines
 
-    def counted(fn, support, breaks, quad, rel_tol, what="integral"):
-        names.append(what)
-        return original(fn, support, breaks, quad, rel_tol, what)
+    def counted(fns, break_sets, quad, rel_tol, whats):
+        batches.append(list(whats))
+        return original(fns, break_sets, quad, rel_tol, whats)
 
-    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    monkeypatch.setattr(quadrature, "integrate_lines", counted)
     assert [bound.modulus for bound in asymptotics.entropy_bound_check(frm, pairs, lam)] == singles
-    # one normalization, then one integral per density
-    assert names == ["poisson normalization"] + ["outer modulus integral"] * 3
+    # one normalization, then one batch with one integral per density
+    assert batches == [["poisson normalization"], ["outer modulus integral"] * 3]

@@ -370,19 +370,19 @@ def test_entropy_lambda_outside_upper_half_plane_exits_2(tmp_path, capsys, lam):
 def test_entropy_runs_one_poisson_normalization(tmp_path, monkeypatch, name):
     from snode_lab import quadrature
 
-    names = []
-    original = quadrature.integrate_with_check
+    batches = []
+    original = quadrature.integrate_lines
 
-    def counted(fn, support, breaks, quad, rel_tol, what="integral"):
-        names.append(what)
-        return original(fn, support, breaks, quad, rel_tol, what)
+    def counted(fns, break_sets, quad, rel_tol, whats):
+        batches.append(list(whats))
+        return original(fns, break_sets, quad, rel_tol, whats)
 
-    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    monkeypatch.setattr(quadrature, "integrate_lines", counted)
     assert run(["entropy", "--spec", str(cli.bundled_spec_path(name)), "--out", str(tmp_path)]) == 0
     # extremal pair, witness and 10 random pairs share one normalization,
-    # and each pair's density has its own outer-modulus integral
-    assert names.count("poisson normalization") == 1
-    assert names.count("outer modulus integral") == 12
+    # and each pair's density has its own outer-modulus integral, all 12 in
+    # one batch
+    assert batches == [["poisson normalization"], ["outer modulus integral"] * 12]
 
 
 def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, monkeypatch):
@@ -486,19 +486,21 @@ def test_asymptotics_computes_rho_once_per_order(tmp_path, monkeypatch):
 
 
 def _integral_names(monkeypatch):
-    """The names (``what``) of the integrals taken through
-    :func:`quadrature.integrate_with_check`, in order; a call with a list of
-    names adds each of them."""
+    """The names (``what``) of the integrals whose values went through the
+    doubled-node check (:func:`quadrature._accept`, behind
+    :func:`quadrature.integrate_with_check` and
+    :func:`quadrature.integrate_lines`), in order; an integral with a list
+    of names adds each of them."""
     from snode_lab import quadrature
 
     names = []
-    original = quadrature.integrate_with_check
+    original = quadrature._accept
 
-    def counted(*args):
-        names.extend([args[5]] if isinstance(args[5], str) else args[5])
-        return original(*args)
+    def counted(values, what, rel_tol):
+        names.extend([what] if isinstance(what, str) else what)
+        return original(values, what, rel_tol)
 
-    monkeypatch.setattr(quadrature, "integrate_with_check", counted)
+    monkeypatch.setattr(quadrature, "_accept", counted)
     return names
 
 
@@ -539,7 +541,8 @@ def test_asymptotics_divergent_moment_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert run(["--scenario", str(path), "--out", str(tmp_path)]) == 2
-    assert "moment 1 absolute: doubled-node drift" in capsys.readouterr().err
+    # the Cauchy density declares one absolute moment: refused before any quadrature
+    assert "the cauchy density has no moment 1: its absolute moments end at order 0" in capsys.readouterr().err
 
 
 def test_asymptotics_indefinite_moment_matrix_exits_2_naming_the_order(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -55,6 +56,20 @@ def graded_per_panel(fn, n, breaks=()):
     return total
 
 
+def line_rule(n, breaks=()):
+    """Nodes and weights of the graded rule of ``breaks`` at n nodes per
+    panel, on its own."""
+    [rule] = quadrature._graded_rules((n,), [breaks])
+    return rule
+
+
+def graded(fn, n, breaks=()):
+    """The integral of fn on the graded rule of ``breaks`` at n nodes per
+    panel, on its own."""
+    [value] = quadrature.integrate_line_graded(fn, line_rule(n, breaks), (n,))
+    return value
+
+
 [_WEYL], _ = hankel.weyl_densities(
     snode.node_frame(
         hankel.build_hankel_node(
@@ -79,11 +94,11 @@ CASES = {
 def test_graded_rule_equals_per_panel_loop(case, n):
     fn, breaks = CASES[case]
     want = graded_per_panel(fn, n, breaks=breaks)
-    got = quadrature.integrate_line_graded(fn, n, breaks=breaks)
+    got = graded(fn, n, breaks)
     assert np.array_equal(got, want)
     # a list integrand reduces item by item, each as if on its own
     doubled = lambda t: 2.0 * np.asarray(fn(t))
-    got_list = quadrature.integrate_line_graded(lambda t: [fn(t), doubled(t)], n, breaks=breaks)
+    got_list = graded(lambda t: [fn(t), doubled(t)], n, breaks)
     assert np.array_equal(got_list[0], want)
     assert np.array_equal(got_list[1], graded_per_panel(doubled, n, breaks=breaks))
 
@@ -105,13 +120,12 @@ def test_a_pole_is_graded_to_its_width(x, d):
     floor = np.finfo(float).eps * (1.0 + x * x) / d
     line, pole_break = (-np.inf, np.inf), (complex(x, d),)
     pole = quadrature.integrate_with_check(counted, line, pole_break, 1536, 1e-14 + floor)
-    cusp = quadrature.integrate_line_graded(lorentzian, 48, (x,))
+    cusp = graded(lorentzian, 48, (x,))
     assert abs(pole - 1.0) <= max(1e-14, 2.0 * abs(cusp - 1.0))
-    assert sizes[0] * 2 == sizes[1] < quadrature._graded_rule(48, (x,))[0].size
-    assert np.array_equal(
-        quadrature.integrate_line_graded(lorentzian, 24, pole_break),
-        graded_per_panel(lorentzian, 24, pole_break),
-    )
+    # one call on the nodes of both rules, the 24-node rule and the 48-node one
+    coarse = line_rule(24, pole_break)[0].size
+    assert sizes == [3 * coarse] and 2 * coarse < line_rule(48, (x,))[0].size
+    assert np.array_equal(graded(lorentzian, 24, pole_break), graded_per_panel(lorentzian, 24, pole_break))
 
 
 @pytest.mark.parametrize("width, depth", [(0.0, 54), (2.0**-60, 54), (2.0**-10, 14), (1.0, 4), (100.0, 1)])
@@ -127,7 +141,7 @@ def test_the_ends_take_ten_dyadic_levels_then_4_to_1_panels(n):
     powers = np.ldexp(1.0, np.r_[np.arange(-54, -10, 2), np.arange(-10, 1)])
     assert np.array_equal(edges, np.r_[0.0, powers])
     assert np.all(np.frexp(edges[1:])[0] == 0.5)
-    t, _ = quadrature._graded_rule(n, ())
+    t, _ = line_rule(n, ())
     assert t.size == 2 * 33 * n
     # each panel of half * edges, half = pi/2, holds n of the offsets from the ends
     for side in (t[t < 0.0], t[t > 0.0]):
@@ -140,7 +154,7 @@ def test_the_sides_at_the_cuts_keep_their_dyadic_nodes():
     # a cusp at -1 and a pole at 0.5 + 0.01 i: segments (-pi/2, c1), (c1, c2),
     # (c2, pi/2); the four cut sides are the dyadic panels, bitwise
     n, pole = 24, complex(0.5, 0.01)
-    t, w = quadrature._graded_rule(n, (-1.0, pole))
+    t, w = line_rule(n, (-1.0, pole))
     c1, c2 = float(np.arctan(-1.0)), float(np.arctan(pole.real))
     width = pole.imag / (1.0 + pole.real**2)
 
@@ -172,7 +186,7 @@ def test_the_sides_at_the_cuts_keep_their_dyadic_nodes():
 def test_power_over_lorentzian_integrals(a, breaks, bound):
     # int |t|^a / (1 + t^2) dt = pi / cos(pi a / 2); a = +-1/2 is limited by
     # the last panel, 2^-54 of its side, at the cusp (a < 0) or at the ends (a > 0)
-    got = quadrature.integrate_line_graded(lambda t: np.abs(t) ** a / (1.0 + t * t), 48, breaks)
+    got = graded(lambda t: np.abs(t) ** a / (1.0 + t * t), 48, breaks)
     want = np.pi / np.cos(np.pi * a / 2.0)
     assert abs(got - want) <= bound * want
 
@@ -184,7 +198,7 @@ def test_poisson_integral_of_the_log_weight(lam):
     fn = lambda t: lam.imag / np.pi * np.log1p(t * t) / np.abs(t - lam) ** 2
     want = 2.0 * np.log(abs(lam + 1j))
     for n in (24, 48):
-        got = quadrature.integrate_line_graded(fn, n, (lam,))
+        got = graded(fn, n, (lam,))
         assert abs(got - want) <= 5.5e-16 * max(1.0, abs(want))
 
 
@@ -195,36 +209,37 @@ def test_graded_rule_calls_integrand_once():
         calls.append(t.size)
         return np.exp(-np.sqrt(np.abs(t)))
 
-    quadrature.integrate_line_graded(counting, 24, breaks=(0.0, 1.0))
+    graded(counting, 24, (0.0, 1.0))
     assert len(calls) == 1
     calls.clear()
+    # the checked integral takes both rules, (24, 48), in one call
     quadrature.integrate_with_check(counting, (-np.inf, np.inf), (0.0,), 512, 1e-8)
-    assert len(calls) == 2
+    assert calls == [3 * line_rule(24, (0.0,))[0].size]
 
 
 @pytest.mark.parametrize("breaks", [(), (0.0,), (-1.0, 0.5)])
 def test_a_real_break_rule_is_built_once_as_read_only_arrays(breaks):
     quadrature._real_rule.cache_clear()
-    t, w = quadrature._graded_rule(24, breaks)
-    again = quadrature._graded_rule(24, list(breaks))
+    t, w = line_rule(24, breaks)
+    again = line_rule(24, list(breaks))
     assert again[0] is t and again[1] is w
     info = quadrature._real_rule.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    fresh_t, fresh_w = quadrature._build_graded_rule(24, breaks)
+    [(fresh_t, fresh_w)] = quadrature._build_graded_rules((24,), [quadrature._sides(breaks)])
     assert np.array_equal(t, fresh_t) and np.array_equal(w, fresh_w)
     assert not t.flags.writeable and not w.flags.writeable
     # another node count is its own rule
-    assert quadrature._graded_rule(48, breaks)[0].size == 2 * t.size
+    assert line_rule(48, breaks)[0].size == 2 * t.size
 
 
 def test_a_complex_break_rule_is_not_retained():
     quadrature._real_rule.cache_clear()
     pole = (complex(0.5, 1e-3),)
-    t, w = quadrature._graded_rule(24, pole)
+    t, w = line_rule(24, pole)
     assert quadrature._real_rule.cache_info().currsize == 0
-    assert quadrature._graded_rule(24, pole)[0] is not t
+    assert line_rule(24, pole)[0] is not t
     # a break on the axis given as a complex number is a real one
-    quadrature._graded_rule(24, (complex(0.5, 0.0),))
+    line_rule(24, (complex(0.5, 0.0),))
     assert quadrature._real_rule.cache_info().currsize == 1
 
 
@@ -234,9 +249,110 @@ def test_an_integrand_that_writes_into_its_nodes_raises():
         return np.exp(-np.abs(t))
 
     with pytest.raises(ValueError, match="read-only"):
-        quadrature.integrate_line_graded(shifting, 24, breaks=(0.0,))
+        graded(shifting, 24, (0.0,))
     # the memoized rule is unchanged
-    assert np.array_equal(quadrature._graded_rule(24, (0.0,))[0], quadrature._build_graded_rule(24, (0.0,))[0])
+    [(fresh, _)] = quadrature._build_graded_rules((24,), [quadrature._sides((0.0,))])
+    assert np.array_equal(line_rule(24, (0.0,))[0], fresh)
+
+
+# a mixed batch of break sets: a memoized cusp, poles of one Weyl density, a
+# repeated set, no break, narrow poles in many segments (a rule past the
+# group size on its own), a pole on the axis given as complex, and at
+# (24, 48) two groups of two rules built together
+_POLES = tuple(complex(x, d) for x, d in [(-3.0, 1e-6), (-1.0, 1e-5), (0.5, 1e-6), (2.0, 1e-7)])
+_BATCH = [
+    (0.0,),
+    _WEYL.breaks,
+    (complex(0.3, 0.2),),
+    (complex(0.5, 0.01), -1.0),
+    _WEYL.breaks,
+    (),
+    _POLES,
+    (complex(2.0, 0.0),),
+    (complex(-0.7, 1.5), complex(4.0, 0.05)),
+    (complex(1.0, 0.3),),
+]
+
+
+def _lorentzians(breaks):
+    """An integrand smooth away from ``breaks``: a Lorentzian of unit mass
+    at each complex break, a cusp at each real one, and a smooth tail."""
+    def fn(t):
+        out = 1.0 / (1.0 + t * t)
+        for b in map(complex, breaks):
+            if b.imag:
+                out = out + abs(b.imag) / (np.pi * ((t - b.real) ** 2 + b.imag**2))
+            else:
+                out = out + np.exp(-np.sqrt(np.abs(t - b.real)))
+        return out
+
+    return fn
+
+
+@pytest.mark.parametrize("quad", [512, 2048])
+def test_a_batch_of_line_integrals_is_bitwise_the_integrals_alone(quad):
+    fns = [_lorentzians(breaks) for breaks in _BATCH]
+    # a list integrand as well: the moments of the Weyl density and their majorants
+    fns[1] = lambda t: [t[:, None, None] ** k * _WEYL(t) for k in range(3)]
+    whats = [f"integral {i}" for i in range(len(_BATCH))]
+    whats[1] = [f"moment {k}" for k in range(3)]
+    quadrature._real_rule.cache_clear()
+    batch = quadrature.integrate_lines(fns, _BATCH, quad, 1e-8, whats)
+    line = (-np.inf, np.inf)
+    alone = [quadrature.integrate_with_check(fn, line, b, quad, 1e-8, what) for fn, b, what in zip(fns, _BATCH, whats)]
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        assert np.array_equal(got, want) and type(got) is type(want)
+    # the real sets came from the memo, built once each
+    assert quadrature._real_rule.cache_info().currsize == 3
+
+
+def test_each_rule_of_a_batch_build_is_the_per_panel_rule():
+    sizes = (24, 48)
+    rules = quadrature._build_graded_rules(sizes, [quadrature._sides(breaks) for breaks in _BATCH])
+    assert len(rules) == len(_BATCH)
+    for breaks, rule in zip(_BATCH, rules):
+        fn = _lorentzians(breaks)
+        got = quadrature.integrate_line_graded(fn, rule, sizes)
+        assert [np.array_equal(g, graded_per_panel(fn, n, breaks)) for g, n in zip(got, sizes)] == [True, True]
+        [alone] = quadrature._build_graded_rules(sizes, [quadrature._sides(breaks)])
+        assert np.array_equal(rule[0], alone[0]) and np.array_equal(rule[1], alone[1])
+        assert rule[0].size == sum(line_rule(n, breaks)[0].size for n in sizes)
+
+
+def test_the_first_failing_integral_of_a_batch_raises_under_its_name():
+    rough = lambda t: np.cos(1e4 * t) / (1.0 + t * t)
+    smooth = _lorentzians(())
+    later = []
+
+    def never(t):
+        later.append(t.size)
+        return smooth(t)
+
+    fns = [smooth, rough, rough, never]
+    breaks = [(), (complex(0.5, 0.1),), (0.0,), ()]
+    with pytest.raises(QuadratureNotConverged, match="^first: doubled-node drift"):
+        quadrature.integrate_lines(fns, breaks, 512, 1e-10, ["fine", "first", "second", "never"])
+    # the integrals run in list order and stop at the first failure
+    assert later == []
+    with pytest.raises(QuadratureNotConverged, match="^second: doubled-node drift"):
+        quadrature.integrate_lines(fns[2:], breaks[2:], 512, 1e-10, ["second", "never"])
+
+
+def test_memoized_nodes_stay_read_only_in_a_batch():
+    quadrature._real_rule.cache_clear()
+
+    def shifting(t):
+        t -= 1.0
+        return np.exp(-np.abs(t))
+
+    fns = [_lorentzians((complex(0.5, 0.1),)), shifting]
+    with pytest.raises(ValueError, match="read-only"):
+        quadrature.integrate_lines(fns, [(complex(0.5, 0.1),), (0.0,)], 512, 1e-8, ["pole", "cusp"])
+    t, w = quadrature._real_rule((24, 48), (0.0,))
+    assert not t.flags.writeable and not w.flags.writeable
+    [(fresh_t, fresh_w)] = quadrature._build_graded_rules((24, 48), [quadrature._sides((0.0,))])
+    assert np.array_equal(t, fresh_t) and np.array_equal(w, fresh_w)
 
 
 @pytest.mark.parametrize("support", [(-1.0, 1.0), (0.5, 3.0)])
@@ -279,10 +395,10 @@ def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
         seen["interval"].append(n)
         return float(n)
 
-    def on_line(fn, n, breaks=()):
-        assert breaks == (0.5,)
-        seen["line"].append(n)
-        return float(n)
+    def on_line(fn, rule, sizes):
+        assert rule is quadrature._real_rule(sizes, (0.5,))
+        seen["line"].append(sizes)
+        return [float(n) for n in sizes]
 
     monkeypatch.setattr(quadrature, "integrate_interval", on_interval)
     monkeypatch.setattr(quadrature, "integrate_line_graded", on_line)
@@ -295,11 +411,11 @@ def test_ladder_that_never_converges_raises_at_the_cap(monkeypatch, cap, tried):
     m = max(24, cap // 64)
     with pytest.raises(QuadratureNotConverged):
         quadrature.integrate_with_check(rough, (-np.inf, np.inf), (0.5,), cap, 1e-10)
-    assert seen["line"] == [m, 2 * m]
+    assert seen["line"] == [(m, 2 * m)]
     for support in ((-np.inf, 1.0), (0.0, np.inf)):
         with pytest.raises(Unsupported, match="the range must be the full line or a finite interval"):
             quadrature.integrate_with_check(rough, support, (0.5,), cap, 1e-10)
-    assert len(seen["interval"]) == len(tried) and len(seen["line"]) == 2
+    assert len(seen["interval"]) == len(tried) and len(seen["line"]) == 1
 
 
 def test_a_nan_integral_fails_the_doubled_node_check():
@@ -314,9 +430,9 @@ def test_a_break_whose_arctan_rounds_to_the_end_is_refused_by_name(x):
     # past about 5.8e15, arctan(x) is the float pi/2: the cut would leave an
     # empty segment whose nodes are 1/tan(0) = inf and weights NaN
     with pytest.raises(Unsupported, match="^" + re.escape(f"break {complex(x)}: arctan of its real part rounds to +-pi/2")):
-        quadrature.integrate_line_graded(lambda t: 1.0 / (1.0 + t * t), 24, (x,))
+        graded(lambda t: 1.0 / (1.0 + t * t), 24, (x,))
     # just inside, the cut is kept and the integral is pi
-    inside = quadrature.integrate_line_graded(lambda t: 1.0 / (1.0 + t * t), 24, (np.sign(x.real) * 1e15,))
+    inside = graded(lambda t: 1.0 / (1.0 + t * t), 24, (np.sign(x.real) * 1e15,))
     assert inside == pytest.approx(np.pi, abs=1e-14)
 
 
@@ -382,7 +498,7 @@ def test_divergent_moment_raises_naming_its_order():
     # t / (pi (1 + t^2)) is not absolutely integrable, but the symmetric
     # graded rule cancels it and its value passes the doubled-node check;
     # the check on (1 + t^2)^(1/2) tr P catches it
-    cauchy = densities.cauchy_density()
+    cauchy = dataclasses.replace(densities.cauchy_density(), moments=None)  # declares no moment count
     for count in (2, 4):
         with pytest.raises(QuadratureNotConverged, match="^moment 1 absolute: "):
             hankel.moments_from_density(cauchy, count)
@@ -406,7 +522,7 @@ def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
     if density.bounded_support:
         rule = lambda fn: quadrature.integrate_interval(fn, *density.support, 32, density.breaks)
     else:
-        rule = lambda fn: quadrature.integrate_line_graded(fn, 64, density.breaks)
+        rule = lambda fn: graded(fn, 64, density.breaks)
     got = rule(seen[0])
     got = got[3:] if density.bounded_support else got[7::2]  # past the majorants and orders 0..2
     want = rule(lambda t: [t[:, None, None] ** k * density(t) for k in orders])
@@ -419,9 +535,7 @@ def test_absolute_checks_leave_the_moment_values_alone():
     # the moment budget gives the pair (32, 64) on the line; the value is the fine one
     orders = range(3)
     got = hankel.moments_from_density(_WEYL, 3)
-    fine = quadrature.integrate_line_graded(
-        lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, breaks=_WEYL.breaks
-    )
+    fine = graded(lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, _WEYL.breaks)
     for block, value in zip(got, fine):
         assert np.array_equal(block, matcore.hermitian_part(value))
 
