@@ -63,20 +63,6 @@ def hankel_family_from_density(density: DensityFn, max_order: int) -> tuple[SNod
     return build_hankel_node(spec), spec
 
 
-def nested_embed_check(node: SNode) -> float:
-    """Max residual of the four compression identities of every
-    :func:`leading_node` of order 1..n-1 against the node of order n; the
-    compressions then nest into each other too."""
-    worst = 0.0
-    for k in range(1, node.m // node.p):
-        small, mk = leading_node(node, k), k * node.p
-        worst = max(worst, float(np.max(np.abs(node.A[:mk, :mk] - small.A))))
-        worst = max(worst, float(np.max(np.abs(node.S[:mk, :mk] - small.S))))
-        worst = max(worst, float(np.max(np.abs(node.Pi[:mk, :] - small.Pi))))
-        worst = max(worst, float(np.max(np.abs(node.A[:mk, mk:]))))
-    return worst
-
-
 @dataclass(frozen=True)
 class QuotientFrame:
     """Frame of the node that a leading compression leaves inside a node."""
@@ -264,7 +250,7 @@ def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
     generic frame of a Toeplitz node does not, since its A* resolvent has an
     upper-half-plane pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
     quadrature of each pair's boundary density (all from one
-    :func:`weyl_densities` call, one fit of the zeros of det F) certifies it,
+    :func:`weyl_densities` call, one pencil solve for the zeros of det F) certifies it,
     and runs first, so a pair with singular R*Q + Q*R raises
     :class:`SzegoViolated`.  The moduli of all pairs are one
     :func:`quadrature.integrate_lines` batch, bitwise the values of

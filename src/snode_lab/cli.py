@@ -363,8 +363,6 @@ def _run_asymptotics(sc: Scenario, rng: np.random.Generator):
     else:
         raise BadInput(f"{sc.command}: family must be 'hankel' or 'toeplitz', got {family!r}")
 
-    embed = asymptotics.nested_embed_check(node)
-    checks.append(_check("nesting compressions", "As1", embed, 1e-12))
     report = asymptotics.convergence_run(node, lam, reference=reference)
     if len(report.orders) > 1:
         checks.append(_check("monotone growth margin", "R2", -report.monotone_margin(), 1e-9))

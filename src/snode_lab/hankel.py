@@ -175,11 +175,11 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
     certifying the values is ROADMAP item 1b.  The zeros of det F within 2
     of the axis are the density's breaks, as complex numbers: each is the
     pole of a Lorentzian feature as wide as its distance from the axis.
-    The zeros of all pairs come from one least-squares solve
-    (:func:`_denominator_roots`).
+    The zeros of all pairs are the eigenvalues of the pencils of the
+    frame's realization, from one stacked solve (:func:`_denominator_zeros`).
     """
     denominators = [frm.denominator(pair.R, pair.Q) for pair in pairs]
-    roots = _denominator_roots(frm, denominators)
+    roots = _denominator_zeros(frm, pairs)
     dens = [_weyl_density(frm.p, pair, den, r) for pair, den, r in zip(pairs, denominators, roots)]
     return dens, roots
 
@@ -235,30 +235,25 @@ def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
         raise SingularDenominator(ts[bad[0]])
 
 
-def _denominator_roots(frm: Frame, denominators) -> list[np.ndarray]:
-    """Zeros of det F for every evaluator of an LFT denominator F in
-    ``denominators``: the frame metadata clears det F into a polynomial of
-    degree ``clear_degree``, fitted to its values at that many points plus
-    three, as :meth:`numpy.polynomial.Polynomial.fit` fits it (the points
-    mapped onto [-1, 1]), for all evaluators in one least-squares solve with
-    one column each; the values of det F at the fit points come from one
-    stacked ``det`` (LAPACK still factors each matrix on its own).
-    Trailing coefficients below 1e-10 of the largest are
-    dropped: where F is singular at infinity det F has a lower degree, and
-    its rounding (~1e-14 of the largest; a true one is >= 0.2 at p <= 2,
-    n <= 4) would give zeros near 1e16."""
-    deg = frm.clear_degree
-    span = 3.0 + deg
-    fit_ts = np.cos(np.pi * (np.arange(deg + 3) + 0.5) / (deg + 3)) * span
-    clear = np.asarray(frm.pole_clear(fit_ts))
-    qvals = (np.linalg.det(np.stack([den(fit_ts) for den in denominators])) * clear).T
-    pu, pp = np.polynomial.polyutils, np.polynomial.polynomial
-    domain, window = pu.getdomain(fit_ts), np.polynomial.Polynomial.window
-    coefs = pp.polyfit(pu.mapdomain(fit_ts, domain, window), qvals, deg)
-    # Polynomial(c, domain, window).trim(tol).roots(), without the objects
-    return [
-        pu.mapdomain(pp.polyroots(pu.trimcoef(c, 1e-10 * np.max(np.abs(c)))), window, domain) for c in coefs.T
-    ]
+def _denominator_zeros(frm: Frame, pairs) -> list[np.ndarray]:
+    """Zeros of det F for every pair, F = Q + z C (I - z A)^{-1} B by the
+    frame's :attr:`Frame.realization`: the finite eigenvalues z of the pencil
+    E0 + z E1, E0 = [[I, -B], [0, Q]], E1 = [[-A, 0], [C, 0]], of determinant
+    det(I - z A) det F(z) (Emami-Naeini & Van Dooren, Automatica 18, 1982).
+    They are z = i + 1/mu for the eigenvalues mu of -(E0 + i E1)^{-1} E1
+    (F(i) is invertible for a Weyl function), from one stacked ``solve`` and
+    ``eigvals`` in which LAPACK takes each pair on its own, so a pair's zeros
+    are those of a batch of one.  |mu| <= 1e-12 max(1, max |mu|) is a zero
+    at infinity and goes: p of them, and one per degree that det F loses."""
+    R, Q = (np.stack(ms) for ms in zip(*(pair.constant_value for pair in pairs)))
+    A, B, C = frm.realization(R, Q)
+    m, p = A.shape[-1], frm.p
+    E0, E1 = np.zeros((2, len(pairs), m + p, m + p), dtype=complex)
+    E0[:, :m, :m], E0[:, :m, m:], E0[:, m:, m:] = np.eye(m), -B, Q
+    E1[:, :m, :m], E1[:, m:, :m] = -A, C
+    mus = np.linalg.eigvals(-np.linalg.solve(E0 + 1j * E1, E1))
+    scale = np.maximum(1.0, np.max(np.abs(mus), axis=1, initial=0.0))
+    return [1j + 1.0 / mu[np.abs(mu) > 1e-12 * s] for mu, s in zip(mus, scale)]
 
 
 @dataclass(frozen=True)

@@ -285,10 +285,10 @@ class Frame:
     gives a stack of them) with block accessors, and the p x p LFT
     denominator F = Frm21 R + Frm22 Q of a constant pair.
 
-    ``pole_clear``/``clear_degree`` describe the rational structure of the
-    lower frame blocks: multiplying det(F21 R + F22 Q) by ``pole_clear(t)``
-    yields a polynomial in t of degree at most ``clear_degree``, which lets
-    density code locate its spikes exactly.
+    ``realization(R, Q)`` takes (N, p, p) stacks of pairs and returns
+    (A, B, C), each broadcastable over the pairs, with Q + z C (I - z A)^{-1} B
+    equal to F, or to F times a scalar with no zeros: the zeros of det F
+    come from its pencil (:func:`hankel.weyl_densities`).
 
     ``make_denominator(R, Q)``, when given, returns an evaluator of F that
     never forms the frame (F is a p x p polynomial for a nilpotent A); by
@@ -297,8 +297,7 @@ class Frame:
 
     p: int
     fn: Callable[..., np.ndarray]
-    pole_clear: Callable
-    clear_degree: int
+    realization: Callable
     make_denominator: Callable | None = None
 
     def __call__(self, z_or_zs) -> np.ndarray:
@@ -322,24 +321,26 @@ class Frame:
 
 
 def node_frame(node: SNode) -> Frame:
-    """The :class:`Frame` of a node.  For a nilpotent A (c = 0) the LFT
-    denominator of a pair is the p x p polynomial F(t) = Q - i sum_{j<n}
-    t^{j+1} (C_j J)[p:] [R; Q], by Horner on coefficients computed once per
+    """The :class:`Frame` of a node.  The LFT denominator of a pair,
+    F(z) = Q - i z Phi2* (I - z A*)^{-1} S^{-1} Pi J [R; Q], has the
+    realization (A*, S^{-1} Pi J [R; Q], -i Phi2*).  For a nilpotent A (c = 0)
+    it is a p x p polynomial, by Horner on coefficients computed once per
     pair, with no 2p x 2p frame."""
-    m, p, c = node.m, node.p, node.shift[0]
+    p, c = node.p, node.shift[0]
 
     def horner_denominator(R, Q):
         RQ = np.concatenate((R, Q))
         lower = [C[p:] @ RQ for C in node.frame_coefs]
         return lambda ts: _horner(lower, Q, np.asarray(ts))
 
+    def realization(R, Q):
+        # S^{-1} Pi J [R; Q] = S^{-1} Pi [Q; R]
+        return node.A.conj().T, node.SinvPi @ np.concatenate((Q, R), axis=-2), -1j * node.Phi2.conj().T
+
     return Frame(
         p=p,
         fn=lambda z_or_zs: frame(node, z_or_zs),
-        # A - c I is nilpotent of index n = m / p: each entry of F has degree <= n
-        # over (1 - t conj(c))^n, so det F (1 - t conj(c))^m has degree <= p n = m
-        pole_clear=lambda ts: (1.0 - np.asarray(ts, dtype=complex) * np.conj(c)) ** m,
-        clear_degree=m,
+        realization=realization,
         make_denominator=horner_denominator if c == 0 else None,
     )
 

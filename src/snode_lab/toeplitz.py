@@ -241,7 +241,9 @@ def dirac_frame(C: np.ndarray) -> Frame:
     :func:`frames_of` call per evaluation.
 
     Holomorphic in the closed upper half-plane (the only pole is at -2i),
-    which is what the entropy machinery requires on the Toeplitz side.
+    which is what the entropy machinery requires on the Toeplitz side.  The
+    cleared denominator (1 - i z/2)^n F(z) = sum_k z^k P_k, P_0 = Q, is
+    realized by the block down-shift, [I; 0; ...] and [P_1 ... P_n].
     """
     order, p = len(C), C.shape[-1] // 2
 
@@ -251,13 +253,17 @@ def dirac_frame(C: np.ndarray) -> Frame:
         out = frames_of(heads[0], zs, np.array([order]))[0]
         return out if np.ndim(z_or_zs) else out[0]
 
-    return Frame(
-        p=p,
-        fn=fn,
-        # the frame is (1 - i z/2)^(-order) times a polynomial of degree order
-        pole_clear=lambda ts: (1.0 - 0.5j * np.asarray(ts, dtype=complex)) ** (order * p),
-        clear_degree=p * order,
-    )
+    def realization(R, Q):
+        M = matcore.exchange_J(p) @ matcore.signature_j(p) @ unitary_K(p)
+        # coefficients of z^0..z^order of prod_k (I + (i z/2) C_k j) M* [R; Q], M = J j K
+        Y = np.zeros((order + 1, *R.shape[:-2], 2 * p, p), dtype=complex)
+        Y[0] = M.conj().T @ np.concatenate((R, Q), axis=-2)
+        for Cj in 0.5j * C[::-1] @ matcore.signature_j(p):
+            Y[1:] = Y[1:] + Cj @ Y[:-1]
+        P = np.moveaxis(M[p:] @ Y[1:], 0, -2)
+        return np.eye(order * p, k=-p), np.eye(order * p, p), P.reshape(*P.shape[:-2], order * p)
+
+    return Frame(p=p, fn=fn, realization=realization)
 
 
 def taylor_recover(phi, count: int) -> list[np.ndarray]:

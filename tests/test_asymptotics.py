@@ -35,16 +35,6 @@ def _levels(node):
     return [asymptotics.leading_node(node, k) for k in range(1, node.m // node.p + 1)]
 
 
-def test_nested_embed_toeplitz(toeplitz_family_fixture):
-    node, _ = toeplitz_family_fixture
-    assert asymptotics.nested_embed_check(node) <= 1e-14
-
-
-def test_nested_embed_hankel(uniform_family):
-    node, _ = uniform_family
-    assert asymptotics.nested_embed_check(node) <= 1e-14
-
-
 def _reversed_margin(top, z):
     """min over k of min eig(rho_k(conj z, z) - rho_{k+1}(conj z, z)): the
     reversed values are PSD-nonincreasing."""
@@ -103,7 +93,6 @@ def test_a_family_and_its_convergence_run_factor_s_once(monkeypatch, family):
     original = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda M: shapes.append(np.shape(M)) or original(M))
     node = build(spec)
-    assert asymptotics.nested_embed_check(node) == 0.0
     asymptotics.convergence_run(node, 0.4 + 0.9j)
     # S of the largest level, once; then the stack of every order's rho, once,
     # for the inverses

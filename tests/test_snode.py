@@ -257,11 +257,11 @@ def _zeros_inside(denominator, centre, radius):
     return round(float(np.sum(np.angle(np.roll(dets, -1) / dets))) / (2 * np.pi))
 
 
-def _assert_every_fitted_zero_is_a_zero(frm, pair, count):
-    """The fitted zeros of det F, after checking there are ``count`` and
-    that a zero of det F lies within 1e-6 (relative) of each."""
+def _assert_pencil_zeros_are_zeros(frm, pair, count):
+    """The zeros of det F from the frame's pencil, after checking there are
+    ``count`` and that a zero of det F lies within 1e-6 (relative) of each."""
     denominator = frm.denominator(pair.R, pair.Q)
-    [roots] = hankel._denominator_roots(frm, [denominator])
+    [roots] = hankel._denominator_zeros(frm, [pair])
     assert roots.size == count
     for r in roots:
         assert _zeros_inside(denominator, r, 1e-6 * max(1.0, abs(r))) >= 1, r
@@ -270,16 +270,18 @@ def _assert_every_fitted_zero_is_a_zero(frm, pair, count):
 
 @pytest.mark.parametrize("s", range(500, 524))
 def test_every_fitted_zero_of_det_f_is_a_zero(s):
-    # det F (1 - t conj(c))^m has degree m = p n: a fit of higher degree adds
-    # zeros near infinity, and a higher power of the clearing factor a
-    # multiple zero at the frame's pole 2i, which the fit scatters around it
+    # the pencil of a Toeplitz node's realization has size m + p, and its
+    # m finite eigenvalues are the zeros of det(I - z A*) det F, a polynomial
+    # of degree m = p n: the m poles of det F at 2i cancel every zero of
+    # det(I - z A*), so none of them is taken for a zero of det F
     node, pair = _interp_corpus(s)
-    roots = _assert_every_fitted_zero_is_a_zero(snode.node_frame(node), pair, node.m)
+    roots = _assert_pencil_zeros_are_zeros(snode.node_frame(node), pair, node.m)
     # a Weyl function is analytic above the axis: no pole of it lies there
     assert np.all(roots.imag < 0.0)
-    # the Dirac frame of the same chain: (1 - i t/2)^(-n) times a polynomial of degree n
+    # the Dirac frame of the same chain: (1 - i t/2)^(-n) times a polynomial
+    # of degree n, realized on its coefficients
     dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
-    _assert_every_fitted_zero_is_a_zero(dirac, pair, node.m)
+    _assert_pencil_zeros_are_zeros(dirac, pair, node.m)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -288,9 +290,90 @@ def test_a_hankel_node_through_node_frame_fits_only_zeros_of_det_f(seed):
     p, n = int(rng.integers(1, 3)), int(rng.integers(2, 4))
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     pair = sampling.random_constant_pair(rng, p)
-    frm = snode.node_frame(node)
-    assert frm.clear_degree == p * n
-    _assert_every_fitted_zero_is_a_zero(frm, pair, p * n)
+    _assert_pencil_zeros_are_zeros(snode.node_frame(node), pair, p * n)
+
+
+def _mp_array(M):
+    """A complex array as an object array of mpmath numbers, each exact."""
+    import mpmath
+
+    return np.vectorize(mpmath.mpc, otypes=[object])(np.asarray(M, dtype=complex))
+
+
+def _pencil_zeros_mp(A, B, C, Q):
+    """The eigenvalues mu != 0 of T = -(E0 + i E1)^{-1} E1 of the pencil of
+    (A, B, C, Q) at mpmath's working precision, each with its condition
+    number |x| |y| / |y* x|, and the Frobenius norm of T."""
+    import mpmath
+
+    m, p = A.shape[0], Q.shape[0]
+    E0 = np.zeros((m + p, m + p), dtype=object)
+    E1 = np.zeros_like(E0)
+    E0[:m, :m] = np.eye(m, dtype=int)
+    E0[:m, m:], E0[m:, m:], E1[:m, :m], E1[m:, :m] = -B, Q, -A, C
+    T = -mpmath.inverse(mpmath.matrix((E0 + 1j * E1).tolist())) * mpmath.matrix(E1.tolist())
+    mus, left, right = mpmath.eig(T, left=True, right=True)
+    zeros = []
+    for k, mu in enumerate(mus):
+        if abs(mu) > mpmath.mpf(10) ** -30:
+            x, y = right[:, k], left[k, :]
+            zeros.append((complex(mu), float(mpmath.norm(x) * mpmath.norm(y) / abs((y * x)[0]))))
+    return zeros, float(mpmath.mnorm(T, "F"))
+
+
+def _assert_zeros_match_the_oracle(frm, pair, A, B, C, cond):
+    """Each zero z = i + 1/mu of the oracle's pencil has one float zero whose
+    mu lies within 8 eps cond kappa(mu) |T|_F of it: the first-order bound
+    for a perturbation of T of relative size eps cond."""
+    [got] = hankel._denominator_zeros(frm, [pair])
+    want, size = _pencil_zeros_mp(A, B, C, _mp_array(pair.Q))
+    assert got.size == len(want)
+    got_mu = 1.0 / (got - 1j)
+    nearest = [int(np.argmin(np.abs(got_mu - mu))) for mu, _ in want]
+    assert len(set(nearest)) == got.size
+    for k, (mu, kappa) in zip(nearest, want):
+        assert abs(got_mu[k] - mu) <= 8.0 * np.finfo(float).eps * cond * kappa * size
+
+
+@pytest.mark.parametrize("p, n", [(1, 4), (1, 8), (2, 3), (2, 6), (3, 2), (3, 4)])
+def test_zeros_of_a_hankel_frame_match_a_50_digit_pencil(p, n):
+    # the node's float S, Pi and the pair taken as exact; B = S^{-1} Pi J [R; Q]
+    # from a 50-digit inverse, so the float B carries eps cond(S) of error
+    import mpmath
+
+    rng = np.random.default_rng(60 + 10 * p + n)
+    node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
+    pair = sampling.random_constant_pair(rng, p)
+    with mpmath.workdps(50):
+        Sinv = np.array(mpmath.inverse(mpmath.matrix(node.S.tolist())).tolist(), dtype=object)
+        B = Sinv @ _mp_array(node.Pi) @ _mp_array(np.vstack((pair.Q, pair.R)))
+        A, C = _mp_array(node.A.conj().T), -1j * _mp_array(node.Phi2.conj().T)
+        _assert_zeros_match_the_oracle(snode.node_frame(node), pair, A, B, C, np.linalg.cond(node.S))
+
+
+@pytest.mark.parametrize("p, n", [(1, 4), (1, 6), (2, 3), (2, 5)])
+def test_zeros_of_a_dirac_frame_match_a_50_digit_pencil(p, n):
+    # the chain's float coefficients and the pair taken as exact; the cleared
+    # frame M prod_k (I + (i z/2) C_k j) M* multiplied out at 50 digits, with
+    # no solve, so the float coefficients carry rounding alone (cond 1)
+    import mpmath
+
+    rng = np.random.default_rng(80 + 10 * p + n)
+    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, n))
+    Cs = toeplitz.dirac_chain(snode.node_chain(node))[0]
+    pair = sampling.random_constant_pair(rng, p)
+    with mpmath.workdps(50):
+        Ip, Zp = np.eye(p, dtype=int), np.zeros((p, p), dtype=int)
+        j = np.block([[Ip, Zp], [Zp, -Ip]])
+        K = np.block([[Ip, -Ip], [Ip, Ip]]) / mpmath.sqrt(2)
+        M = np.block([[Zp, Ip], [Ip, Zp]]) @ j @ K
+        Y = [M.T @ _mp_array(np.vstack((pair.R, pair.Q)))]  # M is real
+        for Ck in _mp_array(Cs)[::-1]:
+            step = 0.5j * Ck @ j
+            Y = [Y[0]] + [Y[k] + step @ Y[k - 1] for k in range(1, len(Y))] + [step @ Y[-1]]
+        C = np.hstack([(M @ Yk)[p:] for Yk in Y[1:]])
+        A, B = np.eye(n * p, k=-p, dtype=int), np.eye(n * p, p, dtype=int)
+        _assert_zeros_match_the_oracle(toeplitz.dirac_frame(Cs), pair, A, B, C, 1.0)
 
 
 def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
@@ -375,8 +458,9 @@ def test_interp_residual_refuses_a_pair_singular_at_infinity():
     frm = snode.node_frame(node)
     gamma = snode.lft(frm, pair, 1e5j) / 1e5j
     assert np.linalg.eigvalsh(matcore.hermitian_part(gamma))[-1] >= 0.1
-    # det F loses a degree; its rounding leading coefficient is no zero near 1e16
-    _assert_every_fitted_zero_is_a_zero(frm, pair, node.m - 1)
+    # det F loses a degree: the pencil's eigenvalue mu = 1/(z - i) of that
+    # zero is at rounding, and goes as a zero at infinity
+    _assert_pencil_zeros_are_zeros(frm, pair, node.m - 1)
     # the density F^{-*} jform F^{-1} cancels two O(t) factors at large |t|:
     # the graded rule's nodes near 1e17 get rounding, and the check refuses
     with pytest.raises(QuadratureNotConverged, match="^interpolation integrals: doubled-node drift"):
@@ -701,14 +785,6 @@ def test_chain_factors_of_a_quotient_node_multiply_to_its_transfer_matrix(seed, 
         top = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, n))
     node = asymptotics.quotient_node(top, int(rng.integers(0, n - 1)) + 1)
     assert _factor_product_gap(node, _lams_in_both_half_planes(rng, 6)) <= 1e-9
-
-
-def test_pole_clear_is_the_determinant_of_the_resolvent():
-    # det(I - t A*)^p from the shift form's diagonal, against LU determinants
-    for node in random_nodes(seed=15, count=4):
-        ts = np.array([-2.5, 0.3, 1.7 + 0.4j, 2j + 0.5])
-        want = [np.linalg.det(np.eye(node.m) - t * node.A.conj().T) ** node.p for t in ts]
-        assert_allclose(snode.node_frame(node).pole_clear(ts), want, rtol=1e-12)
 
 
 def test_frame_raises_at_toeplitz_pole_alone_and_in_batch():
