@@ -123,7 +123,7 @@ _LOG_TOL = 1e-7
 def _finite_log_det(P: DensityFn, ts: np.ndarray) -> np.ndarray:
     """ln det P(ts); raises :class:`SzegoViolated` where det P vanishes."""
     ld = P.log_det_at(ts)
-    if np.any(~np.isfinite(ld)):
+    if not np.isfinite(ld).all():
         raise SzegoViolated("density vanishes on a set of positive measure")
     return ld
 
@@ -248,15 +248,22 @@ def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
     across the closed upper half-plane for the outer-function representation
     behind the bound (Hankel nodes and coefficient-chain frames qualify; the
     generic frame of a Toeplitz node does not, since its A* resolvent has an
-    upper-half-plane pole).  The lhs comes from :func:`outer_factor`; the outer-modulus
-    quadrature of each pair's boundary density (all from one
-    :func:`weyl_densities` call, one pencil solve for the zeros of det F) certifies it,
-    and runs first, so a pair with singular R*Q + Q*R raises
-    :class:`SzegoViolated`.  The moduli of all pairs are one
-    :func:`quadrature.integrate_lines` batch, bitwise the values of
-    :func:`outer_modulus`."""
+    upper-half-plane pole): a frame whose det F has its :attr:`Frame.pole`
+    there raises :class:`Unsupported` naming the pole.  The lhs comes from
+    :func:`outer_factor`; the outer-modulus quadrature of each pair's
+    boundary density (all from one :func:`weyl_densities` call, one pencil
+    solve for the zeros of det F) certifies it, and runs first, so a pair
+    with singular R*Q + Q*R raises :class:`SzegoViolated`.  The moduli of
+    all pairs are one :func:`quadrature.integrate_lines` batch, bitwise the
+    values of :func:`outer_modulus`."""
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
+    if frm.pole is not None and np.imag(frm.pole[0]) >= 0.0:
+        pole, order = frm.pole
+        raise Unsupported(
+            f"det F has a pole of order {order} at z = {complex(pole)}, in the closed upper half-plane: "
+            "the entropy bound needs a frame holomorphic there"
+        )
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
     dens, _ = weyl_densities(frm, pairs)

@@ -154,42 +154,64 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
 
     with the p x p LFT denominator F(t) = Frm21(t) R + Frm22(t) Q from
     :meth:`Frame.denominator` (a matrix polynomial in t for a Hankel node).
-    It is evaluated directly on the axis (the frames in use are J-unitary
-    there).  At p <= 2 it is adj(F)* jform adj(F) / |det F|^2, formed
-    entry by entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2)
-    of F scaled by :func:`matcore.power_of_two_scale`, so that entries of F
-    past 1e154 do not overflow it; above, F is inverted by LAPACK.  It
-    carries an exact log-determinant,
-
-        ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
-
-    which stays numerically meaningful at any |t| (the direct imaginary part
-    does not), is +inf where F is exactly singular and is -inf everywhere
-    for a pair with singular R*Q + Q*R.  Both evaluate F on chunks of at
-    most :data:`matcore.CHUNK` points.  The values raise
+    The values evaluate it directly on the axis (the frames in use are
+    J-unitary there), on chunks of at most :data:`matcore.CHUNK` points.
+    At p <= 2 a value is adj(F)* jform adj(F) / |det F|^2, formed entry by
+    entry from :func:`matcore.adjugate` (at p = 1, jform / |F|^2) of F scaled
+    by :func:`matcore.power_of_two_scale`, so that entries of F past 1e154
+    do not overflow it; above, F is inverted by LAPACK.  The values raise
     :class:`SingularDenominator` only where they are not finite, naming the
     first such point: where F is exactly singular or the value overflows.
     A nearly singular F is not refused there: for a pair singular at
     infinity the value can read 1.4e19 near t = -1e17, where it is 1/pi,
     and only the doubled-node check of an integral downstream stops it;
-    certifying the values is ROADMAP item 1b.  The zeros of det F within 2
-    of the axis are the density's breaks, as complex numbers: each is the
-    pole of a Lorentzian feature as wide as its distance from the axis.
-    The zeros of all pairs are the eigenvalues of the pencils of the
-    frame's realization, from one stacked solve (:func:`_denominator_zeros`).
+    certifying the values is ROADMAP item 1b.
+
+    The density carries an exact log-determinant,
+
+        ln det mu'(t) = ln det(R*Q + Q*R) - p ln(2 pi) - 2 ln|det F(t)|,
+
+    which stays numerically meaningful at any |t| (the direct imaginary part
+    does not) and is -inf everywhere for a pair with singular R*Q + Q*R.
+    It evaluates no F on the points: with the zeros z_k = x_k + i y_k of
+    det F and the frame's :attr:`Frame.pole` (pole, M),
+
+        ln|det F(t)| = c + sum_k (1/2) ln((t - x_k)^2 + y_k^2) - M ln|1 - t/pole|,
+
+    in real arithmetic, a few passes over the points per zero, with c
+    anchored by ln|det F(i)|: F at t = i, one point per pair.  It is +inf
+    at an exact real zero.
+
+    The zeros of det F within 2 of the axis are the density's breaks, as
+    complex numbers: each is the pole of a Lorentzian feature as wide as its
+    distance from the axis.  The zeros of all pairs are the eigenvalues of
+    the pencils of the frame's realization, from one stacked solve
+    (:func:`_denominator_zeros`).
     """
     denominators = [frm.denominator(pair.R, pair.Q) for pair in pairs]
     roots = _denominator_zeros(frm, pairs)
-    dens = [_weyl_density(frm.p, pair, den, r) for pair, den, r in zip(pairs, denominators, roots)]
+    at_i = np.linalg.slogdet(np.concatenate([den(np.array([1j])) for den in denominators]))[1]
+    dens = [
+        _weyl_density(frm.p, pair, den, r, frm.pole, float(a))
+        for pair, den, r, a in zip(pairs, denominators, roots, at_i)
+    ]
     return dens, roots
 
 
-def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray) -> DensityFn:
+def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray, pole, log_abs_f_i: float) -> DensityFn:
     """The density of :func:`weyl_densities` of one pair, its denominator F
-    evaluated by ``denominators`` and the zeros of det F given."""
+    evaluated by ``denominators``, the zeros of det F given, ``pole`` the
+    frame's and ``log_abs_f_i`` = ln|det F(i)|.  The log-det is the constant
+    ln det jform - 2 c, less ln|t - z|^2 for each zero z, plus
+    M ln|t - pole|^2, where c = ln|det F(i)| - sum_k ln|i - z_k| +
+    M ln|i - pole| folds the pole's ln|pole| in."""
     R, Q = pair.R, pair.Q
     jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
     log_num = float(np.linalg.slogdet(jform)[1])
+    anchor = log_abs_f_i - float(np.sum(np.log(np.abs(1j - roots))))
+    if pole is not None:
+        anchor += pole[1] * float(np.log(abs(1j - pole[0])))
+    constant = log_num - 2.0 * anchor
 
     def values(ts):
         F = denominators(ts)
@@ -211,21 +233,34 @@ def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray) -> D
         _raise_at_first(~np.isfinite(out).all(axis=(1, 2)), ts)
         return out
 
-    def log_dets(ts):
-        if log_num == -np.inf:  # a singular jform: det mu' = 0 wherever F is invertible
-            return np.full(ts.size, -np.inf)
-        return log_num - 2.0 * matcore.log_abs_det(denominators(ts))
-
     def fn(ts):
         return matcore.in_chunks(values, np.asarray(ts, dtype=float))
 
     def log_det(ts):
-        return matcore.in_chunks(log_dets, np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        if log_num == -np.inf:  # a singular jform: det mu' = 0 wherever F is invertible
+            return np.full(ts.size, -np.inf)
+        out = np.full(ts.size, constant)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf at an exact real zero
+            for z in roots:
+                out -= _log_square_distance(ts, z)
+            if pole is not None:
+                out += pole[1] * _log_square_distance(ts, pole[0])
+        return out
 
     # the near-axis zeros of det F are the poles of the density's narrow
     # Lorentzian features; the graded rule resolves each to its width
     breaks = tuple(complex(r) for r in roots if abs(r.imag) < 2.0 and abs(r) < 1e6)
     return DensityFn("weyl", fn, p=p, log_det=log_det, breaks=breaks)
+
+
+def _log_square_distance(ts: np.ndarray, z: complex) -> np.ndarray:
+    """ln|t - z|^2 = ln((t - x)^2 + y^2) at the real points ts, z = x + i y,
+    in real arithmetic."""
+    d = ts - z.real
+    d *= d
+    d += z.imag * z.imag
+    return np.log(d, out=d)
 
 
 def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:

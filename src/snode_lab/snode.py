@@ -287,8 +287,14 @@ class Frame:
 
     ``realization(R, Q)`` takes (N, p, p) stacks of pairs and returns
     (A, B, C), each broadcastable over the pairs, with Q + z C (I - z A)^{-1} B
-    equal to F, or to F times a scalar with no zeros: the zeros of det F
+    equal to F, or to F times a power of 1 - z/pole: the zeros of det F
     come from its pencil (:func:`hankel.weyl_densities`).
+
+    ``pole`` is the one pole of det F that the realization carries or
+    clears, as (pole, order): the determinant of the pencil is det F times
+    (1 - z / pole)^order.  It is None when the pencil's determinant is det F
+    itself, as for a Hankel node's frame, whose det F is then a polynomial
+    with the pencil's zeros.
 
     ``make_denominator(R, Q)``, when given, returns an evaluator of F that
     never forms the frame (F is a p x p polynomial for a nilpotent A); by
@@ -299,6 +305,7 @@ class Frame:
     fn: Callable[..., np.ndarray]
     realization: Callable
     make_denominator: Callable | None = None
+    pole: tuple[complex, int] | None = None
 
     def __call__(self, z_or_zs) -> np.ndarray:
         return self.fn(z_or_zs)
@@ -323,9 +330,11 @@ class Frame:
 def node_frame(node: SNode) -> Frame:
     """The :class:`Frame` of a node.  The LFT denominator of a pair,
     F(z) = Q - i z Phi2* (I - z A*)^{-1} S^{-1} Pi J [R; Q], has the
-    realization (A*, S^{-1} Pi J [R; Q], -i Phi2*).  For a nilpotent A (c = 0)
-    it is a p x p polynomial, by Horner on coefficients computed once per
-    pair, with no 2p x 2p frame."""
+    realization (A*, S^{-1} Pi J [R; Q], -i Phi2*), whose resolvent carries
+    det(I - z A*) = (1 - z conj(c))^m: the pole 1/conj(c) of order m (2i for
+    a Toeplitz node), none for c = 0.  For a nilpotent A (c = 0) F is a
+    p x p polynomial, by Horner on coefficients computed once per pair,
+    with no 2p x 2p frame."""
     p, c = node.p, node.shift[0]
 
     def horner_denominator(R, Q):
@@ -342,6 +351,7 @@ def node_frame(node: SNode) -> Frame:
         fn=lambda z_or_zs: frame(node, z_or_zs),
         realization=realization,
         make_denominator=horner_denominator if c == 0 else None,
+        pole=None if c == 0 else (c / abs(c) ** 2, node.m),  # 1 / conj(c)
     )
 
 

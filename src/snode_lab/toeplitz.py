@@ -243,7 +243,8 @@ def dirac_frame(C: np.ndarray) -> Frame:
     Holomorphic in the closed upper half-plane (the only pole is at -2i),
     which is what the entropy machinery requires on the Toeplitz side.  The
     cleared denominator (1 - i z/2)^n F(z) = sum_k z^k P_k, P_0 = Q, is
-    realized by the block down-shift, [I; 0; ...] and [P_1 ... P_n].
+    realized by the block down-shift, [I; 0; ...] and [P_1 ... P_n], so the
+    frame's ``pole`` is -2i of order n p.
     """
     order, p = len(C), C.shape[-1] // 2
 
@@ -263,7 +264,7 @@ def dirac_frame(C: np.ndarray) -> Frame:
         P = np.moveaxis(M[p:] @ Y[1:], 0, -2)
         return np.eye(order * p, k=-p), np.eye(order * p, p), P.reshape(*P.shape[:-2], order * p)
 
-    return Frame(p=p, fn=fn, realization=realization)
+    return Frame(p=p, fn=fn, realization=realization, pole=(-2j, order * p) if order else None)
 
 
 def taylor_recover(phi, count: int) -> list[np.ndarray]:

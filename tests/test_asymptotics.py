@@ -472,6 +472,48 @@ def test_entropy_bound_random_pairs_on_chain_frame(rng):
         assert bound.modulus_gap <= 1e-9
 
 
+def _chain_frame_bounds(frm_of):
+    """The bounds of the chain-frame test's input (its fixture's seed): the
+    extremal pair and ten random pairs at lam = 0.4 + 1.3i, on the frame
+    ``frm_of`` makes of its Dirac frame."""
+    rng = np.random.default_rng(1234)
+    spec = sampling.random_toeplitz_spec(rng, p=1, n=2)
+    frm = frm_of(toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))[0]))
+    lam = 0.4 + 1.3j
+    pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(rng, 1) for _ in range(10))]
+    return asymptotics.entropy_bound_check(frm, pairs, lam)
+
+
+def test_entropy_bound_without_the_dirac_pole_term_fails_b31q():
+    # B31q is the largest modulus gap against 1e-9: with the pole -2i of
+    # det F (order M = 2) in the log-det each pair's gap is a rounding;
+    # without it every gap is M ln(|lam + 2i| / |i + 2i|) = 0.205, the
+    # Poisson mean at lam of the missing 2 M ln(|t + 2i| / |i + 2i|)
+    assert np.max(asymptotics.modulus_gaps(_chain_frame_bounds(lambda frm: frm))) <= 1e-9
+    gap = np.max(asymptotics.modulus_gaps(_chain_frame_bounds(lambda frm: dataclasses.replace(frm, pole=None))))
+    assert gap > 0.1
+
+
+def test_entropy_bound_refuses_a_pole_of_det_f_in_the_upper_half_plane():
+    # a Toeplitz node's own frame: det F has the pole 1/conj(i/2) = 2i of
+    # order m, so its Weyl densities are not the boundary values of an
+    # outer function there; the Dirac frame of its chain has -2i instead
+    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(np.random.default_rng(1), 2, 3))
+    frm = snode.node_frame(node)
+    assert frm.pole == (2j, 6)
+    pair = sampling.random_constant_pair(np.random.default_rng(2), 2)
+    with pytest.raises(Unsupported, match=r"^det F has a pole of order 6 at z = 2j, in the closed upper half-plane"):
+        asymptotics.entropy_bound_check(frm, [pair], 1j)
+    dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
+    assert dirac.pole == (-2j, 6)
+    assert asymptotics.entropy_bound_check(dirac, [pair], 1j)[0].modulus_gap <= 1e-9
+    # a pole on the axis is refused too; a Hankel node's frame has none
+    with pytest.raises(Unsupported, match=r"at z = \(3\+0j\)"):
+        asymptotics.entropy_bound_check(dataclasses.replace(dirac, pole=(3.0, 1)), [pair], 1j)
+    spec = sampling.random_hankel_spec(np.random.default_rng(3), 2, 2)
+    assert snode.node_frame(hankel.build_hankel_node(spec)).pole is None
+
+
 def test_convergence_run_exp_sqrt_trend():
     es = densities.exp_sqrt_density()
     node, _ = asymptotics.hankel_family_from_density(es, 4)

@@ -424,6 +424,50 @@ def test_entropy_fits_the_roots_of_det_f_once_for_all_pairs(tmp_path, monkeypatc
     assert solves == [12]
 
 
+def test_entropy_evaluates_f_at_one_point_per_pair(tmp_path, monkeypatch):
+    from snode_lab import snode
+
+    points = []
+    original = snode.Frame.denominator
+
+    def counted(frm, R, Q):
+        denominators = original(frm, R, Q)
+
+        def evaluate(ts):
+            points.append(np.size(ts))
+            return denominators(ts)
+
+        return evaluate
+
+    monkeypatch.setattr(snode.Frame, "denominator", counted)
+    spec = cli.bundled_spec_path("hankel_p2.json")
+    assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    # the 12 log-dets take ln|det F| from the zeros of det F, each anchored
+    # by F at t = i: one point per pair, not one per node of the rules
+    assert points == [1] * 12
+
+
+def test_entropy_b31q_fails_with_one_zero_of_det_f_mirrored(tmp_path, monkeypatch):
+    from snode_lab import hankel
+
+    original = hankel._denominator_zeros
+
+    def mirrored(frm, pairs):
+        # the zero of the first random pair's det F; on the axis
+        # |t - z| = |t - conj z|, so only the anchor at t = i moves
+        zeros = original(frm, pairs)
+        zeros[2] = np.concatenate((zeros[2][:1].conj(), zeros[2][1:]))
+        return zeros
+
+    assert run(["entropy", "--out", str(tmp_path / "exact")]) == 0
+    monkeypatch.setattr(hankel, "_denominator_zeros", mirrored)
+    assert run(["entropy", "--out", str(tmp_path / "mirrored")]) == 1
+    for name, passed in (("exact", True), ("mirrored", False)):
+        report = json.loads((tmp_path / name / "report_entropy.json").read_text())
+        failed = [c["tag"] for c in report["checks"] if not c["passed"]]
+        assert failed == ([] if passed else ["B31q"])
+
+
 @pytest.mark.parametrize("pairs", [10, 50])
 def test_entropy_draws_its_pairs_in_one_call_as_the_stream_of_single_draws(tmp_path, monkeypatch, pairs):
     from snode_lab import sampling
