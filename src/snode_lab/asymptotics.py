@@ -129,12 +129,15 @@ def _finite_log_det(P: DensityFn, ts: np.ndarray) -> np.ndarray:
 
 
 def poisson_weight(lam: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> Im(lam) / |t - lam|^2 (integrates to pi over the line), in real
-    arithmetic for real t."""
+    """ts -> Im(lam) / |t - lam|^2 (integrates to pi over the line) at an
+    array of real points, in real arithmetic, in place on one new array."""
     re, im = float(np.real(lam)), float(np.imag(lam))
 
     def w(ts):
-        return im / ((ts - re) ** 2 + im * im)
+        d = ts - re
+        d *= d
+        d += im * im
+        return np.divide(im, d, out=d)
 
     return w
 

@@ -278,7 +278,7 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
         _check(
             "schur complement equals rho inverse",
             "B7",
-            matcore.frobenius(schur - matcore.inv_hpd(ball.rho_value)),
+            matcore.frobenius(schur - ball.rho_inverse),
             1e-9,
         )
     )
@@ -301,8 +301,7 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     ball = snode.matrix_ball(node, lam)
     witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(node.p)))
     pairs = [snode.extremal_pair(frm, lam), witness]
-    R, Q = sampling.random_constant_pairs(rng, node.p, draws)
-    pairs += [snode.ParamPair.constant(r, q) for r, q in zip(R, Q)]
+    pairs += snode.ParamPair.from_stacks(*sampling.random_constant_pairs(rng, node.p, draws))
     bounds = asymptotics.entropy_bound_check(frm, pairs, lam)
     slacks = asymptotics.bound_slacks(bounds)
     checks.append(_check("equality at the extremal pair", "B31", abs(slacks[0]), 1e-6))
@@ -325,7 +324,7 @@ def _pair_with_value(frm: snode.Frame, z: complex, value) -> snode.ParamPair:
     overflows, as it does for z next to the real axis, where the ball's
     radii, and with them ``value``, grow like 1 / Im z."""
     p = frm.p
-    RQ = np.linalg.solve(frm(z), np.vstack([-1j * value, np.eye(p)]))
+    RQ = np.linalg.solve(frm.at(z), np.vstack([-1j * value, np.eye(p)]))
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(RQ.conj().T @ RQ).all()
     if not finite:

@@ -179,8 +179,14 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
         ln|det F(t)| = c + sum_k (1/2) ln((t - x_k)^2 + y_k^2) - M ln|1 - t/pole|,
 
     in real arithmetic, a few passes over the points per zero, with c
-    anchored by ln|det F(i)|: F at t = i, one point per pair.  It is +inf
-    at an exact real zero.
+    anchored by ln|det F(i)|.  It is +inf at an exact real zero.
+
+    The set-up runs on stacks over the pairs: their jforms and ln det jform,
+    F at the one point t = i for all of them from one :meth:`Frame.denominator`
+    call with ln|det F(i)| from one ``slogdet``, and ln|i - z_k| of all
+    their zeros in one pass.  Each pair's values are bitwise those of a
+    batch of one.  A density's values build the pair's own evaluator of F
+    at their first call; the log-det needs none.
 
     The zeros of det F within 2 of the axis are the density's breaks, as
     complex numbers: each is the pole of a Lorentzian feature as wide as its
@@ -188,38 +194,45 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
     the pencils of the frame's realization, from one stacked solve
     (:func:`_denominator_zeros`).
     """
-    denominators = [frm.denominator(pair.R, pair.Q) for pair in pairs]
+    R, Q = (np.stack(ms) for ms in zip(*(pair.constant_value for pair in pairs)))
     roots = _denominator_zeros(frm, pairs)
-    at_i = np.linalg.slogdet(np.concatenate([den(np.array([1j])) for den in denominators]))[1]
+    # every pair's jform, ln det jform and ln|det F(i)| as stacks, one slogdet each
+    RQ = np.swapaxes(R, 1, 2).conj() @ Q
+    jforms = (RQ + np.swapaxes(Q, 1, 2).conj() @ R) / (2.0 * np.pi)
+    log_nums = np.linalg.slogdet(jforms)[1]
+    at_i = np.linalg.slogdet(frm.denominator(R, Q)(np.array([1j]))[:, 0])[1]
+    # anchors c = ln|det F(i)| - sum_k ln|i - z_k| + M ln|i - pole|, the logs of
+    # all zeros in one pass, each pair's summed alone
+    logs = np.log(np.abs(1j - np.concatenate(roots)))
+    ends = np.cumsum([0, *(r.size for r in roots)])
+    anchors = at_i - np.array([np.sum(logs[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+    if frm.pole is not None:
+        anchors += frm.pole[1] * float(np.log(abs(1j - frm.pole[0])))
+    constants = log_nums - 2.0 * anchors
     dens = [
-        _weyl_density(frm.p, pair, den, r, frm.pole, float(a))
-        for pair, den, r, a in zip(pairs, denominators, roots, at_i)
+        _weyl_density(frm, pair, jform, float(log_num), float(c), r)
+        for pair, jform, log_num, c, r in zip(pairs, jforms, log_nums, constants, roots)
     ]
     return dens, roots
 
 
-def _weyl_density(p: int, pair: ParamPair, denominators, roots: np.ndarray, pole, log_abs_f_i: float) -> DensityFn:
-    """The density of :func:`weyl_densities` of one pair, its denominator F
-    evaluated by ``denominators``, the zeros of det F given, ``pole`` the
-    frame's and ``log_abs_f_i`` = ln|det F(i)|.  The log-det is the constant
-    ln det jform - 2 c, less ln|t - z|^2 for each zero z, plus
-    M ln|t - pole|^2, where c = ln|det F(i)| - sum_k ln|i - z_k| +
-    M ln|i - pole| folds the pole's ln|pole| in."""
-    R, Q = pair.R, pair.Q
-    jform = (R.conj().T @ Q + Q.conj().T @ R) / (2.0 * np.pi)
-    log_num = float(np.linalg.slogdet(jform)[1])
-    anchor = log_abs_f_i - float(np.sum(np.log(np.abs(1j - roots))))
-    if pole is not None:
-        anchor += pole[1] * float(np.log(abs(1j - pole[0])))
-    constant = log_num - 2.0 * anchor
+def _weyl_density(frm: Frame, pair: ParamPair, jform: np.ndarray, log_num: float, constant: float, roots: np.ndarray):
+    """The density of :func:`weyl_densities` of one pair, with its jform, its
+    ln det jform ``log_num``, the zeros of its det F and the constant
+    ``constant`` = ln det jform - 2 c of its log-det.  The log-det is the
+    constant, less ln|t - z|^2 for each zero z, plus M ln|t - pole|^2 for
+    the frame's :attr:`Frame.pole`.  The values build the pair's own
+    evaluator of F at their first call."""
+    p, pole = frm.p, frm.pole
+    denominator = functools.cache(lambda: frm.denominator(pair.R, pair.Q))
 
     def values(ts):
-        F = denominators(ts)
+        F = denominator()(ts)
         if p > 2:
             try:
                 Finv = np.linalg.inv(F)
             except np.linalg.LinAlgError:
-                _raise_at_first(np.isneginf(matcore.log_abs_det(F)), ts)
+                _raise_at_first(np.isneginf(np.linalg.slogdet(F)[1]), ts)
                 raise
             return np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
         # adj* (jform adj) / |det F|^2 from the (N,) entry arrays of s F,

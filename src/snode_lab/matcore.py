@@ -8,7 +8,9 @@ favours determinism and clarity over asymptotic speed.  The Hermitian,
 Cholesky, inverse, square-root and spectral-norm helpers take one matrix
 or a stack of them along the first axis, treat each matrix on its own (so
 a stack's values are bitwise those of one call per matrix), and name the
-first matrix of a stack that fails a guard.  At p <= 2 the adjugate, the
+first matrix of a stack that fails a guard.  The Cholesky, square-root and
+inverse helpers check their input once (finite, square, Hermitian within
+:func:`default_tol`) before they factor it.  At p <= 2 the adjugate, the
 extreme singular values and the extreme Hermitian eigenvalues are closed
 forms over the (N,) entry arrays of a stack, with no LAPACK call.
 """
@@ -163,27 +165,24 @@ def default_tol(M):
     return 1e-10 * (1.0 + peak) * tolerance_scale()
 
 
-def hermitian_deviation(M):
-    """max |M - M*| entrywise; one per matrix of a stack."""
-    M = as_matrix_or_stack(M)
-    if M.shape[-2] != M.shape[-1]:
-        raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
-    return np.abs(M - _conj_t(M)).max(axis=(-2, -1), initial=0.0)
-
-
-def assert_hermitian(M, tol: float | None = None, names=None) -> None:
+def assert_hermitian(M, tol: float | None = None, names=None) -> np.ndarray:
     """Raise :class:`NotHermitian` unless max|M - M*| <= tol entrywise, for
     every matrix of a stack; the error names the first matrix that fails,
-    by its entry of ``names`` when given."""
+    by its entry of ``names`` when given.  Returns M as the complex array
+    checked: finite (:func:`as_matrix_or_stack`), square, and Hermitian
+    within ``tol``, the :func:`default_tol` when None."""
     M = as_matrix_or_stack(M)
     if tol is None:
         tol = default_tol(M)
-    dev = hermitian_deviation(M)
+    if M.shape[-2] != M.shape[-1]:
+        raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
+    dev = np.abs(M - _conj_t(M)).max(axis=(-2, -1), initial=0.0)  # max |M - M*| per matrix
     k, where = first_failure(dev > tol)
     if k is not None:
         worst = float(np.ravel(dev)[k])
         what = f"{where}matrix" if names is None else names[k]
         raise NotHermitian(worst, f"{what} is not Hermitian (max deviation {worst:.3e})")
+    return M
 
 
 def as_block_stack(blocks, p: int, count: int, what: str) -> np.ndarray:
@@ -205,7 +204,11 @@ def as_block_stack(blocks, p: int, count: int, what: str) -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
-    M = as_matrix_or_stack(M)
+    return _half_sum(as_matrix_or_stack(M))
+
+
+def _half_sum(M: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 of a checked matrix or stack."""
     return (M + _conj_t(M)) / 2.0
 
 
@@ -366,24 +369,6 @@ def _dot(xs, ys):
     return reduce(operator.add, map(operator.mul, xs, ys))
 
 
-def log_abs_det(stack: np.ndarray) -> np.ndarray:
-    """ln|det M| of every matrix M of an (N, p, p) stack, -inf where M is
-    exactly singular; at p <= 2 it is ln|det| of the :func:`adjugate`
-    determinant, with no LAPACK call and no warning at a zero.  At p = 2,
-    where ad - bc overflows or underflows though M does not, it is taken of
-    the matrix scaled by :func:`power_of_two_scale`, less 2 ln s."""
-    p = stack.shape[-1]
-    if p > 2:
-        return np.linalg.slogdet(stack)[1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.log(np.abs(adjugate(stack)[1]))
-        redo = np.flatnonzero(~np.isfinite(out)) if p == 2 else []
-        if len(redo):
-            s = power_of_two_scale(stack[redo])
-            out[redo] = np.log(np.abs(adjugate(stack[redo] * s[:, None, None])[1])) - 2.0 * np.log(s)
-    return out
-
-
 @dataclass(frozen=True)
 class HermPD:
     """A Hermitian positive-definite matrix, or a stack of them, together with
@@ -428,9 +413,7 @@ def cholesky_pd(M) -> HermPD:
     Raises :class:`NotHermitian` when M deviates from M* beyond the
     :func:`default_tol` and :class:`NotPositiveDefinite` when a pivot fails.
     """
-    M = as_matrix_or_stack(M)
-    assert_hermitian(M)
-    H = hermitian_part(M)
+    H = _half_sum(assert_hermitian(M))
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
@@ -502,9 +485,7 @@ def sqrtm_hpd(M) -> np.ndarray:
 
     Uses an eigendecomposition; deterministic at the sizes used here.
     """
-    M = as_matrix_or_stack(M)
-    assert_hermitian(M)
-    w, V = np.linalg.eigh(hermitian_part(M))
+    w, V = np.linalg.eigh(_half_sum(assert_hermitian(M)))
     k, where = first_failure(w[..., 0] <= 0.0)
     if k is not None:
         raise NotPositiveDefinite(f"{where}smallest eigenvalue {np.ravel(w[..., 0])[k]:.3e} is not positive")
@@ -519,8 +500,7 @@ def sqrtm_psd(M) -> np.ndarray:
     """
     M = as_matrix(M)
     tol = default_tol(M)
-    assert_hermitian(M, tol)
-    w, V = np.linalg.eigh(hermitian_part(M))
+    w, V = np.linalg.eigh(_half_sum(assert_hermitian(M, tol)))
     if w.size and w[0] < -tol:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} below -tol")
     w = np.clip(w, 0.0, None)

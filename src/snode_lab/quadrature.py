@@ -24,10 +24,10 @@ integral repeats.
 
 Each rule calls its integrand once, on the nodes of every panel, and adds
 the panel sums in panel order; on the line, the call takes the nodes of
-both rules of the doubled-node check.  An integrand returns an array whose
-leading axis matches its nodes, or an iterable of such arrays (a list, or
-a generator that yields them), one per integral; those are reduced item by
-item, as they come, and the rule returns a list.
+both rules of the doubled-node check, panel by panel.  An integrand
+returns an array whose leading axis matches its nodes, or an iterable of
+such arrays (a list, or a generator that yields them), one per integral;
+those are reduced item by item, as they come, and the rule returns a list.
 
 Integrals are taken through :func:`integrate_with_check`, or through
 :func:`integrate_lines` for a list of line integrals.  Each is given a node
@@ -66,26 +66,29 @@ def gauss_legendre(a, b, n: int):
 
 def _reduce(w, vals, sizes: tuple) -> list:
     """sum_i w_i vals_i over the leading axis, one sum per node count n of
-    ``sizes``: the nodes are the rules at those counts one after another,
-    with the same number of panels, and each rule is summed over runs of n
-    nodes, added up run by run.  Any other iterable of arrays (a list, a
-    generator) reduces item by item, each item as it comes, to one list of
-    items per count."""
+    ``sizes``: each panel holds the nodes of the rules at those counts in
+    turn, and each rule is summed panel by panel, the panel sums added up in
+    panel order.  Any other iterable of arrays (a list, a generator) reduces
+    item by item, each item as it comes, to one list of items per count."""
     if not isinstance(vals, np.ndarray):
         items = [_reduce(w, v, sizes) for v in vals]
         return [[item[i] for item in items] for i in range(len(sizes))]
-    k, start, out = w.size // sum(sizes), 0, []
-    weighted = w * vals if vals.ndim == 1 else None  # a matrix integrand is weighted in its einsum
-    for n in sizes:
-        if weighted is not None:
-            pieces = np.sum(weighted[start : start + k * n].reshape(k, n), axis=1)
+    cols = [*accumulate(sizes, initial=0)]
+    k = w.size // cols[-1]
+    weights = w.reshape(k, cols[-1])
+    if vals.ndim == 1:
+        weighted = (w * vals).reshape(k, cols[-1])
+    else:  # a matrix integrand is weighted in its einsum
+        part = vals.reshape(k, cols[-1], *vals.shape[1:])
+    out = []
+    for c0, c1 in zip(cols, cols[1:]):
+        if vals.ndim == 1:
+            pieces = np.sum(weighted[:, c0:c1], axis=1)
         else:
-            part, weights = vals[start : start + k * n], w[start : start + k * n].reshape(k, n)
-            pieces = np.einsum("ki,ki...->k...", weights, part.reshape(k, n, *vals.shape[1:]))
+            pieces = np.einsum("ki,ki...->k...", weights[:, c0:c1], part[:, c0:c1])
         # the panel sums in one pass, then added one after another in panel
         # order (a copy, so the partial sums are not kept alive by a view)
         out.append(np.add.accumulate(pieces)[-1].copy())
-        start += k * n
     return out
 
 
@@ -177,35 +180,53 @@ def _panel_count(sides) -> int:
     return sum(edges.size - 1 for edges, *_ in sides)
 
 
+@lru_cache(maxsize=None)
+def _gl_rows(sizes: tuple):
+    """x + 1 and the weights w of the Gauss-Legendre rules at each n of
+    ``sizes``, one after another, as read-only rows."""
+    x1, gw = (np.concatenate([_gl_nodes(n)[k] for n in sizes]) for k in (0, 1))
+    x1 += 1.0
+    x1.setflags(write=False)
+    gw.setflags(write=False)
+    return x1, gw
+
+
 def _build_graded_rules(sizes: tuple, side_lists) -> list:
     """Nodes t and weights w (with the Jacobian 1 + t^2) of the graded rule
-    of each item of ``side_lists`` (see :func:`_sides`), its rules with n
-    nodes per panel for each n of ``sizes`` one after another.  All are built
-    in one Gauss-Legendre map, one tan pass and one Jacobian product, each
-    value bitwise that of its rule built alone."""
+    of each item of ``side_lists`` (see :func:`_sides`): panel by panel, the
+    panel's nodes of the rule with n nodes per panel for each n of ``sizes``
+    in turn.  All are built in one Gauss-Legendre map, one tan pass and one
+    Jacobian product, each value bitwise that of its rule built alone.
+
+    Row p of the work arrays holds panel p, so an item's rules are a block
+    of rows, read off with no copy, and each side's map runs on its own
+    rows: t = tan(shift + scale delta) on the side of a cut, and
+    t = flip / tan(delta) on a side at +-pi/2, with no shift, scale or mask."""
     sides = [side for item in side_lists for side in item]
     lo = np.concatenate([edges[:-1] for edges, *_ in sides])
     half = (np.concatenate([edges[1:] for edges, *_ in sides]) - lo) / 2.0
-    forms = np.array([form for _, *form in sides]).T
-    shift, scale, flip = np.repeat(forms, [edges.size - 1 for edges, *_ in sides], axis=1)
-    x, gw = (np.concatenate([_gl_nodes(n)[k] for n in sizes])[:, None] for k in (0, 1))
-    # row i holds node i of every panel (the rows of each n in turn), so each
-    # pass runs along the panels: in place, t = tan(shift + scale (lo + half
-    # (x + 1))) and w = (half gw) (1 + t^2)
-    t = half * (x + 1.0)
-    t += lo
-    t *= scale
-    t += shift
+    x1, gw = _gl_rows(sizes)
+    # in place: t = lo + half (x + 1), each side's map in its rows, and
+    # w = (half gw) (1 + t^2)
+    t = half[:, None] * x1
+    t += lo[:, None]
+    ends, stop = [], 0
+    for edges, shift, scale, flip in sides:
+        start, stop = stop, stop + edges.size - 1
+        if flip == 0.0:
+            rows = t[start:stop]
+            rows *= scale
+            rows += shift
+        else:
+            ends.append((t[start:stop], flip))
     np.tan(t, out=t)
-    np.divide(flip, t, out=t, where=flip != 0.0)
+    for rows, flip in ends:
+        np.divide(flip, rows, out=rows)
     w = t * t
     w += 1.0
-    w *= half * gw
-    # each item's panels, node by node, for each n in turn
-    rows, ends = [*accumulate(sizes, initial=0)], [*accumulate(map(_panel_count, side_lists), initial=0)]
-    blocks = [(slice(r0, r1), slice(p0, p1)) for p0, p1 in zip(ends, ends[1:]) for r0, r1 in zip(rows, rows[1:])]
-    t, w = (np.concatenate([a[block].T for block in blocks], axis=None) for a in (t, w))
-    return [(t[a * rows[-1] : b * rows[-1]], w[a * rows[-1] : b * rows[-1]]) for a, b in zip(ends, ends[1:])]
+    w *= half[:, None] * gw
+    bounds = [*accumulate(map(_panel_count, side_lists), initial=0)]
+    return [(t[a:b].reshape(-1), w[a:b].reshape(-1)) for a, b in zip(bounds, bounds[1:])]
 
 
 # one entry per (sizes, real breaks) key: a density's cusps, or none for the
@@ -251,8 +272,8 @@ def _graded_rules(sizes: tuple, break_sets):
 
 def integrate_line_graded(fn, rule, sizes: tuple) -> list:
     """Integrals of fn over the line on the graded rules at the node counts
-    of ``sizes``, one value per count, from one call of fn on their
-    concatenated nodes: ``rule`` = (t, w) of :func:`_graded_rules`.
+    of ``sizes``, one value per count, from one call of fn on their nodes,
+    panel by panel: ``rule`` = (t, w) of :func:`_graded_rules`.
 
     The substitution t = tan(theta) maps the line onto (-pi/2, pi/2), cut at
     the images of the breaks; the panels shrink geometrically toward every
@@ -362,10 +383,15 @@ def _accept(values, what, rel_tol: float):
 
 def _drift(name: str, coarse, fine, rel_tol: float):
     """The doubled-node agreement test: None when the drift max |fine - coarse|
-    is at most ``rel_tol`` * (1 + max |fine|), else the error naming ``name``."""
-    fine = np.asarray(fine)
-    drift = np.max(np.abs(fine - np.asarray(coarse)))
-    scale = 1.0 + np.max(np.abs(fine))
+    is at most ``rel_tol`` * (1 + max |fine|), else the error naming ``name``.
+    A real scalar integral is tested on Python floats, with the same bits."""
+    if isinstance(fine, float):  # numpy's float64 too
+        fine = float(fine)
+        drift, scale = abs(fine - float(coarse)), 1.0 + abs(fine)
+    else:
+        fine = np.asarray(fine)
+        drift = np.max(np.abs(fine - np.asarray(coarse)))
+        scale = 1.0 + np.max(np.abs(fine))
     if not drift <= rel_tol * scale:  # a NaN drift fails too
         return QuadratureNotConverged(
             f"{name}: doubled-node drift {drift:.3e} exceeds {rel_tol:.1e} * {scale:.3e}"

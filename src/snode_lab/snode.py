@@ -100,9 +100,12 @@ class SNode:
         out.setflags(write=False)
         return out
 
-    @property
+    @cached_property
     def Pi(self) -> np.ndarray:
-        return np.hstack([self.Phi1, self.Phi2])
+        """Read-only [Phi1 Phi2]."""
+        out = np.hstack([self.Phi1, self.Phi2])
+        out.setflags(write=False)
+        return out
 
     @property
     def J(self) -> np.ndarray:
@@ -297,7 +300,8 @@ class Frame:
     with the pencil's zeros.
 
     ``make_denominator(R, Q)``, when given, returns an evaluator of F that
-    never forms the frame (F is a p x p polynomial for a nilpotent A); by
+    never forms the frame (F is a p x p polynomial for a nilpotent A), for
+    one pair or a stack of pairs as :meth:`denominator` describes; by
     default F is taken from the lower block row of the frame.
     """
 
@@ -310,12 +314,28 @@ class Frame:
     def __call__(self, z_or_zs) -> np.ndarray:
         return self.fn(z_or_zs)
 
+    def at(self, z: complex) -> np.ndarray:
+        """The frame at one point, read-only.  The value at the last point
+        asked for is kept, so the helpers that each need the frame at one
+        lambda (:meth:`blocks`, and through it :func:`rho_from_frame`,
+        :func:`extremal_pair` and the outer factor) share one evaluation."""
+        key = np.complex128(z).tobytes()
+        last = self.__dict__.get("_last_point")
+        if last is None or last[0] != key:
+            value = self.fn(complex(z))
+            value.setflags(write=False)
+            last = (key, value)
+            object.__setattr__(self, "_last_point", last)
+        return last[1]
+
     def denominator(self, R: np.ndarray, Q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Evaluator ts -> (N, p, p) stack of F(t) = Frm21(t) R + Frm22(t) Q
-        over a 1-d array of points."""
+        """Evaluator of F(t) = Frm21(t) R + Frm22(t) Q over a 1-d array of T
+        points: a (T, p, p) stack for one pair, an (N, T, p, p) stack for
+        (N, p, p) stacks R and Q, each pair's values bitwise its own."""
         if self.make_denominator is not None:
             return self.make_denominator(R, Q)
         p = self.p
+        R, Q = R[..., None, :, :], Q[..., None, :, :]
 
         def denominators(ts):
             frames = self.fn(np.asarray(ts, dtype=complex))
@@ -324,7 +344,7 @@ class Frame:
         return denominators
 
     def blocks(self, z: complex):
-        return matcore.blocks2x2(self.fn(z), self.p)
+        return matcore.blocks2x2(self.at(z), self.p)
 
 
 def node_frame(node: SNode) -> Frame:
@@ -338,8 +358,10 @@ def node_frame(node: SNode) -> Frame:
     p, c = node.p, node.shift[0]
 
     def horner_denominator(R, Q):
-        RQ = np.concatenate((R, Q))
-        lower = [C[p:] @ RQ for C in node.frame_coefs]
+        # the lower block rows of the coefficients times [R; Q], as (n, ..., 1, p, p)
+        lower = node.frame_coefs[:, p:] @ np.concatenate((R, Q), axis=-2)[..., None, :, :]
+        lower = np.moveaxis(lower, -3, 0)[..., None, :, :]
+        Q = Q[..., None, :, :]
         return lambda ts: _horner(lower, Q, np.asarray(ts))
 
     def realization(R, Q):
@@ -411,6 +433,23 @@ class ParamPair:
     @classmethod
     def constant(cls, R, Q) -> "ParamPair":
         return cls(R, Q)
+
+    @classmethod
+    def from_stacks(cls, R, Q) -> list["ParamPair"]:
+        """The pairs (R[k], Q[k]) of two (N, p, p) stacks, bitwise those of
+        N :meth:`constant` calls.  Each stack is checked once, as a whole:
+        :class:`NonFiniteEntries` names the first matrix with an entry that
+        is not finite.  The pairs hold read-only views of the stacks."""
+        R, Q = (matcore.as_matrix_or_stack(M).view() for M in (R, Q))
+        if R.ndim != 3 or R.shape != Q.shape or R.shape[1] != R.shape[2]:
+            raise DimensionMismatch("R and Q must be equal-sized stacks of square matrices")
+        R.setflags(write=False)
+        Q.setflags(write=False)
+        pairs = [object.__new__(cls) for _ in range(len(R))]
+        for pair, r, q in zip(pairs, R, Q):
+            object.__setattr__(pair, "R", r)
+            object.__setattr__(pair, "Q", q)
+        return pairs
 
     @property
     def p(self) -> int:
@@ -525,7 +564,16 @@ class MatrixBall:
     def p(self) -> int:
         return self.center.shape[0]
 
-    # the fields are fixed, so the square root is computed once per ball
+    # the fields are fixed, so the inverse and the square root are computed
+    # once per ball; matrix_ball fills rho_inverse with the inverse its right
+    # radius was taken of
+    @cached_property
+    def rho_inverse(self) -> np.ndarray:
+        """rho(z, conj z)^{-1} (read-only)."""
+        out = matcore.inv_hpd(self.rho_value)
+        out.setflags(write=False)
+        return out
+
     @cached_property
     def rho_half(self) -> np.ndarray:
         """rho(z, conj z)^{1/2}."""
@@ -565,16 +613,19 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     neg_rev_inv = matcore.inv_hpd(matcore.hermitian_part(-rho_rev))
     center = 1j * neg_rev_inv @ a12
     left = matcore.sqrtm_hpd(neg_rev_inv)
-    right = matcore.sqrtm_hpd(matcore.inv_hpd(rho_val))
-    return MatrixBall(
+    rho_inv = matcore.inv_hpd(rho_val)
+    rho_inv.setflags(write=False)
+    ball = MatrixBall(
         z=complex(z),
         center=center,
         left_radius=left,
-        right_radius=right,
+        right_radius=matcore.sqrtm_hpd(rho_inv),
         aleph=aleph,
         rho_value=rho_val,
         rho_reversed=rho_rev,
     )
+    ball.__dict__["rho_inverse"] = rho_inv
+    return ball
 
 
 def ball_membership(ball: MatrixBall, value_or_values):

@@ -424,6 +424,25 @@ def test_entropy_fits_the_roots_of_det_f_once_for_all_pairs(tmp_path, monkeypatc
     assert solves == [12]
 
 
+@pytest.mark.parametrize("spec", ["hankel_n1.json", "hankel_p2.json"])
+def test_entropy_evaluates_the_frame_once_per_point(tmp_path, monkeypatch, spec):
+    from snode_lab import snode
+
+    points = []
+    original = snode.frame
+
+    def counted(node, z_or_zs):
+        points.append(complex(z_or_zs) if np.ndim(z_or_zs) == 0 else np.size(z_or_zs))
+        return original(node, z_or_zs)
+
+    monkeypatch.setattr(snode, "frame", counted)
+    args = ["entropy", "--spec", str(cli.bundled_spec_path(spec)), "--out", str(tmp_path)]
+    assert run(args) == 0
+    # the Weyl ball's at conj(lambda), and one frame at lambda that the
+    # extremal and witness pairs, rho and the outer factor all read
+    assert points == [-1j, 1j]
+
+
 def test_entropy_evaluates_f_at_one_point_per_pair(tmp_path, monkeypatch):
     from snode_lab import snode
 
@@ -434,7 +453,7 @@ def test_entropy_evaluates_f_at_one_point_per_pair(tmp_path, monkeypatch):
         denominators = original(frm, R, Q)
 
         def evaluate(ts):
-            points.append(np.size(ts))
+            points.append((R.shape, np.size(ts)))
             return denominators(ts)
 
         return evaluate
@@ -443,8 +462,9 @@ def test_entropy_evaluates_f_at_one_point_per_pair(tmp_path, monkeypatch):
     spec = cli.bundled_spec_path("hankel_p2.json")
     assert run(["entropy", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     # the 12 log-dets take ln|det F| from the zeros of det F, each anchored
-    # by F at t = i: one point per pair, not one per node of the rules
-    assert points == [1] * 12
+    # by F at t = i: one point per pair, not one per node of the rules, and
+    # the 12 pairs' F(i) from one evaluation of the stacked pairs
+    assert points == [((12, 2, 2), 1)]
 
 
 def test_entropy_b31q_fails_with_one_zero_of_det_f_mirrored(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from snode_lab import densities, hankel, matcore, sampling, snode
 from snode_lab.errors import (
     DimensionMismatch,
+    NonFiniteEntries,
     NotHermitian,
     NotPositiveDefinite,
     QuadratureNotConverged,
@@ -178,6 +179,57 @@ def test_one_pair_is_bitwise_the_batch_of_one(hankel_102, rng):
     assert np.array_equal(one.log_det_at(ts), batch.log_det_at(ts))
 
 
+def _frame_of(family, rng, p):
+    """A Hankel node frame (Horner denominator), a Toeplitz node frame (the
+    frame-formed denominator) or the Dirac frame of a Toeplitz chain."""
+    from snode_lab import toeplitz
+
+    if family == "hankel":
+        return snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 3)))
+    node = toeplitz.build_toeplitz_node(sampling.random_toeplitz_spec(rng, p, 3))
+    if family == "toeplitz":
+        return snode.node_frame(node)
+    return toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
+
+
+@pytest.mark.parametrize("family", ["hankel", "toeplitz", "dirac"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_setup_gives_each_pair_its_batch_of_one_density(family, p):
+    # the batch's jforms, F(i) and anchors are stacks over the pairs: each
+    # density's values, log-det and breaks are bitwise those of its pair alone
+    from snode_lab import asymptotics, quadrature
+
+    rng = np.random.default_rng(4400 + 10 * p + len(family))
+    frm = _frame_of(family, rng, p)
+    pairs = snode.ParamPair.from_stacks(*sampling.random_constant_pairs(rng, p, 5))
+    coarse = max(24, asymptotics._LOG_QUAD // 64)
+    batch, _ = hankel.weyl_densities(frm, pairs)
+    for pair, density in zip(pairs, batch):
+        [alone], _ = hankel.weyl_densities(frm, [pair])
+        [(ts, _)] = quadrature._build_graded_rules((coarse,), [quadrature._sides(alone.breaks)])
+        assert density.breaks == alone.breaks
+        assert density(ts).tobytes() == alone(ts).tobytes()
+        assert density.log_det_at(ts).tobytes() == alone.log_det_at(ts).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pairs_from_one_stack_are_the_pairs_made_one_at_a_time(p):
+    R, Q = sampling.random_constant_pairs(np.random.default_rng(p), p, 4)
+    stacked = snode.ParamPair.from_stacks(R, Q)
+    for pair, r, q in zip(stacked, R, Q):
+        alone = snode.ParamPair.constant(r, q)
+        assert pair.R.tobytes() == alone.R.tobytes() and pair.Q.tobytes() == alone.Q.tobytes()
+        assert not (pair.R.flags.writeable or pair.Q.flags.writeable)
+    with pytest.raises(DimensionMismatch):
+        snode.ParamPair.from_stacks(R, Q[:3])
+    Q = Q.copy()
+    Q[2, 0, -1] = np.inf
+    with pytest.raises(NonFiniteEntries, match="^matrix 2 of the stack: matrix entries must be finite"):
+        snode.ParamPair.from_stacks(R, Q)
+    with pytest.raises(NonFiniteEntries):
+        snode.ParamPair.constant(R[2], Q[2])
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_batched_zeros_match_one_fit_per_pair(p):
     # the zeros of a batch are bitwise those of one pair at a time, and each
@@ -310,7 +362,13 @@ def _denominator_frame(p, den):
     def realization(R, Q):
         return np.eye(2 * p, k=-p), np.eye(2 * p, p), np.concatenate(steps, axis=1)
 
-    return snode.Frame(p=p, fn=None, realization=realization, make_denominator=lambda R, Q: den)
+    def make_denominator(R, Q):
+        # the same F for every pair: (T, p, p) for one, (N, T, p, p) for N
+        if R.ndim == 2:
+            return den
+        return lambda ts: np.broadcast_to(den(ts), (len(R), np.size(ts), p, p))
+
+    return snode.Frame(p=p, fn=None, realization=realization, make_denominator=make_denominator)
 
 
 def _singular_at_3(p):
@@ -358,8 +416,12 @@ def test_weyl_log_det_is_plus_inf_at_an_exact_real_zero(p):
     from snode_lab.errors import SzegoViolated
 
     pair = snode.ParamPair.constant(np.eye(p), np.eye(p))
-    den, zeros = _singular_at_3(p), np.array([0.5, -0.25], dtype=complex)
-    density = hankel._weyl_density(p, pair, den, zeros, None, np.log(abs((1j - 0.5) * (1j + 0.25))))
+    zeros = np.array([0.5, -0.25], dtype=complex)
+    jform = np.eye(p) / np.pi
+    log_num = float(np.linalg.slogdet(jform)[1])
+    # c = ln|det F(i)| - sum_k ln|i - z_k| = 0 for det F = (t - 0.5)(t + 0.25)
+    frm = _denominator_frame(p, _singular_at_3(p))
+    density = hankel._weyl_density(frm, pair, jform, log_num, log_num, zeros)
     ts = np.array([0.0, 0.5, 1.0, -0.25])
     assert np.array_equal(np.isposinf(density.log_det_at(ts)), [False, True, False, True])
     with pytest.raises(SzegoViolated):
@@ -396,7 +458,7 @@ def test_hankel_denominator_is_as_accurate_as_the_frame_path(p, n):
     R, Q = sampling.random_constant_pair(rng, p).constant_value
     ts = rng.standard_cauchy(12)
     frm = snode.node_frame(node)
-    new = matcore.log_abs_det(frm.denominator(R, Q)(ts))
+    new = np.linalg.slogdet(frm.denominator(R, Q)(ts))[1]
     old = np.linalg.slogdet(dataclasses.replace(frm, make_denominator=None).denominator(R, Q)(ts))[1]
     with mpmath.workdps(40):
         RQ = mpmath.matrix(np.vstack((R, Q)).tolist())
@@ -602,7 +664,6 @@ def test_p1_density_is_bitwise_jform_over_abs_f_squared():
     want = jform / (F.real * F.real + F.imag * F.imag)
     assert density(ts).tobytes() == want.tobytes()
     log_abs = np.log(np.abs(F[:, 0, 0]))
-    assert matcore.log_abs_det(F).tobytes() == log_abs.tobytes()
     # the log-det from the zeros of det F, against the one from F itself:
     # each is within the oracle bound of the exact value
     want_log = float(np.linalg.slogdet(jform)[1]) - 2.0 * log_abs

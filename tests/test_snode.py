@@ -206,6 +206,25 @@ def test_lft_herglotz_positivity(rng):
         assert matcore.min_eig_hermitian(imag) >= -1e-9
 
 
+def test_frame_at_one_point_is_evaluated_once_and_read_only(hankel_102):
+    calls = []
+    base = snode.node_frame(hankel_102[1])
+
+    def fn(z_or_zs):
+        calls.append(z_or_zs)
+        return base(z_or_zs)
+
+    frm = snode.Frame(p=base.p, fn=fn, realization=base.realization)
+    first = frm.at(0.5 + 1j)
+    assert frm.at(0.5 + 1j) is first and frm.blocks(0.5 + 1j)[3].tobytes() == first[1:, 1:].tobytes()
+    assert first.tobytes() == base(0.5 + 1j).tobytes() and not first.flags.writeable
+    # another point replaces the kept one; -0.0 is another point than 0.0
+    assert frm.at(2j).tobytes() == base(2j).tobytes()
+    frm.at(complex(-0.0, 1.0))
+    frm.at(complex(0.0, 1.0))
+    assert calls == [0.5 + 1j, 2j, complex(-0.0, 1.0), 1j]
+
+
 def test_lft_singular_denominator(hankel_unit):
     from snode_lab.errors import SingularDenominator
 
