@@ -30,7 +30,7 @@ half-plane they need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -303,6 +303,12 @@ class Frame:
     never forms the frame (F is a p x p polynomial for a nilpotent A), for
     one pair or a stack of pairs as :meth:`denominator` describes; by
     default F is taken from the lower block row of the frame.
+
+    The frame keeps one value: its matrix at the last single point asked
+    of :meth:`at`, read-only, in ``last_point``.  :meth:`blocks` reads it,
+    so the helpers that each need the frame at one lambda
+    (:func:`rho_from_frame`, :func:`extremal_pair` and the outer factor)
+    share one evaluation.
     """
 
     p: int
@@ -310,23 +316,21 @@ class Frame:
     realization: Callable
     make_denominator: Callable | None = None
     pole: tuple[complex, int] | None = None
+    last_point: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, z_or_zs) -> np.ndarray:
         return self.fn(z_or_zs)
 
     def at(self, z: complex) -> np.ndarray:
-        """The frame at one point, read-only.  The value at the last point
-        asked for is kept, so the helpers that each need the frame at one
-        lambda (:meth:`blocks`, and through it :func:`rho_from_frame`,
-        :func:`extremal_pair` and the outer factor) share one evaluation."""
+        """The frame at one point, read-only: evaluated once for a run of
+        calls at the same point (the bits of z, so -0.0 is not 0.0)."""
         key = np.complex128(z).tobytes()
-        last = self.__dict__.get("_last_point")
-        if last is None or last[0] != key:
+        if key not in self.last_point:
             value = self.fn(complex(z))
             value.setflags(write=False)
-            last = (key, value)
-            object.__setattr__(self, "_last_point", last)
-        return last[1]
+            self.last_point.clear()
+            self.last_point[key] = value
+        return self.last_point[key]
 
     def denominator(self, R: np.ndarray, Q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator of F(t) = Frm21(t) R + Frm22(t) Q over a 1-d array of T
@@ -422,8 +426,12 @@ class ParamPair:
     Q: np.ndarray
 
     def __post_init__(self):
-        R = matcore.as_matrix(self.R)
-        Q = matcore.as_matrix(self.Q)
+        self._keep(matcore.as_matrix(self.R), matcore.as_matrix(self.Q))
+
+    def _keep(self, R: np.ndarray, Q: np.ndarray) -> None:
+        """Keep R and Q, complex and checked finite, as the pair's read-only
+        matrices: every rule of a pair but finiteness is checked here, for
+        the pairs of :meth:`from_stacks` too."""
         if R.shape != Q.shape or R.shape[0] != R.shape[1]:
             raise DimensionMismatch("R and Q must be square and equal-sized")
         for name, M in (("R", R), ("Q", Q)):
@@ -440,15 +448,12 @@ class ParamPair:
         N :meth:`constant` calls.  Each stack is checked once, as a whole:
         :class:`NonFiniteEntries` names the first matrix with an entry that
         is not finite.  The pairs hold read-only views of the stacks."""
-        R, Q = (matcore.as_matrix_or_stack(M).view() for M in (R, Q))
-        if R.ndim != 3 or R.shape != Q.shape or R.shape[1] != R.shape[2]:
+        R, Q = (matcore.as_matrix_or_stack(M) for M in (R, Q))
+        if R.ndim != 3 or R.shape != Q.shape:
             raise DimensionMismatch("R and Q must be equal-sized stacks of square matrices")
-        R.setflags(write=False)
-        Q.setflags(write=False)
         pairs = [object.__new__(cls) for _ in range(len(R))]
         for pair, r, q in zip(pairs, R, Q):
-            object.__setattr__(pair, "R", r)
-            object.__setattr__(pair, "Q", q)
+            pair._keep(r, q)
         return pairs
 
     @property
@@ -559,21 +564,13 @@ class MatrixBall:
     aleph: np.ndarray
     rho_value: np.ndarray      # rho(z, conj z) > 0
     rho_reversed: np.ndarray   # rho(conj z, z) < 0
+    rho_inverse: np.ndarray    # rho(z, conj z)^{-1}, read-only
 
     @property
     def p(self) -> int:
         return self.center.shape[0]
 
-    # the fields are fixed, so the inverse and the square root are computed
-    # once per ball; matrix_ball fills rho_inverse with the inverse its right
-    # radius was taken of
-    @cached_property
-    def rho_inverse(self) -> np.ndarray:
-        """rho(z, conj z)^{-1} (read-only)."""
-        out = matcore.inv_hpd(self.rho_value)
-        out.setflags(write=False)
-        return out
-
+    # the fields are fixed, so the square root is computed once per ball
     @cached_property
     def rho_half(self) -> np.ndarray:
         """rho(z, conj z)^{1/2}."""
@@ -615,7 +612,7 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     left = matcore.sqrtm_hpd(neg_rev_inv)
     rho_inv = matcore.inv_hpd(rho_val)
     rho_inv.setflags(write=False)
-    ball = MatrixBall(
+    return MatrixBall(
         z=complex(z),
         center=center,
         left_radius=left,
@@ -623,9 +620,8 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
         aleph=aleph,
         rho_value=rho_val,
         rho_reversed=rho_rev,
+        rho_inverse=rho_inv,
     )
-    ball.__dict__["rho_inverse"] = rho_inv
-    return ball
 
 
 def ball_membership(ball: MatrixBall, value_or_values):

@@ -222,6 +222,8 @@ def test_pairs_from_one_stack_are_the_pairs_made_one_at_a_time(p):
         assert not (pair.R.flags.writeable or pair.Q.flags.writeable)
     with pytest.raises(DimensionMismatch):
         snode.ParamPair.from_stacks(R, Q[:3])
+    with pytest.raises(DimensionMismatch, match="square"):
+        snode.ParamPair.from_stacks(np.ones((2, p, p + 1)), np.ones((2, p, p + 1)))
     Q = Q.copy()
     Q[2, 0, -1] = np.inf
     with pytest.raises(NonFiniteEntries, match="^matrix 2 of the stack: matrix entries must be finite"):
