@@ -98,7 +98,9 @@ def sandwich(A, stack, B) -> np.ndarray:
     The left product is taken transposed, stack[k]^T A^T, so that the
     matrices of the stack run down the rows of both products: a matrix's
     value then does not depend on its place in the stack, on the stack's
-    size or on the batch, as :func:`in_chunks` requires.
+    size or on the batch, as :func:`in_chunks` requires.  That holds for
+    a stack of one row too, such as one point's p x 2p rows at p = 1,
+    which goes in as two rows.
     """
     stack = np.asarray(stack)
     lead, (r, c) = stack.shape[:-2], stack.shape[-2:]
@@ -108,12 +110,21 @@ def sandwich(A, stack, B) -> np.ndarray:
         batch, size = 1, math.prod(lead)
     X = stack.reshape(batch, size, r, c)
     if A is not None:
-        X = X.transpose(0, 1, 3, 2).reshape(batch, size * c, r) @ A.swapaxes(-1, -2)
+        X = _gemm(X.transpose(0, 1, 3, 2).reshape(batch, size * c, r), A.swapaxes(-1, -2))
         X = X.reshape(batch, size, c, A.shape[-2]).transpose(0, 1, 3, 2)
     if B is not None:
         rows = X.shape[2]
-        X = (X.reshape(batch, size * rows, X.shape[3]) @ B).reshape(batch, size, rows, B.shape[-1])
+        X = _gemm(X.reshape(batch, size * rows, X.shape[3]), B).reshape(batch, size, rows, B.shape[-1])
     return X.reshape(*lead, *X.shape[2:])
+
+
+def _gemm(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X @ B for a (batch, m, k) stack X, by BLAS's matrix product at every
+    m: numpy takes a product with one row to a vector kernel, whose
+    rounding differs, so one row goes in twice."""
+    if X.shape[1] == 1:
+        return (np.concatenate((X, X), axis=1) @ B)[:, :1]
+    return X @ B
 
 
 def as_matrix(M) -> np.ndarray:

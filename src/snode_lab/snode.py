@@ -464,12 +464,6 @@ class ParamPair:
     def constant_value(self) -> tuple[np.ndarray, np.ndarray]:
         return self.R, self.Q
 
-    def at(self, z_or_zs):
-        """(R, Q), or stacks of them as long as a 1-d array of points."""
-        zs = matcore.as_points(z_or_zs)
-        R, Q = (np.broadcast_to(M, (zs.size, self.p, self.p)) for M in (self.R, self.Q))
-        return (R, Q) if np.ndim(z_or_zs) else (R[0], Q[0])
-
 
 def validate_pair(pair: ParamPair) -> None:
     """Check the nonsingular property-J conditions R*R + Q*Q > 0 and
@@ -483,38 +477,45 @@ def validate_pair(pair: ParamPair) -> None:
         raise InvalidPair(f"property-J fails (min eig {jf:.3e})")
 
 
-def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} over stacks of frame values F
-    and pairs (R, Q) taken at the points zs.
+def guard_pairs(R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> None:
+    """Raise :class:`InvalidPair` where R*R + Q*Q is degenerate (its smallest
+    eigenvalue at most 1e-12 (1 + its largest)), naming the first such point
+    of zs: R and Q are (N, p, p) stacks of pairs taken at the N points, or
+    (1, p, p) stacks of one pair taken at every point, checked once and named
+    at the first point (with no points there is nothing to check).
 
-    Raises :class:`InvalidPair` where R*R + Q*Q is degenerate and
-    :class:`SingularDenominator` where F21 R + F22 Q is singular, naming the
-    first such point.
-
-    At p <= 2 every step works on the (N,) entry arrays, with no LAPACK call
-    or stacked product: R*R + Q*Q, the numerator and the denominator come
-    from :func:`matcore.entry_product`, the guards from
-    :func:`matcore.hermitian_extremes` and :func:`matcore.singular_extremes`,
-    and the inverse from :func:`matcore.adjugate`.  The denominator is
-    scaled by :func:`matcore.power_of_two_scale` first, so that frames far
-    out on the axis do not overflow it; the guard undoes the scale exactly.
-    Above p = 2 LAPACK does each step.
-    """
-    p = R.shape[-1]
-    if p > 2:
-        return _lft_stack_lapack(F, R, Q, zs)
-    size = zs.size
+    R*R + Q*Q comes from :func:`matcore.entry_product` on the entry arrays,
+    its extremes from :func:`matcore.hermitian_extremes`."""
     RQ = [*matcore.entries(R), *matcore.entries(Q)]  # the rows of [R; Q]
-    gram = matcore.from_entries(matcore.entry_product(matcore.entry_adjoint(RQ), RQ), size)
+    gram = matcore.from_entries(matcore.entry_product(matcore.entry_adjoint(RQ), RQ), len(R))
     lo, hi = matcore.hermitian_extremes(gram)
     bad = np.flatnonzero(lo <= 1e-12 * (1.0 + hi))
-    if bad.size:
+    if bad.size and zs.size:
         raise InvalidPair(f"degenerate pair at z = {zs[bad[0]]}")
-    # rows :p of F [R; Q] are the numerator, rows p: the denominator
-    rows = matcore.entry_product(matcore.entries(F), RQ)
-    den = matcore.from_entries(rows[p:], size)
+
+
+def lft_blocks(num: np.ndarray, den: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """i num den^{-1} over (N, p, p) stacks of the blocks [num; den] = F [R; Q]
+    of frames F and pairs (R, Q) taken at the points zs: the Weyl functions
+    i (F11 R + F12 Q)(F21 R + F22 Q)^{-1}.
+
+    Raises :class:`SingularDenominator` where den is singular,
+    sigma_min <= 1e-13 max(sigma_max, 1), naming the first such point: the
+    floor is absolute, so the blocks must carry every scalar factor of the
+    frame.
+
+    At p <= 2 every step works on the (N,) entry arrays, with no LAPACK call
+    or stacked product: the guard comes from
+    :func:`matcore.singular_extremes` and the inverse from
+    :func:`matcore.adjugate`.  The denominator is scaled by
+    :func:`matcore.power_of_two_scale` first, so that frames far out on the
+    axis do not overflow it; the guard undoes the scale exactly.  Above
+    p = 2 LAPACK does each step.
+    """
+    if den.shape[-1] > 2:
+        return _lft_blocks_lapack(num, den, zs)
     s = matcore.power_of_two_scale(den)
-    den *= s[:, None, None]
+    den = den * s[:, None, None]
     # sigma(den) = sigma(s den) / s, so this is sigma_min <= rcond max(sigma_max, 1)
     smin, smax = matcore.singular_extremes(den)
     bad = np.flatnonzero(smin <= _SINGULAR_RCOND * np.maximum(smax, s))
@@ -524,8 +525,34 @@ def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np
     # i num (s den)^{-1} s = i num den^{-1}
     weight = 1j * s / det
     return matcore.from_entries(
-        [[entry * weight for entry in row] for row in matcore.entry_product(rows[:p], adj)], size
+        [[entry * weight for entry in row] for row in matcore.entry_product(matcore.entries(num), adj)], len(den)
     )
+
+
+def _lft_blocks_lapack(num: np.ndarray, den: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """:func:`lft_blocks` at any p, by LAPACK's SVD and inverse."""
+    sv = np.linalg.svd(den, compute_uv=False)
+    bad = np.flatnonzero(sv[:, -1] <= _SINGULAR_RCOND * np.maximum(sv[:, 0], 1.0))
+    if bad.size:
+        raise SingularDenominator(zs[bad[0]])
+    return 1j * num @ np.linalg.inv(den)
+
+
+def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} over stacks of frame values F
+    and pairs (R, Q) taken at the points zs: (N, p, p) stacks, or (1, p, p)
+    stacks of one pair.  The blocks F [R; Q] come from
+    :func:`matcore.entry_product` on the entry arrays.
+
+    Raises :class:`InvalidPair` where R*R + Q*Q is degenerate
+    (:func:`guard_pairs`) and :class:`SingularDenominator` where
+    F21 R + F22 Q is singular (:func:`lft_blocks`), naming the first such
+    point.
+    """
+    guard_pairs(R, Q, zs)
+    p = R.shape[-1]
+    cols = matcore.from_entries(matcore.entry_product(matcore.entries(F), [*matcore.entries(R), *matcore.entries(Q)]), len(F))
+    return lft_blocks(cols[:, :p], cols[:, p:], zs)
 
 
 def _lft_stack_lapack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -538,18 +565,14 @@ def _lft_stack_lapack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarra
         raise InvalidPair(f"degenerate pair at z = {zs[bad[0]]}")
     num = F[:, :p, :p] @ R + F[:, :p, p:] @ Q
     den = F[:, p:, :p] @ R + F[:, p:, p:] @ Q
-    sv = np.linalg.svd(den, compute_uv=False)
-    bad = np.flatnonzero(sv[:, -1] <= _SINGULAR_RCOND * np.maximum(sv[:, 0], 1.0))
-    if bad.size:
-        raise SingularDenominator(zs[bad[0]])
-    return 1j * num @ np.linalg.inv(den)
+    return _lft_blocks_lapack(num, den, zs)
 
 
 def lft(frm: Frame, pair: ParamPair, z_or_zs) -> np.ndarray:
-    """phi(z) = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} for the frame ``frm``."""
+    """phi(z) = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} for the frame ``frm``;
+    the constant pair is checked once (:func:`guard_pairs`)."""
     zs = matcore.as_points(z_or_zs)
-    R, Q = pair.at(zs)
-    out = lft_stack(frm(zs), R, Q, zs)
+    out = lft_stack(frm(zs), pair.R[None], pair.Q[None], zs)
     return out if np.ndim(z_or_zs) else out[0]
 
 

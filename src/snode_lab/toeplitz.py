@@ -19,6 +19,7 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,9 +30,11 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotContractive,
+    NotHermitian,
+    NotPositiveDefinite,
     PoleAtZ,
 )
-from .snode import Frame, NodeChain, ParamPair, SNode, lft_stack
+from .snode import Frame, NodeChain, ParamPair, SNode, guard_pairs, lft_blocks
 
 
 @lru_cache(maxsize=16)
@@ -42,6 +45,15 @@ def unitary_K(p: int) -> np.ndarray:
     K = matcore.block([[Ip, -Ip], [Ip, Ip]]) / np.sqrt(2.0)
     K.setflags(write=False)
     return K
+
+
+@lru_cache(maxsize=16)
+def frame_basis(p: int) -> np.ndarray:
+    """M = J j K, the unitary that turns W* into a frame, M W* M* (cached,
+    read-only)."""
+    M = matcore.exchange_J(p) @ matcore.signature_j(p) @ unitary_K(p)
+    M.setflags(write=False)
+    return M
 
 
 @dataclass(frozen=True)
@@ -129,9 +141,20 @@ def halmos(rho_or_rhos) -> np.ndarray:
         raise NotContractive(f"{where}spectral norm {np.ravel(norms)[k]:.6f} not < 1")
     Ip = np.eye(p, dtype=complex)
     rho_star = np.swapaxes(rho, -1, -2).conj()
+    # both diagonal blocks of every contraction as one stack, I - rho rho*
+    # and I - rho* rho of contraction k at 2k and 2k + 1: each matrix is
+    # factored on its own, so the blocks are bitwise those of two calls
+    sides = np.stack((Ip - rho @ rho_star, Ip - rho_star @ rho), axis=-3).reshape(-1, p, p)
+    try:
+        roots = matcore.sqrtm_hpd(matcore.inv_hpd(sides)).reshape(*rho.shape[:-2], 2, p, p)
+    except (NotHermitian, NotPositiveDefinite) as exc:
+        # name contraction k // 2 of the caller's stack, or none for one contraction
+        k, rest = re.fullmatch(r"matrix (\d+) of the stack: (.*)", str(exc), re.S).groups()
+        exc.args = (f"matrix {int(k) // 2} of the stack: {rest}" if rho.ndim == 3 else rest,)
+        raise
     D = np.zeros(rho.shape[:-2] + (2 * p, 2 * p), dtype=complex)
-    D[..., :p, :p] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho @ rho_star))
-    D[..., p:, p:] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho_star @ rho))
+    D[..., :p, :p] = roots[..., 0, :, :]
+    D[..., p:, p:] = roots[..., 1, :, :]
     F = np.empty_like(D)
     F[..., :p, :p] = F[..., p:, p:] = Ip
     F[..., :p, p:] = rho
@@ -176,7 +199,7 @@ def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
         # when the exponent is an array
         for n in set(orders.tolist()) - {0}:
             scale[orders == n] = pref ** (-n)
-    M = matcore.exchange_J(p) @ matcore.signature_j(p) @ unitary_K(p)
+    M = frame_basis(p)
     out = scale[..., None, None] * matcore.sandwich(M, np.swapaxes(W, -1, -2).conj(), M.conj().T)
     out[orders == 0] = np.eye(2 * p)
     return out
@@ -216,19 +239,31 @@ def dirac_sweep(Cs: np.ndarray, zs: np.ndarray, starts) -> tuple[np.ndarray, np.
     jCs = matcore.signature_j(size // 2) @ Cs
     iz = 1j * zs[:, None, None]
     heads = np.empty((count, starts.size, zs.size, size, size), dtype=complex)
-    tails = np.empty_like(heads)
-    W = np.broadcast_to(np.eye(size, dtype=complex), (count, zs.size, size, size))
-    T = W
-    top, bottom = starts.max(initial=0), starts.min(initial=L)
+    eye = np.broadcast_to(np.eye(size, dtype=complex), (count, zs.size, size, size))
+    W, top = eye, starts.max(initial=0)
     for m in range(top + 1):
         heads[:, starts == m] = W[:, None]
         if m < top:
             W = W + iz * matcore.sandwich(jCs[:, m], W, None)
-    for m in range(L, bottom - 1, -1):
-        tails[:, starts == m] = T[:, None]
-        if m > bottom:
-            T = T + iz * matcore.sandwich(None, T, jCs[:, m - 1])
-    return heads, tails
+    # T_m is the running product of the factors of C_{L-1}, ..., C_m
+    return heads, _running_products(eye, jCs[:, ::-1], iz, L - starts)
+
+
+def _running_products(first: np.ndarray, steps: np.ndarray, iz: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The running products X_k = first (I + iz steps[:, 0]) ... (I + iz
+    steps[:, k-1]) of a (count, K, m, m) stack of chains' steps, from a
+    (count, points, r, m) stack ``first`` (X_0): ``out[:, i]`` is X_k for
+    k = at[i], shape (count, at, points, r, m).  Each step
+    X_{k+1} = X_k + iz (X_k steps[:, k]) is one :func:`matcore.sandwich`
+    call over all points of all chains, with the chains as its batch, and
+    the steps stop at the largest k asked for."""
+    out = np.empty((first.shape[0], at.size, *first.shape[1:]), dtype=complex)
+    X, top = first, at.max(initial=0)
+    for k in range(top + 1):
+        out[:, at == k] = X[:, None]
+        if k < top:
+            X = X + iz * matcore.sandwich(None, X, steps[:, k])
+    return out
 
 
 def dirac_frame(C: np.ndarray) -> Frame:
@@ -255,7 +290,7 @@ def dirac_frame(C: np.ndarray) -> Frame:
         return out if np.ndim(z_or_zs) else out[0]
 
     def realization(R, Q):
-        M = matcore.exchange_J(p) @ matcore.signature_j(p) @ unitary_K(p)
+        M = frame_basis(p)
         # coefficients of z^0..z^order of prod_k (I + (i z/2) C_k j) M* [R; Q], M = J j K
         Y = np.zeros((order + 1, *R.shape[:-2], 2 * p, p), dtype=complex)
         Y[0] = M.conj().T @ np.concatenate((R, Q), axis=-2)
@@ -299,41 +334,92 @@ def khrushchev_check(rhos: np.ndarray, splits, pair: ParamPair, zgrid) -> float:
     with F the frame of the head chain (first n coefficients).  A split
     that is not an integer in 0..L raises :class:`IndexOutOfRange`.
 
-    Every chain is one pass: one :func:`halmos` call extends all the
-    contractions of a stack, and one :func:`dirac_sweep` gives every frame
-    of every chain, the heads forward and the tails backward, 2L stacked
-    steps however many splits and chains there are.  phi is the tail Weyl
-    function of split 0, so one :func:`frames_of` and one :func:`lft_stack`
-    call take every tail and one more of each every composition.  The
-    points go in chunks of at most :data:`matcore.CHUNK` (chain, point)
-    pairs, and each chain's residuals are bitwise those of its own call.
+    An LFT reads a frame only through its columns F [R; Q], so no 2p x 2p
+    frame stack is formed (:func:`_composition_gaps` gives the route): the
+    tails run on p x 2p rows, and only the heads, each of which composes
+    its own [-i phi~; I], stay 2p x 2p.  One :func:`halmos` call extends all
+    the contractions of a stack, 2L stacked steps give every tail and every
+    head of every chain however many splits and chains there are, and one
+    :func:`snode.lft_blocks` call each takes every tail and every
+    composition.  The points go in chunks of at most :data:`matcore.CHUNK`
+    (chain, point) pairs, and each chain's residuals are bitwise those of
+    its own call.
     """
     count, L, p, _ = np.shape(rhos)
     Cs = halmos(np.reshape(rhos, (count * L, p, p))).reshape(count, L, 2 * p, 2 * p)
     splits = _indices(splits, L, "split")
     zs = np.asarray(zgrid, dtype=complex).ravel()
-    gaps = matcore.in_chunks(lambda chunk: _composition_gaps(Cs, splits, pair, chunk), zs, len(Cs))
+    M = frame_basis(p)
+    steps = M @ matcore.signature_j(p) @ Cs @ M.conj().T
+    adjoints = steps.conj().swapaxes(-1, -2)
+    gaps = matcore.in_chunks(lambda chunk: _composition_gaps(steps, adjoints, splits, pair, chunk), zs, count)
     return float(gaps.max(initial=0.0))
 
 
-def _composition_gaps(Cs: np.ndarray, splits: np.ndarray, pair: ParamPair, zs: np.ndarray) -> np.ndarray:
+def _composition_gaps(
+    steps: np.ndarray, adjoints: np.ndarray, splits: np.ndarray, pair: ParamPair, zs: np.ndarray
+) -> np.ndarray:
     """Worst gap over the chains and splits, at each point, of
-    :func:`khrushchev_check`."""
-    count, L, p, size = Cs.shape[0], Cs.shape[1], Cs.shape[-1] // 2, zs.size
-    # start 0 and every split: tails[c, k] is W of chain c's coefficients
-    # from starts[k] on, heads[c, k] W of the ones before it
+    :func:`khrushchev_check`, from the (count, L, 2p, 2p) steps
+    S_m = M j C_m M* and their adjoints, M = J j K (:func:`frame_basis`).
+
+    The frame of order n is (1 - i z/2)^{-n} M W_n* M*, and a factor
+    I + i w j C_m of W at w = -conj(z)/2 becomes I + i w S_m.  The tail of
+    start s gives F [R; Q] = (1 - i z/2)^{-(L-s)} Z_s* from the rows
+    Z_s = Z_{s+1} (I + i w S_s), Z_L = [R; Q]*.  The head of order n is
+    G_n = M W_n* M* = G_{n-1} (I + i w S_{n-1})*, and split n composes
+    G_n [-i phi~; I] as G_{n-1} Y* with Y = [-i phi~; I]* (I + i w S_{n-1}):
+    the head's last factor is taken by the tails' row step, so at L = 1 the
+    split at 1 repeats the full chain's operations, and with the unit pair
+    its residual is exactly 0.  The prefactors cancel in the LFT but stay
+    on the columns: the singular-denominator floor is absolute.
+    """
+    count, L, size = steps.shape[0], steps.shape[1], zs.size
+    p = steps.shape[-1] // 2
+    pref = 1.0 - 0.5j * zs
+    bad = np.flatnonzero(np.abs(pref) < 1e-12)
+    if L and bad.size:  # start 0 has order L: an order-0 frame has no prefactor
+        raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
+    guard_pairs(pair.R[None], pair.Q[None], zs)
+    # (1 - i z/2)^{-n} for n = 0..L, one integer power each (1 exactly at n = 0)
+    scale = pref ** -np.arange(L + 1)[:, None]
+    iw = 1j * (-np.conj(zs) / 2.0)[:, None, None]
     starts = np.array([0, *splits])
-    heads, tails = dirac_sweep(Cs, -np.conj(zs) / 2.0, starts)
-
-    def frames(W, orders):
-        W = W.reshape(-1, size, 2 * p, 2 * p)
-        return frames_of(W, zs, np.tile(orders, count)).reshape(-1, 2 * p, 2 * p)
-
-    R, Q = (np.broadcast_to(M, (count * starts.size, size, p, p)).reshape(-1, p, p) for M in pair.at(zs))
-    phi = lft_stack(frames(tails, L - starts), R, Q, np.tile(zs, count * starts.size))
+    rows = np.broadcast_to(_adjoint(pair.R, pair.Q), (count, size, p, 2 * p))
+    tails = _running_products(rows, steps[:, ::-1], iw, L - starts)
+    cols = np.conj(tails).reshape(-1, p, 2 * p).swapaxes(1, 2)
+    phi = _weyl_values(cols, scale[L - starts], np.tile(zs, count * starts.size))
     phi = phi.reshape(count, starts.size, size, p, p)
-    ns = starts[1:]
-    Ip = np.broadcast_to(np.eye(p, dtype=complex), (count * ns.size * size, p, p))
-    composed = lft_stack(frames(heads[:, 1:], ns), -1j * phi[:, 1:].reshape(-1, p, p), Ip, np.tile(zs, count * ns.size))
-    gaps = np.linalg.norm(phi[:, :1] - composed.reshape(count, ns.size, size, p, p), axis=(-2, -1))
+
+    # every split composes its tail's pair (-i phi~, I), checked at every point
+    R = -1j * phi[:, 1:].reshape(-1, p, p)
+    Q = np.broadcast_to(np.eye(p, dtype=complex), R.shape)
+    zs_splits = np.tile(zs, count * splits.size)
+    guard_pairs(R, Q, zs_splits)
+    # the last factor of every head on the rows: none at split 0, whose head is I
+    last = np.concatenate((np.zeros((count, 1, 2 * p, 2 * p)), steps), axis=1)[:, splits]
+    Y = _adjoint(R, Q).reshape(count * splits.size, size, p, 2 * p)
+    Y = Y + iw * matcore.sandwich(None, Y, last.reshape(-1, 2 * p, 2 * p))
+    identity = np.broadcast_to(np.eye(2 * p, dtype=complex), (count, size, 2 * p, 2 * p))
+    heads = _running_products(identity, adjoints, np.conj(iw), np.maximum(splits - 1, 0))
+    G = matcore.entries(heads.reshape(-1, 2 * p, 2 * p))
+    cols = matcore.entry_product(G, matcore.entry_adjoint(matcore.entries(Y.reshape(-1, p, 2 * p))))
+    composed = _weyl_values(matcore.from_entries(cols, len(zs_splits)), scale[splits], zs_splits)
+    gaps = np.linalg.norm(phi[:, :1] - composed.reshape(count, splits.size, size, p, p), axis=(-2, -1))
     return gaps.max(axis=(0, 1), initial=0.0)
+
+
+def _adjoint(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The p x 2p rows [R; Q]* of a pair or of stacks of pairs."""
+    return np.concatenate((R, Q), axis=-2).conj().swapaxes(-1, -2)
+
+
+def _weyl_values(cols: np.ndarray, scale: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """:func:`snode.lft_blocks` of an (N, 2p, p) stack of columns F [R; Q]
+    without their frames' prefactors, which ``scale`` holds as a
+    (k, points) array for N = chains k points; ``cols`` is scaled in
+    place."""
+    p = cols.shape[-1]
+    blocks = cols.reshape(-1, *scale.shape, 2 * p, p)
+    blocks *= scale[..., None, None]
+    return lft_blocks(cols[:, :p], cols[:, p:], zs)

@@ -424,3 +424,19 @@ def test_sandwich_value_of_a_matrix_does_not_depend_on_its_stack(seed, p, count,
         full = matcore.sandwich(left, stack, right)
         assert np.array_equal(full[lo:hi], matcore.sandwich(left, stack[lo:hi], right))
         assert np.array_equal(full[lo], matcore.sandwich(left, stack[lo], right))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sandwich_of_one_row_is_its_row_of_a_stack(p):
+    # the p x 2p rows of khrushchev_check's tails: at p = 1 a chunk of one
+    # point is one row, which numpy would take to a vector product
+    rng = np.random.default_rng(70 + p)
+    B, batch = _complex(rng, 2 * p, 2 * p), _complex(rng, 3, 2 * p, 2 * p)
+    rows = _complex(rng, 3, 40, p, 2 * p)
+    full, batched = matcore.sandwich(None, rows[0], B), matcore.sandwich(None, rows, batch)
+    cols = rows[0].swapaxes(1, 2)
+    left = matcore.sandwich(B, cols, None)
+    for k in range(40):
+        assert np.array_equal(matcore.sandwich(None, rows[0, k : k + 1], B), full[k : k + 1])
+        assert np.array_equal(matcore.sandwich(None, rows[:, k : k + 1], batch), batched[:, k : k + 1])
+        assert np.array_equal(matcore.sandwich(B, cols[k], None), left[k])

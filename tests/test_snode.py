@@ -165,6 +165,27 @@ def test_lft_rejects_degenerate_pair(hankel_unit):
         snode.lft(snode.node_frame(node), pair, 1j)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_lft_checks_a_constant_pair_once(monkeypatch, p):
+    rng = np.random.default_rng(80 + p)
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2)))
+    zs = sampling.random_upper_points(rng, 30)
+    pair = sampling.random_constant_pair(rng, p)
+    # the pair at every point, checked at every point
+    want = snode.lft_stack(frm(zs), *(np.broadcast_to(M, (30, p, p)) for M in pair.constant_value), zs)
+    sizes = []
+    original = matcore.hermitian_extremes
+    monkeypatch.setattr(matcore, "hermitian_extremes", lambda stack: sizes.append(len(stack)) or original(stack))
+    assert snode.lft(frm, pair, zs).tobytes() == want.tobytes()
+    assert sizes == [1]  # R*R + Q*Q of the one pair, not of 30 copies
+    # a degenerate pair is named at the first point, as a check per point names it
+    zero = snode.ParamPair.constant(np.zeros((p, p)), np.zeros((p, p)))
+    with pytest.raises(InvalidPair, match=re.escape(f"degenerate pair at z = {zs[0]}")):
+        snode.lft(frm, zero, zs)
+    with pytest.raises(InvalidPair, match=re.escape(f"degenerate pair at z = {zs[0]}")):
+        snode.lft_stack(frm(zs), *(np.broadcast_to(M, (30, p, p)) for M in zero.constant_value), zs)
+
+
 def test_validate_pair_rejects_anti_j():
     pair = snode.ParamPair.constant(np.eye(1), -np.eye(1))
     with pytest.raises(InvalidPair):
@@ -180,9 +201,6 @@ def test_constant_pair_is_checked_once_and_read_only():
     assert pair.p == 2 and all(a is b for a, b in zip(pair.constant_value, (pair.R, pair.Q)))
     assert not pair.R.flags.writeable and not pair.Q.flags.writeable
     assert np.array_equal(pair.R, R) and np.array_equal(pair.Q, Q)
-    Rs, Qs = pair.at(np.array([1j, 2j, 0.5 + 1j]))
-    assert Rs.shape == Qs.shape == (3, 2, 2)
-    assert all(np.array_equal(a, R) and np.array_equal(b, Q) for a, b in zip(Rs, Qs))
     snode.validate_pair(pair)
     # R*R + Q*Q singular: R = Q = diag(1, 0)
     with pytest.raises(InvalidPair, match="not positive definite"):

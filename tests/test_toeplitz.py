@@ -1,5 +1,6 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from snode_lab.errors import (
     NotHermitian,
     NotPositiveDefinite,
     PoleAtZ,
+    SingularDenominator,
 )
 
 from conftest import frame_from_spec
@@ -160,6 +162,36 @@ def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
     rhos[4] *= 2.0 / np.linalg.norm(rhos[4], 2)
     with pytest.raises(NotContractive, match="matrix 2 of the stack: spectral norm 1.000000"):
         toeplitz.halmos(rhos)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_halmos_blocks_are_bitwise_those_of_one_call_per_side(rng, p):
+    # both diagonal blocks of every contraction go through one stacked
+    # inverse and one stacked root: each matrix is still factored on its own
+    rhos = sampling.random_contractions(rng, p, 6)
+    Ip = np.eye(p, dtype=complex)
+    rho_star = rhos.conj().swapaxes(1, 2)
+    D = np.zeros((6, 2 * p, 2 * p), dtype=complex)
+    D[:, :p, :p] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rhos @ rho_star))
+    D[:, p:, p:] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho_star @ rhos))
+    F = np.block([[np.broadcast_to(Ip, rhos.shape), rhos], [rho_star, np.broadcast_to(Ip, rhos.shape)]])
+    assert np.array_equal(toeplitz.halmos(rhos), matcore.hermitian_part(D @ F))
+
+
+def test_halmos_names_the_contraction_whose_block_fails(rng, monkeypatch):
+    rhos = sampling.random_contractions(rng, 2, 4)
+    original = matcore.inv_hpd
+
+    def last_block_negated(M):
+        out = original(M)
+        out[-1] = -out[-1]  # I - rho* rho of the last contraction
+        return out
+
+    monkeypatch.setattr(matcore, "inv_hpd", last_block_negated)
+    with pytest.raises(NotPositiveDefinite, match="^matrix 3 of the stack: smallest eigenvalue"):
+        toeplitz.halmos(rhos)
+    with pytest.raises(NotPositiveDefinite, match="^smallest eigenvalue"):
+        toeplitz.halmos(rhos[1])
 
 
 def test_chain_bijection_halmos_reproduces_coefficients(rng):
@@ -329,33 +361,7 @@ def explicit_products(Cs, ws):
 def _weyl(W, order, pair, zs):
     """The Weyl function of the pair through the frame of W = W_order(-conj(z)/2)."""
     frm = toeplitz.frames_of(W[None], zs, np.array([order]))[0]
-    return snode.lft_stack(frm, *pair.at(zs), zs)
-
-
-def khrushchev_reference(Cs, n, pair, zs):
-    """The composition residual at one split of the coefficients Cs, from
-    the products of :func:`explicit_products`: the head forward, the tail
-    and the full chain backward."""
-    L = len(Cs)
-    heads, tails = explicit_products(Cs, -np.conj(zs) / 2.0)
-    phi_full = _weyl(tails[0], L, pair, zs)
-    phi_tail = _weyl(tails[n], L - n, pair, zs)
-    Ip = np.broadcast_to(np.eye(pair.p, dtype=complex), phi_tail.shape)
-    head = toeplitz.frames_of(heads[n][None], zs, np.array([n]))[0]
-    composed = snode.lft_stack(head, -1j * phi_tail, Ip, zs)
-    return float(np.linalg.norm(phi_full - composed, axis=(1, 2)).max(initial=0.0))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 8), st.floats(0.0, 1.0))
-def test_khrushchev_equals_the_per_split_reference(seed, p, length, where):
-    rng = np.random.default_rng(seed)
-    rhos = np.reshape([sampling.random_contraction(rng, p) for _ in range(length)], (length, p, p))
-    pair = sampling.random_constant_pair(rng, p)
-    zgrid = sampling.random_upper_points(rng, 7)
-    split = round(where * length)
-    reference = khrushchev_reference(toeplitz.halmos(rhos), split, pair, zgrid)
-    assert toeplitz.khrushchev_check(rhos[None], [split], pair, zgrid) == reference
+    return snode.lft_stack(frm, pair.R[None], pair.Q[None], zs)
 
 
 EPS = np.finfo(float).eps
@@ -369,6 +375,136 @@ def product_bound(Cs, ws):
     p, L = Cs.shape[-1] // 2, len(Cs)
     growth = np.prod([1.0 + np.abs(ws) * np.linalg.norm(C, 2) for C in Cs], axis=0)
     return 2 * L * (2 * p + 2) * EPS * np.sqrt(2 * p) * growth
+
+
+def _mp(a):
+    """A float array as an mpmath matrix, exactly."""
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in np.asarray(a)])
+
+
+def _fro(A) -> float:
+    return float(mpmath.mnorm(A, "f"))
+
+
+def c26_reference(Cs, R, Q, z):
+    """Both sides of c26 at every split n = 0..L of the (L, 2p, 2p)
+    coefficients Cs at the point z, at 50 digits, and a first-order bound on
+    the rounding of the gap that :func:`toeplitz.khrushchev_check` computes.
+
+    The sides follow the definitions, not the library's route: the frame of
+    W, of order n, is (1 - i z/2)^{-n} M W* M* with M = J j K, W the product
+    of the factors I + i w j C_m at w = -conj(z)/2, and phi = i N D^{-1} with
+    [N; D] = F [R; Q].  The full chain's phi is compared with the head
+    frame's LFT of [-i phi~; I], phi~ the tail's phi.
+
+    The bound: each step of a running product, as in :func:`product_bound`,
+    rounds within (2p + 2) eps sqrt(2p) of the product's norm, and forming
+    its factor S_m = M j C_m M* from the rounded M adds (4p + 4) eps sqrt(2p)
+    (two 2p-term products, the rounding of 1/sqrt 2 and the departure of M
+    from unitary); so k steps err by at most k (6p + 6) eps sqrt(2p) times
+    the product of the factor norms 1 + |w| ||C_m||.  The composition takes
+    n such steps and one 2p-term product per entry.  Columns moved by dX
+    move phi by at most (1 + ||phi||) ||D^{-1}|| ||dX||, and the LFT itself
+    rounds within 8p eps of ||[N; D]|| in place of ||dX||.  The prefactor's
+    rounding scales N and D alike and cancels.  Frobenius norms throughout,
+    each at least the spectral norm.
+    """
+    L, p = len(Cs), Cs.shape[-1] // 2
+    gamma = (6 * p + 6) * EPS * np.sqrt(2 * p)
+    cnorm = np.linalg.norm(Cs, 2, axis=(1, 2)) if L else np.zeros(0)
+    with mpmath.workdps(50):
+        z = mpmath.mpc(complex(z))
+        w = -mpmath.conj(z) / 2
+        growth = np.cumprod([1.0, *(1.0 + float(abs(w)) * cnorm)])  # of the first n factors
+        I2, Ip = mpmath.eye(2 * p), mpmath.eye(p)
+        j = mpmath.diag([1] * p + [-1] * p)
+        K = mpmath.matrix(2 * p)
+        J = mpmath.matrix(2 * p)
+        for i in range(p):
+            K[i, i] = K[p + i, i] = K[p + i, p + i] = 1 / mpmath.sqrt(2)
+            K[i, p + i] = -1 / mpmath.sqrt(2)
+            J[i, p + i] = J[p + i, i] = 1
+        M = J * j * K
+        factors = [I2 + 1j * w * j * _mp(C) for C in Cs]
+        heads, tails = [I2], [I2]  # W of the first n coefficients, of those from s on
+        for f in factors:
+            heads.append(f * heads[-1])
+        for f in reversed(factors):
+            tails.insert(0, tails[0] * f)
+        pref = 1 - 1j * z / 2
+
+        def weyl(W, n, X, Y):
+            cols = pref ** -n * M * W.H * M.H * _stack(X, Y)
+            N, D = cols[:p, :], cols[p:, :]
+            phi = 1j * N * D**-1
+            return phi, (1 + _fro(phi)) * _fro(D**-1), _fro(cols)
+
+        rq = np.linalg.norm(np.vstack([R, Q]), 2)
+        R, Q = _mp(R), _mp(Q)
+        size = float(abs(pref))
+        tail = []
+        for s in range(L + 1):
+            phi, sens, cols = weyl(tails[s], L - s, R, Q)
+            dcols = size ** -(L - s) * (L - s) * gamma * (growth[L] / growth[s]) * rq
+            tail.append((phi, sens * (dcols + 8 * p * EPS * cols)))
+        full, err_full = tail[0]
+        sides, bounds = [], []
+        for n in range(L + 1):
+            phi_n, err_n = tail[n]
+            composed, sens, cols = weyl(heads[n], n, -1j * phi_n, Ip)
+            X = _stack(-1j * phi_n, Ip)
+            dcols = size ** -n * growth[n] * (err_n + (n + 1) * gamma * _fro(X))
+            sides.append(_fro(full - composed) / (1 + _fro(full)))
+            bounds.append(err_full + sens * (dcols + 8 * p * EPS * cols))
+    return sides, bounds
+
+
+def _stack(X, Y):
+    """[X; Y] of two p x p mpmath matrices."""
+    p = X.rows
+    out = mpmath.matrix(2 * p, p)
+    for i in range(p):
+        for k in range(p):
+            out[i, k], out[p + i, k] = X[i, k], Y[i, k]
+    return out
+
+
+def test_khrushchev_equals_the_per_split_reference():
+    # at every split, both sides of c26 at 50 digits agree to 1e-40, and the
+    # library's gap at each point is within the first-order rounding bound
+    # of c26_reference; on 60 seeded chains (p = 1, 2, 3, lengths 1..6) the
+    # largest gap is 0.0065 of its bound
+    for p in (1, 2, 3):
+        for seed in range(2):
+            rng = np.random.default_rng(100 * p + seed)
+            length = int(rng.integers(1, 7))
+            rhos = sampling.random_contractions(rng, p, length)
+            pair = sampling.random_constant_pair(rng, p)
+            Cs = toeplitz.halmos(rhos)
+            for z in sampling.random_upper_points(rng, 3):
+                sides, bounds = c26_reference(Cs, *pair.constant_value, z)
+                assert max(sides) <= 1e-40
+                gaps = [toeplitz.khrushchev_check(rhos[None], [n], pair, z) for n in range(length + 1)]
+                assert gaps[0] == 0.0  # split 0 composes with the identity head: no rounding
+                assert all(gap <= bound for gap, bound in zip(gaps, bounds)), (gaps, bounds)
+
+
+def test_c26_fails_when_only_the_head_side_moves(rng, unit_pair, monkeypatch):
+    # the c26 row can fail: C_0 of the heads alone, 1e-6 relative, moves it
+    # far past its tolerance, though both sides are built from one chain
+    rhos = sampling.random_contractions(rng, 2, 3 * 6).reshape(3, 6, 2, 2)
+    pair = snode.ParamPair.constant(np.eye(2), np.eye(2))
+    zs = sampling.random_upper_points(rng, 20)
+    assert toeplitz.khrushchev_check(rhos, range(7), pair, zs) <= 1e-12
+    original = toeplitz._composition_gaps
+
+    def head_moved(steps, adjoints, splits, pair, zs):
+        moved = adjoints.copy()
+        moved[:, 0] *= 1.0 + 1e-6  # S_0* of the heads: C_0 scaled by 1 + 1e-6
+        return original(steps, moved, splits, pair, zs)
+
+    monkeypatch.setattr(toeplitz, "_composition_gaps", head_moved)
+    assert toeplitz.khrushchev_check(rhos, range(7), pair, zs) > 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,8 +539,8 @@ def test_forward_heads_and_backward_tails_meet_within_rounding(seed, p, length):
 
 def test_khrushchev_makes_two_lft_calls(rng, unit_pair, monkeypatch):
     calls = []
-    original = toeplitz.lft_stack
-    monkeypatch.setattr(toeplitz, "lft_stack", lambda *args: calls.append(1) or original(*args))
+    original = toeplitz.lft_blocks
+    monkeypatch.setattr(toeplitz, "lft_blocks", lambda *args: calls.append(1) or original(*args))
     for count in (1, 3):
         calls.clear()
         rhos = sampling.random_contractions(rng, 1, count * 6).reshape(count, 6, 1, 1)
@@ -427,10 +563,11 @@ def test_khrushchev_sweeps_in_2L_kernel_calls_per_chunk(rng, unit_pair, monkeypa
     rhos = sampling.random_contractions(rng, 1, count * length).reshape(count, length, 1, 1)
     zs = sampling.random_upper_points(rng, 6 // count * chunks)
     toeplitz.khrushchev_check(rhos, range(length + 1), unit_pair, zs)
-    # L steps forward and L backward for all L + 1 splits of all chains, and
-    # one frames_of call each for the tails and the heads: an O(L^2) sweep,
-    # or one sweep per chain, would not fit
-    assert len(calls) == chunks * (2 * length + 2)
+    # L steps backward for the tails and L forward for the heads of all
+    # L + 1 splits of all chains (L - 1 on the heads, the last factor of
+    # every head on the composition's rows): an O(L^2) sweep, or one sweep
+    # per chain, would not fit
+    assert len(calls) == chunks * 2 * length
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -446,6 +583,19 @@ def test_khrushchev_of_a_stack_is_the_max_of_per_chain_calls(rng, monkeypatch, p
     assert toeplitz.khrushchev_check(rhos, [2], pair, zs) == max(
         toeplitz.khrushchev_check(chain[None], [2], pair, zs) for chain in rhos
     )
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_khrushchev_of_one_coefficient_reads_exactly_zero(rng, monkeypatch, p):
+    # with the unit pair the split at 1 composes the full chain's columns by
+    # the tail's own operations (the head's last factor on the rows), and
+    # the split at 0 composes with the identity: no rounding between them
+    rhos = sampling.random_contractions(rng, p, 3).reshape(3, 1, p, p)
+    pair = snode.ParamPair.constant(np.eye(p), np.eye(p))
+    zs = sampling.random_upper_points(rng, 40)
+    assert toeplitz.khrushchev_check(rhos, range(2), pair, zs) == 0.0
+    monkeypatch.setattr(matcore, "CHUNK", 3)  # one point of the 3 chains per chunk
+    assert toeplitz.khrushchev_check(rhos, range(2), pair, zs) == 0.0
 
 
 def test_khrushchev_names_the_non_contraction_of_a_stack(rng, unit_pair):
@@ -512,6 +662,27 @@ def test_khrushchev_pole_at_minus_2i(rng, unit_pair):
     zgrid = np.array([1.0 + 1.0j, -2.0j, 0.5j])
     with pytest.raises(PoleAtZ, match="pole at -2i"):
         toeplitz.khrushchev_check(rhos[None], range(4), unit_pair, zgrid)
+
+
+@pytest.mark.parametrize("den, singular", [(1e-14, True), (1e-12, False)])
+def test_khrushchev_singular_floor_sees_the_frame_prefactor(den, singular):
+    # the singular-denominator floor is absolute: at z = 0.3 + 200i a
+    # denominator of 1e-14 is singular in the frame's own scale, though
+    # without the prefactor (1 - i z/2)^{-1} it would be 100 times larger,
+    # and pass
+    rhos, z = np.zeros((1, 1, 1, 1)), np.array([0.3 + 200j])
+    W = toeplitz.dirac_sweep(toeplitz.halmos(rhos[0])[None], -np.conj(z) / 2.0, [1])[0][0]
+    F = toeplitz.frames_of(W, z, np.array([1]))[0, 0]
+    pair = snode.ParamPair.constant([[(den - F[1, 1]) / F[1, 0]]], [[1.0]])  # F21 R + F22 Q = den
+    for check in (
+        lambda: toeplitz.khrushchev_check(rhos, [0], pair, z),
+        lambda: snode.lft_stack(F[None], pair.R[None], pair.Q[None], z),
+    ):
+        if singular:
+            with pytest.raises(SingularDenominator):
+                check()
+        else:
+            check()
 
 
 def test_nesting_pullback_keeps_property_j(rng, unit_pair):
