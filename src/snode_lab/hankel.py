@@ -26,7 +26,6 @@ invertible A, from which :func:`interp_residual` rebuilds S and Phi1.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +80,6 @@ def build_hankel_node(spec: HankelSpec) -> SNode:
     return SNode(p=p, shift=(0, 1, 0), S=spec.matrix(), Phi1=Phi1, Phi2=Phi2)
 
 
-def _powers(ts, count):
-    """t^0..t^(count-1) on the nodes, in order, each as t^(k-1) t: one
-    running power, so t^k is always the product 1 t t ... t of k factors."""
-    power = np.ones_like(ts)
-    yield power
-    for _ in range(1, count):
-        power = power * ts
-        yield power
-
-
 # _MOMENT_QUAD: node budget of every moment and interpolation integral ((32, 64)
 # per graded panel, a ladder up to (2048, 4096) on an interval); _RECOVER_MARGIN:
 # the circle |z| = R of both lies this factor outside the farthest pole of phi
@@ -101,23 +90,26 @@ _RECOVER_MARGIN = 1.5
 def moments_from_density(density: DensityFn, count: int) -> np.ndarray:
     """H_k = integral t^k P(t) dt for k = 0..count-1, stacked.
 
-    The density is evaluated once per rule for all orders; the integrands
-    yield one order at a time, and the rule reduces each as it comes, so one
-    order's stack over the nodes is alive at a time.  The powers t^k come
-    from one running power per rule, t^k = t^(k-1) t (see :func:`_powers`):
-    at k <= 2 that is bitwise numpy's t**k, and above it has a relative
-    error of at most gamma_(k-1) = (k-1)u / (1 - (k-1)u), u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), with
-    bits that do not depend on the sign of t.  Each order has its own
+    The density is evaluated once per rule for all orders, and the
+    integrand returns it as :class:`quadrature.Powers` of the nodes t: the
+    rule contracts the one stack P(t) against one running weight row per
+    order, w t^k = (w t^(k-1)) t, with no stack of t^k P(t).  The row of
+    order 1 is bitwise numpy's w * t; that of order k has a relative error
+    of at most gamma_k = k u / (1 - k u), u = 2^-53, against the exact
+    w t^k (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.1), with bits that do not depend on the sign of t, and it is the
+    same row however many orders are asked for.  Each order has its own
     doubled-node convergence check; the lowest order that fails raises.
     The rule follows from the density's support and :data:`_MOMENT_QUAD`
     (see :func:`quadrature.integrate_with_check`), cut or graded at the
     density's breaks.  On the full line each order must be absolutely
     integrable: the smooth majorant (1 + t^2)^(k/2) tr P(t) of |t|^k |P(t)|
     gets its own check, ahead of the order's value, so a divergent moment
-    raises naming the lowest divergent order.  A density that declares how
-    many absolute moments it has (``DensityFn.moments``) refuses a larger
-    ``count`` first, with :class:`MissingMoment`, and no quadrature runs.
+    raises naming the lowest divergent order; its rows run from w tr P(t),
+    multiplied by (1 + t^2)^(1/2) from order to order.  A density that
+    declares how many absolute moments it has (``DensityFn.moments``)
+    refuses a larger ``count`` first, with :class:`MissingMoment`, and no
+    quadrature runs.
     """
     if density.moments is not None and count > (k := density.moments):
         raise MissingMoment(f"the {density.name} density has no moment {k}: its absolute moments end at order {k - 1}")
@@ -125,19 +117,18 @@ def moments_from_density(density: DensityFn, count: int) -> np.ndarray:
     if density.bounded_support:
 
         def integrand(ts):
-            values = density(ts)
-            return (power[:, None, None] * values for power in _powers(ts, count))
+            return quadrature.Powers(count, ((ts, density(ts)),))
 
     else:
 
         def integrand(ts):
             values = density(ts)
-            diagonal = (values[:, i, i].real for i in range(density.p))
-            trace = functools.reduce(operator.add, diagonal)
-            majorant_base = 1.0 + ts * ts
-            for k, power in enumerate(_powers(ts, count)):
-                yield majorant_base ** (k / 2) * trace
-                yield power[:, None, None] * values
+            root = ts * ts
+            root += 1.0
+            np.sqrt(root, out=root)
+            # tr P as the real parts of the diagonal added in order (at p = 1 a view)
+            trace = sum((values[:, i, i].real for i in range(1, density.p)), values[:, 0, 0].real)
+            return quadrature.Powers(count, ((root, trace), (ts, values)))
 
         names = [item for name in names for item in (f"{name} absolute", name)]
     blocks = quadrature.integrate_with_check(integrand, density.support, density.breaks, _MOMENT_QUAD, 1e-8, names)

@@ -25,9 +25,13 @@ integral repeats.
 Each rule calls its integrand once, on the nodes of every panel, and adds
 the panel sums in panel order; on the line, the call takes the nodes of
 both rules of the doubled-node check, panel by panel.  An integrand
-returns an array whose leading axis matches its nodes, or an iterable of
-such arrays (a list, or a generator that yields them), one per integral;
-those are reduced item by item, as they come, and the rule returns a list.
+returns an array whose leading axis matches its nodes, a list of such
+arrays, one per integral, or :class:`Powers`, the integrals of the powers
+of its bases against its arrays; for a list or :class:`Powers` the rule
+returns a list.  A scalar integrand's panel sums are numpy's sums of its
+weighted values; a matrix integrand is contracted as its float view
+(N, 2 p^2 for a complex p x p one) against the weight row, one real
+product per node count (:func:`_reduce`).
 
 Integrals are taken through :func:`integrate_with_check`, or through
 :func:`integrate_lines` for a list of line integrals.  Each is given a node
@@ -44,6 +48,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,32 +69,63 @@ def gauss_legendre(a, b, n: int):
     return a + half * (x + 1.0), half * w
 
 
-def _reduce(w, vals, sizes: tuple) -> list:
+class Powers(NamedTuple):
+    """An integrand's value standing for the integrals of b^k v, k = 0..
+    ``count`` - 1, of each pair (b, v) of ``terms``, order by order (every
+    pair's order 0, then every pair's order 1, ...).  Each pair has one
+    weight row, w for a matrix v and w v for a scalar one (a value per
+    node), multiplied by b in place from one order to the next: the row of
+    order k is w b^k (or w v b^k), rounded k more times."""
+
+    count: int
+    terms: tuple
+
+
+def _reduce(w, vals, sizes: tuple):
     """sum_i w_i vals_i over the leading axis, one sum per node count n of
     ``sizes``: each panel holds the nodes of the rules at those counts in
     turn, and each rule is summed panel by panel, the panel sums added up in
-    panel order.  Any other iterable of arrays (a list, a generator) reduces
-    item by item, each item as it comes, to one list of items per count."""
-    if not isinstance(vals, np.ndarray):
+    panel order.  A list reduces item by item, and it and :class:`Powers`
+    give one list of items per count.
+
+    A scalar integrand is folded into its row, w v, which numpy sums per
+    panel.  A matrix one is taken as its float view, (N, 2m) for N complex
+    values of m entries, and each count's panel sums are one real product
+    of the row against it, each panel's the product of its slice of the row
+    with its (n, 2m) block: no stack of weighted values is formed."""
+    if isinstance(vals, list):
         items = [_reduce(w, v, sizes) for v in vals]
         return [[item[i] for item in items] for i in range(len(sizes))]
+    count, terms = vals if isinstance(vals, Powers) else (1, ((None, vals),))
     cols = [*accumulate(sizes, initial=0)]
-    k = w.size // cols[-1]
-    weights = w.reshape(k, cols[-1])
-    if vals.ndim == 1:
-        weighted = (w * vals).reshape(k, cols[-1])
-    else:  # a matrix integrand is weighted in its einsum
-        part = vals.reshape(k, cols[-1], *vals.shape[1:])
-    out = []
-    for c0, c1 in zip(cols, cols[1:]):
-        if vals.ndim == 1:
-            pieces = np.sum(weighted[:, c0:c1], axis=1)
-        else:
-            pieces = np.einsum("ki,ki...->k...", weights[:, c0:c1], part[:, c0:c1])
-        # the panel sums in one pass, then added one after another in panel
-        # order (a copy, so the partial sums are not kept alive by a view)
-        out.append(np.add.accumulate(pieces)[-1].copy())
-    return out
+    panels = w.size // cols[-1]
+    rows = [w * v if v.ndim == 1 else w.copy() for _, v in terms]
+    blocks = [None if v.ndim == 1 else _float_view(v).reshape(panels, cols[-1], -1) for _, v in terms]
+    out = [[] for _ in sizes]
+    for k in range(count):
+        for row, (base, v), block in zip(rows, terms, blocks):
+            if k:
+                row *= base
+            panel_rows = row.reshape(panels, cols[-1])
+            for per_count, c0, c1 in zip(out, cols, cols[1:]):
+                if block is None:
+                    pieces = np.sum(panel_rows[:, c0:c1], axis=1)
+                else:
+                    pieces = np.matmul(panel_rows[:, None, c0:c1], block[:, c0:c1])[:, 0]
+                # the panel sums added one after another in panel order (a
+                # copy, so the partial sums are not kept alive by a view)
+                total = np.add.accumulate(pieces)[-1].copy()
+                if block is not None:  # the float view read back as the values' entries
+                    total = (total.view(np.complex128) if np.iscomplexobj(v) else total).reshape(v.shape[1:])
+                per_count.append(total)
+    return out if isinstance(vals, Powers) else [items[0] for items in out]
+
+
+def _float_view(v: np.ndarray) -> np.ndarray:
+    """Values (N, ...) as an (N, M) float64 array, a complex entry as its
+    real and imaginary parts side by side; no copy for contiguous values."""
+    v = np.ascontiguousarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
+    return v.reshape(len(v), -1).view(np.float64)
 
 
 def integrate_interval(fn, a: float, b: float, n: int, breaks=()):
@@ -326,9 +362,9 @@ def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="i
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
-    When ``fn`` returns a list of arrays, each item is its own integral
-    with its own check and its own accepted count, and ``what`` may be a
-    list with one name per item.
+    When ``fn`` returns a list of arrays or :class:`Powers`, each item is
+    its own integral with its own check and its own accepted count, and
+    ``what`` may be a list with one name per item.
 
     Raises :class:`QuadratureNotConverged` for the first integral, in list
     order, whose values still disagree at the last two counts.

@@ -544,11 +544,13 @@ def lft_stack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarray) -> np
     stacks of one pair.  The blocks F [R; Q] come from
     :func:`matcore.entry_product` on the entry arrays.
 
-    Raises :class:`InvalidPair` where R*R + Q*Q is degenerate
-    (:func:`guard_pairs`) and :class:`SingularDenominator` where
-    F21 R + F22 Q is singular (:func:`lft_blocks`), naming the first such
-    point.
+    Raises :class:`DimensionMismatch` when there are no points,
+    :class:`InvalidPair` where R*R + Q*Q is degenerate (:func:`guard_pairs`)
+    and :class:`SingularDenominator` where F21 R + F22 Q is singular
+    (:func:`lft_blocks`), naming the first such point.
     """
+    if not len(zs):
+        raise DimensionMismatch("zs is empty: an LFT needs at least one point")
     guard_pairs(R, Q, zs)
     p = R.shape[-1]
     cols = matcore.from_entries(matcore.entry_product(matcore.entries(F), [*matcore.entries(R), *matcore.entries(Q)]), len(F))
@@ -570,7 +572,8 @@ def _lft_stack_lapack(F: np.ndarray, R: np.ndarray, Q: np.ndarray, zs: np.ndarra
 
 def lft(frm: Frame, pair: ParamPair, z_or_zs) -> np.ndarray:
     """phi(z) = i (F11 R + F12 Q)(F21 R + F22 Q)^{-1} for the frame ``frm``;
-    the constant pair is checked once (:func:`guard_pairs`)."""
+    the constant pair is checked once (:func:`guard_pairs`), and an empty
+    array of points raises :class:`DimensionMismatch` (:func:`lft_stack`)."""
     zs = matcore.as_points(z_or_zs)
     out = lft_stack(frm(zs), pair.R[None], pair.Q[None], zs)
     return out if np.ndim(z_or_zs) else out[0]

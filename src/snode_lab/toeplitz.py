@@ -332,7 +332,8 @@ def khrushchev_check(rhos: np.ndarray, splits, pair: ParamPair, zgrid) -> float:
         phi(z) = i (F11 (-i phi~) + F12)(F21 (-i phi~) + F22)^{-1}
 
     with F the frame of the head chain (first n coefficients).  A split
-    that is not an integer in 0..L raises :class:`IndexOutOfRange`.
+    that is not an integer in 0..L raises :class:`IndexOutOfRange`, and an
+    empty list of splits or an empty grid :class:`DimensionMismatch`.
 
     An LFT reads a frame only through its columns F [R; Q], so no 2p x 2p
     frame stack is formed (:func:`_composition_gaps` gives the route): the
@@ -349,6 +350,9 @@ def khrushchev_check(rhos: np.ndarray, splits, pair: ParamPair, zgrid) -> float:
     Cs = halmos(np.reshape(rhos, (count * L, p, p))).reshape(count, L, 2 * p, 2 * p)
     splits = _indices(splits, L, "split")
     zs = np.asarray(zgrid, dtype=complex).ravel()
+    for name, values in (("splits", splits), ("zgrid", zs)):
+        if not values.size:
+            raise DimensionMismatch(f"{name} is empty: the composition check needs at least one")
     M = frame_basis(p)
     steps = M @ matcore.signature_j(p) @ Cs @ M.conj().T
     adjoints = steps.conj().swapaxes(-1, -2)

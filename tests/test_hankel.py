@@ -687,10 +687,22 @@ def test_moment_majorant_is_bitwise_the_trace(monkeypatch, p):
 
     monkeypatch.setattr(quadrature, "integrate_with_check", keep_integrand)
     hankel.moments_from_density(density, 3)
-    items = list(seen[0](ts))
-    trace = np.trace(density(ts), axis1=1, axis2=2).real
+    family = seen[0](ts)
+    (root, trace), (base, values) = family.terms
+    assert family.count == 3 and base is ts and values.tobytes() == density(ts).tobytes()
+    assert trace.tobytes() == np.trace(density(ts), axis1=1, axis2=2).real.tobytes()
+    assert root.tobytes() == np.sqrt(1.0 + ts * ts).tobytes()
+    # on one panel of all the points, the majorant of order k is the sum of
+    # the running row (w tr P) (1 + t^2)^(1/2) ... (1 + t^2)^(1/2), k factors
+    w = np.linspace(0.5, 1.5, ts.size)
+    [items] = quadrature._reduce(w, family, (ts.size,))
+    row = w * trace
     for k in range(3):
-        assert items[2 * k].tobytes() == ((1.0 + ts * ts) ** (k / 2) * trace).tobytes()
+        assert items[2 * k] == np.sum(row)
+        # and within rounding of the closed form: about 2k + 3 roundings a
+        # term, every term positive
+        assert items[2 * k] == pytest.approx(np.sum(w * (1.0 + ts * ts) ** (k / 2) * trace), rel=1e-15 * (k + 1))
+        row = row * root
 
 
 _FRAME_POINTS = np.array([0.0, 1e19, -1e19, 0.3, -2.5, 40.0, 1j, 0.5 + 0.2j, -3.0 + 2.0j, 1e3 + 1e2j])

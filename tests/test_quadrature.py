@@ -1,12 +1,13 @@
 import dataclasses
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snode_lab import densities, hankel, matcore, quadrature, snode
+from snode_lab import densities, hankel, matcore, quadrature, sampling, snode
 from snode_lab.errors import EvaluationFailure, QuadratureNotConverged, Unsupported
 
 
@@ -16,6 +17,16 @@ def graded_depth(half, width):
     if width == 0.0:
         return 54
     return int(np.clip(np.ceil(np.log2(half / width)) + 4, 1, 54))
+
+
+def panel_product(weights, vals):
+    """One panel's sum of a matrix integrand as the rules take it: the
+    weight row times the values' float view, real and imaginary parts side
+    by side, read back as the values' shape."""
+    flat = np.ascontiguousarray(vals).reshape(len(vals), -1)
+    if np.iscomplexobj(flat):
+        return (weights @ flat.view(np.float64)).view(np.complex128).reshape(vals.shape[1:])
+    return (weights @ flat).reshape(vals.shape[1:])
 
 
 def graded_per_panel(fn, n, breaks=()):
@@ -48,10 +59,7 @@ def graded_per_panel(fn, n, breaks=()):
                     t = np.tan(anchor + sign * delta)
                 vals = np.asarray(fn(t))
                 jac = w * (1.0 + t * t)
-                if vals.ndim == 1:
-                    piece = np.sum(jac * vals)
-                else:
-                    piece = np.einsum("i,i...->...", jac, vals)
+                piece = np.sum(jac * vals) if vals.ndim == 1 else panel_product(jac, vals)
                 total = piece if total is None else total + piece
     return total
 
@@ -478,7 +486,7 @@ def test_interval_rule_equals_per_piece_loop(breaks):
     want = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         t, w = quadrature.gauss_legendre(lo, hi, n)
-        piece = [np.sum(w * v) if v.ndim == 1 else np.einsum("i,i...->...", w, v) for v in fn(t)]
+        piece = [np.sum(w * v) if v.ndim == 1 else panel_product(w, v) for v in fn(t)]
         want = piece if want is None else [x + y for x, y in zip(want, piece)]
     got = quadrature.integrate_interval(fn, a, b, n, breaks=breaks)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -511,19 +519,12 @@ def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
     # relative to the absolute moment integral |t|^k tr P (the odd moments
     # of these even densities cancel to rounding)
     orders = range(3, 11)
-    seen = []
-
-    def keep_integrand(fn, *args):
-        seen.append(fn)
-        return [np.zeros((1, 1))] * len(args[-1])  # one per name
-
-    monkeypatch.setattr(quadrature, "integrate_with_check", keep_integrand)
-    hankel.moments_from_density(density, 11)
+    integrand = _moment_integrand(monkeypatch, density, 11)
     if density.bounded_support:
         rule = lambda fn: quadrature.integrate_interval(fn, *density.support, 32, density.breaks)
     else:
         rule = lambda fn: graded(fn, 64, density.breaks)
-    got = rule(seen[0])
+    got = rule(integrand)
     got = got[3:] if density.bounded_support else got[7::2]  # past the majorants and orders 0..2
     want = rule(lambda t: [t[:, None, None] ** k * density(t) for k in orders])
     scale = rule(lambda t: [np.abs(t) ** k * density(t)[:, 0, 0].real for k in orders])
@@ -535,9 +536,107 @@ def test_absolute_checks_leave_the_moment_values_alone():
     # the moment budget gives the pair (32, 64) on the line; the value is the fine one
     orders = range(3)
     got = hankel.moments_from_density(_WEYL, 3)
-    fine = graded(lambda t: [t[:, None, None] ** k * _WEYL(t) for k in orders], 64, _WEYL.breaks)
+    # the same contraction, on the fine rule alone and without the majorant rows
+    fine = graded(lambda t: quadrature.Powers(len(orders), ((t, _WEYL(t)),)), 64, _WEYL.breaks)
     for block, value in zip(got, fine):
         assert np.array_equal(block, matcore.hermitian_part(value))
+
+
+_U = 2.0**-53
+
+
+def _gamma(m):
+    """gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1)."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _moment_integrand(monkeypatch, density, count):
+    """The integrand that moments_from_density hands to the checked rule."""
+    seen = []
+
+    def keep_integrand(fn, *args):
+        seen.append(fn)
+        return [np.zeros((density.p, density.p))] * len(args[-1])  # one per name
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "integrate_with_check", keep_integrand)
+        hankel.moments_from_density(density, count)
+    return seen[0]
+
+
+def _contraction_misses(t, w, values, sizes, orders, got):
+    """The orders whose reduced moments ``got`` (per count, per order) miss
+    the 50-digit sums of w_i t_i^k P(t_i) over each count's nodes, the floats
+    t, w and P taken as exact, by more than the rounding bound of the
+    contraction; an order is (count index, k).
+
+    The rule's row w t^k is k running products, relative error gamma_k;
+    each panel's sum is a dot product of its n nodes, gamma_n of the sum of
+    moduli A = sum |w t^k| |P| (any order of summation, with or without
+    fused multiply-adds); the K panel sums are added one after another,
+    gamma_(K-1) of A again.  Each real entry of P (a real or an imaginary
+    part) is its own sum.  A itself is summed in floating point, within
+    gamma_(k+N) of its exact value over N nodes, so it is inflated by
+    1 / (1 - gamma_(k+N))."""
+    cols = np.cumsum([0, *sizes])
+    panels = t.size // cols[-1]
+    flat = np.ascontiguousarray(values).reshape(len(values), -1).view(np.float64)
+    misses = []
+    for c, (c0, c1) in enumerate(zip(cols, cols[1:])):
+        nodes = (np.arange(panels)[:, None] * cols[-1] + np.arange(c0, c1)).ravel()
+        ts = [mpmath.mpf(x) for x in t[nodes]]
+        row = [mpmath.mpf(x) for x in w[nodes]]  # at 50 digits, as is every product below
+        float_row = w[nodes].copy()
+        entries = flat[nodes]
+        for k in range(max(orders) + 1):
+            if k:
+                row = [r * x for r, x in zip(row, ts)]
+                float_row *= t[nodes]
+            if k not in orders:
+                continue
+            moduli = np.abs(float_row) @ np.abs(entries) / (1.0 - _gamma(k + nodes.size))
+            factor = (1.0 + _gamma(k)) * (1.0 + _gamma(c1 - c0)) * (1.0 + _gamma(panels - 1)) - 1.0
+            value = np.ascontiguousarray(got[c][orders.index(k)]).reshape(-1).view(np.float64)
+            for j in range(entries.shape[1]):
+                exact = mpmath.fdot(row, entries[:, j].tolist())
+                if abs(mpmath.mpf(value[j]) - exact) > factor * moduli[j]:
+                    misses.append((c, k))
+                    break
+    return misses
+
+
+def _weyl_p2():
+    rng = np.random.default_rng(4812)
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2)))
+    [density], _ = hankel.weyl_densities(frm, [sampling.random_constant_pair(rng, 2)])
+    return density
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("exp_sqrt", 7), ("uniform", 11), ("weyl p = 2", 3)],
+)
+def test_moment_contraction_is_within_its_rounding_bound_of_a_50_digit_sum(monkeypatch, name, count):
+    density = {"exp_sqrt": densities.exp_sqrt_density, "uniform": densities.uniform_density, "weyl p = 2": _weyl_p2}[name]()
+    if density.bounded_support:  # one Gauss-Legendre panel of the ladder
+        sizes = (64,)
+        t, w = quadrature.gauss_legendre(*density.support, 64)
+    else:  # the moment rule on the line
+        sizes = (32, 64)
+        [(t, w)] = quadrature._graded_rules(sizes, [density.breaks])
+    integrand = _moment_integrand(monkeypatch, density, count)
+    got = quadrature._reduce(w, integrand(t), sizes)
+    if not density.bounded_support:  # past each order's majorant
+        got = [items[1::2] for items in got]
+    orders = list(range(count))
+    with mpmath.workdps(50):
+        assert _contraction_misses(t, w, density(t), sizes, orders, got) == []
+        # a mutant that contracted order k against w t^(k-1) gives order k - 1's
+        # values there: the bound catches it at every order k >= 1 and count
+        shifted = [items[:-1] for items in got]
+        misses = _contraction_misses(t, w, density(t), sizes, orders[1:], shifted)
+    assert misses == [(c, k) for c in range(len(sizes)) for k in orders[1:]]
 
 
 def _rational(B, A, poles):

@@ -165,6 +165,20 @@ def test_lft_rejects_degenerate_pair(hankel_unit):
         snode.lft(snode.node_frame(node), pair, 1j)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lft_of_no_points_raises_naming_the_empty_points(p):
+    # the entry path of p <= 2 and the LAPACK path above refuse it alike,
+    # before any kernel sees an empty stack
+    rng = np.random.default_rng(70 + p)
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2)))
+    pair = sampling.random_constant_pair(rng, p)
+    none = np.zeros(0, dtype=complex)
+    with pytest.raises(DimensionMismatch, match="^zs is empty"):
+        snode.lft(frm, pair, none)
+    with pytest.raises(DimensionMismatch, match="^zs is empty"):
+        snode.lft_stack(frm(none), pair.R[None], pair.Q[None], none)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_lft_checks_a_constant_pair_once(monkeypatch, p):
     rng = np.random.default_rng(80 + p)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from snode_lab import matcore, quadrature, sampling, snode, toeplitz
 from snode_lab.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     NotContractive,
     NotHermitian,
@@ -315,6 +316,19 @@ def test_khrushchev_empty_head(rng, unit_pair):
     rhos = np.stack([sampling.random_contraction(rng, 1) for _ in range(4)])
     zgrid = sampling.random_upper_points(rng, 10)
     assert toeplitz.khrushchev_check(rhos[None], [0], unit_pair, zgrid) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_khrushchev_of_no_splits_or_no_points_raises_naming_the_empty_one(p):
+    rng = np.random.default_rng(60 + p)
+    rhos = np.stack([sampling.random_contraction(rng, p) for _ in range(3)])[None]
+    pair = snode.ParamPair.constant(np.eye(p), np.eye(p))
+    zgrid = sampling.random_upper_points(rng, 5)
+    with pytest.raises(DimensionMismatch, match="^splits is empty"):
+        toeplitz.khrushchev_check(rhos, [], pair, zgrid)
+    with pytest.raises(DimensionMismatch, match="^zgrid is empty"):
+        toeplitz.khrushchev_check(rhos, [0, 3], pair, [])
+    assert toeplitz.khrushchev_check(rhos, [0, 3], pair, zgrid) <= 1e-8
 
 
 def test_khrushchev_random_chain(rng, unit_pair):
