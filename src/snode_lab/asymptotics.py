@@ -222,7 +222,7 @@ class EntropyBound:
     def relative_slack(self) -> float:
         """min eig of rhs^{-1/2} (rhs - lhs) rhs^{-1/2}: c^2 for the pair whose
         Weyl value at lam is the point c I of the Weyl ball, 0 at its centre."""
-        half_inv = np.linalg.inv(matcore.sqrtm_hpd(self.rhs))
+        half_inv = matcore.hpd_powers(self.rhs, (-0.5,))[0]
         return matcore.min_eig_hermitian(half_inv @ (self.rhs - self.lhs) @ half_inv)
 
     @property

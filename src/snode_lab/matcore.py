@@ -11,8 +11,10 @@ a stack's values are bitwise those of one call per matrix), and name the
 first matrix of a stack that fails a guard.  The Cholesky, square-root and
 inverse helpers check their input once (finite, square, Hermitian within
 :func:`default_tol`) before they factor it.  At p <= 2 the adjugate, the
-extreme singular values and the extreme Hermitian eigenvalues are closed
-forms over the (N,) entry arrays of a stack, with no LAPACK call.
+extreme singular values, the extreme Hermitian eigenvalues and the inverse,
+square root and inverse square root of a Hermitian positive-definite
+matrix (:func:`hpd_powers`) are closed forms over a stack, with no LAPACK
+call.
 """
 
 from __future__ import annotations
@@ -172,7 +174,15 @@ def default_tol(M):
     Inputs in this library come from exact formulas, so deviations beyond
     this indicate bugs rather than conditioning.
     """
-    peak = np.abs(np.asarray(M)).max(axis=(-2, -1), initial=0.0)
+    return _tol_of_peak(_peaks(np.asarray(M)))
+
+
+def _peaks(M: np.ndarray):
+    """The largest entry modulus of every matrix of a matrix or a stack."""
+    return np.abs(M).max(axis=(-2, -1), initial=0.0)
+
+
+def _tol_of_peak(peak):
     return 1e-10 * (1.0 + peak) * tolerance_scale()
 
 
@@ -183,8 +193,11 @@ def assert_hermitian(M, tol: float | None = None, names=None) -> np.ndarray:
     checked: finite (:func:`as_matrix_or_stack`), square, and Hermitian
     within ``tol``, the :func:`default_tol` when None."""
     M = as_matrix_or_stack(M)
-    if tol is None:
-        tol = default_tol(M)
+    return _assert_hermitian(M, _tol_of_peak(_peaks(M)) if tol is None else tol, names)
+
+
+def _assert_hermitian(M: np.ndarray, tol, names=None) -> np.ndarray:
+    """:func:`assert_hermitian` of a finite matrix or stack M, with its tolerance."""
     if M.shape[-2] != M.shape[-1]:
         raise DimensionMismatch(f"square matrix required, got shape {M.shape}")
     dev = np.abs(M - _conj_t(M)).max(axis=(-2, -1), initial=0.0)  # max |M - M*| per matrix
@@ -424,7 +437,11 @@ def cholesky_pd(M) -> HermPD:
     Raises :class:`NotHermitian` when M deviates from M* beyond the
     :func:`default_tol` and :class:`NotPositiveDefinite` when a pivot fails.
     """
-    H = _half_sum(assert_hermitian(M))
+    return _cholesky(_half_sum(assert_hermitian(M)))
+
+
+def _cholesky(H: np.ndarray) -> HermPD:
+    """:func:`cholesky_pd` of a checked Hermitian part H."""
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
@@ -492,15 +509,9 @@ def leading_chain(L: np.ndarray, Dinv: np.ndarray, Pi) -> tuple[tuple, tuple, tu
 
 def sqrtm_hpd(M) -> np.ndarray:
     """Hermitian square root R > 0 with R @ R = M, for Hermitian M > 0 or a
-    stack of them.
-
-    Uses an eigendecomposition; deterministic at the sizes used here.
-    """
-    w, V = np.linalg.eigh(_half_sum(assert_hermitian(M)))
-    k, where = first_failure(w[..., 0] <= 0.0)
-    if k is not None:
-        raise NotPositiveDefinite(f"{where}smallest eigenvalue {np.ravel(w[..., 0])[k]:.3e} is not positive")
-    return (V * np.sqrt(w)[..., None, :]) @ _conj_t(V)
+    stack of them: :func:`hpd_powers` at 1/2, so closed forms at p <= 2 and
+    an eigendecomposition above."""
+    return hpd_powers(M, (0.5,))[0]
 
 
 def sqrtm_psd(M) -> np.ndarray:
@@ -520,8 +531,159 @@ def sqrtm_psd(M) -> np.ndarray:
 
 def inv_hpd(M) -> np.ndarray:
     """Inverse of a Hermitian positive-definite matrix, or of each matrix of a
-    stack, via its Cholesky factor."""
-    return hermitian_part(cholesky_pd(M).inv())
+    stack: :func:`hpd_powers` at -1, so closed forms at p <= 2 and the
+    Cholesky factor above."""
+    return hpd_powers(M, (-1,))[0]
+
+
+# numpy's text for a failed Cholesky pivot, which the closed forms keep
+_PIVOT_FAILED = "Matrix is not positive definite"
+# M^q from the eigenvalues w of M, above p = 2
+_EIG_POWERS = {-1: np.reciprocal, 0.5: np.sqrt, -0.5: lambda w: 1.0 / np.sqrt(w)}
+# the closed forms' square root, frexp, ldexp, maximum and any for one matrix's
+# entries (Python numbers) and for a stack's (N,) entry arrays: both round
+# every operation as IEEE arithmetic does, so they give the same bits
+_SCALAR_OPS = (math.sqrt, math.frexp, math.ldexp, max, bool)
+_ARRAY_OPS = (np.sqrt, np.frexp, np.ldexp, np.maximum, np.any)
+
+
+def hpd_powers(M, powers) -> tuple:
+    """M^q for each q of ``powers`` (each -1, 1/2 or -1/2), for a Hermitian
+    positive-definite M or a stack of them, from one factorization of each
+    matrix: a tuple of matrices or stacks shaped like M.  A power's value
+    does not depend on the others asked for, nor on a matrix's place in a
+    stack: one matrix is bitwise a stack of one.
+
+    M is checked once (finite, square, Hermitian within :func:`default_tol`)
+    and its Hermitian part is used.  A matrix that is not positive definite
+    raises :class:`NotPositiveDefinite` naming the first such matrix of a
+    stack: with numpy's Cholesky text for the inverse alone, as
+    :func:`inv_hpd` always had, and with its smallest eigenvalue when a
+    root is asked for, as :func:`sqrtm_hpd` had.
+
+    At p <= 2 every power is a closed form (:func:`_hpd_closed_forms`),
+    with no LAPACK call, on the entries of one matrix as Python numbers or
+    on the (N,) entry arrays of a stack; an inverse or inverse root past the
+    largest double raises :class:`NonFiniteEntries`, as the inverse always
+    did.  Above, the inverse alone comes from the Cholesky factor and, with
+    a root, every power from one ``eigh``.
+    """
+    M = as_matrix_or_stack(M)
+    peak = _peaks(M)
+    _assert_hermitian(M, _tol_of_peak(peak))
+    n = M.shape[-1]
+    roots = any(q != -1 for q in powers)
+    if n > 2:
+        H = _half_sum(M)
+        if not roots:
+            inverse = hermitian_part(_cholesky(H).inv())
+            return tuple(inverse for _ in powers)
+        w, V = np.linalg.eigh(H)
+        k, where = first_failure(w[..., 0] <= 0.0)
+        if k is not None:
+            raise NotPositiveDefinite(f"{where}smallest eigenvalue {np.ravel(w[..., 0])[k]:.3e} is not positive")
+        return tuple((V * _EIG_POWERS[q](w)[..., None, :]) @ _conj_t(V) for q in powers)
+    if M.ndim == 2:
+        bad, values = _hpd_closed_forms(M.tolist(), float(peak), powers, _SCALAR_OPS)
+        if bad:
+            _refuse(M[None], np.array(True), roots)
+        if not all(math.isfinite(x) for xs in values for x in xs):
+            raise NonFiniteEntries("matrix entries must be finite")
+        if n == 1:
+            return tuple(np.array([[x]], dtype=complex) for (x,) in values)
+        return tuple(np.array([[x00, complex(re, -im)], [complex(re, im), x11]]) for x00, x11, re, im in values)
+    with np.errstate(over="ignore"):
+        bad, values = _hpd_closed_forms(entries(M), peak, powers, _ARRAY_OPS)
+    if bad.any():
+        _refuse(M, bad, roots)
+    if n == 1:
+        out = tuple(x.astype(complex).reshape(-1, 1, 1) for (x,) in values)
+    else:
+        out = tuple(_hermitian_stack(*xs) for xs in values)
+    for q, X in zip(powers, out):
+        if q != 0.5:  # a root is at most 2^512
+            as_matrix_or_stack(X)
+    return out
+
+
+def _hermitian_stack(x00, x11, re, im) -> np.ndarray:
+    """The (N, 2, 2) stack [[x00, re - i im], [re + i im, x11]] of real (N,)
+    arrays x00, x11, re and im."""
+    parts = np.zeros((len(x00), 8))  # the real and imaginary parts of the four entries
+    parts[:, 0], parts[:, 6] = x00, x11
+    parts[:, 2] = parts[:, 4] = re
+    parts[:, 3], parts[:, 5] = -im, im
+    return parts.view(complex).reshape(-1, 2, 2)
+
+
+def _refuse(stack: np.ndarray, flags, roots: bool):
+    """Raise :class:`NotPositiveDefinite` for the first matrix of an (N, p, p)
+    stack flagged in ``flags`` (0-d for one matrix), in the text of
+    :func:`hpd_powers`."""
+    k, where = first_failure(flags)
+    if not roots:
+        raise NotPositiveDefinite(where + _PIVOT_FAILED)
+    smallest = hermitian_extremes(_half_sum(stack[k : k + 1]))[0][0]
+    raise NotPositiveDefinite(f"{where}smallest eigenvalue {smallest:.3e} is not positive")
+
+
+def _hpd_closed_forms(m, peak, powers, ops):
+    """The closed forms of :func:`hpd_powers` at p <= 2 on the entries
+    ``m[i][j]`` of a Hermitian matrix M, Python numbers or the (N,) arrays
+    of a stack (:func:`entries`), whose largest entry moduli are ``peak``;
+    ``ops`` is :data:`_SCALAR_OPS` or :data:`_ARRAY_OPS`.  Returns the flags
+    of the matrices that are not positive definite, and, unless one is
+    flagged, for each power its entries: (x,) at p = 1, and at p = 2 the
+    real diagonal x00, x11 and the real and imaginary parts of entry (1, 0),
+    with entry (0, 1) its conjugate.
+
+    At p = 1, M = [[a]] with a > 0: 1/a, sqrt(a) and 1/sqrt(a).  At p = 2
+    M is first multiplied by the power of four 4^-k that brings its largest
+    entry modulus into about [1/4, 1), which is exact, so that nothing
+    overflows or underflows before the results are scaled back.  For the
+    scaled M = [[a, conj c], [c, d]] (c the mean of entry (1, 0) and the
+    conjugate of entry (0, 1)), the pivot a and det M = a d - |c|^2 =
+    a (d - |c|^2 / a), a times the Schur complement, must be positive; with
+    s = sqrt(det M) and t = sqrt(tr M + 2 s), since (M + s I)^2 = t^2 M,
+
+        M^{-1} = adj M / s^2,  M^{1/2} = (M + s I) / t,
+        M^{-1/2} = (adj M + s I) / (s t),  adj M = [[d, -conj c], [-c, a]]
+
+    (Higham, *Functions of Matrices*, SIAM 2008, ch. 6), scaled back by
+    4^-k, 2^k and 2^-k.  Nothing subtracts but det M, whose cancellation is
+    the conditioning's, as in a Cholesky pivot.  Every operation is a real
+    IEEE operation on one matrix's numbers, so a matrix's values do not
+    depend on the stack it is in.
+    """
+    sqrt, frexp, ldexp, maximum, any_of = ops
+    a = m[0][0].real
+    if len(m) == 1:
+        bad = a <= 0.0
+        if any_of(bad):
+            return bad, ()
+        forms = {-1: lambda: (1.0 / a,), 0.5: lambda: (sqrt(a),), -0.5: lambda: (1.0 / sqrt(a),)}
+        return bad, tuple(forms[q]() for q in powers)
+    # peak = mu^2 4^k with mu in [1/2, 1); 4^-k is at most 2^1022
+    r = ldexp(1.0, maximum(frexp(sqrt(peak))[1], -511))  # 2^k
+    f = 1.0 / (r * r)  # 4^-k
+    c = (m[1][0] + m[0][1].conjugate()) / 2.0
+    a, d, re, im = a * f, m[1][1].real * f, c.real * f, c.imag * f
+    det = a * d - (re * re + im * im)
+    bad = (a <= 0.0) | (det <= 0.0)
+    if any_of(bad):
+        return bad, ()
+    values = {}
+    if -1 in powers:
+        values[-1] = (d / det * f, a / det * f, -re / det * f, -im / det * f)
+    if 0.5 in powers or -0.5 in powers:
+        s = sqrt(det)
+        t = sqrt(a + d + 2.0 * s)
+        if 0.5 in powers:
+            values[0.5] = ((a + s) / t * r, (d + s) / t * r, re / t * r, im / t * r)
+        if -0.5 in powers:
+            st = s * t
+            values[-0.5] = ((d + s) / st / r, (a + s) / st / r, -re / st / r, -im / st / r)
+    return bad, tuple(values[q] for q in powers)
 
 
 def block(rows) -> np.ndarray:

@@ -30,6 +30,7 @@ half-plane they need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -591,18 +592,11 @@ class MatrixBall:
     rho_value: np.ndarray      # rho(z, conj z) > 0
     rho_reversed: np.ndarray   # rho(conj z, z) < 0
     rho_inverse: np.ndarray    # rho(z, conj z)^{-1}, read-only
+    rho_half: np.ndarray       # rho(z, conj z)^{1/2}, read-only
 
     @property
     def p(self) -> int:
         return self.center.shape[0]
-
-    # the fields are fixed, so the square root is computed once per ball
-    @cached_property
-    def rho_half(self) -> np.ndarray:
-        """rho(z, conj z)^{1/2}."""
-        out = matcore.sqrtm_hpd(matcore.hermitian_part(self.rho_value))
-        out.setflags(write=False)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -621,32 +615,49 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
     The coefficient matrix is aleph = (Frm^{-1})* J Frm^{-1} with
     Frm^{-1} = J Frm(conj z)* J; the center is i (-rho(conj z, z))^{-1}
     aleph_12, and the radii are the inverse Hermitian square roots of
-    -rho(conj z, z) and rho(z, conj z).
+    -rho(conj z, z) and rho(z, conj z).  Raises :class:`EvaluationFailure`,
+    before anything overflows, where aleph would not be finite, as far above
+    the real axis on a node of order n > 1: its entries grow like |z|^{2n}.
     """
     if np.imag(z) <= 0.0:
         raise NotInUpperHalfPlane(f"z = {z} must lie in the open upper half-plane")
     J = node.J
     F_bar = frame(node, np.conj(z))
     finv = J @ F_bar.conj().T @ J
-    aleph = finv.conj().T @ J @ finv
+    # aleph can overflow where Frm^{-1} does not: it is formed from
+    # 2^-e Frm^{-1}, whose entries are below 1 (an exact scaling), and
+    # refused before it is scaled back past the largest double
+    peak = float(np.abs(finv).max())
+    e = math.frexp(peak)[1]
+    scaled = finv * math.ldexp(1.0, -e)
+    aleph = scaled.conj().T @ J @ scaled
+    if math.frexp(float(np.abs(aleph).max()))[1] + 2 * e > 1024:
+        raise EvaluationFailure(
+            f"the ball at z = {z} cannot be formed: aleph = Frm^-1* J Frm^-1 would overflow "
+            f"(largest entry of Frm^-1 {peak:.3e})"
+        )
+    aleph *= math.ldexp(1.0, e)
+    aleph *= math.ldexp(1.0, e)
     rho_val = rho(node, z)
     rho_rev = rho(node, np.conj(z))
     p = node.p
     a12 = aleph[:p, p:]
-    neg_rev_inv = matcore.inv_hpd(matcore.hermitian_part(-rho_rev))
+    # one factorization of each side gives all its powers
+    neg_rev_inv, left = matcore.hpd_powers(-rho_rev, (-1, -0.5))
     center = 1j * neg_rev_inv @ a12
-    left = matcore.sqrtm_hpd(neg_rev_inv)
-    rho_inv = matcore.inv_hpd(rho_val)
+    rho_inv, right, half = matcore.hpd_powers(rho_val, (-1, -0.5, 0.5))
     rho_inv.setflags(write=False)
+    half.setflags(write=False)
     return MatrixBall(
         z=complex(z),
         center=center,
         left_radius=left,
-        right_radius=matcore.sqrtm_hpd(rho_inv),
+        right_radius=right,
         aleph=aleph,
         rho_value=rho_val,
         rho_reversed=rho_rev,
         rho_inverse=rho_inv,
+        rho_half=half,
     )
 
 

@@ -142,24 +142,25 @@ def halmos(rho_or_rhos) -> np.ndarray:
     Ip = np.eye(p, dtype=complex)
     rho_star = np.swapaxes(rho, -1, -2).conj()
     # both diagonal blocks of every contraction as one stack, I - rho rho*
-    # and I - rho* rho of contraction k at 2k and 2k + 1: each matrix is
-    # factored on its own, so the blocks are bitwise those of two calls
+    # and I - rho* rho of contraction k at 2k and 2k + 1, and their inverse
+    # square roots from one kernel call: each matrix is factored on its own,
+    # so the blocks are bitwise those of two calls
     sides = np.stack((Ip - rho @ rho_star, Ip - rho_star @ rho), axis=-3).reshape(-1, p, p)
     try:
-        roots = matcore.sqrtm_hpd(matcore.inv_hpd(sides)).reshape(*rho.shape[:-2], 2, p, p)
+        roots = matcore.hpd_powers(sides, (-0.5,))[0].reshape(*rho.shape[:-2], 2, p, p)
     except (NotHermitian, NotPositiveDefinite) as exc:
         # name contraction k // 2 of the caller's stack, or none for one contraction
         k, rest = re.fullmatch(r"matrix (\d+) of the stack: (.*)", str(exc), re.S).groups()
         exc.args = (f"matrix {int(k) // 2} of the stack: {rest}" if rho.ndim == 3 else rest,)
         raise
-    D = np.zeros(rho.shape[:-2] + (2 * p, 2 * p), dtype=complex)
-    D[..., :p, :p] = roots[..., 0, :, :]
-    D[..., p:, p:] = roots[..., 1, :, :]
-    F = np.empty_like(D)
-    F[..., :p, :p] = F[..., p:, p:] = Ip
-    F[..., :p, p:] = rho
-    F[..., p:, :p] = rho_star
-    return matcore.hermitian_part(D @ F)
+    # D [[I, rho], [rho*, I]] for D = diag(D1, D2), block by block: the
+    # zero blocks of D add exact zeros, so the values are those of the product
+    D1, D2 = roots[..., 0, :, :], roots[..., 1, :, :]
+    C = np.empty(rho.shape[:-2] + (2 * p, 2 * p), dtype=complex)
+    C[..., :p, :p], C[..., p:, p:] = D1, D2
+    C[..., :p, p:] = D1 @ rho
+    C[..., p:, :p] = D2 @ rho_star
+    return matcore.hermitian_part(C)
 
 
 def contraction_from_dirac(C: np.ndarray) -> np.ndarray:

@@ -89,14 +89,17 @@ def test_a_family_and_its_convergence_run_factor_s_once(monkeypatch, family):
     else:
         spec = sampling.random_hankel_spec(rng, 2, 4)
         build = hankel.build_hankel_node
-    shapes = []
+    shapes, kernel = [], []
     original = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda M: shapes.append(np.shape(M)) or original(M))
+    powers = matcore.hpd_powers
+    monkeypatch.setattr(matcore, "hpd_powers", lambda M, qs: kernel.append((np.shape(M), qs)) or powers(M, qs))
     node = build(spec)
     asymptotics.convergence_run(node, 0.4 + 0.9j)
     # S of the largest level, once; then the stack of every order's rho, once,
-    # for the inverses
-    assert shapes == [(2 * spec.n, 2 * spec.n), (spec.n, 2, 2)]
+    # for the inverses, by the closed forms of p = 2 with no LAPACK call
+    assert shapes == [(2 * spec.n, 2 * spec.n)]
+    assert kernel == [((spec.n, 2, 2), (-1,))]
 
 
 @pytest.mark.parametrize("k", [0, 7, -1])

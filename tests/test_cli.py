@@ -846,6 +846,25 @@ def test_ball_next_to_the_axis_exits_on_its_degenerate_ball_before_any_overflow(
     assert not (tmp_path / "report_ball.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", ["hankel_p2.json", "hankel_n1.json"])
+def test_ball_far_above_the_axis_names_aleph_before_it_overflows(tmp_path, capsys, spec):
+    # z = 1e150 i: aleph grows like |z|^{2n}, past the largest double at n = 2
+    # though Frm^{-1} (2.9e300) does not; at n = 1 it is 1e300 and the run passes
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": [0, 1e150]}))
+    argv = ["--scenario", str(path), "--spec", str(cli.bundled_spec_path(spec)), "--out", str(tmp_path)]
+    if spec == "hankel_n1.json":
+        assert run(argv) == 0
+        return
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: ball: the ball at z = 1e+150j cannot be formed: aleph = Frm^-1* J Frm^-1 would overflow "
+        "(largest entry of Frm^-1 2.860e+300)"
+    )
+    assert not (tmp_path / "report_ball.json").exists()
+
+
 def test_entropy_next_to_the_axis_names_the_witness_pair(tmp_path, capsys):
     # lambda = 1e-300 i: the witness's Weyl value is ~1/Im(lambda), and its
     # pair's gram R*R + Q*Q overflows; the exit code is 2, not a traceback

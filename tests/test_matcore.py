@@ -180,6 +180,142 @@ def test_adjugate_inverse_at_p2_is_accurate_to_the_conditioning():
     )
 
 
+_POWERS = (-1, 0.5, -0.5)
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _kernel_inputs(p):
+    """Seeded Hermitian positive-definite p x p matrices with condition
+    numbers 1 to 1e12 (p = 2) and largest eigenvalues near 1, 1e+-150 and
+    1e+-300, each kept only when every power of it is a normal double."""
+    rng = np.random.default_rng(49 + p)
+    out = []
+    for scale in (1.0, 1e150, 1e-150, 1e300, 1e-300):
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e12) if p == 2 else (1.0,):
+            if scale / cond < 1e-306:
+                continue
+            for _ in range(4):
+                Q = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))[0]
+                M = (Q * (scale * rng.uniform(0.5, 2.0) * np.array([1.0, 1.0 / cond])[:p])) @ Q.conj().T
+                out.append((M + M.conj().T) / 2.0)
+    return out
+
+
+def _mp50_powers(M):
+    """M^-1, M^{1/2} and M^{-1/2} at 50 digits, each rounded to doubles,
+    from one Hermitian eigendecomposition, and the condition number of M."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        E, Q = mpmath.eighe(mpmath.matrix(M.tolist()))
+        n = M.shape[0]
+        powers = {}
+        for q in _POWERS:
+            X = Q * mpmath.diag([e ** mpmath.mpf(q) for e in E]) * Q.H
+            powers[q] = np.array([[complex(X[i, j]) for j in range(n)] for i in range(n)])
+        return powers, float(max(E) / min(E))
+
+
+def _lapack_powers(M):
+    """The LAPACK route that the closed forms replace at p <= 2: the inverse
+    by Cholesky, the roots by ``eigh``, the inverse root as the root of the
+    inverse."""
+    L = np.linalg.cholesky(M)
+    inv = np.linalg.solve(L.conj().T, np.linalg.solve(L, np.eye(len(M))))
+    inv = (inv + inv.conj().T) / 2.0
+
+    def root(A):
+        w, V = np.linalg.eigh(A)
+        return (V * np.sqrt(w)) @ V.conj().T
+
+    return {-1: inv, 0.5: root(M), -0.5: root(inv)}
+
+
+def _first_order_bounds(p, kappa):
+    """Entrywise relative error bounds of the closed forms, to first order in
+    the unit roundoff u, for a matrix of condition number kappa, plus u for
+    rounding the reference.  At p = 2 the scaling by 4^-k is exact and only
+    det = a d - |c|^2 cancels: it carries (3 kappa + 1) u, as a d / det <=
+    kappa; s = sqrt(det) half of that plus u; t = sqrt(a + d + 2 s), a sum
+    of positives, half of s's plus 2 u.  Then adj / det carries
+    det's error plus u, (M + s I) / t those of s and t plus 2 u, and
+    (adj + s I) / (s t) s's twice, t's once, plus 3 u."""
+    if p == 1:
+        return {-1: 2 * _U, 0.5: 2 * _U, -0.5: 3 * _U}
+    det = (3 * kappa + 1) * _U
+    s = det / 2 + _U
+    t = s / 2 + 2 * _U
+    return {-1: det + 2 * _U, 0.5: s + t + 3 * _U, -0.5: 2 * s + t + 4 * _U}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_hpd_powers_are_accurate_to_a_first_order_bound_and_beat_lapack(p):
+    worst = {}  # (condition class, power) -> (closed form, LAPACK route), normwise
+    for M in _kernel_inputs(p):
+        reference, kappa = _mp50_powers(M)
+        bounds = _first_order_bounds(p, kappa)
+        lapack = _lapack_powers(M)
+        for q, value in zip(_POWERS, matcore.hpd_powers(M, _POWERS)):
+            want = reference[q]
+            # every entry within the first-order bound, with room for its square
+            bound = bounds[q] * (1.0 + bounds[q])
+            assert np.all(np.abs(value - want) <= bound * np.abs(want)), (q, kappa)
+            errors = [np.abs(X - want).max() / np.abs(want).max() for X in (value, lapack[q])]
+            cls = (round(np.log10(kappa) / 3), q)
+            worst[cls] = np.maximum(worst.get(cls, (0.0, 0.0)), errors)
+    # no less accurate than LAPACK over each condition class, to a few eps
+    for (cls, q), (closed, route) in worst.items():
+        assert closed <= route + 4 * np.finfo(float).eps, (cls, q, closed, route)
+
+
+def test_hpd_powers_of_a_stack_are_bitwise_those_of_single_calls():
+    for p in (1, 2):
+        stack = np.stack(_kernel_inputs(p)[::3])
+        values = matcore.hpd_powers(stack, _POWERS)
+        for k, M in enumerate(stack):
+            alone = matcore.hpd_powers(M, _POWERS)
+            assert all(np.array_equal(X[k], Y) for X, Y in zip(values, alone))
+            # a power's value does not depend on the others asked for
+            assert all(np.array_equal(matcore.hpd_powers(M, (q,))[0], Y) for q, Y in zip(_POWERS, alone))
+
+
+@pytest.mark.parametrize(
+    "bad, error, inverse_text, root_text",
+    [
+        (np.diag([1.0, -1.0]), NotPositiveDefinite, _PIVOT, "smallest eigenvalue -1.000e+00 is not positive"),
+        (np.array([[-1.0]]), NotPositiveDefinite, _PIVOT, "smallest eigenvalue -1.000e+00 is not positive"),
+        (np.ones((2, 2)), NotPositiveDefinite, _PIVOT, "smallest eigenvalue 0.000e+00 is not positive"),
+        (np.zeros((1, 1)), NotPositiveDefinite, _PIVOT, "smallest eigenvalue 0.000e+00 is not positive"),
+        (np.diag([1.0, np.nan]), NonFiniteEntries, *["matrix entries must be finite"] * 2),
+        (np.array([[np.nan]]), NonFiniteEntries, *["matrix entries must be finite"] * 2),
+        (np.array([[1.0, 1.0], [-1.0, 1.0]]), NotHermitian, *["matrix is not Hermitian (max deviation 2.000e+00)"] * 2),
+        (np.array([[1.0 + 1.0j]]), NotHermitian, *["matrix is not Hermitian (max deviation 2.000e+00)"] * 2),
+    ],
+    ids=["indefinite-2", "indefinite-1", "singular-2", "singular-1", "nan-2", "nan-1", "skew-2", "skew-1"],
+)
+def test_hpd_powers_refuse_at_sizes_one_and_two(bad, error, inverse_text, root_text):
+    stack = np.stack([np.eye(len(bad)), bad, bad])
+    for powers, text in [((-1,), inverse_text), ((0.5,), root_text), ((-0.5,), root_text), (_POWERS, root_text)]:
+        with pytest.raises(error) as alone:
+            matcore.hpd_powers(bad, powers)
+        assert str(alone.value) == text
+        with pytest.raises(error) as stacked:
+            matcore.hpd_powers(stack, powers)
+        assert str(stacked.value) == "matrix 1 of the stack: " + text
+
+
+def test_hpd_powers_refuse_an_inverse_past_the_largest_double():
+    # 1e-310 I: its inverse overflows, its roots do not
+    for M in (np.array([[1e-310]]), 1e-310 * np.eye(2)):
+        with pytest.raises(NonFiniteEntries, match="^matrix entries must be finite$"):
+            matcore.inv_hpd(M)
+        with pytest.raises(NonFiniteEntries, match="^matrix 1 of the stack: matrix entries must be finite$"):
+            matcore.inv_hpd(np.stack([np.eye(len(M)), M]))
+        root, inverse_root = matcore.hpd_powers(M, (0.5, -0.5))
+        assert_allclose(root, 1e-155 * np.eye(len(M)), rtol=1e-6)
+        assert_allclose(inverse_root, 1e155 * np.eye(len(M)), rtol=1e-6)
+
+
 def test_inv_hpd_roundtrip(rng):
     M = random_hpd(7, 4)
     assert_allclose(matcore.inv_hpd(M) @ M, np.eye(4), atol=1e-12)

@@ -612,13 +612,17 @@ def test_ball_membership_computes_square_roots_once(monkeypatch):
         snode.ball_value(ball, 0.5 * sampling.random_contraction(rng, 2)) for _ in range(4)
     ]
     a12 = ball.aleph[:2, 2:]
-    # the left factor (-rho(conj z, z))^{-1/2} is the ball's left radius, bitwise
-    left = matcore.sqrtm_hpd(matcore.inv_hpd(matcore.hermitian_part(-ball.rho_reversed)))
+    # the radii (-rho(conj z, z))^{-1/2} and rho(z, conj z)^{-1/2} and the
+    # field rho(z, conj z)^{1/2} are the kernel's, bitwise
+    left = matcore.hpd_powers(-ball.rho_reversed, (-0.5,))[0]
     assert np.array_equal(left, ball.left_radius)
-    right = matcore.sqrtm_hpd(matcore.hermitian_part(ball.rho_value))
+    assert np.array_equal(matcore.hpd_powers(ball.rho_value, (-0.5,))[0], ball.right_radius)
+    right = matcore.hpd_powers(ball.rho_value, (0.5,))[0]
+    assert np.array_equal(right, ball.rho_half)
+    assert not ball.rho_half.flags.writeable
     calls = []
-    original = matcore.sqrtm_hpd
-    monkeypatch.setattr(matcore, "sqrtm_hpd", lambda M: calls.append(1) or original(M))
+    original = matcore.hpd_powers
+    monkeypatch.setattr(matcore, "hpd_powers", lambda M, qs: calls.append(1) or original(M, qs))
     for value in values:
         u, _ = snode.ball_membership(ball, value)
         # L (rho_rev value + i aleph_12) rho^{1/2} in the kernel's association
@@ -628,8 +632,11 @@ def test_ball_membership_computes_square_roots_once(monkeypatch):
     # a stack gives every matrix's own value
     us, _ = snode.ball_membership(ball, np.stack(values))
     assert all(np.array_equal(u, snode.ball_membership(ball, v)[0]) for u, v in zip(us, values))
-    # rho(z, conj z)^{1/2}, once per ball; the left radius is a field
-    assert len(calls) == 1
+    # no root in the membership: the radii and rho^{1/2} are fields
+    assert calls == []
+    # and a ball factors each side once, by one kernel call per side
+    snode.matrix_ball(node, 0.3 + 1.1j)
+    assert len(calls) == 2
 
 
 def test_ball_coverage_via_pair_construction(hankel_unit, rng):

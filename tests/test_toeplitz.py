@@ -168,27 +168,38 @@ def test_halmos_of_a_stack_names_the_first_non_contraction(rng):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_halmos_blocks_are_bitwise_those_of_one_call_per_side(rng, p):
     # both diagonal blocks of every contraction go through one stacked
-    # inverse and one stacked root: each matrix is still factored on its own
+    # inverse square root: each matrix is still factored on its own, so the
+    # diagonal blocks are the kernel's inverse roots of each side alone
+    # (their Hermitian parts above p = 2, where they come from eigh)
     rhos = sampling.random_contractions(rng, p, 6)
     Ip = np.eye(p, dtype=complex)
     rho_star = rhos.conj().swapaxes(1, 2)
+    D1 = matcore.hpd_powers(Ip - rhos @ rho_star, (-0.5,))[0]
+    D2 = matcore.hpd_powers(Ip - rho_star @ rhos, (-0.5,))[0]
+    C = toeplitz.halmos(rhos)
+    for block, D in ((C[:, :p, :p], D1), (C[:, p:, p:], D2)):
+        assert np.array_equal(block, matcore.hermitian_part(D) if p > 2 else D)
+    # the off-diagonal blocks are the Hermitian part of D1 rho and D2 rho*
+    upper = (D1 @ rhos + (D2 @ rho_star).conj().swapaxes(1, 2)) / 2.0
+    assert np.array_equal(C[:, :p, p:], upper)
+    assert np.array_equal(C[:, p:, :p], upper.conj().swapaxes(1, 2))
+    # and the product diag(D1, D2) [[I, rho], [rho*, I]] to rounding
     D = np.zeros((6, 2 * p, 2 * p), dtype=complex)
-    D[:, :p, :p] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rhos @ rho_star))
-    D[:, p:, p:] = matcore.sqrtm_hpd(matcore.inv_hpd(Ip - rho_star @ rhos))
+    D[:, :p, :p], D[:, p:, p:] = D1, D2
     F = np.block([[np.broadcast_to(Ip, rhos.shape), rhos], [rho_star, np.broadcast_to(Ip, rhos.shape)]])
-    assert np.array_equal(toeplitz.halmos(rhos), matcore.hermitian_part(D @ F))
+    assert np.abs(C - matcore.hermitian_part(D @ F)).max() <= 8 * np.finfo(float).eps * np.abs(C).max()
 
 
 def test_halmos_names_the_contraction_whose_block_fails(rng, monkeypatch):
     rhos = sampling.random_contractions(rng, 2, 4)
-    original = matcore.inv_hpd
+    original = matcore.hpd_powers
 
-    def last_block_negated(M):
-        out = original(M)
-        out[-1] = -out[-1]  # I - rho* rho of the last contraction
-        return out
+    def last_block_negated(M, powers):
+        M = M.copy()
+        M[-1] = -M[-1]  # I - rho* rho of the last contraction
+        return original(M, powers)
 
-    monkeypatch.setattr(matcore, "inv_hpd", last_block_negated)
+    monkeypatch.setattr(matcore, "hpd_powers", last_block_negated)
     with pytest.raises(NotPositiveDefinite, match="^matrix 3 of the stack: smallest eigenvalue"):
         toeplitz.halmos(rhos)
     with pytest.raises(NotPositiveDefinite, match="^smallest eigenvalue"):
