@@ -225,8 +225,9 @@ def _run_verify_hankel(sc: Scenario, rng: np.random.Generator):
     )
     zs = np.array([complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0)) for _ in range(5)])
     factors = snode.chain_factors(chain, lams)
-    # H7 compares two routes to the frame: transfer_matrix's own S solve and
-    # resolvent against snode.frame's Horner on the node's cached S^{-1} Pi
+    # H7 compares two routes to the frame: transfer_matrix's own substitutions
+    # for S^{-1} Pi on the Cholesky factor, then its resolvent, against
+    # snode.frame's Horner on the node's cached S^{-1} Pi (HermPD.solve's)
     transfer = snode.transfer_matrix(node, np.concatenate((lams, 1.0 / np.conj(zs))))
     gap = _factor_product_gap(factors, transfer[: lams.size])
     checks.append(_check("factor product vs transfer matrix", "H13-", gap, 1e-9))
@@ -256,6 +257,13 @@ def _run_ball(sc: Scenario, rng: np.random.Generator):
     node = hankel.build_hankel_node(spec)
     z = _param_complex(sc, "z", [0.0, 1.0])
     ball = snode.matrix_ball(node, z)
+    # B5 and B7 sum squares of aleph's entries: refuse the ball before they overflow
+    peak = float(np.abs(ball.aleph).max())
+    if peak >= 2.0**511:
+        raise EvaluationFailure(
+            f"the ball at z = {ball.z} cannot be checked: the squares of aleph's entries would overflow "
+            f"(largest entry {peak:.3e})"
+        )
     p = node.p
     # the membership first: its guard names a degenerate ball before the
     # B5 and B7 norms of its entries overflow

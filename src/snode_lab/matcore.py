@@ -414,14 +414,8 @@ class HermPD:
         return np.prod(np.abs(np.diagonal(self.factor, axis1=-2, axis2=-1)) ** 2, axis=-1)
 
     def solve(self, rhs) -> np.ndarray:
-        """matrix^{-1} rhs by two triangular solves.  For one matrix, a stack
-        of right-hand sides goes in as the columns of one, so LAPACK factors
-        each triangle once, not once per matrix of the stack."""
+        """matrix^{-1} rhs by two triangular solves."""
         rhs = np.asarray(rhs, dtype=complex)
-        if self.factor.ndim == 2 and rhs.ndim == 3:
-            size, m, k = rhs.shape
-            cols = self.solve(rhs.transpose(1, 0, 2).reshape(m, size * k))
-            return cols.reshape(m, size, k).transpose(1, 0, 2)
         y = np.linalg.solve(self.factor, rhs)
         return np.linalg.solve(_conj_t(self.factor), y)
 

@@ -191,12 +191,19 @@ def _resolvent(node: SNode, alpha, beta, rhs: np.ndarray, points: np.ndarray, ad
 
 
 def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
-    """w_A(lam) = I - i J Pi* S^{-1} (A - lam I)^{-1} Pi, solved with S itself,
-    not from the cached S^{-1} Pi that :func:`frame` uses: the verify-hankel
-    H7 row compares the two routes."""
+    """w_A(lam) = I - i J X* (A - lam I)^{-1} Pi with X = S^{-1} Pi solved once
+    per call, for the 2p columns of Pi, by forward and back substitution on
+    the Cholesky factor L of S (the forward one as the LU of L with its rows
+    and columns reversed, an upper triangle on which partial pivoting swaps
+    no row).  Each point then costs one resolvent and one 2p x m product.
+    It reads neither the cached ``SNode.SinvPi`` that :func:`frame` starts
+    from nor the chain's G_k: the verify-hankel H7 row compares the frame
+    with this route, and the c5 and H13- rows the chain."""
     lams = matcore.as_points(lam_or_lams)
-    Sinv_res = node.S_chol.solve(_resolvent(node, -lams, 1.0, node.Pi, lams))
-    out = np.eye(2 * node.p, dtype=complex) - 1j * node.J @ node.Pi.conj().T @ Sinv_res
+    L = node.S_chol.factor
+    X = np.linalg.solve(L.conj().T, np.linalg.solve(L[::-1, ::-1], node.Pi[::-1])[::-1])
+    row = -1j * node.J @ X.conj().T
+    out = np.eye(2 * node.p, dtype=complex) + row @ _resolvent(node, -lams, 1.0, node.Pi, lams)
     return out if np.ndim(lam_or_lams) else out[0]
 
 
@@ -225,17 +232,18 @@ def node_chain(node: SNode) -> NodeChain:
 
 
 def chain_factors(chain: NodeChain, lam_or_lams) -> list[np.ndarray]:
-    """Elementary factors w_k(lam) = I - i (c - lam)^{-1} J G_k* G_k, whose
-    product w_n ... w_1 is the node's transfer matrix at lam.  A 1-d array of
-    points gives each factor as a stack over them.  Raises
+    """Elementary factors w_k(lam) = I + (i / (lam - c)) (J G_k* G_k), whose
+    product w_n ... w_1 is the node's transfer matrix at lam: J G_k* G_k is
+    formed once per factor, and each point adds its scalar multiple to I.  A
+    1-d array of points gives each factor as a stack over them.  Raises
     :class:`PoleAtLambda` where |c - lam| < :data:`_POLE_TOL`."""
     lams = matcore.as_points(lam_or_lams)
     if np.any(np.abs(chain.c - lams) < _POLE_TOL):
         raise PoleAtLambda(f"every factor has its pole at lam = {chain.c}")
-    J = matcore.exchange_J(chain.p)
+    G = np.stack(chain.G)
+    JGG = matcore.exchange_J(chain.p) @ (G.conj().swapaxes(-1, -2) @ G)
     scale = (1j / (lams - chain.c))[:, None, None]
-    G = np.stack(chain.G)[:, None]
-    factors = np.eye(2 * chain.p) + (scale * J) @ G.conj().swapaxes(-1, -2) @ G
+    factors = np.eye(2 * chain.p) + scale * JGG[:, None]
     return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
 
 
@@ -244,8 +252,9 @@ def frame(node: SNode, z_or_zs) -> np.ndarray:
     evaluated in chunks of at most :data:`matcore.CHUNK` points: for a
     nilpotent A (c = 0) as the polynomial  I - i sum_{j<n} z^{j+1} C_j J  on
     ``node.frame_coefs`` by Horner (backward stable; Higham 2002, sec. 5.1),
-    otherwise by the resolvent.  A value that is not finite raises
-    :class:`SingularResolvent` naming the first such point."""
+    otherwise by the resolvent.  A value that is not finite raises, naming
+    the first such point, :class:`EvaluationFailure` from the polynomial,
+    which has no pole, and :class:`SingularResolvent` from the resolvent."""
     stack = _frame_horner if node.shift[0] == 0 else _frame_stack
     out = matcore.in_chunks(lambda zs: stack(node, zs), matcore.as_points(z_or_zs))
     return out if np.ndim(z_or_zs) else out[0]
@@ -266,7 +275,10 @@ def _frame_horner(node: SNode, zs: np.ndarray) -> np.ndarray:
         out = _horner(node.frame_coefs, np.eye(2 * node.p, dtype=complex), zs)
     finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
-        raise SingularResolvent(zs[np.argmin(finite)])
+        raise EvaluationFailure(
+            f"the frame at z = {zs[np.argmin(finite)]} overflows: its matrix polynomial of degree "
+            f"{len(node.frame_coefs)} has no pole, but its value there is past the largest double"
+        )
     return out
 
 

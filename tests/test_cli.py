@@ -865,6 +865,37 @@ def test_ball_far_above_the_axis_names_aleph_before_it_overflows(tmp_path, capsy
     assert not (tmp_path / "report_ball.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z, point", [([0, 1e154], "-1e+154j"), ([1e154, 1], "(1e+154-1j)")], ids=["imag", "real"])
+def test_ball_names_the_overflow_of_its_polynomial_frame_not_a_pole(tmp_path, capsys, z, point):
+    # the ball reads the frame at conj z, whose Horner value overflows at
+    # |z| = 1e154 on the p = 2 spec (n = 2): a polynomial has no pole there
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": z}))
+    argv = ["--scenario", str(path), "--spec", str(cli.bundled_spec_path("hankel_p2.json")), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: ball: the frame at z = {point} overflows: its matrix polynomial of degree 2 has no pole, "
+        "but its value there is past the largest double\n"
+    )
+    assert not (tmp_path / "report_ball.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_far_above_the_axis_is_refused_before_its_check_norms_overflow(tmp_path, capsys):
+    # z = 1e100 i on the n = 2 spec: aleph is finite (largest entry 1e300),
+    # but the squares that the B5 and B7 norms sum are not
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": [0, 1e100]}))
+    argv = ["--scenario", str(path), "--spec", str(cli.bundled_spec_path("hankel_102.json")), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: ball: the ball at z = 1e+100j cannot be checked: the squares of aleph's entries would overflow "
+        "(largest entry 1.000e+300)\n"
+    )
+    assert not (tmp_path / "report_ball.json").exists()
+
+
 def test_entropy_next_to_the_axis_names_the_witness_pair(tmp_path, capsys):
     # lambda = 1e-300 i: the witness's Weyl value is ~1/Im(lambda), and its
     # pair's gram R*R + Q*Q overflows; the exit code is 2, not a traceback

@@ -808,4 +808,4 @@ def test_stacked_spec_matrix_node_and_factors_are_the_loops_bitwise(seed):
     lams = rng.uniform(-3, 3, 5) + 1j * rng.uniform(0.3, 2, 5)
     J = matcore.exchange_J(p)
     for G, factor in zip(chain.G, snode.chain_factors(chain, lams)):
-        assert np.array_equal(factor, np.eye(2 * p) + ((1j / lams)[:, None, None] * J) @ G.conj().T @ G)
+        assert np.array_equal(factor, np.eye(2 * p) + (1j / lams)[:, None, None] * (J @ (G.conj().T @ G)))

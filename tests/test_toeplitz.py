@@ -821,7 +821,7 @@ def test_stacked_chain_data_are_the_per_order_values_bitwise(seed, p, n, count):
         # G_k up to a unitary left factor, from t_k and the row [X_k Y_k]
         G_row = np.linalg.inv(np.linalg.cholesky(chain.t[k])) @ chain.rows[k]
         assert np.array_equal(rho, np.linalg.solve(C[:p, :p], C[:p, p:]))
-        assert np.array_equal(factor, np.eye(2 * p) + (scale * J) @ G.conj().T @ G)
+        assert np.array_equal(factor, np.eye(2 * p) + scale * (J @ (G.conj().T @ G)))
         gram = G_row.conj().T @ G_row
         assert_allclose(C, matcore.hermitian_part(2.0 * K.conj().T @ gram @ K - j), atol=1e-9)
     # one sweep with a second start: heads forward, tails backward, each

@@ -108,17 +108,49 @@ def test_pole_at_lambda_wins_over_the_singular_resolvent(tmp_path):
         cli._run_verify_toeplitz(sc, _FirstDraws([0.0, 0.5]))
 
 
-def test_hankel_edge_still_fails_the_frame_convention_row(tmp_path, capsys):
-    # n = 7 is ill-conditioned enough that transfer_matrix's own S solve and
-    # snode.frame's cached S^{-1} Pi differ by 3e-12 > 1e-12; a transfer
-    # matrix that borrowed S^{-1} Pi would pass this row
+def _moved_frame_cache(node):
+    """The node with its cached S^{-1} Pi and frame coefficients, which
+    snode.frame starts from, replaced by copies scaled by 1 + 1e-6."""
+    for name in ("SinvPi", "frame_coefs"):
+        moved = getattr(node, name) * (1.0 + 1e-6)
+        moved.setflags(write=False)
+        node.__dict__[name] = moved
+    return node
+
+
+def _borrowed_transfer_matrix(node, lams):
+    """A transfer matrix that borrowed the frame's cached S^{-1} Pi."""
+    resolvents = snode._resolvent(node, -lams, 1.0, node.Pi, lams)
+    return np.eye(2 * node.p) - 1j * node.J @ node.SinvPi.conj().T @ resolvents
+
+
+def _hankel_rows(spec, out):
+    """{tag: value} of the rows of a verify-hankel run."""
+    cli.main(["verify-hankel", "--spec", str(spec), "--out", str(out)])
+    return {check["tag"]: check["value"] for check in json.loads((out / "report_verify-hankel.json").read_text())["checks"]}
+
+
+def test_h7_compares_the_frame_with_a_transfer_matrix_of_its_own_s_solve(tmp_path, monkeypatch, capsys):
+    # H7 compares snode.frame, which starts from the node's cached S^{-1} Pi,
+    # with transfer_matrix, which solves S itself: a transfer matrix that
+    # borrowed S^{-1} Pi would compare a route with itself.  Moving the cache
+    # moves the frame and H7's value but not one bit of the transfer matrix
+    # (nor H13-, which reads it); the borrowing one moves with the cache
     spec = _write_spec(tmp_path, "verify-hankel", 1, 7)
-    assert cli.main(["verify-hankel", "--spec", str(spec), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "report_verify-hankel.json").read_text())
-    failed = [check for check in report["checks"] if not check["passed"]]
-    assert [check["tag"] for check in failed] == ["H7"]
-    assert failed[0]["value"] > 2e-12
-    assert "failed checks: H7 (frame convention)" in capsys.readouterr().err
+    build = hankel.build_hankel_node
+    draw = sampling.random_hankel_spec(np.random.default_rng(0), 1, 7)
+    fresh, moved = build(draw), _moved_frame_cache(build(draw))
+    lams = np.array([0.3 + 1.2j, -1.1 - 0.7j, 2.0 + 0.5j])
+    zs = np.array([0.4 + 0.8j, -1.0 + 1.5j])
+    assert snode.transfer_matrix(moved, lams).tobytes() == snode.transfer_matrix(fresh, lams).tobytes()
+    assert not np.array_equal(snode.frame(moved, zs), snode.frame(fresh, zs))
+    assert not np.array_equal(_borrowed_transfer_matrix(moved, lams), _borrowed_transfer_matrix(fresh, lams))
+    rows = _hankel_rows(spec, tmp_path / "fresh")
+    monkeypatch.setattr(hankel, "build_hankel_node", lambda s: _moved_frame_cache(build(s)))
+    moved_rows = _hankel_rows(spec, tmp_path / "moved")
+    capsys.readouterr()
+    assert moved_rows["H13-"] == rows["H13-"]
+    assert moved_rows["H7"] != rows["H7"]
 
 
 def _set_cell(value):
