@@ -58,8 +58,7 @@ def leading_node(node: SNode, k: int) -> SNode:
 def hankel_family_from_density(density: DensityFn, max_order: int) -> tuple[SNode, HankelSpec]:
     """Moment blocks of ``density`` up to order 2*max_order - 2, and the node
     of order max_order they give."""
-    blocks = tuple(moments_from_density(density, 2 * max_order - 1))
-    spec = HankelSpec(p=density.p, n=max_order, H=blocks)
+    spec = HankelSpec(p=density.p, n=max_order, H=moments_from_density(density, 2 * max_order - 1))
     return build_hankel_node(spec), spec
 
 
@@ -83,7 +82,7 @@ def quotient_node(node: SNode, k: int) -> SNode:
         raise IndexOutOfRange(f"need 1 <= k < {n}, got k = {k}")
     mk = k * node.p
     L22 = node.S_chol.factor[mk:, mk:]
-    Pi_breve = L22 @ np.concatenate(node_chain(node).G)[mk:]
+    Pi_breve = L22 @ node_chain(node).G.reshape(-1, 2 * node.p)[mk:]
     quotient = SNode(node.p, node.shift, L22 @ L22.conj().T, *np.hsplit(Pi_breve, 2))
     # L22 is the Cholesky factor of the quotient's S: fill the cached S_chol
     # with it, so no solve with S factors S again
@@ -203,56 +202,46 @@ def outer_factor(frm: Frame, pairs, z: complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EntropyBound:
-    """lhs = 2 pi G(lam)* G(lam) against rhs = rho(lam, conj lam)^{-1};
+class EntropyBounds:
+    """The entropy bounds of N pairs at one lam: lhs[k] = 2 pi G_k(lam)* G_k(lam)
+    of pair k against the one rhs = rho(lam, conj lam)^{-1};
     ``normalization`` is the :func:`poisson_normalization` at lam that the
-    check accepted, ``modulus`` the pair's :func:`outer_modulus` at lam."""
+    check accepted, ``moduli[k]`` pair k's :func:`outer_modulus` at lam."""
 
-    lhs: np.ndarray
-    rhs: np.ndarray
+    lhs: np.ndarray  # (N, p, p)
+    rhs: np.ndarray  # (p, p)
     normalization: float
-    modulus: float
+    moduli: np.ndarray  # (N,)
 
     @property
-    def slack(self) -> float:
-        """min eig(rhs - lhs); >= -tol certifies the bound, ~0 the equality."""
-        return float(bound_slacks([self])[0])
+    def slacks(self) -> np.ndarray:
+        """min eig(rhs - lhs[k]) of each pair, from one stacked ``eigvalsh``;
+        >= -tol certifies the bound, ~0 the equality."""
+        return matcore.min_eig_hermitian(self.rhs - self.lhs)
 
     @property
-    def relative_slack(self) -> float:
-        """min eig of rhs^{-1/2} (rhs - lhs) rhs^{-1/2}: c^2 for the pair whose
+    def modulus_gaps(self) -> np.ndarray:
+        """|ln|det G_k(lam)| - ln moduli[k]| of each pair, from one stacked
+        ``slogdet``: the closed-form lhs against its quadrature."""
+        return np.abs(0.5 * np.linalg.slogdet(self.lhs / (2.0 * np.pi))[1] - np.log(self.moduli))
+
+    def relative_slack(self, k: int) -> float:
+        """min eig of rhs^{-1/2} (rhs - lhs[k]) rhs^{-1/2}: c^2 for the pair whose
         Weyl value at lam is the point c I of the Weyl ball, 0 at its centre."""
         half_inv = matcore.hpd_powers(self.rhs, (-0.5,))[0]
-        return matcore.min_eig_hermitian(half_inv @ (self.rhs - self.lhs) @ half_inv)
-
-    @property
-    def modulus_gap(self) -> float:
-        """|ln|det G(lam)| - ln modulus|: the closed-form lhs against its quadrature."""
-        return float(modulus_gaps([self])[0])
+        return matcore.min_eig_hermitian(half_inv @ (self.rhs - self.lhs[k]) @ half_inv)
 
 
-def bound_slacks(bounds) -> np.ndarray:
-    """:attr:`EntropyBound.slack` of each bound, from one stacked ``eigvalsh``."""
-    return matcore.min_eig_hermitian(np.stack([bound.rhs - bound.lhs for bound in bounds]))
-
-
-def modulus_gaps(bounds) -> np.ndarray:
-    """:attr:`EntropyBound.modulus_gap` of each bound, from one stacked ``slogdet``."""
-    lhs = np.stack([bound.lhs for bound in bounds])
-    moduli = np.array([bound.modulus for bound in bounds])
-    return np.abs(0.5 * np.linalg.slogdet(lhs / (2.0 * np.pi))[1] - np.log(moduli))
-
-
-def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
+def entropy_bound_check(frm: Frame, pairs, lam: complex) -> EntropyBounds:
     """Check 2 pi G(lam)* G(lam) <= rho(lam, conj lam)^{-1} for the measure
-    generated by each pair of a sequence, giving one :class:`EntropyBound`
-    per pair; ``rhs`` and the Poisson normalization, which every bound
-    carries, are computed once per call.  The frame must be holomorphic
-    across the closed upper half-plane for the outer-function representation
-    behind the bound (Hankel nodes and coefficient-chain frames qualify; the
-    generic frame of a Toeplitz node does not, since its A* resolvent has an
-    upper-half-plane pole): a frame whose det F has its :attr:`Frame.pole`
-    there raises :class:`Unsupported` naming the pole.  The lhs comes from
+    generated by each pair of a sequence, giving their :class:`EntropyBounds`;
+    ``rhs`` and the Poisson normalization are computed once per call.  The
+    frame must be holomorphic across the closed upper half-plane for the
+    outer-function representation behind the bound (Hankel nodes and
+    coefficient-chain frames qualify; the generic frame of a Toeplitz node
+    does not, since its A* resolvent has an upper-half-plane pole): a frame
+    whose det F has its :attr:`Frame.pole` there raises
+    :class:`Unsupported` naming the pole.  The lhs comes from
     :func:`outer_factor`; the outer-modulus quadrature of each pair's
     boundary density (all from one :func:`weyl_densities` call, one pencil
     solve for the zeros of det F) certifies it, and runs first, so a pair
@@ -270,31 +259,29 @@ def entropy_bound_check(frm: Frame, pairs, lam: complex) -> list[EntropyBound]:
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
     dens, _ = weyl_densities(frm, pairs)
-    moduli = _outer_moduli(dens, lam)
+    moduli = np.array(_outer_moduli(dens, lam))
     G = outer_factor(frm, pairs, lam)
-    lhss = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
-    return [EntropyBound(lhs=lhs, rhs=rhs, normalization=norm, modulus=m) for lhs, m in zip(lhss, moduli)]
+    lhs = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
+    return EntropyBounds(lhs=lhs, rhs=rhs, normalization=norm, moduli=moduli)
 
 
 # ---------------------------------------------------------------------------
 # convergence harness
 
 
-def _psd_margin(lower, upper) -> float:
-    """min over k of min eig(upper[k] - lower[k]); inf when there is no k."""
-    worst = np.inf
-    for a, b in zip(lower, upper):
-        worst = min(worst, matcore.min_eig_hermitian(b - a))
-    return float(worst)
+def _psd_margin(lower: np.ndarray, upper: np.ndarray) -> float:
+    """min over k of min eig(upper[k] - lower[k]), from one stacked
+    ``eigvalsh``; inf when there is no k."""
+    return float(np.min(matcore.min_eig_hermitian(upper - lower), initial=np.inf))
 
 
 @dataclass(frozen=True)
 class TrajectoryReport:
     lam: complex
     orders: tuple
-    rho: tuple               # rho_k(lam, conj lam), nondecreasing in PSD order
-    rho_inv: tuple           # inverses of rho, nonincreasing in PSD order
-    det_rho_inv: tuple
+    rho: np.ndarray          # (n, p, p) rho_k(lam, conj lam), nondecreasing in PSD order
+    rho_inv: np.ndarray      # (n, p, p) inverses of rho, nonincreasing in PSD order
+    det_rho_inv: np.ndarray  # (n,)
     conds: tuple             # condition numbers of the S blocks
     target: float | None     # det(2 pi G* G) when the reference admits it (p = 1)
     szego_finite: bool       # the reference's log-det integral is finite
@@ -307,10 +294,10 @@ class TrajectoryReport:
 
     def monotone_margin(self) -> float:
         """min over k of min eig(rho_{k+1} - rho_k); >= -tol certifies growth."""
-        return _psd_margin(self.rho, self.rho[1:])
+        return _psd_margin(self.rho[:-1], self.rho[1:])
 
     def psd_nonincreasing_margin(self) -> float:
-        return _psd_margin(self.rho_inv[1:], self.rho_inv)
+        return _psd_margin(self.rho_inv[1:], self.rho_inv[:-1])
 
     def det_positive(self) -> bool:
         return all(d > 0.0 for d in self.det_rho_inv)
@@ -358,9 +345,9 @@ def convergence_run(
     return TrajectoryReport(
         lam=complex(lam),
         orders=orders,
-        rho=tuple(rhos),
-        rho_inv=tuple(rho_inv),
-        det_rho_inv=tuple(map(float, dets)),
+        rho=rhos,
+        rho_inv=rho_inv,
+        det_rho_inv=dets,
         conds=tuple(conds),
         target=target,
         szego_finite=szego_finite,

@@ -38,22 +38,23 @@ from .snode import Frame, ParamPair, SNode, _resolvent, lft, node_frame
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Block size p, block order n, and the 2n-1 Hermitian moment blocks."""
+    """Block size p, block order n, and the 2n-1 Hermitian moment blocks
+    (kept as one read-only (2n-1, p, p) stack)."""
 
     p: int
     n: int
-    H: tuple
+    H: np.ndarray
 
     def __post_init__(self):
         count = 2 * self.n - 1
         blocks = matcore.as_block_stack(self.H, self.p, count, f"H_0..H_{count - 1}")
         matcore.assert_hermitian(blocks, names=[f"H_{k}" for k in range(count)])
-        object.__setattr__(self, "H", tuple(blocks))
+        object.__setattr__(self, "H", blocks)
 
     def matrix(self) -> np.ndarray:
         p, n = self.p, self.n
         k = np.arange(n)
-        blocks = np.asarray(self.H)[k[:, None] + k]
+        blocks = self.H[k[:, None] + k]
         return blocks.swapaxes(1, 2).reshape(n * p, n * p)
 
     def to_json(self) -> dict:
@@ -68,7 +69,7 @@ class HankelSpec:
         return cls(
             p=serialization.int_from_json(data["p"]),
             n=serialization.int_from_json(data["n"]),
-            H=tuple(serialization.matrix_from_json(data["H"])),
+            H=serialization.matrix_from_json(data["H"]),
         )
 
 
@@ -186,7 +187,7 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
     (:func:`_denominator_zeros`).
     """
     R, Q = (np.stack(ms) for ms in zip(*(pair.constant_value for pair in pairs)))
-    roots = _denominator_zeros(frm, pairs)
+    roots = _denominator_zeros(frm, R, Q)
     # every pair's jform, ln det jform and ln|det F(i)| as stacks, one slogdet each
     RQ = np.swapaxes(R, 1, 2).conj() @ Q
     jforms = (RQ + np.swapaxes(Q, 1, 2).conj() @ R) / (2.0 * np.pi)
@@ -274,8 +275,9 @@ def _raise_at_first(singular: np.ndarray, ts: np.ndarray) -> None:
         raise SingularDenominator(ts[bad[0]])
 
 
-def _denominator_zeros(frm: Frame, pairs) -> list[np.ndarray]:
-    """Zeros of det F for every pair, F = Q + z C (I - z A)^{-1} B by the
+def _denominator_zeros(frm: Frame, R: np.ndarray, Q: np.ndarray) -> list[np.ndarray]:
+    """Zeros of det F for every pair of the (N, p, p) stacks R and Q,
+    F = Q + z C (I - z A)^{-1} B by the
     frame's :attr:`Frame.realization`: the finite eigenvalues z of the pencil
     E0 + z E1, E0 = [[I, -B], [0, Q]], E1 = [[-A, 0], [C, 0]], of determinant
     det(I - z A) det F(z) (Emami-Naeini & Van Dooren, Automatica 18, 1982).
@@ -284,10 +286,9 @@ def _denominator_zeros(frm: Frame, pairs) -> list[np.ndarray]:
     ``eigvals`` in which LAPACK takes each pair on its own, so a pair's zeros
     are those of a batch of one.  |mu| <= 1e-12 max(1, max |mu|) is a zero
     at infinity and goes: p of them, and one per degree that det F loses."""
-    R, Q = (np.stack(ms) for ms in zip(*(pair.constant_value for pair in pairs)))
     A, B, C = frm.realization(R, Q)
     m, p = A.shape[-1], frm.p
-    E0, E1 = np.zeros((2, len(pairs), m + p, m + p), dtype=complex)
+    E0, E1 = np.zeros((2, len(R), m + p, m + p), dtype=complex)
     E0[:, :m, :m], E0[:, :m, m:], E0[:, m:, m:] = np.eye(m), -B, Q
     E1[:, :m, :m], E1[:, m:, :m] = -A, C
     mus = np.linalg.eigvals(-np.linalg.solve(E0 + 1j * E1, E1))

@@ -486,19 +486,23 @@ def block_forward(L: np.ndarray, Dinv: np.ndarray, B) -> np.ndarray:
     return X
 
 
-def leading_chain(L: np.ndarray, Dinv: np.ndarray, Pi) -> tuple[tuple, tuple, tuple]:
+def leading_chain(L: np.ndarray, Dinv: np.ndarray, Pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-order data (t, rows, G) of every leading block S(k) = S[:kp, :kp],
     read off the Cholesky factor S = L L*, whose leading blocks factor every
     S(k), and the (n, p, p) inverses ``Dinv`` of its diagonal blocks (see
-    :func:`diagonal_inverses`).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
+    :func:`diagonal_inverses`), as read-only stacks: t (n, p, p), rows and
+    G (n, p, 2p).  For k = 1..n: t_k = (L_kk L_kk*)^{-1} is the
     bottom-right block of S(k)^{-1}; G_k is the k-th block row of L^{-1} Pi,
     by :func:`block_forward`; row_k = L_kk^{-*} G_k is the bottom block row
     of S(k)^{-1} Pi(k), so row_k* t_k^{-1} row_k = G_k* G_k.
     """
     n, p = Dinv.shape[:2]
-    G_rows = block_forward(L, Dinv, Pi).reshape(n, p, -1)
+    G = block_forward(L, Dinv, Pi).reshape(n, p, -1)
     Dinv_h = _conj_t(Dinv)
-    return tuple(hermitian_part(Dinv_h @ Dinv)), tuple(Dinv_h @ G_rows), tuple(G_rows)
+    out = hermitian_part(Dinv_h @ Dinv), Dinv_h @ G, G
+    for stack in out:
+        stack.setflags(write=False)
+    return out
 
 
 def sqrtm_hpd(M) -> np.ndarray:

@@ -55,7 +55,7 @@ def random_hankel_spec(rng: np.random.Generator, p: int, n: int) -> HankelSpec:
         for t, W in zip(points, weights):
             Hk = Hk + (t**k) * W
         blocks.append((Hk + Hk.conj().T) / 2.0)
-    return HankelSpec(p=p, n=n, H=tuple(blocks))
+    return HankelSpec(p=p, n=n, H=blocks)
 
 
 def random_contractions(rng: np.random.Generator, p: int, count: int, max_norm: float = 0.85) -> np.ndarray:

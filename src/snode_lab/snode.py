@@ -210,16 +210,17 @@ def transfer_matrix(node: SNode, lam_or_lams) -> np.ndarray:
 @dataclass(frozen=True)
 class NodeChain:
     """The per-order data of a node's leading blocks, read off the node's
-    one Cholesky factor ``S_chol`` by :func:`matcore.leading_chain`:
-    t_k > 0, the bottom block row rows_k of S(k)^{-1} Pi(k) ([X_k Y_k] for
-    a Toeplitz node, omega_k for a Hankel node) and G_k with
-    G_k* G_k = rows_k* t_k^{-1} rows_k; ``c`` is the diagonal of A."""
+    one Cholesky factor ``S_chol`` by :func:`matcore.leading_chain` as
+    read-only stacks over the orders k = 1..n: t_k > 0, the bottom block row
+    rows_k of S(k)^{-1} Pi(k) ([X_k Y_k] for a Toeplitz node, omega_k for a
+    Hankel node) and G_k with G_k* G_k = rows_k* t_k^{-1} rows_k; ``c`` is
+    the diagonal of A."""
 
     p: int
     c: complex
-    t: tuple
-    rows: tuple
-    G: tuple
+    t: np.ndarray     # (n, p, p)
+    rows: np.ndarray  # (n, p, 2p)
+    G: np.ndarray     # (n, p, 2p)
 
 
 def node_chain(node: SNode) -> NodeChain:
@@ -227,8 +228,7 @@ def node_chain(node: SNode) -> NodeChain:
     and the inverses ``node.S_diag_inv`` of its diagonal blocks; raises
     :class:`NotPositiveDefinite` at the first order whose leading block
     fails."""
-    ts, rows, Gs = matcore.leading_chain(node.S_chol.factor, node.S_diag_inv, node.Pi)
-    return NodeChain(p=node.p, c=node.shift[0], t=ts, rows=rows, G=Gs)
+    return NodeChain(node.p, node.shift[0], *matcore.leading_chain(node.S_chol.factor, node.S_diag_inv, node.Pi))
 
 
 def chain_factors(chain: NodeChain, lam_or_lams) -> list[np.ndarray]:
@@ -240,8 +240,7 @@ def chain_factors(chain: NodeChain, lam_or_lams) -> list[np.ndarray]:
     lams = matcore.as_points(lam_or_lams)
     if np.any(np.abs(chain.c - lams) < _POLE_TOL):
         raise PoleAtLambda(f"every factor has its pole at lam = {chain.c}")
-    G = np.stack(chain.G)
-    JGG = matcore.exchange_J(chain.p) @ (G.conj().swapaxes(-1, -2) @ G)
+    JGG = matcore.exchange_J(chain.p) @ (chain.G.conj().swapaxes(-1, -2) @ chain.G)
     scale = (1j / (lams - chain.c))[:, None, None]
     factors = np.eye(2 * chain.p) + scale * JGG[:, None]
     return list(factors if np.ndim(lam_or_lams) else factors[:, 0])
@@ -412,12 +411,17 @@ def leading_rho(node: SNode, z: complex) -> np.ndarray:
     rows' y_j* y_j: one resolvent and one :func:`matcore.block_forward`
     substitution serve all orders, and order k's value is bitwise the last
     entry of the call on its compression with the leading block of L as its
-    factor."""
+    factor.  Raises :class:`EvaluationFailure` naming z where an entry's
+    real or imaginary part reaches 2^1023, past which the Hermitian part
+    would overflow."""
     w = np.array([z])
     V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
     y = matcore.block_forward(node.S_chol.factor, node.S_diag_inv, V).reshape(-1, node.p, node.p)
-    grams = np.cumsum(y.conj().swapaxes(1, 2) @ y, axis=0)
-    return matcore.hermitian_part(1j * (np.conj(z) - z) * grams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhos = 1j * (np.conj(z) - z) * np.cumsum(y.conj().swapaxes(1, 2) @ y, axis=0)
+    if not (np.abs(rhos.view(float)) < 2.0**1023).all():
+        raise EvaluationFailure(f"rho(z, conj z) at z = {z} overflows: an entry of i(conj z - z) y* y reaches 2^1023")
+    return matcore.hermitian_part(rhos)
 
 
 def rho(node: SNode, z: complex) -> np.ndarray:

@@ -19,21 +19,13 @@ matrix S(n) = {s_{j-i}} with s_k = s_{-k}*.  The module provides:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import matcore, quadrature, serialization
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotContractive,
-    NotHermitian,
-    NotPositiveDefinite,
-    PoleAtZ,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NotContractive, PoleAtZ
 from .snode import Frame, NodeChain, ParamPair, SNode, guard_pairs, lft_blocks
 
 
@@ -58,12 +50,12 @@ def frame_basis(p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToeplitzSpec:
-    """Block size p, block order n, blocks s_0, s_{-1}, ..., s_{1-n}, and the
-    Hermitian normalizer nu."""
+    """Block size p, block order n, blocks s_0, s_{-1}, ..., s_{1-n} (kept as
+    one read-only (n, p, p) stack), and the Hermitian normalizer nu."""
 
     p: int
     n: int
-    s: tuple
+    s: np.ndarray
     nu: np.ndarray
 
     def __post_init__(self):
@@ -74,7 +66,7 @@ class ToeplitzSpec:
         # s_0 and nu, each at its own tolerance
         matcore.assert_hermitian(np.stack((blocks[0], nu)), names=("s_0", "nu"))
         nu.setflags(write=False)
-        object.__setattr__(self, "s", tuple(blocks))
+        object.__setattr__(self, "s", blocks)
         object.__setattr__(self, "nu", nu)
 
     def matrix(self) -> np.ndarray:
@@ -83,7 +75,7 @@ class ToeplitzSpec:
         p, n = self.p, self.n
         k = np.arange(n)
         gap = k[:, None] - k
-        lower = np.asarray(self.s)[np.abs(gap)]
+        lower = self.s[np.abs(gap)]
         blocks = np.where((gap >= 0)[:, :, None, None], lower, lower.conj().swapaxes(-1, -2))
         return blocks.swapaxes(1, 2).reshape(n * p, n * p)
 
@@ -105,7 +97,7 @@ class ToeplitzSpec:
         return cls(
             p=serialization.int_from_json(data["p"]),
             n=serialization.int_from_json(data["n"]),
-            s=tuple(serialization.matrix_from_json(data["s"])),
+            s=serialization.matrix_from_json(data["s"]),
             nu=serialization.matrix_from_json(data["nu"]),
         )
 
@@ -146,13 +138,7 @@ def halmos(rho_or_rhos) -> np.ndarray:
     # square roots from one kernel call: each matrix is factored on its own,
     # so the blocks are bitwise those of two calls
     sides = np.stack((Ip - rho @ rho_star, Ip - rho_star @ rho), axis=-3).reshape(-1, p, p)
-    try:
-        roots = matcore.hpd_powers(sides, (-0.5,))[0].reshape(*rho.shape[:-2], 2, p, p)
-    except (NotHermitian, NotPositiveDefinite) as exc:
-        # name contraction k // 2 of the caller's stack, or none for one contraction
-        k, rest = re.fullmatch(r"matrix (\d+) of the stack: (.*)", str(exc), re.S).groups()
-        exc.args = (f"matrix {int(k) // 2} of the stack: {rest}" if rho.ndim == 3 else rest,)
-        raise
+    roots = matcore.hpd_powers(sides, (-0.5,))[0].reshape(*rho.shape[:-2], 2, p, p)
     # D [[I, rho], [rho*, I]] for D = diag(D1, D2), block by block: the
     # zero blocks of D add exact zeros, so the values are those of the product
     D1, D2 = roots[..., 0, :, :], roots[..., 1, :, :]
@@ -177,8 +163,7 @@ def dirac_chain(chain: NodeChain) -> tuple[np.ndarray, np.ndarray]:
     rho_k = (C_11)^{-1} C_12, of the chain of a Toeplitz node (see
     :func:`snode.node_chain`)."""
     K, j = unitary_K(chain.p), matcore.signature_j(chain.p)
-    G = np.stack(chain.G)
-    Cs = matcore.hermitian_part(2.0 * K.conj().T @ G.conj().swapaxes(1, 2) @ G @ K - j)
+    Cs = matcore.hermitian_part(2.0 * K.conj().T @ chain.G.conj().swapaxes(1, 2) @ chain.G @ K - j)
     return Cs, contraction_from_dirac(Cs)
 
 
@@ -186,24 +171,25 @@ def frames_of(W: np.ndarray, zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """The frames (1 - i z/2)^{-n} M W* M* of the orders n at the points zs,
     M = J j K, for W[k] = W_n(-conj(z)/2) with n = orders[k] (shape
     (orders, points, 2p, 2p)); M W* M* is one :func:`matcore.sandwich` call
-    over the whole stack.  Order 0 gives the identity and needs no prefactor,
-    so only a nonzero order raises :class:`PoleAtZ`, at the first point where
-    1 - i z/2 vanishes."""
+    over the whole stack, scaled by :func:`_prefactors`.  Order 0 gives the
+    identity."""
     p = W.shape[-1] // 2
-    scale = np.ones((orders.size, zs.size), dtype=complex)
-    if orders.any():
-        pref = 1.0 - 0.5j * zs
-        bad = np.flatnonzero(np.abs(pref) < 1e-12)
-        if bad.size:
-            raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
-        # one integer power per order: numpy rounds pref ** -1 differently
-        # when the exponent is an array
-        for n in set(orders.tolist()) - {0}:
-            scale[orders == n] = pref ** (-n)
     M = frame_basis(p)
-    out = scale[..., None, None] * matcore.sandwich(M, np.swapaxes(W, -1, -2).conj(), M.conj().T)
+    out = _prefactors(zs, orders)[..., None, None] * matcore.sandwich(M, np.swapaxes(W, -1, -2).conj(), M.conj().T)
     out[orders == 0] = np.eye(2 * p)
     return out
+
+
+def _prefactors(zs: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """(1 - i z/2)^{-n} for the orders n at the points zs, shape (orders,
+    points), 1 exactly at n = 0.  An order-0 frame has no prefactor, so only
+    a nonzero order raises :class:`PoleAtZ`, at the first point where
+    1 - i z/2 vanishes."""
+    pref = 1.0 - 0.5j * zs
+    bad = np.flatnonzero(np.abs(pref) < 1e-12)
+    if orders.any() and bad.size:
+        raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
+    return pref ** -orders[:, None]
 
 
 def _indices(values, L: int, what: str) -> np.ndarray:
@@ -227,25 +213,21 @@ def dirac_sweep(Cs: np.ndarray, zs: np.ndarray, starts) -> tuple[np.ndarray, np.
     (count, starts, points, 2p, 2p).  A start that is not an integer in
     0..L raises :class:`IndexOutOfRange`.
 
-    Heads go forward, W_{m+1} = W_m + i z (j C_m W_m), from W_0 = I up to the
-    largest start; tails go backward, T_m = T_{m+1} + i z (T_{m+1} j C_m),
-    from T_L = I down to the smallest.  Each step is one
-    :func:`matcore.sandwich` call over all points of all chains, with the
-    chains as its batch, so the starts 0..L cost 2L calls.  One chain C is
-    the stack C[None], and each chain's products are bitwise those of its
-    own.
+    Both are :func:`_running_products`.  Heads go forward,
+    W_{m+1} = W_m + i z (j C_m W_m), from W_0 = I up to the largest start,
+    as the transposes of W_m^T, the running products of the steps
+    (j C_m)^T; tails go backward, T_m = T_{m+1} + i z (T_{m+1} j C_m), from
+    T_L = I down to the smallest.  Each step is one :func:`matcore.sandwich`
+    call over all points of all chains, with the chains as its batch, so the
+    starts 0..L cost 2L calls.  One chain C is the stack C[None], and each
+    chain's products are bitwise those of its own.
     """
     count, L, size = Cs.shape[0], Cs.shape[1], Cs.shape[-1]
     starts = _indices(starts, L, "start")
     jCs = matcore.signature_j(size // 2) @ Cs
     iz = 1j * zs[:, None, None]
-    heads = np.empty((count, starts.size, zs.size, size, size), dtype=complex)
     eye = np.broadcast_to(np.eye(size, dtype=complex), (count, zs.size, size, size))
-    W, top = eye, starts.max(initial=0)
-    for m in range(top + 1):
-        heads[:, starts == m] = W[:, None]
-        if m < top:
-            W = W + iz * matcore.sandwich(jCs[:, m], W, None)
+    heads = _running_products(eye, jCs.swapaxes(-1, -2), iz, starts).swapaxes(-1, -2)
     # T_m is the running product of the factors of C_{L-1}, ..., C_m
     return heads, _running_products(eye, jCs[:, ::-1], iz, L - starts)
 
@@ -381,13 +363,8 @@ def _composition_gaps(
     """
     count, L, size = steps.shape[0], steps.shape[1], zs.size
     p = steps.shape[-1] // 2
-    pref = 1.0 - 0.5j * zs
-    bad = np.flatnonzero(np.abs(pref) < 1e-12)
-    if L and bad.size:  # start 0 has order L: an order-0 frame has no prefactor
-        raise PoleAtZ(f"frame prefactor vanishes at z = {zs[bad[0]]} (pole at -2i)")
+    scale = _prefactors(zs, np.arange(L + 1))  # start s has order L - s
     guard_pairs(pair.R[None], pair.Q[None], zs)
-    # (1 - i z/2)^{-n} for n = 0..L, one integer power each (1 exactly at n = 0)
-    scale = pref ** -np.arange(L + 1)[:, None]
     iw = 1j * (-np.conj(zs) / 2.0)[:, None, None]
     starts = np.array([0, *splits])
     rows = np.broadcast_to(_adjoint(pair.R, pair.Q), (count, size, p, 2 * p))

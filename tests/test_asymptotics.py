@@ -450,16 +450,17 @@ def test_outer_factor_names_the_first_singular_pair(hankel_unit):
 
 def test_entropy_bound_equality_at_extremal(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
-    [bound] = asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j)], 1j)
-    assert abs(bound.slack) <= 1e-6
+    [slack] = asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j)], 1j).slacks
+    assert abs(slack) <= 1e-6
 
 
 def test_entropy_bound_witness_strict(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
     witness = snode.ParamPair.constant(np.array([[1.0]]), np.array([[4.0]]))
-    [bound] = asymptotics.entropy_bound_check(frm, [witness], 1j)
-    assert bound.lhs[0, 0].real == pytest.approx(0.32, abs=1e-6)
-    assert bound.slack >= 1e-3
+    bounds = asymptotics.entropy_bound_check(frm, [witness], 1j)
+    [lhs], [slack] = bounds.lhs, bounds.slacks
+    assert lhs[0, 0].real == pytest.approx(0.32, abs=1e-6)
+    assert slack >= 1e-3
 
 
 def test_entropy_bound_random_pairs_on_chain_frame(rng):
@@ -467,12 +468,14 @@ def test_entropy_bound_random_pairs_on_chain_frame(rng):
     frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))[0])
     lam = 0.4 + 1.3j
     ext = snode.extremal_pair(frm, lam)
-    assert abs(asymptotics.entropy_bound_check(frm, [ext], lam)[0].slack) <= 1e-6
+    [slack] = asymptotics.entropy_bound_check(frm, [ext], lam).slacks
+    assert abs(slack) <= 1e-6
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        [bound] = asymptotics.entropy_bound_check(frm, [pair], lam)
-        assert bound.slack >= -1e-6
-        assert bound.modulus_gap <= 1e-9
+        bounds = asymptotics.entropy_bound_check(frm, [pair], lam)
+        [slack], [gap] = bounds.slacks, bounds.modulus_gaps
+        assert slack >= -1e-6
+        assert gap <= 1e-9
 
 
 def _chain_frame_bounds(frm_of):
@@ -492,8 +495,8 @@ def test_entropy_bound_without_the_dirac_pole_term_fails_b31q():
     # det F (order M = 2) in the log-det each pair's gap is a rounding;
     # without it every gap is M ln(|lam + 2i| / |i + 2i|) = 0.205, the
     # Poisson mean at lam of the missing 2 M ln(|t + 2i| / |i + 2i|)
-    assert np.max(asymptotics.modulus_gaps(_chain_frame_bounds(lambda frm: frm))) <= 1e-9
-    gap = np.max(asymptotics.modulus_gaps(_chain_frame_bounds(lambda frm: dataclasses.replace(frm, pole=None))))
+    assert np.max(_chain_frame_bounds(lambda frm: frm).modulus_gaps) <= 1e-9
+    gap = np.max(_chain_frame_bounds(lambda frm: dataclasses.replace(frm, pole=None)).modulus_gaps)
     assert gap > 0.1
 
 
@@ -509,7 +512,8 @@ def test_entropy_bound_refuses_a_pole_of_det_f_in_the_upper_half_plane():
         asymptotics.entropy_bound_check(frm, [pair], 1j)
     dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
     assert dirac.pole == (-2j, 6)
-    assert asymptotics.entropy_bound_check(dirac, [pair], 1j)[0].modulus_gap <= 1e-9
+    [gap] = asymptotics.entropy_bound_check(dirac, [pair], 1j).modulus_gaps
+    assert gap <= 1e-9
     # a pole on the axis is refused too; a Hankel node's frame has none
     with pytest.raises(Unsupported, match=r"at z = \(3\+0j\)"):
         asymptotics.entropy_bound_check(dataclasses.replace(dirac, pole=(3.0, 1)), [pair], 1j)
@@ -651,11 +655,12 @@ def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):
     lam = 0.3 + 1.1j
     pairs = [sampling.random_constant_pair(rng, 1) for _ in range(2)]
     batch = asymptotics.entropy_bound_check(frm, pairs, lam)
-    assert len(batch) == 2
-    for pair, got in zip(pairs, batch):
-        [want] = asymptotics.entropy_bound_check(frm, [pair], lam)
-        assert np.array_equal(got.lhs, want.lhs)
-        assert np.array_equal(got.rhs, want.rhs)
+    assert batch.lhs.shape == (2, 1, 1) and batch.moduli.shape == (2,)
+    for k, pair in enumerate(pairs):
+        want = asymptotics.entropy_bound_check(frm, [pair], lam)
+        assert np.array_equal(batch.lhs[k], want.lhs[0])
+        assert np.array_equal(batch.rhs, want.rhs)
+        assert batch.slacks[k] == want.slacks[0] and batch.modulus_gaps[k] == want.modulus_gaps[0]
 
 
 def test_entropy_bound_matrix_batch_of_extremal_pairs():
@@ -663,17 +668,19 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
     node = hankel.build_hankel_node(spec)
     frm = snode.node_frame(node)
     ext = snode.extremal_pair(frm, 1j)
-    [single] = asymptotics.entropy_bound_check(frm, [ext], 1j)
-    for got in asymptotics.entropy_bound_check(frm, [ext, ext], 1j):
-        assert np.array_equal(got.lhs, single.lhs)
-        assert np.array_equal(got.rhs, single.rhs)
+    single = asymptotics.entropy_bound_check(frm, [ext], 1j)
+    double = asymptotics.entropy_bound_check(frm, [ext, ext], 1j)
+    assert double.lhs.shape == (2, 2, 2)
+    for lhs in double.lhs:
+        assert np.array_equal(lhs, single.lhs[0])
+    assert np.array_equal(double.rhs, single.rhs)
     # any pair at p = 2: the ball witness of contraction I/2 reads 1/4, and
     # every closed-form lhs agrees with its quadrature modulus
     ball = snode.matrix_ball(node, 1j)
     witness = cli._pair_with_value(frm, 1j, snode.ball_value(ball, 0.5 * np.eye(2)))
     bounds = asymptotics.entropy_bound_check(frm, [ext, witness], 1j)
-    assert bounds[1].relative_slack == pytest.approx(0.25, abs=1e-9)
-    assert max(bound.modulus_gap for bound in bounds) <= 1e-9
+    assert bounds.relative_slack(1) == pytest.approx(0.25, abs=1e-9)
+    assert max(bounds.modulus_gaps) <= 1e-9
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -696,7 +703,7 @@ def test_entropy_bound_moduli_are_bitwise_the_outer_moduli(p):
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, p) for _ in range(6))]
     dens, _ = hankel.weyl_densities(frm, pairs)
     assert any(dens_.breaks for dens_ in dens)
-    moduli = [bound.modulus for bound in asymptotics.entropy_bound_check(frm, pairs, lam)]
+    moduli = asymptotics.entropy_bound_check(frm, pairs, lam).moduli.tolist()
     assert moduli == [asymptotics.outer_modulus(P, lam) for P in dens]
 
 
@@ -717,6 +724,6 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
         return original(fns, break_sets, quad, rel_tol, whats)
 
     monkeypatch.setattr(quadrature, "integrate_lines", counted)
-    assert [bound.modulus for bound in asymptotics.entropy_bound_check(frm, pairs, lam)] == singles
+    assert asymptotics.entropy_bound_check(frm, pairs, lam).moduli.tolist() == singles
     # one normalization, then one batch with one integral per density
     assert batches == [["poisson normalization"], ["outer modulus integral"] * 3]

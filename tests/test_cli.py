@@ -413,9 +413,9 @@ def test_entropy_fits_the_roots_of_det_f_once_for_all_pairs(tmp_path, monkeypatc
     solves = []
     original = hankel._denominator_zeros
 
-    def counted(frm, pairs):
-        solves.append(len(pairs))
-        return original(frm, pairs)
+    def counted(frm, R, Q):
+        solves.append(len(R))
+        return original(frm, R, Q)
 
     monkeypatch.setattr(hankel, "_denominator_zeros", counted)
     spec = cli.bundled_spec_path("hankel_p2.json")
@@ -472,10 +472,10 @@ def test_entropy_b31q_fails_with_one_zero_of_det_f_mirrored(tmp_path, monkeypatc
 
     original = hankel._denominator_zeros
 
-    def mirrored(frm, pairs):
+    def mirrored(frm, R, Q):
         # the zero of the first random pair's det F; on the axis
         # |t - z| = |t - conj z|, so only the anchor at t = i moves
-        zeros = original(frm, pairs)
+        zeros = original(frm, R, Q)
         zeros[2] = np.concatenate((zeros[2][:1].conj(), zeros[2][1:]))
         return zeros
 
@@ -892,6 +892,21 @@ def test_ball_far_above_the_axis_is_refused_before_its_check_norms_overflow(tmp_
     assert capsys.readouterr().err == (
         "error: ball: the ball at z = 1e+100j cannot be checked: the squares of aleph's entries would overflow "
         "(largest entry 1.000e+300)\n"
+    )
+    assert not (tmp_path / "report_ball.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_whose_rho_overflows_names_z_and_rho(tmp_path, capsys):
+    # z = 5.62e102 i on the n = 2 spec: aleph (largest entry about |z|^3)
+    # just passes the ball's own guard, but rho's entries reach 2^1023, so
+    # its Hermitian part would overflow in M + M*
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"command": "ball", "z": [0, 5.62e102]}))
+    argv = ["--scenario", str(path), "--spec", str(cli.bundled_spec_path("hankel_102.json")), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: ball: rho(z, conj z) at z = 5.62e+102j overflows: an entry of i(conj z - z) y* y reaches 2^1023\n"
     )
     assert not (tmp_path / "report_ball.json").exists()
 

@@ -158,9 +158,9 @@ def test_recover_moments_fits_the_roots_of_det_f_once(hankel_102, unit_pair, mon
     solves = []
     original = hankel._denominator_zeros
 
-    def counted(frm, pairs):
-        solves.append(len(pairs))
-        return original(frm, pairs)
+    def counted(frm, R, Q):
+        solves.append(len(R))
+        return original(frm, R, Q)
 
     monkeypatch.setattr(hankel, "_denominator_zeros", counted)
     hankel.recover_moments(hankel_102[0], unit_pair)
@@ -242,7 +242,7 @@ def test_batched_zeros_match_one_fit_per_pair(p):
         pairs = [sampling.random_constant_pair(rng, p) for _ in range(6)]
         dens, batch = hankel.weyl_densities(frm, pairs)
         for pair, zeros in zip(pairs, batch):
-            [alone] = hankel._denominator_zeros(frm, [pair])
+            [alone] = hankel._denominator_zeros(frm, pair.R[None], pair.Q[None])
             assert zeros.size == frm.p * (1 + seed % 4) and zeros.tobytes() == alone.tobytes()
         assert all(np.all(np.isfinite(d.log_det_at(np.linspace(-5.0, 5.0, 11)))) for d in dens)
 

@@ -312,7 +312,7 @@ def _assert_pencil_zeros_are_zeros(frm, pair, count):
     """The zeros of det F from the frame's pencil, after checking there are
     ``count`` and that a zero of det F lies within 1e-6 (relative) of each."""
     denominator = frm.denominator(pair.R, pair.Q)
-    [roots] = hankel._denominator_zeros(frm, [pair])
+    [roots] = hankel._denominator_zeros(frm, pair.R[None], pair.Q[None])
     assert roots.size == count
     for r in roots:
         assert _zeros_inside(denominator, r, 1e-6 * max(1.0, abs(r))) >= 1, r
@@ -376,7 +376,7 @@ def _assert_zeros_match_the_oracle(frm, pair, A, B, C, cond):
     """Each zero z = i + 1/mu of the oracle's pencil has one float zero whose
     mu lies within 8 eps cond kappa(mu) |T|_F of it: the first-order bound
     for a perturbation of T of relative size eps cond."""
-    [got] = hankel._denominator_zeros(frm, [pair])
+    [got] = hankel._denominator_zeros(frm, pair.R[None], pair.Q[None])
     want, size = _pencil_zeros_mp(A, B, C, _mp_array(pair.Q))
     assert got.size == len(want)
     got_mu = 1.0 / (got - 1j)
@@ -861,6 +861,24 @@ def test_chain_factors_raise_at_the_pole(family, pole):
         with pytest.raises(PoleAtLambda):
             snode.chain_factors(chain, lams)
     assert np.isfinite(snode.chain_factors(chain, pole + 1e-11)).all()
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (2, 4), (3, 3)])
+def test_chains_and_spec_blocks_are_read_only_stacks(p, n):
+    rng = np.random.default_rng(10 * p + n)
+    tspec = sampling.random_toeplitz_spec(rng, p, n)
+    hspec = sampling.random_hankel_spec(rng, p, n)
+    stacks = [
+        (tspec.s, (n, p, p)),
+        (toeplitz.ToeplitzSpec.from_json(tspec.to_json()).s, (n, p, p)),
+        (hspec.H, (2 * n - 1, p, p)),
+        (hankel.HankelSpec.from_json(hspec.to_json()).H, (2 * n - 1, p, p)),
+    ]
+    for node in (toeplitz.build_toeplitz_node(tspec), hankel.build_hankel_node(hspec)):
+        chain = snode.node_chain(node)
+        stacks += [(chain.t, (n, p, p)), (chain.rows, (n, p, 2 * p)), (chain.G, (n, p, 2 * p))]
+    for stack, shape in stacks:
+        assert isinstance(stack, np.ndarray) and stack.shape == shape and not stack.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
