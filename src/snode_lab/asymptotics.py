@@ -15,6 +15,7 @@ import numpy as np
 from . import matcore, quadrature
 from .densities import DensityFn
 from .errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     NotInUpperHalfPlane,
     QuadratureNotConverged,
@@ -182,15 +183,13 @@ def _outer_moduli(dens, lam: complex) -> list[float]:
     return [float(np.exp(value / (2.0 * np.pi))) for value in values]
 
 
-def outer_factor(frm: Frame, pairs, z: complex) -> np.ndarray:
+def outer_factor(frm: Frame, R: np.ndarray, Q: np.ndarray, z: complex) -> np.ndarray:
     """G(z) = jform^{1/2} F(z)^{-1}, jform = (R*Q + Q*R) / (2 pi) and
     F = Frm21 R + Frm22 Q: the outer factor (F is invertible on the upper
     half-plane; Wiener & Masani, Acta Math. 98, 1957) of a constant pair's
-    boundary density, mu'(t) = G(t)* G(t).  A sequence of N pairs gives an
-    (N, p, p) stack from one frame evaluation; :class:`SingularDenominator`
-    names the first pair whose F(z) is singular."""
-    R = np.stack([pair.R for pair in pairs])
-    Q = np.stack([pair.Q for pair in pairs])
+    boundary density, mu'(t) = G(t)* G(t).  The pairs of two (N, p, p)
+    stacks R and Q give an (N, p, p) stack from one frame evaluation;
+    :class:`SingularDenominator` names the first pair whose F(z) is singular."""
     _, _, F21, F22 = frm.blocks(z)
     F = F21 @ R + F22 @ Q
     smin, smax = matcore.singular_extremes(F)
@@ -232,22 +231,27 @@ class EntropyBounds:
         return matcore.min_eig_hermitian(half_inv @ (self.rhs - self.lhs[k]) @ half_inv)
 
 
-def entropy_bound_check(frm: Frame, pairs, lam: complex) -> EntropyBounds:
+def entropy_bound_check(frm: Frame, R, Q, lam: complex) -> EntropyBounds:
     """Check 2 pi G(lam)* G(lam) <= rho(lam, conj lam)^{-1} for the measure
-    generated by each pair of a sequence, giving their :class:`EntropyBounds`;
-    ``rhs`` and the Poisson normalization are computed once per call.  The
-    frame must be holomorphic across the closed upper half-plane for the
-    outer-function representation behind the bound (Hankel nodes and
-    coefficient-chain frames qualify; the generic frame of a Toeplitz node
-    does not, since its A* resolvent has an upper-half-plane pole): a frame
-    whose det F has its :attr:`Frame.pole` there raises
-    :class:`Unsupported` naming the pole.  The lhs comes from
-    :func:`outer_factor`; the outer-modulus quadrature of each pair's
-    boundary density (all from one :func:`weyl_densities` call, one pencil
-    solve for the zeros of det F) certifies it, and runs first, so a pair
-    with singular R*Q + Q*R raises :class:`SzegoViolated`.  The moduli of
-    all pairs are one :func:`quadrature.integrate_lines` batch, bitwise the
-    values of :func:`outer_modulus`."""
+    generated by each pair (R[k], Q[k]) of two (N, p, p) stacks, giving their
+    :class:`EntropyBounds`; ``rhs``, the Poisson normalization and the check
+    of the stacks (square, equal-sized and finite: a
+    :class:`DimensionMismatch`, or a :class:`NonFiniteEntries` naming the
+    first bad matrix) run once per call.  The frame must be holomorphic across
+    the closed upper half-plane for the outer-function representation behind
+    the bound (Hankel nodes and coefficient-chain frames qualify; the generic
+    frame of a Toeplitz node does not, since its A* resolvent has an
+    upper-half-plane pole): a frame whose det F has its :attr:`Frame.pole`
+    there raises :class:`Unsupported` naming the pole.  The lhs comes from
+    :func:`outer_factor`; the outer-modulus quadrature of each pair's boundary
+    density (all from one :func:`weyl_densities` call, one pencil solve for
+    the zeros of det F) certifies it, and runs first, so a pair with singular
+    R*Q + Q*R raises :class:`SzegoViolated`.  The moduli of all pairs are one
+    :func:`quadrature.integrate_lines` batch, bitwise the values of
+    :func:`outer_modulus`."""
+    R, Q = (matcore.as_matrix_or_stack(M) for M in (R, Q))
+    if R.ndim != 3 or R.shape != Q.shape or R.shape[1] != R.shape[2]:
+        raise DimensionMismatch("R and Q must be equal-sized stacks of square matrices")
     if np.imag(lam) <= 0.0:
         raise NotInUpperHalfPlane(f"lam = {lam} must lie in the open upper half-plane")
     if frm.pole is not None and np.imag(frm.pole[0]) >= 0.0:
@@ -258,9 +262,9 @@ def entropy_bound_check(frm: Frame, pairs, lam: complex) -> EntropyBounds:
         )
     rhs = matcore.inv_hpd(rho_from_frame(frm, lam))
     norm = poisson_normalization(lam)
-    dens, _ = weyl_densities(frm, pairs)
+    dens, _ = weyl_densities(frm, R, Q)
     moduli = np.array(_outer_moduli(dens, lam))
-    G = outer_factor(frm, pairs, lam)
+    G = outer_factor(frm, R, Q, lam)
     lhs = matcore.hermitian_part(2.0 * np.pi * np.swapaxes(G, 1, 2).conj() @ G)
     return EntropyBounds(lhs=lhs, rhs=rhs, normalization=norm, moduli=moduli)
 

@@ -308,9 +308,11 @@ def _run_entropy(sc: Scenario, rng: np.random.Generator):
     # witness's Weyl value at lam is the ball point of contraction I/2
     ball = snode.matrix_ball(node, lam)
     witness = _pair_with_value(frm, lam, snode.ball_value(ball, 0.5 * np.eye(node.p)))
-    pairs = [snode.extremal_pair(frm, lam), witness]
-    pairs += snode.ParamPair.from_stacks(*sampling.random_constant_pairs(rng, node.p, draws))
-    bounds = asymptotics.entropy_bound_check(frm, pairs, lam)
+    extremal = snode.extremal_pair(frm, lam)
+    R, Q = sampling.random_constant_pairs(rng, node.p, draws)
+    R = np.concatenate((extremal.R[None], witness.R[None], R))
+    Q = np.concatenate((extremal.Q[None], witness.Q[None], Q))
+    bounds = asymptotics.entropy_bound_check(frm, R, Q, lam)
     slacks = bounds.slacks
     checks.append(_check("equality at the extremal pair", "B31", abs(slacks[0]), 1e-6))
 

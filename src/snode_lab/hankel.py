@@ -135,12 +135,13 @@ def moments_from_density(density: DensityFn, count: int) -> np.ndarray:
     blocks = quadrature.integrate_with_check(integrand, density.support, density.breaks, _MOMENT_QUAD, 1e-8, names)
     if not density.bounded_support:
         blocks = blocks[1::2]
-    return np.stack([matcore.hermitian_part(b) for b in blocks])
+    return matcore.hermitian_part(blocks)
 
 
-def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]]:
-    """Boundary densities of the Weyl functions of a frame and a sequence of
-    pairs, one per pair, with the zeros of det F that gave each its breaks:
+def weyl_densities(frm: Frame, R: np.ndarray, Q: np.ndarray) -> tuple[list[DensityFn], list[np.ndarray]]:
+    """Boundary densities of the Weyl functions of a frame and the pairs
+    (R[k], Q[k]) of two (N, p, p) stacks, one per pair, with the zeros of
+    det F that gave each its breaks:
 
         mu'(t) = F(t)^{-*} jform F(t)^{-1},   jform = (R*Q + Q*R) / (2 pi),
 
@@ -186,7 +187,6 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
     the pencils of the frame's realization, from one stacked solve
     (:func:`_denominator_zeros`).
     """
-    R, Q = (np.stack(ms) for ms in zip(*(pair.constant_value for pair in pairs)))
     roots = _denominator_zeros(frm, R, Q)
     # every pair's jform, ln det jform and ln|det F(i)| as stacks, one slogdet each
     RQ = np.swapaxes(R, 1, 2).conj() @ Q
@@ -202,21 +202,21 @@ def weyl_densities(frm: Frame, pairs) -> tuple[list[DensityFn], list[np.ndarray]
         anchors += frm.pole[1] * float(np.log(abs(1j - frm.pole[0])))
     constants = log_nums - 2.0 * anchors
     dens = [
-        _weyl_density(frm, pair, jform, float(log_num), float(c), r)
-        for pair, jform, log_num, c, r in zip(pairs, jforms, log_nums, constants, roots)
+        _weyl_density(frm, Rk, Qk, jform, float(log_num), float(c), r)
+        for Rk, Qk, jform, log_num, c, r in zip(R, Q, jforms, log_nums, constants, roots)
     ]
     return dens, roots
 
 
-def _weyl_density(frm: Frame, pair: ParamPair, jform: np.ndarray, log_num: float, constant: float, roots: np.ndarray):
-    """The density of :func:`weyl_densities` of one pair, with its jform, its
-    ln det jform ``log_num``, the zeros of its det F and the constant
+def _weyl_density(frm: Frame, R, Q, jform: np.ndarray, log_num: float, constant: float, roots: np.ndarray):
+    """The density of :func:`weyl_densities` of one pair (R, Q), with its jform,
+    its ln det jform ``log_num``, the zeros of its det F and the constant
     ``constant`` = ln det jform - 2 c of its log-det.  The log-det is the
     constant, less ln|t - z|^2 for each zero z, plus M ln|t - pole|^2 for
     the frame's :attr:`Frame.pole`.  The values build the pair's own
     evaluator of F at their first call."""
     p, pole = frm.p, frm.pole
-    denominator = functools.cache(lambda: frm.denominator(pair.R, pair.Q))
+    denominator = functools.cache(lambda: frm.denominator(R, Q))
 
     def values(ts):
         F = denominator()(ts)
@@ -301,20 +301,18 @@ class MomentReport:
     """Two-route moment recovery plus the top-order inequality certificate."""
 
     orders: tuple
-    laurent: tuple          # coefficients of w^{k+1} in -phi(1/w), by the circle rule
-    measure: tuple          # from quadrature of t^k against the density
-    reference: tuple        # the input blocks H_k being certified
+    laurent: np.ndarray     # (k, p, p) coefficients of w^{k+1} in -phi(1/w), by the circle rule
+    measure: np.ndarray     # (k, p, p) from quadrature of t^k against the density
+    reference: np.ndarray   # (k, p, p) input blocks H_k being certified
     tail_order: int
     tail_integral: np.ndarray
     tail_reference: np.ndarray
 
     def max_error(self) -> float:
-        worst = 0.0
-        for lau, mea, ref in zip(self.laurent, self.measure, self.reference):
-            scale = 1.0 + float(np.max(np.abs(ref)))
-            worst = max(worst, float(np.max(np.abs(lau - ref))) / scale)
-            worst = max(worst, float(np.max(np.abs(mea - ref))) / scale)
-        return worst
+        """max over k of max |route_k - H_k| / (1 + max |H_k|) over both routes."""
+        ref = self.reference
+        gap = np.maximum(np.abs(self.laurent - ref), np.abs(self.measure - ref)).max(axis=(1, 2))
+        return float(np.max(gap / (1.0 + np.abs(ref).max(axis=(1, 2))), initial=0.0))
 
     def tail_slack(self) -> float:
         """Largest eigenvalue of (integral t^m dmu - H_m) at m = 2n-2; <= 0 up
@@ -342,22 +340,21 @@ def recover_moments(spec: HankelSpec, pair: ParamPair) -> MomentReport:
     max_known = 2 * n - 3
 
     frm = node_frame(node)
-    [density], [roots] = weyl_densities(frm, [pair])
+    [density], [roots] = weyl_densities(frm, pair.R[None], pair.Q[None])
     radius = _RECOVER_MARGIN * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     expansion = quadrature.circle_coefficients(
         lambda ws: -lft(frm, pair, 1.0 / ws), 1.0 / radius, max_known + 2, "expansion coefficient"
     )
-    laurent = [matcore.hermitian_part(c) for c in expansion[1:]]
 
     tail_order = 2 * n - 2
-    *measure, tail = moments_from_density(density, tail_order + 1)
+    measure = moments_from_density(density, tail_order + 1)
     return MomentReport(
         orders=tuple(range(max_known + 1)),
-        laurent=tuple(laurent),
-        measure=tuple(measure),
-        reference=tuple(spec.H[: max_known + 1]),
+        laurent=matcore.hermitian_part(expansion[1:]),
+        measure=measure[:-1],
+        reference=spec.H[: max_known + 1],
         tail_order=tail_order,
-        tail_integral=tail,
+        tail_integral=measure[-1],
         tail_reference=spec.H[tail_order],
     )
 
@@ -390,7 +387,7 @@ def interp_residual(node: SNode, pair: ParamPair):
     if c == 0:
         raise Unsupported("A has a zero eigenvalue")
     frm = node_frame(node)
-    [density], [roots] = weyl_densities(frm, [pair])
+    [density], [roots] = weyl_densities(frm, pair.R[None], pair.Q[None])
     radius = _RECOVER_MARGIN * max(1.0, 1.0 / abs(c), float(np.max(np.abs(roots), initial=0.0)))
     [gamma] = quadrature.circle_coefficients(
         lambda ws: ws[:, None, None] * lft(frm, pair, 1.0 / ws), 1.0 / radius, 1, "gamma coefficient"

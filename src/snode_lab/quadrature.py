@@ -25,11 +25,10 @@ integral repeats.
 Each rule calls its integrand once, on the nodes of every panel, and adds
 the panel sums in panel order; on the line, the call takes the nodes of
 both rules of the doubled-node check, panel by panel.  An integrand
-returns an array whose leading axis matches its nodes, a list of such
-arrays, one per integral, or :class:`Powers`, the integrals of the powers
-of its bases against its arrays; for a list or :class:`Powers` the rule
-returns a list.  A scalar integrand's panel sums are numpy's sums of its
-weighted values; a matrix integrand is contracted as its float view
+returns an array whose leading axis matches its nodes, or :class:`Powers`,
+the integrals of the powers of its bases against its arrays, for which the
+rule returns a list.  A scalar integrand's panel sums are numpy's sums of
+its weighted values; a matrix integrand is contracted as its float view
 (N, 2 p^2 for a complex p x p one) against the weight row, one real
 product per node count (:func:`_reduce`).
 
@@ -85,17 +84,13 @@ def _reduce(w, vals, sizes: tuple):
     """sum_i w_i vals_i over the leading axis, one sum per node count n of
     ``sizes``: each panel holds the nodes of the rules at those counts in
     turn, and each rule is summed panel by panel, the panel sums added up in
-    panel order.  A list reduces item by item, and it and :class:`Powers`
-    give one list of items per count.
+    panel order.  :class:`Powers` gives one list of items per count.
 
     A scalar integrand is folded into its row, w v, which numpy sums per
     panel.  A matrix one is taken as its float view, (N, 2m) for N complex
     values of m entries, and each count's panel sums are one real product
     of the row against it, each panel's the product of its slice of the row
     with its (n, 2m) block: no stack of weighted values is formed."""
-    if isinstance(vals, list):
-        items = [_reduce(w, v, sizes) for v in vals]
-        return [[item[i] for item in items] for i in range(len(sizes))]
     count, terms = vals if isinstance(vals, Powers) else (1, ((None, vals),))
     cols = [*accumulate(sizes, initial=0)]
     panels = w.size // cols[-1]
@@ -362,11 +357,11 @@ def integrate_with_check(fn, support, breaks, quad: int, rel_tol: float, what="i
 
     Two values agree when the drift max |fine - coarse| is at most
     ``rel_tol`` * (1 + max |fine|); the accepted value is the finer one.
-    When ``fn`` returns a list of arrays or :class:`Powers`, each item is
-    its own integral with its own check and its own accepted count, and
-    ``what`` may be a list with one name per item.
+    When ``fn`` returns :class:`Powers`, each of its integrals has its own
+    check and its own accepted count, and ``what`` may be a list with one
+    name per integral.
 
-    Raises :class:`QuadratureNotConverged` for the first integral, in list
+    Raises :class:`QuadratureNotConverged` for the first integral, in
     order, whose values still disagree at the last two counts.
     """
     a, b = support
@@ -393,7 +388,7 @@ def integrate_lines(fns, break_sets, quad: int, rel_tol: float, whats) -> list:
 
 def _accept(values, what, rel_tol: float):
     """The accepted value of the rule values ``values``, coarse to fine, item
-    by item for a list integrand (see :func:`integrate_with_check`)."""
+    by item for a :class:`Powers` integrand (see :func:`integrate_with_check`)."""
     values = iter(values)
     coarse = next(values)
     many = isinstance(coarse, list)

@@ -22,10 +22,10 @@ The evaluators (:func:`transfer_matrix`, :func:`frame`, :func:`lft`) take a
 scalar point, giving one matrix, or a 1-d array of points, giving a stack of
 matrices; a guard that fails raises the same typed error either way and
 names the first offending point.  :func:`ball_membership` and
-:func:`ball_value` take one p x p matrix or a stack of them.  :func:`rho`
-and :func:`leading_rho` take one point off the real axis: the value at
-conj z is the reversed value rho(conj z, z), so their callers check the
-half-plane they need.
+:func:`ball_value` take one p x p matrix or a stack of them.
+:func:`leading_rho` takes points off the real axis as the evaluators do:
+the value at conj z is the reversed value rho(conj z, z), so its callers
+check the half-plane they need.
 """
 
 from __future__ import annotations
@@ -400,35 +400,35 @@ def rho_from_frame(frm: Frame, z: complex) -> np.ndarray:
     return matcore.hermitian_part(F21 @ F22.conj().T + F22 @ F21.conj().T)
 
 
-def leading_rho(node: SNode, z: complex) -> np.ndarray:
+def leading_rho(node: SNode, z_or_zs) -> np.ndarray:
     """The (n, p, p) stack of rho_k(z, conj z) of every leading order k = 1..n,
     the characteristic i(conj z - z) Phi2(k)* (I - z A(k)*)^{-1} S(k)^{-1}
-    (I - conj(z) A(k))^{-1} Phi2(k) of the node's leading compression of order k.
+    (I - conj(z) A(k))^{-1} Phi2(k) of the node's leading compression of order k;
+    a 1-d array of N points gives an (N, n, p, p) stack, each point's stack
+    bitwise its own call.
 
     A is lower triangular and S = L L* (``node.S_chol``), so with
     y = L^{-1} (I - conj(z) A)^{-1} Phi2 every order is
     rho_k = i(conj z - z) y[:kp]* y[:kp], the running sum of the block
-    rows' y_j* y_j: one resolvent and one :func:`matcore.block_forward`
-    substitution serve all orders, and order k's value is bitwise the last
-    entry of the call on its compression with the leading block of L as its
-    factor.  Raises :class:`EvaluationFailure` naming z where an entry's
-    real or imaginary part reaches 2^1023, past which the Hermitian part
-    would overflow."""
-    w = np.array([z])
-    V = _resolvent(node, 1.0, -w.conj(), node.Phi2, w)[0]
-    y = matcore.block_forward(node.S_chol.factor, node.S_diag_inv, V).reshape(-1, node.p, node.p)
+    rows' y_j* y_j: one resolvent for all points and one
+    :func:`matcore.block_forward` substitution per point serve all orders,
+    and order k's value is bitwise the last entry of the call on its
+    compression with the leading block of L as its factor.  Raises
+    :class:`EvaluationFailure` naming the first z where an entry's real or
+    imaginary part reaches 2^1023, past which the Hermitian part would
+    overflow."""
+    zs = matcore.as_points(z_or_zs)
+    p, L, Dinv = node.p, node.S_chol.factor, node.S_diag_inv
+    V = _resolvent(node, 1.0, -zs.conj(), node.Phi2, zs)
+    y = np.stack([matcore.block_forward(L, Dinv, v) for v in V]).reshape(len(zs), -1, p, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhos = 1j * (np.conj(z) - z) * np.cumsum(y.conj().swapaxes(1, 2) @ y, axis=0)
-    if not (np.abs(rhos.view(float)) < 2.0**1023).all():
+        rhos = 1j * (zs.conj() - zs)[:, None, None, None] * np.cumsum(y.conj().swapaxes(-1, -2) @ y, axis=1)
+    small = (np.abs(rhos.view(float)) < 2.0**1023).all(axis=(1, 2, 3))
+    if not small.all():
+        z = complex(zs[np.argmin(small)])
         raise EvaluationFailure(f"rho(z, conj z) at z = {z} overflows: an entry of i(conj z - z) y* y reaches 2^1023")
-    return matcore.hermitian_part(rhos)
-
-
-def rho(node: SNode, z: complex) -> np.ndarray:
-    """The characteristic rho(z, conj z) of the node, the last entry of
-    :func:`leading_rho`: positive definite for z above the real axis,
-    negative definite below it, so rho(conj z, z) is ``rho(node, conj(z))``."""
-    return leading_rho(node, z)[-1]
+    out = matcore.hermitian_part(rhos.reshape(-1, p, p)).reshape(rhos.shape)
+    return out if np.ndim(z_or_zs) else out[0]
 
 
 @dataclass(frozen=True)
@@ -443,12 +443,7 @@ class ParamPair:
     Q: np.ndarray
 
     def __post_init__(self):
-        self._keep(matcore.as_matrix(self.R), matcore.as_matrix(self.Q))
-
-    def _keep(self, R: np.ndarray, Q: np.ndarray) -> None:
-        """Keep R and Q, complex and checked finite, as the pair's read-only
-        matrices: every rule of a pair but finiteness is checked here, for
-        the pairs of :meth:`from_stacks` too."""
+        R, Q = matcore.as_matrix(self.R), matcore.as_matrix(self.Q)
         if R.shape != Q.shape or R.shape[0] != R.shape[1]:
             raise DimensionMismatch("R and Q must be square and equal-sized")
         for name, M in (("R", R), ("Q", Q)):
@@ -458,20 +453,6 @@ class ParamPair:
     @classmethod
     def constant(cls, R, Q) -> "ParamPair":
         return cls(R, Q)
-
-    @classmethod
-    def from_stacks(cls, R, Q) -> list["ParamPair"]:
-        """The pairs (R[k], Q[k]) of two (N, p, p) stacks, bitwise those of
-        N :meth:`constant` calls.  Each stack is checked once, as a whole:
-        :class:`NonFiniteEntries` names the first matrix with an entry that
-        is not finite.  The pairs hold read-only views of the stacks."""
-        R, Q = (matcore.as_matrix_or_stack(M) for M in (R, Q))
-        if R.ndim != 3 or R.shape != Q.shape:
-            raise DimensionMismatch("R and Q must be equal-sized stacks of square matrices")
-        pairs = [object.__new__(cls) for _ in range(len(R))]
-        for pair, r, q in zip(pairs, R, Q):
-            pair._keep(r, q)
-        return pairs
 
     @property
     def p(self) -> int:
@@ -654,8 +635,7 @@ def matrix_ball(node: SNode, z: complex) -> MatrixBall:
         )
     aleph *= math.ldexp(1.0, e)
     aleph *= math.ldexp(1.0, e)
-    rho_val = rho(node, z)
-    rho_rev = rho(node, np.conj(z))
+    rho_val, rho_rev = leading_rho(node, [z, np.conj(z)])[:, -1]
     p = node.p
     a12 = aleph[:p, p:]
     # one factorization of each side gives all its powers

@@ -71,3 +71,9 @@ def frame_from_spec(spec, z):
     w = snode.transfer_matrix(toeplitz.build_toeplitz_node(spec), -1.0 / np.conj(z))
     J, j = matcore.exchange_J(spec.p), matcore.signature_j(spec.p)
     return (J @ j) @ w.conj().T @ (j @ J)
+
+
+def pair_stacks(*pairs):
+    """The (N, p, p) stacks R and Q of N constant pairs, the form that the
+    functions of a batch of pairs take."""
+    return np.stack([pair.R for pair in pairs]), np.stack([pair.Q for pair in pairs])

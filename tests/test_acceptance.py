@@ -10,7 +10,7 @@ import numpy as np
 
 from snode_lab import asymptotics, densities, hankel, matcore, sampling, snode, toeplitz
 
-from conftest import frame_from_spec
+from conftest import frame_from_spec, pair_stacks
 
 
 def _report(num, name, ok, detail=""):
@@ -202,9 +202,9 @@ def test_criterion_08_entropy_equality_two_routes():
     spec = hankel.HankelSpec(p=1, n=1, H=(np.array([[1.0]]),))
     frm = snode.node_frame(hankel.build_hankel_node(spec))
     ext = snode.extremal_pair(frm, 1j)
-    [G] = asymptotics.outer_factor(frm, [ext], 1j)
+    [G] = asymptotics.outer_factor(frm, *pair_stacks(ext), 1j)
     closed = 2 * np.pi * abs(G[0, 0]) ** 2
-    bounds = asymptotics.entropy_bound_check(frm, [ext], 1j)
+    bounds = asymptotics.entropy_bound_check(frm, *pair_stacks(ext), 1j)
     [modulus] = bounds.moduli
     quadr = 2 * np.pi * modulus**2
     rhs = bounds.rhs[0, 0].real
@@ -229,16 +229,16 @@ def test_criterion_09_entropy_inequality():
     worst = -np.inf
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        worst = max(worst, -asymptotics.entropy_bound_check(node_frm, [pair], 1j).slacks[0])
+        worst = max(worst, -asymptotics.entropy_bound_check(node_frm, *pair_stacks(pair), 1j).slacks[0])
     witness = snode.ParamPair.constant(np.array([[1.0]]), np.array([[4.0]]))
-    [witness_slack] = asymptotics.entropy_bound_check(node_frm, [witness], 1j).slacks
+    [witness_slack] = asymptotics.entropy_bound_check(node_frm, *pair_stacks(witness), 1j).slacks
 
     tspec = sampling.random_toeplitz_spec(rng, p=1, n=2)
     frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(tspec)))[0])
     lam = 0.4 + 1.3j
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        worst = max(worst, -asymptotics.entropy_bound_check(frm, [pair], lam).slacks[0])
+        worst = max(worst, -asymptotics.entropy_bound_check(frm, *pair_stacks(pair), lam).slacks[0])
     ok = worst <= 1e-6 and witness_slack >= 1e-3
     _report(
         9,

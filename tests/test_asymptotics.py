@@ -16,6 +16,8 @@ from snode_lab.errors import (
     Unsupported,
 )
 
+from conftest import pair_stacks
+
 
 @pytest.fixture(scope="module")
 def uniform_family():
@@ -38,7 +40,7 @@ def _levels(node):
 def _reversed_margin(top, z):
     """min over k of min eig(rho_k(conj z, z) - rho_{k+1}(conj z, z)): the
     reversed values are PSD-nonincreasing."""
-    revs = [snode.rho(node, np.conj(z)) for node in _levels(top)]
+    revs = [snode.leading_rho(node, np.conj(z))[-1] for node in _levels(top)]
     return min(matcore.min_eig_hermitian(a - b) for a, b in zip(revs, revs[1:]))
 
 
@@ -64,7 +66,7 @@ def test_convergence_run_rho_equals_per_node_calls(uniform_family, toeplitz_fami
         report = asymptotics.convergence_run(top, z)
         assert report.orders == tuple(range(1, top.m // top.p + 1))
         for node, r in zip(_levels(top), report.rho, strict=True):
-            assert np.array_equal(r, snode.rho(node, z))
+            assert np.array_equal(r, snode.leading_rho(node, z)[-1])
 
 
 def test_leading_rho_is_the_rho_of_every_compression(toeplitz_family_fixture):
@@ -75,8 +77,8 @@ def test_leading_rho_is_the_rho_of_every_compression(toeplitz_family_fixture):
     for k in range(1, spec.n + 1):
         # bitwise the compression's own call; to rounding that of a node that
         # is built from the leading spec and factors its own S
-        assert np.array_equal(stack[k - 1], snode.rho(asymptotics.leading_node(top, k), z))
-        want = snode.rho(toeplitz.build_toeplitz_node(spec.leading(k)), z)
+        assert np.array_equal(stack[k - 1], snode.leading_rho(asymptotics.leading_node(top, k), z)[-1])
+        want = snode.leading_rho(toeplitz.build_toeplitz_node(spec.leading(k)), z)[-1]
         assert matcore.frobenius(stack[k - 1] - want) <= 1e-12 * matcore.frobenius(want)
 
 
@@ -397,16 +399,16 @@ def test_poisson_weight_in_real_arithmetic_matches_the_complex_form(rng):
 def test_outer_modulus_agrees_with_extremal_factor(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
     ext = snode.extremal_pair(frm, 1j)
-    [dens], _ = hankel.weyl_densities(frm, [ext])
+    [dens], _ = hankel.weyl_densities(frm, *pair_stacks(ext))
     lam = 0.4 + 0.9j
     om = asymptotics.outer_modulus(dens, lam)
-    [G] = asymptotics.outer_factor(frm, [ext], lam)
+    [G] = asymptotics.outer_factor(frm, *pair_stacks(ext), lam)
     assert om == pytest.approx(abs(G[0, 0]), abs=1e-6)
 
 
 def test_gmu_extremal_hand_values(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
-    [G] = asymptotics.outer_factor(frm, [snode.extremal_pair(frm, 1j)], 1j)
+    [G] = asymptotics.outer_factor(frm, *pair_stacks(snode.extremal_pair(frm, 1j)), 1j)
     assert G[0, 0] == pytest.approx(1 / (2 * np.sqrt(np.pi)), abs=1e-12)
     assert 2 * np.pi * abs(G[0, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
@@ -420,9 +422,9 @@ def test_gmu_boundary_factorization(hankel_unit, rng):
         (frm1, snode.extremal_pair(frm1, 1j)),
         (snode.node_frame(node2), sampling.random_constant_pair(rng, 2)),
     ):
-        [dens], _ = hankel.weyl_densities(frm, [pair])
+        [dens], _ = hankel.weyl_densities(frm, *pair_stacks(pair))
         for t in rng.uniform(-6, 6, 20):
-            [G] = asymptotics.outer_factor(frm, [pair], float(t))
+            [G] = asymptotics.outer_factor(frm, *pair_stacks(pair), float(t))
             gap = G.conj().T @ G - dens(np.array([t]))[0]
             assert np.max(np.abs(gap)) <= 1e-9
 
@@ -431,10 +433,10 @@ def test_outer_factor_of_a_pair_list_equals_single_calls(rng):
     frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(4), 2, 3)))
     z = 0.3 + 0.8j
     pairs = [snode.extremal_pair(frm, 1j), *(sampling.random_constant_pair(rng, 2) for _ in range(3))]
-    batch = asymptotics.outer_factor(frm, pairs, z)
+    batch = asymptotics.outer_factor(frm, *pair_stacks(*pairs), z)
     assert batch.shape == (4, 2, 2)
     for pair, got in zip(pairs, batch):
-        assert np.array_equal(got, asymptotics.outer_factor(frm, [pair], z)[0])
+        assert np.array_equal(got, asymptotics.outer_factor(frm, *pair_stacks(pair), z)[0])
 
 
 def test_outer_factor_names_the_first_singular_pair(hankel_unit):
@@ -444,20 +446,20 @@ def test_outer_factor_names_the_first_singular_pair(hankel_unit):
     good = snode.ParamPair.constant(np.eye(1), np.eye(1))
     bad = snode.ParamPair.constant(F22, -F21)
     with pytest.raises(SingularDenominator, match="for pair 1") as info:
-        asymptotics.outer_factor(frm, [good, bad, bad], 2j)
+        asymptotics.outer_factor(frm, *pair_stacks(good, bad, bad), 2j)
     assert info.value.z == 2j
 
 
 def test_entropy_bound_equality_at_extremal(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
-    [slack] = asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j)], 1j).slacks
+    [slack] = asymptotics.entropy_bound_check(frm, *pair_stacks(snode.extremal_pair(frm, 1j)), 1j).slacks
     assert abs(slack) <= 1e-6
 
 
 def test_entropy_bound_witness_strict(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
     witness = snode.ParamPair.constant(np.array([[1.0]]), np.array([[4.0]]))
-    bounds = asymptotics.entropy_bound_check(frm, [witness], 1j)
+    bounds = asymptotics.entropy_bound_check(frm, *pair_stacks(witness), 1j)
     [lhs], [slack] = bounds.lhs, bounds.slacks
     assert lhs[0, 0].real == pytest.approx(0.32, abs=1e-6)
     assert slack >= 1e-3
@@ -468,11 +470,11 @@ def test_entropy_bound_random_pairs_on_chain_frame(rng):
     frm = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))[0])
     lam = 0.4 + 1.3j
     ext = snode.extremal_pair(frm, lam)
-    [slack] = asymptotics.entropy_bound_check(frm, [ext], lam).slacks
+    [slack] = asymptotics.entropy_bound_check(frm, *pair_stacks(ext), lam).slacks
     assert abs(slack) <= 1e-6
     for _ in range(10):
         pair = sampling.random_constant_pair(rng, 1)
-        bounds = asymptotics.entropy_bound_check(frm, [pair], lam)
+        bounds = asymptotics.entropy_bound_check(frm, *pair_stacks(pair), lam)
         [slack], [gap] = bounds.slacks, bounds.modulus_gaps
         assert slack >= -1e-6
         assert gap <= 1e-9
@@ -487,7 +489,7 @@ def _chain_frame_bounds(frm_of):
     frm = frm_of(toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(toeplitz.build_toeplitz_node(spec)))[0]))
     lam = 0.4 + 1.3j
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(rng, 1) for _ in range(10))]
-    return asymptotics.entropy_bound_check(frm, pairs, lam)
+    return asymptotics.entropy_bound_check(frm, *pair_stacks(*pairs), lam)
 
 
 def test_entropy_bound_without_the_dirac_pole_term_fails_b31q():
@@ -509,14 +511,14 @@ def test_entropy_bound_refuses_a_pole_of_det_f_in_the_upper_half_plane():
     assert frm.pole == (2j, 6)
     pair = sampling.random_constant_pair(np.random.default_rng(2), 2)
     with pytest.raises(Unsupported, match=r"^det F has a pole of order 6 at z = 2j, in the closed upper half-plane"):
-        asymptotics.entropy_bound_check(frm, [pair], 1j)
+        asymptotics.entropy_bound_check(frm, *pair_stacks(pair), 1j)
     dirac = toeplitz.dirac_frame(toeplitz.dirac_chain(snode.node_chain(node))[0])
     assert dirac.pole == (-2j, 6)
-    [gap] = asymptotics.entropy_bound_check(dirac, [pair], 1j).modulus_gaps
+    [gap] = asymptotics.entropy_bound_check(dirac, *pair_stacks(pair), 1j).modulus_gaps
     assert gap <= 1e-9
     # a pole on the axis is refused too; a Hankel node's frame has none
     with pytest.raises(Unsupported, match=r"at z = \(3\+0j\)"):
-        asymptotics.entropy_bound_check(dataclasses.replace(dirac, pole=(3.0, 1)), [pair], 1j)
+        asymptotics.entropy_bound_check(dataclasses.replace(dirac, pole=(3.0, 1)), *pair_stacks(pair), 1j)
     spec = sampling.random_hankel_spec(np.random.default_rng(3), 2, 2)
     assert snode.node_frame(hankel.build_hankel_node(spec)).pole is None
 
@@ -654,10 +656,10 @@ def test_entropy_bound_pair_batch_equals_single_calls(hankel_102, rng):
     frm = snode.node_frame(hankel_102[1])
     lam = 0.3 + 1.1j
     pairs = [sampling.random_constant_pair(rng, 1) for _ in range(2)]
-    batch = asymptotics.entropy_bound_check(frm, pairs, lam)
+    batch = asymptotics.entropy_bound_check(frm, *pair_stacks(*pairs), lam)
     assert batch.lhs.shape == (2, 1, 1) and batch.moduli.shape == (2,)
     for k, pair in enumerate(pairs):
-        want = asymptotics.entropy_bound_check(frm, [pair], lam)
+        want = asymptotics.entropy_bound_check(frm, *pair_stacks(pair), lam)
         assert np.array_equal(batch.lhs[k], want.lhs[0])
         assert np.array_equal(batch.rhs, want.rhs)
         assert batch.slacks[k] == want.slacks[0] and batch.modulus_gaps[k] == want.modulus_gaps[0]
@@ -668,8 +670,8 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
     node = hankel.build_hankel_node(spec)
     frm = snode.node_frame(node)
     ext = snode.extremal_pair(frm, 1j)
-    single = asymptotics.entropy_bound_check(frm, [ext], 1j)
-    double = asymptotics.entropy_bound_check(frm, [ext, ext], 1j)
+    single = asymptotics.entropy_bound_check(frm, *pair_stacks(ext), 1j)
+    double = asymptotics.entropy_bound_check(frm, *pair_stacks(ext, ext), 1j)
     assert double.lhs.shape == (2, 2, 2)
     for lhs in double.lhs:
         assert np.array_equal(lhs, single.lhs[0])
@@ -678,7 +680,7 @@ def test_entropy_bound_matrix_batch_of_extremal_pairs():
     # every closed-form lhs agrees with its quadrature modulus
     ball = snode.matrix_ball(node, 1j)
     witness = cli._pair_with_value(frm, 1j, snode.ball_value(ball, 0.5 * np.eye(2)))
-    bounds = asymptotics.entropy_bound_check(frm, [ext, witness], 1j)
+    bounds = asymptotics.entropy_bound_check(frm, *pair_stacks(ext, witness), 1j)
     assert bounds.relative_slack(1) == pytest.approx(0.25, abs=1e-9)
     assert max(bounds.modulus_gaps) <= 1e-9
 
@@ -691,7 +693,7 @@ def test_entropy_bound_of_a_degenerate_pair_is_a_szego_violation(p):
     frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(6), p, 2)))
     pair = snode.ParamPair.constant(np.eye(p), np.diag([1j, 1.0][:p]))
     with pytest.raises(SzegoViolated):
-        asymptotics.entropy_bound_check(frm, [snode.extremal_pair(frm, 1j), pair], 1j)
+        asymptotics.entropy_bound_check(frm, *pair_stacks(snode.extremal_pair(frm, 1j), pair), 1j)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -701,9 +703,9 @@ def test_entropy_bound_moduli_are_bitwise_the_outer_moduli(p):
     lam = 0.2 + 0.9j
     draws = np.random.default_rng(10 + p)
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, p) for _ in range(6))]
-    dens, _ = hankel.weyl_densities(frm, pairs)
+    dens, _ = hankel.weyl_densities(frm, *pair_stacks(*pairs))
     assert any(dens_.breaks for dens_ in dens)
-    moduli = asymptotics.entropy_bound_check(frm, pairs, lam).moduli.tolist()
+    moduli = asymptotics.entropy_bound_check(frm, *pair_stacks(*pairs), lam).moduli.tolist()
     assert moduli == [asymptotics.outer_modulus(P, lam) for P in dens]
 
 
@@ -714,7 +716,7 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
     lam = 0.3 + 1.7j
     draws = np.random.default_rng(7)
     pairs = [snode.extremal_pair(frm, lam), *(sampling.random_constant_pair(draws, 2) for _ in range(2))]
-    dens, _ = hankel.weyl_densities(frm, pairs)
+    dens, _ = hankel.weyl_densities(frm, *pair_stacks(*pairs))
     singles = [asymptotics.outer_modulus(P, lam) for P in dens]
     batches = []
     original = quadrature.integrate_lines
@@ -724,6 +726,6 @@ def test_outer_modulus_of_a_density_list_equals_single_calls(monkeypatch):
         return original(fns, break_sets, quad, rel_tol, whats)
 
     monkeypatch.setattr(quadrature, "integrate_lines", counted)
-    assert asymptotics.entropy_bound_check(frm, pairs, lam).moduli.tolist() == singles
+    assert asymptotics.entropy_bound_check(frm, *pair_stacks(*pairs), lam).moduli.tolist() == singles
     # one normalization, then one batch with one integral per density
     assert batches == [["poisson normalization"], ["outer modulus integral"] * 3]

@@ -389,7 +389,7 @@ def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, mo
     calls = []
     original = asymptotics.weyl_densities
 
-    def counted(frm, pairs):
+    def counted(frm, R, Q):
         def hooked(dens):
             def log_det(ts):
                 calls.append((id(dens), dens.p))
@@ -397,7 +397,7 @@ def test_entropy_on_the_bundled_p2_spec_integrates_the_weyl_log_det(tmp_path, mo
 
             return dataclasses.replace(dens, log_det=log_det)
 
-        dens, roots = original(frm, pairs)
+        dens, roots = original(frm, R, Q)
         return [hooked(d) for d in dens], roots
 
     monkeypatch.setattr(asymptotics, "weyl_densities", counted)

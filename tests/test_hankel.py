@@ -15,6 +15,8 @@ from snode_lab.errors import (
     SingularDenominator,
 )
 
+from conftest import pair_stacks
+
 
 def test_build_unit_node(hankel_unit):
     _, node = hankel_unit
@@ -172,8 +174,8 @@ def test_one_pair_is_bitwise_the_batch_of_one(hankel_102, rng):
     pair = sampling.random_constant_pair(rng, 1)
     ts = np.linspace(-30.0, 30.0, 301)
     others = [sampling.random_constant_pair(rng, 1) for _ in range(3)]
-    [one], _ = hankel.weyl_densities(frm, [pair])
-    batch = hankel.weyl_densities(frm, [others[0], pair, *others[1:]])[0][1]
+    [one], _ = hankel.weyl_densities(frm, *pair_stacks(pair))
+    batch = hankel.weyl_densities(frm, *pair_stacks(others[0], pair, *others[1:]))[0][1]
     assert one.breaks == batch.breaks and all(isinstance(b, complex) for b in one.breaks)
     assert np.array_equal(one(ts), batch(ts))
     assert np.array_equal(one.log_det_at(ts), batch.log_det_at(ts))
@@ -201,11 +203,11 @@ def test_stacked_setup_gives_each_pair_its_batch_of_one_density(family, p):
 
     rng = np.random.default_rng(4400 + 10 * p + len(family))
     frm = _frame_of(family, rng, p)
-    pairs = snode.ParamPair.from_stacks(*sampling.random_constant_pairs(rng, p, 5))
+    R, Q = sampling.random_constant_pairs(rng, p, 5)
     coarse = max(24, asymptotics._LOG_QUAD // 64)
-    batch, _ = hankel.weyl_densities(frm, pairs)
-    for pair, density in zip(pairs, batch):
-        [alone], _ = hankel.weyl_densities(frm, [pair])
+    batch, _ = hankel.weyl_densities(frm, R, Q)
+    for k, density in enumerate(batch):
+        [alone], _ = hankel.weyl_densities(frm, R[k : k + 1], Q[k : k + 1])
         [(ts, _)] = quadrature._build_graded_rules((coarse,), [quadrature._sides(alone.breaks)])
         assert density.breaks == alone.breaks
         assert density(ts).tobytes() == alone(ts).tobytes()
@@ -213,21 +215,22 @@ def test_stacked_setup_gives_each_pair_its_batch_of_one_density(family, p):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_pairs_from_one_stack_are_the_pairs_made_one_at_a_time(p):
+def test_entropy_bound_check_guards_its_pair_stacks_once(p, monkeypatch):
+    # the stacks are refused as wholes, first: with rho_from_frame patched
+    # out, a check that ran after the frame's would end in a TypeError
+    from snode_lab import asymptotics
+
     R, Q = sampling.random_constant_pairs(np.random.default_rng(p), p, 4)
-    stacked = snode.ParamPair.from_stacks(R, Q)
-    for pair, r, q in zip(stacked, R, Q):
-        alone = snode.ParamPair.constant(r, q)
-        assert pair.R.tobytes() == alone.R.tobytes() and pair.Q.tobytes() == alone.Q.tobytes()
-        assert not (pair.R.flags.writeable or pair.Q.flags.writeable)
+    frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(np.random.default_rng(p), p, 2)))
+    monkeypatch.setattr(asymptotics, "rho_from_frame", None)
     with pytest.raises(DimensionMismatch):
-        snode.ParamPair.from_stacks(R, Q[:3])
+        asymptotics.entropy_bound_check(frm, R, Q[:3], 1j)
     with pytest.raises(DimensionMismatch, match="square"):
-        snode.ParamPair.from_stacks(np.ones((2, p, p + 1)), np.ones((2, p, p + 1)))
+        asymptotics.entropy_bound_check(frm, np.ones((2, p, p + 1)), np.ones((2, p, p + 1)), 1j)
     Q = Q.copy()
     Q[2, 0, -1] = np.inf
     with pytest.raises(NonFiniteEntries, match="^matrix 2 of the stack: matrix entries must be finite"):
-        snode.ParamPair.from_stacks(R, Q)
+        asymptotics.entropy_bound_check(frm, R, Q, 1j)
     with pytest.raises(NonFiniteEntries):
         snode.ParamPair.constant(R[2], Q[2])
 
@@ -240,7 +243,7 @@ def test_batched_zeros_match_one_fit_per_pair(p):
         rng = np.random.default_rng(4200 + seed)
         frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 1 + seed % 4)))
         pairs = [sampling.random_constant_pair(rng, p) for _ in range(6)]
-        dens, batch = hankel.weyl_densities(frm, pairs)
+        dens, batch = hankel.weyl_densities(frm, *pair_stacks(*pairs))
         for pair, zeros in zip(pairs, batch):
             [alone] = hankel._denominator_zeros(frm, pair.R[None], pair.Q[None])
             assert zeros.size == frm.p * (1 + seed % 4) and zeros.tobytes() == alone.tobytes()
@@ -301,7 +304,7 @@ def test_weyl_density_matches_imaginary_part(hankel_102, rng, unit_pair):
     _, node = hankel_102
     frm = snode.node_frame(node)
     for pair in (unit_pair, snode.extremal_pair(frm, 1j)):
-        [dens], _ = hankel.weyl_densities(frm, [pair])
+        [dens], _ = hankel.weyl_densities(frm, *pair_stacks(pair))
         for t in rng.uniform(-5, 5, 6):
             direct = snode.lft(frm, pair, complex(t))
             imag = (direct - direct.conj().T) / (2j * np.pi)
@@ -345,7 +348,7 @@ def _frame_formed_denominator(node):
 def test_weyl_density_in_chunks_is_bitwise_one_batch(monkeypatch, frame_of, p, size):
     rng = np.random.default_rng(size)
     node = hankel.build_hankel_node(sampling.random_hankel_spec(rng, p, 2))
-    [density], _ = hankel.weyl_densities(frame_of(node), [sampling.random_constant_pair(rng, p)])
+    [density], _ = hankel.weyl_densities(frame_of(node), *pair_stacks(sampling.random_constant_pair(rng, p)))
     ts = rng.standard_cauchy(size)
     values, log_dets = density(ts), density.log_det_at(ts)
     monkeypatch.setattr(matcore, "CHUNK", 10 * size)  # one batch: no chunking
@@ -393,7 +396,7 @@ def _singular_at_3(p):
 def test_weyl_density_names_the_first_singular_denominator(p):
     den = _singular_at_3(p)
     pair = snode.ParamPair.constant(np.eye(p), np.eye(p))
-    [density], [zeros] = hankel.weyl_densities(_denominator_frame(p, den), [pair])
+    [density], [zeros] = hankel.weyl_densities(_denominator_frame(p, den), *pair_stacks(pair))
     assert_allclose(np.sort_complex(zeros), [-0.25, 0.5], rtol=1e-14)
     ts = np.array([0.0, 0.5, 1.0, -0.25])
     with pytest.raises(SingularDenominator) as info:
@@ -423,7 +426,7 @@ def test_weyl_log_det_is_plus_inf_at_an_exact_real_zero(p):
     log_num = float(np.linalg.slogdet(jform)[1])
     # c = ln|det F(i)| - sum_k ln|i - z_k| = 0 for det F = (t - 0.5)(t + 0.25)
     frm = _denominator_frame(p, _singular_at_3(p))
-    density = hankel._weyl_density(frm, pair, jform, log_num, log_num, zeros)
+    density = hankel._weyl_density(frm, pair.R, pair.Q, jform, log_num, log_num, zeros)
     ts = np.array([0.0, 0.5, 1.0, -0.25])
     assert np.array_equal(np.isposinf(density.log_det_at(ts)), [False, True, False, True])
     with pytest.raises(SzegoViolated):
@@ -515,7 +518,7 @@ def _assert_log_det_f_matches(frm, pair, cond, oracle):
     :func:`_log_det_f_bound`."""
     import mpmath
 
-    [density], [zeros] = hankel.weyl_densities(frm, [pair])
+    [density], [zeros] = hankel.weyl_densities(frm, *pair_stacks(pair))
     ts = _oracle_nodes(density)
     jform = (pair.R.conj().T @ pair.Q + pair.Q.conj().T @ pair.R) / (2.0 * np.pi)
     got = 0.5 * (float(np.linalg.slogdet(jform)[1]) - density.log_det_at(ts))
@@ -637,7 +640,7 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
 
     node, R, Q, jform, ts = _weyl_case(2, n, 200 + n)
     frm = snode.node_frame(node)
-    [density], _ = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
+    [density], _ = hankel.weyl_densities(frm, *pair_stacks(snode.ParamPair.constant(R, Q)))
     new = density(ts)
     Finv = np.linalg.inv(frm.denominator(R, Q)(ts))
     old = np.swapaxes(Finv, 1, 2).conj() @ jform @ Finv
@@ -661,7 +664,7 @@ def test_p2_density_from_the_adjugate_is_as_accurate_as_the_inverse(n):
 def test_p1_density_is_bitwise_jform_over_abs_f_squared():
     node, R, Q, jform, ts = _weyl_case(1, 3, 31)
     frm = snode.node_frame(node)
-    [density], [zeros] = hankel.weyl_densities(frm, [snode.ParamPair.constant(R, Q)])
+    [density], [zeros] = hankel.weyl_densities(frm, *pair_stacks(snode.ParamPair.constant(R, Q)))
     F = frm.denominator(R, Q)(ts)
     want = jform / (F.real * F.real + F.imag * F.imag)
     assert density(ts).tobytes() == want.tobytes()
@@ -678,7 +681,7 @@ def test_moment_majorant_is_bitwise_the_trace(monkeypatch, p):
     from snode_lab import quadrature
 
     node, R, Q, _, ts = _weyl_case(p, 2, 40 + p)
-    [density], _ = hankel.weyl_densities(snode.node_frame(node), [snode.ParamPair.constant(R, Q)])
+    [density], _ = hankel.weyl_densities(snode.node_frame(node), *pair_stacks(snode.ParamPair.constant(R, Q)))
     seen = []
 
     def keep_integrand(fn, *args):
@@ -754,7 +757,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
     spec = sampling.random_hankel_spec(rng, 2, 8)
     pair = sampling.random_constant_pair(rng, 2)
     frm = snode.node_frame(hankel.build_hankel_node(spec))
-    [density], _ = hankel.weyl_densities(frm, [pair])
+    [density], _ = hankel.weyl_densities(frm, *pair_stacks(pair))
     ts = np.array([-7.1e19, 0.3])
     F = frm.denominator(pair.R, pair.Q)(ts)
     assert np.abs(F[0]).max() > 1e154
@@ -776,7 +779,7 @@ def test_p2_density_past_1e154_is_finite_not_a_singular_denominator():
 @pytest.mark.parametrize("p", (1, 2))
 def test_density_scale_changes_no_bit_where_nothing_overflows(monkeypatch, p):
     node, R, Q, _, _ = _weyl_case(p, 3, 70 + p)
-    [density], _ = hankel.weyl_densities(snode.node_frame(node), [snode.ParamPair.constant(R, Q)])
+    [density], _ = hankel.weyl_densities(snode.node_frame(node), *pair_stacks(snode.ParamPair.constant(R, Q)))
     ts = np.random.default_rng(p).standard_cauchy(500)
     scaled = density(ts)
     monkeypatch.setattr(matcore, "power_of_two_scale", lambda stack: np.ones(len(stack)))

@@ -1,4 +1,5 @@
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,11 @@ def _named(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _raised_or_subclassed() -> set[str]:
+@functools.cache
+def _raised_or_subclassed() -> frozenset[str]:
     """Every name raised bare, called (an error built to be raised, or one
-    returned and raised by its caller) or used as a base class in the package."""
+    returned and raised by its caller) or used as a base class in the
+    package; the package is parsed once for all error classes."""
     names = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -51,7 +54,7 @@ def _raised_or_subclassed() -> set[str]:
                 names.add(_named(node))
             elif isinstance(node, ast.ClassDef):
                 names.update(_named(base) for base in node.bases)
-    return names
+    return frozenset(names)
 
 
 @pytest.mark.parametrize("name", ERROR_CLASSES)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from snode_lab import densities, hankel, matcore, quadrature, sampling, snode
 from snode_lab.errors import EvaluationFailure, QuadratureNotConverged, Unsupported
 
+from conftest import pair_stacks
+
 
 def graded_depth(half, width):
     """Levels of the reference rule toward a feature of theta-width ``width``
@@ -84,7 +86,7 @@ def graded(fn, n, breaks=()):
             hankel.HankelSpec(p=1, n=2, H=(np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]])))
         )
     ),
-    [snode.ParamPair.constant(np.array([[0.8]]), np.array([[1.3 + 0.4j]]))],
+    *pair_stacks(snode.ParamPair.constant(np.array([[0.8]]), np.array([[1.3 + 0.4j]]))),
 )
 _M = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
 CASES = {
@@ -104,11 +106,6 @@ def test_graded_rule_equals_per_panel_loop(case, n):
     want = graded_per_panel(fn, n, breaks=breaks)
     got = graded(fn, n, breaks)
     assert np.array_equal(got, want)
-    # a list integrand reduces item by item, each as if on its own
-    doubled = lambda t: 2.0 * np.asarray(fn(t))
-    got_list = graded(lambda t: [fn(t), doubled(t)], n, breaks)
-    assert np.array_equal(got_list[0], want)
-    assert np.array_equal(got_list[1], graded_per_panel(doubled, n, breaks=breaks))
 
 
 @pytest.mark.parametrize("x", [0.0, 3.0, -40.0])
@@ -300,8 +297,8 @@ def _lorentzians(breaks):
 @pytest.mark.parametrize("quad", [512, 2048])
 def test_a_batch_of_line_integrals_is_bitwise_the_integrals_alone(quad):
     fns = [_lorentzians(breaks) for breaks in _BATCH]
-    # a list integrand as well: the moments of the Weyl density and their majorants
-    fns[1] = lambda t: [t[:, None, None] ** k * _WEYL(t) for k in range(3)]
+    # a Powers integrand as well: the moments 0..2 of the Weyl density
+    fns[1] = lambda t: quadrature.Powers(3, ((t, _WEYL(t)),))
     whats = [f"integral {i}" for i in range(len(_BATCH))]
     whats[1] = [f"moment {k}" for k in range(3)]
     quadrature._real_rule.cache_clear()
@@ -480,16 +477,17 @@ def test_spike_table_moments_are_exact(monkeypatch):
 def test_interval_rule_equals_per_piece_loop(breaks):
     # breaks outside (a, b) are dropped, repeated ones count once, and the
     # piece sums are added in order; no breaks is the single-panel rule
-    fn = lambda t: [np.exp(t), np.abs(t - 0.25)[:, None, None] * _M]
     a, b, n = -0.3, 1.5, 16
     edges = [a, *sorted({c for c in breaks if a < c < b}), b]
-    want = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = quadrature.gauss_legendre(lo, hi, n)
-        piece = [np.sum(w * v) if v.ndim == 1 else panel_product(w, v) for v in fn(t)]
-        want = piece if want is None else [x + y for x, y in zip(want, piece)]
-    got = quadrature.integrate_interval(fn, a, b, n, breaks=breaks)
-    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    for fn in (np.exp, lambda t: np.abs(t - 0.25)[:, None, None] * _M):
+        want = None
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t, w = quadrature.gauss_legendre(lo, hi, n)
+            v = fn(t)
+            piece = np.sum(w * v) if v.ndim == 1 else panel_product(w, v)
+            want = piece if want is None else want + piece
+        got = quadrature.integrate_interval(fn, a, b, n, breaks=breaks)
+        assert np.array_equal(got, want)
 
 
 def test_all_orders_pass_names_the_first_failing_order():
@@ -526,8 +524,8 @@ def test_moment_powers_agree_with_numpy_powers(monkeypatch, density):
         rule = lambda fn: graded(fn, 64, density.breaks)
     got = rule(integrand)
     got = got[3:] if density.bounded_support else got[7::2]  # past the majorants and orders 0..2
-    want = rule(lambda t: [t[:, None, None] ** k * density(t) for k in orders])
-    scale = rule(lambda t: [np.abs(t) ** k * density(t)[:, 0, 0].real for k in orders])
+    want = [rule(lambda t, k=k: t[:, None, None] ** k * density(t)) for k in orders]
+    scale = [rule(lambda t, k=k: np.abs(t) ** k * density(t)[:, 0, 0].real) for k in orders]
     for k, g, w, s in zip(orders, got, want, scale):
         assert np.max(np.abs(g - w)) <= 1e-14 * s, k
 
@@ -609,7 +607,7 @@ def _contraction_misses(t, w, values, sizes, orders, got):
 def _weyl_p2():
     rng = np.random.default_rng(4812)
     frm = snode.node_frame(hankel.build_hankel_node(sampling.random_hankel_spec(rng, 2, 2)))
-    [density], _ = hankel.weyl_densities(frm, [sampling.random_constant_pair(rng, 2)])
+    [density], _ = hankel.weyl_densities(frm, *pair_stacks(sampling.random_constant_pair(rng, 2)))
     return density
 
 

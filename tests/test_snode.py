@@ -20,7 +20,7 @@ from snode_lab.errors import (
     Unsupported,
 )
 
-from conftest import random_nodes
+from conftest import pair_stacks, random_nodes
 
 
 @settings(max_examples=20, deadline=None)
@@ -116,21 +116,46 @@ def test_frame_j_unitary_on_real_axis(rng):
 
 def test_rho_hand_values(hankel_unit):
     _, node = hankel_unit
-    assert snode.rho(node, 1j)[0, 0] == pytest.approx(2.0)
+    assert snode.leading_rho(node, 1j)[-1][0, 0] == pytest.approx(2.0)
     # below the axis the same formula gives the reversed value rho(conj z, z)
-    assert snode.rho(node, -1j)[0, 0] == pytest.approx(-2.0)
+    assert snode.leading_rho(node, -1j)[-1][0, 0] == pytest.approx(-2.0)
 
 
 def test_rho_positive_and_consistent_with_frame(rng):
     for node in random_nodes(seed=15, count=4):
         for _ in range(4):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
-            r = snode.rho(node, z)
+            r = snode.leading_rho(node, z)[-1]
             assert matcore.min_eig_hermitian(r) > 0
             via_frame = snode.rho_from_frame(snode.node_frame(node), z)
             assert np.max(np.abs(r - via_frame)) <= 1e-10 * (1 + np.max(np.abs(r)))
-            r_rev = snode.rho(node, np.conj(z))
+            r_rev = snode.leading_rho(node, np.conj(z))[-1]
             assert matcore.min_eig_hermitian(-r_rev) > 0
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_leading_rho_of_an_array_is_bitwise_its_points_alone(family, p):
+    # one resolvent for all points, one substitution per point; the ball
+    # reads both its rho values from one call at z and conj z
+    rng = np.random.default_rng(5600 + 10 * p + len(family))
+    for n in (1, 2, 4):
+        node = _node_of_kind(rng, p, n, family)
+        zs = np.concatenate([sampling.random_upper_points(rng, 3), [-0.4 - 0.8j]])
+        batch = snode.leading_rho(node, zs)
+        assert batch.shape == (zs.size, node.m // p, p, p)
+        for z, stack in zip(zs, batch):
+            assert stack.tobytes() == snode.leading_rho(node, z).tobytes()
+        ball = snode.matrix_ball(node, zs[0])
+        assert ball.rho_value.tobytes() == snode.leading_rho(node, zs[0])[-1].tobytes()
+        assert ball.rho_reversed.tobytes() == snode.leading_rho(node, np.conj(zs[0]))[-1].tobytes()
+
+
+def test_leading_rho_names_the_first_point_that_overflows(hankel_unit):
+    _, node = hankel_unit
+    # 2 Im z rho_1 / H_0 is past the largest double at z = 1e308 i
+    with pytest.raises(EvaluationFailure, match=r"^rho\(z, conj z\) at z = 1e\+308j overflows"):
+        snode.leading_rho(node, [1j, 1e308j, 2j, 1.5e308j])
 
 
 def test_matrix_ball_requires_upper_half_plane(hankel_unit):
@@ -435,7 +460,7 @@ def test_interp_residual_grades_the_density_poles_to_their_width(monkeypatch):
         spec = sampling.random_toeplitz_spec(rng, p, n)
     node = toeplitz.build_toeplitz_node(spec)
     pair = snode.ParamPair.constant(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    assert len(hankel.weyl_densities(snode.node_frame(node), [pair])[0][0].breaks) == 6
+    assert len(hankel.weyl_densities(snode.node_frame(node), *pair_stacks(pair))[0][0].breaks) == 6
     sizes = []
     original = quadrature.integrate_line_graded
 
@@ -470,8 +495,8 @@ def test_interp_residual_scaled_measure_fails_loudly(monkeypatch, unit_pair):
     node = _interp_toeplitz_node()
     original = hankel.weyl_densities
 
-    def doubled(frm, pairs):
-        dens, roots = original(frm, pairs)
+    def doubled(frm, R, Q):
+        dens, roots = original(frm, R, Q)
         return [densities.DensityFn("x2", lambda t, d=d: 2.0 * d(t), p=d.p, breaks=d.breaks) for d in dens], roots
 
     monkeypatch.setattr(hankel, "weyl_densities", doubled)
@@ -485,8 +510,8 @@ def test_interp_residual_circle_missing_a_pole_fails_loudly(monkeypatch):
     node, pair = _interp_corpus(510)
     original = hankel.weyl_densities
 
-    def rootless(frm, pairs):
-        dens, roots = original(frm, pairs)
+    def rootless(frm, R, Q):
+        dens, roots = original(frm, R, Q)
         return dens, [r[:0] for r in roots]
 
     monkeypatch.setattr(hankel, "weyl_densities", rootless)
@@ -561,7 +586,7 @@ def test_matrix_ball_inverts_the_diagonal_blocks_once(monkeypatch):
     assert np.array_equal(node.S_diag_inv, original(node.S_chol.factor, node.p))
     # the kept inverses give the same rho, bitwise, as a fresh node
     fresh = snode.SNode(node.p, node.shift, node.S, node.Phi1, node.Phi2)
-    assert np.array_equal(ball.rho_reversed, snode.rho(fresh, 0.3 - 1.1j))
+    assert np.array_equal(ball.rho_reversed, snode.leading_rho(fresh, 0.3 - 1.1j)[-1])
 
 
 def test_ball_membership_center_and_roundtrip(hankel_unit, rng):
@@ -664,13 +689,13 @@ def test_extremal_pair_hand_and_identity(hankel_unit, rng):
     for other in random_nodes(seed=18, count=4):
         lam = complex(rng.uniform(-1, 1), rng.uniform(0.4, 1.4))
         Ro, Qo = snode.extremal_pair(snode.node_frame(other), lam).constant_value
-        gap = Ro.conj().T @ Qo + Qo.conj().T @ Ro - snode.rho(other, lam)
+        gap = Ro.conj().T @ Qo + Qo.conj().T @ Ro - snode.leading_rho(other, lam)[-1]
         assert np.max(np.abs(gap)) <= 1e-10 * (1 + np.max(np.abs(Ro)))
 
 
 def test_extremal_density_is_cauchy_for_unit_node(hankel_unit):
     frm = snode.node_frame(hankel_unit[1])
-    [dens], _ = hankel.weyl_densities(frm, [snode.extremal_pair(frm, 1j)])
+    [dens], _ = hankel.weyl_densities(frm, *pair_stacks(snode.extremal_pair(frm, 1j)))
     ts = np.array([-2.0, 0.0, 0.5, 3.0])
     assert_allclose(
         dens(ts)[:, 0, 0].real, 1.0 / (np.pi * (1 + ts**2)), atol=1e-12
@@ -787,7 +812,7 @@ def test_resolvent_evaluators_agree_with_lu_on_the_assembled_a(seed, p, n, kind)
     for got, want in (
         (snode.transfer_matrix(node, zs), transfer),
         (snode.frame(node, zs), frames),
-        (snode.rho(node, zs[0]), rho),
+        (snode.leading_rho(node, zs[0])[-1], rho),
     ):
         finite = np.isfinite(want).all(axis=(-2, -1))
         assert _pointwise_rel_gap(got[finite], want[finite]) <= 1e-13
@@ -951,7 +976,7 @@ def test_rho_of_a_well_posed_order_36_toeplitz_node():
     # D = (I - B B*)^{1/2} (I - B* zeta)^{-1}, zeta = (2i - z)/(2i + z)
     spec, B = _poisson_toeplitz_spec(36)
     z = 0.3 + 0.8j
-    value = snode.rho(toeplitz.build_toeplitz_node(spec), z)
+    value = snode.leading_rho(toeplitz.build_toeplitz_node(spec), z)[-1]
     assert matcore.min_eig_hermitian(value) > 0.0
     zeta, eye, Bh = (2j - z) / (2j + z), np.eye(2), B.conj().T
     F = 0.5 * (eye + zeta * Bh) @ np.linalg.inv(eye - zeta * Bh)
@@ -1003,7 +1028,7 @@ def test_node_factors_s_once(monkeypatch):
     for z in (0.5 + 1j, np.array([1j, -0.3 + 0.7j])):
         snode.frame(node, z)
         snode.transfer_matrix(node, z)
-        snode.rho(node, 1j)
+        snode.leading_rho(node, 1j)
     assert len(calls) == 1
 
 
